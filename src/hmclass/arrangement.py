@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .coeffs import PolyY, rat
 
@@ -22,7 +23,6 @@ __all__ = [
     "LocalizedArrangement",
     "build",
     "edges",
-    "edge_key",
     "localize",
     "complement_chi",
     "milnor_fiber_chi",
@@ -119,6 +119,14 @@ class Arrangement:
     def multiple_indices(self) -> tuple:
         return tuple(j for j, h in enumerate(self.hyperplanes) if h.mult > 1)
 
+    @cached_property
+    def lattice(self) -> "Lattice":
+        """The intersection lattice, searched once and shared by every
+        consumer of this arrangement."""
+        found = _search_edges(self)
+        return Lattice(found, {e.key: e for e in found},
+                       _rank([h.covector for h in self.hyperplanes]))
+
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -206,11 +214,17 @@ class Edge:
         return set(self.index_set) <= set(other.index_set)
 
 
-def edge_key(edge: Edge) -> str:
-    return edge.key
+@dataclass(frozen=True)
+class Lattice:
+    """The edges of an arrangement with the index and rank its consumers
+    look up."""
+
+    edges: tuple  # sorted by (codimension, index set)
+    by_key: dict  # edge key -> edge
+    rank: int  # rank of the whole covector family
 
 
-def edges(arr: Arrangement) -> list:
+def _search_edges(arr: Arrangement) -> tuple:
     """All edges of the arrangement: intersections of subfamilies,
     deduplicated by subspace, with saturated index sets.  Sorted by
     (codimension, index set)."""
@@ -243,11 +257,12 @@ def edges(arr: Arrangement) -> list:
                 found[span] = new
                 nxt.append(new)
         frontier = nxt
-    return sorted(found.values(), key=lambda e: (e.codim, e.index_set))
+    return tuple(sorted(found.values(), key=lambda e: (e.codim, e.index_set)))
 
 
-def edges_by_key(arr: Arrangement) -> dict:
-    return {e.key: e for e in edges(arr)}
+def edges(arr: Arrangement) -> tuple:
+    """All edges of the arrangement, sorted by (codimension, index set)."""
+    return arr.lattice.edges
 
 
 # ---------------------------------------------------------------------------
@@ -308,15 +323,12 @@ class LocalizedArrangement:
         return len(self.mults) == self.rank
 
 
-def localize(arr: Arrangement, edge: Edge, all_edges=None) -> LocalizedArrangement:
-    if all_edges is None:
-        all_edges = edges(arr)
+def localize(arr: Arrangement, edge: Edge) -> LocalizedArrangement:
     sset = set(edge.index_set)
-    flats = [((), 0)]
-    for e in all_edges:
-        if set(e.index_set) <= sset:
+    flats = [(frozenset(), 0)]
+    for e in arr.lattice.edges:
+        if sset.issuperset(e.index_set):
             flats.append((frozenset(e.index_set), e.codim))
-    flats = [(frozenset(i), r) for i, r in flats]
     mults = tuple(arr.mult(j) for j in edge.index_set)
     return LocalizedArrangement(edge, edge.codim, mults, tuple(flats))
 
@@ -336,21 +348,29 @@ def milnor_fiber_chi(loc: LocalizedArrangement) -> int:
 
 
 def is_dense(edge: Edge, arr: Arrangement) -> bool:
-    """True when the localized central arrangement is indecomposable: no
-    proper bipartition of its hyperplanes has additive rank."""
-    covs = [arr.covector(j) for j in edge.index_set]
-    k = len(covs)
-    if k == 1:
-        return True
-    if k > 20:
-        raise ValueError("dense-edge bipartition search capped at 20 hyperplanes")
-    total = edge.codim
-    for mask in range(1, 1 << (k - 1)):
-        part_a = [covs[i] for i in range(k) if mask >> i & 1]
-        part_b = [covs[i] for i in range(k) if not mask >> i & 1]
-        if _rank(part_a) + _rank(part_b) == total:
-            return False
-    return True
+    """True when the localized central arrangement is indecomposable, that
+    is when its matroid is connected.
+
+    Put the covectors through the edge as the columns of a matrix.  In its
+    reduced row echelon form the pivot columns are a greedy basis, and each
+    other column holds the coordinates of its covector in that basis.
+    Joining every covector to the basis covectors its coordinates use gives
+    the fundamental-circuit graph, which is connected exactly when the
+    matroid is (Oxley, Matroid Theory)."""
+    k = len(edge.index_set)
+    comp = list(range(k))  # union-find parent per covector
+
+    def root(i):
+        while comp[i] != i:
+            i = comp[i]
+        return i
+
+    for row in _rref(zip(*(arr.covector(j) for j in edge.index_set))):
+        lead = root(next(i for i, x in enumerate(row) if x != 0))
+        for j, x in enumerate(row):
+            if x != 0:
+                comp[root(j)] = lead
+    return len({root(i) for i in range(k)}) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +392,10 @@ class Stratum:
         return self.edge.key
 
 
-def _boundary(arr: Arrangement, edge: Edge, all_edges) -> tuple:
+def _boundary(arr: Arrangement, edge: Edge) -> tuple:
     sset = set(edge.index_set)
     out = []
-    for e in all_edges:
+    for e in arr.lattice.edges:
         if set(e.index_set) > sset:
             m_rel = sum(arr.mult(j) for j in e.index_set if j not in sset)
             out.append((e, m_rel))
@@ -384,21 +404,18 @@ def _boundary(arr: Arrangement, edge: Edge, all_edges) -> tuple:
 
 def x_strata(arr: Arrangement) -> list:
     """Canonical stratification of the divisor: one open stratum per edge."""
-    all_edges = edges(arr)
-    return [Stratum(e, "X", arr.n - e.codim, _boundary(arr, e, all_edges))
-            for e in all_edges]
+    return [Stratum(e, "X", arr.n - e.codim, _boundary(arr, e))
+            for e in arr.lattice.edges]
 
 
 def sigma_strata(arr: Arrangement) -> list:
     """Strata of the singular locus away from the generic section: every edge
     of codimension >= 2, plus multiple hyperplanes.  The generic section is
     handled symbolically downstream and never appears as an edge."""
-    all_edges = edges(arr)
     out = []
-    for e in all_edges:
+    for e in arr.lattice.edges:
         if e.codim >= 2 or (len(e.index_set) == 1 and arr.mult(e.index_set[0]) > 1):
-            out.append(Stratum(e, "Sigma", arr.n - e.codim,
-                               _boundary(arr, e, all_edges)))
+            out.append(Stratum(e, "Sigma", arr.n - e.codim, _boundary(arr, e)))
     return out
 
 
@@ -411,26 +428,18 @@ def chi_y_pn(n: int) -> PolyY:
     return PolyY([(-1) ** p for p in range(n + 1)])
 
 
-def _arrangement_rank(arr: Arrangement) -> int:
-    return _rank([h.covector for h in arr.hyperplanes])
-
-
-def chi_y_stratum(arr: Arrangement, edge: Edge, all_edges=None,
-                  _rank_cache=None) -> PolyY:
+def chi_y_stratum(arr: Arrangement, edge: Edge) -> PolyY:
     """chi_y of the open stratum of an edge, from the Betti numbers of the
     induced projective arrangement complement (all of Tate type)."""
     d = arr.n - edge.codim
     if d == 0:
         return PolyY([1])
-    if all_edges is None:
-        all_edges = edges(arr)
     sset = set(edge.index_set)
     flats = [(frozenset(sset), 0)]
-    for e in all_edges:
+    for e in arr.lattice.edges:
         if set(e.index_set) > sset:
             flats.append((frozenset(e.index_set), e.codim - edge.codim))
-    full_rank = _rank_cache if _rank_cache is not None else _arrangement_rank(arr)
-    if full_rank == arr.n + 1:
+    if arr.lattice.rank == arr.n + 1:
         flats.append((frozenset(range(arr.r)) | {-1}, arr.n + 1 - edge.codim))
     if len(flats) == 1:
         return chi_y_pn(d)
@@ -452,22 +461,21 @@ def chi_y(arr: Arrangement, target: str = "X") -> PolyY:
     ambient value; an edge key returns that open stratum."""
     if target == "P^n":
         return chi_y_pn(arr.n)
-    all_edges = edges(arr)
-    full_rank = _arrangement_rank(arr)
     if target == "X":
         acc = PolyY()
-        for e in all_edges:
-            acc = acc + chi_y_stratum(arr, e, all_edges, full_rank)
+        for e in arr.lattice.edges:
+            acc = acc + chi_y_stratum(arr, e)
         return acc
-    for e in all_edges:
-        if e.key == target:
-            return chi_y_stratum(arr, e, all_edges, full_rank)
-    raise ArrangementError(f"unknown chi_y target {target!r}")
+    edge = arr.lattice.by_key.get(target)
+    if edge is None:
+        raise ArrangementError(f"unknown chi_y target {target!r}")
+    return chi_y_stratum(arr, edge)
 
 
 def euler_by_inclusion_exclusion(arr: Arrangement) -> int:
     """Independent Euler-characteristic oracle for the divisor: alternating
-    sum over all subfamilies of hyperplanes."""
+    sum over all subfamilies of hyperplanes.  Exponential in the number of
+    hyperplanes, so only the check harness and the tests call it."""
     covs = [h.covector for h in arr.hyperplanes]
     r = len(covs)
     total = 0

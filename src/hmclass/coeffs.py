@@ -19,8 +19,6 @@ __all__ = [
     "PolyY",
     "RatFuncY",
     "SeriesA",
-    "ratfunc_arith",
-    "series_arith",
 ]
 
 
@@ -351,17 +349,6 @@ RatFuncY.Y = RatFuncY(PolyY.Y)
 RatFuncY.ONE_PLUS_Y = RatFuncY(PolyY.ONE_PLUS_Y)
 
 
-def ratfunc_arith(a: RatFuncY, b: RatFuncY, kind: str) -> RatFuncY:
-    """Named arithmetic surface over RatFuncY: kind in {add, mul, div}."""
-    if kind == "add":
-        return a + b
-    if kind == "mul":
-        return a * b
-    if kind == "div":
-        return a / b
-    raise ValueError(f"unknown kind {kind!r}")
-
-
 class SeriesA:
     """Truncated power series in a formal nilpotent variable with RatFuncY
     coefficients.  The coefficient list always has length order + 1."""
@@ -450,34 +437,9 @@ class SeriesA:
             f = f * factor
         return SeriesA(out, self.order)
 
-    def truncate(self, order: int) -> "SeriesA":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return SeriesA(self.coeffs[: order + 1], order)
-
     def eval_y(self, y0) -> list:
         """Coefficient-wise evaluation at a rational y0."""
         return [c(y0) for c in self.coeffs]
 
     def __repr__(self):
         return f"SeriesA({[str(c) for c in self.coeffs]}, order={self.order})"
-
-
-def series_arith(a: SeriesA, b: SeriesA = None, kind: str = "add",
-                 factor=None) -> SeriesA:
-    """Named arithmetic surface over SeriesA.
-
-    kind in {add, mul, invert, compose_scale}; compose_scale takes the
-    scale factor through `factor` instead of a second series.
-    """
-    if kind == "add":
-        return a + b
-    if kind == "mul":
-        return a * b
-    if kind == "invert":
-        return a.invert()
-    if kind == "compose_scale":
-        if factor is None:
-            raise ValueError("compose_scale requires a factor")
-        return a.compose_scale(factor)
-    raise ValueError(f"unknown kind {kind!r}")

@@ -22,7 +22,6 @@ __all__ = [
     "class_from_roots",
     "chern_to_ch",
     "todd_from_chern",
-    "chern_dual",
     "lambda_y",
     "lambda_y_virtual",
 ]
@@ -187,12 +186,6 @@ def todd_from_chern(cd: ChernData, ring: Ring = None) -> RingElement:
         c2 = cd.chern[1]
         acc = acc + c1 * c2 * Fraction(1, 24)
     return acc
-
-
-def chern_dual(cd: ChernData) -> ChernData:
-    """Chern data of the dual bundle: c_i -> (-1)^i c_i."""
-    return ChernData(cd.rank, tuple(c * ((-1) ** (i + 1))
-                                    for i, c in enumerate(cd.chern)))
 
 
 def _exp_minus_one_powers(dim: int) -> list:

@@ -190,11 +190,6 @@ class ProjRing(Ring):
             raise ValueError("no degree-1 class on a point")
         return self.basis_element(1)
 
-    def from_poly_in_h(self, coeffs) -> RingElement:
-        cs = list(coeffs)[: self.dim + 1]
-        cs += [0] * (self.dim + 1 - len(cs))
-        return self.element(cs)
-
 
 class BlownPlaneRing(Ring):
     """Intersection ring of a projective plane blown up at named points.

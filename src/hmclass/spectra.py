@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 
 from .arrangement import (Arrangement, Edge, LocalizedArrangement, Stratum,
-                          edges, localize, milnor_fiber_chi)
+                          localize, milnor_fiber_chi)
 from .coeffs import rat
 
 __all__ = [
@@ -227,13 +227,10 @@ def sp_validate(sp: Spectrum, loc: LocalizedArrangement) -> dict:
     return {"ok": not failures, "failures": failures}
 
 
-def catalogue_spectrum(arr: Arrangement, edge: Edge,
-                       loc: LocalizedArrangement = None):
+def catalogue_spectrum(arr: Arrangement, edge: Edge):
     """Built-in germ spectrum for an edge, or None when only a user table
     will do (non-monomial germs that are not reduced plane germs)."""
-    if loc is None:
-        loc = localize(arr, edge)
-    kind = classify_germ(loc)
+    kind = classify_germ(localize(arr, edge))
     if kind.tag == "monomial":
         return sp_monomial(kind.data)
     if kind.tag == "ordinary":
@@ -258,12 +255,11 @@ def sp_user_load(source, arr: Arrangement) -> dict:
         data = source
     if not isinstance(data, dict):
         raise SpectrumError("spectrum tables must be a JSON object keyed by edge")
-    by_key = {e.key: e for e in edges(arr)}
     out = {}
     for key, entries in data.items():
-        if key not in by_key:
+        edge = arr.lattice.by_key.get(key)
+        if edge is None:
             raise SpectrumError(f"unknown edge key {key!r}")
-        edge = by_key[key]
         table = {}
         for item in entries:
             try:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ambient import GradedClass
-from .arrangement import Arrangement, Edge, Stratum, edges
+from .arrangement import Arrangement, Edge, Stratum
 from .coeffs import PolyY, RatFuncY, rat
 from .genera import ChernData, todd_from_chern
 from .rings import BlownPlaneRing, ProjRing, RingElement
@@ -383,22 +383,21 @@ class LabelSchema:
 
 
 def build_labels(arr: Arrangement) -> LabelSchema:
-    all_edges = edges(arr)
     multiple = set(arr.multiple_indices())
-    in_sigma1 = tuple(e.key for e in all_edges
+    in_sigma1 = tuple(e.key for e in arr.lattice.edges
                       if any(j in multiple for j in e.index_set))
     # canonical order: degree descending, own labels before the shared one,
     # own labels by sorted hyperplane index set
     labels = []
-    for e in all_edges:  # all_edges is sorted by (codim, index set)
+    for e in arr.lattice.edges:  # sorted by (codim, index set)
         if e.codim == 1 and e.index_set[0] in multiple:
             labels.append(Label(_own_label_name(arr, e), arr.n - 1,
                                 "hyperplane", e.key))
-    for e in all_edges:
+    for e in arr.lattice.edges:
         if e.codim == 2 and e.key not in in_sigma1:
             labels.append(Label(_own_label_name(arr, e), arr.n - 2,
                                 "codim2", e.key))
-    sigma_nonempty = bool(multiple) or any(e.codim >= 2 for e in all_edges)
+    sigma_nonempty = bool(multiple) or any(e.codim >= 2 for e in arr.lattice.edges)
     if sigma_nonempty:
         if multiple and arr.n >= 2:
             labels.append(Label(f"Q_{{{arr.n - 2}}}", arr.n - 2, "shared"))
@@ -527,20 +526,19 @@ def relabel_vector(vec: SigmaChowVector, perm: dict,
 def chow_dims(arr: Arrangement) -> dict:
     """Ranks of the rational Chow groups of the divisor and of its singular
     locus, by homology degree."""
-    all_edges = edges(arr)
     multiple = set(arr.multiple_indices())
-    in_sigma1 = {e.key for e in all_edges
+    in_sigma1 = {e.key for e in arr.lattice.edges
                  if any(j in multiple for j in e.index_set)}
     n, r = arr.n, arr.r
     ch_x = {n - 1: r}
     for k in range(n - 1):
         ch_x[k] = 1
-    sigma_nonempty = bool(multiple) or any(e.codim >= 2 for e in all_edges)
+    sigma_nonempty = bool(multiple) or any(e.codim >= 2 for e in arr.lattice.edges)
     ch_sigma = {}
     if sigma_nonempty:
         ch_sigma[n - 1] = len(multiple)
         if n >= 2:
-            own2 = sum(1 for e in all_edges
+            own2 = sum(1 for e in arr.lattice.edges
                        if e.codim == 2 and e.key not in in_sigma1)
             ch_sigma[n - 2] = own2 + (1 if multiple else 0)
         for k in range(n - 3, -1, -1):

@@ -100,3 +100,20 @@ def inclusion_exclusion_euler(covectors, n):
             if rank <= n:
                 total += (-1) ** (size + 1) * (n - rank + 1)
     return total
+
+
+def dense_by_bipartition(covectors):
+    """Indecomposability of a central arrangement: no proper bipartition of
+    its hyperplanes has ranks adding up to the total rank.  Exponential in
+    the number of hyperplanes."""
+    def rank_of(rows):
+        return sympy.Matrix([list(c) for c in rows]).rank()
+
+    k = len(covectors)
+    total = rank_of(covectors)
+    for mask in range(1, 1 << (k - 1)):
+        part_a = [covectors[i] for i in range(k) if mask >> i & 1]
+        part_b = [covectors[i] for i in range(k) if not mask >> i & 1]
+        if rank_of(part_a) + rank_of(part_b) == total:
+            return False
+    return True

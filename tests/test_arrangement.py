@@ -1,13 +1,17 @@
+import random
+
 import pytest
 
-from hmclass import corpus
+from hmclass import arrangement, cli, corpus
 from hmclass.arrangement import (ArrangementError, build, chi_y, chi_y_pn,
                                  chi_y_stratum, complement_chi, edges,
                                  euler_by_inclusion_exclusion, is_dense,
                                  localize, milnor_fiber_chi, sigma_strata,
                                  x_strata)
 from hmclass.coeffs import PolyY
-from oracles import brute_force_edges, inclusion_exclusion_euler
+from hmclass.milnor import assemble
+from oracles import (brute_force_edges, dense_by_bipartition,
+                     inclusion_exclusion_euler)
 
 
 def lines(*covs, mults=None):
@@ -156,6 +160,24 @@ class TestDense:
         arr = corpus.load(name)
         for e in edges(arr):
             assert is_dense(e, arr) == (complement_chi(localize(arr, e)) != 0)
+            covs = [arr.covector(j) for j in e.index_set]
+            assert is_dense(e, arr) == dense_by_bipartition(covs), e.key
+
+    def test_matches_bipartition_oracle_on_random_arrangements(self):
+        # entries in {-1, 0, 1} give many concurrent and decomposable edges
+        rng = random.Random(3)
+        for n, k in [(2, 7), (2, 7), (3, 7), (3, 7), (3, 8)]:
+            while True:
+                covs = [[rng.randint(-1, 1) for _ in range(n + 1)]
+                        for _ in range(k)]
+                try:
+                    arr = build(n, [(c, 1) for c in covs])
+                    break
+                except ArrangementError:
+                    pass
+            for e in edges(arr):
+                covs = [arr.covector(j) for j in e.index_set]
+                assert is_dense(e, arr) == dense_by_bipartition(covs), e.key
 
 
 class TestChiY:
@@ -200,3 +222,27 @@ class TestChiY:
     def test_double_line_is_reduced_line(self):
         # chi_y sees only the underlying set
         assert chi_y(corpus.load("doubleline")) == PolyY([1, -1])
+
+
+class TestLatticeSearchedOnce:
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        calls = []
+        search = arrangement._search_edges
+
+        def counted(arr):
+            calls.append(arr)
+            return search(arr)
+
+        monkeypatch.setattr(arrangement, "_search_edges", counted)
+        return calls
+
+    def test_assemble(self, searches):
+        assemble(corpus.load("doubleplane3"))
+        assert len(searches) == 1
+
+    @pytest.mark.parametrize("command", ["milnor", "lattice", "spectra", "chi-y"])
+    def test_cli_report(self, searches, command, capsys):
+        path = str(corpus.corpus_path("doubleplane3"))
+        assert cli.main([command, path]) == 0, capsys.readouterr().err
+        assert len(searches) == 1

@@ -105,6 +105,21 @@ class TestOtherCommands:
         assert dense_points == []
         assert payload["chow_dims"]["CH_Sigma"]["0"] == 3
 
+    def test_lattice_wide_pencil(self, capsys, tmp_path):
+        # 21 lines through one point: beyond any bipartition search
+        source = tmp_path / "pencil21.json"
+        covs = [[1, i, 0] for i in range(20)] + [[0, 1, 0]]
+        source.write_text(json.dumps({
+            "n": 2,
+            "hyperplanes": [{"coeffs": [str(c) for c in cov], "mult": 1}
+                            for cov in covs],
+        }))
+        payload = run_json(capsys, "lattice", str(source))
+        centre = payload["edges"][-1]
+        assert centre["key"] == ",".join(str(j) for j in range(1, 22))
+        assert centre["dense"] is True
+        assert payload["euler_inclusion_exclusion"] == 22
+
     def test_chi_y(self, capsys):
         payload = run_json(capsys, "chi-y", corpus_file("concurrent3"))
         assert payload["chi_y_X"] == ["1", "-3"]

@@ -166,7 +166,7 @@ class TestValidate:
         arr = corpus.load(name)
         for s in sigma_strata(arr):
             loc = localize(arr, s.edge)
-            sp = catalogue_spectrum(arr, s.edge, loc)
+            sp = catalogue_spectrum(arr, s.edge)
             assert sp is not None
             report = sp_validate(sp, loc)
             assert report["ok"], (name, s.key, report["failures"])
