@@ -3,10 +3,10 @@ arrangements: Hirzebruch classes, virtual classes, spectrum bookkeeping,
 and the Milnor-class correction supported on the singular locus, with
 independent computation paths cross-validating each other."""
 
-from .coeffs import PolyY, Rational, RatFuncY, SeriesA, rat, rat_str
+from .coeffs import Rational, RatFuncY, SeriesA, rat, rat_str
 from .rings import BlownPlaneRing, ProjRing, RingElement
 from .genera import (ChernData, class_from_roots, hirzebruch_series,
-                     lambda_y, lambda_y_virtual, verify_identity_qr)
+                     verify_identity_qr)
 from .arrangement import (Arrangement, ArrangementError, Edge, Stratum,
                           build, chi_y, chi_y_pn, chi_y_stratum,
                           complement_chi, edges, is_dense, localize,

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffs import PolyY, RatFuncY, rat
-from .genera import class_from_roots, hirzebruch_series
+from .coeffs import RatFuncY, rat
+from .genera import class_from_roots
 from .rings import ProjRing, Ring, RingElement
 
 __all__ = [
@@ -109,20 +109,8 @@ def virtual_pushed_ci(degrees, n: int) -> GradedClass:
     if any(d < 1 for d in degrees):
         raise ValueError("degrees must be positive")
     ring = ProjRing(n)
-    acc = class_from_roots(ring, [ring.h] * (n + 1), "Q")
-    r_series = hirzebruch_series("R", n)
-    for d in degrees:
-        root = ring.h * d
-        value = ring.zero()
-        power = ring.one()
-        for k in range(n + 1):
-            c = r_series.coeff(k)
-            if not c.is_zero():
-                value = value + power * c
-            power = power * root
-            if power.is_zero():
-                break
-        acc = acc * value
+    acc = (class_from_roots(ring, [ring.h] * (n + 1), "Q")
+           * class_from_roots(ring, [ring.h * d for d in degrees], "R"))
     for c in acc.coeffs:
         if not c.is_polynomial():
             raise AssertionError(f"virtual class coefficient {c} is not polynomial")
@@ -134,7 +122,7 @@ def virtual_pushed(d: int, n: int) -> GradedClass:
     return virtual_pushed_ci([d], n)
 
 
-def virtual_genus(d: int, n: int) -> PolyY:
+def virtual_genus(d: int, n: int) -> RatFuncY:
     """chi_y genus a smooth degree-d hypersurface in projective n-space
     would have: the degree-zero coefficient of the pushed virtual class."""
     return virtual_pushed(d, n).trace().as_poly()
@@ -147,7 +135,7 @@ def specialize(gc: GradedClass, y0) -> GradedClass:
 
     def ev(c: RatFuncY) -> RatFuncY:
         try:
-            return RatFuncY(PolyY([c(y0)]))
+            return RatFuncY([c(y0)])
         except ZeroDivisionError:
             raise ZeroDivisionError(f"non-polynomial class: pole at y = {y0}")
 

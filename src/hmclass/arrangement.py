@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .coeffs import PolyY, rat
+from .coeffs import RatFuncY, rat
 
 __all__ = [
     "ArrangementError",
@@ -169,7 +169,7 @@ def build(n: int, hyperplanes) -> Arrangement:
     Rejects zero covectors, proportional covector pairs (duplicates are an
     input error, never merged) and non-positive multiplicities.
     """
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ArrangementError(f"ambient dimension must be a positive integer, got {n!r}")
     hyps = []
     for covector, mult in hyperplanes:
@@ -179,7 +179,7 @@ def build(n: int, hyperplanes) -> Arrangement:
                 f"covector {cov} has length {len(cov)}, expected {n + 1}")
         if all(c == 0 for c in cov):
             raise ArrangementError("zero covector")
-        if not isinstance(mult, int) or mult < 1:
+        if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
             raise ArrangementError(f"multiplicity must be a positive integer, got {mult!r}")
         hyps.append(Hyperplane(cov, mult))
     if not hyps:
@@ -282,15 +282,16 @@ def _mobius(isets) -> dict:
     return mu
 
 
-def _whitney(flats) -> PolyY:
-    """Whitney polynomial sum_F mu(F) (-t)^{rank F} of a ranked family of
-    flats given as (index_set, rank) pairs including the rank-0 bottom."""
+def _whitney(flats) -> list:
+    """Coefficients of the Whitney polynomial sum_F mu(F) (-t)^{rank F} of
+    a ranked family of flats given as (index_set, rank) pairs including the
+    rank-0 bottom."""
     ranks = dict(flats)
     mu = _mobius(set(ranks))
     coeffs = [Fraction(0)] * (max(ranks.values()) + 1)
     for iset, rank in ranks.items():
         coeffs[rank] += mu[iset] * (-1) ** rank
-    return PolyY(coeffs)
+    return coeffs
 
 
 @dataclass(frozen=True)
@@ -336,8 +337,7 @@ def localize(arr: Arrangement, edge: Edge) -> LocalizedArrangement:
 def complement_chi(loc: LocalizedArrangement) -> int:
     """Euler characteristic of the projectivized complement of the localized
     central arrangement, from the Mobius function of its lattice."""
-    whitney = _whitney(loc.flats)
-    projective = whitney.exact_div(PolyY([1, 1]))
+    projective = RatFuncY(_whitney(loc.flats), 1).as_poly()
     return int(projective(-1))
 
 
@@ -423,17 +423,17 @@ def sigma_strata(arr: Arrangement) -> list:
 # chi_y genera
 
 
-def chi_y_pn(n: int) -> PolyY:
+def chi_y_pn(n: int) -> RatFuncY:
     """chi_y of projective n-space: alternating powers of y."""
-    return PolyY([(-1) ** p for p in range(n + 1)])
+    return RatFuncY([(-1) ** p for p in range(n + 1)])
 
 
-def chi_y_stratum(arr: Arrangement, edge: Edge) -> PolyY:
+def chi_y_stratum(arr: Arrangement, edge: Edge) -> RatFuncY:
     """chi_y of the open stratum of an edge, from the Betti numbers of the
     induced projective arrangement complement (all of Tate type)."""
     d = arr.n - edge.codim
     if d == 0:
-        return PolyY([1])
+        return RatFuncY.ONE
     sset = set(edge.index_set)
     flats = [(frozenset(sset), 0)]
     for e in arr.lattice.edges:
@@ -443,18 +443,16 @@ def chi_y_stratum(arr: Arrangement, edge: Edge) -> PolyY:
         flats.append((frozenset(range(arr.r)) | {-1}, arr.n + 1 - edge.codim))
     if len(flats) == 1:
         return chi_y_pn(d)
-    whitney = _whitney(flats)
-    betti = whitney.exact_div(PolyY([1, 1]))
-    acc = PolyY()
-    minus_y = PolyY([0, -1])
-    for j in range(betti.degree + 1):
-        b = betti.coeff(j)
+    betti = RatFuncY(_whitney(flats), 1).as_poly()
+    acc = RatFuncY.ZERO
+    minus_y = RatFuncY([0, -1])
+    for j, b in enumerate(betti.coeffs):
         if b:
             acc = acc + minus_y ** (d - j) * (b * (-1) ** j)
     return acc
 
 
-def chi_y(arr: Arrangement, target: str = "X") -> PolyY:
+def chi_y(arr: Arrangement, target: str = "X") -> RatFuncY:
     """chi_y genus by additivity over the canonical stratification.
 
     target 'X' sums all edge strata of the divisor; 'P^n' returns the
@@ -462,7 +460,7 @@ def chi_y(arr: Arrangement, target: str = "X") -> PolyY:
     if target == "P^n":
         return chi_y_pn(arr.n)
     if target == "X":
-        acc = PolyY()
+        acc = RatFuncY.ZERO
         for e in arr.lattice.edges:
             acc = acc + chi_y_stratum(arr, e)
         return acc

@@ -1,9 +1,13 @@
 """Exact coefficient arithmetic.
 
-Everything downstream is built on arbitrary-precision rationals: dense
-univariate polynomials in the parameter y, normalized rational functions
-in y, and truncated power series in a formal nilpotent variable (used
-for Chern-root expansions).  No floating point anywhere.
+Everything downstream is built on arbitrary-precision rationals.  The one
+coefficient type, RatFuncY, is the ring Q[y, 1/(1+y)]: a dense polynomial
+numerator in the parameter y over a power (1+y)^k.  The Hirzebruch series,
+the Todd transformation and the (1+y)^{-k} degree scaling only ever divide
+by 1 + y, so no other denominator occurs; a value is a polynomial exactly
+when k == 0.  Truncated power series in a formal nilpotent variable (used
+for Chern-root expansions) carry RatFuncY coefficients.  No floating point
+anywhere.
 """
 
 from __future__ import annotations
@@ -16,17 +20,17 @@ __all__ = [
     "Rational",
     "rat",
     "rat_str",
-    "PolyY",
     "RatFuncY",
     "SeriesA",
 ]
 
 
 def rat(value) -> Fraction:
-    """Parse a rational from an int, Fraction, or 'p/q' string."""
+    """Parse a rational from an int (not a bool), Fraction, or 'p/q'
+    string."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value.strip())
@@ -38,89 +42,147 @@ def rat_str(value: Fraction) -> str:
     return str(value)
 
 
-class PolyY:
-    """Dense polynomial in y over Q.  Trailing zeros are stripped; the zero
-    polynomial has an empty coefficient tuple and degree -1."""
+def _div_one_plus_y(cs: list):
+    """Quotient and remainder of a coefficient list by 1 + y (synthetic
+    division at y = -1)."""
+    quot = [Fraction(0)] * (len(cs) - 1)
+    acc = Fraction(0)
+    for i in range(len(cs) - 1, 0, -1):
+        acc = cs[i] - acc
+        quot[i - 1] = acc
+    return quot, cs[0] - acc
 
-    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs=()):
+def _times_one_plus_y(cs: list, d: int) -> list:
+    """A coefficient list multiplied by (1 + y)^d."""
+    for _ in range(d):
+        cs = [a + b for a, b in zip(cs + [Fraction(0)], [Fraction(0)] + cs)]
+    return cs
+
+
+class RatFuncY:
+    """Element of Q[y, 1/(1+y)]: a polynomial numerator c_0 + c_1 y + ...
+    over (1+y)^k.
+
+    Normal form: trailing zeros are stripped, and 1 + y is divided out of
+    the numerator while k > 0 and the numerator vanishes at y = -1.  So the
+    value is a polynomial exactly when k == 0, and equal values have equal
+    (coeffs, k).  The zero element has an empty coefficient tuple."""
+
+    __slots__ = ("coeffs", "k")
+
+    def __init__(self, coeffs=(), k: int = 0):
+        if k < 0:
+            raise ValueError("negative power of the denominator 1 + y")
         cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
+        while k and cs:
+            quot, rem = _div_one_plus_y(cs)
+            if rem:
+                break
+            cs, k = quot, k - 1
         self.coeffs = tuple(cs)
+        self.k = k if cs else 0
 
-    # -- basic queries ----------------------------------------------------
+    # -- queries ------------------------------------------------------------
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
+    def coeff(self, i: int) -> Fraction:
+        """Numerator coefficient of y^i."""
+        if 0 <= i < len(self.coeffs):
+            return self.coeffs[i]
+        return Fraction(0)
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coeff(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Fraction(0)
+    def is_polynomial(self) -> bool:
+        return self.k == 0
+
+    def as_poly(self) -> "RatFuncY":
+        """Self, after checking that it is a polynomial."""
+        if self.k:
+            raise ValueError(f"not a polynomial: {self}")
+        return self
 
     def __bool__(self):
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PolyY([other])
-        if not isinstance(other, PolyY):
+        try:
+            other = self._coerce(other)
+        except TypeError:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs and self.k == other.k
 
     def __hash__(self):
-        return hash(self.coeffs)
+        if self.k == 0 and len(self.coeffs) <= 1:
+            return hash(self.coeff(0))  # equal to that scalar, so hash alike
+        return hash((self.coeffs, self.k))
 
-    # -- arithmetic -------------------------------------------------------
+    # -- arithmetic ----------------------------------------------------------
 
     @staticmethod
-    def _coerce(value) -> "PolyY":
-        if isinstance(value, PolyY):
+    def _coerce(value) -> "RatFuncY":
+        """A scalar (RatFuncY, int or Fraction) as a RatFuncY."""
+        if isinstance(value, RatFuncY):
             return value
         if isinstance(value, (int, Fraction)):
-            return PolyY([value])
-        raise TypeError(f"cannot coerce {value!r} to PolyY")
+            return RatFuncY((value,))
+        raise TypeError(f"cannot coerce {value!r} to RatFuncY")
 
     def __add__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PolyY([self.coeff(i) + other.coeff(i) for i in range(n)])
+        try:
+            other = self._coerce(other)
+        except TypeError:
+            return NotImplemented
+        a, b = list(self.coeffs), list(other.coeffs)
+        if self.k < other.k:
+            a = _times_one_plus_y(a, other.k - self.k)
+        elif other.k < self.k:
+            b = _times_one_plus_y(b, self.k - other.k)
+        if len(a) < len(b):
+            a, b = b, a
+        for i, c in enumerate(b):
+            a[i] += c
+        return RatFuncY(a, max(self.k, other.k))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PolyY([-c for c in self.coeffs])
+        return RatFuncY([-c for c in self.coeffs], self.k)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        try:
+            other = self._coerce(other)
+        except TypeError:
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if self.is_zero() or other.is_zero():
-            return PolyY()
+        try:
+            other = self._coerce(other)
+        except TypeError:
+            return NotImplemented
+        if not self.coeffs or not other.coeffs:
+            return RatFuncY.ZERO
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return PolyY(out)
+        return RatFuncY(out, self.k + other.k)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = PolyY([1])
+            return self.inverse() ** (-n)
+        result = RatFuncY.ONE
         base = self
         while n:
             if n & 1:
@@ -129,74 +191,56 @@ class PolyY:
             n >>= 1
         return result
 
-    def __divmod__(self, other):
-        other = self._coerce(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        den = other.coeffs
-        quot = [Fraction(0)] * max(len(rem) - len(den) + 1, 0)
-        lead = den[-1]
-        for k in range(len(rem) - len(den), -1, -1):
-            c = rem[k + len(den) - 1] / lead
-            quot[k] = c
-            if c:
-                for i, d in enumerate(den):
-                    rem[k + i] -= c * d
-        return PolyY(quot), PolyY(rem)
+    def inverse(self) -> "RatFuncY":
+        """Inverse of a unit c (1+y)^j of the ring; anything else raises."""
+        if not self.coeffs:
+            raise ZeroDivisionError("inverse of zero")
+        cs, j = list(self.coeffs), 0
+        while len(cs) > 1:
+            cs, rem = _div_one_plus_y(cs)
+            if rem:
+                raise ZeroDivisionError(f"{self} is not a unit c (1+y)^j")
+            j += 1
+        return RatFuncY(_times_one_plus_y([1 / cs[0]], self.k), j)
 
-    def exact_div(self, other) -> "PolyY":
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise ValueError("inexact polynomial division")
-        return q
-
-    def monic(self) -> "PolyY":
-        if self.is_zero():
-            return self
-        lead = self.coeffs[-1]
-        if lead == 1:
-            return self
-        return PolyY([c / lead for c in self.coeffs])
-
-    @staticmethod
-    def gcd(a: "PolyY", b: "PolyY") -> "PolyY":
-        """Monic gcd by the Euclidean algorithm over Q[y]."""
-        while not b.is_zero():
-            a, b = b, divmod(a, b)[1]
-        return a.monic()
-
-    # -- evaluation and display --------------------------------------------
+    # -- evaluation and display ----------------------------------------------
 
     def __call__(self, y0) -> Fraction:
         y0 = rat(y0)
+        if self.k and y0 == -1:
+            raise ZeroDivisionError(f"pole at y = {y0}: non-polynomial value {self}")
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * y0 + c
-        return acc
+        return acc / (1 + y0) ** self.k
 
     def as_strings(self) -> list:
-        return [rat_str(c) for c in self.coeffs]
+        """Coefficients of a polynomial as rational strings."""
+        return [rat_str(c) for c in self.as_poly().coeffs]
 
     def __str__(self):
-        return poly_str(self)
+        if not self.k:
+            return poly_str(self)
+        den = RatFuncY(_times_one_plus_y([Fraction(1)], self.k))
+        return f"({poly_str(RatFuncY(self.coeffs))})/({poly_str(den)})"
 
     def __repr__(self):
-        return f"PolyY({list(self.coeffs)!r})"
+        return f"RatFuncY({list(self.coeffs)!r}, {self.k})"
 
 
-PolyY.ZERO = PolyY()
-PolyY.ONE = PolyY([1])
-PolyY.Y = PolyY([0, 1])
-PolyY.ONE_PLUS_Y = PolyY([1, 1])
+RatFuncY.ZERO = RatFuncY()
+RatFuncY.ONE = RatFuncY([1])
+RatFuncY.Y = RatFuncY([0, 1])
+RatFuncY.ONE_PLUS_Y = RatFuncY([1, 1])
 
 
-def poly_str(p: PolyY, var: str = "y") -> str:
-    """Human-readable form like '2 - 20y + 2y^2' or '-1/2 + (7/2)y'."""
+def poly_str(p: RatFuncY, var: str = "y") -> str:
+    """Human-readable form of a polynomial, like '2 - 20y + 2y^2' or
+    '-1/2 + (7/2)y'."""
     if p.is_zero():
         return "0"
     pieces = []
-    for k, c in enumerate(p.coeffs):
+    for k, c in enumerate(p.as_poly().coeffs):
         if c == 0:
             continue
         mag = abs(c)
@@ -217,138 +261,6 @@ def poly_str(p: PolyY, var: str = "y") -> str:
     return " ".join(pieces)
 
 
-class RatFuncY:
-    """Rational function in y, stored as num/den with den monic and
-    gcd(num, den) = 1.  The zero element is 0/1."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=PolyY.ONE):
-        num = PolyY._coerce(num)
-        den = PolyY._coerce(den)
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            num, den = PolyY.ZERO, PolyY.ONE
-        else:
-            g = PolyY.gcd(num, den)
-            if g.degree > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-            lead = den.coeffs[-1]
-            if lead != 1:
-                num = num * (1 / lead)
-                den = den.monic()
-        self.num = num
-        self.den = den
-
-    # -- queries ------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_polynomial(self) -> bool:
-        return self.den == PolyY.ONE
-
-    def as_poly(self) -> PolyY:
-        if not self.is_polynomial():
-            raise ValueError(f"not a polynomial: {self}")
-        return self.num
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    # -- arithmetic ----------------------------------------------------------
-
-    @staticmethod
-    def _coerce(value):
-        if isinstance(value, RatFuncY):
-            return value
-        if isinstance(value, (int, Fraction, PolyY)):
-            return RatFuncY(value)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFuncY(self.num * other.den + other.num * self.den,
-                        self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFuncY(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFuncY(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFuncY(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return RatFuncY(self.den, self.num) ** (-n)
-        return RatFuncY(self.num ** n, self.den ** n)
-
-    def inverse(self) -> "RatFuncY":
-        return RatFuncY(1) / self
-
-    # -- evaluation and display ----------------------------------------------
-
-    def __call__(self, y0) -> Fraction:
-        y0 = rat(y0)
-        d = self.den(y0)
-        if d == 0:
-            raise ZeroDivisionError(f"pole at y = {y0}: non-polynomial value {self}")
-        return self.num(y0) / d
-
-    def __str__(self):
-        if self.is_polynomial():
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-    def __repr__(self):
-        return f"RatFuncY({self.num!r}, {self.den!r})"
-
-
-RatFuncY.ZERO = RatFuncY(0)
-RatFuncY.ONE = RatFuncY(1)
-RatFuncY.Y = RatFuncY(PolyY.Y)
-RatFuncY.ONE_PLUS_Y = RatFuncY(PolyY.ONE_PLUS_Y)
-
-
 class SeriesA:
     """Truncated power series in a formal nilpotent variable with RatFuncY
     coefficients.  The coefficient list always has length order + 1."""
@@ -356,7 +268,7 @@ class SeriesA:
     __slots__ = ("coeffs", "order")
 
     def __init__(self, coeffs, order=None):
-        cs = [c if isinstance(c, RatFuncY) else RatFuncY(c) for c in coeffs]
+        cs = [RatFuncY._coerce(c) for c in coeffs]
         if order is None:
             order = len(cs) - 1
         if order < 0:
@@ -397,8 +309,8 @@ class SeriesA:
         return SeriesA([a - b for a, b in zip(self.coeffs, other.coeffs)], self.order)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, PolyY, RatFuncY)):
-            w = other if isinstance(other, RatFuncY) else RatFuncY(other)
+        if not isinstance(other, SeriesA):
+            w = RatFuncY._coerce(other)
             return SeriesA([a * w for a in self.coeffs], self.order)
         self._check_order(other)
         out = [RatFuncY.ZERO] * (self.order + 1)
@@ -430,7 +342,7 @@ class SeriesA:
 
     def compose_scale(self, factor) -> "SeriesA":
         """Substitute alpha -> factor * alpha: coefficient k picks up factor^k."""
-        factor = factor if isinstance(factor, RatFuncY) else RatFuncY(factor)
+        factor = RatFuncY._coerce(factor)
         out, f = [], RatFuncY.ONE
         for c in self.coeffs:
             out.append(c * f)

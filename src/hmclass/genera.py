@@ -2,8 +2,8 @@
 
 The three generating series (the class series Q, its rescaled variant,
 and the residue series R), the Todd specialization, classes built as
-products over Chern roots, and the K-theoretic lambda_y operation
-represented through Chern-character data.
+products over Chern roots, and Chern characters and Todd classes from
+Chern data.
 """
 
 from __future__ import annotations
@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffs import PolyY, RatFuncY, SeriesA
-from .rings import Ring, RingElement, exp_nilpotent
+from .coeffs import RatFuncY, SeriesA
+from .rings import Ring, RingElement
 
 __all__ = [
     "HIRZEBRUCH_KINDS",
@@ -22,8 +22,6 @@ __all__ = [
     "class_from_roots",
     "chern_to_ch",
     "todd_from_chern",
-    "lambda_y",
-    "lambda_y_virtual",
 ]
 
 HIRZEBRUCH_KINDS = ("Q", "Qtilde", "R", "Todd")
@@ -186,69 +184,3 @@ def todd_from_chern(cd: ChernData, ring: Ring = None) -> RingElement:
         c2 = cd.chern[1]
         acc = acc + c1 * c2 * Fraction(1, 24)
     return acc
-
-
-def _exp_minus_one_powers(dim: int) -> list:
-    """Coefficient tables of (e^x - 1)^j for j = 0..dim, truncated at x^dim."""
-    base = [Fraction(0)] + [Fraction(1, _factorial(k)) for k in range(1, dim + 1)]
-    powers = [[Fraction(1)] + [Fraction(0)] * dim]
-    current = list(powers[0])
-    for _ in range(dim):
-        nxt = [Fraction(0)] * (dim + 1)
-        for i, a in enumerate(current):
-            if a == 0:
-                continue
-            for j in range(dim + 1 - i):
-                if base[j]:
-                    nxt[i + j] += a * base[j]
-        powers.append(nxt)
-        current = nxt
-    return powers
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
-
-
-def lambda_y(cd: ChernData, ring: Ring = None) -> RingElement:
-    """Chern character of the lambda_y class of a bundle.
-
-    For Chern roots x_i this is prod_i (1 + y e^{x_i}), evaluated exactly
-    as (1+y)^rank * exp(sum_j (-1)^{j+1} u^j s_j / j) with u = y/(1+y) and
-    s_j the symmetric functions sum_i (e^{x_i} - 1)^j.  Coefficients are
-    rational functions in y; for honest bundles they are polynomials.
-    """
-    if ring is None:
-        ring = cd.ring
-    d = ring.dim
-    p = _power_sums(cd, ring)
-    tables = _exp_minus_one_powers(d)
-    u = RatFuncY(PolyY.Y, PolyY.ONE_PLUS_Y)
-    log_term = ring.zero()
-    u_pow = RatFuncY.ONE
-    for j in range(1, d + 1):
-        u_pow = u_pow * u
-        s_j = ring.zero()
-        for k in range(j, d + 1):
-            if tables[j][k]:
-                s_j = s_j + p[k] * tables[j][k]
-        if not s_j.is_zero():
-            log_term = log_term + s_j * (u_pow * Fraction((-1) ** (j + 1), j))
-    scale = RatFuncY(PolyY.ONE_PLUS_Y) ** cd.rank
-    return exp_nilpotent(log_term) * scale
-
-
-def lambda_y_virtual(numerator: ChernData, denominator: ChernData,
-                     ring: Ring = None) -> RingElement:
-    """lambda_y of a virtual difference of bundles: the exact quotient
-    lambda_y(numerator) / lambda_y(denominator), truncated by nilpotency."""
-    if ring is None:
-        ring = numerator.ring
-    num = lambda_y(numerator, ring)
-    den = lambda_y(denominator, ring)
-    if den.coeffs[0].is_zero():
-        raise ZeroDivisionError("lambda_y denominator has no invertible rank part")
-    return num * den.inverse()

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .ambient import GradedClass, virtual_genus
 from .arrangement import Arrangement, chi_y, complement_chi, localize, sigma_strata
-from .coeffs import PolyY, RatFuncY
+from .coeffs import RatFuncY
 from .genera import ChernData, chern_to_ch
 from .rings import RingElement, exp_nilpotent
 from .spectra import sp_shift, stratum_spectrum
@@ -106,7 +106,7 @@ def td_transform(ch_elem: RingElement, todd_elem: RingElement) -> GradedClass:
             continue
         k = ring.dim - j
         if k:
-            part = part * RatFuncY(PolyY.ONE, PolyY.ONE_PLUS_Y ** k)
+            part = part * RatFuncY([1], k)
         acc = acc + part
     return GradedClass(ring, acc)
 
@@ -142,7 +142,7 @@ class MilnorReport:
             "per_stratum": {k: v.to_json() for k, v in
                             self.per_stratum.items()},
             "specializations": {
-                str(y0): {k: str(v.num.coeff(0)) for k, v in
+                str(y0): {k: str(v.coeff(0)) for k, v in
                           vec.values.items()}
                 for y0, vec in self.specializations.items()
             },
@@ -150,7 +150,7 @@ class MilnorReport:
             "cross_path_ok": self.cross_path_ok,
             "cross_path": {
                 "ok": self.cross_path_ok,
-                "chern_milnor": {k: str(v.num.coeff(0)) for k, v in
+                "chern_milnor": {k: str(v.coeff(0)) for k, v in
                                  self.chern_path.values.items()},
             },
         }
@@ -167,7 +167,7 @@ def _stratum_contribution(arr: Arrangement, stratum, germ_sp, model,
     ring = model.ring
     strat_sp = sp_shift(germ_sp, stratum, n)
     acc = ring.zero()
-    minus_y = PolyY([0, -1])
+    minus_y = RatFuncY([0, -1])
     log_data = [log_chern(model, q) for q in range(model.dim + 1)]
     ch_log = [chern_to_ch(cd, ring) for cd in log_data]
     todd = model.todd()
@@ -177,7 +177,7 @@ def _stratum_contribution(arr: Arrangement, stratum, germ_sp, model,
         p = math.floor(n - alpha)
         for q in range(model.dim + 1):
             sign = 1 if (q + n - 1) % 2 == 0 else -1
-            weight = RatFuncY(minus_y ** (p + q) * (sign * n_alpha))
+            weight = minus_y ** (p + q) * (sign * n_alpha)
             cls = td_transform(ch_line * ch_log[q], todd)
             acc = acc + cls.elem * weight
     return acc

@@ -9,15 +9,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeffs import PolyY, RatFuncY
+from .coeffs import RatFuncY
 
 __all__ = ["Ring", "RingElement", "ProjRing", "BlownPlaneRing", "exp_nilpotent"]
-
-
-def _as_rf(value) -> RatFuncY:
-    if isinstance(value, RatFuncY):
-        return value
-    return RatFuncY(value)
 
 
 class RingElement:
@@ -26,7 +20,7 @@ class RingElement:
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring, coeffs):
-        cs = tuple(_as_rf(c) for c in coeffs)
+        cs = tuple(RatFuncY._coerce(c) for c in coeffs)
         if len(cs) != len(ring.names):
             raise ValueError("coefficient vector does not match ring basis")
         self.ring = ring
@@ -51,7 +45,7 @@ class RingElement:
         return hash((id(self.ring), self.coeffs))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, PolyY, RatFuncY)):
+        if not isinstance(other, RingElement):
             other = self.ring.scalar(other)
         self._check(other)
         return RingElement(self.ring, [a + b for a, b in zip(self.coeffs, other.coeffs)])
@@ -62,7 +56,7 @@ class RingElement:
         return RingElement(self.ring, [-a for a in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, PolyY, RatFuncY)):
+        if not isinstance(other, RingElement):
             other = self.ring.scalar(other)
         self._check(other)
         return RingElement(self.ring, [a - b for a, b in zip(self.coeffs, other.coeffs)])
@@ -71,8 +65,8 @@ class RingElement:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, PolyY, RatFuncY)):
-            w = _as_rf(other)
+        if not isinstance(other, RingElement):
+            w = RatFuncY._coerce(other)
             return RingElement(self.ring, [a * w for a in self.coeffs])
         self._check(other)
         out = [RatFuncY.ZERO] * len(self.coeffs)
@@ -150,7 +144,7 @@ class Ring:
 
     def scalar(self, value) -> RingElement:
         coeffs = [RatFuncY.ZERO] * len(self.names)
-        coeffs[0] = _as_rf(value)
+        coeffs[0] = RatFuncY._coerce(value)
         return RingElement(self, coeffs)
 
     def basis_element(self, index: int) -> RingElement:
@@ -160,7 +154,7 @@ class Ring:
 
 
 class ProjRing(Ring):
-    """Q(y)[h] / (h^{n+1}): the cohomology ring of projective n-space.
+    """Q[y, 1/(1+y)][h] / (h^{n+1}): the cohomology ring of projective n-space.
     Instances are interned per dimension so elements from independent
     call sites compare equal."""
 

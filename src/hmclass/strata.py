@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .ambient import GradedClass
 from .arrangement import Arrangement, Edge, Stratum
-from .coeffs import PolyY, RatFuncY, rat
+from .coeffs import RatFuncY, rat
 from .genera import ChernData, todd_from_chern
 from .rings import BlownPlaneRing, ProjRing, RingElement
 
@@ -459,7 +459,7 @@ class SigmaChowVector:
         y0 = rat(y0)
         return SigmaChowVector(
             self.schema,
-            {k: RatFuncY(PolyY([v(y0)])) for k, v in self.values.items()})
+            {k: RatFuncY([v(y0)]) for k, v in self.values.items()})
 
     def is_polynomial(self) -> bool:
         return all(v.is_polynomial() for v in self.values.values())

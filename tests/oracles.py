@@ -2,15 +2,19 @@
 
 Everything here must stay independent of the code paths it checks:
 sympy closed-form expansions for series coefficients, brute-force subset
-enumeration for intersection lattices, and inclusion-exclusion counts.
+enumeration for intersection lattices, inclusion-exclusion counts, and
+the K-theoretic lambda_y route to Hirzebruch classes.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
 import sympy
 
-from hmclass.coeffs import PolyY
+from hmclass.coeffs import RatFuncY
+from hmclass.genera import ChernData, _power_sums
+from hmclass.rings import Ring, RingElement, exp_nilpotent
 
 
 def series_coeffs(expr, var, order):
@@ -36,8 +40,8 @@ def tanh_quotient_oracle(order):
 
 
 def q_series_oracle(order):
-    """Coefficients of the two-variable class series as polynomials in y,
-    expanded symbolically: a(1+y)/(1 - exp(-a(1+y))) - a*y."""
+    """Coefficients of the two-variable class series as coefficient lists
+    of polynomials in y, expanded symbolically: a(1+y)/(1 - exp(-a(1+y))) - a*y."""
     a, y = sympy.symbols("a y")
     expr = a * (1 + y) / (1 - sympy.exp(-a * (1 + y))) - a * y
     poly = sympy.series(expr, a, 0, order + 1).removeO()
@@ -46,10 +50,10 @@ def q_series_oracle(order):
         c = sympy.expand(sympy.cancel(poly.coeff(a, k)))
         pc = sympy.Poly(c, y) if c != 0 else None
         if pc is None:
-            out.append(PolyY())
+            out.append([])
         else:
             coeffs = [Fraction(str(v)) for v in reversed(pc.all_coeffs())]
-            out.append(PolyY(coeffs))
+            out.append(coeffs)
     return out
 
 
@@ -117,3 +121,62 @@ def dense_by_bipartition(covectors):
         if rank_of(part_a) + rank_of(part_b) == total:
             return False
     return True
+
+
+def _exp_minus_one_powers(dim: int) -> list:
+    """Coefficient tables of (e^x - 1)^j for j = 0..dim, truncated at x^dim."""
+    base = [Fraction(0)] + [Fraction(1, math.factorial(k)) for k in range(1, dim + 1)]
+    powers = [[Fraction(1)] + [Fraction(0)] * dim]
+    current = list(powers[0])
+    for _ in range(dim):
+        nxt = [Fraction(0)] * (dim + 1)
+        for i, a in enumerate(current):
+            if a == 0:
+                continue
+            for j in range(dim + 1 - i):
+                if base[j]:
+                    nxt[i + j] += a * base[j]
+        powers.append(nxt)
+        current = nxt
+    return powers
+
+
+def lambda_y(cd: ChernData, ring: Ring = None) -> RingElement:
+    """Chern character of the lambda_y class of a bundle.
+
+    For Chern roots x_i this is prod_i (1 + y e^{x_i}), evaluated exactly
+    as (1+y)^rank * exp(sum_j (-1)^{j+1} u^j s_j / j) with u = y/(1+y) and
+    s_j the symmetric functions sum_i (e^{x_i} - 1)^j.  Coefficients are
+    rational functions in y; for honest bundles they are polynomials.
+    """
+    if ring is None:
+        ring = cd.ring
+    d = ring.dim
+    p = _power_sums(cd, ring)
+    tables = _exp_minus_one_powers(d)
+    u = RatFuncY([0, 1], 1)
+    log_term = ring.zero()
+    u_pow = RatFuncY.ONE
+    for j in range(1, d + 1):
+        u_pow = u_pow * u
+        s_j = ring.zero()
+        for k in range(j, d + 1):
+            if tables[j][k]:
+                s_j = s_j + p[k] * tables[j][k]
+        if not s_j.is_zero():
+            log_term = log_term + s_j * (u_pow * Fraction((-1) ** (j + 1), j))
+    scale = RatFuncY.ONE_PLUS_Y ** cd.rank
+    return exp_nilpotent(log_term) * scale
+
+
+def lambda_y_virtual(numerator: ChernData, denominator: ChernData,
+                     ring: Ring = None) -> RingElement:
+    """lambda_y of a virtual difference of bundles: the exact quotient
+    lambda_y(numerator) / lambda_y(denominator), truncated by nilpotency."""
+    if ring is None:
+        ring = numerator.ring
+    num = lambda_y(numerator, ring)
+    den = lambda_y(denominator, ring)
+    if den.coeffs[0].is_zero():
+        raise ZeroDivisionError("lambda_y denominator has no invertible rank part")
+    return num * den.inverse()

@@ -14,7 +14,7 @@ from pathlib import Path
 from hmclass import corpus
 from hmclass.ambient import ty_class_pn, virtual_genus, virtual_pushed
 from hmclass.arrangement import build, chi_y, edges, localize, sigma_strata
-from hmclass.coeffs import PolyY
+from hmclass.coeffs import RatFuncY
 from hmclass.genera import hirzebruch_series, verify_identity_qr
 from hmclass.milnor import assemble, calibrate
 from hmclass.spectra import sp_monomial, sp_ordinary, sp_validate
@@ -55,15 +55,15 @@ def test_c02_smooth_baseline():
 
 
 def test_c03_virtual_genus_oracles():
-    assert virtual_genus(2, 2) == PolyY([1, -1])
-    assert virtual_genus(2, 3) == PolyY([1, -2, 1])
-    assert virtual_genus(3, 3) == PolyY([1, -7, 1])
-    assert virtual_genus(4, 3) == PolyY([2, -20, 2])
+    assert virtual_genus(2, 2) == RatFuncY([1, -1])
+    assert virtual_genus(2, 3) == RatFuncY([1, -2, 1])
+    assert virtual_genus(3, 3) == RatFuncY([1, -7, 1])
+    assert virtual_genus(4, 3) == RatFuncY([2, -20, 2])
     done("C3", "virtual genera match Hodge-diamond oracle values")
 
 
 def test_c04_point_strata_degree_zero_exactness():
-    expected = {"concurrent3": PolyY([-1, 3]), "triangle3": PolyY([0, 3])}
+    expected = {"concurrent3": RatFuncY([-1, 3]), "triangle3": RatFuncY([0, 3])}
     for name, trace in expected.items():
         arr = corpus.load(name)
         report = assemble(arr)
@@ -80,10 +80,10 @@ def test_c05_cross_path_identity():
         assert report.specializations[-1] == report.chern_path
     # hand values for the two positive-dimensional cases
     double = assemble(corpus.load("doubleline")).chern_path
-    assert {k: v.num.coeff(0) for k, v in double.values.items()} == \
+    assert {k: v.coeff(0) for k, v in double.values.items()} == \
         {"H_{1}": 1, "Q_{0}": 1}
     pencil = assemble(corpus.load("pencil3planes")).chern_path
-    assert {k: v.num.coeff(0) for k, v in pencil.values.items()} == \
+    assert {k: v.coeff(0) for k, v in pencil.values.items()} == \
         {"L_{123}": -4, "Q_{0}": -4}
     done("C5", f"y=-1 specialization equals the Euler-weighted Chern path "
                f"on {len(corpus.ALL_NAMES)} corpus arrangements")

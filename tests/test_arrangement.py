@@ -8,7 +8,7 @@ from hmclass.arrangement import (ArrangementError, build, chi_y, chi_y_pn,
                                  euler_by_inclusion_exclusion, is_dense,
                                  localize, milnor_fiber_chi, sigma_strata,
                                  x_strata)
-from hmclass.coeffs import PolyY
+from hmclass.coeffs import RatFuncY
 from hmclass.milnor import assemble
 from oracles import (brute_force_edges, dense_by_bipartition,
                      inclusion_exclusion_euler)
@@ -182,27 +182,27 @@ class TestDense:
 
 class TestChiY:
     def test_concurrent(self):
-        assert chi_y(lines(*CONCURRENT)) == PolyY([1, -3])
+        assert chi_y(lines(*CONCURRENT)) == RatFuncY([1, -3])
 
     def test_triangle(self):
-        assert chi_y(lines(*TRIANGLE)) == PolyY([0, -3])
+        assert chi_y(lines(*TRIANGLE)) == RatFuncY([0, -3])
 
     def test_four_planes(self):
-        assert chi_y(corpus.load("fourplanes")) == PolyY([2, 2, 4])
+        assert chi_y(corpus.load("fourplanes")) == RatFuncY([2, 2, 4])
 
     def test_projective_space(self):
-        assert chi_y_pn(3) == PolyY([1, -1, 1, -1])
+        assert chi_y_pn(3) == RatFuncY([1, -1, 1, -1])
 
     def test_open_line_stratum_of_triangle(self):
         arr = lines(*TRIANGLE)
         line = edges(arr)[0]
         # a line minus two points
-        assert chi_y_stratum(arr, line) == PolyY([-1, -1])
+        assert chi_y_stratum(arr, line) == RatFuncY([-1, -1])
 
     def test_point_stratum(self):
         arr = lines(*TRIANGLE)
         point = [e for e in edges(arr) if e.codim == 2][0]
-        assert chi_y_stratum(arr, point) == PolyY([1])
+        assert chi_y_stratum(arr, point) == RatFuncY([1])
 
     @pytest.mark.parametrize("name", list(corpus.ALL_NAMES))
     def test_euler_specialization_matches_inclusion_exclusion(self, name):
@@ -214,14 +214,14 @@ class TestChiY:
 
     def test_additivity_over_strata(self):
         arr = corpus.load("quad6a")
-        total = PolyY()
+        total = RatFuncY()
         for s in x_strata(arr):
             total = total + chi_y_stratum(arr, s.edge)
         assert total == chi_y(arr)
 
     def test_double_line_is_reduced_line(self):
         # chi_y sees only the underlying set
-        assert chi_y(corpus.load("doubleline")) == PolyY([1, -1])
+        assert chi_y(corpus.load("doubleline")) == RatFuncY([1, -1])
 
 
 class TestLatticeSearchedOnce:

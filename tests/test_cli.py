@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from hmclass.cli import main
 from hmclass.corpus import corpus_path
 
@@ -89,6 +91,22 @@ class TestMilnorCommand:
         }))
         code, _, err = run(capsys, "milnor", str(bad))
         assert code == 2
+
+    @pytest.mark.parametrize("field", ["n", "mult", "coeffs"])
+    def test_boolean_input_exit_code(self, capsys, tmp_path, field):
+        # two points on a line: a valid input while true reads as 1
+        data = {"n": 1,
+                "hyperplanes": [{"coeffs": ["1", "0"], "mult": 1},
+                                {"coeffs": ["0", "1"], "mult": 1}]}
+        if field == "n":
+            data["n"] = True
+        else:
+            data["hyperplanes"][0][field] = True if field == "mult" else [True, 0]
+        bad = tmp_path / "bool.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run(capsys, "milnor", str(bad))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["kind"] == "ArrangementError"
 
 
 class TestOtherCommands:

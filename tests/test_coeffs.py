@@ -2,59 +2,78 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from hmclass.coeffs import PolyY, RatFuncY, SeriesA, poly_str, rat
+from hmclass.coeffs import RatFuncY, SeriesA, poly_str, rat
+from hmclass.milnor import PolynomialityError
 from oracles import poly_division_oracle
 
+Y = sympy.symbols("y")
 
-def rf(num, den=(1,)):
-    return RatFuncY(PolyY(num), PolyY(den))
+
+def to_sympy(value: RatFuncY):
+    num = sum(sympy.Rational(c.numerator, c.denominator) * Y ** i
+              for i, c in enumerate(value.coeffs))
+    return num / (1 + Y) ** value.k
+
+
+def random_value(rng, max_k=3):
+    return RatFuncY([rng.randint(-3, 3) for _ in range(rng.randint(0, 4))],
+                    rng.randint(0, max_k))
+
+
+def random_unit(rng):
+    c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+    return RatFuncY([c], rng.randint(0, 3)) * RatFuncY.ONE_PLUS_Y ** rng.randint(0, 3)
 
 
 class TestRatFunc:
     def test_identity_division(self):
-        one_plus_y = rf([1, 1])
-        assert one_plus_y / one_plus_y == RatFuncY.ONE
+        one_plus_y = RatFuncY([1, 1])
+        assert one_plus_y * one_plus_y.inverse() == RatFuncY.ONE
 
     def test_simple_sum(self):
-        assert rf([0, 1]) + rf([1]) == rf([1, 1])
+        assert RatFuncY([0, 1]) + RatFuncY([1]) == RatFuncY([1, 1])
 
     def test_division_against_long_division_oracle(self):
         # (y + y^2) / (1 + y) = y
-        got = rf([0, 1, 1]) / rf([1, 1])
+        got = RatFuncY([0, 1, 1]) * RatFuncY([1, 1]).inverse()
         expected = poly_division_oracle([0, 1, 1], [1, 1])
         assert got.is_polynomial()
-        assert list(got.num.coeffs) == expected
+        assert list(got.coeffs) == expected
+        assert RatFuncY([0, 1, 1], 1) == got
 
     def test_divide_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            rf([1]) / RatFuncY.ZERO
+            RatFuncY.ZERO.inverse()
+        with pytest.raises(ZeroDivisionError):
+            RatFuncY.ZERO ** -1
 
     def test_mul_div_round_trip(self):
         rng = random.Random(7)
         for _ in range(60):
-            a = rf([rng.randint(-3, 3) for _ in range(3)],
-                   [rng.randint(-3, 3) for _ in range(2)] + [1])
-            b = rf([rng.randint(-3, 3) for _ in range(3)],
-                   [rng.randint(-3, 3) for _ in range(2)] + [1])
-            if b.is_zero():
-                continue
-            assert (a * b) / b == a
+            a = random_value(rng)
+            b = random_unit(rng)
+            assert (a * b) * b.inverse() == a
+            assert (a * b) * b ** -1 == a
 
     def test_normalization_idempotent(self):
-        g = PolyY([2, 5, 1])
-        a = RatFuncY(PolyY([0, 2]) * g, PolyY([4, 4]) * g)
-        b = RatFuncY(a.num, a.den)
-        assert (a.num, a.den) == (b.num, b.den)
-        assert a.den.coeffs[-1] == 1  # monic
+        # 2y (1+y)^2 (2 + 5y + y^2) / (1+y)^3 = 2y (2 + 5y + y^2) / (1+y)
+        g = RatFuncY([2, 5, 1])
+        num = RatFuncY([0, 2]) * RatFuncY.ONE_PLUS_Y ** 2 * g
+        a = RatFuncY(num.coeffs, 3)
+        b = RatFuncY(a.coeffs, a.k)
+        assert (a.coeffs, a.k) == (b.coeffs, b.k)
+        assert a.k == 1 and a == RatFuncY((RatFuncY([0, 2]) * g).coeffs, 1)
+        assert RatFuncY(a.coeffs)(-1) != 0  # no (1+y) left to cancel
 
     def test_denominator_positive_leading_normalized(self):
-        a = RatFuncY(PolyY([1]), PolyY([-2, -2]))
-        assert a.den == PolyY([1, 1])
-        assert a.num == PolyY([Fraction(-1, 2)])
+        a = RatFuncY([-2, -2]).inverse()
+        assert a.k == 1
+        assert a.coeffs == (Fraction(-1, 2),)
 
     def test_evaluation_and_pole(self):
-        a = RatFuncY(PolyY([1]), PolyY([1, 1]))
+        a = RatFuncY([1], 1)
         assert a(1) == Fraction(1, 2)
         with pytest.raises(ZeroDivisionError):
             a(-1)
@@ -64,20 +83,78 @@ class TestRatFunc:
         assert str(rat("5")) == "5"
         assert str(Fraction(7, 2)) == "7/2"
 
+    def test_rat_rejects_bool(self):
+        with pytest.raises(TypeError):
+            rat(True)
+
+    def test_against_sympy_randomized(self):
+        rng = random.Random(2013)
+        for _ in range(80):
+            a, b, u = random_value(rng), random_value(rng), random_unit(rng)
+            sa, sb, su = to_sympy(a), to_sympy(b), to_sympy(u)
+            assert sympy.cancel(to_sympy(a + b) - (sa + sb)) == 0
+            assert sympy.cancel(to_sympy(a - b) - (sa - sb)) == 0
+            assert sympy.cancel(to_sympy(a * b) - sa * sb) == 0
+            assert sympy.cancel(to_sympy(u.inverse()) - 1 / su) == 0
+            n = rng.randint(1, 3)
+            assert sympy.cancel(to_sympy(u ** -n) - su ** -n) == 0
+            y0 = Fraction(rng.choice([-5, -2, 0, 1, 2, 4]), rng.choice([1, 3]))
+            assert a(y0) == Fraction(str(sa.subs(Y, sympy.Rational(str(y0)))))
+
+    def test_equal_values_have_equal_normal_form(self):
+        rng = random.Random(29)
+        for _ in range(80):
+            a, b = random_value(rng, 2), random_value(rng, 2)
+            # the same value presented over a higher power of (1+y)
+            d = rng.randint(0, 3)
+            lifted = RatFuncY((RatFuncY(a.coeffs) * RatFuncY.ONE_PLUS_Y ** d).coeffs,
+                              a.k + d)
+            assert (lifted.coeffs, lifted.k) == (a.coeffs, a.k)
+            if sympy.cancel(to_sympy(a) - to_sympy(b)) == 0:
+                assert (a.coeffs, a.k) == (b.coeffs, b.k)
+                assert hash(a) == hash(b)
+            else:
+                assert a != b
+
+    def test_scalars_hash_like_their_value(self):
+        for c in (0, 1, -3, Fraction(2, 3)):
+            assert RatFuncY([c]) == c
+            assert len({RatFuncY([c]), c}) == 1
+
+    def test_inverse_of_non_unit_raises(self):
+        for value in (RatFuncY([0, 1]), RatFuncY([1, 0, 1]), RatFuncY([2, 1], 3)):
+            with pytest.raises(ZeroDivisionError):
+                value.inverse()
+            with pytest.raises(ZeroDivisionError):
+                value ** -2
+
+    def test_as_poly_checks_polynomiality(self):
+        assert RatFuncY([1, 2, 1], 2).as_poly() == RatFuncY.ONE
+        with pytest.raises(ValueError):
+            RatFuncY([1], 1).as_poly()
+
+    def test_str_of_non_polynomial(self):
+        # the denominator is printed expanded, as a monic polynomial
+        assert str(RatFuncY([1], 2)) == "(1)/(1 + 2y + y^2)"
+        assert str(RatFuncY([0, -1], 1)) == "(-y)/(1 + y)"
+        assert str(PolynomialityError("P_{12}", RatFuncY([Fraction(1, 2), 3], 3))) == \
+            "stratum P_{12}: non-polynomial contribution " \
+            "(1/2 + 3y)/(1 + 3y + 3y^2 + y^3)"
+
 
 class TestPolyString:
     def test_integer_poly(self):
-        assert poly_str(PolyY([2, -20, 2])) == "2 - 20y + 2y^2"
+        assert poly_str(RatFuncY([2, -20, 2])) == "2 - 20y + 2y^2"
 
     def test_unit_coefficients(self):
-        assert poly_str(PolyY([1, -7, 1])) == "1 - 7y + y^2"
-        assert poly_str(PolyY([0, -1])) == "-y"
+        assert poly_str(RatFuncY([1, -7, 1])) == "1 - 7y + y^2"
+        assert poly_str(RatFuncY([0, -1])) == "-y"
 
     def test_fractional(self):
-        assert poly_str(PolyY([Fraction(-1, 2), Fraction(7, 2)])) == "-1/2 + (7/2)y"
+        assert poly_str(RatFuncY([Fraction(-1, 2), Fraction(7, 2)])) == "-1/2 + (7/2)y"
 
     def test_zero(self):
-        assert poly_str(PolyY()) == "0"
+        assert poly_str(RatFuncY()) == "0"
 
 
 class TestSeries:
@@ -95,8 +172,8 @@ class TestSeries:
 
     def test_compose_scale(self):
         alpha = SeriesA([0, 1], 3)
-        scaled = alpha.compose_scale(rf([1, 1]))
-        assert scaled.coeff(1) == rf([1, 1])
+        scaled = alpha.compose_scale(RatFuncY([1, 1]))
+        assert scaled.coeff(1) == RatFuncY([1, 1])
         assert scaled.coeff(0).is_zero() and scaled.coeff(2).is_zero()
 
     def test_invert_requires_unit(self):

@@ -5,7 +5,7 @@ import pytest
 from hmclass import corpus
 from hmclass.ambient import GradedClass
 from hmclass.arrangement import build, sigma_strata
-from hmclass.coeffs import PolyY, RatFuncY
+from hmclass.coeffs import RatFuncY
 from hmclass.strata import (StrataError, build_labels, chow_dims, compactify,
                             deligne_base, deligne_class, deligne_residues,
                             homology_weight_dims, log_chern,
@@ -277,7 +277,7 @@ class TestPushAndLabels:
         model = compactify(arr, stratum_of(arr, "1"))
         elem = model.ring.pt * 7 + model.ring.e * 3
         vec = push_to_sigma(schema, model.edge, GradedClass(model.ring, elem))
-        assert vec.trace() == RatFuncY(PolyY([7]))
+        assert vec.trace() == RatFuncY([7])
 
     def test_codim2_edge_inside_multiple_hyperplane_shares(self):
         arr = corpus.load("doubleplane3")
