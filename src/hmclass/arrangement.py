@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 
 from .coeffs import RatFuncY, rat
 
@@ -41,50 +42,58 @@ class ArrangementError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra over Q
+# fraction-free linear algebra over Z
+#
+# A span is held as an integer echelon basis: (pivot, row) pairs sorted by
+# pivot, each row primitive with a positive pivot entry and zero at every
+# other pivot.  Each row is an integer multiple of the matching row of the
+# rational reduced row echelon form, so the two have the same zero pattern.
 
 
-def _rref(rows) -> tuple:
-    """Canonical reduced row echelon form (tuple of tuples), zero rows dropped.
-    Unique per row space, so usable as a dictionary key."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return ()
-    ncols = len(mat[0])
-    pivot_row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(pivot_row, len(mat)):
-            if mat[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        mat[pivot_row], mat[pivot] = mat[pivot], mat[pivot_row]
-        lead = mat[pivot_row][col]
-        mat[pivot_row] = [v / lead for v in mat[pivot_row]]
-        for r in range(len(mat)):
-            if r != pivot_row and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[pivot_row])]
-        pivot_row += 1
-        if pivot_row == len(mat):
-            break
-    return tuple(tuple(r) for r in mat[:pivot_row] if any(v != 0 for v in r))
+def _primitive(vec) -> tuple:
+    """The coprime integer multiple of a nonzero integer vector whose first
+    nonzero entry is positive."""
+    g = gcd(*vec)
+    if next(x for x in vec if x) < 0:
+        g = -g
+    return tuple(x // g for x in vec)
+
+
+def _reduce(basis, vec):
+    """vec reduced against an integer echelon basis: a primitive vector that
+    is zero at every pivot, or None when vec lies in the span."""
+    for p, row in basis:
+        b = vec[p]
+        if b:
+            a = row[p]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            vec = [a * x - b * y for x, y in zip(vec, row)]
+    return _primitive(vec) if any(vec) else None
+
+
+def _extend(basis, residual) -> list:
+    """The echelon basis of span(basis) + residual, for a residual that
+    _reduce returned against that basis."""
+    p = next(i for i, x in enumerate(residual) if x)
+    out = [(q, _reduce([(p, residual)], row)) for q, row in basis]
+    out.append((p, residual))
+    out.sort()
+    return out
+
+
+def _echelon(rows) -> list:
+    """The integer echelon basis of the span of integer rows."""
+    basis = []
+    for row in rows:
+        residual = _reduce(basis, row)
+        if residual is not None:
+            basis = _extend(basis, residual)
+    return basis
 
 
 def _rank(rows) -> int:
-    return len(_rref(rows))
-
-
-def _in_span(rref_rows, vec) -> bool:
-    v = list(vec)
-    for row in rref_rows:
-        lead = next(i for i, x in enumerate(row) if x != 0)
-        if v[lead] != 0:
-            f = v[lead]
-            v = [a - f * b for a, b in zip(v, row)]
-    return all(x == 0 for x in v)
+    return len(_echelon(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -120,12 +129,23 @@ class Arrangement:
         return tuple(j for j, h in enumerate(self.hyperplanes) if h.mult > 1)
 
     @cached_property
+    def int_covectors(self) -> tuple:
+        """Each covector scaled to a primitive integer vector whose first
+        nonzero entry is positive, so proportional covectors become equal."""
+        out = []
+        for h in self.hyperplanes:
+            scale = lcm(*(c.denominator for c in h.covector))
+            out.append(_primitive([c.numerator * (scale // c.denominator)
+                                   for c in h.covector]))
+        return tuple(out)
+
+    @cached_property
     def lattice(self) -> "Lattice":
         """The intersection lattice, searched once and shared by every
         consumer of this arrangement."""
         found = _search_edges(self)
         return Lattice(found, {e.key: e for e in found},
-                       _rank([h.covector for h in self.hyperplanes]))
+                       _rank(self.int_covectors))
 
     def to_json(self) -> dict:
         return {
@@ -184,26 +204,28 @@ def build(n: int, hyperplanes) -> Arrangement:
         hyps.append(Hyperplane(cov, mult))
     if not hyps:
         raise ArrangementError("arrangement needs at least one hyperplane")
-    for i in range(len(hyps)):
-        for j in range(i + 1, len(hyps)):
-            if _rank([hyps[i].covector, hyps[j].covector]) == 1:
-                raise ArrangementError(
-                    f"proportional covectors at positions {i + 1} and {j + 1}")
-    return Arrangement(n, tuple(hyps))
+    arr = Arrangement(n, tuple(hyps))
+    first = {}
+    pairs = [(first.setdefault(c, j), j) for j, c in enumerate(arr.int_covectors)]
+    clashes = [(i, j) for i, j in pairs if i != j]
+    if clashes:
+        # name the clash with the lowest first position, then the lowest second
+        i, j = min(clashes)
+        raise ArrangementError(
+            f"proportional covectors at positions {i + 1} and {j + 1}")
+    return arr
 
 
 @dataclass(frozen=True)
 class Edge:
     """An intersection of hyperplanes, with saturated index set.
 
-    index_set holds 0-based hyperplane indices; span is the canonical
-    reduced row echelon form of their covectors.
+    index_set holds 0-based hyperplane indices; it identifies the edge.
     """
 
     index_set: tuple
     codim: int
     m_s: int
-    span: tuple
 
     @property
     def key(self) -> str:
@@ -227,35 +249,33 @@ class Lattice:
 def _search_edges(arr: Arrangement) -> tuple:
     """All edges of the arrangement: intersections of subfamilies,
     deduplicated by subspace, with saturated index sets.  Sorted by
-    (codimension, index set)."""
-    covs = [h.covector for h in arr.hyperplanes]
+    (codimension, index set).
 
-    def saturate(span):
-        return tuple(j for j, c in enumerate(covs) if _in_span(span, c))
-
+    The search goes up from the whole space one codimension at a time.  The
+    join of an edge with a hyperplane off it is fixed by the residual of the
+    covector against the edge's echelon basis: two hyperplanes give the same
+    join exactly when their primitive residuals are equal.  So one pass over
+    the covectors yields every join of an edge, with its saturated index
+    set.  Edges of codimension n are not extended: a join of one has rank
+    n + 1 and is no edge."""
+    covs = arr.int_covectors
     found = {}
-    frontier = []
-    for j, c in enumerate(covs):
-        span = _rref([c])
-        if span not in found:
-            iset = saturate(span)
-            e = Edge(iset, 1, sum(arr.mult(i) for i in iset), span)
-            found[span] = e
-            frontier.append(e)
+    frontier = [((), [])]  # (index set, echelon basis of its covectors)
     while frontier:
         nxt = []
-        for e in frontier:
+        for iset, basis in frontier:
+            on_edge = set(iset)
+            joins = {}
             for j, c in enumerate(covs):
-                if j in e.index_set:
-                    continue
-                span = _rref(list(e.span) + [c])
-                rank = len(span)
-                if rank > arr.n or span in found:
-                    continue
-                iset = saturate(span)
-                new = Edge(iset, rank, sum(arr.mult(i) for i in iset), span)
-                found[span] = new
-                nxt.append(new)
+                if j not in on_edge:
+                    joins.setdefault(_reduce(basis, c), []).append(j)
+            for residual, off in joins.items():
+                key = tuple(sorted(on_edge.union(off)))
+                if key not in found:
+                    codim = len(basis) + 1
+                    found[key] = Edge(key, codim, sum(arr.mult(i) for i in key))
+                    if codim < arr.n:
+                        nxt.append((key, _extend(basis, residual)))
         frontier = nxt
     return tuple(sorted(found.values(), key=lambda e: (e.codim, e.index_set)))
 
@@ -352,11 +372,12 @@ def is_dense(edge: Edge, arr: Arrangement) -> bool:
     is when its matroid is connected.
 
     Put the covectors through the edge as the columns of a matrix.  In its
-    reduced row echelon form the pivot columns are a greedy basis, and each
-    other column holds the coordinates of its covector in that basis.
-    Joining every covector to the basis covectors its coordinates use gives
-    the fundamental-circuit graph, which is connected exactly when the
-    matroid is (Oxley, Matroid Theory)."""
+    reduced row echelon form (the integer one has the same zero pattern)
+    the pivot columns are a greedy basis, and each other column holds the
+    coordinates of its covector in that basis.  Joining every covector to
+    the basis covectors its coordinates use gives the fundamental-circuit
+    graph, which is connected exactly when the matroid is (Oxley, Matroid
+    Theory)."""
     k = len(edge.index_set)
     comp = list(range(k))  # union-find parent per covector
 
@@ -365,8 +386,9 @@ def is_dense(edge: Edge, arr: Arrangement) -> bool:
             i = comp[i]
         return i
 
-    for row in _rref(zip(*(arr.covector(j) for j in edge.index_set))):
-        lead = root(next(i for i, x in enumerate(row) if x != 0))
+    covs = arr.int_covectors
+    for lead, row in _echelon(zip(*(covs[j] for j in edge.index_set))):
+        lead = root(lead)
         for j, x in enumerate(row):
             if x != 0:
                 comp[root(j)] = lead
@@ -474,7 +496,7 @@ def euler_by_inclusion_exclusion(arr: Arrangement) -> int:
     """Independent Euler-characteristic oracle for the divisor: alternating
     sum over all subfamilies of hyperplanes.  Exponential in the number of
     hyperplanes, so only the check harness and the tests call it."""
-    covs = [h.covector for h in arr.hyperplanes]
+    covs = arr.int_covectors
     r = len(covs)
     total = 0
     for mask in range(1, 1 << r):

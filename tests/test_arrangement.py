@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -21,6 +23,26 @@ def lines(*covs, mults=None):
 
 CONCURRENT = [(1, 0, 0), (0, 1, 0), (1, 1, 0)]
 TRIANGLE = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+# covector entries with both signs and non-integers; the extra zeros make
+# concurrent hyperplanes common
+MIXED = [Fraction(v) for v in (-2, -1, 0, 0, 0, 0, 1, 2)] \
+    + [Fraction(v, 2) for v in (-3, -1, 1, 3)]
+
+
+def random_arrangement(rng, n, k, values):
+    """A seeded arrangement of k distinct hyperplanes in P^n with covector
+    entries drawn from values."""
+    while True:
+        covs = [[rng.choice(values) for _ in range(n + 1)] for _ in range(k)]
+        try:
+            return build(n, [(c, 1) for c in covs])
+        except ArrangementError:
+            pass
+
+
+def vandermonde(n, k):
+    """k generic hyperplanes in P^n: the covectors (1, i, ..., i^n)."""
+    return build(n, [([i ** p for p in range(n + 1)], 1) for i in range(k)])
 
 
 class TestBuild:
@@ -31,6 +53,14 @@ class TestBuild:
     def test_proportional_rejected(self):
         with pytest.raises(ArrangementError, match="proportional"):
             lines((1, 0, 0), (2, 0, 0))
+
+    def test_proportional_pair_named_by_first_position(self):
+        # positions 2 and 3 clash first in input order, but the error names
+        # the clashing pair with the lowest first position
+        with pytest.raises(ArrangementError, match="positions 1 and 4$"):
+            lines((1, 0, 0), (0, 1, 0), (0, 2, 0), (-2, 0, 0))
+        with pytest.raises(ArrangementError, match="positions 1 and 2$"):
+            lines(("1/2", "1", "0"), (1, 2, 0))
 
     def test_zero_covector_rejected(self):
         with pytest.raises(ArrangementError, match="zero covector"):
@@ -57,6 +87,27 @@ class TestEdges:
         got = {(e.index_set, e.codim) for e in edges(arr)}
         oracle = brute_force_edges([h.covector for h in arr.hyperplanes], arr.n)
         assert got == oracle
+
+    def test_random_arrangements_against_brute_force(self):
+        rng = random.Random(4)
+        concurrent = fractional = 0
+        for n, k in [(2, 5), (2, 6), (2, 7)] * 4 + [(3, 5), (3, 6)] * 4:
+            arr = random_arrangement(rng, n, k, MIXED)
+            covs = [h.covector for h in arr.hyperplanes]
+            got = {(e.index_set, e.codim) for e in edges(arr)}
+            assert got == brute_force_edges(covs, n)
+            concurrent += any(len(e.index_set) > e.codim for e in edges(arr))
+            fractional += any(c.denominator > 1 for cov in covs for c in cov)
+        assert concurrent >= 5 and fractional >= 5
+
+    @pytest.mark.parametrize("n, k, counts", [
+        (2, 30, {1: 30, 2: 435}),
+        (3, 12, {1: 12, 2: 66, 3: 220}),
+    ])
+    def test_generic_counts(self, n, k, counts):
+        es = edges(vandermonde(n, k))
+        assert Counter(e.codim for e in es) == counts
+        assert all(len(e.index_set) == e.codim for e in es)
 
     def test_triangle_counts(self):
         arr = lines(*TRIANGLE)
@@ -164,17 +215,15 @@ class TestDense:
             assert is_dense(e, arr) == dense_by_bipartition(covs), e.key
 
     def test_matches_bipartition_oracle_on_random_arrangements(self):
-        # entries in {-1, 0, 1} give many concurrent and decomposable edges
+        # entries in {-1, 0, 1} give many concurrent and decomposable edges;
+        # halves add non-integral covectors
         rng = random.Random(3)
-        for n, k in [(2, 7), (2, 7), (3, 7), (3, 7), (3, 8)]:
-            while True:
-                covs = [[rng.randint(-1, 1) for _ in range(n + 1)]
-                        for _ in range(k)]
-                try:
-                    arr = build(n, [(c, 1) for c in covs])
-                    break
-                except ArrangementError:
-                    pass
+        small = range(-1, 2)
+        halves = [-1, Fraction(-1, 2), 0, 0, Fraction(1, 2), 1]
+        for n, k, values in [(2, 7, small), (2, 7, small), (3, 7, small),
+                             (3, 7, small), (3, 8, small), (2, 7, halves),
+                             (2, 7, halves), (3, 7, halves), (3, 7, halves)]:
+            arr = random_arrangement(rng, n, k, values)
             for e in edges(arr):
                 covs = [arr.covector(j) for j in e.index_set]
                 assert is_dense(e, arr) == dense_by_bipartition(covs), e.key
