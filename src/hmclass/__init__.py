@@ -3,7 +3,7 @@ arrangements: Hirzebruch classes, virtual classes, spectrum bookkeeping,
 and the Milnor-class correction supported on the singular locus, with
 independent computation paths cross-validating each other."""
 
-from .coeffs import Rational, RatFuncY, SeriesA, rat, rat_str
+from .coeffs import RatFuncY, SeriesA, rat
 from .rings import BlownPlaneRing, ProjRing, RingElement
 from .genera import (ChernData, class_from_roots, hirzebruch_series,
                      verify_identity_qr)

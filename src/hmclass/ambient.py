@@ -9,7 +9,6 @@ product capped on the ambient fundamental class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .coeffs import RatFuncY, rat
 from .genera import class_from_roots
@@ -22,7 +21,6 @@ __all__ = [
     "virtual_pushed_ci",
     "virtual_genus",
     "specialize",
-    "euler_via_chern",
 ]
 
 
@@ -140,15 +138,3 @@ def specialize(gc: GradedClass, y0) -> GradedClass:
             raise ZeroDivisionError(f"non-polynomial class: pole at y = {y0}")
 
     return GradedClass(gc.ring, gc.elem.map_coeffs(ev))
-
-
-def euler_via_chern(d: int, n: int) -> Fraction:
-    """Independent Euler-characteristic route for a smooth degree-d
-    hypersurface: integrate the total Chern class of the virtual tangent
-    bundle, c(TP^n)/(1 + dh) capped with d*h, over projective space."""
-    ring = ProjRing(n)
-    h = ring.h
-    c_ambient = (ring.one() + h) ** (n + 1)
-    denom = (ring.one() + h * d).inverse()
-    total = c_ambient * denom * (h * d)
-    return total.coeff(n).as_poly()(0)

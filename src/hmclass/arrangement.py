@@ -474,22 +474,13 @@ def chi_y_stratum(arr: Arrangement, edge: Edge) -> RatFuncY:
     return acc
 
 
-def chi_y(arr: Arrangement, target: str = "X") -> RatFuncY:
-    """chi_y genus by additivity over the canonical stratification.
-
-    target 'X' sums all edge strata of the divisor; 'P^n' returns the
-    ambient value; an edge key returns that open stratum."""
-    if target == "P^n":
-        return chi_y_pn(arr.n)
-    if target == "X":
-        acc = RatFuncY.ZERO
-        for e in arr.lattice.edges:
-            acc = acc + chi_y_stratum(arr, e)
-        return acc
-    edge = arr.lattice.by_key.get(target)
-    if edge is None:
-        raise ArrangementError(f"unknown chi_y target {target!r}")
-    return chi_y_stratum(arr, edge)
+def chi_y(arr: Arrangement) -> RatFuncY:
+    """chi_y genus of the divisor by additivity over its canonical
+    stratification: the sum over all edge strata."""
+    acc = RatFuncY.ZERO
+    for e in arr.lattice.edges:
+        acc = acc + chi_y_stratum(arr, e)
+    return acc
 
 
 def euler_by_inclusion_exclusion(arr: Arrangement) -> int:

@@ -14,12 +14,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "rat",
-    "rat_str",
     "RatFuncY",
     "SeriesA",
 ]
@@ -35,11 +31,6 @@ def rat(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value.strip())
     raise TypeError(f"cannot interpret {value!r} as a rational")
-
-
-def rat_str(value: Fraction) -> str:
-    """Serialize a rational as 'p/q', or 'p' when the denominator is 1."""
-    return str(value)
 
 
 def _div_one_plus_y(cs: list):
@@ -216,7 +207,7 @@ class RatFuncY:
 
     def as_strings(self) -> list:
         """Coefficients of a polynomial as rational strings."""
-        return [rat_str(c) for c in self.as_poly().coeffs]
+        return [str(c) for c in self.as_poly().coeffs]
 
     def __str__(self):
         if not self.k:
@@ -245,7 +236,7 @@ def poly_str(p: RatFuncY, var: str = "y") -> str:
             continue
         mag = abs(c)
         if k == 0:
-            body = rat_str(mag)
+            body = str(mag)
         else:
             suffix = var if k == 1 else f"{var}^{k}"
             if mag == 1:

@@ -15,7 +15,6 @@ from .coeffs import RatFuncY, SeriesA
 from .rings import Ring, RingElement
 
 __all__ = [
-    "HIRZEBRUCH_KINDS",
     "ChernData",
     "hirzebruch_series",
     "verify_identity_qr",
@@ -23,8 +22,6 @@ __all__ = [
     "chern_to_ch",
     "todd_from_chern",
 ]
-
-HIRZEBRUCH_KINDS = ("Q", "Qtilde", "R", "Todd")
 
 _ONE_PLUS_Y = RatFuncY.ONE_PLUS_Y
 _Y = RatFuncY.Y

@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass, field
 
 from .ambient import GradedClass, virtual_genus
-from .arrangement import Arrangement, chi_y, complement_chi, localize, sigma_strata
+from .arrangement import (Arrangement, chi_y, localize, milnor_fiber_chi,
+                          sigma_strata)
 from .coeffs import RatFuncY
 from .genera import ChernData, chern_to_ch
 from .rings import RingElement, exp_nilpotent
@@ -142,21 +143,25 @@ class MilnorReport:
             "per_stratum": {k: v.to_json() for k, v in
                             self.per_stratum.items()},
             "specializations": {
-                str(y0): {k: str(v.coeff(0)) for k, v in
-                          vec.values.items()}
+                str(y0): _constants(vec)
                 for y0, vec in self.specializations.items()
             },
             "degree0": self.degree0,
             "cross_path_ok": self.cross_path_ok,
             "cross_path": {
                 "ok": self.cross_path_ok,
-                "chern_milnor": {k: str(v.coeff(0)) for k, v in
-                                 self.chern_path.values.items()},
+                "chern_milnor": _constants(self.chern_path),
             },
         }
         if dump_strata:
             out["strata"] = [m.to_json() for m in self.models]
         return out
+
+
+def _constants(vec: SigmaChowVector) -> dict:
+    """Constant term of the coefficient on every schema label, in order."""
+    return {name: str(vec.coefficient(name).coeff(0))
+            for name in vec.schema.names()}
 
 
 def _stratum_contribution(arr: Arrangement, stratum, germ_sp, model,
@@ -204,7 +209,7 @@ def assemble(arr: Arrangement, user_tables: dict = None,
     if missing:
         raise MissingSpectrumError(missing)
 
-    m_y = schema.zero_vector()
+    m_y = SigmaChowVector(schema, {})
     per_stratum = {}
     models = []
     for s in strata:
@@ -249,10 +254,10 @@ def chern_milnor(arr: Arrangement, schema: LabelSchema = None) -> SigmaChowVecto
     spectra and no conventions."""
     if schema is None:
         schema = build_labels(arr)
-    acc = schema.zero_vector()
+    acc = SigmaChowVector(schema, {})
     for s in sigma_strata(arr):
         loc = localize(arr, s.edge)
-        chi_tilde = complement_chi(loc) * loc.m_s - 1
+        chi_tilde = milnor_fiber_chi(loc) - 1
         if chi_tilde == 0:
             continue
         model = compactify(arr, s)

@@ -28,7 +28,6 @@ __all__ = [
     "sp_monomial",
     "sp_ordinary",
     "sp_shift",
-    "sp_unshift",
     "sp_validate",
     "sp_user_load",
     "catalogue_spectrum",
@@ -154,16 +153,6 @@ def sp_shift(germ_sp: Spectrum, stratum: Stratum, n: int) -> Spectrum:
     sign = (-1) ** stratum.dim
     out = {a + stratum.dim: sign * m for a, m in germ_sp.entries}
     return Spectrum.make(out, ("stratum", n))
-
-
-def sp_unshift(stratum_sp: Spectrum, stratum: Stratum) -> Spectrum:
-    """Inverse of sp_shift."""
-    kind, _ = stratum_sp.frame
-    if kind != "stratum":
-        raise SpectrumError(f"expected a stratum frame, got {stratum_sp.frame}")
-    sign = (-1) ** stratum.dim
-    out = {a - stratum.dim: sign * m for a, m in stratum_sp.entries}
-    return Spectrum.make(out, ("germ", stratum.edge.codim))
 
 
 @dataclass(frozen=True)

@@ -157,7 +157,7 @@ def compactify(arr: Arrangement, stratum: Stratum) -> StratumModel:
               if e.codim == stratum.edge.codim + 2]
     blown = []
     for p, m_rel in points:
-        through = [l for l, _ in lines if set(l.index_set) <= set(p.index_set)]
+        through = [l for l, _ in lines if l.contains(p)]
         if len(through) >= 3:
             blown.append(p.key)
     ring = BlownPlaneRing(tuple(blown))
@@ -165,7 +165,7 @@ def compactify(arr: Arrangement, stratum: Stratum) -> StratumModel:
     for l, m_rel in lines:
         cls = ring.e
         for p, _ in points:
-            if p.key in blown and set(l.index_set) <= set(p.index_set):
+            if p.key in blown and l.contains(p):
                 cls = cls - ring.eps(p.key)
         comps.append(BoundaryComponent(l.key, "edge", m_rel, res(m_rel), cls))
     for p, m_rel in points:
@@ -306,8 +306,7 @@ def log_chern(model: StratumModel, q: int) -> ChernData:
 class Label:
     name: str
     degree: int
-    kind: str        # "hyperplane" | "codim2" | "shared"
-    edge_key: str = ""
+    edge_key: str = ""  # the edge owning the label; "" for a shared label
 
 
 _DIM_LETTER = {0: "P", 1: "L", 2: "F"}
@@ -331,100 +330,70 @@ def _own_label_name(arr: Arrangement, edge: Edge) -> str:
 class LabelSchema:
     """Ordered Chow basis of the singular locus: one label per multiple
     hyperplane in top degree, one per codimension-2 edge away from the
-    multiple hyperplanes, and one shared label per remaining degree."""
+    multiple hyperplanes, and one shared label per remaining degree.
+
+    fundamental maps the edge key of every stratum of the singular locus
+    to the label of its closure's fundamental class; shared maps a degree
+    to its shared label."""
 
     n: int
     labels: tuple
-    _edge_in_sigma1: tuple  # keys of edges inside a multiple hyperplane
+    fundamental: dict
+    shared: dict
 
     def names(self) -> list:
         return [l.name for l in self.labels]
 
-    def by_name(self, name: str) -> Label:
-        for l in self.labels:
-            if l.name == name:
-                return l
-        raise StrataError(f"unknown label {name!r}")
-
-    def shared(self, degree: int) -> str:
-        for l in self.labels:
-            if l.kind == "shared" and l.degree == degree:
-                return l.name
-        raise StrataError(f"no shared label in degree {degree}")
-
-    def own(self, edge_key: str) -> str:
-        for l in self.labels:
-            if l.edge_key == edge_key:
-                return l.name
-        raise StrataError(f"no own label for edge {edge_key}")
-
-    def in_sigma1(self, edge: Edge) -> bool:
-        return edge.key in self._edge_in_sigma1
-
-    def resolve_fundamental(self, edge: Edge) -> str:
-        if edge.codim == 1:
-            return self.own(edge.key)
-        if edge.codim == 2 and not self.in_sigma1(edge):
-            return self.own(edge.key)
-        if edge.codim == 2:
-            return self.shared(self.n - 2)
-        return self.shared(self.n - edge.codim)
-
     def resolve_push(self, edge: Edge, k: int) -> str:
         dim = self.n - edge.codim
-        if k == dim:
-            return self.resolve_fundamental(edge)
         if k > dim:
             raise StrataError(f"degree {k} exceeds stratum dimension {dim}")
-        return self.shared(k)
-
-    def zero_vector(self) -> "SigmaChowVector":
-        return SigmaChowVector(self, {l.name: RatFuncY.ZERO for l in self.labels})
+        return self.fundamental[edge.key] if k == dim else self.shared[k]
 
 
 def build_labels(arr: Arrangement) -> LabelSchema:
+    n = arr.n
     multiple = set(arr.multiple_indices())
-    in_sigma1 = tuple(e.key for e in arr.lattice.edges
-                      if any(j in multiple for j in e.index_set))
-    # canonical order: degree descending, own labels before the shared one,
-    # own labels by sorted hyperplane index set
-    labels = []
-    for e in arr.lattice.edges:  # sorted by (codim, index set)
-        if e.codim == 1 and e.index_set[0] in multiple:
-            labels.append(Label(_own_label_name(arr, e), arr.n - 1,
-                                "hyperplane", e.key))
-    for e in arr.lattice.edges:
-        if e.codim == 2 and e.key not in in_sigma1:
-            labels.append(Label(_own_label_name(arr, e), arr.n - 2,
-                                "codim2", e.key))
-    sigma_nonempty = bool(multiple) or any(e.codim >= 2 for e in arr.lattice.edges)
-    if sigma_nonempty:
-        if multiple and arr.n >= 2:
-            labels.append(Label(f"Q_{{{arr.n - 2}}}", arr.n - 2, "shared"))
-        for k in range(arr.n - 3, -1, -1):
-            labels.append(Label(f"Q_{{{k}}}", k, "shared"))
-    return LabelSchema(arr.n, tuple(labels), in_sigma1)
+    strata = [e for e in arr.lattice.edges  # sorted by (codim, index set)
+              if e.codim >= 2 or e.index_set[0] in multiple]
+    shared = {}
+    if strata:
+        if multiple and n >= 2:
+            shared[n - 2] = f"Q_{{{n - 2}}}"
+        for k in range(n - 3, -1, -1):
+            shared[k] = f"Q_{{{k}}}"
+    # own labels go to the multiple hyperplanes and to the codimension-2
+    # edges on none of them; every other stratum shares its degree's label
+    fundamental = {}
+    own = []
+    for e in strata:
+        off_multiple = not multiple.intersection(e.index_set)
+        if e.codim == 1 or (e.codim == 2 and off_multiple):
+            fundamental[e.key] = _own_label_name(arr, e)
+            own.append(Label(fundamental[e.key], n - e.codim, e.key))
+        else:
+            fundamental[e.key] = shared[n - e.codim]
+    # canonical order: degree descending, own labels before the shared one
+    labels = own + [Label(name, k) for k, name in shared.items()]
+    return LabelSchema(n, tuple(labels), fundamental, shared)
 
 
 class SigmaChowVector:
     """Element of the labeled Chow basis with rational-function-in-y
-    coefficients (polynomial after full assembly)."""
+    coefficients (polynomial after full assembly).  values holds the
+    nonzero coefficients only."""
 
     __slots__ = ("schema", "values")
 
     def __init__(self, schema: LabelSchema, values: dict):
         self.schema = schema
-        self.values = {l.name: values.get(l.name, RatFuncY.ZERO)
-                       for l in schema.labels}
-
-    def add_to(self, name: str, value: RatFuncY):
-        self.values[name] = self.values[name] + value
+        self.values = {k: v for k, v in values.items() if not v.is_zero()}
 
     def __add__(self, other: "SigmaChowVector"):
-        out = SigmaChowVector(self.schema, dict(self.values))
+        out = dict(self.values)
         for name, v in other.values.items():
-            out.add_to(name, v)
-        return out
+            out[name] = out.get(name, RatFuncY.ZERO) + v
+        return SigmaChowVector(self.schema, out)
 
     def __mul__(self, scalar):
         return SigmaChowVector(
@@ -441,10 +410,10 @@ class SigmaChowVector:
         return self.values == other.values
 
     def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.values.values())
+        return not self.values
 
     def coefficient(self, name: str) -> RatFuncY:
-        return self.values[name]
+        return self.values.get(name, RatFuncY.ZERO)
 
     def trace(self) -> RatFuncY:
         """Sum of the degree-zero coefficients (each basis point has
@@ -452,7 +421,7 @@ class SigmaChowVector:
         acc = RatFuncY.ZERO
         for l in self.schema.labels:
             if l.degree == 0:
-                acc = acc + self.values[l.name]
+                acc = acc + self.coefficient(l.name)
         return acc
 
     def specialize(self, y0) -> "SigmaChowVector":
@@ -464,17 +433,13 @@ class SigmaChowVector:
     def is_polynomial(self) -> bool:
         return all(v.is_polynomial() for v in self.values.values())
 
-    def to_json(self, drop_zero: bool = False) -> dict:
-        out = {}
-        for l in self.schema.labels:
-            v = self.values[l.name]
-            if drop_zero and v.is_zero():
-                continue
-            out[l.name] = v.as_poly().as_strings()
-        return out
+    def to_json(self) -> dict:
+        """Coefficient strings for every label of the schema, in order."""
+        return {name: self.coefficient(name).as_strings()
+                for name in self.schema.names()}
 
     def __repr__(self):
-        items = [f"{k}: {v}" for k, v in self.values.items() if not v.is_zero()]
+        items = [f"{k}: {v}" for k, v in self.values.items()]
         return "SigmaChowVector(" + ", ".join(items) + ")"
 
 
@@ -484,38 +449,30 @@ def push_to_sigma(schema: LabelSchema, edge: Edge,
     lands on the closure's own or shared label, lower parts land on the
     shared label of their degree, exceptional-curve classes contract to
     zero."""
-    out = schema.zero_vector()
-    dim = gc.dim
-    for k in range(dim + 1):
-        part = gc.part(k)
-        for i, c in enumerate(part.coeffs):
-            if c.is_zero():
-                continue
-            if gc.ring.names[i].startswith("eps"):
+    out = {}
+    for k in range(gc.dim + 1):
+        for i, c in enumerate(gc.part(k).coeffs):
+            if c.is_zero() or gc.ring.names[i].startswith("eps"):
                 continue  # exceptional curves contract
-            out.add_to(schema.resolve_push(edge, k), c)
-    return out
+            name = schema.resolve_push(edge, k)
+            out[name] = out.get(name, RatFuncY.ZERO) + c
+    return SigmaChowVector(schema, out)
 
 
 def relabel_vector(vec: SigmaChowVector, perm: dict,
                    target: LabelSchema) -> SigmaChowVector:
     """Transport a vector along a hyperplane relabeling (1-based index map),
     for comparing lattice-isomorphic arrangements."""
-
-    def rename(name: str) -> str:
-        if not name or "{" not in name or name.startswith("Q_"):
-            return name
-        prefix, body = name.split("_{", 1)
-        body = body.rstrip("}")
-        parts = body.split(".") if "." in body else list(body)
-        mapped = sorted(perm[int(p)] for p in parts)
-        if all(v <= 9 for v in mapped):
-            new_body = "".join(str(v) for v in mapped)
+    values = {}
+    for l in vec.schema.labels:
+        if l.name not in vec.values:
+            continue
+        if l.edge_key:
+            moved = sorted(perm[int(j)] for j in l.edge_key.split(","))
+            name = target.fundamental[",".join(map(str, moved))]
         else:
-            new_body = ".".join(str(v) for v in mapped)
-        return f"{prefix}_{{{new_body}}}"
-
-    values = {rename(k): v for k, v in vec.values.items()}
+            name = target.shared[l.degree]
+        values[name] = vec.values[l.name]
     return SigmaChowVector(target, values)
 
 
@@ -526,26 +483,13 @@ def relabel_vector(vec: SigmaChowVector, perm: dict,
 def chow_dims(arr: Arrangement) -> dict:
     """Ranks of the rational Chow groups of the divisor and of its singular
     locus, by homology degree."""
-    multiple = set(arr.multiple_indices())
-    in_sigma1 = {e.key for e in arr.lattice.edges
-                 if any(j in multiple for j in e.index_set)}
     n, r = arr.n, arr.r
     ch_x = {n - 1: r}
     for k in range(n - 1):
         ch_x[k] = 1
-    sigma_nonempty = bool(multiple) or any(e.codim >= 2 for e in arr.lattice.edges)
-    ch_sigma = {}
-    if sigma_nonempty:
-        ch_sigma[n - 1] = len(multiple)
-        if n >= 2:
-            own2 = sum(1 for e in arr.lattice.edges
-                       if e.codim == 2 and e.key not in in_sigma1)
-            ch_sigma[n - 2] = own2 + (1 if multiple else 0)
-        for k in range(n - 3, -1, -1):
-            ch_sigma[k] = 1
-    else:
-        for k in range(n):
-            ch_sigma[k] = 0
+    ch_sigma = dict.fromkeys(range(n - 1, -1, -1), 0)
+    for l in build_labels(arr).labels:
+        ch_sigma[l.degree] += 1
     return {"CH_X": ch_x, "CH_Sigma": ch_sigma}
 
 

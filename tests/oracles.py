@@ -2,8 +2,10 @@
 
 Everything here must stay independent of the code paths it checks:
 sympy closed-form expansions for series coefficients, brute-force subset
-enumeration for intersection lattices, inclusion-exclusion counts, and
-the K-theoretic lambda_y route to Hirzebruch classes.
+enumeration for intersection lattices, inclusion-exclusion counts, the
+K-theoretic lambda_y route to Hirzebruch classes, the Chern-integral
+route to the Euler number of a smooth hypersurface, and the inverse of
+the spectrum frame shift.
 """
 
 import math
@@ -12,9 +14,11 @@ from itertools import combinations
 
 import sympy
 
+from hmclass.arrangement import Stratum
 from hmclass.coeffs import RatFuncY
 from hmclass.genera import ChernData, _power_sums
-from hmclass.rings import Ring, RingElement, exp_nilpotent
+from hmclass.rings import ProjRing, Ring, RingElement, exp_nilpotent
+from hmclass.spectra import Spectrum, SpectrumError
 
 
 def series_coeffs(expr, var, order):
@@ -180,3 +184,25 @@ def lambda_y_virtual(numerator: ChernData, denominator: ChernData,
     if den.coeffs[0].is_zero():
         raise ZeroDivisionError("lambda_y denominator has no invertible rank part")
     return num * den.inverse()
+
+
+def euler_via_chern(d: int, n: int) -> Fraction:
+    """Independent Euler-characteristic route for a smooth degree-d
+    hypersurface: integrate the total Chern class of the virtual tangent
+    bundle, c(TP^n)/(1 + dh) capped with d*h, over projective space."""
+    ring = ProjRing(n)
+    h = ring.h
+    c_ambient = (ring.one() + h) ** (n + 1)
+    denom = (ring.one() + h * d).inverse()
+    total = c_ambient * denom * (h * d)
+    return total.coeff(n).as_poly()(0)
+
+
+def sp_unshift(stratum_sp: Spectrum, stratum: Stratum) -> Spectrum:
+    """Inverse of sp_shift."""
+    kind, _ = stratum_sp.frame
+    if kind != "stratum":
+        raise SpectrumError(f"expected a stratum frame, got {stratum_sp.frame}")
+    sign = (-1) ** stratum.dim
+    out = {a - stratum.dim: sign * m for a, m in stratum_sp.entries}
+    return Spectrum.make(out, ("germ", stratum.edge.codim))

@@ -1,13 +1,12 @@
 import pytest
 
-from hmclass.ambient import (GradedClass, euler_via_chern, specialize,
-                             ty_class_pn, virtual_genus, virtual_pushed,
-                             virtual_pushed_ci)
+from hmclass.ambient import (GradedClass, specialize, ty_class_pn,
+                             virtual_genus, virtual_pushed, virtual_pushed_ci)
 from hmclass.coeffs import RatFuncY
 from hmclass.genera import ChernData, class_from_roots
 from hmclass.milnor import td_transform
 from hmclass.rings import ProjRing
-from oracles import lambda_y
+from oracles import euler_via_chern, lambda_y
 
 
 def polys(gc):

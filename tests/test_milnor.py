@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -183,6 +184,51 @@ class TestInvariance:
         moved = relabel_vector(rep.m_y, perm, rep_shuffled.schema)
         assert moved == rep_shuffled.m_y
 
+    def test_relabeling_with_dotted_labels(self):
+        # twelve lines with one triple point: indices from 10 on give
+        # dotted label names such as P_{1.10}
+        covectors = [(1, 0, 0), (0, 1, 0), (1, 1, 0)]
+        covectors += [(1, t, t * t) for t in range(1, 10)]
+        arr = build(2, [(c, 1) for c in covectors])
+        order = list(range(len(covectors)))  # new position -> old index
+        random.Random(5).shuffle(order)
+        perm = {old + 1: new + 1 for new, old in enumerate(order)}
+        shuffled = build(2, [(covectors[i], 1) for i in order])
+        rep = assemble(arr)
+        rep_shuffled = assemble(shuffled)
+        assert [len(e.index_set) for e in arr.lattice.edges
+                if e.codim == 2].count(3) == 1
+        assert not rep.m_y.coefficient("P_{1.10}").is_zero()
+        target = rep_shuffled.schema
+        assert relabel_vector(rep.m_y, perm, target) == rep_shuffled.m_y
+        assert (relabel_vector(rep.chern_path, perm, target)
+                == rep_shuffled.chern_path)
+
+        def rekey(key):
+            return ",".join(str(v) for v in
+                            sorted(perm[int(p)] for p in key.split(",")))
+
+        moved = {rekey(k): relabel_vector(v, perm, target)
+                 for k, v in rep.per_stratum.items()}
+        assert moved == rep_shuffled.per_stratum
+
+
+
+class TestSparseVectors:
+    def test_sum_with_negative_is_empty(self):
+        rep = assemble(corpus.load("fourplanes"))
+        assert (rep.m_y + (-rep.m_y)).values == {}
+
+    def test_point_contribution_has_one_key(self):
+        rep = assemble(corpus.load("triangle3"))
+        assert list(rep.per_stratum["1,2"].values) == ["P_{12}"]
+
+    def test_report_lists_every_label(self):
+        rep = assemble(corpus.load("fourplanes"))
+        assert "L_{12}" not in rep.specializations[0].values
+        block = rep.to_json()["specializations"]["0"]
+        assert block["L_{12}"] == "0"
+        assert list(block) == rep.schema.names()
 
 def _det(mat):
     if len(mat) == 1:

@@ -7,8 +7,9 @@ from hmclass import corpus
 from hmclass.arrangement import build, edges, localize, sigma_strata
 from hmclass.spectra import (Spectrum, SpectrumError, SpectrumValidationError,
                              catalogue_spectrum, sp_monomial, sp_ordinary,
-                             sp_shift, sp_unshift, sp_user_load, sp_validate,
+                             sp_shift, sp_user_load, sp_validate,
                              stratum_spectrum)
+from oracles import sp_unshift
 
 F = Fraction
 

@@ -270,6 +270,8 @@ class TestPushAndLabels:
         eps = model.ring.eps("1,2,3,4")
         vec = push_to_sigma(schema, model.edge, GradedClass(model.ring, eps))
         assert vec.is_zero()
+        assert vec.values == {}
+        assert vec.to_json() == {name: [] for name in schema.names()}
 
     def test_push_respects_point_degree(self):
         arr = corpus.load("doubleplane3")
