@@ -133,7 +133,7 @@ def specialize(gc: GradedClass, y0) -> GradedClass:
 
     def ev(c: RatFuncY) -> RatFuncY:
         try:
-            return RatFuncY([c(y0)])
+            return RatFuncY._coerce(c(y0))
         except ZeroDivisionError:
             raise ZeroDivisionError(f"non-polynomial class: pole at y = {y0}")
 

@@ -9,6 +9,7 @@ exit codes: 0 success, 1 validation failure, 2 malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -317,6 +318,7 @@ def run_builtin_checks(order: int = 12) -> list:
 # argument parsing
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hmclass",

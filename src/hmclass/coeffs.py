@@ -2,9 +2,11 @@
 
 Everything downstream is built on arbitrary-precision rationals.  The one
 coefficient type, RatFuncY, is the ring Q[y, 1/(1+y)]: a dense polynomial
-numerator in the parameter y over a power (1+y)^k.  The Hirzebruch series,
-the Todd transformation and the (1+y)^{-k} degree scaling only ever divide
-by 1 + y, so no other denominator occurs; a value is a polynomial exactly
+numerator in the parameter y with integer coefficients, over one positive
+integer denominator and a power (1+y)^k, in the manner of an integer-
+numerator rational polynomial.  The Hirzebruch series, the Todd
+transformation and the (1+y)^{-k} degree scaling only ever divide by
+1 + y, so no other denominator occurs; a value is a polynomial exactly
 when k == 0.  Truncated power series in a formal nilpotent variable (used
 for Chern-root expansions) carry RatFuncY coefficients.  No floating point
 anywhere.
@@ -13,6 +15,7 @@ anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 __all__ = [
     "rat",
@@ -33,59 +36,91 @@ def rat(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
-def _div_one_plus_y(cs: list):
-    """Quotient and remainder of a coefficient list by 1 + y (synthetic
-    division at y = -1)."""
-    quot = [Fraction(0)] * (len(cs) - 1)
-    acc = Fraction(0)
+def _div_one_plus_y(cs):
+    """Quotient and remainder of an integer coefficient list by 1 + y
+    (synthetic division at y = -1; exact, as 1 + y is monic)."""
+    quot = [0] * (len(cs) - 1)
+    acc = 0
     for i in range(len(cs) - 1, 0, -1):
         acc = cs[i] - acc
         quot[i - 1] = acc
     return quot, cs[0] - acc
 
 
-def _times_one_plus_y(cs: list, d: int) -> list:
+def _times_one_plus_y(cs, d: int) -> list:
     """A coefficient list multiplied by (1 + y)^d."""
+    cs = list(cs)
     for _ in range(d):
-        cs = [a + b for a, b in zip(cs + [Fraction(0)], [Fraction(0)] + cs)]
+        cs = [a + b for a, b in zip(cs + [0], [0] + cs)]
     return cs
 
 
+def _value(num: tuple, den: int, k: int) -> "RatFuncY":
+    """A RatFuncY from parts already in normal form (no checks)."""
+    out = object.__new__(RatFuncY)
+    out.num = num
+    out.den = den
+    out.k = k
+    return out
+
+
+def _normal(num: list, den: int, k: int) -> "RatFuncY":
+    """The value num / (den (1+y)^k) of an integer coefficient list, brought
+    to normal form."""
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        return RatFuncY.ZERO
+    # 1 + y divides the numerator exactly when it vanishes at y = -1
+    while k and len(num) > 1 and sum(num[::2]) == sum(num[1::2]):
+        num = _div_one_plus_y(num)[0]
+        k -= 1
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    return _value(tuple(num), den, k)
+
+
 class RatFuncY:
-    """Element of Q[y, 1/(1+y)]: a polynomial numerator c_0 + c_1 y + ...
-    over (1+y)^k.
+    """Element of Q[y, 1/(1+y)]: an integer numerator c_0 + c_1 y + ...
+    over den (1+y)^k, with den > 0.
 
-    Normal form: trailing zeros are stripped, and 1 + y is divided out of
-    the numerator while k > 0 and the numerator vanishes at y = -1.  So the
-    value is a polynomial exactly when k == 0, and equal values have equal
-    (coeffs, k).  The zero element has an empty coefficient tuple."""
+    Normal form: trailing zeros are stripped, 1 + y is divided out of the
+    numerator while k > 0 and the numerator vanishes at y = -1, and den is
+    prime to the content of the numerator.  So the value is a polynomial
+    exactly when k == 0, and equal values have equal (num, den, k).  The
+    zero element is ((), 1, 0).  The constructor takes rational
+    coefficients; coeffs and coeff() read them back as Fractions."""
 
-    __slots__ = ("coeffs", "k")
+    __slots__ = ("num", "den", "k")
 
     def __init__(self, coeffs=(), k: int = 0):
         if k < 0:
             raise ValueError("negative power of the denominator 1 + y")
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        while k and cs:
-            quot, rem = _div_one_plus_y(cs)
-            if rem:
-                break
-            cs, k = quot, k - 1
-        self.coeffs = tuple(cs)
-        self.k = k if cs else 0
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c)
+              for c in coeffs]
+        den = lcm(*[c.denominator for c in cs])
+        value = _normal([c.numerator * (den // c.denominator) for c in cs],
+                        den, k)
+        self.num, self.den, self.k = value.num, value.den, value.k
 
     # -- queries ------------------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple:
+        """Numerator coefficients over (1+y)^k, as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
+
     def coeff(self, i: int) -> Fraction:
         """Numerator coefficient of y^i."""
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self.num):
+            return Fraction(self.num[i], self.den)
         return Fraction(0)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def is_polynomial(self) -> bool:
         return self.k == 0
@@ -97,19 +132,22 @@ class RatFuncY:
         return self
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def __eq__(self, other):
-        try:
-            other = self._coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.coeffs == other.coeffs and self.k == other.k
+        if other.__class__ is not RatFuncY:
+            try:
+                other = self._coerce(other)
+            except TypeError:
+                return NotImplemented
+        return (self.num == other.num and self.den == other.den
+                and self.k == other.k)
 
     def __hash__(self):
-        if self.k == 0 and len(self.coeffs) <= 1:
-            return hash(self.coeff(0))  # equal to that scalar, so hash alike
-        return hash((self.coeffs, self.k))
+        if self.k == 0 and len(self.num) <= 1:
+            # equal to that scalar, so hash alike
+            return hash(Fraction(self.num[0], self.den)) if self.num else 0
+        return hash((self.num, self.den, self.k))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -118,30 +156,45 @@ class RatFuncY:
         """A scalar (RatFuncY, int or Fraction) as a RatFuncY."""
         if isinstance(value, RatFuncY):
             return value
-        if isinstance(value, (int, Fraction)):
-            return RatFuncY((value,))
+        if isinstance(value, int):
+            return _value((int(value),), 1, 0) if value else RatFuncY.ZERO
+        if isinstance(value, Fraction):
+            if not value:
+                return RatFuncY.ZERO
+            return _value((value.numerator,), value.denominator, 0)
         raise TypeError(f"cannot coerce {value!r} to RatFuncY")
 
     def __add__(self, other):
-        try:
-            other = self._coerce(other)
-        except TypeError:
-            return NotImplemented
-        a, b = list(self.coeffs), list(other.coeffs)
-        if self.k < other.k:
-            a = _times_one_plus_y(a, other.k - self.k)
-        elif other.k < self.k:
-            b = _times_one_plus_y(b, self.k - other.k)
+        if other.__class__ is not RatFuncY:
+            try:
+                other = self._coerce(other)
+            except TypeError:
+                return NotImplemented
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        a, b, k = self.num, other.num, self.k
+        if k < other.k:
+            a, k = _times_one_plus_y(a, other.k - k), other.k
+        elif other.k < k:
+            b = _times_one_plus_y(b, k - other.k)
+        den = self.den
+        if den != other.den:
+            den = lcm(den, other.den)
+            a = [c * (den // self.den) for c in a]
+            b = [c * (den // other.den) for c in b]
         if len(a) < len(b):
             a, b = b, a
+        out = list(a)
         for i, c in enumerate(b):
-            a[i] += c
-        return RatFuncY(a, max(self.k, other.k))
+            out[i] += c
+        return _normal(out, den, k)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFuncY([-c for c in self.coeffs], self.k)
+        return _value(tuple([-c for c in self.num]), self.den, self.k)
 
     def __sub__(self, other):
         try:
@@ -154,19 +207,29 @@ class RatFuncY:
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        try:
-            other = self._coerce(other)
-        except TypeError:
-            return NotImplemented
-        if not self.coeffs or not other.coeffs:
+        if other.__class__ is not RatFuncY:
+            try:
+                other = self._coerce(other)
+            except TypeError:
+                return NotImplemented
+        a, b = self.num, other.num
+        if not a or not b:
             return RatFuncY.ZERO
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RatFuncY(out, self.k + other.k)
+        den, k = self.den * other.den, self.k + other.k
+        if len(a) == 1 or len(b) == 1:
+            if len(a) != 1:
+                a, b = b, a
+            c = a[0]
+            out = [c * x for x in b] if c != 1 else list(b)
+        else:
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, z in enumerate(b):
+                        out[i + j] += x * z
+        if den == 1 and not k:
+            return _value(tuple(out), 1, 0)
+        return _normal(out, den, k)
 
     __rmul__ = __mul__
 
@@ -184,15 +247,20 @@ class RatFuncY:
 
     def inverse(self) -> "RatFuncY":
         """Inverse of a unit c (1+y)^j of the ring; anything else raises."""
-        if not self.coeffs:
+        if not self.num:
             raise ZeroDivisionError("inverse of zero")
-        cs, j = list(self.coeffs), 0
+        cs, j = self.num, 0
         while len(cs) > 1:
             cs, rem = _div_one_plus_y(cs)
             if rem:
                 raise ZeroDivisionError(f"{self} is not a unit c (1+y)^j")
             j += 1
-        return RatFuncY(_times_one_plus_y([1 / cs[0]], self.k), j)
+        # self = (c / den) (1+y)^(j - k), so its inverse is
+        # (den / c) (1+y)^(k - j)
+        c, den = cs[0], self.den
+        if c < 0:
+            c, den = -c, -den
+        return _normal(_times_one_plus_y([den], self.k), c, j)
 
     # -- evaluation and display ----------------------------------------------
 
@@ -200,10 +268,16 @@ class RatFuncY:
         y0 = rat(y0)
         if self.k and y0 == -1:
             raise ZeroDivisionError(f"pole at y = {y0}: non-polynomial value {self}")
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * y0 + c
-        return acc / (1 + y0) ** self.k
+        # Horner's rule on the integer numerator, homogenized in y0 = p/q:
+        # acc = sum c_i p^i q^(d-i) for a numerator of degree d
+        p, q = y0.numerator, y0.denominator
+        acc, q_pow = 0, 1
+        for c in reversed(self.num):
+            acc = acc * p + c * q_pow
+            q_pow *= q
+        # value = acc / q^d / (den ((q + p) / q)^k), where q_pow = q^(d+1)
+        return Fraction(acc * q ** (self.k + 1),
+                        q_pow * self.den * (q + p) ** self.k)
 
     def as_strings(self) -> list:
         """Coefficients of a polynomial as rational strings."""
@@ -212,17 +286,17 @@ class RatFuncY:
     def __str__(self):
         if not self.k:
             return poly_str(self)
-        den = RatFuncY(_times_one_plus_y([Fraction(1)], self.k))
-        return f"({poly_str(RatFuncY(self.coeffs))})/({poly_str(den)})"
+        den = RatFuncY(_times_one_plus_y([1], self.k))
+        return f"({poly_str(_value(self.num, self.den, 0))})/({poly_str(den)})"
 
     def __repr__(self):
         return f"RatFuncY({list(self.coeffs)!r}, {self.k})"
 
 
-RatFuncY.ZERO = RatFuncY()
-RatFuncY.ONE = RatFuncY([1])
-RatFuncY.Y = RatFuncY([0, 1])
-RatFuncY.ONE_PLUS_Y = RatFuncY([1, 1])
+RatFuncY.ZERO = _value((), 1, 0)
+RatFuncY.ONE = _value((1,), 1, 0)
+RatFuncY.Y = _value((0, 1), 1, 0)
+RatFuncY.ONE_PLUS_Y = _value((1, 1), 1, 0)
 
 
 def poly_str(p: RatFuncY, var: str = "y") -> str:

@@ -167,25 +167,35 @@ def _constants(vec: SigmaChowVector) -> dict:
 def _stratum_contribution(arr: Arrangement, stratum, germ_sp, model,
                           conv: ConventionSet) -> RingElement:
     """Sum over exponents and cotangent powers for one stratum, on the model
-    ring, with the degree scaling already applied."""
+    ring, with the degree scaling already applied.
+
+    The summand td(ch(L_k) ch(Omega^q)) (-y)^(floor(n - alpha) + q)
+    sign_q n_alpha is linear in the Chern character, so the scalar weights
+    are summed per Deligne power k and cotangent power q first, and the
+    Todd transformation runs once, on the weighted sum."""
     n = arr.n
     ring = model.ring
     strat_sp = sp_shift(germ_sp, stratum, n)
-    acc = ring.zero()
-    minus_y = RatFuncY([0, -1])
-    log_data = [log_chern(model, q) for q in range(model.dim + 1)]
-    ch_log = [chern_to_ch(cd, ring) for cd in log_data]
-    todd = model.todd()
+    minus_y = -RatFuncY.Y
+    signs = [1 if (q + n - 1) % 2 == 0 else -1 for q in range(model.dim + 1)]
+    weights = {}  # k -> the scalar weight of ch(L_k) ch(Omega^q), per q
     for alpha, n_alpha in strat_sp.entries:
         k = k_representative(alpha, model.m_s, conv.extension_mode)
-        ch_line = exp_nilpotent(deligne_class(model, k, conv.extension_mode))
+        w = weights.setdefault(k, [RatFuncY.ZERO] * len(signs))
         p = math.floor(n - alpha)
-        for q in range(model.dim + 1):
-            sign = 1 if (q + n - 1) % 2 == 0 else -1
-            weight = minus_y ** (p + q) * (sign * n_alpha)
-            cls = td_transform(ch_line * ch_log[q], todd)
-            acc = acc + cls.elem * weight
-    return acc
+        for q, sign in enumerate(signs):
+            w[q] = w[q] + minus_y ** (p + q) * (sign * n_alpha)
+    ch_log = [chern_to_ch(log_chern(model, q), ring)
+              for q in range(model.dim + 1)]
+    total = ring.zero()
+    for k, w in weights.items():
+        ch_line = exp_nilpotent(deligne_class(model, k, conv.extension_mode))
+        summed = ring.zero()
+        for ch, wq in zip(ch_log, w):
+            if wq:
+                summed = summed + ch * wq
+        total = total + ch_line * summed
+    return td_transform(total, model.todd()).elem
 
 
 def assemble(arr: Arrangement, user_tables: dict = None,
@@ -228,7 +238,7 @@ def assemble(arr: Arrangement, user_tables: dict = None,
         per_stratum[s.key] = contribution
         m_y = m_y + contribution
 
-    chern_path = chern_milnor(arr, schema)
+    chern_path = chern_milnor(arr, schema, strata)
     spec_minus1 = m_y.specialize(-1)
     report = MilnorReport(
         arrangement=arr,
@@ -247,15 +257,18 @@ def assemble(arr: Arrangement, user_tables: dict = None,
     return report
 
 
-def chern_milnor(arr: Arrangement, schema: LabelSchema = None) -> SigmaChowVector:
+def chern_milnor(arr: Arrangement, schema: LabelSchema = None,
+                 strata: list = None) -> SigmaChowVector:
     """Euler-weighted Chern-class path: sum over strata of the reduced
     Milnor-fiber Euler characteristic times the Chern class of the
     logarithmic tangent bundle, pushed to the Chow basis.  Needs no
-    spectra and no conventions."""
+    spectra and no conventions; strata defaults to sigma_strata(arr)."""
     if schema is None:
         schema = build_labels(arr)
+    if strata is None:
+        strata = sigma_strata(arr)
     acc = SigmaChowVector(schema, {})
-    for s in sigma_strata(arr):
+    for s in strata:
         loc = localize(arr, s.edge)
         chi_tilde = milnor_fiber_chi(loc) - 1
         if chi_tilde == 0:

@@ -14,6 +14,17 @@ from .coeffs import RatFuncY
 __all__ = ["Ring", "RingElement", "ProjRing", "BlownPlaneRing", "exp_nilpotent"]
 
 
+_ZERO = RatFuncY.ZERO
+
+
+def _element(ring, coeffs: list) -> "RingElement":
+    """A RingElement from a full list of RatFuncY coefficients (no checks)."""
+    out = object.__new__(RingElement)
+    out.ring = ring
+    out.coeffs = tuple(coeffs)
+    return out
+
+
 class RingElement:
     """Element of a graded basis ring; coefficients are RatFuncY."""
 
@@ -48,18 +59,18 @@ class RingElement:
         if not isinstance(other, RingElement):
             other = self.ring.scalar(other)
         self._check(other)
-        return RingElement(self.ring, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return _element(self.ring, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RingElement(self.ring, [-a for a in self.coeffs])
+        return _element(self.ring, [-a for a in self.coeffs])
 
     def __sub__(self, other):
         if not isinstance(other, RingElement):
             other = self.ring.scalar(other)
         self._check(other)
-        return RingElement(self.ring, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return _element(self.ring, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __rsub__(self, other):
         return (-self) + other
@@ -67,18 +78,26 @@ class RingElement:
     def __mul__(self, other):
         if not isinstance(other, RingElement):
             w = RatFuncY._coerce(other)
-            return RingElement(self.ring, [a * w for a in self.coeffs])
+            if not w.num:
+                return self.ring.zero()
+            return _element(self.ring, [a * w if a.num else a
+                                        for a in self.coeffs])
         self._check(other)
-        out = [RatFuncY.ZERO] * len(self.coeffs)
+        out = [_ZERO] * len(self.coeffs)
+        mul_basis = self.ring.mul_basis
         for i, a in enumerate(self.coeffs):
-            if a.is_zero():
+            if not a.num:
                 continue
             for j, b in enumerate(other.coeffs):
-                if b.is_zero():
+                if not b.num:
                     continue
-                for k, m in self.ring.mul_basis(i, j):
-                    out[k] = out[k] + a * b * m
-        return RingElement(self.ring, out)
+                terms = mul_basis(i, j)
+                if not terms:
+                    continue
+                ab = a * b
+                for k, m in terms:
+                    out[k] = out[k] + (ab if m == 1 else ab * m)
+        return _element(self.ring, out)
 
     __rmul__ = __mul__
 
@@ -92,11 +111,8 @@ class RingElement:
         return result
 
     def graded_part(self, degree: int) -> "RingElement":
-        return RingElement(
-            self.ring,
-            [c if self.ring.degrees[i] == degree else RatFuncY.ZERO
-             for i, c in enumerate(self.coeffs)],
-        )
+        return _element(self.ring, [c if d == degree else _ZERO
+                                    for c, d in zip(self.coeffs, self.ring.degrees)])
 
     def map_coeffs(self, fn) -> "RingElement":
         return RingElement(self.ring, [fn(c) for c in self.coeffs])
@@ -137,20 +153,20 @@ class Ring:
         return RingElement(self, coeffs)
 
     def zero(self) -> RingElement:
-        return RingElement(self, [RatFuncY.ZERO] * len(self.names))
+        return _element(self, [_ZERO] * len(self.names))
 
     def one(self) -> RingElement:
         return self.scalar(1)
 
     def scalar(self, value) -> RingElement:
-        coeffs = [RatFuncY.ZERO] * len(self.names)
+        coeffs = [_ZERO] * len(self.names)
         coeffs[0] = RatFuncY._coerce(value)
-        return RingElement(self, coeffs)
+        return _element(self, coeffs)
 
     def basis_element(self, index: int) -> RingElement:
-        coeffs = [RatFuncY.ZERO] * len(self.names)
+        coeffs = [_ZERO] * len(self.names)
         coeffs[index] = RatFuncY.ONE
-        return RingElement(self, coeffs)
+        return _element(self, coeffs)
 
 
 class ProjRing(Ring):

@@ -428,7 +428,7 @@ class SigmaChowVector:
         y0 = rat(y0)
         return SigmaChowVector(
             self.schema,
-            {k: RatFuncY([v(y0)]) for k, v in self.values.items()})
+            {k: RatFuncY._coerce(v(y0)) for k, v in self.values.items()})
 
     def is_polynomial(self) -> bool:
         return all(v.is_polynomial() for v in self.values.values())

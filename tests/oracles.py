@@ -16,9 +16,11 @@ import sympy
 
 from hmclass.arrangement import Stratum
 from hmclass.coeffs import RatFuncY
-from hmclass.genera import ChernData, _power_sums
+from hmclass.genera import ChernData, _power_sums, chern_to_ch
+from hmclass.milnor import td_transform
 from hmclass.rings import ProjRing, Ring, RingElement, exp_nilpotent
-from hmclass.spectra import Spectrum, SpectrumError
+from hmclass.spectra import Spectrum, SpectrumError, sp_shift
+from hmclass.strata import deligne_class, k_representative, log_chern
 
 
 def series_coeffs(expr, var, order):
@@ -206,3 +208,26 @@ def sp_unshift(stratum_sp: Spectrum, stratum: Stratum) -> Spectrum:
     sign = (-1) ** stratum.dim
     out = {a - stratum.dim: sign * m for a, m in stratum_sp.entries}
     return Spectrum.make(out, ("germ", stratum.edge.codim))
+
+
+def stratum_contribution_by_terms(arr, stratum, germ_sp, model, conv) -> RingElement:
+    """The per-stratum Milnor sum taken term by term: one Todd
+    transformation per (exponent, cotangent power) pair, no regrouping."""
+    n = arr.n
+    ring = model.ring
+    strat_sp = sp_shift(germ_sp, stratum, n)
+    acc = ring.zero()
+    minus_y = RatFuncY([0, -1])
+    log_data = [log_chern(model, q) for q in range(model.dim + 1)]
+    ch_log = [chern_to_ch(cd, ring) for cd in log_data]
+    todd = model.todd()
+    for alpha, n_alpha in strat_sp.entries:
+        k = k_representative(alpha, model.m_s, conv.extension_mode)
+        ch_line = exp_nilpotent(deligne_class(model, k, conv.extension_mode))
+        p = math.floor(n - alpha)
+        for q in range(model.dim + 1):
+            sign = 1 if (q + n - 1) % 2 == 0 else -1
+            weight = minus_y ** (p + q) * (sign * n_alpha)
+            cls = td_transform(ch_line * ch_log[q], todd)
+            acc = acc + cls.elem * weight
+    return acc

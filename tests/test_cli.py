@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from hmclass.cli import main
+import hmclass
+from hmclass.cli import _build_parser, main
 from hmclass.corpus import corpus_path
 
 
@@ -181,3 +185,34 @@ class TestOtherCommands:
     def test_no_command_usage(self, capsys):
         code, out, _ = run(capsys)
         assert code == 2
+
+
+def fresh_run(*argv):
+    """Exit code, stdout and stderr of the command in a new interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hmclass.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "hmclass", *argv],
+                          capture_output=True, text=True, env=env)
+    return done.returncode, done.stdout, done.stderr
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert _build_parser() is _build_parser()
+
+    def test_requests_in_one_process_match_fresh_runs(self, capsys):
+        requests = [("lattice", corpus_file("fourplanes")),
+                    ("milnor", corpus_file("doubleline"), "--sign-mode",
+                     "flip_odd_strata"),
+                    ("milnor", "--dump-strata"),  # no input file: exit 2
+                    ("lattice", corpus_file("fourplanes"))]
+        codes = []
+        for argv in requests:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == fresh_run(*argv)
+            codes.append(code)
+        assert codes == [0, 0, 2, 0]

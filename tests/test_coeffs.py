@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -140,6 +141,82 @@ class TestRatFunc:
         assert str(PolynomialityError("P_{12}", RatFuncY([Fraction(1, 2), 3], 3))) == \
             "stratum P_{12}: non-polynomial contribution " \
             "(1/2 + 3y)/(1 + 3y + 3y^2 + y^3)"
+
+
+def random_rational_value(rng):
+    """A value with mixed denominators among its coefficients."""
+    return RatFuncY([Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 6)))
+                     for _ in range(rng.randint(0, 4))], rng.randint(0, 2))
+
+
+def assert_normal(value: RatFuncY):
+    """The integer kernel's normal form."""
+    num, den, k = value.num, value.den, value.k
+    assert type(num) is tuple and all(type(c) is int for c in num)
+    assert type(den) is int and den > 0
+    assert math.gcd(den, *num) == 1
+    if not num:
+        assert (den, k) == (1, 0)
+        return
+    assert num[-1] != 0
+    if k:  # no factor 1 + y left to cancel
+        assert sum(c * (-1) ** i for i, c in enumerate(num)) != 0
+
+
+class TestIntegerKernel:
+    def test_normal_form_invariants(self):
+        rng = random.Random(41)
+        for _ in range(150):
+            a, b = random_rational_value(rng), random_rational_value(rng)
+            for value in (a, b, a + b, a - b, a * b, -a, a * 3,
+                          a * Fraction(2, 3), a ** 2):
+                assert_normal(value)
+                assert RatFuncY(value.coeffs, value.k) == value
+                assert value.coeffs == tuple(Fraction(c, value.den)
+                                             for c in value.num)
+                assert all(type(c) is Fraction for c in value.coeffs)
+
+    def test_one_plus_y_cancels_under_a_denominator(self):
+        # (1/2 + y/2) / (1+y) = 1/2
+        v = RatFuncY([Fraction(1, 2), Fraction(1, 2)], 1)
+        assert (v.num, v.den, v.k) == ((1,), 2, 0)
+        # (y/3) (1+y)^2 / (1+y)^3 = (y/3) / (1+y)
+        w = RatFuncY([0, Fraction(1, 3), Fraction(2, 3), Fraction(1, 3)], 3)
+        assert (w.num, w.den, w.k) == ((0, 1), 3, 1)
+        # (2/3) / (1+y) times (3/4) (1+y)
+        u = RatFuncY([Fraction(2, 3)], 1) * RatFuncY([Fraction(3, 4)] * 2)
+        assert (u.num, u.den, u.k) == ((1,), 2, 0)
+        assert u.is_polynomial() and u == Fraction(1, 2)
+        # a sum whose denominators cancel with the 1 + y factor
+        t = RatFuncY([Fraction(1, 6)], 1) + RatFuncY([Fraction(1, 3), Fraction(1, 2)], 1)
+        assert (t.num, t.den, t.k) == ((1,), 2, 0)
+
+    def test_zero_normal_form(self):
+        for z in (RatFuncY(), RatFuncY([0, 0], 2), RatFuncY([Fraction(1, 2)]) - Fraction(1, 2),
+                  RatFuncY([1, 1], 1) * 0, RatFuncY([Fraction(1, 3)], 2) * RatFuncY.ZERO):
+            assert (z.num, z.den, z.k) == ((), 1, 0)
+            assert z == 0 and hash(z) == hash(0)
+
+    def test_arithmetic_against_sympy_with_fast_paths(self):
+        # zero, int, Fraction and constant operands take the kernel's fast
+        # paths; 1/2 + (1/3)y has mixed denominators
+        operands = [0, 1, -1, 5, Fraction(1, 2), Fraction(-3, 4), RatFuncY.ZERO,
+                    RatFuncY([Fraction(2, 3)]), RatFuncY([-2], 1),
+                    RatFuncY([Fraction(1, 2), Fraction(1, 3)])]
+        rng = random.Random(1312)
+        for _ in range(15):
+            a = random_rational_value(rng)
+            sa = to_sympy(a)
+            for b in rng.sample(operands, 4) + [random_rational_value(rng)]:
+                sb = to_sympy(RatFuncY._coerce(b))
+                for got, want in ((a + b, sa + sb), (b + a, sb + sa),
+                                  (a - b, sa - sb), (b - a, sb - sa),
+                                  (a * b, sa * sb), (b * a, sb * sa)):
+                    assert isinstance(got, RatFuncY)
+                    assert_normal(got)
+                    assert sympy.cancel(to_sympy(got) - want) == 0
+            y0 = Fraction(rng.choice([-5, -2, 0, 1, 2, 4]), rng.choice([1, 3]))
+            assert a(y0) == Fraction(str(sa.subs(Y, sympy.Rational(str(y0)))))
 
 
 class TestPolyString:

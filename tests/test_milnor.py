@@ -4,15 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from hmclass import corpus
-from hmclass.arrangement import build, sigma_strata
+from hmclass import corpus, milnor
+from hmclass.arrangement import ArrangementError, build, sigma_strata
 from hmclass.coeffs import RatFuncY
 from hmclass.genera import ChernData
-from hmclass.milnor import (DEFAULT_CONVENTIONS, ConventionSet,
-                            MissingSpectrumError, assemble, calibrate,
+from hmclass.milnor import (ALL_CONVENTIONS, DEFAULT_CONVENTIONS,
+                            ConventionSet, MissingSpectrumError,
+                            _stratum_contribution, assemble, calibrate,
                             chern_milnor, td_1py)
-from hmclass.spectra import sp_user_load
+from hmclass.spectra import sp_user_load, stratum_spectrum
 from hmclass.strata import compactify, relabel_vector
+from oracles import stratum_contribution_by_terms
 
 F = Fraction
 
@@ -345,3 +347,91 @@ class TestReportSerialization:
         payload = assemble(arr).to_json(dump_strata=True)
         assert payload["strata"][0]["kind"] == "curve"
         assert payload["strata"][0]["boundary"][0]["name"] == "infinity"
+
+
+def spectra_of_strata(arr):
+    """(stratum, germ spectrum) for each stratum of the singular locus with
+    a nonzero catalogue spectrum, or None if some stratum has none."""
+    out = []
+    for s in sigma_strata(arr):
+        sp = stratum_spectrum(arr, s)
+        if sp is None:
+            return None
+        if not sp.is_zero():
+            out.append((s, sp))
+    return out
+
+
+def random_covered(rng, n, count):
+    """Seeded arrangements in P^n, with multiplicities, that have a singular
+    locus and a catalogue spectrum for each of its strata."""
+    values = [-2, -1, 0, 0, 1, 2, F(1, 2)]
+    found = []
+    while len(found) < count:
+        k = rng.randint(n + 1, n + 3)
+        covs = [[rng.choice(values) for _ in range(n + 1)] for _ in range(k)]
+        mults = [rng.choice((1, 1, 2, 3)) for _ in range(k)]
+        try:
+            arr = build(n, list(zip(covs, mults)))
+        except ArrangementError:
+            continue
+        strata = spectra_of_strata(arr)
+        if strata:
+            found.append((arr, strata))
+    return found
+
+
+class TestRegroupedContribution:
+    """The per-stratum sum, regrouped by Deligne power, against the sum
+    taken term by term."""
+
+    def check(self, arr, strata, conv):
+        for s, sp in strata:
+            model = compactify(arr, s)
+            got = _stratum_contribution(arr, s, sp, model, conv)
+            assert got == stratum_contribution_by_terms(arr, s, sp, model,
+                                                        conv), s.key
+
+    @pytest.mark.parametrize("name", corpus.ALL_NAMES)
+    def test_corpus_under_all_conventions(self, name):
+        arr = corpus.load(name)
+        for conv in ALL_CONVENTIONS:
+            self.check(arr, spectra_of_strata(arr), conv)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_random_arrangements(self, n):
+        for arr, strata in random_covered(random.Random(60 + n), n, 6):
+            for conv in ALL_CONVENTIONS:
+                self.check(arr, strata, conv)
+
+    def test_one_todd_transform_per_stratum(self, monkeypatch):
+        calls = []
+        real = milnor.td_transform
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(milnor, "td_transform", counting)
+        models = 0
+        for name in corpus.ALL_NAMES:
+            models += len(assemble(corpus.load(name)).models)
+        assert models and len(calls) == models
+
+
+class TestOneStrataPass:
+    def test_assemble_lists_strata_once(self, monkeypatch):
+        calls = []
+        real = milnor.sigma_strata
+
+        def counting(arr):
+            calls.append(arr)
+            return real(arr)
+
+        monkeypatch.setattr(milnor, "sigma_strata", counting)
+        arr = corpus.load("fourplanes")
+        rep = assemble(arr)
+        assert len(calls) == 1
+        # called alone, the Chern path still finds the strata itself
+        assert chern_milnor(arr) == rep.chern_path
+        assert len(calls) == 2
