@@ -20,7 +20,6 @@ from .strata import (LabelSchema, SigmaChowVector, StratumModel,
                      build_labels, chow_dims, compactify, deligne_class,
                      homology_weight_dims, log_chern, push_to_sigma)
 from .milnor import (ConventionSet, DEFAULT_CONVENTIONS, MilnorReport,
-                     assemble, calibrate, chern_milnor, degree0_check,
-                     td_1py)
+                     assemble, calibrate, chern_milnor, degree0_check)
 
 __version__ = "0.1.0"

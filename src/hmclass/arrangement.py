@@ -143,9 +143,7 @@ class Arrangement:
     def lattice(self) -> "Lattice":
         """The intersection lattice, searched once and shared by every
         consumer of this arrangement."""
-        found = _search_edges(self)
-        return Lattice(found, {e.key: e for e in found},
-                       _rank(self.int_covectors))
+        return _search_edges(self)
 
     def to_json(self) -> dict:
         return {
@@ -238,28 +236,58 @@ class Edge:
 
 @dataclass(frozen=True)
 class Lattice:
-    """The edges of an arrangement with the index and rank its consumers
-    look up."""
+    """The edges of an arrangement with the index, rank and cover relation
+    its consumers look up."""
 
     edges: tuple  # sorted by (codimension, index set)
     by_key: dict  # edge key -> edge
     rank: int  # rank of the whole covector family
+    position: dict  # index set -> position in edges
+    up: tuple  # per position, the positions of the edge's upper covers
+    down: tuple  # per position, the positions of its lower covers
+
+    def above(self, edge: Edge) -> list:
+        """The edges strictly above edge in the lattice (index sets
+        strictly containing its own), in lattice order."""
+        return [self.edges[i] for i in
+                _reachable(self.position[edge.index_set], self.up)]
+
+    def interval(self, edge: Edge) -> list:
+        """The edges from the bottom up to edge, edge included (index sets
+        inside its own), in lattice order."""
+        p = self.position[edge.index_set]
+        return [self.edges[i] for i in _reachable(p, self.down)] + [edge]
 
 
-def _search_edges(arr: Arrangement) -> tuple:
-    """All edges of the arrangement: intersections of subfamilies,
-    deduplicated by subspace, with saturated index sets.  Sorted by
-    (codimension, index set).
+def _reachable(start: int, links: tuple) -> list:
+    """The positions reached from start along links, start excluded, in
+    increasing order, which is the lattice order of their edges."""
+    seen = set()
+    stack = [start]
+    while stack:
+        for j in links[stack.pop()]:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return sorted(seen)
+
+
+def _search_edges(arr: Arrangement) -> Lattice:
+    """The intersection lattice: all intersections of subfamilies,
+    deduplicated by subspace, with saturated index sets, sorted by
+    (codimension, index set), with their cover relation.
 
     The search goes up from the whole space one codimension at a time.  The
     join of an edge with a hyperplane off it is fixed by the residual of the
     covector against the edge's echelon basis: two hyperplanes give the same
     join exactly when their primitive residuals are equal.  So one pass over
     the covectors yields every join of an edge, with its saturated index
-    set.  Edges of codimension n are not extended: a join of one has rank
-    n + 1 and is no edge."""
+    set, and these joins are the edge's upper covers.  Edges of
+    codimension n are not extended: a join of one has rank n + 1 and is no
+    edge."""
     covs = arr.int_covectors
     found = {}
+    covers = {}  # index set -> index sets of its upper covers
     frontier = [((), [])]  # (index set, echelon basis of its covectors)
     while frontier:
         nxt = []
@@ -269,15 +297,26 @@ def _search_edges(arr: Arrangement) -> tuple:
             for j, c in enumerate(covs):
                 if j not in on_edge:
                     joins.setdefault(_reduce(basis, c), []).append(j)
+            covers[iset] = keys = []
             for residual, off in joins.items():
                 key = tuple(sorted(on_edge.union(off)))
+                keys.append(key)
                 if key not in found:
                     codim = len(basis) + 1
                     found[key] = Edge(key, codim, sum(arr.mult(i) for i in key))
                     if codim < arr.n:
                         nxt.append((key, _extend(basis, residual)))
         frontier = nxt
-    return tuple(sorted(found.values(), key=lambda e: (e.codim, e.index_set)))
+    edges = tuple(sorted(found.values(), key=lambda e: (e.codim, e.index_set)))
+    position = {e.index_set: i for i, e in enumerate(edges)}
+    up = tuple(tuple(position[k] for k in covers.get(e.index_set, ()))
+               for e in edges)
+    down = [[] for _ in edges]
+    for i, covering in enumerate(up):
+        for j in covering:
+            down[j].append(i)
+    return Lattice(edges, {e.key: e for e in edges}, _rank(covs), position,
+                   up, tuple(map(tuple, down)))
 
 
 def edges(arr: Arrangement) -> tuple:
@@ -345,11 +384,9 @@ class LocalizedArrangement:
 
 
 def localize(arr: Arrangement, edge: Edge) -> LocalizedArrangement:
-    sset = set(edge.index_set)
     flats = [(frozenset(), 0)]
-    for e in arr.lattice.edges:
-        if sset.issuperset(e.index_set):
-            flats.append((frozenset(e.index_set), e.codim))
+    flats += [(frozenset(e.index_set), e.codim)
+              for e in arr.lattice.interval(edge)]
     mults = tuple(arr.mult(j) for j in edge.index_set)
     return LocalizedArrangement(edge, edge.codim, mults, tuple(flats))
 
@@ -415,13 +452,7 @@ class Stratum:
 
 
 def _boundary(arr: Arrangement, edge: Edge) -> tuple:
-    sset = set(edge.index_set)
-    out = []
-    for e in arr.lattice.edges:
-        if set(e.index_set) > sset:
-            m_rel = sum(arr.mult(j) for j in e.index_set if j not in sset)
-            out.append((e, m_rel))
-    return tuple(out)
+    return tuple((e, e.m_s - edge.m_s) for e in arr.lattice.above(edge))
 
 
 def x_strata(arr: Arrangement) -> list:
@@ -456,11 +487,9 @@ def chi_y_stratum(arr: Arrangement, edge: Edge) -> RatFuncY:
     d = arr.n - edge.codim
     if d == 0:
         return RatFuncY.ONE
-    sset = set(edge.index_set)
-    flats = [(frozenset(sset), 0)]
-    for e in arr.lattice.edges:
-        if set(e.index_set) > sset:
-            flats.append((frozenset(e.index_set), e.codim - edge.codim))
+    flats = [(frozenset(edge.index_set), 0)]
+    flats += [(frozenset(e.index_set), e.codim - edge.codim)
+              for e in arr.lattice.above(edge)]
     if arr.lattice.rank == arr.n + 1:
         flats.append((frozenset(range(arr.r)) | {-1}, arr.n + 1 - edge.codim))
     if len(flats) == 1:

@@ -128,7 +128,7 @@ def cmd_spectra(args) -> int:
     rows = []
     for s in sigma_strata(arr):
         loc = localize(arr, s.edge)
-        sp = stratum_spectrum(arr, s, tables)
+        sp = stratum_spectrum(arr, s, tables, loc)
         row = {
             "edge": s.key,
             "codim": s.edge.codim,

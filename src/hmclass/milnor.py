@@ -16,12 +16,12 @@ import math
 from dataclasses import dataclass, field
 
 from .ambient import GradedClass, virtual_genus
-from .arrangement import (Arrangement, chi_y, localize, milnor_fiber_chi,
-                          sigma_strata)
+from .arrangement import (Arrangement, LocalizedArrangement, Stratum, chi_y,
+                          localize, milnor_fiber_chi, sigma_strata)
 from .coeffs import RatFuncY
-from .genera import ChernData, chern_to_ch
+from .genera import chern_to_ch
 from .rings import RingElement, exp_nilpotent
-from .spectra import sp_shift, stratum_spectrum
+from .spectra import Spectrum, sp_shift, stratum_spectrum
 from .strata import (EXT_HALF_OPEN_DOWN, EXT_HALF_OPEN_UP, LabelSchema,
                      SigmaChowVector, StratumModel, build_labels, compactify,
                      deligne_class, k_representative, log_chern, push_to_sigma)
@@ -35,7 +35,6 @@ __all__ = [
     "ALL_CONVENTIONS",
     "MilnorReport",
     "td_transform",
-    "td_1py",
     "assemble",
     "chern_milnor",
     "degree0_check",
@@ -110,12 +109,6 @@ def td_transform(ch_elem: RingElement, todd_elem: RingElement) -> GradedClass:
             part = part * RatFuncY([1], k)
         acc = acc + part
     return GradedClass(ring, acc)
-
-
-def td_1py(cd: ChernData, model: StratumModel) -> GradedClass:
-    """Scaled Todd transformation of a K-class given by Chern data on a
-    stratum model."""
-    return td_transform(chern_to_ch(cd, model.ring), model.todd())
 
 
 @dataclass
@@ -198,6 +191,38 @@ def _stratum_contribution(arr: Arrangement, stratum, germ_sp, model,
     return td_transform(total, model.todd()).elem
 
 
+@dataclass(frozen=True)
+class StratumRecord:
+    """A stratum of the singular locus with the local data both paths read,
+    each derived once per report.  It holds no spectrum: the Chern path,
+    which reads these records, is the spectrum-free route."""
+
+    stratum: Stratum
+    loc: LocalizedArrangement
+    model: StratumModel
+
+
+def _signature(n: int, model: StratumModel, germ: Spectrum) -> tuple:
+    """Everything a stratum's contribution depends on once the conventions
+    are fixed.  On a point or a curve the boundary enters only through the
+    multiset of its (source, m_sub, m_res).  On a surface it also matters
+    which boundary lines pass through which blown points, so a surface's
+    signature names its edge and matches no other stratum."""
+    if model.kind == "surface":
+        return (model.kind, model.edge.index_set)
+    boundary = sorted((c.source, c.m_sub, c.m_res) for c in model.boundary)
+    return (model.kind, model.dim, n, model.m_s, model.out_degree,
+            tuple(boundary), germ.entries, germ.frame)
+
+
+def _add_into(totals: dict, vec: SigmaChowVector, scale: int = 1):
+    """Add scale * vec into a label -> coefficient dict, in place."""
+    for name, v in vec.values.items():
+        if scale != 1:
+            v = v * scale
+        totals[name] = totals.get(name, RatFuncY.ZERO) + v
+
+
 def assemble(arr: Arrangement, user_tables: dict = None,
              conv: ConventionSet = DEFAULT_CONVENTIONS) -> MilnorReport:
     """Assemble the Hirzebruch-Milnor class of the arrangement divisor.
@@ -205,40 +230,49 @@ def assemble(arr: Arrangement, user_tables: dict = None,
     Every stratum of the singular locus needs a spectrum (catalogue or
     user table); each per-stratum sum must come out polynomial in y, and
     a failure is raised as a convention violation rather than silenced.
+
+    One pass over the strata: each is localized and compactified once, and
+    the record is shared with the Chern path.  Strata with the same
+    signature get the same contribution, which is computed once per
+    report.
     """
     schema = build_labels(arr)
     strata = sigma_strata(arr)
-    spectra = {}
-    missing = []
-    for s in strata:
-        sp = stratum_spectrum(arr, s, user_tables)
-        if sp is None:
-            missing.append(s.key)
-        else:
-            spectra[s.key] = sp
+    locs = [localize(arr, s.edge) for s in strata]
+    spectra = [stratum_spectrum(arr, s, user_tables, loc)
+               for s, loc in zip(strata, locs)]
+    missing = [s.key for s, sp in zip(strata, spectra) if sp is None]
     if missing:
         raise MissingSpectrumError(missing)
 
-    m_y = SigmaChowVector(schema, {})
+    records = []
+    totals = {}
     per_stratum = {}
     models = []
-    for s in strata:
-        germ = spectra[s.key]
+    memo = {}  # signature -> contribution, for this report only
+    for s, loc, germ in zip(strata, locs, spectra):
+        model = compactify(arr, s)
+        records.append(StratumRecord(s, loc, model))
         if germ.is_zero():
             continue  # skip by spectrum content only
-        model = compactify(arr, s)
         models.append(model)
-        elem = _stratum_contribution(arr, s, germ, model, conv)
-        for c in elem.coeffs:
-            if not c.is_polynomial():
-                raise PolynomialityError(s.key, c)
-        if conv.sign_mode == "flip_odd_strata" and s.dim % 2 == 1:
-            elem = -elem
-        contribution = push_to_sigma(schema, s.edge, GradedClass(model.ring, elem))
+        key = _signature(arr.n, model, germ)
+        elem = memo.get(key)
+        if elem is None:
+            elem = _stratum_contribution(arr, s, germ, model, conv)
+            for c in elem.coeffs:
+                if not c.is_polynomial():
+                    raise PolynomialityError(s.key, c)
+            if conv.sign_mode == "flip_odd_strata" and s.dim % 2 == 1:
+                elem = -elem
+            memo[key] = elem
+        contribution = push_to_sigma(schema, s.edge,
+                                     GradedClass(model.ring, elem))
         per_stratum[s.key] = contribution
-        m_y = m_y + contribution
+        _add_into(totals, contribution)
+    m_y = SigmaChowVector(schema, totals)
 
-    chern_path = chern_milnor(arr, schema, strata)
+    chern_path = chern_milnor(arr, schema, records)
     spec_minus1 = m_y.specialize(-1)
     report = MilnorReport(
         arrangement=arr,
@@ -258,22 +292,23 @@ def assemble(arr: Arrangement, user_tables: dict = None,
 
 
 def chern_milnor(arr: Arrangement, schema: LabelSchema = None,
-                 strata: list = None) -> SigmaChowVector:
+                 records: list = None) -> SigmaChowVector:
     """Euler-weighted Chern-class path: sum over strata of the reduced
     Milnor-fiber Euler characteristic times the Chern class of the
     logarithmic tangent bundle, pushed to the Chow basis.  Needs no
-    spectra and no conventions; strata defaults to sigma_strata(arr)."""
+    spectra and no conventions; records default to those of
+    sigma_strata(arr)."""
     if schema is None:
         schema = build_labels(arr)
-    if strata is None:
-        strata = sigma_strata(arr)
-    acc = SigmaChowVector(schema, {})
-    for s in strata:
-        loc = localize(arr, s.edge)
-        chi_tilde = milnor_fiber_chi(loc) - 1
+    if records is None:
+        records = [StratumRecord(s, localize(arr, s.edge), compactify(arr, s))
+                   for s in sigma_strata(arr)]
+    totals = {}
+    for rec in records:
+        chi_tilde = milnor_fiber_chi(rec.loc) - 1
         if chi_tilde == 0:
             continue
-        model = compactify(arr, s)
+        model = rec.model
         ring = model.ring
         if model.dim == 0:
             total = ring.one()
@@ -282,9 +317,10 @@ def chern_milnor(arr: Arrangement, schema: LabelSchema = None,
             total = ring.one() - cd.c(1)
             if model.dim == 2:
                 total = total + cd.c(2)
-        pushed = push_to_sigma(schema, s.edge, GradedClass(ring, total))
-        acc = acc + pushed * chi_tilde
-    return acc
+        pushed = push_to_sigma(schema, rec.stratum.edge,
+                               GradedClass(ring, total))
+        _add_into(totals, pushed, chi_tilde)
+    return SigmaChowVector(schema, totals)
 
 
 def degree0_check(arr: Arrangement, report: MilnorReport) -> dict:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arrangement import (Arrangement, Edge, LocalizedArrangement, Stratum,
+from .arrangement import (Arrangement, LocalizedArrangement, Stratum,
                           localize, milnor_fiber_chi)
 from .coeffs import rat
 
@@ -216,10 +216,11 @@ def sp_validate(sp: Spectrum, loc: LocalizedArrangement) -> dict:
     return {"ok": not failures, "failures": failures}
 
 
-def catalogue_spectrum(arr: Arrangement, edge: Edge):
-    """Built-in germ spectrum for an edge, or None when only a user table
-    will do (non-monomial germs that are not reduced plane germs)."""
-    kind = classify_germ(localize(arr, edge))
+def catalogue_spectrum(loc: LocalizedArrangement):
+    """Built-in germ spectrum for a localized arrangement, or None when only
+    a user table will do (non-monomial germs that are not reduced plane
+    germs)."""
+    kind = classify_germ(loc)
     if kind.tag == "monomial":
         return sp_monomial(kind.data)
     if kind.tag == "ordinary":
@@ -267,10 +268,14 @@ def sp_user_load(source, arr: Arrangement) -> dict:
 
 
 def stratum_spectrum(arr: Arrangement, stratum: Stratum,
-                     user_tables: dict = None):
+                     user_tables: dict = None,
+                     loc: LocalizedArrangement = None):
     """Germ spectrum for a stratum from the catalogue or the user tables.
-    User tables win over the catalogue when both exist."""
+    User tables win over the catalogue when both exist.  loc is the
+    stratum's localization, for a caller that already holds it."""
     key = stratum.edge.key
     if user_tables and key in user_tables:
         return user_tables[key]
-    return catalogue_spectrum(arr, stratum.edge)
+    if loc is None:
+        loc = localize(arr, stratum.edge)
+    return catalogue_spectrum(loc)

@@ -16,6 +16,7 @@ import sympy
 
 from hmclass.arrangement import Stratum
 from hmclass.coeffs import RatFuncY
+from hmclass.ambient import GradedClass
 from hmclass.genera import ChernData, _power_sums, chern_to_ch
 from hmclass.milnor import td_transform
 from hmclass.rings import ProjRing, Ring, RingElement, exp_nilpotent
@@ -208,6 +209,12 @@ def sp_unshift(stratum_sp: Spectrum, stratum: Stratum) -> Spectrum:
     sign = (-1) ** stratum.dim
     out = {a - stratum.dim: sign * m for a, m in stratum_sp.entries}
     return Spectrum.make(out, ("germ", stratum.edge.codim))
+
+
+def td_1py(cd: ChernData, model) -> GradedClass:
+    """Scaled Todd transformation of a K-class given by Chern data on a
+    stratum model."""
+    return td_transform(chern_to_ch(cd, model.ring), model.todd())
 
 
 def stratum_contribution_by_terms(arr, stratum, germ_sp, model, conv) -> RingElement:

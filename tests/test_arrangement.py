@@ -140,6 +140,22 @@ class TestEdges:
                                 if j not in s.index_set)
                     assert t.m_s == s.m_s + m_rel
 
+    def test_cover_walks_against_filters(self):
+        # the walks over the search's covers give the same edges, in the
+        # same (codimension, index set) order, as filtering every edge
+        rng = random.Random(9)
+        arrs = [random_arrangement(rng, n, k, MIXED)
+                for n, k in [(2, 6), (2, 8), (3, 5), (3, 7)] * 3]
+        for arr in arrs + [corpus.load("pencil3planes")]:
+            lat = arr.lattice
+            for e, covers in zip(lat.edges, lat.up):
+                sset = set(e.index_set)
+                assert lat.above(e) == [f for f in lat.edges
+                                        if set(f.index_set) > sset]
+                assert lat.interval(e) == [f for f in lat.edges
+                                           if set(f.index_set) <= sset]
+                assert all(lat.edges[j].codim == e.codim + 1 for j in covers)
+
 
 class TestStrata:
     def test_double_line_single_stratum(self):

@@ -1,22 +1,50 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from hmclass import corpus, milnor
-from hmclass.arrangement import ArrangementError, build, sigma_strata
+from hmclass import arrangement, cli, corpus, milnor, strata
+from hmclass.ambient import GradedClass
+from hmclass.arrangement import (ArrangementError, build, localize,
+                                 milnor_fiber_chi, sigma_strata)
 from hmclass.coeffs import RatFuncY
 from hmclass.genera import ChernData
 from hmclass.milnor import (ALL_CONVENTIONS, DEFAULT_CONVENTIONS,
                             ConventionSet, MissingSpectrumError,
+                            _signature,
                             _stratum_contribution, assemble, calibrate,
-                            chern_milnor, td_1py)
+                            chern_milnor)
 from hmclass.spectra import sp_user_load, stratum_spectrum
-from hmclass.strata import compactify, relabel_vector
-from oracles import stratum_contribution_by_terms
+from hmclass.strata import (SigmaChowVector, build_labels, compactify,
+                            push_to_sigma, relabel_vector)
+from oracles import stratum_contribution_by_terms, td_1py
 
 F = Fraction
+
+
+def count_calls(monkeypatch, module, name):
+    """Count the calls to module.name through every hmclass namespace that
+    holds it; returns the list of argument tuples."""
+    real = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "hmclass" or mod_name.startswith("hmclass."):
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
+def signature(arr, model, tables=None):
+    sp = stratum_spectrum(arr, model.stratum, tables)
+    return _signature(arr.n, model, sp)
 
 
 def constant_values(vec):
@@ -404,19 +432,16 @@ class TestRegroupedContribution:
             for conv in ALL_CONVENTIONS:
                 self.check(arr, strata, conv)
 
-    def test_one_todd_transform_per_stratum(self, monkeypatch):
-        calls = []
-        real = milnor.td_transform
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(milnor, "td_transform", counting)
-        models = 0
+    def test_one_todd_transform_per_signature(self, monkeypatch):
+        calls = count_calls(monkeypatch, milnor, "td_transform")
         for name in corpus.ALL_NAMES:
-            models += len(assemble(corpus.load(name)).models)
-        assert models and len(calls) == models
+            arr = corpus.load(name)
+            before = len(calls)
+            rep = assemble(arr)
+            signatures = {signature(arr, m) for m in rep.models}
+            assert len(calls) - before == len(signatures), name
+            if name in ("triangle3", "fourplanes"):  # repeated local types
+                assert len(signatures) < len(rep.models), name
 
 
 class TestOneStrataPass:
@@ -435,3 +460,158 @@ class TestOneStrataPass:
         # called alone, the Chern path still finds the strata itself
         assert chern_milnor(arr) == rep.chern_path
         assert len(calls) == 2
+
+
+class TestOnePass:
+    """Per report: one lattice search, one localization and one model per
+    stratum of the singular locus across both paths, and one contribution
+    per distinct signature."""
+
+    def counters(self, monkeypatch):
+        return {name: count_calls(monkeypatch, module, name)
+                for module, name in ((arrangement, "_search_edges"),
+                                     (arrangement, "localize"),
+                                     (strata, "compactify"),
+                                     (milnor, "_stratum_contribution"))}
+
+    def files(self, tmp_path):
+        # nine lines with three triple points and many double points
+        covs = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 0, 1),
+                (0, 1, 1), (1, 2, 3), (2, -1, 5), (3, 1, -2)]
+        path = tmp_path / "lines.json"
+        path.write_text(json.dumps(build(2, [(c, 1) for c in covs]).to_json()))
+        return [str(corpus.corpus_path(name)) for name in corpus.ALL_NAMES] \
+            + [str(path)]
+
+    def test_milnor(self, monkeypatch, tmp_path, capsys):
+        for path in self.files(tmp_path):
+            arr = arrangement.Arrangement.load(path)
+            strata_ = sigma_strata(arr)
+            signatures = {signature(arr, compactify(arr, s)) for s in strata_}
+            with monkeypatch.context() as patch:
+                calls = self.counters(patch)
+                code = cli.main(["milnor", path])
+                assert code == 0, capsys.readouterr().err
+            assert len(calls["_search_edges"]) == 1, path
+            assert len(calls["localize"]) == len(strata_), path
+            assert len(calls["compactify"]) == len(strata_), path
+            assert len(calls["_stratum_contribution"]) == len(signatures), path
+        assert len(signatures) < len(strata_)  # the nine lines repeat types
+
+    def test_spectra(self, monkeypatch, tmp_path, capsys):
+        for path in self.files(tmp_path):
+            arr = arrangement.Arrangement.load(path)
+            with monkeypatch.context() as patch:
+                calls = self.counters(patch)
+                code = cli.main(["spectra", path])
+                assert code == 0, capsys.readouterr().err
+            assert len(calls["_search_edges"]) == 1, path
+            assert len(calls["localize"]) == len(sigma_strata(arr)), path
+            assert not calls["compactify"], path
+
+
+class TestInPlaceSums:
+    def test_vectors_linear_in_strata(self, monkeypatch):
+        # twenty generic lines: 190 double points, one label each
+        arr = build(2, [((1, i, i * i), 1) for i in range(20)])
+        sizes = []
+        real = SigmaChowVector.__init__
+
+        def counting(self, schema, values):
+            sizes.append(len(values))
+            real(self, schema, values)
+
+        monkeypatch.setattr(SigmaChowVector, "__init__", counting)
+        rep = assemble(arr)
+        count = len(rep.per_stratum)
+        assert count == 190
+        # per stratum: its contribution, and the Chern path's pushed class;
+        # per report: M_y, the Chern path and three specializations
+        assert len(sizes) == 2 * count + 5
+        assert sum(sizes) <= 7 * count
+
+
+def random_arrangement(rng, n):
+    """A seeded arrangement in P^n with multiplicities 1-3."""
+    values = [-2, -1, 0, 0, 1, 2]
+    while True:
+        k = rng.randint(n + 2, n + 4)
+        covs = [[rng.choice(values) for _ in range(n + 1)] for _ in range(k)]
+        mults = [rng.choice((1, 1, 2, 3)) for _ in range(k)]
+        try:
+            return build(n, list(zip(covs, mults)))
+        except ArrangementError:
+            pass
+
+
+def generated_tables(arr):
+    """Validated user tables for the strata the catalogue cannot serve:
+    the whole signed mass at exponent 1."""
+    raw = {}
+    for s in sigma_strata(arr):
+        if stratum_spectrum(arr, s) is None:
+            loc = localize(arr, s.edge)
+            mass = (-1) ** (loc.rank - 1) * (milnor_fiber_chi(loc) - 1)
+            raw[s.key] = [{"alpha": "1", "mult": mass}]
+    return sp_user_load(raw, arr)
+
+
+class TestMemo:
+    """Every per-stratum vector and the Chern path against a memo-free
+    computation: the term-by-term oracle per stratum, with a fresh model,
+    and the Chern path called alone.  User tables admit germs whose strata
+    share a local type but not a boundary."""
+
+    def check(self, arr, conv):
+        tables = generated_tables(arr)
+        schema = build_labels(arr)
+        want = {}
+        for s in sigma_strata(arr):
+            sp = stratum_spectrum(arr, s, tables)
+            model = compactify(arr, s)
+            elem = stratum_contribution_by_terms(arr, s, sp, model, conv)
+            if conv.sign_mode == "flip_odd_strata" and s.dim % 2 == 1:
+                elem = -elem
+            want[s.key] = push_to_sigma(schema, s.edge,
+                                        GradedClass(model.ring, elem))
+        rep = assemble(arr, tables, conv)
+        assert rep.per_stratum == want
+        assert rep.chern_path == chern_milnor(arr)
+        total = SigmaChowVector(schema, {})
+        for vec in want.values():
+            total = total + vec
+        assert rep.m_y == total
+        return rep, tables
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_random_arrangements(self, n):
+        rng = random.Random(80 + n)
+        kinds = set()
+        repeats = 0
+        for _ in range(6):
+            arr = random_arrangement(rng, n)
+            for conv in ALL_CONVENTIONS:
+                rep, tables = self.check(arr, conv)
+                kinds.update(m.kind for m in rep.models)
+                repeats += len(rep.models) - len(
+                    {signature(arr, m, tables) for m in rep.models})
+        assert repeats
+        assert kinds == ({"point", "curve"} if n == 2
+                         else {"point", "curve", "surface"})
+
+    def test_surfaces_with_one_boundary_multiset(self):
+        # two double planes whose boundaries have the same multiset of
+        # (source, m_sub, m_res) but different incidences of lines with
+        # blown points; their contributions differ
+        covs = [(1, 0, 0, 0), (1, 1, 0, 2), (1, 1, 0, 1), (0, 2, 2, 2),
+                (1, 0, 2, 2), (2, 1, 1, 1), (2, 2, 0, 0), (1, 0, 0, 1)]
+        arr = build(3, [(c, 2 if j < 2 else 1) for j, c in enumerate(covs)])
+        for conv in ALL_CONVENTIONS:
+            rep, _ = self.check(arr, conv)
+            one, two = ([(c.source, c.m_sub, c.m_res) for c in m.boundary]
+                        for m in rep.models[:2])
+            assert sorted(one) == sorted(two)
+            shared = list(rep.schema.shared.values())
+            one, two = ([rep.per_stratum[j].coefficient(q)
+                         for q in shared + [f"H_{{{j}}}"]] for j in "12")
+            assert one != two

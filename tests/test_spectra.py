@@ -167,7 +167,7 @@ class TestValidate:
         arr = corpus.load(name)
         for s in sigma_strata(arr):
             loc = localize(arr, s.edge)
-            sp = catalogue_spectrum(arr, s.edge)
+            sp = catalogue_spectrum(loc)
             assert sp is not None
             report = sp_validate(sp, loc)
             assert report["ok"], (name, s.key, report["failures"])
@@ -216,15 +216,15 @@ class TestCatalogueDispatch:
     def test_monomial_for_boolean_edges(self):
         arr = corpus.load("doubleplane3")
         line = [e for e in edges(arr) if e.index_set == (0, 1)][0]
-        sp = catalogue_spectrum(arr, line)
+        sp = catalogue_spectrum(localize(arr, line))
         assert sp == sp_monomial([2, 1])
 
     def test_ordinary_for_reduced_plane_points(self):
         arr = corpus.load("quad6a")
         triple = [e for e in edges(arr) if len(e.index_set) == 3][0]
-        assert catalogue_spectrum(arr, triple) == sp_ordinary(3)
+        assert catalogue_spectrum(localize(arr, triple)) == sp_ordinary(3)
 
     def test_none_for_nonreduced_plane_points(self):
         arr = build(2, [((1, 0, 0), 2), ((0, 1, 0), 1), ((1, 1, 0), 1)])
         point = [e for e in edges(arr) if e.codim == 2][0]
-        assert catalogue_spectrum(arr, point) is None
+        assert catalogue_spectrum(localize(arr, point)) is None
