@@ -10,12 +10,11 @@ from .genera import (ChernData, class_from_roots, hirzebruch_series,
 from .arrangement import (Arrangement, ArrangementError, Edge, Stratum,
                           build, chi_y, chi_y_pn, chi_y_stratum,
                           complement_chi, edges, is_dense, localize,
-                          milnor_fiber_chi, sigma_strata, x_strata)
+                          milnor_fiber_chi, sigma_strata)
 from .spectra import (Spectrum, SpectrumError, SpectrumValidationError,
                       sp_monomial, sp_ordinary, sp_shift, sp_user_load,
                       sp_validate)
-from .ambient import (GradedClass, specialize, ty_class_pn, virtual_genus,
-                      virtual_pushed)
+from .ambient import GradedClass, specialize, virtual_genus, virtual_pushed
 from .strata import (LabelSchema, SigmaChowVector, StratumModel,
                      build_labels, chow_dims, compactify, deligne_class,
                      homology_weight_dims, log_chern, push_to_sigma)

@@ -16,7 +16,6 @@ from .rings import ProjRing, Ring, RingElement
 
 __all__ = [
     "GradedClass",
-    "ty_class_pn",
     "virtual_pushed",
     "virtual_pushed_ci",
     "virtual_genus",
@@ -39,13 +38,6 @@ class GradedClass:
     def part(self, k: int) -> RingElement:
         """Homology degree-k part, as a ring element."""
         return self.elem.graded_part(self.dim - k)
-
-    def coeff_list(self) -> list:
-        """Coefficients by homology degree 0..dim.  Only valid on rings with
-        one basis element per degree (projective space)."""
-        if not isinstance(self.ring, ProjRing):
-            raise ValueError("coeff_list needs a single basis class per degree")
-        return [self.elem.coeff(self.dim - k) for k in range(self.dim + 1)]
 
     def trace(self) -> RatFuncY:
         """Degree-zero coefficient (the point coefficient)."""
@@ -86,15 +78,6 @@ class GradedClass:
                 if named:
                     out[str(k)] = named
         return out
-
-
-def ty_class_pn(n: int) -> GradedClass:
-    """Hirzebruch class of projective n-space: the class series evaluated on
-    n+1 copies of the hyperplane root, capped on the fundamental class."""
-    if n < 1:
-        raise ValueError("ambient dimension must be >= 1")
-    ring = ProjRing(n)
-    return GradedClass(ring, class_from_roots(ring, [ring.h] * (n + 1), "Q"))
 
 
 def virtual_pushed_ci(degrees, n: int) -> GradedClass:

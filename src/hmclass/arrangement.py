@@ -29,7 +29,6 @@ __all__ = [
     "milnor_fiber_chi",
     "is_dense",
     "sigma_strata",
-    "x_strata",
     "chi_y",
     "chi_y_stratum",
     "chi_y_pn",
@@ -161,6 +160,8 @@ class Arrangement:
             raw = data["hyperplanes"]
         except (KeyError, TypeError) as exc:
             raise ArrangementError(f"missing field in arrangement input: {exc}")
+        if not isinstance(raw, list):
+            raise ArrangementError(f"hyperplanes must be a list, got {raw!r}")
         hyps = []
         for item in raw:
             try:
@@ -237,7 +238,8 @@ class Edge:
 @dataclass(frozen=True)
 class Lattice:
     """The edges of an arrangement with the index, rank and cover relation
-    its consumers look up."""
+    its consumers look up, and the localization at each edge once some
+    consumer has asked for it."""
 
     edges: tuple  # sorted by (codimension, index set)
     by_key: dict  # edge key -> edge
@@ -245,6 +247,7 @@ class Lattice:
     position: dict  # index set -> position in edges
     up: tuple  # per position, the positions of the edge's upper covers
     down: tuple  # per position, the positions of its lower covers
+    localized: dict = field(default_factory=dict, compare=False, repr=False)
 
     def above(self, edge: Edge) -> list:
         """The edges strictly above edge in the lattice (index sets
@@ -356,13 +359,13 @@ def _whitney(flats) -> list:
 @dataclass(frozen=True)
 class LocalizedArrangement:
     """The quotient central arrangement at an edge: its rank, the
-    multiplicities of its hyperplanes, and the interval of the big
-    intersection lattice that forms its own lattice."""
+    multiplicities of its hyperplanes, and the Euler number of its
+    projectivized complement."""
 
     edge: Edge
     rank: int
     mults: tuple
-    flats: tuple  # (index_set, codim) pairs, bottom () included
+    euler: int
 
     @property
     def m_s(self) -> int:
@@ -384,18 +387,28 @@ class LocalizedArrangement:
 
 
 def localize(arr: Arrangement, edge: Edge) -> LocalizedArrangement:
-    flats = [(frozenset(), 0)]
-    flats += [(frozenset(e.index_set), e.codim)
-              for e in arr.lattice.interval(edge)]
-    mults = tuple(arr.mult(j) for j in edge.index_set)
-    return LocalizedArrangement(edge, edge.codim, mults, tuple(flats))
+    """The localized central arrangement at an edge.  It is built on the
+    first request and kept by the lattice, which every later caller
+    shares.  Its lattice is the interval of the big lattice below the
+    edge, whose Mobius function gives the complement's Euler number."""
+    localized = arr.lattice.localized
+    loc = localized.get(edge.index_set)
+    if loc is None:
+        flats = [(frozenset(), 0)]
+        flats += [(frozenset(e.index_set), e.codim)
+                  for e in arr.lattice.interval(edge)]
+        projective = RatFuncY(_whitney(flats), 1).as_poly()
+        mults = tuple(arr.mult(j) for j in edge.index_set)
+        loc = LocalizedArrangement(edge, edge.codim, mults,
+                                   int(projective(-1)))
+        localized[edge.index_set] = loc
+    return loc
 
 
 def complement_chi(loc: LocalizedArrangement) -> int:
     """Euler characteristic of the projectivized complement of the localized
-    central arrangement, from the Mobius function of its lattice."""
-    projective = RatFuncY(_whitney(loc.flats), 1).as_poly()
-    return int(projective(-1))
+    central arrangement."""
+    return loc.euler
 
 
 def milnor_fiber_chi(loc: LocalizedArrangement) -> int:
@@ -438,27 +451,15 @@ def is_dense(edge: Edge, arr: Arrangement) -> bool:
 
 @dataclass(frozen=True)
 class Stratum:
-    """Open stratum attached to an edge, in either the stratification of the
-    divisor itself or of the singular locus minus the generic section."""
+    """Open stratum of the singular locus minus the generic section,
+    attached to an edge."""
 
     edge: Edge
-    family: str  # "X" or "Sigma"
     dim: int
-    boundary: tuple = field(default=())  # (sub-edge, induced multiplicity)
 
     @property
     def key(self) -> str:
         return self.edge.key
-
-
-def _boundary(arr: Arrangement, edge: Edge) -> tuple:
-    return tuple((e, e.m_s - edge.m_s) for e in arr.lattice.above(edge))
-
-
-def x_strata(arr: Arrangement) -> list:
-    """Canonical stratification of the divisor: one open stratum per edge."""
-    return [Stratum(e, "X", arr.n - e.codim, _boundary(arr, e))
-            for e in arr.lattice.edges]
 
 
 def sigma_strata(arr: Arrangement) -> list:
@@ -468,7 +469,7 @@ def sigma_strata(arr: Arrangement) -> list:
     out = []
     for e in arr.lattice.edges:
         if e.codim >= 2 or (len(e.index_set) == 1 and arr.mult(e.index_set[0]) > 1):
-            out.append(Stratum(e, "Sigma", arr.n - e.codim, _boundary(arr, e)))
+            out.append(Stratum(e, arr.n - e.codim))
     return out
 
 

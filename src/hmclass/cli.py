@@ -18,7 +18,7 @@ from .ambient import specialize, virtual_genus, virtual_pushed
 from .arrangement import (Arrangement, ArrangementError, chi_y, chi_y_pn,
                           chi_y_stratum, edges, euler_by_inclusion_exclusion,
                           is_dense, localize, complement_chi,
-                          milnor_fiber_chi, sigma_strata, x_strata)
+                          milnor_fiber_chi, sigma_strata)
 from .coeffs import RatFuncY, poly_str
 from .genera import hirzebruch_series, verify_identity_qr
 from .milnor import (DEFAULT_CONVENTIONS, ConventionSet, MilnorError,
@@ -128,7 +128,7 @@ def cmd_spectra(args) -> int:
     rows = []
     for s in sigma_strata(arr):
         loc = localize(arr, s.edge)
-        sp = stratum_spectrum(arr, s, tables, loc)
+        sp = stratum_spectrum(arr, s, tables)
         row = {
             "edge": s.key,
             "codim": s.edge.codim,
@@ -170,10 +170,13 @@ def cmd_virtual(args) -> int:
 
 def cmd_chi_y(args) -> int:
     arr = _load_arrangement(args.input)
-    value = chi_y(arr)
+    # chi_y of the divisor is the sum over its strata, one per edge
+    value = RatFuncY.ZERO
     per = {}
-    for s in x_strata(arr):
-        per[s.key] = chi_y_stratum(arr, s.edge).as_strings()
+    for e in arr.lattice.edges:
+        chi = chi_y_stratum(arr, e)
+        per[e.key] = chi.as_strings()
+        value = value + chi
     payload = {
         "n": arr.n,
         "chi_y_X": value.as_strings(),

@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass, field
 
 from .ambient import GradedClass, virtual_genus
-from .arrangement import (Arrangement, LocalizedArrangement, Stratum, chi_y,
-                          localize, milnor_fiber_chi, sigma_strata)
+from .arrangement import (Arrangement, chi_y, localize, milnor_fiber_chi,
+                          sigma_strata)
 from .coeffs import RatFuncY
 from .genera import chern_to_ch
 from .rings import RingElement, exp_nilpotent
@@ -74,7 +74,6 @@ class ConventionSet:
 
     sign_mode: str = "as_printed"
     extension_mode: str = EXT_HALF_OPEN_UP
-    notes: str = ""
 
     def __post_init__(self):
         if self.sign_mode not in SIGN_MODES:
@@ -191,17 +190,6 @@ def _stratum_contribution(arr: Arrangement, stratum, germ_sp, model,
     return td_transform(total, model.todd()).elem
 
 
-@dataclass(frozen=True)
-class StratumRecord:
-    """A stratum of the singular locus with the local data both paths read,
-    each derived once per report.  It holds no spectrum: the Chern path,
-    which reads these records, is the spectrum-free route."""
-
-    stratum: Stratum
-    loc: LocalizedArrangement
-    model: StratumModel
-
-
 def _signature(n: int, model: StratumModel, germ: Spectrum) -> tuple:
     """Everything a stratum's contribution depends on once the conventions
     are fixed.  On a point or a curve the boundary enters only through the
@@ -231,31 +219,24 @@ def assemble(arr: Arrangement, user_tables: dict = None,
     user table); each per-stratum sum must come out polynomial in y, and
     a failure is raised as a convention violation rather than silenced.
 
-    One pass over the strata: each is localized and compactified once, and
-    the record is shared with the Chern path.  Strata with the same
-    signature get the same contribution, which is computed once per
-    report.
+    One pass over the strata: each is compactified once, and the models
+    are shared with the Chern path.  Strata with the same signature get the
+    same contribution, which is computed once per report.
     """
     schema = build_labels(arr)
     strata = sigma_strata(arr)
-    locs = [localize(arr, s.edge) for s in strata]
-    spectra = [stratum_spectrum(arr, s, user_tables, loc)
-               for s, loc in zip(strata, locs)]
+    spectra = [stratum_spectrum(arr, s, user_tables) for s in strata]
     missing = [s.key for s, sp in zip(strata, spectra) if sp is None]
     if missing:
         raise MissingSpectrumError(missing)
 
-    records = []
+    models = [compactify(arr, s) for s in strata]
     totals = {}
     per_stratum = {}
-    models = []
     memo = {}  # signature -> contribution, for this report only
-    for s, loc, germ in zip(strata, locs, spectra):
-        model = compactify(arr, s)
-        records.append(StratumRecord(s, loc, model))
+    for s, model, germ in zip(strata, models, spectra):
         if germ.is_zero():
             continue  # skip by spectrum content only
-        models.append(model)
         key = _signature(arr.n, model, germ)
         elem = memo.get(key)
         if elem is None:
@@ -272,7 +253,7 @@ def assemble(arr: Arrangement, user_tables: dict = None,
         _add_into(totals, contribution)
     m_y = SigmaChowVector(schema, totals)
 
-    chern_path = chern_milnor(arr, schema, records)
+    chern_path = chern_milnor(arr, schema, models)
     spec_minus1 = m_y.specialize(-1)
     report = MilnorReport(
         arrangement=arr,
@@ -285,30 +266,28 @@ def assemble(arr: Arrangement, user_tables: dict = None,
                          1: m_y.specialize(1)},
         chern_path=chern_path,
         cross_path_ok=(spec_minus1 == chern_path),
-        models=models,
+        models=[m for m, germ in zip(models, spectra) if not germ.is_zero()],
     )
     report.degree0 = degree0_check(arr, report)
     return report
 
 
 def chern_milnor(arr: Arrangement, schema: LabelSchema = None,
-                 records: list = None) -> SigmaChowVector:
+                 models: list = None) -> SigmaChowVector:
     """Euler-weighted Chern-class path: sum over strata of the reduced
     Milnor-fiber Euler characteristic times the Chern class of the
     logarithmic tangent bundle, pushed to the Chow basis.  Needs no
-    spectra and no conventions; records default to those of
+    spectra and no conventions; models default to the compactified
     sigma_strata(arr)."""
     if schema is None:
         schema = build_labels(arr)
-    if records is None:
-        records = [StratumRecord(s, localize(arr, s.edge), compactify(arr, s))
-                   for s in sigma_strata(arr)]
+    if models is None:
+        models = [compactify(arr, s) for s in sigma_strata(arr)]
     totals = {}
-    for rec in records:
-        chi_tilde = milnor_fiber_chi(rec.loc) - 1
+    for model in models:
+        chi_tilde = milnor_fiber_chi(localize(arr, model.edge)) - 1
         if chi_tilde == 0:
             continue
-        model = rec.model
         ring = model.ring
         if model.dim == 0:
             total = ring.one()
@@ -317,7 +296,7 @@ def chern_milnor(arr: Arrangement, schema: LabelSchema = None,
             total = ring.one() - cd.c(1)
             if model.dim == 2:
                 total = total + cd.c(2)
-        pushed = push_to_sigma(schema, rec.stratum.edge,
+        pushed = push_to_sigma(schema, model.edge,
                                GradedClass(ring, total))
         _add_into(totals, pushed, chi_tilde)
     return SigmaChowVector(schema, totals)

@@ -149,9 +149,6 @@ class Ring:
     def mul_basis(self, i: int, j: int):
         raise NotImplementedError
 
-    def element(self, coeffs) -> RingElement:
-        return RingElement(self, coeffs)
-
     def zero(self) -> RingElement:
         return _element(self, [_ZERO] * len(self.names))
 

@@ -68,10 +68,6 @@ class Spectrum:
     def mass(self) -> int:
         return sum(m for _, m in self.entries)
 
-    @property
-    def support(self) -> tuple:
-        return tuple(a for a, _ in self.entries)
-
     def is_zero(self) -> bool:
         return not self.entries
 
@@ -250,6 +246,9 @@ def sp_user_load(source, arr: Arrangement) -> dict:
         edge = arr.lattice.by_key.get(key)
         if edge is None:
             raise SpectrumError(f"unknown edge key {key!r}")
+        if not isinstance(entries, list):
+            raise SpectrumError(
+                f"table for edge {key} is not a list of entries: {entries!r}")
         table = {}
         for item in entries:
             try:
@@ -268,14 +267,10 @@ def sp_user_load(source, arr: Arrangement) -> dict:
 
 
 def stratum_spectrum(arr: Arrangement, stratum: Stratum,
-                     user_tables: dict = None,
-                     loc: LocalizedArrangement = None):
+                     user_tables: dict = None):
     """Germ spectrum for a stratum from the catalogue or the user tables.
-    User tables win over the catalogue when both exist.  loc is the
-    stratum's localization, for a caller that already holds it."""
+    User tables win over the catalogue when both exist."""
     key = stratum.edge.key
     if user_tables and key in user_tables:
         return user_tables[key]
-    if loc is None:
-        loc = localize(arr, stratum.edge)
-    return catalogue_spectrum(loc)
+    return catalogue_spectrum(localize(arr, stratum.edge))

@@ -132,7 +132,8 @@ def compactify(arr: Arrangement, stratum: Stratum) -> StratumModel:
     d = stratum.dim
     if d > 2:
         raise StrataError(f"unsupported stratum dimension {d} (cap is 2)")
-    m_s = stratum.edge.m_s
+    edge = stratum.edge
+    m_s = edge.m_s
     out_degree = arr.m - m_s
 
     def res(value: int) -> int:
@@ -141,20 +142,21 @@ def compactify(arr: Arrangement, stratum: Stratum) -> StratumModel:
     if d == 0:
         return StratumModel(stratum, "point", ProjRing(0), (), (), m_s, out_degree)
 
+    # the edges inside the closure, with their induced multiplicities
+    boundary = [(e, e.m_s - m_s) for e in arr.lattice.above(edge)]
+
     if d == 1:
         ring = ProjRing(1)
         pt = ring.basis_element(1)
         comps = [BoundaryComponent(e.key, "edge", m_rel, res(m_rel), pt)
-                 for e, m_rel in stratum.boundary]
+                 for e, m_rel in boundary]
         comps.append(BoundaryComponent("infinity", "infinity", 0,
                                        res(-arr.m), pt))
         return StratumModel(stratum, "curve", ring, (), tuple(comps),
                             m_s, out_degree)
 
-    lines = [(e, m_rel) for e, m_rel in stratum.boundary
-             if e.codim == stratum.edge.codim + 1]
-    points = [(e, m_rel) for e, m_rel in stratum.boundary
-              if e.codim == stratum.edge.codim + 2]
+    lines = [(e, m_rel) for e, m_rel in boundary if e.codim == edge.codim + 1]
+    points = [(e, m_rel) for e, m_rel in boundary if e.codim == edge.codim + 2]
     blown = []
     for p, m_rel in points:
         through = [l for l, _ in lines if l.contains(p)]
@@ -188,7 +190,6 @@ def residues(model: StratumModel) -> dict:
 
 EXT_HALF_OPEN_UP = "res_(0,1]"
 EXT_HALF_OPEN_DOWN = "res_[0,1)"
-EXTENSION_MODES = (EXT_HALF_OPEN_UP, EXT_HALF_OPEN_DOWN)
 
 
 def _ceil_div(a: int, b: int) -> int:

@@ -17,7 +17,8 @@ import sympy
 from hmclass.arrangement import Stratum
 from hmclass.coeffs import RatFuncY
 from hmclass.ambient import GradedClass
-from hmclass.genera import ChernData, _power_sums, chern_to_ch
+from hmclass.genera import (ChernData, _power_sums, chern_to_ch,
+                            class_from_roots)
 from hmclass.milnor import td_transform
 from hmclass.rings import ProjRing, Ring, RingElement, exp_nilpotent
 from hmclass.spectra import Spectrum, SpectrumError, sp_shift
@@ -199,6 +200,28 @@ def euler_via_chern(d: int, n: int) -> Fraction:
     denom = (ring.one() + h * d).inverse()
     total = c_ambient * denom * (h * d)
     return total.coeff(n).as_poly()(0)
+
+
+def ty_class_pn(n: int) -> GradedClass:
+    """Hirzebruch class of projective n-space: the class series evaluated on
+    n+1 copies of the hyperplane root, capped on the fundamental class."""
+    if n < 1:
+        raise ValueError("ambient dimension must be >= 1")
+    ring = ProjRing(n)
+    return GradedClass(ring, class_from_roots(ring, [ring.h] * (n + 1), "Q"))
+
+
+def coeff_list(gc: GradedClass) -> list:
+    """Coefficients of a class on projective space by homology degree
+    0..dim (one basis class per degree)."""
+    if not isinstance(gc.ring, ProjRing):
+        raise ValueError("coeff_list needs a single basis class per degree")
+    return [gc.elem.coeff(gc.dim - k) for k in range(gc.dim + 1)]
+
+
+def support(sp: Spectrum) -> tuple:
+    """The exponents of a spectrum, in increasing order."""
+    return tuple(a for a, _ in sp.entries)
 
 
 def sp_unshift(stratum_sp: Spectrum, stratum: Stratum) -> Spectrum:

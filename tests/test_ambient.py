@@ -1,16 +1,16 @@
 import pytest
 
-from hmclass.ambient import (GradedClass, specialize, ty_class_pn,
-                             virtual_genus, virtual_pushed, virtual_pushed_ci)
+from hmclass.ambient import (GradedClass, specialize, virtual_genus,
+                             virtual_pushed, virtual_pushed_ci)
 from hmclass.coeffs import RatFuncY
 from hmclass.genera import ChernData, class_from_roots
 from hmclass.milnor import td_transform
 from hmclass.rings import ProjRing
-from oracles import euler_via_chern, lambda_y
+from oracles import coeff_list, euler_via_chern, lambda_y, ty_class_pn
 
 
 def polys(gc):
-    return [c.as_poly() for c in gc.coeff_list()]
+    return [c.as_poly() for c in coeff_list(gc)]
 
 
 class TestHirzebruchClassOfPn:
@@ -44,8 +44,8 @@ class TestVirtualClasses:
         pushed = virtual_pushed(1, n)
         inner = ty_class_pn(n - 1)
         for k in range(n - 1 + 1):
-            assert pushed.coeff_list()[k] == inner.coeff_list()[k]
-        assert pushed.coeff_list()[n].is_zero()
+            assert coeff_list(pushed)[k] == coeff_list(inner)[k]
+        assert coeff_list(pushed)[n].is_zero()
 
     def test_quadric_surface_trace(self):
         assert virtual_genus(2, 3) == RatFuncY([1, -2, 1])
@@ -65,9 +65,9 @@ class TestVirtualClasses:
                                      (5, 3), (2, 4), (3, 4)])
     def test_coefficients_polynomial_and_leading(self, d, n):
         gc = virtual_pushed(d, n)
-        for c in gc.coeff_list():
+        for c in coeff_list(gc):
             assert c.is_polynomial()
-        assert gc.coeff_list()[n - 1] == RatFuncY([d])
+        assert coeff_list(gc)[n - 1] == RatFuncY([d])
 
     @pytest.mark.parametrize("d,n", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3),
                                      (4, 3), (5, 3), (3, 4)])
@@ -82,11 +82,11 @@ class TestVirtualClasses:
 class TestSpecialize:
     def test_chern_class_of_line(self):
         got = specialize(ty_class_pn(1), -1)
-        assert [c.coeff(0) for c in got.coeff_list()] == [2, 1]
+        assert [c.coeff(0) for c in coeff_list(got)] == [2, 1]
 
     def test_todd_of_line(self):
         got = specialize(ty_class_pn(1), 0)
-        assert [c.coeff(0) for c in got.coeff_list()] == [1, 1]
+        assert [c.coeff(0) for c in coeff_list(got)] == [1, 1]
 
     def test_zero_class(self):
         ring = ProjRing(2)

@@ -8,8 +8,7 @@ from hmclass import arrangement, cli, corpus
 from hmclass.arrangement import (ArrangementError, build, chi_y, chi_y_pn,
                                  chi_y_stratum, complement_chi, edges,
                                  euler_by_inclusion_exclusion, is_dense,
-                                 localize, milnor_fiber_chi, sigma_strata,
-                                 x_strata)
+                                 localize, milnor_fiber_chi, sigma_strata)
 from hmclass.coeffs import RatFuncY
 from hmclass.milnor import assemble
 from oracles import (brute_force_edges, dense_by_bipartition,
@@ -162,7 +161,7 @@ class TestStrata:
         arr = corpus.load("doubleline")
         strata = sigma_strata(arr)
         assert len(strata) == 1
-        assert strata[0].dim == 1 and strata[0].boundary == ()
+        assert strata[0].dim == 1 and arr.lattice.above(strata[0].edge) == []
 
     def test_triangle_point_strata(self):
         strata = sigma_strata(corpus.load("triangle3"))
@@ -172,10 +171,6 @@ class TestStrata:
     def test_smooth_hyperplane_no_strata(self):
         arr = build(2, [((1, 0, 0), 1)])
         assert sigma_strata(arr) == []
-
-    def test_x_strata_cover_all_edges(self):
-        arr = corpus.load("fourplanes")
-        assert len(x_strata(arr)) == len(edges(arr))
 
 
 class TestLocalizedChi:
@@ -280,8 +275,8 @@ class TestChiY:
     def test_additivity_over_strata(self):
         arr = corpus.load("quad6a")
         total = RatFuncY()
-        for s in x_strata(arr):
-            total = total + chi_y_stratum(arr, s.edge)
+        for e in edges(arr):
+            total = total + chi_y_stratum(arr, e)
         assert total == chi_y(arr)
 
     def test_double_line_is_reduced_line(self):

@@ -2,12 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import hmclass
 from hmclass.cli import _build_parser, main
-from hmclass.corpus import corpus_path
+from hmclass.corpus import ALL_NAMES, corpus_path
+
+GOLDEN = Path(__file__).parent / "golden" / "corpus"
 
 
 def run(capsys, *argv):
@@ -95,6 +98,23 @@ class TestMilnorCommand:
         }))
         code, _, err = run(capsys, "milnor", str(bad))
         assert code == 2
+
+    @pytest.mark.parametrize("hyperplanes", [5, None])
+    def test_non_list_hyperplanes_exit_code(self, capsys, tmp_path,
+                                            hyperplanes):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"n": 2, "hyperplanes": hyperplanes}))
+        code, out, err = run(capsys, "milnor", str(bad))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["kind"] == "ArrangementError"
+
+    def test_non_list_table_exit_code(self, capsys, tmp_path):
+        tables = tmp_path / "tables.json"
+        tables.write_text(json.dumps({"1,2,3": 5}))
+        code, out, err = run(capsys, "milnor", corpus_file("concurrent3"),
+                             "--tables", str(tables))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["kind"] == "SpectrumError"
 
     @pytest.mark.parametrize("field", ["n", "mult", "coeffs"])
     def test_boolean_input_exit_code(self, capsys, tmp_path, field):
@@ -185,6 +205,23 @@ class TestOtherCommands:
     def test_no_command_usage(self, capsys):
         code, out, _ = run(capsys)
         assert code == 2
+
+
+# each report command on the corpus, with the suffix of its golden file
+GOLDEN_COMMANDS = {"milnor": ["milnor"],
+                   "milnor-dump-strata": ["milnor", "--dump-strata"],
+                   "lattice": ["lattice"],
+                   "spectra": ["spectra"],
+                   "chi-y": ["chi-y"]}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN_COMMANDS))
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_corpus_report_matches_golden(capsys, name, command):
+    code, out, err = run(capsys, *GOLDEN_COMMANDS[command],
+                         corpus_file(name))
+    assert code == 0, err
+    assert out.encode() == (GOLDEN / f"{name}.{command}.json").read_bytes()
 
 
 def fresh_run(*argv):

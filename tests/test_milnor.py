@@ -463,14 +463,16 @@ class TestOneStrataPass:
 
 
 class TestOnePass:
-    """Per report: one lattice search, one localization and one model per
+    """Per report: one lattice search, one localization per edge asked
+    about, shared by every consumer through the lattice, one model per
     stratum of the singular locus across both paths, and one contribution
     per distinct signature."""
 
     def counters(self, monkeypatch):
         return {name: count_calls(monkeypatch, module, name)
                 for module, name in ((arrangement, "_search_edges"),
-                                     (arrangement, "localize"),
+                                     (arrangement, "LocalizedArrangement"),
+                                     (arrangement, "chi_y_stratum"),
                                      (strata, "compactify"),
                                      (milnor, "_stratum_contribution"))}
 
@@ -493,7 +495,7 @@ class TestOnePass:
                 code = cli.main(["milnor", path])
                 assert code == 0, capsys.readouterr().err
             assert len(calls["_search_edges"]) == 1, path
-            assert len(calls["localize"]) == len(strata_), path
+            assert len(calls["LocalizedArrangement"]) == len(strata_), path
             assert len(calls["compactify"]) == len(strata_), path
             assert len(calls["_stratum_contribution"]) == len(signatures), path
         assert len(signatures) < len(strata_)  # the nine lines repeat types
@@ -506,8 +508,52 @@ class TestOnePass:
                 code = cli.main(["spectra", path])
                 assert code == 0, capsys.readouterr().err
             assert len(calls["_search_edges"]) == 1, path
-            assert len(calls["localize"]) == len(sigma_strata(arr)), path
+            assert len(calls["LocalizedArrangement"]) == \
+                len(sigma_strata(arr)), path
             assert not calls["compactify"], path
+
+    def test_lattice(self, monkeypatch, tmp_path, capsys):
+        for path in self.files(tmp_path):
+            arr = arrangement.Arrangement.load(path)
+            with monkeypatch.context() as patch:
+                calls = self.counters(patch)
+                code = cli.main(["lattice", path])
+                assert code == 0, capsys.readouterr().err
+            assert len(calls["_search_edges"]) == 1, path
+            assert len(calls["LocalizedArrangement"]) == \
+                len(arr.lattice.edges), path
+
+    def test_chi_y(self, monkeypatch, tmp_path, capsys):
+        for path in self.files(tmp_path):
+            arr = arrangement.Arrangement.load(path)
+            with monkeypatch.context() as patch:
+                calls = self.counters(patch)
+                code = cli.main(["chi-y", path])
+                assert code == 0, capsys.readouterr().err
+            assert len(calls["_search_edges"]) == 1, path
+            assert len(calls["chi_y_stratum"]) == len(arr.lattice.edges), path
+            assert not calls["LocalizedArrangement"], path
+        assert len(corpus.load("quad6a").lattice.edges) == 13
+
+    @pytest.mark.parametrize("command", ["milnor", "spectra"])
+    def test_user_tables(self, monkeypatch, tmp_path, capsys, command):
+        # four planes through a point of P^3, with a double plane off it:
+        # the point needs a user table, which is validated on load
+        covs = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 0),
+                (0, 1, 2, 3)]
+        arr = build(3, [(c, 2 if j == 4 else 1) for j, c in enumerate(covs)])
+        source = tmp_path / "cone.json"
+        source.write_text(json.dumps(arr.to_json()))
+        tables = tmp_path / "tables.json"
+        raw = table_entries(arr)
+        assert list(raw) == ["1,2,3,4"]
+        tables.write_text(json.dumps(raw))
+        with monkeypatch.context() as patch:
+            calls = self.counters(patch)
+            code = cli.main([command, str(source), "--tables", str(tables)])
+            assert code == 0, capsys.readouterr().err
+        assert len(calls["_search_edges"]) == 1
+        assert len(calls["LocalizedArrangement"]) == len(sigma_strata(arr))
 
 
 class TestInPlaceSums:
@@ -544,16 +590,21 @@ def random_arrangement(rng, n):
             pass
 
 
-def generated_tables(arr):
-    """Validated user tables for the strata the catalogue cannot serve:
-    the whole signed mass at exponent 1."""
+def table_entries(arr):
+    """User table entries for the strata the catalogue cannot serve: the
+    whole signed mass at exponent 1."""
     raw = {}
     for s in sigma_strata(arr):
         if stratum_spectrum(arr, s) is None:
             loc = localize(arr, s.edge)
             mass = (-1) ** (loc.rank - 1) * (milnor_fiber_chi(loc) - 1)
             raw[s.key] = [{"alpha": "1", "mult": mass}]
-    return sp_user_load(raw, arr)
+    return raw
+
+
+def generated_tables(arr):
+    """Validated user tables for the strata the catalogue cannot serve."""
+    return sp_user_load(table_entries(arr), arr)
 
 
 class TestMemo:

@@ -9,7 +9,7 @@ from hmclass.spectra import (Spectrum, SpectrumError, SpectrumValidationError,
                              catalogue_spectrum, sp_monomial, sp_ordinary,
                              sp_shift, sp_user_load, sp_validate,
                              stratum_spectrum)
-from oracles import sp_unshift
+from oracles import sp_unshift, support
 
 F = Fraction
 
@@ -87,7 +87,7 @@ class TestOrdinary:
         assert sp.mass == (k - 1) ** 2
         table = entries(sp)
         assert all(table[2 - a] == m for a, m in table.items())
-        assert all(0 < a < 2 for a in sp.support)
+        assert all(0 < a < 2 for a in support(sp))
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_validates_against_concurrent_lines(self, k):
