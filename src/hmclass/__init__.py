@@ -3,7 +3,7 @@ arrangements: Hirzebruch classes, virtual classes, spectrum bookkeeping,
 and the Milnor-class correction supported on the singular locus, with
 independent computation paths cross-validating each other."""
 
-from .coeffs import RatFuncY, SeriesA, rat
+from .coeffs import RatFuncY, rat
 from .rings import BlownPlaneRing, ProjRing, RingElement
 from .genera import (ChernData, class_from_roots, hirzebruch_series,
                      verify_identity_qr)
@@ -14,7 +14,7 @@ from .arrangement import (Arrangement, ArrangementError, Edge, Stratum,
 from .spectra import (Spectrum, SpectrumError, SpectrumValidationError,
                       sp_monomial, sp_ordinary, sp_shift, sp_user_load,
                       sp_validate)
-from .ambient import GradedClass, specialize, virtual_genus, virtual_pushed
+from .ambient import virtual_genus, virtual_pushed
 from .strata import (LabelSchema, SigmaChowVector, StratumModel,
                      build_labels, chow_dims, compactify, deligne_class,
                      homology_weight_dims, log_chern, push_to_sigma)

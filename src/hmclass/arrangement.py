@@ -165,7 +165,10 @@ class Arrangement:
         hyps = []
         for item in raw:
             try:
-                coeffs = [rat(c) for c in item["coeffs"]]
+                coeffs = item["coeffs"]
+                if not isinstance(coeffs, list):
+                    raise TypeError(f"coeffs must be a list, got {coeffs!r}")
+                coeffs = [rat(c) for c in coeffs]
                 mult = item["mult"]
             except (KeyError, TypeError, ValueError) as exc:
                 raise ArrangementError(f"bad hyperplane entry {item!r}: {exc}")

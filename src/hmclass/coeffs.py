@@ -7,9 +7,7 @@ integer denominator and a power (1+y)^k, in the manner of an integer-
 numerator rational polynomial.  The Hirzebruch series, the Todd
 transformation and the (1+y)^{-k} degree scaling only ever divide by
 1 + y, so no other denominator occurs; a value is a polynomial exactly
-when k == 0.  Truncated power series in a formal nilpotent variable (used
-for Chern-root expansions) carry RatFuncY coefficients.  No floating point
-anywhere.
+when k == 0.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from math import gcd, lcm
 __all__ = [
     "rat",
     "RatFuncY",
-    "SeriesA",
 ]
 
 
@@ -324,99 +321,3 @@ def poly_str(p: RatFuncY, var: str = "y") -> str:
         else:
             pieces.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(pieces)
-
-
-class SeriesA:
-    """Truncated power series in a formal nilpotent variable with RatFuncY
-    coefficients.  The coefficient list always has length order + 1."""
-
-    __slots__ = ("coeffs", "order")
-
-    def __init__(self, coeffs, order=None):
-        cs = [RatFuncY._coerce(c) for c in coeffs]
-        if order is None:
-            order = len(cs) - 1
-        if order < 0:
-            raise ValueError("truncation order must be >= 0")
-        if len(cs) < order + 1:
-            cs.extend([RatFuncY.ZERO] * (order + 1 - len(cs)))
-        elif len(cs) > order + 1:
-            cs = cs[: order + 1]
-        self.coeffs = tuple(cs)
-        self.order = order
-
-    def coeff(self, k: int) -> RatFuncY:
-        if 0 <= k <= self.order:
-            return self.coeffs[k]
-        return RatFuncY.ZERO
-
-    def __eq__(self, other):
-        if not isinstance(other, SeriesA):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
-    def _check_order(self, other: "SeriesA"):
-        if self.order != other.order:
-            raise ValueError("truncation orders differ")
-
-    def __add__(self, other: "SeriesA"):
-        self._check_order(other)
-        return SeriesA([a + b for a, b in zip(self.coeffs, other.coeffs)], self.order)
-
-    def __neg__(self):
-        return SeriesA([-a for a in self.coeffs], self.order)
-
-    def __sub__(self, other: "SeriesA"):
-        self._check_order(other)
-        return SeriesA([a - b for a, b in zip(self.coeffs, other.coeffs)], self.order)
-
-    def __mul__(self, other):
-        if not isinstance(other, SeriesA):
-            w = RatFuncY._coerce(other)
-            return SeriesA([a * w for a in self.coeffs], self.order)
-        self._check_order(other)
-        out = [RatFuncY.ZERO] * (self.order + 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j in range(self.order + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return SeriesA(out, self.order)
-
-    __rmul__ = __mul__
-
-    def invert(self) -> "SeriesA":
-        """Multiplicative inverse; requires an invertible constant term."""
-        a0 = self.coeffs[0]
-        if a0.is_zero():
-            raise ZeroDivisionError("series with zero constant term has no inverse")
-        inv0 = a0.inverse()
-        out = [inv0] + [RatFuncY.ZERO] * self.order
-        for k in range(1, self.order + 1):
-            acc = RatFuncY.ZERO
-            for i in range(1, k + 1):
-                if not self.coeffs[i].is_zero():
-                    acc = acc + self.coeffs[i] * out[k - i]
-            out[k] = -inv0 * acc
-        return SeriesA(out, self.order)
-
-    def compose_scale(self, factor) -> "SeriesA":
-        """Substitute alpha -> factor * alpha: coefficient k picks up factor^k."""
-        factor = RatFuncY._coerce(factor)
-        out, f = [], RatFuncY.ONE
-        for c in self.coeffs:
-            out.append(c * f)
-            f = f * factor
-        return SeriesA(out, self.order)
-
-    def eval_y(self, y0) -> list:
-        """Coefficient-wise evaluation at a rational y0."""
-        return [c(y0) for c in self.coeffs]
-
-    def __repr__(self):
-        return f"SeriesA({[str(c) for c in self.coeffs]}, order={self.order})"

@@ -1,7 +1,8 @@
 """Hirzebruch power series and characteristic-class calculus from Chern roots.
 
 The three generating series (the class series Q, its rescaled variant,
-and the residue series R), the Todd specialization, classes built as
+and the residue series R) and the Todd specialization are elements of
+ProjRing(order), the series variable read as h; classes are built as
 products over Chern roots, and Chern characters and Todd classes from
 Chern data.
 """
@@ -11,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffs import RatFuncY, SeriesA
-from .rings import Ring, RingElement
+from .coeffs import RatFuncY
+from .rings import ProjRing, Ring, RingElement
 
 __all__ = [
     "ChernData",
@@ -27,27 +28,37 @@ _ONE_PLUS_Y = RatFuncY.ONE_PLUS_Y
 _Y = RatFuncY.Y
 
 
-def _todd_series(order: int) -> SeriesA:
+def _compose_scale(s: RingElement, factor) -> RingElement:
+    """Substitute alpha -> factor * alpha: coefficient k picks up factor^k."""
+    out, f = [], RatFuncY.ONE
+    for c in s.coeffs:
+        out.append(c * f)
+        f = f * factor
+    return RingElement(s.ring, out)
+
+
+def _todd_series(order: int) -> RingElement:
     # x / (1 - e^{-x}) = 1 / sum_k (-x)^k / (k+1)!
     fact = 1
     g = []
     for k in range(order + 1):
         fact *= k + 1
         g.append(Fraction((-1) ** k, fact))
-    return SeriesA(g, order).invert()
+    return RingElement(ProjRing(order), g).inverse()
 
 
-def _exp_series(order: int, sign: int = 1) -> SeriesA:
+def _exp_series(order: int, sign: int = 1) -> RingElement:
     fact = 1
     cs = [Fraction(1)]
     for k in range(1, order + 1):
         fact *= k
         cs.append(Fraction(sign ** k, fact))
-    return SeriesA(cs, order)
+    return RingElement(ProjRing(order), cs)
 
 
-def hirzebruch_series(kind: str, order: int) -> SeriesA:
-    """Exact truncated expansion of the requested generating series.
+def hirzebruch_series(kind: str, order: int) -> RingElement:
+    """Exact truncated expansion of the requested generating series, as an
+    element of ProjRing(order).
 
     Q and Qtilde have constant term 1; R vanishes at 0 with linear
     coefficient 1; Todd is Q specialized at y = 0.
@@ -57,21 +68,16 @@ def hirzebruch_series(kind: str, order: int) -> SeriesA:
     if kind == "Todd":
         return _todd_series(order)
     if kind == "Q":
-        scaled = _todd_series(order).compose_scale(_ONE_PLUS_Y)
-        coeffs = list(scaled.coeffs)
+        scaled = _compose_scale(_todd_series(order), _ONE_PLUS_Y)
         if order >= 1:
-            coeffs[1] = coeffs[1] - _Y
-        return SeriesA(coeffs, order)
+            scaled = scaled - scaled.ring.h * _Y
+        return scaled
     if kind == "Qtilde":
-        one = SeriesA([1], order)
-        factor = one + _exp_series(order, sign=-1) * _Y
+        factor = _exp_series(order, sign=-1) * _Y + 1
         return factor * _todd_series(order)
     if kind == "R":
-        exp_u = _exp_series(order).compose_scale(_ONE_PLUS_Y)
-        one = SeriesA([1], order)
-        num = exp_u - one
-        den = exp_u + one * _Y
-        return num * den.invert()
+        exp_u = _compose_scale(_exp_series(order), _ONE_PLUS_Y)
+        return (exp_u - 1) * (exp_u + _Y).inverse()
     raise ValueError(f"unknown series kind {kind!r}")
 
 
@@ -81,8 +87,8 @@ def verify_identity_qr(order: int) -> dict:
     q = hirzebruch_series("Q", order)
     qt = hirzebruch_series("Qtilde", order)
     r = hirzebruch_series("R", order)
-    rescale_ok = (q * _ONE_PLUS_Y == qt.compose_scale(_ONE_PLUS_Y))
-    alpha = SeriesA([0, 1] if order >= 1 else [0], order)
+    rescale_ok = (q * _ONE_PLUS_Y == _compose_scale(qt, _ONE_PLUS_Y))
+    alpha = q.ring.h if order >= 1 else q.ring.zero()
     product_ok = (q * r == alpha)
     return {"ok": rescale_ok and product_ok,
             "rescale_ok": rescale_ok,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .ambient import GradedClass, virtual_genus
+from .ambient import virtual_genus
 from .arrangement import (Arrangement, chi_y, localize, milnor_fiber_chi,
                           sigma_strata)
 from .coeffs import RatFuncY
@@ -93,7 +93,7 @@ ALL_CONVENTIONS = tuple(
 )
 
 
-def td_transform(ch_elem: RingElement, todd_elem: RingElement) -> GradedClass:
+def td_transform(ch_elem: RingElement, todd_elem: RingElement) -> RingElement:
     """Todd-transform a Chern character and rescale the homology degree-k
     part by (1+y)^{-k}."""
     ring = ch_elem.ring
@@ -107,7 +107,7 @@ def td_transform(ch_elem: RingElement, todd_elem: RingElement) -> GradedClass:
         if k:
             part = part * RatFuncY([1], k)
         acc = acc + part
-    return GradedClass(ring, acc)
+    return acc
 
 
 @dataclass
@@ -187,7 +187,7 @@ def _stratum_contribution(arr: Arrangement, stratum, germ_sp, model,
             if wq:
                 summed = summed + ch * wq
         total = total + ch_line * summed
-    return td_transform(total, model.todd()).elem
+    return td_transform(total, model.todd())
 
 
 def _signature(n: int, model: StratumModel, germ: Spectrum) -> tuple:
@@ -247,8 +247,7 @@ def assemble(arr: Arrangement, user_tables: dict = None,
             if conv.sign_mode == "flip_odd_strata" and s.dim % 2 == 1:
                 elem = -elem
             memo[key] = elem
-        contribution = push_to_sigma(schema, s.edge,
-                                     GradedClass(model.ring, elem))
+        contribution = push_to_sigma(schema, s.edge, elem)
         per_stratum[s.key] = contribution
         _add_into(totals, contribution)
     m_y = SigmaChowVector(schema, totals)
@@ -296,8 +295,7 @@ def chern_milnor(arr: Arrangement, schema: LabelSchema = None,
             total = ring.one() - cd.c(1)
             if model.dim == 2:
                 total = total + cd.c(2)
-        pushed = push_to_sigma(schema, model.edge,
-                               GradedClass(ring, total))
+        pushed = push_to_sigma(schema, model.edge, total)
         _add_into(totals, pushed, chi_tilde)
     return SigmaChowVector(schema, totals)
 
@@ -369,12 +367,4 @@ def calibrate(suite) -> tuple:
             "out_of": len(suite),
         },
     }
-    if not suite:
-        chosen = DEFAULT_CONVENTIONS
-        report["chosen"] = {
-            "sign_mode": chosen.sign_mode,
-            "extension_mode": chosen.extension_mode,
-            "degree0_agreement": 0,
-            "out_of": 0,
-        }
     return chosen, report

@@ -3,6 +3,9 @@
 Two concrete rings cover every space this package touches: the truncated
 polynomial ring of projective space, and the ring of a plane blown up at
 finitely many points (basis 1; e, exceptional classes; point class).
+ProjRing(order) is also the one truncated power-series algebra: a
+Hirzebruch series truncated at a given order is an element of it, with
+the series variable as h.
 """
 
 from __future__ import annotations
@@ -113,9 +116,6 @@ class RingElement:
     def graded_part(self, degree: int) -> "RingElement":
         return _element(self.ring, [c if d == degree else _ZERO
                                     for c, d in zip(self.coeffs, self.ring.degrees)])
-
-    def map_coeffs(self, fn) -> "RingElement":
-        return RingElement(self.ring, [fn(c) for c in self.coeffs])
 
     def inverse(self) -> "RingElement":
         """Inverse of an element with invertible degree-0 part (geometric series

@@ -253,7 +253,9 @@ def sp_user_load(source, arr: Arrangement) -> dict:
         for item in entries:
             try:
                 alpha = rat(item["alpha"])
-                mult = int(item["mult"])
+                mult = item["mult"]
+                if not isinstance(mult, int) or isinstance(mult, bool):
+                    raise TypeError(f"mult must be an integer, got {mult!r}")
             except (KeyError, TypeError, ValueError) as exc:
                 raise SpectrumError(f"bad spectrum entry {item!r}: {exc}")
             table[alpha] = table.get(alpha, 0) + mult

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ambient import GradedClass
 from .arrangement import Arrangement, Edge, Stratum
 from .coeffs import RatFuncY, rat
 from .genera import ChernData, todd_from_chern
@@ -445,18 +444,19 @@ class SigmaChowVector:
 
 
 def push_to_sigma(schema: LabelSchema, edge: Edge,
-                  gc: GradedClass) -> SigmaChowVector:
-    """Push a model class to the labeled Chow basis: the fundamental part
-    lands on the closure's own or shared label, lower parts land on the
+                  elem: RingElement) -> SigmaChowVector:
+    """Push a model class to the labeled Chow basis.  A basis class of
+    cohomological degree j sits in homology degree dim - j: the fundamental
+    part lands on the closure's own or shared label, lower parts land on the
     shared label of their degree, exceptional-curve classes contract to
     zero."""
+    ring = elem.ring
     out = {}
-    for k in range(gc.dim + 1):
-        for i, c in enumerate(gc.part(k).coeffs):
-            if c.is_zero() or gc.ring.names[i].startswith("eps"):
-                continue  # exceptional curves contract
-            name = schema.resolve_push(edge, k)
-            out[name] = out.get(name, RatFuncY.ZERO) + c
+    for i, c in enumerate(elem.coeffs):
+        if c.is_zero() or ring.names[i].startswith("eps"):
+            continue  # exceptional curves contract
+        name = schema.resolve_push(edge, ring.dim - ring.degrees[i])
+        out[name] = out.get(name, RatFuncY.ZERO) + c
     return SigmaChowVector(schema, out)
 
 

@@ -4,8 +4,9 @@ Everything here must stay independent of the code paths it checks:
 sympy closed-form expansions for series coefficients, brute-force subset
 enumeration for intersection lattices, inclusion-exclusion counts, the
 K-theoretic lambda_y route to Hirzebruch classes, the Chern-integral
-route to the Euler number of a smooth hypersurface, and the inverse of
-the spectrum frame shift.
+route to the Euler number of a smooth hypersurface, the inverse of the
+spectrum frame shift, and the coefficient recursion for the inverse of a
+truncated power series.
 """
 
 import math
@@ -16,7 +17,6 @@ import sympy
 
 from hmclass.arrangement import Stratum
 from hmclass.coeffs import RatFuncY
-from hmclass.ambient import GradedClass
 from hmclass.genera import (ChernData, _power_sums, chern_to_ch,
                             class_from_roots)
 from hmclass.milnor import td_transform
@@ -202,21 +202,38 @@ def euler_via_chern(d: int, n: int) -> Fraction:
     return total.coeff(n).as_poly()(0)
 
 
-def ty_class_pn(n: int) -> GradedClass:
+def ty_class_pn(n: int) -> RingElement:
     """Hirzebruch class of projective n-space: the class series evaluated on
     n+1 copies of the hyperplane root, capped on the fundamental class."""
     if n < 1:
         raise ValueError("ambient dimension must be >= 1")
     ring = ProjRing(n)
-    return GradedClass(ring, class_from_roots(ring, [ring.h] * (n + 1), "Q"))
+    return class_from_roots(ring, [ring.h] * (n + 1), "Q")
 
 
-def coeff_list(gc: GradedClass) -> list:
+def coeff_list(elem: RingElement) -> list:
     """Coefficients of a class on projective space by homology degree
     0..dim (one basis class per degree)."""
-    if not isinstance(gc.ring, ProjRing):
+    if not isinstance(elem.ring, ProjRing):
         raise ValueError("coeff_list needs a single basis class per degree")
-    return [gc.elem.coeff(gc.dim - k) for k in range(gc.dim + 1)]
+    return [elem.coeff(elem.ring.dim - k) for k in range(elem.ring.dim + 1)]
+
+
+def series_inverse_by_recursion(s: RingElement) -> RingElement:
+    """Inverse of a truncated power series with invertible constant term,
+    solved coefficient by coefficient: b_0 = 1/a_0 and
+    b_k = -(1/a_0) sum_{i=1..k} a_i b_{k-i}."""
+    a = s.coeffs
+    if a[0].is_zero():
+        raise ZeroDivisionError("series with zero constant term has no inverse")
+    inv0 = a[0].inverse()
+    out = [inv0]
+    for k in range(1, len(a)):
+        acc = RatFuncY.ZERO
+        for i in range(1, k + 1):
+            acc = acc + a[i] * out[k - i]
+        out.append(-inv0 * acc)
+    return RingElement(s.ring, out)
 
 
 def support(sp: Spectrum) -> tuple:
@@ -234,7 +251,7 @@ def sp_unshift(stratum_sp: Spectrum, stratum: Stratum) -> Spectrum:
     return Spectrum.make(out, ("germ", stratum.edge.codim))
 
 
-def td_1py(cd: ChernData, model) -> GradedClass:
+def td_1py(cd: ChernData, model) -> RingElement:
     """Scaled Todd transformation of a K-class given by Chern data on a
     stratum model."""
     return td_transform(chern_to_ch(cd, model.ring), model.todd())
@@ -259,5 +276,5 @@ def stratum_contribution_by_terms(arr, stratum, germ_sp, model, conv) -> RingEle
             sign = 1 if (q + n - 1) % 2 == 0 else -1
             weight = minus_y ** (p + q) * (sign * n_alpha)
             cls = td_transform(ch_line * ch_log[q], todd)
-            acc = acc + cls.elem * weight
+            acc = acc + cls * weight
     return acc

@@ -116,6 +116,35 @@ class TestMilnorCommand:
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["kind"] == "SpectrumError"
 
+    @pytest.mark.parametrize("mult", [1.9, True])
+    def test_non_integer_table_multiplicity_exit_code(self, capsys, tmp_path,
+                                                      mult):
+        # read as 1, this table is the valid ordinary spectrum
+        tables = tmp_path / "tables.json"
+        tables.write_text(json.dumps({"1,2,3": [
+            {"alpha": "2/3", "mult": mult}, {"alpha": "1", "mult": 2},
+            {"alpha": "4/3", "mult": 1}]}))
+        code, out, err = run(capsys, "milnor", corpus_file("concurrent3"),
+                             "--tables", str(tables))
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["kind"] == "SpectrumError"
+        assert "mult must be an integer" in error["message"]
+
+    def test_string_covector_exit_code(self, capsys, tmp_path):
+        # read character by character, these are the coordinate lines
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "n": 2,
+            "hyperplanes": [{"coeffs": c, "mult": 1}
+                            for c in ("100", "010", "001")],
+        }))
+        code, out, err = run(capsys, "milnor", str(bad))
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["kind"] == "ArrangementError"
+        assert "coeffs must be a list" in error["message"]
+
     @pytest.mark.parametrize("field", ["n", "mult", "coeffs"])
     def test_boolean_input_exit_code(self, capsys, tmp_path, field):
         # two points on a line: a valid input while true reads as 1
@@ -133,7 +162,18 @@ class TestMilnorCommand:
         assert json.loads(err)["error"]["kind"] == "ArrangementError"
 
 
+VIRTUAL_GOLDEN = Path(__file__).parent / "golden" / "virtual"
+
+
 class TestOtherCommands:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 7])
+    def test_virtual_matches_golden(self, capsys, d, n):
+        code, out, err = run(capsys, "virtual", "--degree", str(d),
+                             "--ambient", str(n))
+        assert code == 0, err
+        assert out.encode() == (VIRTUAL_GOLDEN / f"d{d}-n{n}.json").read_bytes()
+
     def test_virtual(self, capsys):
         payload = run_json(capsys, "virtual", "--degree", "4", "--ambient", "3")
         assert payload["genus"] == "2 - 20y + 2y^2"

@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from hmclass.coeffs import RatFuncY, SeriesA, poly_str, rat
+from hmclass.coeffs import RatFuncY, poly_str, rat
+from hmclass.genera import _compose_scale
 from hmclass.milnor import PolynomialityError
-from oracles import poly_division_oracle
+from hmclass.rings import ProjRing, RingElement
+from oracles import poly_division_oracle, series_inverse_by_recursion
 
 Y = sympy.symbols("y")
 
@@ -234,41 +236,80 @@ class TestPolyString:
         assert poly_str(RatFuncY()) == "0"
 
 
+def series(coeffs, order):
+    """The truncated power series with the given leading coefficients, as an
+    element of ProjRing(order)."""
+    cs = list(coeffs) + [0] * (order + 1 - len(coeffs))
+    return RingElement(ProjRing(order), cs)
+
+
+def random_coefficient(rng):
+    """A random element of Q[y, 1/(1+y)], zero one time in four."""
+    if rng.random() < 0.25:
+        return RatFuncY.ZERO
+    num = [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+           for _ in range(rng.randint(1, 3))]
+    return RatFuncY(num, rng.randint(0, 2))
+
+
+def random_unit(rng):
+    """A random unit c (1+y)^j of Q[y, 1/(1+y)]."""
+    c = Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 3))
+    return RatFuncY([c]) * RatFuncY.ONE_PLUS_Y ** rng.randint(-2, 2)
+
+
 class TestSeries:
+    """Truncated power series are elements of ProjRing(order)."""
+
     def test_product_truncation(self):
-        a = SeriesA([1, 1, 0], 2)
-        b = SeriesA([1, -1, 0], 2)
-        assert a * b == SeriesA([1, 0, -1], 2)
+        a = series([1, 1, 0], 2)
+        b = series([1, -1, 0], 2)
+        assert a * b == series([1, 0, -1], 2)
 
     def test_geometric_inverse(self):
         # 1/(1+a) = 1 - a + a^2 - ...: geometric oracle
         order = 6
-        got = SeriesA([1, 1], order).invert()
-        oracle = SeriesA([(-1) ** k for k in range(order + 1)], order)
+        got = series([1, 1], order).inverse()
+        oracle = series([(-1) ** k for k in range(order + 1)], order)
         assert got == oracle
 
     def test_compose_scale(self):
-        alpha = SeriesA([0, 1], 3)
-        scaled = alpha.compose_scale(RatFuncY([1, 1]))
+        alpha = series([0, 1], 3)
+        scaled = _compose_scale(alpha, RatFuncY([1, 1]))
         assert scaled.coeff(1) == RatFuncY([1, 1])
         assert scaled.coeff(0).is_zero() and scaled.coeff(2).is_zero()
 
     def test_invert_requires_unit(self):
         with pytest.raises(ZeroDivisionError):
-            SeriesA([0, 1], 1).invert()
+            series([0, 1], 1).inverse()
 
     def test_order_mismatch(self):
         with pytest.raises(ValueError):
-            SeriesA([1], 0) + SeriesA([1, 1], 1)
+            series([1], 0) + series([1, 1], 1)
 
     def test_mul_assoc_comm_randomized(self):
         rng = random.Random(11)
         for _ in range(25):
             coeffs = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(3)]
-            a, b, c = (SeriesA(cs, 3) for cs in coeffs)
+            a, b, c = (series(cs, 3) for cs in coeffs)
             assert a * b == b * a
             assert (a * b) * c == a * (b * c)
 
     def test_length_invariant(self):
-        s = SeriesA([1], 4)
-        assert len(s.coeffs) == 5
+        ring = ProjRing(4)
+        for coeffs in ([1], [1] * 4, [1] * 6):
+            with pytest.raises(ValueError, match="ring basis"):
+                RingElement(ring, coeffs)
+        assert len(RingElement(ring, [1] * 5).coeffs) == 5
+
+    @pytest.mark.parametrize("order", range(9))
+    def test_inverse_matches_recursion(self, order):
+        rng = random.Random(900 + order)
+        ring = ProjRing(order)
+        for _ in range(6):
+            cs = [random_unit(rng)]
+            cs += [random_coefficient(rng) for _ in range(order)]
+            s = RingElement(ring, cs)
+            got = s.inverse()
+            assert got == series_inverse_by_recursion(s)
+            assert s * got == ring.one()

@@ -51,3 +51,22 @@ def test_cross_path_reruns_and_relabeling(case):
     shuffled = assemble(build(n, [hyperplanes[i] for i in order]))
     perm = {old + 1: new + 1 for new, old in enumerate(order)}
     assert relabel_vector(rep.m_y, perm, shuffled.schema) == shuffled.m_y
+
+
+@st.composite
+def reduced_plane_arrangements(draw):
+    """Hyperplanes of 3 to 9 distinct reduced lines in P^2 with small
+    integer covectors; the degree of the divisor is the line count."""
+    k = draw(st.integers(3, 9))
+    entry = st.integers(-3, 3)
+    covs = draw(st.lists(st.tuples(entry, entry, entry), min_size=k,
+                         max_size=k, unique=True))
+    return [(cov, 1) for cov in covs]
+
+
+@SETTINGS
+@given(reduced_plane_arrangements())
+def test_degree0_equality_on_reduced_plane_arrangements(hyperplanes):
+    # trace of M_y equals the virtual genus of the degree minus chi_y
+    rep = assembled(2, hyperplanes)
+    assert rep.degree0["equal"], rep.degree0

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from hmclass import corpus
-from hmclass.ambient import GradedClass
 from hmclass.arrangement import build, sigma_strata
 from hmclass.coeffs import RatFuncY
 from hmclass.strata import (StrataError, build_labels, chow_dims, compactify,
@@ -250,8 +249,7 @@ class TestPushAndLabels:
         arr = corpus.load("fourplanes")
         schema = build_labels(arr)
         model = compactify(arr, stratum_of(arr, "1,2"))
-        vec = push_to_sigma(schema, model.edge,
-                            GradedClass(model.ring, model.ring.one()))
+        vec = push_to_sigma(schema, model.edge, model.ring.one())
         assert vec.coefficient("L_{12}") == RatFuncY.ONE
         assert vec.trace().is_zero()
 
@@ -260,7 +258,7 @@ class TestPushAndLabels:
         schema = build_labels(arr)
         model = compactify(arr, stratum_of(arr, "1,2"))
         pt = model.ring.basis_element(1)
-        vec = push_to_sigma(schema, model.edge, GradedClass(model.ring, pt))
+        vec = push_to_sigma(schema, model.edge, pt)
         assert vec.coefficient("Q_{0}") == RatFuncY.ONE
 
     def test_exceptional_class_contracts(self):
@@ -268,7 +266,7 @@ class TestPushAndLabels:
         schema = build_labels(arr)
         model = compactify(arr, stratum_of(arr, "1"))
         eps = model.ring.eps("1,2,3,4")
-        vec = push_to_sigma(schema, model.edge, GradedClass(model.ring, eps))
+        vec = push_to_sigma(schema, model.edge, eps)
         assert vec.is_zero()
         assert vec.values == {}
         assert vec.to_json() == {name: [] for name in schema.names()}
@@ -278,15 +276,14 @@ class TestPushAndLabels:
         schema = build_labels(arr)
         model = compactify(arr, stratum_of(arr, "1"))
         elem = model.ring.pt * 7 + model.ring.e * 3
-        vec = push_to_sigma(schema, model.edge, GradedClass(model.ring, elem))
+        vec = push_to_sigma(schema, model.edge, elem)
         assert vec.trace() == RatFuncY([7])
 
     def test_codim2_edge_inside_multiple_hyperplane_shares(self):
         arr = corpus.load("doubleplane3")
         schema = build_labels(arr)
         model = compactify(arr, stratum_of(arr, "1,2"))
-        vec = push_to_sigma(schema, model.edge,
-                            GradedClass(model.ring, model.ring.one()))
+        vec = push_to_sigma(schema, model.edge, model.ring.one())
         assert vec.coefficient("Q_{1}") == RatFuncY.ONE
 
     def test_label_inventory(self):
