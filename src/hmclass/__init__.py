@@ -5,8 +5,7 @@ independent computation paths cross-validating each other."""
 
 from .coeffs import RatFuncY, rat
 from .rings import BlownPlaneRing, ProjRing, RingElement
-from .genera import (ChernData, class_from_roots, hirzebruch_series,
-                     verify_identity_qr)
+from .genera import ChernData, hirzebruch_series, verify_identity_qr
 from .arrangement import (Arrangement, ArrangementError, Edge, Stratum,
                           build, chi_y, chi_y_pn, chi_y_stratum,
                           complement_chi, edges, is_dense, localize,

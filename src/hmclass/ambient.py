@@ -2,15 +2,17 @@
 
 Classes are elements of the truncated ring of projective n-space and are
 read homologically through the duality relabeling h^k <-> degree n-k.
-The pushed virtual class of a degree-d hypersurface is the
-residue-series product capped on the ambient fundamental class.
+The pushed virtual class of a complete intersection of degrees d_i is
+Q(h)^{n+1} * prod_i R(d_i h), the truncated series read in the ring
+itself with h scaled to d_i h by substitution, capped on the ambient
+fundamental class.
 """
 
 from __future__ import annotations
 
 from .coeffs import RatFuncY
-from .genera import class_from_roots
-from .rings import ProjRing, RingElement
+from .genera import compose_scale, hirzebruch_series
+from .rings import RingElement
 
 __all__ = [
     "virtual_pushed",
@@ -28,9 +30,10 @@ def virtual_pushed_ci(degrees, n: int) -> RingElement:
         raise ValueError("ambient dimension must be >= 1")
     if any(d < 1 for d in degrees):
         raise ValueError("degrees must be positive")
-    ring = ProjRing(n)
-    acc = (class_from_roots(ring, [ring.h] * (n + 1), "Q")
-           * class_from_roots(ring, [ring.h * d for d in degrees], "R"))
+    acc = hirzebruch_series("Q", n) ** (n + 1)
+    r = hirzebruch_series("R", n)
+    for d in degrees:
+        acc = acc * compose_scale(r, d)
     for c in acc.coeffs:
         if not c.is_polynomial():
             raise AssertionError(f"virtual class coefficient {c} is not polynomial")

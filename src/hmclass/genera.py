@@ -1,10 +1,9 @@
-"""Hirzebruch power series and characteristic-class calculus from Chern roots.
+"""Hirzebruch power series and characteristic-class calculus from Chern data.
 
 The three generating series (the class series Q, its rescaled variant,
 and the residue series R) and the Todd specialization are elements of
-ProjRing(order), the series variable read as h; classes are built as
-products over Chern roots, and Chern characters and Todd classes from
-Chern data.
+ProjRing(order), the series variable read as h; Chern characters and
+Todd classes are built from Chern data.
 """
 
 from __future__ import annotations
@@ -13,13 +12,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeffs import RatFuncY
-from .rings import ProjRing, Ring, RingElement
+from .rings import ProjRing, Ring, RingElement, exp_nilpotent
 
 __all__ = [
     "ChernData",
     "hirzebruch_series",
+    "compose_scale",
     "verify_identity_qr",
-    "class_from_roots",
     "chern_to_ch",
     "todd_from_chern",
 ]
@@ -28,7 +27,7 @@ _ONE_PLUS_Y = RatFuncY.ONE_PLUS_Y
 _Y = RatFuncY.Y
 
 
-def _compose_scale(s: RingElement, factor) -> RingElement:
+def compose_scale(s: RingElement, factor) -> RingElement:
     """Substitute alpha -> factor * alpha: coefficient k picks up factor^k."""
     out, f = [], RatFuncY.ONE
     for c in s.coeffs:
@@ -47,15 +46,6 @@ def _todd_series(order: int) -> RingElement:
     return RingElement(ProjRing(order), g).inverse()
 
 
-def _exp_series(order: int, sign: int = 1) -> RingElement:
-    fact = 1
-    cs = [Fraction(1)]
-    for k in range(1, order + 1):
-        fact *= k
-        cs.append(Fraction(sign ** k, fact))
-    return RingElement(ProjRing(order), cs)
-
-
 def hirzebruch_series(kind: str, order: int) -> RingElement:
     """Exact truncated expansion of the requested generating series, as an
     element of ProjRing(order).
@@ -65,18 +55,16 @@ def hirzebruch_series(kind: str, order: int) -> RingElement:
     """
     if order < 0:
         raise ValueError("order must be >= 0")
+    ring = ProjRing(order)
+    h = ring.h if order else ring.zero()
     if kind == "Todd":
         return _todd_series(order)
     if kind == "Q":
-        scaled = _compose_scale(_todd_series(order), _ONE_PLUS_Y)
-        if order >= 1:
-            scaled = scaled - scaled.ring.h * _Y
-        return scaled
+        return compose_scale(_todd_series(order), _ONE_PLUS_Y) - h * _Y
     if kind == "Qtilde":
-        factor = _exp_series(order, sign=-1) * _Y + 1
-        return factor * _todd_series(order)
+        return (exp_nilpotent(-h) * _Y + 1) * _todd_series(order)
     if kind == "R":
-        exp_u = _compose_scale(_exp_series(order), _ONE_PLUS_Y)
+        exp_u = exp_nilpotent(h * _ONE_PLUS_Y)
         return (exp_u - 1) * (exp_u + _Y).inverse()
     raise ValueError(f"unknown series kind {kind!r}")
 
@@ -87,34 +75,13 @@ def verify_identity_qr(order: int) -> dict:
     q = hirzebruch_series("Q", order)
     qt = hirzebruch_series("Qtilde", order)
     r = hirzebruch_series("R", order)
-    rescale_ok = (q * _ONE_PLUS_Y == _compose_scale(qt, _ONE_PLUS_Y))
+    rescale_ok = (q * _ONE_PLUS_Y == compose_scale(qt, _ONE_PLUS_Y))
     alpha = q.ring.h if order >= 1 else q.ring.zero()
     product_ok = (q * r == alpha)
     return {"ok": rescale_ok and product_ok,
             "rescale_ok": rescale_ok,
             "product_ok": product_ok,
             "order": order}
-
-
-def class_from_roots(ring: Ring, roots, kind: str) -> RingElement:
-    """Product over Chern roots of the chosen series, truncated by the ring.
-
-    Roots must be degree-1 ring elements; an empty root list gives 1.
-    """
-    series = hirzebruch_series(kind, ring.dim)
-    result = ring.one()
-    for root in roots:
-        value = ring.zero()
-        power = ring.one()
-        for k in range(ring.dim + 1):
-            c = series.coeff(k)
-            if not c.is_zero():
-                value = value + power * c
-            power = power * root
-            if power.is_zero():
-                break
-        result = result * value
-    return result
 
 
 @dataclass(frozen=True)
@@ -134,12 +101,6 @@ class ChernData:
     def c(self, i: int) -> RingElement:
         return self.chern[i - 1]
 
-    @property
-    def ring(self):
-        if not self.chern:
-            raise ValueError("point-ring Chern data has no ring reference")
-        return self.chern[0].ring
-
 
 def _power_sums(cd: ChernData, ring: Ring) -> list:
     """Newton's identities: power sums of the Chern roots up to ring.dim."""
@@ -156,10 +117,8 @@ def _power_sums(cd: ChernData, ring: Ring) -> list:
     return p
 
 
-def chern_to_ch(cd: ChernData, ring: Ring = None) -> RingElement:
+def chern_to_ch(cd: ChernData, ring: Ring) -> RingElement:
     """Chern character from Chern data: rank + sum of power sums / k!."""
-    if ring is None:
-        ring = cd.ring
     p = _power_sums(cd, ring)
     acc = ring.scalar(cd.rank)
     fact = 1
@@ -169,21 +128,14 @@ def chern_to_ch(cd: ChernData, ring: Ring = None) -> RingElement:
     return acc
 
 
-def todd_from_chern(cd: ChernData, ring: Ring = None) -> RingElement:
-    """Todd class from Chern data, valid through degree 3."""
-    if ring is None:
-        ring = cd.ring
-    if ring.dim > 3:
-        raise ValueError("todd_from_chern implemented through degree 3 only")
-    d = ring.dim
-    c1 = cd.chern[0] if d >= 1 else ring.zero()
+def todd_from_chern(cd: ChernData, ring: Ring) -> RingElement:
+    """Todd class from Chern data, valid through degree 2."""
+    if ring.dim > 2:
+        raise ValueError("todd_from_chern implemented through degree 2 only")
     acc = ring.one()
-    if d >= 1:
+    if ring.dim >= 1:
+        c1 = cd.c(1)
         acc = acc + c1 * Fraction(1, 2)
-    if d >= 2:
-        c2 = cd.chern[1]
-        acc = acc + (c1 * c1 + c2) * Fraction(1, 12)
-    if d >= 3:
-        c2 = cd.chern[1]
-        acc = acc + c1 * c2 * Fraction(1, 24)
+    if ring.dim == 2:
+        acc = acc + (c1 * c1 + cd.c(2)) * Fraction(1, 12)
     return acc

@@ -96,18 +96,10 @@ ALL_CONVENTIONS = tuple(
 def td_transform(ch_elem: RingElement, todd_elem: RingElement) -> RingElement:
     """Todd-transform a Chern character and rescale the homology degree-k
     part by (1+y)^{-k}."""
-    ring = ch_elem.ring
     total = ch_elem * todd_elem
-    acc = ring.zero()
-    for j in range(ring.dim + 1):
-        part = total.graded_part(j)
-        if part.is_zero():
-            continue
-        k = ring.dim - j
-        if k:
-            part = part * RatFuncY([1], k)
-        acc = acc + part
-    return acc
+    ring = total.ring
+    return RingElement(ring, [c * RatFuncY([1], ring.dim - j)
+                              for c, j in zip(total.coeffs, ring.degrees)])
 
 
 @dataclass

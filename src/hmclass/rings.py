@@ -203,16 +203,9 @@ class BlownPlaneRing(Ring):
 
     Basis: 1; e (pullback of a line), one class per exceptional curve;
     pt.  Relations: e^2 = pt, eps_p * eps_q = -delta_{pq} pt, e * eps_p = 0.
-    Interned per tuple of blown-point names.
+    Every instance is its own ring: the classes of one surface model live
+    on that model's ring, and elements of two instances do not mix.
     """
-
-    _cache = {}
-
-    def __new__(cls, point_ids=()):
-        key = tuple(point_ids)
-        if key not in cls._cache:
-            cls._cache[key] = super().__new__(cls)
-        return cls._cache[key]
 
     def __init__(self, point_ids=()):
         self.point_ids = tuple(point_ids)

@@ -2,10 +2,11 @@
 
 Strata of dimension <= 2 are compactified explicitly: a point, a line, or
 the stratum closure blown up at the points where the induced arrangement
-fails to be normal crossing.  Each model carries its boundary divisors
-with integer residues, Deligne-extension line-bundle classes, logarithmic
-cotangent Chern data, and a pushforward to the labeled Chow basis of the
-singular locus.
+fails to be normal crossing.  Each model carries its ring, its tangent
+Chern data and its boundary divisors with integer residues; from these
+come the Deligne-extension line-bundle classes, the logarithmic cotangent
+Chern data, and a pushforward to the labeled Chow basis of the singular
+locus.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arrangement import Arrangement, Edge, Stratum
+from .arrangement import Arrangement, Edge, Stratum, sigma_strata
 from .coeffs import RatFuncY, rat
 from .genera import ChernData, todd_from_chern
 from .rings import BlownPlaneRing, ProjRing, RingElement
@@ -55,19 +56,26 @@ class BoundaryComponent:
     cls: RingElement   # divisor class in the model ring
 
 
+_KIND = ("point", "curve", "surface")
+
+
 @dataclass(frozen=True)
 class StratumModel:
     stratum: Stratum
-    kind: str                  # "point" | "curve" | "surface"
     ring: object
     blown: tuple               # keys of blown-up points (surface only)
     boundary: tuple            # BoundaryComponent list
     m_s: int
     out_degree: int            # total multiplicity away from the stratum
+    tangent: ChernData         # tangent Chern data of the model
 
     @property
     def dim(self) -> int:
         return self.stratum.dim
+
+    @property
+    def kind(self) -> str:
+        return _KIND[self.dim]
 
     @property
     def edge(self) -> Edge:
@@ -75,28 +83,10 @@ class StratumModel:
 
     def hyperplane_cls(self) -> RingElement:
         """Pullback of the ambient hyperplane class (zero on a point)."""
-        if self.kind == "point":
-            return self.ring.zero()
-        if self.kind == "curve":
-            return self.ring.basis_element(1)
-        return self.ring.e
-
-    def tangent_chern(self) -> ChernData:
-        if self.kind == "point":
-            return ChernData(0, ())
-        if self.kind == "curve":
-            return ChernData(1, (self.ring.basis_element(1) * 2,))
-        e, pt = self.ring.e, self.ring.pt
-        c1 = e * 3
-        for p in self.blown:
-            c1 = c1 - self.ring.eps(p)
-        c2 = pt * (3 + len(self.blown))
-        return ChernData(2, (c1, c2))
+        return self.ring.basis_element(1) if self.dim else self.ring.zero()
 
     def todd(self) -> RingElement:
-        if self.kind == "point":
-            return self.ring.one()
-        return todd_from_chern(self.tangent_chern(), self.ring)
+        return todd_from_chern(self.tangent, self.ring)
 
     def to_json(self) -> dict:
         return {
@@ -139,7 +129,8 @@ def compactify(arr: Arrangement, stratum: Stratum) -> StratumModel:
         return value % m_s
 
     if d == 0:
-        return StratumModel(stratum, "point", ProjRing(0), (), (), m_s, out_degree)
+        return StratumModel(stratum, ProjRing(0), (), (), m_s, out_degree,
+                            ChernData(0, ()))
 
     # the edges inside the closure, with their induced multiplicities
     boundary = [(e, e.m_s - m_s) for e in arr.lattice.above(edge)]
@@ -151,8 +142,8 @@ def compactify(arr: Arrangement, stratum: Stratum) -> StratumModel:
                  for e, m_rel in boundary]
         comps.append(BoundaryComponent("infinity", "infinity", 0,
                                        res(-arr.m), pt))
-        return StratumModel(stratum, "curve", ring, (), tuple(comps),
-                            m_s, out_degree)
+        return StratumModel(stratum, ring, (), tuple(comps), m_s, out_degree,
+                            ChernData(1, (pt * 2,)))
 
     lines = [(e, m_rel) for e, m_rel in boundary if e.codim == edge.codim + 1]
     points = [(e, m_rel) for e, m_rel in boundary if e.codim == edge.codim + 2]
@@ -175,8 +166,12 @@ def compactify(arr: Arrangement, stratum: Stratum) -> StratumModel:
                                            res(m_rel), ring.eps(p.key)))
     comps.append(BoundaryComponent("infinity", "infinity", 0, res(-arr.m),
                                    ring.e))
-    return StratumModel(stratum, "surface", ring, tuple(blown), tuple(comps),
-                        m_s, out_degree)
+    c1 = ring.e * 3
+    for p in blown:
+        c1 = c1 - ring.eps(p)
+    tangent = ChernData(2, (c1, ring.pt * (3 + len(blown))))
+    return StratumModel(stratum, ring, tuple(blown), tuple(comps), m_s,
+                        out_degree, tangent)
 
 
 def residues(model: StratumModel) -> dict:
@@ -273,26 +268,18 @@ def log_chern(model: StratumModel, q: int) -> ChernData:
     boundary divisor of the model."""
     if q < 0 or q > model.dim:
         raise StrataError(f"q = {q} outside [0, {model.dim}]")
-    ring = model.ring
-    if model.kind == "point":
-        return ChernData(1, ())
-    if model.kind == "curve":
-        if q == 0:
-            return ChernData(1, (ring.zero(),))
-        deg = -2 + len(model.boundary)
-        return ChernData(1, (ring.basis_element(1) * deg,))
+    ring, dim = model.ring, model.dim
     if q == 0:
-        return ChernData(1, (ring.zero(), ring.zero()))
-    tangent = model.tangent_chern()
-    k_cls = -tangent.c(1)
-    if q == 2:
+        return ChernData(1, (ring.zero(),) * dim)
+    k_cls = -model.tangent.c(1)
+    if q == dim:
         c1 = k_cls
         for comp in model.boundary:
             c1 = c1 + comp.cls
-        return ChernData(1, (c1, ring.zero()))
-    # q == 1: c(log cotangent) = c(cotangent) * prod over boundary of
-    # (1 - D)^{-1}, truncated in degree 2
-    total = ring.one() + k_cls + tangent.c(2)
+        return ChernData(1, (c1,) + (ring.zero(),) * (dim - 1))
+    # q == 1 on a surface: c(log cotangent) = c(cotangent) * prod over
+    # boundary of (1 - D)^{-1}, truncated in degree 2
+    total = ring.one() + k_cls + model.tangent.c(2)
     for comp in model.boundary:
         total = total * (ring.one() + comp.cls + comp.cls * comp.cls)
     return ChernData(2, (total.graded_part(1), total.graded_part(2)))
@@ -354,8 +341,7 @@ class LabelSchema:
 def build_labels(arr: Arrangement) -> LabelSchema:
     n = arr.n
     multiple = set(arr.multiple_indices())
-    strata = [e for e in arr.lattice.edges  # sorted by (codim, index set)
-              if e.codim >= 2 or e.index_set[0] in multiple]
+    strata = [s.edge for s in sigma_strata(arr)]  # sorted by (codim, index set)
     shared = {}
     if strata:
         if multiple and n >= 2:

@@ -5,8 +5,9 @@ sympy closed-form expansions for series coefficients, brute-force subset
 enumeration for intersection lattices, inclusion-exclusion counts, the
 K-theoretic lambda_y route to Hirzebruch classes, the Chern-integral
 route to the Euler number of a smooth hypersurface, the inverse of the
-spectrum frame shift, and the coefficient recursion for the inverse of a
-truncated power series.
+spectrum frame shift, the coefficient recursion for the inverse of a
+truncated power series, and the product over Chern roots of a
+Hirzebruch series evaluated root by root.
 """
 
 import math
@@ -18,7 +19,7 @@ import sympy
 from hmclass.arrangement import Stratum
 from hmclass.coeffs import RatFuncY
 from hmclass.genera import (ChernData, _power_sums, chern_to_ch,
-                            class_from_roots)
+                            hirzebruch_series)
 from hmclass.milnor import td_transform
 from hmclass.rings import ProjRing, Ring, RingElement, exp_nilpotent
 from hmclass.spectra import Spectrum, SpectrumError, sp_shift
@@ -149,7 +150,7 @@ def _exp_minus_one_powers(dim: int) -> list:
     return powers
 
 
-def lambda_y(cd: ChernData, ring: Ring = None) -> RingElement:
+def lambda_y(cd: ChernData, ring: Ring) -> RingElement:
     """Chern character of the lambda_y class of a bundle.
 
     For Chern roots x_i this is prod_i (1 + y e^{x_i}), evaluated exactly
@@ -157,8 +158,6 @@ def lambda_y(cd: ChernData, ring: Ring = None) -> RingElement:
     s_j the symmetric functions sum_i (e^{x_i} - 1)^j.  Coefficients are
     rational functions in y; for honest bundles they are polynomials.
     """
-    if ring is None:
-        ring = cd.ring
     d = ring.dim
     p = _power_sums(cd, ring)
     tables = _exp_minus_one_powers(d)
@@ -178,16 +177,35 @@ def lambda_y(cd: ChernData, ring: Ring = None) -> RingElement:
 
 
 def lambda_y_virtual(numerator: ChernData, denominator: ChernData,
-                     ring: Ring = None) -> RingElement:
+                     ring: Ring) -> RingElement:
     """lambda_y of a virtual difference of bundles: the exact quotient
     lambda_y(numerator) / lambda_y(denominator), truncated by nilpotency."""
-    if ring is None:
-        ring = numerator.ring
     num = lambda_y(numerator, ring)
     den = lambda_y(denominator, ring)
     if den.coeffs[0].is_zero():
         raise ZeroDivisionError("lambda_y denominator has no invertible rank part")
     return num * den.inverse()
+
+
+def class_from_roots(ring: Ring, roots, kind: str) -> RingElement:
+    """Product over Chern roots of the chosen series, truncated by the ring.
+
+    Roots must be degree-1 ring elements; an empty root list gives 1.
+    """
+    series = hirzebruch_series(kind, ring.dim)
+    result = ring.one()
+    for root in roots:
+        value = ring.zero()
+        power = ring.one()
+        for k in range(ring.dim + 1):
+            c = series.coeff(k)
+            if not c.is_zero():
+                value = value + power * c
+            power = power * root
+            if power.is_zero():
+                break
+        result = result * value
+    return result
 
 
 def euler_via_chern(d: int, n: int) -> Fraction:

@@ -2,10 +2,11 @@ import pytest
 
 from hmclass.ambient import virtual_genus, virtual_pushed, virtual_pushed_ci
 from hmclass.coeffs import RatFuncY
-from hmclass.genera import ChernData, class_from_roots
+from hmclass.genera import ChernData
 from hmclass.milnor import td_transform
 from hmclass.rings import ProjRing
-from oracles import coeff_list, euler_via_chern, lambda_y, ty_class_pn
+from oracles import (class_from_roots, coeff_list, euler_via_chern, lambda_y,
+                     ty_class_pn)
 
 
 def polys(gc):
@@ -76,6 +77,15 @@ class TestVirtualClasses:
     def test_complete_intersection_line(self):
         gc = virtual_pushed_ci([1, 1], 3)
         assert gc.coeff(3) == RatFuncY([1, -1])  # a line in 3-space
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("ds", [(1,), (2,), (3, 3), (1, 2, 2), (2, 3, 4)])
+    def test_complete_intersection_against_roots(self, ds, n):
+        # Q on n+1 copies of h times R on each d*h, evaluated root by root
+        ring = ProjRing(n)
+        expected = (class_from_roots(ring, [ring.h] * (n + 1), "Q")
+                    * class_from_roots(ring, [ring.h * d for d in ds], "R"))
+        assert virtual_pushed_ci(ds, n) == expected
 
 
 class TestSpecialize:

@@ -166,7 +166,7 @@ VIRTUAL_GOLDEN = Path(__file__).parent / "golden" / "virtual"
 
 
 class TestOtherCommands:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 7])
     def test_virtual_matches_golden(self, capsys, d, n):
         code, out, err = run(capsys, "virtual", "--degree", str(d),

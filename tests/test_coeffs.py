@@ -6,7 +6,7 @@ import pytest
 import sympy
 
 from hmclass.coeffs import RatFuncY, poly_str, rat
-from hmclass.genera import _compose_scale
+from hmclass.genera import compose_scale
 from hmclass.milnor import PolynomialityError
 from hmclass.rings import ProjRing, RingElement
 from oracles import poly_division_oracle, series_inverse_by_recursion
@@ -275,7 +275,7 @@ class TestSeries:
 
     def test_compose_scale(self):
         alpha = series([0, 1], 3)
-        scaled = _compose_scale(alpha, RatFuncY([1, 1]))
+        scaled = compose_scale(alpha, RatFuncY([1, 1]))
         assert scaled.coeff(1) == RatFuncY([1, 1])
         assert scaled.coeff(0).is_zero() and scaled.coeff(2).is_zero()
 

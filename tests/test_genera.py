@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 
 from hmclass.coeffs import RatFuncY
-from hmclass.genera import (ChernData, chern_to_ch, class_from_roots,
-                            hirzebruch_series, todd_from_chern,
-                            verify_identity_qr)
+from hmclass.genera import (ChernData, chern_to_ch, hirzebruch_series,
+                            todd_from_chern, verify_identity_qr)
 from hmclass.rings import ProjRing
-from oracles import (lambda_y, lambda_y_virtual, q_series_oracle,
-                     tanh_quotient_oracle, todd_series_oracle)
+from oracles import (class_from_roots, lambda_y, lambda_y_virtual,
+                     q_series_oracle, tanh_quotient_oracle,
+                     todd_series_oracle)
 
 
 class TestSeries:

@@ -10,9 +10,9 @@ import json
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
-from hmclass.arrangement import ArrangementError, build
+from hmclass.arrangement import ArrangementError, build, sigma_strata
 from hmclass.milnor import MissingSpectrumError, assemble
-from hmclass.strata import relabel_vector
+from hmclass.strata import build_labels, relabel_vector
 
 SETTINGS = settings(derandomize=True, max_examples=30, deadline=None,
                     suppress_health_check=[HealthCheck.filter_too_much])
@@ -51,6 +51,19 @@ def test_cross_path_reruns_and_relabeling(case):
     shuffled = assemble(build(n, [hyperplanes[i] for i in order]))
     perm = {old + 1: new + 1 for new, old in enumerate(order)}
     assert relabel_vector(rep.m_y, perm, shuffled.schema) == shuffled.m_y
+
+
+@SETTINGS
+@given(arrangements())
+def test_fundamental_labels_cover_sigma_strata(case):
+    # the label schema names exactly the Sigma-strata, in lattice order
+    n, hyperplanes, _ = case
+    try:
+        arr = build(n, hyperplanes)
+    except ArrangementError:
+        reject()
+    assert (list(build_labels(arr).fundamental)
+            == [s.key for s in sigma_strata(arr)])
 
 
 @st.composite

@@ -5,6 +5,7 @@ import pytest
 from hmclass import corpus
 from hmclass.arrangement import build, sigma_strata
 from hmclass.coeffs import RatFuncY
+from hmclass.rings import BlownPlaneRing
 from hmclass.strata import (StrataError, build_labels, chow_dims, compactify,
                             deligne_base, deligne_class, deligne_residues,
                             homology_weight_dims, log_chern,
@@ -243,6 +244,15 @@ class TestSurfaceRing:
         eps = model.ring.eps("1,2,3,4")
         assert eps * eps == -model.ring.pt
 
+    def test_rings_are_not_interned(self):
+        # each surface model owns its ring, so no class-level cache grows
+        a, b = BlownPlaneRing(("p",)), BlownPlaneRing(("p",))
+        assert a is not b
+        with pytest.raises(ValueError):
+            a.e + b.e
+        with pytest.raises(ValueError):
+            a.eps("p") * b.eps("p")
+
 
 class TestPushAndLabels:
     def test_line_stratum_own_label(self):
@@ -290,6 +300,12 @@ class TestPushAndLabels:
         schema = build_labels(corpus.load("doubleplane3"))
         assert schema.names() == ["H_{1}", "L_{23}", "L_{24}", "L_{34}",
                                   "Q_{1}", "Q_{0}"]
+
+    @pytest.mark.parametrize("name", corpus.ALL_NAMES)
+    def test_fundamental_labels_cover_sigma_strata(self, name):
+        arr = corpus.load(name)
+        assert (list(build_labels(arr).fundamental)
+                == [s.key for s in sigma_strata(arr)])
 
     def test_smooth_arrangement_has_no_labels(self):
         arr = build(2, [((1, 0, 0), 1)])
