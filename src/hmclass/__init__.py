@@ -7,9 +7,8 @@ from .coeffs import RatFuncY, rat
 from .rings import BlownPlaneRing, ProjRing, RingElement
 from .genera import ChernData, hirzebruch_series, verify_identity_qr
 from .arrangement import (Arrangement, ArrangementError, Edge, Stratum,
-                          build, chi_y, chi_y_pn, chi_y_stratum,
-                          complement_chi, edges, is_dense, localize,
-                          milnor_fiber_chi, sigma_strata)
+                          build, chi_y, chi_y_pn, chi_y_stratum, edges,
+                          is_dense, localize, milnor_fiber_chi, sigma_strata)
 from .spectra import (Spectrum, SpectrumError, SpectrumValidationError,
                       sp_monomial, sp_ordinary, sp_shift, sp_user_load,
                       sp_validate)

@@ -25,7 +25,6 @@ __all__ = [
     "build",
     "edges",
     "localize",
-    "complement_chi",
     "milnor_fiber_chi",
     "is_dense",
     "sigma_strata",
@@ -408,16 +407,10 @@ def localize(arr: Arrangement, edge: Edge) -> LocalizedArrangement:
     return loc
 
 
-def complement_chi(loc: LocalizedArrangement) -> int:
-    """Euler characteristic of the projectivized complement of the localized
-    central arrangement."""
-    return loc.euler
-
-
 def milnor_fiber_chi(loc: LocalizedArrangement) -> int:
     """Euler characteristic of the local Milnor fiber: the projectivized
     complement count scaled by the local degree."""
-    return complement_chi(loc) * loc.m_s
+    return loc.euler * loc.m_s
 
 
 def is_dense(edge: Edge, arr: Arrangement) -> bool:

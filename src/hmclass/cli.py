@@ -17,8 +17,7 @@ from . import corpus
 from .ambient import virtual_genus, virtual_pushed
 from .arrangement import (Arrangement, ArrangementError, chi_y, chi_y_pn,
                           chi_y_stratum, edges, euler_by_inclusion_exclusion,
-                          is_dense, localize, complement_chi,
-                          milnor_fiber_chi, sigma_strata)
+                          is_dense, localize, milnor_fiber_chi, sigma_strata)
 from .coeffs import RatFuncY, poly_str
 from .genera import hirzebruch_series, verify_identity_qr
 from .milnor import (DEFAULT_CONVENTIONS, ConventionSet, MilnorError,
@@ -57,23 +56,24 @@ SCHEMAS = {
 }
 
 
-def _emit(payload, out_path=None):
-    text = json.dumps(payload, indent=2) + "\n"
+def _emit(chunks, out_path=None):
+    """Write a report's text, chunk by chunk, to out_path or stdout."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
+
+
+def _dumps(payload):
+    yield json.dumps(payload, indent=2)
+    yield "\n"
 
 
 def _fail(code: int, kind: str, message: str) -> int:
     sys.stderr.write(json.dumps(
         {"error": {"kind": kind, "message": message}}) + "\n")
     return code
-
-
-def _load_arrangement(path: str) -> Arrangement:
-    return Arrangement.load(path)
 
 
 def _conv_from_args(args) -> ConventionSet:
@@ -93,7 +93,7 @@ def _conv_from_args(args) -> ConventionSet:
 
 
 def cmd_lattice(args) -> int:
-    arr = _load_arrangement(args.input)
+    arr = Arrangement.load(args.input)
     rows = []
     for e in edges(arr):
         loc = localize(arr, e)
@@ -103,7 +103,7 @@ def cmd_lattice(args) -> int:
             "dim": arr.n - e.codim,
             "m_s": e.m_s,
             "dense": is_dense(e, arr),
-            "complement_chi": complement_chi(loc),
+            "complement_chi": loc.euler,
             "milnor_fiber_chi": milnor_fiber_chi(loc),
         })
     payload = {
@@ -118,12 +118,12 @@ def cmd_lattice(args) -> int:
         # kept so the report stays stable
         "euler_inclusion_exclusion": int(chi_y(arr)(-1)),
     }
-    _emit(payload, args.out)
+    _emit(_dumps(payload), args.out)
     return EXIT_OK
 
 
 def cmd_spectra(args) -> int:
-    arr = _load_arrangement(args.input)
+    arr = Arrangement.load(args.input)
     tables = sp_user_load(args.tables, arr) if args.tables else {}
     rows = []
     for s in sigma_strata(arr):
@@ -146,7 +146,7 @@ def cmd_spectra(args) -> int:
             row["stratum_frame"] = sp_shift(sp, s, arr.n).to_json()
             row["validation"] = sp_validate(sp, loc)
         rows.append(row)
-    _emit({"n": arr.n, "m": arr.m, "strata": rows}, args.out)
+    _emit(_dumps({"n": arr.n, "m": arr.m, "strata": rows}), args.out)
     return EXIT_OK
 
 
@@ -165,12 +165,12 @@ def cmd_virtual(args) -> int:
         "genus_coeffs": genus.as_strings(),
         "specializations": {str(y0): str(genus(y0)) for y0 in (-1, 0, 1)},
     }
-    _emit(payload, args.out)
+    _emit(_dumps(payload), args.out)
     return EXIT_OK
 
 
 def cmd_chi_y(args) -> int:
-    arr = _load_arrangement(args.input)
+    arr = Arrangement.load(args.input)
     # chi_y of the divisor is the sum over its strata, one per edge
     value = RatFuncY.ZERO
     per = {}
@@ -186,22 +186,22 @@ def cmd_chi_y(args) -> int:
         "euler_X": str(value(-1)),
         "per_stratum": per,
     }
-    _emit(payload, args.out)
+    _emit(_dumps(payload), args.out)
     return EXIT_OK
 
 
 def cmd_milnor(args) -> int:
-    arr = _load_arrangement(args.input)
+    arr = Arrangement.load(args.input)
     tables = sp_user_load(args.tables, arr) if args.tables else None
     report = assemble(arr, tables, _conv_from_args(args))
-    _emit(report.to_json(dump_strata=args.dump_strata), args.out)
+    _emit(report.json_chunks(args.dump_strata), args.out)
     return EXIT_OK
 
 
 def cmd_calibrate(args) -> int:
     suite = corpus.calibration_suite()
     _, report = calibrate(suite)
-    _emit(report, args.out)
+    _emit(_dumps(report), args.out)
     return EXIT_OK
 
 
@@ -255,7 +255,7 @@ def run_builtin_checks(order: int = 12) -> list:
         for name in corpus.ALL_NAMES:
             arr = corpus.load(name)
             for e in edges(arr):
-                if is_dense(e, arr) != (complement_chi(localize(arr, e)) != 0):
+                if is_dense(e, arr) != (localize(arr, e).euler != 0):
                     return False
         return True
 
@@ -310,8 +310,8 @@ def run_builtin_checks(order: int = 12) -> list:
     check("combinatorial invariance of the 6-line pair", invariance_pair)
 
     def deterministic_output():
-        one = json.dumps(assemble(corpus.load("fourplanes")).to_json())
-        two = json.dumps(assemble(corpus.load("fourplanes")).to_json())
+        one = "".join(assemble(corpus.load("fourplanes")).json_chunks())
+        two = "".join(assemble(corpus.load("fourplanes")).json_chunks())
         return one == two
 
     check("byte-identical reports across runs", deterministic_output)
@@ -389,7 +389,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.schema:
-        _emit(SCHEMAS)
+        _emit(_dumps(SCHEMAS))
         return EXIT_OK
     if not args.command:
         parser.print_help()

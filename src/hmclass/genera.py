@@ -8,6 +8,7 @@ Todd classes are built from Chern data.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,12 +47,14 @@ def _todd_series(order: int) -> RingElement:
     return RingElement(ProjRing(order), g).inverse()
 
 
+@functools.lru_cache(maxsize=32)
 def hirzebruch_series(kind: str, order: int) -> RingElement:
     """Exact truncated expansion of the requested generating series, as an
     element of ProjRing(order).
 
     Q and Qtilde have constant term 1; R vanishes at 0 with linear
-    coefficient 1; Todd is Q specialized at y = 0.
+    coefficient 1; Todd is Q specialized at y = 0.  Kept per process: the
+    inverse costs O(order^3), and a RingElement is never changed in place.
     """
     if order < 0:
         raise ValueError("order must be >= 0")

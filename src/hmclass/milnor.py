@@ -12,8 +12,9 @@ explored exhaustively by calibrate().
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .ambient import virtual_genus
 from .arrangement import (Arrangement, chi_y, localize, milnor_fiber_chi,
@@ -115,37 +116,71 @@ class MilnorReport:
     cross_path_ok: bool
     models: list = field(default_factory=list)
 
-    def to_json(self, dump_strata: bool = False) -> dict:
-        out = {
+    def json_chunks(self, dump_strata: bool = False):
+        """The report as indented JSON text, chunk by chunk.
+
+        json.dumps writes the skeleton, with a hole for each label -> value
+        block; a block splices its vector's nonzero values into the zero
+        lines of the schema, which are rendered once per report."""
+        names = self.schema.names()
+        m_y = _label_block(names, 4, True)
+        stratum = _label_block(names, 6, True)
+        constants = _label_block(names, 6, False)
+        skeleton = {
             "n": self.arrangement.n,
             "m": self.arrangement.m,
-            "conventions": {
-                "sign_mode": self.conventions.sign_mode,
-                "extension_mode": self.conventions.extension_mode,
-            },
-            "M_y": self.m_y.to_json(),
-            "per_stratum": {k: v.to_json() for k, v in
-                            self.per_stratum.items()},
-            "specializations": {
-                str(y0): _constants(vec)
-                for y0, vec in self.specializations.items()
-            },
+            "conventions": asdict(self.conventions),
+            "M_y": _HOLE,
+            "per_stratum": dict.fromkeys(self.per_stratum, _HOLE),
+            "specializations": dict.fromkeys(map(str, self.specializations),
+                                             _HOLE),
             "degree0": self.degree0,
             "cross_path_ok": self.cross_path_ok,
-            "cross_path": {
-                "ok": self.cross_path_ok,
-                "chern_milnor": _constants(self.chern_path),
-            },
+            "cross_path": {"ok": self.cross_path_ok, "chern_milnor": _HOLE},
         }
         if dump_strata:
-            out["strata"] = [m.to_json() for m in self.models]
-        return out
+            skeleton["strata"] = [m.to_json() for m in self.models]
+        parts = json.dumps(skeleton, indent=2).split(json.dumps(_HOLE))
+        holes = [(m_y, self.m_y),
+                 *((stratum, vec) for vec in self.per_stratum.values()),
+                 *((constants, vec) for vec in self.specializations.values()),
+                 (constants, self.chern_path)]
+        yield parts[0]
+        for (block, vec), part in zip(holes, parts[1:]):
+            yield block(vec)
+            yield part
+        yield "\n"
 
 
-def _constants(vec: SigmaChowVector) -> dict:
-    """Constant term of the coefficient on every schema label, in order."""
-    return {name: str(vec.coefficient(name).coeff(0))
-            for name in vec.schema.names()}
+_HOLE = "\0"  # stands for a label -> value block in the json.dumps skeleton
+
+
+def _label_block(names: list, indent: int, as_list: bool):
+    """Renderer of a vector as the label -> value object json.dumps(indent=2)
+    writes with its labels at the given indent: coefficient lists, or else
+    constant terms.  Each call copies the zero lines and overwrites the
+    lines of the nonzero values."""
+    pad = " " * indent
+    heads = [f"{pad}{json.dumps(name)}: " for name in names]
+    zeros = [head + ("[]" if as_list else '"0"') for head in heads]
+    index = {name: i for i, name in enumerate(names)}
+    sep, close = f'",\n{pad}  "', "\n" + pad[2:] + "}"
+
+    def text(value: RatFuncY) -> str:
+        if as_list:
+            return f'[\n{pad}  "{sep.join(value.as_strings())}"\n{pad}]'
+        return f'"{value.coeff(0)}"'
+
+    def block(vec: SigmaChowVector) -> str:
+        if not zeros:
+            return "{}"
+        lines = zeros[:]
+        for name, value in vec.values.items():
+            i = index[name]
+            lines[i] = heads[i] + text(value)
+        return "{\n" + ",\n".join(lines) + close
+
+    return block
 
 
 def _stratum_contribution(arr: Arrangement, stratum, germ_sp, model,
@@ -279,14 +314,10 @@ def chern_milnor(arr: Arrangement, schema: LabelSchema = None,
         chi_tilde = milnor_fiber_chi(localize(arr, model.edge)) - 1
         if chi_tilde == 0:
             continue
-        ring = model.ring
-        if model.dim == 0:
-            total = ring.one()
-        else:
-            cd = log_chern(model, 1)
-            total = ring.one() - cd.c(1)
-            if model.dim == 2:
-                total = total + cd.c(2)
+        # c(T(-log D)) = sum_i (-1)^i c_i(Omega^1(log D)), 1 on a point
+        total = model.ring.one()
+        for i, c in enumerate(log_chern(model, min(model.dim, 1)).chern, 1):
+            total = total + c * (-1) ** i
         pushed = push_to_sigma(schema, model.edge, total)
         _add_into(totals, pushed, chi_tilde)
     return SigmaChowVector(schema, totals)

@@ -375,28 +375,10 @@ class SigmaChowVector:
         self.schema = schema
         self.values = {k: v for k, v in values.items() if not v.is_zero()}
 
-    def __add__(self, other: "SigmaChowVector"):
-        out = dict(self.values)
-        for name, v in other.values.items():
-            out[name] = out.get(name, RatFuncY.ZERO) + v
-        return SigmaChowVector(self.schema, out)
-
-    def __mul__(self, scalar):
-        return SigmaChowVector(
-            self.schema, {k: v * scalar for k, v in self.values.items()})
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * (-1)
-
     def __eq__(self, other):
         if not isinstance(other, SigmaChowVector):
             return NotImplemented
         return self.values == other.values
-
-    def is_zero(self) -> bool:
-        return not self.values
 
     def coefficient(self, name: str) -> RatFuncY:
         return self.values.get(name, RatFuncY.ZERO)
@@ -415,14 +397,6 @@ class SigmaChowVector:
         return SigmaChowVector(
             self.schema,
             {k: RatFuncY._coerce(v(y0)) for k, v in self.values.items()})
-
-    def is_polynomial(self) -> bool:
-        return all(v.is_polynomial() for v in self.values.values())
-
-    def to_json(self) -> dict:
-        """Coefficient strings for every label of the schema, in order."""
-        return {name: self.coefficient(name).as_strings()
-                for name in self.schema.names()}
 
     def __repr__(self):
         items = [f"{k}: {v}" for k, v in self.values.items()]

@@ -6,8 +6,12 @@ enumeration for intersection lattices, inclusion-exclusion counts, the
 K-theoretic lambda_y route to Hirzebruch classes, the Chern-integral
 route to the Euler number of a smooth hypersurface, the inverse of the
 spectrum frame shift, the coefficient recursion for the inverse of a
-truncated power series, and the product over Chern roots of a
-Hirzebruch series evaluated root by root.
+truncated power series, the product over Chern roots of a
+Hirzebruch series evaluated root by root, the dense dict of a Milnor
+report for json.dumps, and the Euler-number defect of a divisor against
+a smooth hypersurface of its degree.  The sparse-vector sums, scalings
+and polynomiality test that the package itself never needs live here
+too.
 """
 
 import math
@@ -16,14 +20,16 @@ from itertools import combinations
 
 import sympy
 
-from hmclass.arrangement import Stratum
+from hmclass.ambient import virtual_genus
+from hmclass.arrangement import Stratum, euler_by_inclusion_exclusion
 from hmclass.coeffs import RatFuncY
 from hmclass.genera import (ChernData, _power_sums, chern_to_ch,
                             hirzebruch_series)
 from hmclass.milnor import td_transform
 from hmclass.rings import ProjRing, Ring, RingElement, exp_nilpotent
 from hmclass.spectra import Spectrum, SpectrumError, sp_shift
-from hmclass.strata import deligne_class, k_representative, log_chern
+from hmclass.strata import (SigmaChowVector, deligne_class, k_representative,
+                            log_chern)
 
 
 def series_coeffs(expr, var, order):
@@ -296,3 +302,67 @@ def stratum_contribution_by_terms(arr, stratum, germ_sp, model, conv) -> RingEle
             cls = td_transform(ch_line * ch_log[q], todd)
             acc = acc + cls * weight
     return acc
+
+
+def vector_sum(schema, vecs) -> SigmaChowVector:
+    """Sum of sparse Chow vectors over one schema."""
+    out = {}
+    for vec in vecs:
+        for name, v in vec.values.items():
+            out[name] = out.get(name, RatFuncY.ZERO) + v
+    return SigmaChowVector(schema, out)
+
+
+def vector_scale(vec: SigmaChowVector, scalar) -> SigmaChowVector:
+    return SigmaChowVector(
+        vec.schema, {k: v * scalar for k, v in vec.values.items()})
+
+
+def vector_is_polynomial(vec: SigmaChowVector) -> bool:
+    return all(v.is_polynomial() for v in vec.values.values())
+
+
+def vector_to_json(vec: SigmaChowVector) -> dict:
+    """Coefficient strings for every label of the schema, in order."""
+    return {name: vec.coefficient(name).as_strings()
+            for name in vec.schema.names()}
+
+
+def vector_constants(vec: SigmaChowVector) -> dict:
+    """Constant term of the coefficient on every schema label, in order."""
+    return {name: str(vec.coefficient(name).coeff(0))
+            for name in vec.schema.names()}
+
+
+def report_to_json(report, dump_strata: bool = False) -> dict:
+    """A Milnor report as one dense dict, every schema label listed for
+    every vector: json.dumps(..., indent=2) + "\\n" of it is the report
+    text."""
+    out = {
+        "n": report.arrangement.n,
+        "m": report.arrangement.m,
+        "conventions": {
+            "sign_mode": report.conventions.sign_mode,
+            "extension_mode": report.conventions.extension_mode,
+        },
+        "M_y": vector_to_json(report.m_y),
+        "per_stratum": {k: vector_to_json(v)
+                        for k, v in report.per_stratum.items()},
+        "specializations": {str(y0): vector_constants(vec)
+                            for y0, vec in report.specializations.items()},
+        "degree0": report.degree0,
+        "cross_path_ok": report.cross_path_ok,
+        "cross_path": {
+            "ok": report.cross_path_ok,
+            "chern_milnor": vector_constants(report.chern_path),
+        },
+    }
+    if dump_strata:
+        out["strata"] = [m.to_json() for m in report.models]
+    return out
+
+
+def euler_defect(arr) -> int:
+    """chi(smooth degree-m hypersurface in P^n) - chi(X), the value the
+    degree-zero part of the Milnor class takes at y = -1."""
+    return virtual_genus(arr.m, arr.n)(-1) - euler_by_inclusion_exclusion(arr)

@@ -21,7 +21,8 @@ from hmclass.spectra import sp_monomial, sp_ordinary, sp_validate
 from hmclass.strata import (chow_dims, compactify, deligne_residues,
                             homology_weight_dims, power_identity_holds,
                             relabel_vector, residues)
-from oracles import coeff_list, support, todd_series_oracle, ty_class_pn
+from oracles import (coeff_list, support, todd_series_oracle, ty_class_pn,
+                     vector_is_polynomial)
 
 GOLDEN = Path(__file__).parent / "golden" / "calibration.json"
 
@@ -49,7 +50,7 @@ def test_c02_smooth_baseline():
         assert coeff_list(pushed)[n].is_zero()
         covector = tuple([1] + [0] * n)
         report = assemble(build(n, [(covector, 1)]))
-        assert report.m_y.is_zero() and not report.m_y.values
+        assert not report.m_y.values
     done("C2", "degree-1 hypersurfaces match the inner Hirzebruch class; "
                "empty singular class")
 
@@ -94,7 +95,7 @@ def test_c06_per_stratum_polynomiality():
     for name in corpus.ALL_NAMES:
         report = assemble(corpus.load(name))
         for key, vec in report.per_stratum.items():
-            assert vec.is_polynomial(), (name, key)
+            assert vector_is_polynomial(vec), (name, key)
             counted += 1
     assert counted >= 20  # includes nontrivial curve and surface strata
     done("C6", f"all {counted} per-stratum contributions are denominator-free")

@@ -6,7 +6,7 @@ import pytest
 
 from hmclass import arrangement, cli, corpus
 from hmclass.arrangement import (ArrangementError, build, chi_y, chi_y_pn,
-                                 chi_y_stratum, complement_chi, edges,
+                                 chi_y_stratum, edges,
                                  euler_by_inclusion_exclusion, is_dense,
                                  localize, milnor_fiber_chi, sigma_strata)
 from hmclass.coeffs import RatFuncY
@@ -178,28 +178,28 @@ class TestLocalizedChi:
         arr = lines(*CONCURRENT)
         point = edges(arr)[-1]
         loc = localize(arr, point)
-        assert complement_chi(loc) == -1
+        assert loc.euler == -1
         assert milnor_fiber_chi(loc) == -3
 
     def test_two_lines(self):
         arr = lines(*TRIANGLE)
         point = [e for e in edges(arr) if e.codim == 2][0]
         loc = localize(arr, point)
-        assert complement_chi(loc) == 0
+        assert loc.euler == 0
         assert milnor_fiber_chi(loc) == 0
 
     def test_boolean_triple(self):
         arr = corpus.load("fourplanes")
         point = [e for e in edges(arr) if e.codim == 3][0]
         loc = localize(arr, point)
-        assert complement_chi(loc) == 0
+        assert loc.euler == 0
         assert milnor_fiber_chi(loc) == 0
 
     def test_single_hyperplane_localization(self):
         arr = corpus.load("doubleline")
         line = edges(arr)[0]
         loc = localize(arr, line)
-        assert complement_chi(loc) == 1
+        assert loc.euler == 1
         assert milnor_fiber_chi(loc) == 2
 
 
@@ -221,7 +221,7 @@ class TestDense:
     def test_dense_iff_nonzero_chi(self, name):
         arr = corpus.load(name)
         for e in edges(arr):
-            assert is_dense(e, arr) == (complement_chi(localize(arr, e)) != 0)
+            assert is_dense(e, arr) == (localize(arr, e).euler != 0)
             covs = [arr.covector(j) for j in e.index_set]
             assert is_dense(e, arr) == dense_by_bipartition(covs), e.key
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -262,6 +263,18 @@ def test_corpus_report_matches_golden(capsys, name, command):
                          corpus_file(name))
     assert code == 0, err
     assert out.encode() == (GOLDEN / f"{name}.{command}.json").read_bytes()
+
+
+def test_thirty_generic_lines_digest(capsys):
+    # covectors (1, i, i^2) for i < 30: 435 double points and a 4.3 MB
+    # report, too large to keep; its digest was recorded with the dense
+    # json.dumps writer that the spliced one replaced, and CI checks the
+    # same file with sha256sum -c
+    golden = GOLDEN.parent
+    code, out, err = run(capsys, "milnor", str(golden / "lines30.json"))
+    assert code == 0, err
+    digest = (golden / "lines30.milnor.sha256").read_text().split()[0]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def fresh_run(*argv):

@@ -13,6 +13,14 @@ from oracles import (class_from_roots, lambda_y, lambda_y_virtual,
 
 
 class TestSeries:
+    def test_one_series_per_kind_and_order(self):
+        # kept per process, so every caller shares one immutable element
+        q = hirzebruch_series("Q", 7)
+        assert hirzebruch_series("Q", 7) is q
+        assert isinstance(q.coeffs, tuple)
+        assert hirzebruch_series("Q", 6) is not q
+        assert hirzebruch_series("R", 7) is not q
+
     def test_q_constant_term(self):
         assert hirzebruch_series("Q", 6).coeff(0) == RatFuncY.ONE
 

@@ -18,7 +18,9 @@ from hmclass.milnor import (ALL_CONVENTIONS, DEFAULT_CONVENTIONS,
 from hmclass.spectra import sp_user_load, stratum_spectrum
 from hmclass.strata import (SigmaChowVector, build_labels, compactify,
                             push_to_sigma, relabel_vector)
-from oracles import stratum_contribution_by_terms, td_1py
+from oracles import (euler_defect, report_to_json,
+                     stratum_contribution_by_terms, td_1py,
+                     vector_is_polynomial, vector_scale, vector_sum)
 
 F = Fraction
 
@@ -121,14 +123,14 @@ class TestAssembleCorpus:
 
     def test_smooth_arrangement_empty_class(self):
         rep = assemble(build(3, [((1, 0, 0, 0), 1)]))
-        assert rep.m_y.is_zero() and not rep.m_y.values
+        assert not rep.m_y.values
         assert rep.cross_path_ok
 
     @pytest.mark.parametrize("name", list(corpus.ALL_NAMES))
     def test_per_stratum_polynomiality(self, name):
         rep = assemble(corpus.load(name))
         for vec in rep.per_stratum.values():
-            assert vec.is_polynomial()
+            assert vector_is_polynomial(vec)
 
     @pytest.mark.parametrize("name", list(corpus.ALL_NAMES))
     def test_cross_path(self, name):
@@ -154,7 +156,7 @@ class TestChernPath:
 
     def test_smooth_is_zero(self):
         vec = chern_milnor(build(2, [((1, 0, 0), 1)]))
-        assert vec.is_zero()
+        assert not vec.values
 
     def test_fourplanes(self):
         vec = chern_milnor(corpus.load("fourplanes"))
@@ -246,7 +248,8 @@ class TestInvariance:
 class TestSparseVectors:
     def test_sum_with_negative_is_empty(self):
         rep = assemble(corpus.load("fourplanes"))
-        assert (rep.m_y + (-rep.m_y)).values == {}
+        minus = vector_scale(rep.m_y, -1)
+        assert vector_sum(rep.schema, [rep.m_y, minus]).values == {}
 
     def test_point_contribution_has_one_key(self):
         rep = assemble(corpus.load("triangle3"))
@@ -255,7 +258,7 @@ class TestSparseVectors:
     def test_report_lists_every_label(self):
         rep = assemble(corpus.load("fourplanes"))
         assert "L_{12}" not in rep.specializations[0].values
-        block = rep.to_json()["specializations"]["0"]
+        block = json.loads("".join(rep.json_chunks()))["specializations"]["0"]
         assert block["L_{12}"] == "0"
         assert list(block) == rep.schema.names()
 
@@ -329,7 +332,7 @@ class TestBlownSurfacePath:
         assert [m.kind for m in rep.models].count("surface") == 1
         surface = [m for m in rep.models if m.kind == "surface"][0]
         assert surface.blown == ("1,2,3,4",)
-        assert rep.m_y.is_polynomial()
+        assert vector_is_polynomial(rep.m_y)
         assert rep.cross_path_ok
         values = poly_values(rep.m_y)
         assert values["H_{1}"] == RatFuncY([1])
@@ -355,15 +358,15 @@ class TestMissingSpectra:
         # mass must be chi(F) - 1 = 4*1 - 1 = 3 with support in (0, 3)
         tables = sp_user_load({"1,2,3,4": [{"alpha": "3/2", "mult": 3}]}, arr)
         rep = assemble(arr, tables)
-        assert rep.m_y.is_polynomial()
+        assert vector_is_polynomial(rep.m_y)
 
 
 class TestReportSerialization:
     def test_shape_and_determinism(self):
         arr = corpus.load("fourplanes")
-        one = assemble(arr).to_json()
-        two = assemble(arr).to_json()
-        assert json.dumps(one) == json.dumps(two)
+        text = "".join(assemble(arr).json_chunks())
+        assert "".join(assemble(arr).json_chunks()) == text
+        one = json.loads(text)
         assert set(one) == {"n", "m", "conventions", "M_y", "per_stratum",
                             "specializations", "degree0", "cross_path_ok",
                             "cross_path"}
@@ -371,9 +374,31 @@ class TestReportSerialization:
 
     def test_dump_strata(self):
         arr = corpus.load("doubleline")
-        payload = assemble(arr).to_json(dump_strata=True)
+        payload = json.loads("".join(assemble(arr).json_chunks(True)))
         assert payload["strata"][0]["kind"] == "curve"
         assert payload["strata"][0]["boundary"][0]["name"] == "infinity"
+
+    def test_empty_schema(self):
+        # a smooth divisor: no strata, no labels, so every block is {}
+        rep = assemble(build(3, [((1, 0, 0, 0), 1)]))
+        text = "".join(rep.json_chunks(True))
+        assert text == json.dumps(report_to_json(rep, True), indent=2) + "\n"
+        assert '"per_stratum": {}' in text and '"chern_milnor": {}' in text
+
+
+class TestEulerDefect:
+    # chi(smooth hypersurface) - chi(X) minus the trace of M_y at y = -1;
+    # zero on the reduced plane files, a missing generic-section term on
+    # the files with curve strata (see tests/test_properties.py).  Of
+    # doubleplane3's 48, its curve strata give 24; the surface's 24 has no
+    # derived term yet.
+    @pytest.mark.parametrize("name, gap", [
+        ("fourplanes", 18), ("pencil3planes", 8), ("doubleline", -1),
+        ("concurrent3", 0), ("triangle3", 0), ("quad6a", 0), ("quad6b", 0),
+        ("doubleplane3", 48)])
+    def test_corpus_gap(self, name, gap):
+        arr = corpus.load(name)
+        assert euler_defect(arr) - assemble(arr).m_y.trace()(-1) == gap
 
 
 def spectra_of_strata(arr):
@@ -626,10 +651,7 @@ class TestMemo:
         rep = assemble(arr, tables, conv)
         assert rep.per_stratum == want
         assert rep.chern_path == chern_milnor(arr)
-        total = SigmaChowVector(schema, {})
-        for vec in want.values():
-            total = total + vec
-        assert rep.m_y == total
+        assert rep.m_y == vector_sum(schema, want.values())
         return rep, tables
 
     @pytest.mark.parametrize("n", [2, 3])
