@@ -1,16 +1,21 @@
 """Projective hyperplane arrangements with multiplicities.
 
-Input model and validation, the intersection lattice (edges), localized
-central arrangements with their Mobius-function combinatorics, dense-edge
-detection, stratifications of the divisor and of its singular locus, and
-chi_y genera computed by additivity over strata.
+Input model and validation, the intersection lattice (edges) with two
+per-edge tables computed once per lattice from its cover relation, localized
+central arrangements, dense-edge detection, stratifications of the divisor
+and of its singular locus, and chi_y genera.
+
+The tables: the Mobius function mu(0, x) is computed bottom up, and gives
+the Euler number of each edge's localization; chi_y of each open stratum is
+computed top down by additivity, since the closed stratum of an edge of
+dimension d is a P^d and the disjoint union of the open strata of the
+edges on it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
@@ -179,7 +184,7 @@ class Arrangement:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise ArrangementError(f"malformed JSON: {exc}")
         return Arrangement.from_json(data)
 
@@ -239,10 +244,12 @@ class Edge:
 
 @dataclass(frozen=True)
 class Lattice:
-    """The edges of an arrangement with the index, rank and cover relation
-    its consumers look up, and the localization at each edge once some
-    consumer has asked for it."""
+    """The edges of an arrangement in P^n with the index, rank and cover
+    relation its consumers look up, the per-edge Euler numbers and chi_y
+    tables, and the localization at each edge once some consumer has asked
+    for it."""
 
+    n: int
     edges: tuple  # sorted by (codimension, index set)
     by_key: dict  # edge key -> edge
     rank: int  # rank of the whole covector family
@@ -257,11 +264,34 @@ class Lattice:
         return [self.edges[i] for i in
                 _reachable(self.position[edge.index_set], self.up)]
 
-    def interval(self, edge: Edge) -> list:
-        """The edges from the bottom up to edge, edge included (index sets
-        inside its own), in lattice order."""
-        p = self.position[edge.index_set]
-        return [self.edges[i] for i in _reachable(p, self.down)] + [edge]
+    @cached_property
+    def euler(self) -> tuple:
+        """Per position, the Euler number of the projectivized complement
+        of the localization at the edge: codim e + sum over x < e of
+        mu(x) (codim e - codim x), where mu(x) = mu(0, x) = -1 - sum over
+        0 < y < x of mu(y) is computed bottom up, once per edge."""
+        mu = []
+        out = []
+        for i, e in enumerate(self.edges):
+            below = _reachable(i, self.down)
+            mu.append(-1 - sum(mu[x] for x in below))
+            out.append(e.codim + sum(mu[x] * (e.codim - self.edges[x].codim)
+                                     for x in below))
+        return tuple(out)
+
+    @cached_property
+    def chi_y_open(self) -> tuple:
+        """Per position, the integer coefficients of chi_y of the edge's
+        open stratum, top down by additivity: chi_y(P^d) minus chi_y of
+        every open stratum strictly above the edge."""
+        out = [None] * len(self.edges)
+        for i in reversed(range(len(self.edges))):
+            cs = [(-1) ** p for p in range(self.n - self.edges[i].codim + 1)]
+            for f in _reachable(i, self.up):
+                for p, c in enumerate(out[f]):
+                    cs[p] -= c
+            out[i] = cs
+        return tuple(out)
 
 
 def _reachable(start: int, links: tuple) -> list:
@@ -320,8 +350,8 @@ def _search_edges(arr: Arrangement) -> Lattice:
     for i, covering in enumerate(up):
         for j in covering:
             down[j].append(i)
-    return Lattice(edges, {e.key: e for e in edges}, _rank(covs), position,
-                   up, tuple(map(tuple, down)))
+    return Lattice(arr.n, edges, {e.key: e for e in edges}, _rank(covs),
+                   position, up, tuple(map(tuple, down)))
 
 
 def edges(arr: Arrangement) -> tuple:
@@ -330,32 +360,7 @@ def edges(arr: Arrangement) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Mobius combinatorics
-
-
-def _mobius(isets) -> dict:
-    """Mobius function from the minimum of a finite family of index sets
-    ordered by inclusion.  The unique minimum must be present."""
-    order = sorted(isets, key=len)
-    mu = {}
-    for iset in order:
-        if not mu:
-            mu[iset] = 1
-        else:
-            mu[iset] = -sum(v for other, v in mu.items() if other < iset)
-    return mu
-
-
-def _whitney(flats) -> list:
-    """Coefficients of the Whitney polynomial sum_F mu(F) (-t)^{rank F} of
-    a ranked family of flats given as (index_set, rank) pairs including the
-    rank-0 bottom."""
-    ranks = dict(flats)
-    mu = _mobius(set(ranks))
-    coeffs = [Fraction(0)] * (max(ranks.values()) + 1)
-    for iset, rank in ranks.items():
-        coeffs[rank] += mu[iset] * (-1) ** rank
-    return coeffs
+# localization
 
 
 @dataclass(frozen=True)
@@ -392,18 +397,15 @@ def localize(arr: Arrangement, edge: Edge) -> LocalizedArrangement:
     """The localized central arrangement at an edge.  It is built on the
     first request and kept by the lattice, which every later caller
     shares.  Its lattice is the interval of the big lattice below the
-    edge, whose Mobius function gives the complement's Euler number."""
-    localized = arr.lattice.localized
-    loc = localized.get(edge.index_set)
+    edge, so its Euler number is read from the lattice's table."""
+    lattice = arr.lattice
+    loc = lattice.localized.get(edge.index_set)
     if loc is None:
-        flats = [(frozenset(), 0)]
-        flats += [(frozenset(e.index_set), e.codim)
-                  for e in arr.lattice.interval(edge)]
-        projective = RatFuncY(_whitney(flats), 1).as_poly()
         mults = tuple(arr.mult(j) for j in edge.index_set)
-        loc = LocalizedArrangement(edge, edge.codim, mults,
-                                   int(projective(-1)))
-        localized[edge.index_set] = loc
+        loc = LocalizedArrangement(
+            edge, edge.codim, mults,
+            lattice.euler[lattice.position[edge.index_set]])
+        lattice.localized[edge.index_set] = loc
     return loc
 
 
@@ -479,34 +481,20 @@ def chi_y_pn(n: int) -> RatFuncY:
 
 
 def chi_y_stratum(arr: Arrangement, edge: Edge) -> RatFuncY:
-    """chi_y of the open stratum of an edge, from the Betti numbers of the
-    induced projective arrangement complement (all of Tate type)."""
-    d = arr.n - edge.codim
-    if d == 0:
-        return RatFuncY.ONE
-    flats = [(frozenset(edge.index_set), 0)]
-    flats += [(frozenset(e.index_set), e.codim - edge.codim)
-              for e in arr.lattice.above(edge)]
-    if arr.lattice.rank == arr.n + 1:
-        flats.append((frozenset(range(arr.r)) | {-1}, arr.n + 1 - edge.codim))
-    if len(flats) == 1:
-        return chi_y_pn(d)
-    betti = RatFuncY(_whitney(flats), 1).as_poly()
-    acc = RatFuncY.ZERO
-    minus_y = RatFuncY([0, -1])
-    for j, b in enumerate(betti.coeffs):
-        if b:
-            acc = acc + minus_y ** (d - j) * (b * (-1) ** j)
-    return acc
+    """chi_y of the open stratum of an edge, read from the lattice's
+    table."""
+    lattice = arr.lattice
+    return RatFuncY(lattice.chi_y_open[lattice.position[edge.index_set]])
 
 
 def chi_y(arr: Arrangement) -> RatFuncY:
     """chi_y genus of the divisor by additivity over its canonical
     stratification: the sum over all edge strata."""
-    acc = RatFuncY.ZERO
-    for e in arr.lattice.edges:
-        acc = acc + chi_y_stratum(arr, e)
-    return acc
+    total = [0] * arr.n
+    for cs in arr.lattice.chi_y_open:
+        for p, c in enumerate(cs):
+            total[p] += c
+    return RatFuncY(total)
 
 
 def euler_by_inclusion_exclusion(arr: Arrangement) -> int:

@@ -114,8 +114,9 @@ def cmd_lattice(args) -> int:
                       for k, t in chow_dims(arr).items()},
         "weight_dims": {str(k): v
                         for k, v in sorted(homology_weight_dims(arr).items())},
-        # the divisor's Euler number by the Mobius route; the key name is
-        # kept so the report stays stable
+        # the divisor's Euler number, chi_y at y = -1 from the lattice's
+        # table of open strata; the key name is kept so the report stays
+        # stable
         "euler_inclusion_exclusion": int(chi_y(arr)(-1)),
     }
     _emit(_dumps(payload), args.out)
@@ -172,12 +173,9 @@ def cmd_virtual(args) -> int:
 def cmd_chi_y(args) -> int:
     arr = Arrangement.load(args.input)
     # chi_y of the divisor is the sum over its strata, one per edge
-    value = RatFuncY.ZERO
-    per = {}
-    for e in arr.lattice.edges:
-        chi = chi_y_stratum(arr, e)
-        per[e.key] = chi.as_strings()
-        value = value + chi
+    per = {e.key: chi_y_stratum(arr, e).as_strings()
+           for e in arr.lattice.edges}
+    value = chi_y(arr)
     payload = {
         "n": arr.n,
         "chi_y_X": value.as_strings(),

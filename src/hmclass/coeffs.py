@@ -23,13 +23,16 @@ __all__ = [
 
 def rat(value) -> Fraction:
     """Parse a rational from an int (not a bool), Fraction, or 'p/q'
-    string."""
+    string.  A malformed string or a zero denominator is a ValueError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 

@@ -235,7 +235,7 @@ def sp_user_load(source, arr: Arrangement) -> dict:
         with open(source, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise SpectrumError(f"malformed JSON: {exc}")
     else:
         data = source

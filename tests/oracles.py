@@ -8,8 +8,10 @@ route to the Euler number of a smooth hypersurface, the inverse of the
 spectrum frame shift, the coefficient recursion for the inverse of a
 truncated power series, the product over Chern roots of a
 Hirzebruch series evaluated root by root, the dense dict of a Milnor
-report for json.dumps, and the Euler-number defect of a divisor against
-a smooth hypersurface of its degree.  The sparse-vector sums, scalings
+report for json.dumps, the Euler-number defect of a divisor against
+a smooth hypersurface of its degree, and the Whitney-polynomial route to
+each edge's Euler number and chi_y, with a Mobius function from a
+pairwise inclusion test over edges found by filtering.  The sparse-vector sums, scalings
 and polynomiality test that the package itself never needs live here
 too.
 """
@@ -21,7 +23,8 @@ from itertools import combinations
 import sympy
 
 from hmclass.ambient import virtual_genus
-from hmclass.arrangement import Stratum, euler_by_inclusion_exclusion
+from hmclass.arrangement import (Stratum, chi_y_pn,
+                                 euler_by_inclusion_exclusion)
 from hmclass.coeffs import RatFuncY
 from hmclass.genera import (ChernData, _power_sums, chern_to_ch,
                             hirzebruch_series)
@@ -366,3 +369,65 @@ def euler_defect(arr) -> int:
     """chi(smooth degree-m hypersurface in P^n) - chi(X), the value the
     degree-zero part of the Milnor class takes at y = -1."""
     return virtual_genus(arr.m, arr.n)(-1) - euler_by_inclusion_exclusion(arr)
+
+
+def _mobius(isets) -> dict:
+    """Mobius function from the minimum of a finite family of index sets
+    ordered by inclusion.  The unique minimum must be present."""
+    order = sorted(isets, key=len)
+    mu = {}
+    for iset in order:
+        if not mu:
+            mu[iset] = 1
+        else:
+            mu[iset] = -sum(v for other, v in mu.items() if other < iset)
+    return mu
+
+
+def _whitney(flats) -> list:
+    """Coefficients of the Whitney polynomial sum_F mu(F) (-t)^{rank F} of
+    a ranked family of flats given as (index_set, rank) pairs including the
+    rank-0 bottom."""
+    ranks = dict(flats)
+    mu = _mobius(set(ranks))
+    coeffs = [Fraction(0)] * (max(ranks.values()) + 1)
+    for iset, rank in ranks.items():
+        coeffs[rank] += mu[iset] * (-1) ** rank
+    return coeffs
+
+
+def euler_by_whitney(arr, edge) -> int:
+    """The Euler number of the projectivized complement of the localization
+    at an edge: the Whitney polynomial of the edges below it (index sets
+    inside its own), divided by 1 + y, at y = -1."""
+    flats = [(frozenset(), 0)]
+    flats += [(frozenset(e.index_set), e.codim) for e in arr.lattice.edges
+              if set(e.index_set) <= set(edge.index_set)]
+    projective = RatFuncY(_whitney(flats), 1).as_poly()
+    return int(projective(-1))
+
+
+def chi_y_stratum_by_whitney(arr, edge) -> RatFuncY:
+    """chi_y of the open stratum of an edge, from the Betti numbers of the
+    induced projective arrangement complement (all of Tate type): the
+    Whitney polynomial of the edges above it (index sets strictly
+    containing its own), with a synthetic top flat when the covectors span
+    everything, divided by 1 + y."""
+    d = arr.n - edge.codim
+    if d == 0:
+        return RatFuncY.ONE
+    flats = [(frozenset(edge.index_set), 0)]
+    flats += [(frozenset(e.index_set), e.codim - edge.codim)
+              for e in arr.lattice.edges
+              if set(e.index_set) > set(edge.index_set)]
+    if arr.lattice.rank == arr.n + 1:
+        flats.append((frozenset(range(arr.r)) | {-1}, arr.n + 1 - edge.codim))
+    if len(flats) == 1:
+        return chi_y_pn(d)
+    betti = RatFuncY(_whitney(flats), 1).as_poly()
+    acc = RatFuncY.ZERO
+    minus_y = RatFuncY([0, -1])
+    for j, b in enumerate(betti.coeffs):
+        if b:
+            acc = acc + minus_y ** (d - j) * (b * (-1) ** j)
+    return acc

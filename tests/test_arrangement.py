@@ -147,12 +147,19 @@ class TestEdges:
                 for n, k in [(2, 6), (2, 8), (3, 5), (3, 7)] * 3]
         for arr in arrs + [corpus.load("pencil3planes")]:
             lat = arr.lattice
-            for e, covers in zip(lat.edges, lat.up):
+            for i, (e, covers) in enumerate(zip(lat.edges, lat.up)):
                 sset = set(e.index_set)
                 assert lat.above(e) == [f for f in lat.edges
                                         if set(f.index_set) > sset]
-                assert lat.interval(e) == [f for f in lat.edges
-                                           if set(f.index_set) <= sset]
+                # the lower covers reach down to the edges inside this one
+                below, stack = set(), [i]
+                while stack:
+                    for j in lat.down[stack.pop()]:
+                        if j not in below:
+                            below.add(j)
+                            stack.append(j)
+                assert [lat.edges[j] for j in sorted(below)] + [e] == \
+                    [f for f in lat.edges if set(f.index_set) <= sset]
                 assert all(lat.edges[j].codim == e.codim + 1 for j in covers)
 
 

@@ -146,6 +146,49 @@ class TestMilnorCommand:
         assert error["kind"] == "ArrangementError"
         assert "coeffs must be a list" in error["message"]
 
+    def test_zero_denominator_covector_exit_code(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "n": 2,
+            "hyperplanes": [{"coeffs": ["1/0", "0", "1"], "mult": 1},
+                            {"coeffs": ["0", "1", "0"], "mult": 1}],
+        }))
+        code, out, err = run(capsys, "milnor", str(bad))
+        assert code == 2 and out == "" and err.count("\n") == 1
+        error = json.loads(err)["error"]
+        assert error["kind"] == "ArrangementError"
+        assert "zero denominator" in error["message"]
+
+    def test_zero_denominator_table_exit_code(self, capsys, tmp_path):
+        tables = tmp_path / "tables.json"
+        tables.write_text(json.dumps({"1,2,3": [
+            {"alpha": "2/0", "mult": 1}, {"alpha": "1", "mult": 2},
+            {"alpha": "4/3", "mult": 1}]}))
+        code, out, err = run(capsys, "milnor", corpus_file("concurrent3"),
+                             "--tables", str(tables))
+        assert code == 2 and out == "" and err.count("\n") == 1
+        error = json.loads(err)["error"]
+        assert error["kind"] == "SpectrumError"
+        assert "zero denominator" in error["message"]
+
+    @pytest.mark.parametrize("target", ["input", "tables"])
+    def test_deeply_nested_json_exit_code(self, tmp_path, target):
+        # the decoder gives up on 10^5 nested arrays with a RecursionError
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        if target == "input":
+            argv = ["milnor", str(deep)]
+            kind = "ArrangementError"
+        else:
+            argv = ["milnor", corpus_file("concurrent3"), "--tables",
+                    str(deep)]
+            kind = "SpectrumError"
+        code, out, err = fresh_run(*argv)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        error = json.loads(err)["error"]
+        assert error["kind"] == kind
+        assert error["message"].startswith("malformed JSON")
+
     @pytest.mark.parametrize("field", ["n", "mult", "coeffs"])
     def test_boolean_input_exit_code(self, capsys, tmp_path, field):
         # two points on a line: a valid input while true reads as 1
@@ -263,6 +306,25 @@ def test_corpus_report_matches_golden(capsys, name, command):
                          corpus_file(name))
     assert code == 0, err
     assert out.encode() == (GOLDEN / f"{name}.{command}.json").read_bytes()
+
+
+# inputs wider than the benchmark pools, with the SHA-256 of each report
+# recorded in tests/golden/<input>.<command>.sha256; CI checks the same
+# files with sha256sum -c
+WIDE_DIGESTS = [("lines30", "lattice"), ("lines30", "spectra"),
+                ("lines30", "chi-y"), ("planes12", "lattice"),
+                ("planes12", "chi-y"), ("planes12", "milnor")]
+
+
+@pytest.mark.parametrize("name,command", WIDE_DIGESTS)
+def test_wide_input_digest(capsys, name, command):
+    # lines30: covectors (1, i, i^2) for i < 30; planes12: (1, i, i^2, i^3)
+    # for i < 12, with 220 triple points and 66 double lines
+    golden = GOLDEN.parent
+    code, out, err = run(capsys, command, str(golden / f"{name}.json"))
+    assert code == 0, err
+    digest = (golden / f"{name}.{command}.sha256").read_text().split()[0]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_thirty_generic_lines_digest(capsys):

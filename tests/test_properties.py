@@ -1,4 +1,5 @@
-"""Properties of assembled reports over generated arrangements.
+"""Properties of assembled reports and of the intersection lattice over
+generated arrangements.
 
 Derandomized, with few examples, so the suite stays quick and repeatable.
 The properties hold for any stratum signature, so they also guard the
@@ -10,10 +11,13 @@ import json
 from hypothesis import HealthCheck, assume, given, reject, settings
 from hypothesis import strategies as st
 
-from hmclass.arrangement import ArrangementError, build, sigma_strata
+from hmclass.arrangement import (ArrangementError, build, chi_y,
+                                 chi_y_stratum, euler_by_inclusion_exclusion,
+                                 localize, sigma_strata)
 from hmclass.milnor import ALL_CONVENTIONS, MissingSpectrumError, assemble
 from hmclass.strata import build_labels, relabel_vector
-from oracles import euler_defect, report_to_json
+from oracles import (chi_y_stratum_by_whitney, euler_by_whitney, euler_defect,
+                     report_to_json)
 
 SETTINGS = settings(derandomize=True, max_examples=30, deadline=None,
                     suppress_health_check=[HealthCheck.filter_too_much])
@@ -131,3 +135,33 @@ def test_euler_defect_is_trace_plus_curve_terms(case):
                  for s in strata if s.dim == 1)
     term = (-1) ** (n - 1) * curves * (arr.m - 1)
     assert rep.m_y.trace()(-1) + term == euler_defect(arr)
+
+
+@st.composite
+def lattice_arrangements(draw):
+    """(n, hyperplanes): small integer covectors in P^2 and P^3, a few in
+    P^4, with multiplicities 1 to 3."""
+    n = draw(st.sampled_from([2, 2, 3, 3, 4]))
+    k = draw(st.integers(2, {2: 8, 3: 7, 4: 6}[n]))
+    entry = st.integers(-2, 2)
+    covs = draw(st.lists(st.tuples(*[entry] * (n + 1)), min_size=k,
+                         max_size=k, unique=True))
+    mults = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    return n, list(zip(covs, mults))
+
+
+@settings(SETTINGS, max_examples=100)
+@given(lattice_arrangements())
+def test_lattice_tables_match_whitney_oracle(case):
+    # the bottom-up Mobius pass and the top-down chi_y pass give, for every
+    # edge, the values of the Whitney polynomials of its lower and upper
+    # intervals; their sum at y = -1 is the inclusion-exclusion count
+    n, hyperplanes = case
+    try:
+        arr = build(n, hyperplanes)
+    except ArrangementError:
+        reject()
+    for e in arr.lattice.edges:
+        assert localize(arr, e).euler == euler_by_whitney(arr, e), e.key
+        assert chi_y_stratum(arr, e) == chi_y_stratum_by_whitney(arr, e), e.key
+    assert chi_y(arr)(-1) == euler_by_inclusion_exclusion(arr)
