@@ -5,7 +5,7 @@ independent computation paths cross-validating each other."""
 
 from .coeffs import RatFuncY, rat
 from .rings import BlownPlaneRing, ProjRing, RingElement
-from .genera import ChernData, hirzebruch_series, verify_identity_qr
+from .genera import hirzebruch_series, verify_identity_qr
 from .arrangement import (Arrangement, ArrangementError, Edge, Stratum,
                           build, chi_y, chi_y_pn, chi_y_stratum, edges,
                           is_dense, localize, milnor_fiber_chi, sigma_strata)
@@ -15,7 +15,7 @@ from .spectra import (Spectrum, SpectrumError, SpectrumValidationError,
 from .ambient import virtual_genus, virtual_pushed
 from .strata import (LabelSchema, SigmaChowVector, StratumModel,
                      build_labels, chow_dims, compactify, deligne_class,
-                     homology_weight_dims, log_chern, push_to_sigma)
+                     homology_weight_dims, push_to_sigma)
 from .milnor import (ConventionSet, DEFAULT_CONVENTIONS, MilnorReport,
                      assemble, calibrate, chern_milnor, degree0_check)
 

@@ -22,13 +22,15 @@ __all__ = [
 
 
 def rat(value) -> Fraction:
-    """Parse a rational from an int (not a bool), Fraction, or 'p/q'
-    string.  A malformed string or a zero denominator is a ValueError."""
+    """Parse a rational from an int (not a bool), Fraction, 'p/q' or decimal
+    string.  Bad syntax, a zero denominator or an exponent is a ValueError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise ValueError(f"exponent notation in {value!r}")
         try:
             return Fraction(value.strip())
         except ZeroDivisionError:

@@ -1,27 +1,22 @@
-"""Hirzebruch power series and characteristic-class calculus from Chern data.
+"""Hirzebruch power series.
 
 The three generating series (the class series Q, its rescaled variant,
 and the residue series R) and the Todd specialization are elements of
-ProjRing(order), the series variable read as h; Chern characters and
-Todd classes are built from Chern data.
+ProjRing(order), the series variable read as h.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeffs import RatFuncY
-from .rings import ProjRing, Ring, RingElement, exp_nilpotent
+from .rings import ProjRing, RingElement, exp_nilpotent
 
 __all__ = [
-    "ChernData",
     "hirzebruch_series",
     "compose_scale",
     "verify_identity_qr",
-    "chern_to_ch",
-    "todd_from_chern",
 ]
 
 _ONE_PLUS_Y = RatFuncY.ONE_PLUS_Y
@@ -85,60 +80,3 @@ def verify_identity_qr(order: int) -> dict:
             "rescale_ok": rescale_ok,
             "product_ok": product_ok,
             "order": order}
-
-
-@dataclass(frozen=True)
-class ChernData:
-    """A K-theory class presented by rank and Chern classes c_1..c_dim
-    (ring elements of pure degree)."""
-
-    rank: int
-    chern: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "chern", tuple(self.chern))
-        for i, c in enumerate(self.chern, start=1):
-            if isinstance(c, RingElement) and c.graded_part(i) != c:
-                raise ValueError(f"Chern entry {i} is not of pure degree {i}")
-
-    def c(self, i: int) -> RingElement:
-        return self.chern[i - 1]
-
-
-def _power_sums(cd: ChernData, ring: Ring) -> list:
-    """Newton's identities: power sums of the Chern roots up to ring.dim."""
-    d = ring.dim
-    e = [ring.one()] + [cd.chern[i] if i < len(cd.chern) else ring.zero()
-                        for i in range(d)]
-    p = [ring.scalar(cd.rank)]
-    for k in range(1, d + 1):
-        acc = ring.zero()
-        for i in range(1, k):
-            acc = acc + e[i] * p[k - i] * ((-1) ** (i - 1))
-        acc = acc + e[k] * (((-1) ** (k - 1)) * k)
-        p.append(acc)
-    return p
-
-
-def chern_to_ch(cd: ChernData, ring: Ring) -> RingElement:
-    """Chern character from Chern data: rank + sum of power sums / k!."""
-    p = _power_sums(cd, ring)
-    acc = ring.scalar(cd.rank)
-    fact = 1
-    for k in range(1, ring.dim + 1):
-        fact *= k
-        acc = acc + p[k] * Fraction(1, fact)
-    return acc
-
-
-def todd_from_chern(cd: ChernData, ring: Ring) -> RingElement:
-    """Todd class from Chern data, valid through degree 2."""
-    if ring.dim > 2:
-        raise ValueError("todd_from_chern implemented through degree 2 only")
-    acc = ring.one()
-    if ring.dim >= 1:
-        c1 = cd.c(1)
-        acc = acc + c1 * Fraction(1, 2)
-    if ring.dim == 2:
-        acc = acc + (c1 * c1 + cd.c(2)) * Fraction(1, 12)
-    return acc

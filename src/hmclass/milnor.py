@@ -20,12 +20,11 @@ from .ambient import virtual_genus
 from .arrangement import (Arrangement, chi_y, localize, milnor_fiber_chi,
                           sigma_strata)
 from .coeffs import RatFuncY
-from .genera import chern_to_ch
 from .rings import RingElement, exp_nilpotent
 from .spectra import Spectrum, sp_shift, stratum_spectrum
 from .strata import (EXT_HALF_OPEN_DOWN, EXT_HALF_OPEN_UP, LabelSchema,
                      SigmaChowVector, StratumModel, build_labels, compactify,
-                     deligne_class, k_representative, log_chern, push_to_sigma)
+                     deligne_class, k_representative, push_to_sigma)
 
 __all__ = [
     "MilnorError",
@@ -193,7 +192,6 @@ def _stratum_contribution(arr: Arrangement, stratum, germ_sp, model,
     are summed per Deligne power k and cotangent power q first, and the
     Todd transformation runs once, on the weighted sum."""
     n = arr.n
-    ring = model.ring
     strat_sp = sp_shift(germ_sp, stratum, n)
     minus_y = -RatFuncY.Y
     signs = [1 if (q + n - 1) % 2 == 0 else -1 for q in range(model.dim + 1)]
@@ -204,17 +202,13 @@ def _stratum_contribution(arr: Arrangement, stratum, germ_sp, model,
         p = math.floor(n - alpha)
         for q, sign in enumerate(signs):
             w[q] = w[q] + minus_y ** (p + q) * (sign * n_alpha)
-    ch_log = [chern_to_ch(log_chern(model, q), ring)
-              for q in range(model.dim + 1)]
-    total = ring.zero()
+    total = model.ring.zero()
     for k, w in weights.items():
         ch_line = exp_nilpotent(deligne_class(model, k, conv.extension_mode))
-        summed = ring.zero()
-        for ch, wq in zip(ch_log, w):
-            if wq:
-                summed = summed + ch * wq
+        summed = sum((ch * wq for ch, wq in zip(model.log_ch, w) if wq),
+                     model.ring.zero())
         total = total + ch_line * summed
-    return td_transform(total, model.todd())
+    return td_transform(total, model.todd)
 
 
 def _signature(n: int, model: StratumModel, germ: Spectrum) -> tuple:
@@ -252,12 +246,13 @@ def assemble(arr: Arrangement, user_tables: dict = None,
     """
     schema = build_labels(arr)
     strata = sigma_strata(arr)
+    # compactify rejects strata of dimension > 2 before any spectrum lookup
+    models = [compactify(arr, s) for s in strata]
     spectra = [stratum_spectrum(arr, s, user_tables) for s in strata]
     missing = [s.key for s, sp in zip(strata, spectra) if sp is None]
     if missing:
         raise MissingSpectrumError(missing)
 
-    models = [compactify(arr, s) for s in strata]
     totals = {}
     per_stratum = {}
     memo = {}  # signature -> contribution, for this report only
@@ -314,11 +309,7 @@ def chern_milnor(arr: Arrangement, schema: LabelSchema = None,
         chi_tilde = milnor_fiber_chi(localize(arr, model.edge)) - 1
         if chi_tilde == 0:
             continue
-        # c(T(-log D)) = sum_i (-1)^i c_i(Omega^1(log D)), 1 on a point
-        total = model.ring.one()
-        for i, c in enumerate(log_chern(model, min(model.dim, 1)).chern, 1):
-            total = total + c * (-1) ** i
-        pushed = push_to_sigma(schema, model.edge, total)
+        pushed = push_to_sigma(schema, model.edge, model.log_tangent)
         _add_into(totals, pushed, chi_tilde)
     return SigmaChowVector(schema, totals)
 

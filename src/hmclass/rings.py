@@ -113,10 +113,6 @@ class RingElement:
             result = result * base
         return result
 
-    def graded_part(self, degree: int) -> "RingElement":
-        return _element(self.ring, [c if d == degree else _ZERO
-                                    for c, d in zip(self.coeffs, self.ring.degrees)])
-
     def inverse(self) -> "RingElement":
         """Inverse of an element with invertible degree-0 part (geometric series
         in the nilpotent remainder)."""

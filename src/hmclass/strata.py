@@ -2,22 +2,22 @@
 
 Strata of dimension <= 2 are compactified explicitly: a point, a line, or
 the stratum closure blown up at the points where the induced arrangement
-fails to be normal crossing.  Each model carries its ring, its tangent
-Chern data and its boundary divisors with integer residues; from these
-come the Deligne-extension line-bundle classes, the logarithmic cotangent
-Chern data, and a pushforward to the labeled Chow basis of the singular
-locus.
+fails to be normal crossing.  Each model carries its ring, the tangent
+Chern classes c1, c2 and its boundary divisors with integer residues;
+from these come the Deligne-extension line-bundle classes, closed forms
+through degree 2 for the Todd class, ch(Omega^q(log D)) and c(T(-log D)),
+and a pushforward to the labeled Chow basis of the singular locus.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .arrangement import Arrangement, Edge, Stratum, sigma_strata
 from .coeffs import RatFuncY, rat
-from .genera import ChernData, todd_from_chern
-from .rings import BlownPlaneRing, ProjRing, RingElement
+from .rings import BlownPlaneRing, ProjRing, RingElement, exp_nilpotent
 
 __all__ = [
     "StrataError",
@@ -29,7 +29,6 @@ __all__ = [
     "deligne_class",
     "deligne_residues",
     "power_identity_holds",
-    "log_chern",
     "LabelSchema",
     "build_labels",
     "SigmaChowVector",
@@ -57,17 +56,22 @@ class BoundaryComponent:
 
 
 _KIND = ("point", "curve", "surface")
+_HALF = Fraction(1, 2)
+_TWELFTH = Fraction(1, 12)
 
 
 @dataclass(frozen=True)
 class StratumModel:
+    """A stratum's good compactification; D = sum D_i is its boundary."""
+
     stratum: Stratum
     ring: object
     blown: tuple               # keys of blown-up points (surface only)
     boundary: tuple            # BoundaryComponent list
     m_s: int
     out_degree: int            # total multiplicity away from the stratum
-    tangent: ChernData         # tangent Chern data of the model
+    c1: RingElement            # Chern classes of the tangent bundle
+    c2: RingElement
 
     @property
     def dim(self) -> int:
@@ -85,8 +89,49 @@ class StratumModel:
         """Pullback of the ambient hyperplane class (zero on a point)."""
         return self.ring.basis_element(1) if self.dim else self.ring.zero()
 
+    @cached_property
+    def _divisor(self) -> RingElement:
+        """D, the sum of the boundary divisors."""
+        return sum((c.cls for c in self.boundary), self.ring.zero())
+
+    @cached_property
+    def _divisor_squares(self) -> RingElement:
+        """The sum of the D_i^2, read on a surface only."""
+        return sum((c.cls * c.cls for c in self.boundary), self.ring.zero())
+
+    @cached_property
     def todd(self) -> RingElement:
-        return todd_from_chern(self.tangent, self.ring)
+        """td(T) = 1 + c1/2 + (c1^2 + c2)/12."""
+        c1 = self.c1
+        return self.ring.one() + c1 * _HALF + (c1 * c1 + self.c2) * _TWELFTH
+
+    @cached_property
+    def log_ch(self) -> tuple:
+        """ch(Omega^q(log D)) for q = 0..dim.  The top power is the line
+        bundle K + D; on a surface the residue sequence gives
+        ch Omega^1(log D) = 2 - c1 + D + (c1^2 - 2 c2 - sum D_i^2)/2."""
+        one, c1, d = self.ring.one(), self.c1, self._divisor
+        if not self.dim:
+            return (one,)
+        top = exp_nilpotent(d - c1)
+        if self.dim == 1:
+            return (one, top)
+        middle = (d - c1 + 2
+                  + (c1 * c1 - self.c2 * 2 - self._divisor_squares) * _HALF)
+        return (one, middle, top)
+
+    @cached_property
+    def log_tangent(self) -> RingElement:
+        """c(T(-log D)) = c(T) prod (1 + D_i)^{-1}, through degree 2:
+        1 + c1 - D + c2 - c1 D + (D^2 + sum D_i^2)/2."""
+        one = self.ring.one()
+        if not self.dim:
+            return one
+        c1, d = self.c1, self._divisor
+        if self.dim == 1:
+            return one + c1 - d
+        return (one + c1 - d + self.c2 - c1 * d
+                + (d * d + self._divisor_squares) * _HALF)
 
     def to_json(self) -> dict:
         return {
@@ -129,8 +174,9 @@ def compactify(arr: Arrangement, stratum: Stratum) -> StratumModel:
         return value % m_s
 
     if d == 0:
-        return StratumModel(stratum, ProjRing(0), (), (), m_s, out_degree,
-                            ChernData(0, ()))
+        zero = ProjRing(0).zero()
+        return StratumModel(stratum, zero.ring, (), (), m_s, out_degree,
+                            zero, zero)
 
     # the edges inside the closure, with their induced multiplicities
     boundary = [(e, e.m_s - m_s) for e in arr.lattice.above(edge)]
@@ -143,7 +189,7 @@ def compactify(arr: Arrangement, stratum: Stratum) -> StratumModel:
         comps.append(BoundaryComponent("infinity", "infinity", 0,
                                        res(-arr.m), pt))
         return StratumModel(stratum, ring, (), tuple(comps), m_s, out_degree,
-                            ChernData(1, (pt * 2,)))
+                            pt * 2, ring.zero())
 
     lines = [(e, m_rel) for e, m_rel in boundary if e.codim == edge.codim + 1]
     points = [(e, m_rel) for e, m_rel in boundary if e.codim == edge.codim + 2]
@@ -169,9 +215,8 @@ def compactify(arr: Arrangement, stratum: Stratum) -> StratumModel:
     c1 = ring.e * 3
     for p in blown:
         c1 = c1 - ring.eps(p)
-    tangent = ChernData(2, (c1, ring.pt * (3 + len(blown))))
     return StratumModel(stratum, ring, tuple(blown), tuple(comps), m_s,
-                        out_degree, tangent)
+                        out_degree, c1, ring.pt * (3 + len(blown)))
 
 
 def residues(model: StratumModel) -> dict:
@@ -257,32 +302,6 @@ def power_identity_holds(model: StratumModel) -> bool:
     for comp in model.boundary:
         rhs = rhs - comp.cls * comp.m_res
     return lhs == rhs
-
-
-# ---------------------------------------------------------------------------
-# logarithmic cotangent data
-
-
-def log_chern(model: StratumModel, q: int) -> ChernData:
-    """Chern data of the q-th logarithmic cotangent power along the full
-    boundary divisor of the model."""
-    if q < 0 or q > model.dim:
-        raise StrataError(f"q = {q} outside [0, {model.dim}]")
-    ring, dim = model.ring, model.dim
-    if q == 0:
-        return ChernData(1, (ring.zero(),) * dim)
-    k_cls = -model.tangent.c(1)
-    if q == dim:
-        c1 = k_cls
-        for comp in model.boundary:
-            c1 = c1 + comp.cls
-        return ChernData(1, (c1,) + (ring.zero(),) * (dim - 1))
-    # q == 1 on a surface: c(log cotangent) = c(cotangent) * prod over
-    # boundary of (1 - D)^{-1}, truncated in degree 2
-    total = ring.one() + k_cls + model.tangent.c(2)
-    for comp in model.boundary:
-        total = total * (ring.one() + comp.cls + comp.cls * comp.cls)
-    return ChernData(2, (total.graded_part(1), total.graded_part(2)))
 
 
 # ---------------------------------------------------------------------------

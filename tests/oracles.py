@@ -11,12 +11,15 @@ Hirzebruch series evaluated root by root, the dense dict of a Milnor
 report for json.dumps, the Euler-number defect of a divisor against
 a smooth hypersurface of its degree, and the Whitney-polynomial route to
 each edge's Euler number and chi_y, with a Mobius function from a
-pairwise inclusion test over edges found by filtering.  The sparse-vector sums, scalings
+pairwise inclusion test over edges found by filtering.  The Newton-identity
+route from Chern data to Chern characters and Todd classes checks the
+closed forms a stratum model carries.  The sparse-vector sums, scalings
 and polynomiality test that the package itself never needs live here
 too.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -26,13 +29,12 @@ from hmclass.ambient import virtual_genus
 from hmclass.arrangement import (Stratum, chi_y_pn,
                                  euler_by_inclusion_exclusion)
 from hmclass.coeffs import RatFuncY
-from hmclass.genera import (ChernData, _power_sums, chern_to_ch,
-                            hirzebruch_series)
+from hmclass.genera import hirzebruch_series
 from hmclass.milnor import td_transform
 from hmclass.rings import ProjRing, Ring, RingElement, exp_nilpotent
 from hmclass.spectra import Spectrum, SpectrumError, sp_shift
-from hmclass.strata import (SigmaChowVector, deligne_class, k_representative,
-                            log_chern)
+from hmclass.strata import (SigmaChowVector, StrataError, deligne_class,
+                            k_representative)
 
 
 def series_coeffs(expr, var, order):
@@ -139,6 +141,97 @@ def dense_by_bipartition(covectors):
         if rank_of(part_a) + rank_of(part_b) == total:
             return False
     return True
+
+
+def graded_part(elem: RingElement, degree: int) -> RingElement:
+    """The part of a class of one cohomological degree."""
+    return RingElement(elem.ring, [c if d == degree else RatFuncY.ZERO
+                                   for c, d in zip(elem.coeffs,
+                                                   elem.ring.degrees)])
+
+
+@dataclass(frozen=True)
+class ChernData:
+    """A K-theory class presented by rank and Chern classes c_1..c_dim
+    (ring elements of pure degree)."""
+
+    rank: int
+    chern: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "chern", tuple(self.chern))
+        for i, c in enumerate(self.chern, start=1):
+            if isinstance(c, RingElement) and graded_part(c, i) != c:
+                raise ValueError(f"Chern entry {i} is not of pure degree {i}")
+
+    def c(self, i: int) -> RingElement:
+        return self.chern[i - 1]
+
+
+def _power_sums(cd: ChernData, ring: Ring) -> list:
+    """Newton's identities: power sums of the Chern roots up to ring.dim."""
+    d = ring.dim
+    e = [ring.one()] + [cd.chern[i] if i < len(cd.chern) else ring.zero()
+                        for i in range(d)]
+    p = [ring.scalar(cd.rank)]
+    for k in range(1, d + 1):
+        acc = ring.zero()
+        for i in range(1, k):
+            acc = acc + e[i] * p[k - i] * ((-1) ** (i - 1))
+        acc = acc + e[k] * (((-1) ** (k - 1)) * k)
+        p.append(acc)
+    return p
+
+
+def chern_to_ch(cd: ChernData, ring: Ring) -> RingElement:
+    """Chern character from Chern data: rank + sum of power sums / k!."""
+    p = _power_sums(cd, ring)
+    acc = ring.scalar(cd.rank)
+    fact = 1
+    for k in range(1, ring.dim + 1):
+        fact *= k
+        acc = acc + p[k] * Fraction(1, fact)
+    return acc
+
+
+def todd_from_chern(cd: ChernData, ring: Ring) -> RingElement:
+    """Todd class from Chern data, valid through degree 2."""
+    if ring.dim > 2:
+        raise ValueError("todd_from_chern implemented through degree 2 only")
+    acc = ring.one()
+    if ring.dim >= 1:
+        c1 = cd.c(1)
+        acc = acc + c1 * Fraction(1, 2)
+    if ring.dim == 2:
+        acc = acc + (c1 * c1 + cd.c(2)) * Fraction(1, 12)
+    return acc
+
+
+def tangent_chern(model) -> ChernData:
+    """Chern data of the tangent bundle of a stratum model."""
+    return ChernData(model.dim, (model.c1, model.c2)[:model.dim])
+
+
+def log_chern(model, q: int) -> ChernData:
+    """Chern data of the q-th logarithmic cotangent power along the full
+    boundary divisor of the model."""
+    if q < 0 or q > model.dim:
+        raise StrataError(f"q = {q} outside [0, {model.dim}]")
+    ring, dim = model.ring, model.dim
+    if q == 0:
+        return ChernData(1, (ring.zero(),) * dim)
+    k_cls = -model.c1
+    if q == dim:
+        c1 = k_cls
+        for comp in model.boundary:
+            c1 = c1 + comp.cls
+        return ChernData(1, (c1,) + (ring.zero(),) * (dim - 1))
+    # q == 1 on a surface: c(log cotangent) = c(cotangent) * prod over
+    # boundary of (1 - D)^{-1}, truncated in degree 2
+    total = ring.one() + k_cls + model.c2
+    for comp in model.boundary:
+        total = total * (ring.one() + comp.cls + comp.cls * comp.cls)
+    return ChernData(2, (graded_part(total, 1), graded_part(total, 2)))
 
 
 def _exp_minus_one_powers(dim: int) -> list:
@@ -281,7 +374,8 @@ def sp_unshift(stratum_sp: Spectrum, stratum: Stratum) -> Spectrum:
 def td_1py(cd: ChernData, model) -> RingElement:
     """Scaled Todd transformation of a K-class given by Chern data on a
     stratum model."""
-    return td_transform(chern_to_ch(cd, model.ring), model.todd())
+    todd = todd_from_chern(tangent_chern(model), model.ring)
+    return td_transform(chern_to_ch(cd, model.ring), todd)
 
 
 def stratum_contribution_by_terms(arr, stratum, germ_sp, model, conv) -> RingElement:
@@ -294,7 +388,7 @@ def stratum_contribution_by_terms(arr, stratum, germ_sp, model, conv) -> RingEle
     minus_y = RatFuncY([0, -1])
     log_data = [log_chern(model, q) for q in range(model.dim + 1)]
     ch_log = [chern_to_ch(cd, ring) for cd in log_data]
-    todd = model.todd()
+    todd = todd_from_chern(tangent_chern(model), ring)
     for alpha, n_alpha in strat_sp.entries:
         k = k_representative(alpha, model.m_s, conv.extension_mode)
         ch_line = exp_nilpotent(deligne_class(model, k, conv.extension_mode))

@@ -75,6 +75,35 @@ class TestMilnorCommand:
         assert code == 1
         assert "missing spectrum" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize("with_tables", [False, True])
+    def test_stratum_outside_envelope_exit_code(self, capsys, tmp_path,
+                                                with_tables):
+        # the double hyperplane x3 of P^4 is a stratum of dimension 3; the
+        # tables are valid for the three strata the catalogue cannot serve
+        source = tmp_path / "p4.json"
+        source.write_text(json.dumps({
+            "n": 4,
+            "hyperplanes": [
+                {"coeffs": c, "mult": 2 if c[3] == "1" else 1}
+                for c in (["1", "0", "0", "0", "0"], ["0", "1", "0", "0", "0"],
+                          ["0", "0", "1", "0", "0"], ["1", "1", "1", "0", "0"],
+                          ["0", "0", "0", "1", "0"], ["0", "0", "0", "0", "1"])
+            ],
+        }))
+        argv = ["milnor", str(source)]
+        if with_tables:
+            tables = tmp_path / "tables.json"
+            tables.write_text(json.dumps({
+                "1,2,3,4": [{"alpha": "1", "mult": 3}],
+                "1,2,3,4,5": [{"alpha": "1", "mult": 1}],
+                "1,2,3,4,6": [{"alpha": "1", "mult": 1}]}))
+            argv += ["--tables", str(tables)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert json.loads(err)["error"] == {
+            "kind": "StrataError",
+            "message": "unsupported stratum dimension 3 (cap is 2)"}
+
     def test_invalid_table_exit_code(self, capsys, tmp_path):
         tables = tmp_path / "tables.json"
         tables.write_text(json.dumps({"1,2,3": [{"alpha": "1", "mult": 1}]}))
@@ -170,6 +199,33 @@ class TestMilnorCommand:
         error = json.loads(err)["error"]
         assert error["kind"] == "SpectrumError"
         assert "zero denominator" in error["message"]
+
+    def test_exponent_covector_exit_code(self, capsys, tmp_path):
+        # Fraction would expand the 9-byte entry into a 3-million-digit
+        # integer before the lattice search
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "n": 2,
+            "hyperplanes": [{"coeffs": ["1e3000000", "0", "1"], "mult": 1},
+                            {"coeffs": ["0", "1", "0"], "mult": 1}],
+        }))
+        code, out, err = run(capsys, "milnor", str(bad))
+        assert code == 2 and out == "" and err.count("\n") == 1
+        error = json.loads(err)["error"]
+        assert error["kind"] == "ArrangementError"
+        assert "exponent notation" in error["message"]
+
+    def test_exponent_table_exit_code(self, capsys, tmp_path):
+        tables = tmp_path / "tables.json"
+        tables.write_text(json.dumps({"1,2,3": [
+            {"alpha": "1e3000000", "mult": 1}, {"alpha": "1", "mult": 2},
+            {"alpha": "4/3", "mult": 1}]}))
+        code, out, err = run(capsys, "milnor", corpus_file("concurrent3"),
+                             "--tables", str(tables))
+        assert code == 2 and out == "" and err.count("\n") == 1
+        error = json.loads(err)["error"]
+        assert error["kind"] == "SpectrumError"
+        assert "exponent notation" in error["message"]
 
     @pytest.mark.parametrize("target", ["input", "tables"])
     def test_deeply_nested_json_exit_code(self, tmp_path, target):
@@ -306,6 +362,26 @@ def test_corpus_report_matches_golden(capsys, name, command):
                          corpus_file(name))
     assert code == 0, err
     assert out.encode() == (GOLDEN / f"{name}.{command}.json").read_bytes()
+
+
+# milnor under each non-default convention, with the suffix of its golden
+# file; recorded before the stratum models took their closed forms
+CONVENTION_GOLDENS = {
+    "as_printed/res_[0,1)": "milnor-as_printed-half_open_down",
+    "flip_odd_strata/res_(0,1]": "milnor-flip_odd_strata-half_open_up",
+    "flip_odd_strata/res_[0,1)": "milnor-flip_odd_strata-half_open_down",
+}
+
+
+@pytest.mark.parametrize("conventions", list(CONVENTION_GOLDENS))
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_corpus_report_under_conventions_matches_golden(capsys, name,
+                                                        conventions):
+    code, out, err = run(capsys, "milnor", corpus_file(name),
+                         "--conventions", conventions)
+    assert code == 0, err
+    golden = GOLDEN / f"{name}.{CONVENTION_GOLDENS[conventions]}.json"
+    assert out.encode() == golden.read_bytes()
 
 
 # inputs wider than the benchmark pools, with the SHA-256 of each report

@@ -90,6 +90,13 @@ class TestRatFunc:
         with pytest.raises(TypeError):
             rat(True)
 
+    def test_rat_reads_decimals_and_rejects_exponents(self):
+        # a decimal costs what its length costs; an exponent does not
+        assert rat(" 0.25 ") == Fraction(1, 4)
+        for text in ("1e3000000", "1E5", "2.5e-3"):
+            with pytest.raises(ValueError, match="exponent notation"):
+                rat(text)
+
     def test_against_sympy_randomized(self):
         rng = random.Random(2013)
         for _ in range(80):

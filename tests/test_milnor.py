@@ -9,7 +9,6 @@ from hmclass import arrangement, cli, corpus, milnor, strata
 from hmclass.arrangement import (ArrangementError, build, localize,
                                  milnor_fiber_chi, sigma_strata)
 from hmclass.coeffs import RatFuncY
-from hmclass.genera import ChernData
 from hmclass.milnor import (ALL_CONVENTIONS, DEFAULT_CONVENTIONS,
                             ConventionSet, MissingSpectrumError,
                             _signature,
@@ -18,7 +17,7 @@ from hmclass.milnor import (ALL_CONVENTIONS, DEFAULT_CONVENTIONS,
 from hmclass.spectra import sp_user_load, stratum_spectrum
 from hmclass.strata import (SigmaChowVector, build_labels, compactify,
                             push_to_sigma, relabel_vector)
-from oracles import (euler_defect, report_to_json,
+from oracles import (ChernData, euler_defect, report_to_json,
                      stratum_contribution_by_terms, td_1py,
                      vector_is_polynomial, vector_scale, vector_sum)
 

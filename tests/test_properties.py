@@ -6,18 +6,26 @@ The properties hold for any stratum signature, so they also guard the
 per-report memo of contributions against a signature that is too coarse.
 """
 
+import contextlib
+import io
 import json
+import tempfile
+from collections import Counter
+from pathlib import Path
 
 from hypothesis import HealthCheck, assume, given, reject, settings
 from hypothesis import strategies as st
 
+from hmclass import cli
 from hmclass.arrangement import (ArrangementError, build, chi_y,
                                  chi_y_stratum, euler_by_inclusion_exclusion,
                                  localize, sigma_strata)
+from hmclass.corpus import ALL_NAMES, corpus_path
 from hmclass.milnor import ALL_CONVENTIONS, MissingSpectrumError, assemble
-from hmclass.strata import build_labels, relabel_vector
-from oracles import (chi_y_stratum_by_whitney, euler_by_whitney, euler_defect,
-                     report_to_json)
+from hmclass.strata import build_labels, compactify, relabel_vector
+from oracles import (chern_to_ch, chi_y_stratum_by_whitney, euler_by_whitney,
+                     euler_defect, log_chern, report_to_json,
+                     tangent_chern, todd_from_chern)
 
 SETTINGS = settings(derandomize=True, max_examples=30, deadline=None,
                     suppress_health_check=[HealthCheck.filter_too_much])
@@ -165,3 +173,141 @@ def test_lattice_tables_match_whitney_oracle(case):
         assert localize(arr, e).euler == euler_by_whitney(arr, e), e.key
         assert chi_y_stratum(arr, e) == chi_y_stratum_by_whitney(arr, e), e.key
     assert chi_y(arr)(-1) == euler_by_inclusion_exclusion(arr)
+
+
+@st.composite
+def model_arrangements(draw):
+    """(n, hyperplanes) in P^2 or P^3 with multiplicities 1 to 3.  In P^3
+    the first plane is multiple, and it and at least three others pass
+    through the point [0:0:0:1], so its surface model is often blown up
+    there."""
+    n = draw(st.sampled_from([2, 3]))
+    entry = st.integers(-2, 2)
+    if n == 2:
+        covs = draw(st.lists(st.tuples(entry, entry, entry), min_size=3,
+                             max_size=7, unique=True))
+        first = []
+    else:
+        covs = draw(st.lists(st.tuples(entry, entry, entry, st.just(0)),
+                             min_size=4, max_size=5, unique=True))
+        covs += draw(st.lists(st.tuples(entry, entry, entry, entry),
+                              max_size=2, unique=True))
+        first = [draw(st.integers(2, 3))]
+    mults = first + draw(st.lists(st.integers(1, 3), min_size=len(covs),
+                                  max_size=len(covs)))
+    return n, list(zip(covs, mults))
+
+
+def test_model_classes_match_newton_identity_oracle():
+    # the Todd class, ch(Omega^q(log D)) and c(T(-log D)) of every model,
+    # in closed form, against Newton's identities on the Chern data
+    seen = Counter()
+
+    @SETTINGS
+    @given(model_arrangements())
+    def check(case):
+        n, hyperplanes = case
+        try:
+            arr = build(n, hyperplanes)
+        except ArrangementError:
+            reject()
+        for s in sigma_strata(arr):
+            model = compactify(arr, s)
+            seen[model.kind, bool(model.blown)] += 1
+            ring = model.ring
+            assert model.todd == todd_from_chern(tangent_chern(model), ring)
+            assert len(model.log_ch) == model.dim + 1
+            for q, ch in enumerate(model.log_ch):
+                assert ch == chern_to_ch(log_chern(model, q), ring), (s.key, q)
+            total = ring.one()
+            for i, c in enumerate(log_chern(model, min(model.dim, 1)).chern):
+                total = total + c * (-1) ** (i + 1)
+            assert model.log_tangent == total, s.key
+
+    check()
+    assert seen["surface", True], seen  # some surface has a blown point
+    assert seen["surface", False] and seen["curve", False], seen
+
+
+# values a mutation puts in place of a JSON value
+JUNK = st.one_of(st.integers(-3, 20), st.booleans(), st.none(),
+                 st.sampled_from(["x", "1/0", "1e5", "", "1,2,3"]),
+                 st.lists(st.integers(-2, 2), max_size=3),
+                 st.dictionaries(st.sampled_from(["coeffs", "mult", "a"]),
+                                 st.integers(0, 2), max_size=2))
+
+# a valid table for concurrent3: the spectrum of the ordinary triple point
+TRIPLE_POINT_TABLE = {"1,2,3": [{"alpha": "2/3", "mult": 1},
+                                {"alpha": "1", "mult": 2},
+                                {"alpha": "4/3", "mult": 1}]}
+
+
+def _paths(value, prefix=()):
+    """Every path to a value inside a JSON document, the root excluded."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated(draw, document):
+    """A copy of a JSON document with one to three values dropped or
+    replaced by junk."""
+    doc = json.loads(json.dumps(document))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        *head, last = draw(st.sampled_from(paths))
+        parent = doc
+        for key in head:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[last]
+        else:
+            parent[last] = draw(JUNK)
+    return doc
+
+
+@st.composite
+def cli_cases(draw):
+    """(command, arrangement document, tables document or None)."""
+    name = draw(st.sampled_from(ALL_NAMES))
+    source = json.loads(corpus_path(name).read_text())
+    command = draw(st.sampled_from(["milnor", "lattice", "spectra", "chi-y"]))
+    tables = None
+    if command in ("milnor", "spectra") and draw(st.booleans()):
+        tables = draw(st.one_of(st.just(TRIPLE_POINT_TABLE),
+                                mutated(TRIPLE_POINT_TABLE)))
+    return command, draw(mutated(source)), tables
+
+
+def test_mutated_inputs_exit_with_a_code_never_a_traceback():
+    # every input ends in a report (0) or a typed error (1 or 2) with one
+    # JSON line on standard error; an escaping exception fails here
+    with tempfile.TemporaryDirectory() as tmp:
+        source, table_file = Path(tmp, "input.json"), Path(tmp, "tables.json")
+
+        @settings(SETTINGS, max_examples=150)
+        @given(cli_cases())
+        def check(case):
+            command, document, tables = case
+            source.write_text(json.dumps(document))
+            argv = [command, str(source)]
+            if tables is not None:
+                table_file.write_text(json.dumps(tables))
+                argv += ["--tables", str(table_file)]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            assert code in (0, 1, 2), code
+            if code:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1, lines
+                assert set(json.loads(lines[0])["error"]) == {"kind",
+                                                              "message"}
+
+        check()

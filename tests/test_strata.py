@@ -8,9 +8,9 @@ from hmclass.coeffs import RatFuncY
 from hmclass.rings import BlownPlaneRing
 from hmclass.strata import (StrataError, build_labels, chow_dims, compactify,
                             deligne_base, deligne_class, deligne_residues,
-                            homology_weight_dims, log_chern,
-                            power_identity_holds, push_to_sigma, residues)
-from oracles import vector_to_json
+                            homology_weight_dims, power_identity_holds,
+                            push_to_sigma, residues)
+from oracles import log_chern, vector_to_json
 
 F = Fraction
 
