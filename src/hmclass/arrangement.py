@@ -23,6 +23,7 @@ from .coeffs import RatFuncY, rat
 
 __all__ = [
     "ArrangementError",
+    "MAX_MULTIPLICITY",
     "Arrangement",
     "Edge",
     "Stratum",
@@ -42,6 +43,12 @@ __all__ = [
 
 class ArrangementError(ValueError):
     """Invalid arrangement input."""
+
+
+# The largest hyperplane multiplicity build accepts.  A stratum's spectrum
+# and contribution take time linear in it: one line of this multiplicity
+# plus 3 generic lines takes about 4 s for "milnor".
+MAX_MULTIPLICITY = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +200,8 @@ def build(n: int, hyperplanes) -> Arrangement:
     """Validate and construct an arrangement.
 
     Rejects zero covectors, proportional covector pairs (duplicates are an
-    input error, never merged) and non-positive multiplicities.
+    input error, never merged) and multiplicities outside
+    1..MAX_MULTIPLICITY.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ArrangementError(f"ambient dimension must be a positive integer, got {n!r}")
@@ -207,6 +215,9 @@ def build(n: int, hyperplanes) -> Arrangement:
             raise ArrangementError("zero covector")
         if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
             raise ArrangementError(f"multiplicity must be a positive integer, got {mult!r}")
+        if mult > MAX_MULTIPLICITY:
+            raise ArrangementError(
+                f"multiplicity {mult} exceeds the limit {MAX_MULTIPLICITY}")
         hyps.append(Hyperplane(cov, mult))
     if not hyps:
         raise ArrangementError("arrangement needs at least one hyperplane")

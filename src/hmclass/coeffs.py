@@ -108,6 +108,11 @@ class RatFuncY:
                         den, k)
         self.num, self.den, self.k = value.num, value.den, value.k
 
+    @staticmethod
+    def from_ints(num, den: int = 1, k: int = 0) -> "RatFuncY":
+        """num / (den (1+y)^k) for integers num[i] of y^i and den > 0."""
+        return _normal(list(num), den, k)
+
     # -- queries ------------------------------------------------------------
 
     @property

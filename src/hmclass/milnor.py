@@ -13,18 +13,17 @@ explored exhaustively by calibrate().
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field
 
 from .ambient import virtual_genus
 from .arrangement import (Arrangement, chi_y, localize, milnor_fiber_chi,
                           sigma_strata)
 from .coeffs import RatFuncY
-from .rings import RingElement, exp_nilpotent
+from .rings import RingElement, combine
 from .spectra import Spectrum, sp_shift, stratum_spectrum
 from .strata import (EXT_HALF_OPEN_DOWN, EXT_HALF_OPEN_UP, LabelSchema,
                      SigmaChowVector, StratumModel, build_labels, compactify,
-                     deligne_class, k_representative, push_to_sigma)
+                     deligne_vector, k_representative, push_to_sigma)
 
 __all__ = [
     "MilnorError",
@@ -34,7 +33,6 @@ __all__ = [
     "DEFAULT_CONVENTIONS",
     "ALL_CONVENTIONS",
     "MilnorReport",
-    "td_transform",
     "assemble",
     "chern_milnor",
     "degree0_check",
@@ -91,15 +89,6 @@ ALL_CONVENTIONS = tuple(
     for s in SIGN_MODES
     for e in (EXT_HALF_OPEN_UP, EXT_HALF_OPEN_DOWN)
 )
-
-
-def td_transform(ch_elem: RingElement, todd_elem: RingElement) -> RingElement:
-    """Todd-transform a Chern character and rescale the homology degree-k
-    part by (1+y)^{-k}."""
-    total = ch_elem * todd_elem
-    ring = total.ring
-    return RingElement(ring, [c * RatFuncY([1], ring.dim - j)
-                              for c, j in zip(total.coeffs, ring.degrees)])
 
 
 @dataclass
@@ -187,28 +176,35 @@ def _stratum_contribution(arr: Arrangement, stratum, germ_sp, model,
     """Sum over exponents and cotangent powers for one stratum, on the model
     ring, with the degree scaling already applied.
 
-    The summand td(ch(L_k) ch(Omega^q)) (-y)^(floor(n - alpha) + q)
-    sign_q n_alpha is linear in the Chern character, so the scalar weights
-    are summed per Deligne power k and cotangent power q first, and the
-    Todd transformation runs once, on the weighted sum."""
-    n = arr.n
-    strat_sp = sp_shift(germ_sp, stratum, n)
-    minus_y = -RatFuncY.Y
-    signs = [1 if (q + n - 1) % 2 == 0 else -1 for q in range(model.dim + 1)]
-    weights = {}  # k -> the scalar weight of ch(L_k) ch(Omega^q), per q
-    for alpha, n_alpha in strat_sp.entries:
-        k = k_representative(alpha, model.m_s, conv.extension_mode)
-        w = weights.setdefault(k, [RatFuncY.ZERO] * len(signs))
-        p = math.floor(n - alpha)
-        for q, sign in enumerate(signs):
-            w[q] = w[q] + minus_y ** (p + q) * (sign * n_alpha)
-    total = model.ring.zero()
-    for k, w in weights.items():
-        ch_line = exp_nilpotent(deligne_class(model, k, conv.extension_mode))
-        summed = sum((ch * wq for ch, wq in zip(model.log_ch, w) if wq),
-                     model.ring.zero())
-        total = total + ch_line * summed
-    return td_transform(total, model.todd)
+    The summand td ch(L_k) ch(Omega^q) (-y)^(p + q) sign_q n_alpha, with
+    p = floor(n - alpha), has y only in y^(p + q), as (-1)^(p + q) sign_q
+    = (-1)^(p + n - 1).  So it is summed in integer vectors, times
+    48 = 2 * 2 * 12: 2 ch(L_k) per p, its products with 2 ch(Omega^q) per
+    power of y, each times 12 td; y enters as each coefficient is built."""
+    n, ring, mode = arr.n, model.ring, conv.extension_mode
+    size, mul = len(ring.names), ring.mul_vectors
+    counts = {}  # p = floor(n - alpha) -> k -> the summed n_alpha
+    for alpha, n_alpha in sp_shift(germ_sp, stratum, n).entries:
+        p = (n * alpha.denominator - alpha.numerator) // alpha.denominator
+        by_k = counts.setdefault(p, {})
+        k = k_representative(alpha, model.m_s, mode)
+        by_k[k] = by_k.get(k, 0) + n_alpha
+    ch_lines = {}  # k -> 2 ch(L_k) = 2 + 2 D_k + D_k^2
+    buckets = {}  # j -> the (sign, class) terms of y^j, before the Todd class
+    for p, by_k in counts.items():
+        for k in by_k:
+            if k not in ch_lines:
+                d = deligne_vector(model, k, mode)
+                ch_lines[k] = combine(size, 2, [(2, d), (1, mul(d, d))])
+        line = combine(size, 0, [(c, ch_lines[k]) for k, c in by_k.items()])
+        sign = -1 if (p + n - 1) % 2 else 1
+        for q, ch_q in enumerate(model.log_ch2):
+            buckets.setdefault(p + q, []).append((sign, mul(line, ch_q)))
+    by_power = [mul(combine(size, 0, buckets.get(j, ())), model.todd12)
+                for j in range(max(buckets) + 1)]
+    return RingElement(ring, [
+        RatFuncY.from_ints([v[i] for v in by_power], 48, ring.dim - deg)
+        for i, deg in enumerate(ring.degrees)])
 
 
 def _signature(n: int, model: StratumModel, germ: Spectrum) -> tuple:

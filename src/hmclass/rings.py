@@ -5,7 +5,8 @@ polynomial ring of projective space, and the ring of a plane blown up at
 finitely many points (basis 1; e, exceptional classes; point class).
 ProjRing(order) is also the one truncated power-series algebra: a
 Hirzebruch series truncated at a given order is an element of it, with
-the series variable as h.
+the series variable as h.  Each ring also multiplies plain coefficient
+vectors by its own shape, for classes kept in integers.
 """
 
 from __future__ import annotations
@@ -14,10 +15,22 @@ from fractions import Fraction
 
 from .coeffs import RatFuncY
 
-__all__ = ["Ring", "RingElement", "ProjRing", "BlownPlaneRing", "exp_nilpotent"]
+__all__ = ["Ring", "RingElement", "ProjRing", "BlownPlaneRing", "combine",
+           "exp_nilpotent"]
 
 
 _ZERO = RatFuncY.ZERO
+
+
+def combine(size: int, const: int, terms) -> tuple:
+    """const + sum of c v over (c, v) pairs of integer vectors of one size."""
+    out = [0] * size
+    out[0] = const
+    for c, v in terms:
+        if c:
+            for i, x in enumerate(v):
+                out[i] += c * x
+    return tuple(out)
 
 
 def _element(ring, coeffs: list) -> "RingElement":
@@ -86,21 +99,8 @@ class RingElement:
             return _element(self.ring, [a * w if a.num else a
                                         for a in self.coeffs])
         self._check(other)
-        out = [_ZERO] * len(self.coeffs)
-        mul_basis = self.ring.mul_basis
-        for i, a in enumerate(self.coeffs):
-            if not a.num:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b.num:
-                    continue
-                terms = mul_basis(i, j)
-                if not terms:
-                    continue
-                ab = a * b
-                for k, m in terms:
-                    out[k] = out[k] + (ab if m == 1 else ab * m)
-        return _element(self.ring, out)
+        return _element(self.ring, self.ring.mul_vectors(self.coeffs,
+                                                         other.coeffs))
 
     __rmul__ = __mul__
 
@@ -136,14 +136,12 @@ class RingElement:
 
 class Ring:
     """Base for graded basis rings; subclasses fill names/degrees and the
-    basis multiplication table."""
+    product mul_vectors of coefficient vectors (ints or RatFuncY) by the
+    ring's shape."""
 
     names: tuple
     degrees: tuple
     dim: int
-
-    def mul_basis(self, i: int, j: int):
-        raise NotImplementedError
 
     def zero(self) -> RingElement:
         return _element(self, [_ZERO] * len(self.names))
@@ -182,10 +180,15 @@ class ProjRing(Ring):
                            for k in range(n + 1))
         self.degrees = tuple(range(n + 1))
 
-    def mul_basis(self, i, j):
-        if i + j <= self.dim:
-            return ((i + j, 1),)
-        return ()
+    def mul_vectors(self, a, b) -> list:
+        """The truncated convolution of two vectors in the basis h^k."""
+        n = self.dim
+        out = [a[0] * x for x in b]
+        for i in range(1, n + 1):
+            if a[i]:
+                for j in range(n + 1 - i):
+                    out[i + j] = out[i + j] + a[i] * b[j]
+        return out
 
     @property
     def h(self) -> RingElement:
@@ -211,35 +214,16 @@ class BlownPlaneRing(Ring):
         names.append("pt")
         self.names = tuple(names)
         self.degrees = tuple([0, 1] + [1] * len(self.point_ids) + [2])
-        self._pt_index = len(self.names) - 1
 
-    def mul_basis(self, i, j):
-        if i > j:
-            i, j = j, i
-        if i == 0:
-            return ((j, 1),)
-        di, dj = self.degrees[i], self.degrees[j]
-        if di + dj > 2:
-            return ()
-        # both of degree 1
-        if i == 1 and j == 1:
-            return ((self._pt_index, 1),)
-        if i == 1:
-            return ()  # e * eps = 0
-        if i == j:
-            return ((self._pt_index, -1),)  # eps^2 = -pt
-        return ()  # distinct exceptional classes
-
-    @property
-    def e(self) -> RingElement:
-        return self.basis_element(1)
-
-    def eps(self, point_id) -> RingElement:
-        return self.basis_element(2 + self.point_ids.index(point_id))
-
-    @property
-    def pt(self) -> RingElement:
-        return self.basis_element(self._pt_index)
+    def mul_vectors(self, a, b) -> list:
+        """Product of two vectors (1; e, eps_p...; pt): e^2 = pt,
+        eps_p^2 = -pt, and every other product of degree-1 classes is 0."""
+        a0, b0 = a[0], b[0]
+        top = a0 * b[-1] + a[-1] * b0 + a[1] * b[1]
+        for x, z in zip(a[2:-1], b[2:-1]):
+            top -= x * z
+        return ([a0 * b0] + [a0 * z + x * b0 for x, z in zip(a[1:-1], b[1:-1])]
+                + [top])
 
 
 def exp_nilpotent(x: RingElement) -> RingElement:

@@ -3,9 +3,9 @@
 Strata of dimension <= 2 are compactified explicitly: a point, a line, or
 the stratum closure blown up at the points where the induced arrangement
 fails to be normal crossing.  Each model carries its ring, the tangent
-Chern classes c1, c2 and its boundary divisors with integer residues;
-from these come the Deligne-extension line-bundle classes, closed forms
-through degree 2 for the Todd class, ch(Omega^q(log D)) and c(T(-log D)),
+Chern classes c1, c2 and its boundary divisors with integer residues, as
+integer vectors; from these come the Deligne-extension classes, closed
+forms through degree 2 for 12 td, 2 ch(Omega^q(log D)) and 2 c(T(-log D)),
 and a pushforward to the labeled Chow basis of the singular locus.
 """
 
@@ -17,7 +17,7 @@ from functools import cached_property
 
 from .arrangement import Arrangement, Edge, Stratum, sigma_strata
 from .coeffs import RatFuncY, rat
-from .rings import BlownPlaneRing, ProjRing, RingElement, exp_nilpotent
+from .rings import BlownPlaneRing, ProjRing, RingElement, combine
 
 __all__ = [
     "StrataError",
@@ -26,6 +26,7 @@ __all__ = [
     "compactify",
     "residues",
     "deligne_base",
+    "deligne_vector",
     "deligne_class",
     "deligne_residues",
     "power_identity_holds",
@@ -52,12 +53,19 @@ class BoundaryComponent:
     source: str        # "edge" | "exceptional" | "infinity"
     m_sub: int         # induced multiplicity (0 for infinity)
     m_res: int         # residue integer in [0, m_s)
-    cls: RingElement   # divisor class in the model ring
+    cls: tuple         # divisor class, an integer vector in the model basis
 
 
 _KIND = ("point", "curve", "surface")
-_HALF = Fraction(1, 2)
-_TWELFTH = Fraction(1, 12)
+
+
+def _unit(size: int, index: int) -> tuple:
+    return tuple(int(i == index) for i in range(size))
+
+
+def _read_off(ring, vec, den: int = 1) -> RingElement:
+    """The class vec / den of an integer vector, as a RingElement."""
+    return RingElement(ring, [RatFuncY.from_ints((x,), den) for x in vec])
 
 
 @dataclass(frozen=True)
@@ -70,8 +78,8 @@ class StratumModel:
     boundary: tuple            # BoundaryComponent list
     m_s: int
     out_degree: int            # total multiplicity away from the stratum
-    c1: RingElement            # Chern classes of the tangent bundle
-    c2: RingElement
+    c1: tuple                  # Chern classes of the tangent bundle; every
+    c2: tuple                  # class is an integer vector in the ring basis
 
     @property
     def dim(self) -> int:
@@ -85,53 +93,58 @@ class StratumModel:
     def edge(self) -> Edge:
         return self.stratum.edge
 
-    def hyperplane_cls(self) -> RingElement:
-        """Pullback of the ambient hyperplane class (zero on a point)."""
-        return self.ring.basis_element(1) if self.dim else self.ring.zero()
+    @cached_property
+    def _divisors(self) -> tuple:
+        """D and the sum of the D_i^2."""
+        size, mul = len(self.c1), self.ring.mul_vectors
+        return (combine(size, 0, [(1, c.cls) for c in self.boundary]),
+                combine(size, 0, [(1, mul(c.cls, c.cls))
+                                  for c in self.boundary]))
 
     @cached_property
-    def _divisor(self) -> RingElement:
-        """D, the sum of the boundary divisors."""
-        return sum((c.cls for c in self.boundary), self.ring.zero())
+    def todd12(self) -> tuple:
+        """12 td(T) = 12 + 6 c1 + c1^2 + c2."""
+        c1, mul = self.c1, self.ring.mul_vectors
+        return combine(len(c1), 12, [(6, c1), (1, mul(c1, c1)), (1, self.c2)])
 
     @cached_property
-    def _divisor_squares(self) -> RingElement:
-        """The sum of the D_i^2, read on a surface only."""
-        return sum((c.cls * c.cls for c in self.boundary), self.ring.zero())
+    def log_ch2(self) -> tuple:
+        """2 ch(Omega^q(log D)) for q = 0..dim.  The top power is the line
+        bundle K + D: 2 + 2x + x^2 for x = D - c1.  On a surface the
+        residue sequence gives the middle one,
+        4 - 2 c1 + 2 D + c1^2 - 2 c2 - sum D_i^2."""
+        c1, (d, squares) = self.c1, self._divisors
+        size, mul = len(c1), self.ring.mul_vectors
+        two = combine(size, 2, ())
+        x = combine(size, 0, [(1, d), (-1, c1)])
+        top = combine(size, 2, [(2, x), (1, mul(x, x))])
+        middle = combine(size, 4, [(-2, c1), (2, d), (1, mul(c1, c1)),
+                                   (-2, self.c2), (-1, squares)])
+        return ((two,), (two, top), (two, middle, top))[self.dim]
 
     @cached_property
-    def todd(self) -> RingElement:
-        """td(T) = 1 + c1/2 + (c1^2 + c2)/12."""
-        c1 = self.c1
-        return self.ring.one() + c1 * _HALF + (c1 * c1 + self.c2) * _TWELFTH
+    def log_tangent2(self) -> tuple:
+        """2 c(T(-log D)) = 2 c(T) prod (1 + D_i)^{-1}, through degree 2:
+        2 + 2 c1 - 2 D + 2 c2 - 2 c1 D + D^2 + sum D_i^2."""
+        c1, (d, squares) = self.c1, self._divisors
+        mul = self.ring.mul_vectors
+        return combine(len(c1), 2, [(2, c1), (-2, d), (2, self.c2),
+                                    (-2, mul(c1, d)), (1, mul(d, d)),
+                                    (1, squares)])
 
-    @cached_property
-    def log_ch(self) -> tuple:
-        """ch(Omega^q(log D)) for q = 0..dim.  The top power is the line
-        bundle K + D; on a surface the residue sequence gives
-        ch Omega^1(log D) = 2 - c1 + D + (c1^2 - 2 c2 - sum D_i^2)/2."""
-        one, c1, d = self.ring.one(), self.c1, self._divisor
-        if not self.dim:
-            return (one,)
-        top = exp_nilpotent(d - c1)
-        if self.dim == 1:
-            return (one, top)
-        middle = (d - c1 + 2
-                  + (c1 * c1 - self.c2 * 2 - self._divisor_squares) * _HALF)
-        return (one, middle, top)
-
-    @cached_property
+    @property
     def log_tangent(self) -> RingElement:
-        """c(T(-log D)) = c(T) prod (1 + D_i)^{-1}, through degree 2:
-        1 + c1 - D + c2 - c1 D + (D^2 + sum D_i^2)/2."""
-        one = self.ring.one()
-        if not self.dim:
-            return one
-        c1, d = self.c1, self._divisor
-        if self.dim == 1:
-            return one + c1 - d
-        return (one + c1 - d + self.c2 - c1 * d
-                + (d * d + self._divisor_squares) * _HALF)
+        return _read_off(self.ring, self.log_tangent2, 2)
+
+    @cached_property
+    def deligne_base_vector(self) -> tuple:
+        """deligne_base; the ambient hyperplane pulls back to basis class 1."""
+        size = len(self.c1)
+        twist = [(-_ceil_div(self.out_degree, self.m_s), _unit(size, 1))
+                 ] if self.dim else []
+        return combine(size, 0, twist + [(c.m_sub // self.m_s, c.cls)
+                                         for c in self.boundary
+                                         if c.source != "infinity"])
 
     def to_json(self) -> dict:
         return {
@@ -147,7 +160,7 @@ class StratumModel:
                     "source": c.source,
                     "m_sub": c.m_sub,
                     "m_res": c.m_res,
-                    "class": [str(x) for x in c.cls.coeffs],
+                    "class": [str(x) for x in c.cls],
                 }
                 for c in self.boundary
             ],
@@ -174,22 +187,20 @@ def compactify(arr: Arrangement, stratum: Stratum) -> StratumModel:
         return value % m_s
 
     if d == 0:
-        zero = ProjRing(0).zero()
-        return StratumModel(stratum, zero.ring, (), (), m_s, out_degree,
-                            zero, zero)
+        return StratumModel(stratum, ProjRing(0), (), (), m_s, out_degree,
+                            (0,), (0,))
 
     # the edges inside the closure, with their induced multiplicities
     boundary = [(e, e.m_s - m_s) for e in arr.lattice.above(edge)]
 
     if d == 1:
-        ring = ProjRing(1)
-        pt = ring.basis_element(1)
+        pt = (0, 1)
         comps = [BoundaryComponent(e.key, "edge", m_rel, res(m_rel), pt)
                  for e, m_rel in boundary]
         comps.append(BoundaryComponent("infinity", "infinity", 0,
                                        res(-arr.m), pt))
-        return StratumModel(stratum, ring, (), tuple(comps), m_s, out_degree,
-                            pt * 2, ring.zero())
+        return StratumModel(stratum, ProjRing(1), (), tuple(comps), m_s,
+                            out_degree, (0, 2), (0, 0))
 
     lines = [(e, m_rel) for e, m_rel in boundary if e.codim == edge.codim + 1]
     points = [(e, m_rel) for e, m_rel in boundary if e.codim == edge.codim + 2]
@@ -199,24 +210,23 @@ def compactify(arr: Arrangement, stratum: Stratum) -> StratumModel:
         if len(through) >= 3:
             blown.append(p.key)
     ring = BlownPlaneRing(tuple(blown))
+    size = len(ring.names)
+    e = _unit(size, 1)
+    eps = {p: _unit(size, 2 + i) for i, p in enumerate(blown)}
     comps = []
     for l, m_rel in lines:
-        cls = ring.e
-        for p, _ in points:
-            if p.key in blown and l.contains(p):
-                cls = cls - ring.eps(p.key)
+        cls = combine(size, 0, [(1, e)] + [(-1, eps[p.key]) for p, _ in points
+                                           if p.key in eps and l.contains(p)])
         comps.append(BoundaryComponent(l.key, "edge", m_rel, res(m_rel), cls))
     for p, m_rel in points:
-        if p.key in blown:
+        if p.key in eps:
             comps.append(BoundaryComponent(p.key, "exceptional", m_rel,
-                                           res(m_rel), ring.eps(p.key)))
-    comps.append(BoundaryComponent("infinity", "infinity", 0, res(-arr.m),
-                                   ring.e))
-    c1 = ring.e * 3
-    for p in blown:
-        c1 = c1 - ring.eps(p)
+                                           res(m_rel), eps[p.key]))
+    comps.append(BoundaryComponent("infinity", "infinity", 0, res(-arr.m), e))
+    c1 = combine(size, 0, [(3, e)] + [(-1, v) for v in eps.values()])
+    c2 = combine(size, 0, [(3 + len(blown), _unit(size, size - 1))])
     return StratumModel(stratum, ring, tuple(blown), tuple(comps), m_s,
-                        out_degree, c1, ring.pt * (3 + len(blown)))
+                        out_degree, c1, c2)
 
 
 def residues(model: StratumModel) -> dict:
@@ -239,13 +249,7 @@ def deligne_base(model: StratumModel) -> RingElement:
     """First Chern class of the base extension bundle: the ambient twist by
     minus the rounded-up relative degree, corrected on the sub-edge
     transforms by the integer parts of the induced multiplicity ratios."""
-    acc = model.hyperplane_cls() * (-_ceil_div(model.out_degree, model.m_s))
-    for comp in model.boundary:
-        if comp.source != "infinity":
-            q = comp.m_sub // model.m_s
-            if q:
-                acc = acc + comp.cls * q
-    return acc
+    return _read_off(model.ring, model.deligne_base_vector)
 
 
 def _twist(k: int, m_res: int, m_s: int, mode: str) -> int:
@@ -268,19 +272,27 @@ def k_representative(alpha: Fraction, m_s: int, mode: str) -> int:
     return k
 
 
-def deligne_class(model: StratumModel, k: int,
-                  mode: str = EXT_HALF_OPEN_UP) -> RingElement:
-    """First Chern class of the k-th Deligne-extension power: k times the
-    base class plus the boundary twists fixed by the residue rounding."""
+def deligne_vector(model: StratumModel, k: int,
+                   mode: str = EXT_HALF_OPEN_UP) -> list:
+    """First Chern class of the k-th Deligne-extension power, as an integer
+    vector: k times the base class plus the boundary twists fixed by the
+    residue rounding."""
     lo = 1 if mode == EXT_HALF_OPEN_UP else 0
     if not lo <= k <= model.m_s - 1 + lo:
         raise StrataError(f"k = {k} outside [{lo}, {model.m_s - 1 + lo}]")
-    acc = deligne_base(model) * k
+    acc = [k * x for x in model.deligne_base_vector]
     for comp in model.boundary:
         t = _twist(k, comp.m_res, model.m_s, mode)
         if t:
-            acc = acc + comp.cls * t
+            for i, x in enumerate(comp.cls):
+                acc[i] += t * x
     return acc
+
+
+def deligne_class(model: StratumModel, k: int,
+                  mode: str = EXT_HALF_OPEN_UP) -> RingElement:
+    """deligne_vector as a class in the model ring."""
+    return _read_off(model.ring, deligne_vector(model, k, mode))
 
 
 def deligne_residues(model: StratumModel, k: int,
@@ -297,11 +309,9 @@ def deligne_residues(model: StratumModel, k: int,
 def power_identity_holds(model: StratumModel) -> bool:
     """Exact divisor-class form of the m_s-th tensor power identity: m_s
     times the base class equals minus the residue-weighted boundary sum."""
-    lhs = deligne_base(model) * model.m_s
-    rhs = model.ring.zero()
-    for comp in model.boundary:
-        rhs = rhs - comp.cls * comp.m_res
-    return lhs == rhs
+    lhs = tuple(model.m_s * x for x in model.deligne_base_vector)
+    return lhs == combine(len(lhs), 0, [(-c.m_res, c.cls)
+                                        for c in model.boundary])
 
 
 # ---------------------------------------------------------------------------

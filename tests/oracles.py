@@ -11,9 +11,11 @@ Hirzebruch series evaluated root by root, the dense dict of a Milnor
 report for json.dumps, the Euler-number defect of a divisor against
 a smooth hypersurface of its degree, and the Whitney-polynomial route to
 each edge's Euler number and chi_y, with a Mobius function from a
-pairwise inclusion test over edges found by filtering.  The Newton-identity
-route from Chern data to Chern characters and Todd classes checks the
-closed forms a stratum model carries.  The sparse-vector sums, scalings
+pairwise inclusion test over edges found by filtering, and the product
+of ring classes by the basis multiplication table.  The Newton-identity
+route from Chern data to Chern characters and Todd classes, and the
+scaled Todd transformation of RingElements, check the integer closed
+forms a stratum model carries.  The sparse-vector sums, scalings
 and polynomiality test that the package itself never needs live here
 too.
 """
@@ -30,7 +32,6 @@ from hmclass.arrangement import (Stratum, chi_y_pn,
                                  euler_by_inclusion_exclusion)
 from hmclass.coeffs import RatFuncY
 from hmclass.genera import hirzebruch_series
-from hmclass.milnor import td_transform
 from hmclass.rings import ProjRing, Ring, RingElement, exp_nilpotent
 from hmclass.spectra import Spectrum, SpectrumError, sp_shift
 from hmclass.strata import (SigmaChowVector, StrataError, deligne_class,
@@ -143,6 +144,32 @@ def dense_by_bipartition(covectors):
     return True
 
 
+def _basis_product(ring, i: int, j: int):
+    """(index, sign) of the product of basis classes i and j of a ProjRing
+    or a BlownPlaneRing, or None when it vanishes."""
+    if isinstance(ring, ProjRing):
+        return (i + j, 1) if i + j <= ring.dim else None
+    i, j = min(i, j), max(i, j)
+    if i == 0:
+        return (j, 1)
+    if i != j or ring.degrees[i] != 1:
+        return None  # degree above 2, e eps_p = 0, eps_p eps_q = 0
+    return (len(ring.names) - 1, 1 if i == 1 else -1)  # e^2, eps_p^2
+
+
+def product_by_basis(ring, a, b) -> list:
+    """Product of two integer vectors one pair of basis classes at a time,
+    from the relations h^i h^j = h^(i+j) up to h^dim, and e^2 = pt,
+    eps_p^2 = -pt on a blown-up plane."""
+    out = [0] * len(ring.names)
+    for i, x in enumerate(a):
+        for j, z in enumerate(b):
+            product = _basis_product(ring, i, j)
+            if product:
+                out[product[0]] += product[1] * x * z
+    return out
+
+
 def graded_part(elem: RingElement, degree: int) -> RingElement:
     """The part of a class of one cohomological degree."""
     return RingElement(elem.ring, [c if d == degree else RatFuncY.ZERO
@@ -207,9 +234,22 @@ def todd_from_chern(cd: ChernData, ring: Ring) -> RingElement:
     return acc
 
 
+def basis_class(ring, name: str) -> RingElement:
+    """The basis class of a ring with the given name, such as "e", "pt" or
+    "eps_<point>" on a blown-up plane."""
+    return ring.basis_element(ring.names.index(name))
+
+
+def model_class(model, vec, den: int = 1) -> RingElement:
+    """An integer vector of a stratum model, divided by den, as a class in
+    the model ring."""
+    return RingElement(model.ring, [Fraction(x, den) for x in vec])
+
+
 def tangent_chern(model) -> ChernData:
     """Chern data of the tangent bundle of a stratum model."""
-    return ChernData(model.dim, (model.c1, model.c2)[:model.dim])
+    return ChernData(model.dim, (model_class(model, model.c1),
+                                 model_class(model, model.c2))[:model.dim])
 
 
 def log_chern(model, q: int) -> ChernData:
@@ -220,17 +260,18 @@ def log_chern(model, q: int) -> ChernData:
     ring, dim = model.ring, model.dim
     if q == 0:
         return ChernData(1, (ring.zero(),) * dim)
-    k_cls = -model.c1
+    k_cls = -model_class(model, model.c1)
+    boundary = [model_class(model, comp.cls) for comp in model.boundary]
     if q == dim:
         c1 = k_cls
-        for comp in model.boundary:
-            c1 = c1 + comp.cls
+        for cls in boundary:
+            c1 = c1 + cls
         return ChernData(1, (c1,) + (ring.zero(),) * (dim - 1))
     # q == 1 on a surface: c(log cotangent) = c(cotangent) * prod over
     # boundary of (1 - D)^{-1}, truncated in degree 2
-    total = ring.one() + k_cls + model.c2
-    for comp in model.boundary:
-        total = total * (ring.one() + comp.cls + comp.cls * comp.cls)
+    total = ring.one() + k_cls + model_class(model, model.c2)
+    for cls in boundary:
+        total = total * (ring.one() + cls + cls * cls)
     return ChernData(2, (graded_part(total, 1), graded_part(total, 2)))
 
 
@@ -369,6 +410,15 @@ def sp_unshift(stratum_sp: Spectrum, stratum: Stratum) -> Spectrum:
     sign = (-1) ** stratum.dim
     out = {a - stratum.dim: sign * m for a, m in stratum_sp.entries}
     return Spectrum.make(out, ("germ", stratum.edge.codim))
+
+
+def td_transform(ch_elem: RingElement, todd_elem: RingElement) -> RingElement:
+    """Todd-transform a Chern character and rescale the homology degree-k
+    part by (1+y)^{-k}."""
+    total = ch_elem * todd_elem
+    ring = total.ring
+    return RingElement(ring, [c * RatFuncY([1], ring.dim - j)
+                              for c, j in zip(total.coeffs, ring.degrees)])
 
 
 def td_1py(cd: ChernData, model) -> RingElement:

@@ -2,10 +2,9 @@ import pytest
 
 from hmclass.ambient import virtual_genus, virtual_pushed, virtual_pushed_ci
 from hmclass.coeffs import RatFuncY
-from hmclass.milnor import td_transform
 from hmclass.rings import ProjRing
 from oracles import (ChernData, class_from_roots, coeff_list, euler_via_chern,
-                     graded_part, lambda_y, ty_class_pn)
+                     graded_part, lambda_y, td_transform, ty_class_pn)
 
 
 def polys(gc):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import hmclass
+from hmclass.arrangement import MAX_MULTIPLICITY
 from hmclass.cli import _build_parser, main
 from hmclass.corpus import ALL_NAMES, corpus_path
 
@@ -174,6 +175,36 @@ class TestMilnorCommand:
         error = json.loads(err)["error"]
         assert error["kind"] == "ArrangementError"
         assert "coeffs must be a list" in error["message"]
+
+    @staticmethod
+    def multiple_line(tmp_path, mult):
+        """One line of the given multiplicity plus 3 generic lines."""
+        path = tmp_path / f"m{mult}.json"
+        path.write_text(json.dumps({
+            "n": 2,
+            "hyperplanes": [{"coeffs": c, "mult": m} for c, m in (
+                (["1", "0", "0"], mult), (["0", "1", "0"], 1),
+                (["0", "0", "1"], 1), (["1", "1", "1"], 1))],
+        }))
+        return str(path)
+
+    def test_multiplicity_at_the_limit(self, capsys, tmp_path):
+        # lattice, as a milnor report at the limit takes seconds
+        source = self.multiple_line(tmp_path, MAX_MULTIPLICITY)
+        code, out, err = run(capsys, "lattice", source)
+        assert code == 0, err
+        assert json.loads(out)["m"] == MAX_MULTIPLICITY + 3
+
+    @pytest.mark.parametrize("command", ["lattice", "milnor"])
+    def test_multiplicity_past_the_limit_exit_code(self, capsys, tmp_path,
+                                                   command):
+        source = self.multiple_line(tmp_path, MAX_MULTIPLICITY + 1)
+        code, out, err = run(capsys, command, source)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["kind"] == "ArrangementError"
+        assert error["message"] == (f"multiplicity {MAX_MULTIPLICITY + 1} "
+                                    f"exceeds the limit {MAX_MULTIPLICITY}")
 
     def test_zero_denominator_covector_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -398,6 +429,25 @@ def test_wide_input_digest(capsys, name, command):
     # for i < 12, with 220 triple points and 66 double lines
     golden = GOLDEN.parent
     code, out, err = run(capsys, command, str(golden / f"{name}.json"))
+    assert code == 0, err
+    digest = (golden / f"{name}.{command}.sha256").read_text().split()[0]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# one line of multiplicity 1000 plus 3 generic lines, and a plane of
+# multiplicity 24 meeting 4 generic planes: Deligne powers and spectra far
+# above the pools'; the digests were recorded before the stratum
+# contributions moved to integer vectors, and CI checks the same files
+# with sha256sum -c
+MULTIPLE_DIGESTS = [("mult1000", "milnor"), ("mult1000", "milnor-dump-strata"),
+                    ("plane24", "milnor"), ("plane24", "milnor-dump-strata")]
+
+
+@pytest.mark.parametrize("name,command", MULTIPLE_DIGESTS)
+def test_large_multiplicity_digest(capsys, name, command):
+    golden = GOLDEN.parent
+    argv = command.replace("-dump", " --dump").split()
+    code, out, err = run(capsys, *argv, str(golden / f"{name}.json"))
     assert code == 0, err
     digest = (golden / f"{name}.{command}.sha256").read_text().split()[0]
     assert hashlib.sha256(out.encode()).hexdigest() == digest

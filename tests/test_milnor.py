@@ -413,17 +413,18 @@ def spectra_of_strata(arr):
     return out
 
 
-def random_covered(rng, n, count):
-    """Seeded arrangements in P^n, with multiplicities, that have a singular
-    locus and a catalogue spectrum for each of its strata."""
+def random_covered(rng, n, count, mults=(1, 1, 2, 3)):
+    """Seeded arrangements in P^n, with multiplicities drawn from mults,
+    that have a singular locus and a catalogue spectrum for each of its
+    strata."""
     values = [-2, -1, 0, 0, 1, 2, F(1, 2)]
     found = []
     while len(found) < count:
         k = rng.randint(n + 1, n + 3)
         covs = [[rng.choice(values) for _ in range(n + 1)] for _ in range(k)]
-        mults = [rng.choice((1, 1, 2, 3)) for _ in range(k)]
+        ms = [rng.choice(mults) for _ in range(k)]
         try:
-            arr = build(n, list(zip(covs, mults)))
+            arr = build(n, list(zip(covs, ms)))
         except ArrangementError:
             continue
         strata = spectra_of_strata(arr)
@@ -455,8 +456,35 @@ class TestRegroupedContribution:
             for conv in ALL_CONVENTIONS:
                 self.check(arr, strata, conv)
 
-    def test_one_todd_transform_per_signature(self, monkeypatch):
-        calls = count_calls(monkeypatch, milnor, "td_transform")
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_high_multiplicities(self, n):
+        # multiplicities up to 8: in each residue window every Deligne
+        # power k up to 8 runs, and so does the window's end (k = m_s in
+        # (0,1], k = 0 in [0,1)) on a stratum with m_s >= 8; k depends on
+        # the exponent modulo 1 only, so the germ frame serves
+        seen = {}  # extension mode -> the Deligne powers met
+        ends = {}  # extension mode -> the m_s whose window end was met
+        found = random_covered(random.Random(80 + n), n, 4,
+                               mults=(1, 2, 3, 5, 6, 7, 8))
+        for arr, covered in found:
+            for conv in ALL_CONVENTIONS:
+                self.check(arr, covered, conv)
+                mode = conv.extension_mode
+                end = 0 if mode == strata.EXT_HALF_OPEN_DOWN else None
+                for s, sp in covered:
+                    m_s = s.edge.m_s
+                    ks = {strata.k_representative(a, m_s, mode)
+                          for a, _ in sp.entries}
+                    seen.setdefault(mode, set()).update(ks)
+                    if (m_s if end is None else end) in ks:
+                        ends.setdefault(mode, set()).add(m_s)
+        for mode, lo in ((strata.EXT_HALF_OPEN_UP, 1),
+                         (strata.EXT_HALF_OPEN_DOWN, 0)):
+            assert set(range(lo, lo + 8)) <= seen[mode], (mode, seen)
+            assert max(ends[mode]) >= 8, (mode, ends)
+
+    def test_one_contribution_per_signature(self, monkeypatch):
+        calls = count_calls(monkeypatch, milnor, "_stratum_contribution")
         for name in corpus.ALL_NAMES:
             arr = corpus.load(name)
             before = len(calls)

@@ -13,6 +13,7 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, assume, given, reject, settings
 from hypothesis import strategies as st
 
@@ -21,11 +22,15 @@ from hmclass.arrangement import (ArrangementError, build, chi_y,
                                  chi_y_stratum, euler_by_inclusion_exclusion,
                                  localize, sigma_strata)
 from hmclass.corpus import ALL_NAMES, corpus_path
-from hmclass.milnor import ALL_CONVENTIONS, MissingSpectrumError, assemble
+from hmclass.milnor import (ALL_CONVENTIONS, DEFAULT_CONVENTIONS,
+                            MissingSpectrumError, _stratum_contribution,
+                            assemble)
+from hmclass.rings import BlownPlaneRing, ProjRing, RingElement
+from hmclass.spectra import stratum_spectrum
 from hmclass.strata import build_labels, compactify, relabel_vector
 from oracles import (chern_to_ch, chi_y_stratum_by_whitney, euler_by_whitney,
-                     euler_defect, log_chern, report_to_json,
-                     tangent_chern, todd_from_chern)
+                     euler_defect, log_chern, model_class, product_by_basis,
+                     report_to_json, tangent_chern, todd_from_chern)
 
 SETTINGS = settings(derandomize=True, max_examples=30, deadline=None,
                     suppress_health_check=[HealthCheck.filter_too_much])
@@ -199,8 +204,9 @@ def model_arrangements(draw):
 
 
 def test_model_classes_match_newton_identity_oracle():
-    # the Todd class, ch(Omega^q(log D)) and c(T(-log D)) of every model,
-    # in closed form, against Newton's identities on the Chern data
+    # the integer forms 12 td, 2 ch(Omega^q(log D)) and 2 c(T(-log D)) of
+    # every model, divided by 12, 2 and 2, against Newton's identities on
+    # the Chern data
     seen = Counter()
 
     @SETTINGS
@@ -215,18 +221,59 @@ def test_model_classes_match_newton_identity_oracle():
             model = compactify(arr, s)
             seen[model.kind, bool(model.blown)] += 1
             ring = model.ring
-            assert model.todd == todd_from_chern(tangent_chern(model), ring)
-            assert len(model.log_ch) == model.dim + 1
-            for q, ch in enumerate(model.log_ch):
-                assert ch == chern_to_ch(log_chern(model, q), ring), (s.key, q)
+            assert (model_class(model, model.todd12, 12)
+                    == todd_from_chern(tangent_chern(model), ring))
+            assert len(model.log_ch2) == model.dim + 1
+            for q, ch in enumerate(model.log_ch2):
+                assert (model_class(model, ch, 2)
+                        == chern_to_ch(log_chern(model, q), ring)), (s.key, q)
             total = ring.one()
             for i, c in enumerate(log_chern(model, min(model.dim, 1)).chern):
                 total = total + c * (-1) ** (i + 1)
+            assert model_class(model, model.log_tangent2, 2) == total, s.key
             assert model.log_tangent == total, s.key
 
     check()
     assert seen["surface", True], seen  # some surface has a blown point
     assert seen["surface", False] and seen["curve", False], seen
+
+
+@pytest.mark.parametrize("ring", [
+    ProjRing(0), ProjRing(1),
+    *(BlownPlaneRing(tuple(f"p{i}" for i in range(k))) for k in range(4))],
+    ids=["point", "line", *(f"plane-{k}-points" for k in range(4))])
+@SETTINGS
+@given(st.data())
+def test_vector_product_matches_ring_elements(ring, data):
+    # the per-shape product of integer vectors, and RingElement.__mul__,
+    # against the product by the basis multiplication table
+    vector = st.lists(st.integers(-50, 50), min_size=len(ring.names),
+                      max_size=len(ring.names))
+    a, b = data.draw(vector), data.draw(vector)
+    expected = product_by_basis(ring, a, b)
+    assert ring.mul_vectors(a, b) == expected
+    assert (RingElement(ring, a) * RingElement(ring, b)
+            == RingElement(ring, expected))
+
+
+@SETTINGS
+@given(model_arrangements())
+def test_every_contribution_is_polynomial(case):
+    # per stratum, under the default conventions, every coefficient of the
+    # contribution has no (1+y) denominator
+    n, hyperplanes = case
+    try:
+        arr = build(n, hyperplanes)
+    except ArrangementError:
+        reject()
+    for s in sigma_strata(arr):
+        germ = stratum_spectrum(arr, s)
+        assume(germ is not None)  # assemble raises MissingSpectrumError
+        if germ.is_zero():
+            continue
+        elem = _stratum_contribution(arr, s, germ, compactify(arr, s),
+                                     DEFAULT_CONVENTIONS)
+        assert all(c.k == 0 for c in elem.coeffs), (s.key, elem)
 
 
 # values a mutation puts in place of a JSON value
