@@ -14,7 +14,7 @@ from .spectra import (Spectrum, SpectrumError, SpectrumValidationError,
                       sp_validate)
 from .ambient import virtual_genus, virtual_pushed
 from .strata import (LabelSchema, SigmaChowVector, StratumModel,
-                     build_labels, chow_dims, compactify, deligne_class,
+                     build_labels, chow_dims, compactify,
                      homology_weight_dims, push_to_sigma)
 from .milnor import (ConventionSet, DEFAULT_CONVENTIONS, MilnorReport,
                      assemble, calibrate, chern_milnor, degree0_check)

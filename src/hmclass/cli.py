@@ -26,9 +26,9 @@ from .milnor import (DEFAULT_CONVENTIONS, ConventionSet, MilnorError,
 from .spectra import (SpectrumError, SpectrumValidationError, classify_germ,
                       sp_monomial, sp_ordinary, sp_shift, sp_user_load,
                       sp_validate, stratum_spectrum)
-from .strata import (EXT_HALF_OPEN_DOWN, EXT_HALF_OPEN_UP, chow_dims,
-                     compactify, deligne_residues, homology_weight_dims,
-                     power_identity_holds, relabel_vector, residues)
+from .strata import (chow_dims, compactify, deligne_residues,
+                     homology_weight_dims, power_identity_holds,
+                     relabel_vector, residues)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -77,15 +77,13 @@ def _fail(code: int, kind: str, message: str) -> int:
 
 
 def _conv_from_args(args) -> ConventionSet:
-    if args.conventions:
-        try:
-            sign_mode, extension_mode = args.conventions.split("/", 1)
-            return ConventionSet(sign_mode, extension_mode)
-        except ValueError as exc:
-            raise ArrangementError(
-                f"bad --conventions value {args.conventions!r} "
-                f"(expected e.g. 'as_printed/res_(0,1]'): {exc}")
-    return ConventionSet(args.sign_mode, args.extension_mode)
+    try:
+        sign_mode, extension_mode = args.conventions.split("/", 1)
+        return ConventionSet(sign_mode, extension_mode)
+    except ValueError as exc:
+        raise ArrangementError(
+            f"bad --conventions value {args.conventions!r} "
+            f"(expected e.g. 'as_printed/res_(0,1]'): {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -353,13 +351,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("milnor", help="assemble the Milnor-class report")
     add_common(p)
     p.add_argument("--tables", help="user spectrum tables JSON")
-    p.add_argument("--conventions",
-                   help="combined convention label, e.g. 'as_printed/res_(0,1]'")
-    p.add_argument("--sign-mode", default=DEFAULT_CONVENTIONS.sign_mode,
-                   choices=["as_printed", "flip_odd_strata"])
-    p.add_argument("--extension-mode",
-                   default=DEFAULT_CONVENTIONS.extension_mode,
-                   choices=[EXT_HALF_OPEN_UP, EXT_HALF_OPEN_DOWN])
+    p.add_argument("--conventions", default=DEFAULT_CONVENTIONS.label(),
+                   help="sign mode/extension mode, default %(default)s")
     p.add_argument("--dump-strata", action="store_true")
 
     p = sub.add_parser("check", help="run the built-in invariant harness")
@@ -395,7 +388,7 @@ def main(argv=None) -> int:
     try:
         return COMMANDS[args.command](args)
     except (ArrangementError, SpectrumValidationError, SpectrumError,
-            MilnorError, FileNotFoundError, ValueError) as exc:
+            MilnorError, OSError, ValueError) as exc:
         if isinstance(exc, (MissingSpectrumError, PolynomialityError,
                             SpectrumValidationError)):
             return _fail(EXIT_VALIDATION, type(exc).__name__, str(exc))

@@ -3,9 +3,11 @@
 The class is summed stratum by stratum from spectrum multiplicities,
 Deligne-extension line bundles twisted by logarithmic cotangent powers,
 and the scaled Todd transformation, then pushed into the labeled Chow
-basis of the singular locus.  An independent Euler-weighted Chern path
-provides the cross-check at y = -1, and a degree-zero comparison against
-the virtual-genus difference is always reported.  The one unprintable
+basis of the singular locus.  Both sums stay coefficient vectors in the
+model basis: integers until each RatFuncY coefficient is built.  An
+independent Euler-weighted Chern path provides the cross-check at
+y = -1, and a degree-zero comparison against the virtual-genus
+difference is always reported.  The one unprintable
 global choice (a shift convention) is quarantined in ConventionSet and
 explored exhaustively by calibrate().
 """
@@ -19,8 +21,8 @@ from .ambient import virtual_genus
 from .arrangement import (Arrangement, chi_y, localize, milnor_fiber_chi,
                           sigma_strata)
 from .coeffs import RatFuncY
-from .rings import RingElement, combine
-from .spectra import Spectrum, sp_shift, stratum_spectrum
+from .rings import combine
+from .spectra import Spectrum, SpectrumError, stratum_spectrum
 from .strata import (EXT_HALF_OPEN_DOWN, EXT_HALF_OPEN_UP, LabelSchema,
                      SigmaChowVector, StratumModel, build_labels, compactify,
                      deligne_vector, k_representative, push_to_sigma)
@@ -171,21 +173,28 @@ def _label_block(names: list, indent: int, as_list: bool):
     return block
 
 
-def _stratum_contribution(arr: Arrangement, stratum, germ_sp, model,
-                          conv: ConventionSet) -> RingElement:
-    """Sum over exponents and cotangent powers for one stratum, on the model
-    ring, with the degree scaling already applied.
+def _stratum_contribution(germ_sp: Spectrum, model: StratumModel,
+                          conv: ConventionSet) -> list:
+    """Sum over exponents and cotangent powers for one stratum, with the
+    degree scaling already applied: one RatFuncY per model basis class.
 
-    The summand td ch(L_k) ch(Omega^q) (-y)^(p + q) sign_q n_alpha, with
-    p = floor(n - alpha), has y only in y^(p + q), as (-1)^(p + q) sign_q
-    = (-1)^(p + n - 1).  So it is summed in integer vectors, times
-    48 = 2 * 2 * 12: 2 ch(L_k) per p, its products with 2 ch(Omega^q) per
-    power of y, each times 12 td; y enters as each coefficient is built."""
-    n, ring, mode = arr.n, model.ring, conv.extension_mode
+    The germ spectrum is read in its own frame: alpha stands at
+    p = floor(codim - alpha) with multiplicity (-1)^dim n_alpha, and
+    alpha + dim has the same Deligne power k.  The summand
+    td ch(L_k) ch(Omega^q) (-y)^(p + q) sign_q (-1)^dim n_alpha has y only
+    in y^(p + q), as (-1)^(p + q + dim) sign_q = (-1)^(p + codim - 1).  So
+    it is summed in integer vectors, times 48 = 2 * 2 * 12: 2 ch(L_k) per
+    p, its products with 2 ch(Omega^q) per power of y, each times 12 td;
+    y enters as each coefficient is built."""
+    codim = model.edge.codim
+    if germ_sp.frame != ("germ", codim):
+        raise SpectrumError(f"expected the germ frame ('germ', {codim}), "
+                            f"got {germ_sp.frame}")
+    ring, mode = model.ring, conv.extension_mode
     size, mul = len(ring.names), ring.mul_vectors
-    counts = {}  # p = floor(n - alpha) -> k -> the summed n_alpha
-    for alpha, n_alpha in sp_shift(germ_sp, stratum, n).entries:
-        p = (n * alpha.denominator - alpha.numerator) // alpha.denominator
+    counts = {}  # p = floor(codim - alpha) -> k -> the summed n_alpha
+    for alpha, n_alpha in germ_sp.entries:
+        p = (codim * alpha.denominator - alpha.numerator) // alpha.denominator
         by_k = counts.setdefault(p, {})
         k = k_representative(alpha, model.m_s, mode)
         by_k[k] = by_k.get(k, 0) + n_alpha
@@ -197,14 +206,13 @@ def _stratum_contribution(arr: Arrangement, stratum, germ_sp, model,
                 d = deligne_vector(model, k, mode)
                 ch_lines[k] = combine(size, 2, [(2, d), (1, mul(d, d))])
         line = combine(size, 0, [(c, ch_lines[k]) for k, c in by_k.items()])
-        sign = -1 if (p + n - 1) % 2 else 1
+        sign = -1 if (p + codim - 1) % 2 else 1
         for q, ch_q in enumerate(model.log_ch2):
             buckets.setdefault(p + q, []).append((sign, mul(line, ch_q)))
     by_power = [mul(combine(size, 0, buckets.get(j, ())), model.todd12)
                 for j in range(max(buckets) + 1)]
-    return RingElement(ring, [
-        RatFuncY.from_ints([v[i] for v in by_power], 48, ring.dim - deg)
-        for i, deg in enumerate(ring.degrees)])
+    return [RatFuncY.from_ints([v[i] for v in by_power], 48, ring.dim - deg)
+            for i, deg in enumerate(ring.degrees)]
 
 
 def _signature(n: int, model: StratumModel, germ: Spectrum) -> tuple:
@@ -220,11 +228,9 @@ def _signature(n: int, model: StratumModel, germ: Spectrum) -> tuple:
             tuple(boundary), germ.entries, germ.frame)
 
 
-def _add_into(totals: dict, vec: SigmaChowVector, scale: int = 1):
-    """Add scale * vec into a label -> coefficient dict, in place."""
+def _add_into(totals: dict, vec: SigmaChowVector):
+    """Add vec into a label -> coefficient dict, in place."""
     for name, v in vec.values.items():
-        if scale != 1:
-            v = v * scale
         totals[name] = totals.get(name, RatFuncY.ZERO) + v
 
 
@@ -256,16 +262,17 @@ def assemble(arr: Arrangement, user_tables: dict = None,
         if germ.is_zero():
             continue  # skip by spectrum content only
         key = _signature(arr.n, model, germ)
-        elem = memo.get(key)
-        if elem is None:
-            elem = _stratum_contribution(arr, s, germ, model, conv)
-            for c in elem.coeffs:
+        coeffs = memo.get(key)
+        if coeffs is None:
+            coeffs = _stratum_contribution(germ, model, conv)
+            for c in coeffs:
                 if not c.is_polynomial():
                     raise PolynomialityError(s.key, c)
             if conv.sign_mode == "flip_odd_strata" and s.dim % 2 == 1:
-                elem = -elem
-            memo[key] = elem
-        contribution = push_to_sigma(schema, s.edge, elem)
+                coeffs = [-c for c in coeffs]
+            memo[key] = coeffs
+        contribution = SigmaChowVector(schema,
+                                       push_to_sigma(schema, model, coeffs))
         per_stratum[s.key] = contribution
         _add_into(totals, contribution)
     m_y = SigmaChowVector(schema, totals)
@@ -289,25 +296,23 @@ def assemble(arr: Arrangement, user_tables: dict = None,
     return report
 
 
-def chern_milnor(arr: Arrangement, schema: LabelSchema = None,
-                 models: list = None) -> SigmaChowVector:
+def chern_milnor(arr: Arrangement, schema: LabelSchema,
+                 models: list) -> SigmaChowVector:
     """Euler-weighted Chern-class path: sum over strata of the reduced
     Milnor-fiber Euler characteristic times the Chern class of the
     logarithmic tangent bundle, pushed to the Chow basis.  Needs no
-    spectra and no conventions; models default to the compactified
-    sigma_strata(arr)."""
-    if schema is None:
-        schema = build_labels(arr)
-    if models is None:
-        models = [compactify(arr, s) for s in sigma_strata(arr)]
+    spectra and no conventions.  The sums are kept in integers, as twice
+    the class, until one coefficient per label is built."""
     totals = {}
     for model in models:
         chi_tilde = milnor_fiber_chi(localize(arr, model.edge)) - 1
         if chi_tilde == 0:
             continue
-        pushed = push_to_sigma(schema, model.edge, model.log_tangent)
-        _add_into(totals, pushed, chi_tilde)
-    return SigmaChowVector(schema, totals)
+        for name, v in push_to_sigma(schema, model,
+                                     model.log_tangent2).items():
+            totals[name] = totals.get(name, 0) + chi_tilde * v
+    return SigmaChowVector(schema, {name: RatFuncY.from_ints((v,), 2)
+                                    for name, v in totals.items()})
 
 
 def degree0_check(arr: Arrangement, report: MilnorReport) -> dict:

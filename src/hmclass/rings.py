@@ -4,9 +4,10 @@ Two concrete rings cover every space this package touches: the truncated
 polynomial ring of projective space, and the ring of a plane blown up at
 finitely many points (basis 1; e, exceptional classes; point class).
 ProjRing(order) is also the one truncated power-series algebra: a
-Hirzebruch series truncated at a given order is an element of it, with
-the series variable as h.  Each ring also multiplies plain coefficient
-vectors by its own shape, for classes kept in integers.
+Hirzebruch series truncated at a given order is a RingElement of it, with
+the series variable as h, and so is a virtual class.  Each ring also
+multiplies plain coefficient vectors by its own shape: the classes of a
+stratum model are such vectors, of integers, and never RingElements.
 """
 
 from __future__ import annotations

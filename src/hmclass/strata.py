@@ -3,10 +3,12 @@
 Strata of dimension <= 2 are compactified explicitly: a point, a line, or
 the stratum closure blown up at the points where the induced arrangement
 fails to be normal crossing.  Each model carries its ring, the tangent
-Chern classes c1, c2 and its boundary divisors with integer residues, as
-integer vectors; from these come the Deligne-extension classes, closed
-forms through degree 2 for 12 td, 2 ch(Omega^q(log D)) and 2 c(T(-log D)),
-and a pushforward to the labeled Chow basis of the singular locus.
+Chern classes c1, c2 and its boundary divisors with integer residues.
+Every class of a model is a coefficient vector in the ring basis, of
+integers: the Deligne-extension classes and the closed forms through
+degree 2 for 12 td, 2 ch(Omega^q(log D)) and 2 c(T(-log D)).  The
+pushforward takes such a vector, of ints or RatFuncY, to the labeled
+Chow basis of the singular locus.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from functools import cached_property
 
 from .arrangement import Arrangement, Edge, Stratum, sigma_strata
 from .coeffs import RatFuncY, rat
-from .rings import BlownPlaneRing, ProjRing, RingElement, combine
+from .rings import BlownPlaneRing, ProjRing, combine
 
 __all__ = [
     "StrataError",
@@ -25,9 +27,7 @@ __all__ = [
     "StratumModel",
     "compactify",
     "residues",
-    "deligne_base",
     "deligne_vector",
-    "deligne_class",
     "deligne_residues",
     "power_identity_holds",
     "LabelSchema",
@@ -61,11 +61,6 @@ _KIND = ("point", "curve", "surface")
 
 def _unit(size: int, index: int) -> tuple:
     return tuple(int(i == index) for i in range(size))
-
-
-def _read_off(ring, vec, den: int = 1) -> RingElement:
-    """The class vec / den of an integer vector, as a RingElement."""
-    return RingElement(ring, [RatFuncY.from_ints((x,), den) for x in vec])
 
 
 @dataclass(frozen=True)
@@ -132,13 +127,12 @@ class StratumModel:
                                     (-2, mul(c1, d)), (1, mul(d, d)),
                                     (1, squares)])
 
-    @property
-    def log_tangent(self) -> RingElement:
-        return _read_off(self.ring, self.log_tangent2, 2)
-
     @cached_property
     def deligne_base_vector(self) -> tuple:
-        """deligne_base; the ambient hyperplane pulls back to basis class 1."""
+        """First Chern class of the base extension bundle: the ambient twist
+        by minus the rounded-up relative degree, corrected on the sub-edge
+        transforms by the integer parts of the induced multiplicity ratios.
+        The ambient hyperplane pulls back to basis class 1."""
         size = len(self.c1)
         twist = [(-_ceil_div(self.out_degree, self.m_s), _unit(size, 1))
                  ] if self.dim else []
@@ -245,13 +239,6 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def deligne_base(model: StratumModel) -> RingElement:
-    """First Chern class of the base extension bundle: the ambient twist by
-    minus the rounded-up relative degree, corrected on the sub-edge
-    transforms by the integer parts of the induced multiplicity ratios."""
-    return _read_off(model.ring, model.deligne_base_vector)
-
-
 def _twist(k: int, m_res: int, m_s: int, mode: str) -> int:
     if mode == EXT_HALF_OPEN_UP:
         return _ceil_div(k * m_res, m_s) - 1
@@ -287,12 +274,6 @@ def deligne_vector(model: StratumModel, k: int,
             for i, x in enumerate(comp.cls):
                 acc[i] += t * x
     return acc
-
-
-def deligne_class(model: StratumModel, k: int,
-                  mode: str = EXT_HALF_OPEN_UP) -> RingElement:
-    """deligne_vector as a class in the model ring."""
-    return _read_off(model.ring, deligne_vector(model, k, mode))
 
 
 def deligne_residues(model: StratumModel, k: int,
@@ -432,21 +413,22 @@ class SigmaChowVector:
         return "SigmaChowVector(" + ", ".join(items) + ")"
 
 
-def push_to_sigma(schema: LabelSchema, edge: Edge,
-                  elem: RingElement) -> SigmaChowVector:
-    """Push a model class to the labeled Chow basis.  A basis class of
-    cohomological degree j sits in homology degree dim - j: the fundamental
-    part lands on the closure's own or shared label, lower parts land on the
-    shared label of their degree, exceptional-curve classes contract to
-    zero."""
-    ring = elem.ring
+def push_to_sigma(schema: LabelSchema, model: StratumModel,
+                  coeffs) -> dict:
+    """Push a model class, given by its coefficients (ints or RatFuncY) in
+    the model basis, to the labeled Chow basis: label -> summed
+    coefficient.  A basis class of cohomological degree j sits in homology
+    degree dim - j: the fundamental part lands on the closure's own or
+    shared label, lower parts land on the shared label of their degree,
+    exceptional-curve classes contract to zero."""
+    ring = model.ring
     out = {}
-    for i, c in enumerate(elem.coeffs):
-        if c.is_zero() or ring.names[i].startswith("eps"):
+    for c, name, deg in zip(coeffs, ring.names, ring.degrees):
+        if not c or name.startswith("eps"):
             continue  # exceptional curves contract
-        name = schema.resolve_push(edge, ring.dim - ring.degrees[i])
-        out[name] = out.get(name, RatFuncY.ZERO) + c
-    return SigmaChowVector(schema, out)
+        label = schema.resolve_push(model.edge, ring.dim - deg)
+        out[label] = out[label] + c if label in out else c
+    return out
 
 
 def relabel_vector(vec: SigmaChowVector, perm: dict,

@@ -15,7 +15,8 @@ pairwise inclusion test over edges found by filtering, and the product
 of ring classes by the basis multiplication table.  The Newton-identity
 route from Chern data to Chern characters and Todd classes, and the
 scaled Todd transformation of RingElements, check the integer closed
-forms a stratum model carries.  The sparse-vector sums, scalings
+forms a stratum model carries; the Chern path built from those
+RingElements checks the integer one.  The sparse-vector sums, scalings
 and polynomiality test that the package itself never needs live here
 too.
 """
@@ -29,13 +30,14 @@ import sympy
 
 from hmclass.ambient import virtual_genus
 from hmclass.arrangement import (Stratum, chi_y_pn,
-                                 euler_by_inclusion_exclusion)
+                                 euler_by_inclusion_exclusion, localize,
+                                 milnor_fiber_chi, sigma_strata)
 from hmclass.coeffs import RatFuncY
 from hmclass.genera import hirzebruch_series
 from hmclass.rings import ProjRing, Ring, RingElement, exp_nilpotent
 from hmclass.spectra import Spectrum, SpectrumError, sp_shift
-from hmclass.strata import (SigmaChowVector, StrataError, deligne_class,
-                            k_representative)
+from hmclass.strata import (SigmaChowVector, StrataError, build_labels,
+                            compactify, deligne_vector, k_representative)
 
 
 def series_coeffs(expr, var, order):
@@ -275,6 +277,33 @@ def log_chern(model, q: int) -> ChernData:
     return ChernData(2, (graded_part(total, 1), graded_part(total, 2)))
 
 
+def log_tangent_by_chern(model) -> RingElement:
+    """c(T(-log D)) = 1 - c_1 + c_2 of the logarithmic cotangent bundle,
+    from its Chern data."""
+    total = model.ring.one()
+    for i, c in enumerate(log_chern(model, min(model.dim, 1)).chern):
+        total = total + c * (-1) ** (i + 1)
+    return total
+
+
+def chern_milnor_by_classes(arr) -> SigmaChowVector:
+    """The Euler-weighted Chern path with RatFuncY classes: per stratum,
+    chi~ of its Milnor fiber times log_tangent_by_chern, pushed basis class
+    by basis class to its label, exceptional curves contracting."""
+    schema = build_labels(arr)
+    out = {}
+    for s in sigma_strata(arr):
+        model = compactify(arr, s)
+        ring = model.ring
+        chi_tilde = milnor_fiber_chi(localize(arr, s.edge)) - 1
+        cls = log_tangent_by_chern(model) * chi_tilde
+        for c, name, deg in zip(cls.coeffs, ring.names, ring.degrees):
+            if not name.startswith("eps"):
+                label = schema.resolve_push(s.edge, ring.dim - deg)
+                out[label] = out.get(label, RatFuncY.ZERO) + c
+    return SigmaChowVector(schema, out)
+
+
 def _exp_minus_one_powers(dim: int) -> list:
     """Coefficient tables of (e^x - 1)^j for j = 0..dim, truncated at x^dim."""
     base = [Fraction(0)] + [Fraction(1, math.factorial(k)) for k in range(1, dim + 1)]
@@ -441,7 +470,8 @@ def stratum_contribution_by_terms(arr, stratum, germ_sp, model, conv) -> RingEle
     todd = todd_from_chern(tangent_chern(model), ring)
     for alpha, n_alpha in strat_sp.entries:
         k = k_representative(alpha, model.m_s, conv.extension_mode)
-        ch_line = exp_nilpotent(deligne_class(model, k, conv.extension_mode))
+        ch_line = exp_nilpotent(model_class(
+            model, deligne_vector(model, k, conv.extension_mode)))
         p = math.floor(n - alpha)
         for q in range(model.dim + 1):
             sign = 1 if (q + n - 1) % 2 == 0 else -1

@@ -45,7 +45,7 @@ class TestMilnorCommand:
 
     def test_conventions_flag(self, capsys):
         payload = run_json(capsys, "milnor", corpus_file("doubleline"),
-                           "--sign-mode", "flip_odd_strata")
+                           "--conventions", "flip_odd_strata/res_(0,1]")
         assert payload["conventions"]["sign_mode"] == "flip_odd_strata"
         assert payload["cross_path"]["ok"] is False
 
@@ -112,6 +112,17 @@ class TestMilnorCommand:
                            "--tables", str(tables))
         assert code == 1
         assert "rejected" in json.loads(err)["error"]["message"]
+
+    @pytest.mark.parametrize("target", ["input", "tables", "out"])
+    def test_directory_path_exit_code(self, capsys, tmp_path, target):
+        argv = {"input": ["lattice", str(tmp_path)],
+                "tables": ["milnor", corpus_file("concurrent3"), "--tables",
+                           str(tmp_path)],
+                "out": ["milnor", corpus_file("concurrent3"), "--out",
+                        str(tmp_path)]}[target]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert json.loads(err)["error"]["kind"] == "IsADirectoryError"
 
     def test_malformed_input_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -480,8 +491,8 @@ class TestParserReuse:
 
     def test_requests_in_one_process_match_fresh_runs(self, capsys):
         requests = [("lattice", corpus_file("fourplanes")),
-                    ("milnor", corpus_file("doubleline"), "--sign-mode",
-                     "flip_odd_strata"),
+                    ("milnor", corpus_file("doubleline"), "--conventions",
+                     "flip_odd_strata/res_(0,1]"),
                     ("milnor", "--dump-strata"),  # no input file: exit 2
                     ("lattice", corpus_file("fourplanes"))]
         codes = []

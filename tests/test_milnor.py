@@ -14,11 +14,12 @@ from hmclass.milnor import (ALL_CONVENTIONS, DEFAULT_CONVENTIONS,
                             _signature,
                             _stratum_contribution, assemble, calibrate,
                             chern_milnor)
-from hmclass.spectra import sp_user_load, stratum_spectrum
+from hmclass.spectra import (SpectrumError, sp_monomial, sp_shift,
+                             sp_user_load, stratum_spectrum)
 from hmclass.strata import (SigmaChowVector, build_labels, compactify,
                             push_to_sigma, relabel_vector)
-from oracles import (ChernData, euler_defect, report_to_json,
-                     stratum_contribution_by_terms, td_1py,
+from oracles import (ChernData, chern_milnor_by_classes, euler_defect,
+                     report_to_json, stratum_contribution_by_terms, td_1py,
                      vector_is_polynomial, vector_scale, vector_sum)
 
 F = Fraction
@@ -45,6 +46,15 @@ def count_calls(monkeypatch, module, name):
 def signature(arr, model, tables=None):
     sp = stratum_spectrum(arr, model.stratum, tables)
     return _signature(arr.n, model, sp)
+
+
+def chern_path(arr):
+    """The Chern path of an arrangement, checked against the oracle that
+    sums RatFuncY classes."""
+    vec = chern_milnor(arr, build_labels(arr),
+                       [compactify(arr, s) for s in sigma_strata(arr)])
+    assert vec == chern_milnor_by_classes(arr)
+    return vec
 
 
 def constant_values(vec):
@@ -146,19 +156,19 @@ class TestAssembleCorpus:
 
 class TestChernPath:
     def test_pencil(self):
-        vec = chern_milnor(corpus.load("pencil3planes"))
+        vec = chern_path(corpus.load("pencil3planes"))
         assert constant_values(vec) == {"L_{123}": -4, "Q_{0}": -4}
 
     def test_doubleline(self):
-        vec = chern_milnor(corpus.load("doubleline"))
+        vec = chern_path(corpus.load("doubleline"))
         assert constant_values(vec) == {"H_{1}": 1, "Q_{0}": 1}
 
     def test_smooth_is_zero(self):
-        vec = chern_milnor(build(2, [((1, 0, 0), 1)]))
+        vec = chern_path(build(2, [((1, 0, 0), 1)]))
         assert not vec.values
 
     def test_fourplanes(self):
-        vec = chern_milnor(corpus.load("fourplanes"))
+        vec = chern_path(corpus.load("fourplanes"))
         got = constant_values(vec)
         assert got["Q_{0}"] == 2
         for pair in ("12", "13", "14", "23", "24", "34"):
@@ -440,9 +450,9 @@ class TestRegroupedContribution:
     def check(self, arr, strata, conv):
         for s, sp in strata:
             model = compactify(arr, s)
-            got = _stratum_contribution(arr, s, sp, model, conv)
-            assert got == stratum_contribution_by_terms(arr, s, sp, model,
-                                                        conv), s.key
+            got = _stratum_contribution(sp, model, conv)
+            assert tuple(got) == stratum_contribution_by_terms(
+                arr, s, sp, model, conv).coeffs, s.key
 
     @pytest.mark.parametrize("name", corpus.ALL_NAMES)
     def test_corpus_under_all_conventions(self, name):
@@ -483,6 +493,17 @@ class TestRegroupedContribution:
             assert set(range(lo, lo + 8)) <= seen[mode], (mode, seen)
             assert max(ends[mode]) >= 8, (mode, ends)
 
+    def test_germ_frame_only(self):
+        # a spectrum in the stratum frame, or a germ of another codimension,
+        # is refused rather than read in the wrong frame
+        arr = corpus.load("fourplanes")
+        line = next(s for s in sigma_strata(arr) if s.dim == 1)
+        germ = stratum_spectrum(arr, line)
+        model = compactify(arr, line)
+        for wrong in (sp_shift(germ, line, arr.n), sp_monomial([1, 1, 1])):
+            with pytest.raises(SpectrumError):
+                _stratum_contribution(wrong, model, DEFAULT_CONVENTIONS)
+
     def test_one_contribution_per_signature(self, monkeypatch):
         calls = count_calls(monkeypatch, milnor, "_stratum_contribution")
         for name in corpus.ALL_NAMES:
@@ -508,9 +529,7 @@ class TestOneStrataPass:
         arr = corpus.load("fourplanes")
         rep = assemble(arr)
         assert len(calls) == 1
-        # called alone, the Chern path still finds the strata itself
-        assert chern_milnor(arr) == rep.chern_path
-        assert len(calls) == 2
+        assert rep.chern_path == chern_milnor_by_classes(arr)
 
 
 class TestOnePass:
@@ -622,9 +641,9 @@ class TestInPlaceSums:
         rep = assemble(arr)
         count = len(rep.per_stratum)
         assert count == 190
-        # per stratum: its contribution, and the Chern path's pushed class;
-        # per report: M_y, the Chern path and three specializations
-        assert len(sizes) == 2 * count + 5
+        # per stratum: its contribution; per report: M_y, the Chern path
+        # and three specializations
+        assert len(sizes) == count + 5
         assert sum(sizes) <= 7 * count
 
 
@@ -661,8 +680,8 @@ def generated_tables(arr):
 class TestMemo:
     """Every per-stratum vector and the Chern path against a memo-free
     computation: the term-by-term oracle per stratum, with a fresh model,
-    and the Chern path called alone.  User tables admit germs whose strata
-    share a local type but not a boundary."""
+    and the Chern path from RatFuncY classes.  User tables admit germs
+    whose strata share a local type but not a boundary."""
 
     def check(self, arr, conv):
         tables = generated_tables(arr)
@@ -674,10 +693,11 @@ class TestMemo:
             elem = stratum_contribution_by_terms(arr, s, sp, model, conv)
             if conv.sign_mode == "flip_odd_strata" and s.dim % 2 == 1:
                 elem = -elem
-            want[s.key] = push_to_sigma(schema, s.edge, elem)
+            want[s.key] = SigmaChowVector(
+                schema, push_to_sigma(schema, model, elem.coeffs))
         rep = assemble(arr, tables, conv)
         assert rep.per_stratum == want
-        assert rep.chern_path == chern_milnor(arr)
+        assert rep.chern_path == chern_milnor_by_classes(arr)
         assert rep.m_y == vector_sum(schema, want.values())
         return rep, tables
 

@@ -6,10 +6,10 @@ from hmclass import corpus
 from hmclass.arrangement import build, sigma_strata
 from hmclass.coeffs import RatFuncY
 from hmclass.rings import BlownPlaneRing
-from hmclass.strata import (StrataError, build_labels, chow_dims, compactify,
-                            deligne_base, deligne_class, deligne_residues,
-                            homology_weight_dims, power_identity_holds,
-                            push_to_sigma, residues)
+from hmclass.strata import (SigmaChowVector, StrataError, build_labels,
+                            chow_dims, compactify, deligne_residues,
+                            deligne_vector, homology_weight_dims,
+                            power_identity_holds, push_to_sigma, residues)
 from oracles import basis_class, log_chern, model_class, vector_to_json
 
 F = Fraction
@@ -20,6 +20,16 @@ def stratum_of(arr, key):
         if s.key == key:
             return s
     raise KeyError(key)
+
+
+def deligne_class(model, k):
+    """The k-th Deligne-extension class as a class in the model ring."""
+    return model_class(model, deligne_vector(model, k))
+
+
+def pushed(schema, model, elem):
+    """A class of the model ring pushed to the labeled Chow basis."""
+    return SigmaChowVector(schema, push_to_sigma(schema, model, elem.coeffs))
 
 
 def two_planes():
@@ -177,7 +187,8 @@ class TestDeligne:
     def test_base_class_of_fourplanes_line(self):
         arr = corpus.load("fourplanes")
         model = compactify(arr, stratum_of(arr, "1,2"))
-        assert self.degree(model, deligne_base(model)) == -1
+        base = model_class(model, model.deligne_base_vector)
+        assert self.degree(model, base) == -1
 
 
 class TestLogChern:
@@ -263,7 +274,7 @@ class TestPushAndLabels:
         arr = corpus.load("fourplanes")
         schema = build_labels(arr)
         model = compactify(arr, stratum_of(arr, "1,2"))
-        vec = push_to_sigma(schema, model.edge, model.ring.one())
+        vec = pushed(schema, model, model.ring.one())
         assert vec.coefficient("L_{12}") == RatFuncY.ONE
         assert vec.trace().is_zero()
 
@@ -272,7 +283,7 @@ class TestPushAndLabels:
         schema = build_labels(arr)
         model = compactify(arr, stratum_of(arr, "1,2"))
         pt = model.ring.basis_element(1)
-        vec = push_to_sigma(schema, model.edge, pt)
+        vec = pushed(schema, model, pt)
         assert vec.coefficient("Q_{0}") == RatFuncY.ONE
 
     def test_exceptional_class_contracts(self):
@@ -280,7 +291,7 @@ class TestPushAndLabels:
         schema = build_labels(arr)
         model = compactify(arr, stratum_of(arr, "1"))
         eps = basis_class(model.ring, "eps_1,2,3,4")
-        vec = push_to_sigma(schema, model.edge, eps)
+        vec = pushed(schema, model, eps)
         assert vec.values == {}
         assert vector_to_json(vec) == {name: [] for name in schema.names()}
 
@@ -289,14 +300,14 @@ class TestPushAndLabels:
         schema = build_labels(arr)
         model = compactify(arr, stratum_of(arr, "1"))
         elem = basis_class(model.ring, "pt") * 7 + basis_class(model.ring, "e") * 3
-        vec = push_to_sigma(schema, model.edge, elem)
+        vec = pushed(schema, model, elem)
         assert vec.trace() == RatFuncY([7])
 
     def test_codim2_edge_inside_multiple_hyperplane_shares(self):
         arr = corpus.load("doubleplane3")
         schema = build_labels(arr)
         model = compactify(arr, stratum_of(arr, "1,2"))
-        vec = push_to_sigma(schema, model.edge, model.ring.one())
+        vec = pushed(schema, model, model.ring.one())
         assert vec.coefficient("Q_{1}") == RatFuncY.ONE
 
     def test_label_inventory(self):
