@@ -45,9 +45,10 @@ class ArrangementError(ValueError):
     """Invalid arrangement input."""
 
 
-# The largest hyperplane multiplicity build accepts.  A stratum's spectrum
-# and contribution take time linear in it: one line of this multiplicity
-# plus 3 generic lines takes about 4 s for "milnor".
+# The largest hyperplane multiplicity build accepts.  "milnor" reads each
+# catalogue germ by its class, so one line of this multiplicity plus 3
+# generic lines takes about 2 ms in process; "spectra" lists every
+# exponent, in time linear in the multiplicity.
 MAX_MULTIPLICITY = 100_000
 
 
@@ -244,7 +245,7 @@ class Edge:
     codim: int
     m_s: int
 
-    @property
+    @cached_property
     def key(self) -> str:
         return ",".join(str(j + 1) for j in self.index_set)
 

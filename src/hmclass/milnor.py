@@ -4,7 +4,10 @@ The class is summed stratum by stratum from spectrum multiplicities,
 Deligne-extension line bundles twisted by logarithmic cotangent powers,
 and the scaled Todd transformation, then pushed into the labeled Chow
 basis of the singular locus.  Both sums stay coefficient vectors in the
-model basis: integers until each RatFuncY coefficient is built.  An
+model basis: integers until each RatFuncY coefficient is built.  A
+catalogue germ's multiplicities are read in closed form from its class,
+and summed over the Deligne powers by floor sums, so no spectrum is
+listed; each distinct local type is computed once per report.  An
 independent Euler-weighted Chern path provides the cross-check at
 y = -1, and a degree-zero comparison against the virtual-genus
 difference is always reported.  The one unprintable
@@ -22,10 +25,10 @@ from .arrangement import (Arrangement, chi_y, localize, milnor_fiber_chi,
                           sigma_strata)
 from .coeffs import RatFuncY
 from .rings import combine
-from .spectra import Spectrum, SpectrumError, stratum_spectrum
+from .spectra import Spectrum, SpectrumError, stratum_germ
 from .strata import (EXT_HALF_OPEN_DOWN, EXT_HALF_OPEN_UP, LabelSchema,
                      SigmaChowVector, StratumModel, build_labels, compactify,
-                     deligne_vector, k_representative, push_to_sigma)
+                     k_representative, push_to_sigma, twist_offsets)
 
 __all__ = [
     "MilnorError",
@@ -113,9 +116,10 @@ class MilnorReport:
         block; a block splices its vector's nonzero values into the zero
         lines of the schema, which are rendered once per report."""
         names = self.schema.names()
-        m_y = _label_block(names, 4, True)
-        stratum = _label_block(names, 6, True)
-        constants = _label_block(names, 6, False)
+        quoted = [json.dumps(name) for name in names]
+        m_y = _label_block(names, quoted, 4, True)
+        stratum = _label_block(names, quoted, 6, True)
+        constants = _label_block(names, quoted, 6, False)
         skeleton = {
             "n": self.arrangement.n,
             "m": self.arrangement.m,
@@ -145,13 +149,15 @@ class MilnorReport:
 _HOLE = "\0"  # stands for a label -> value block in the json.dumps skeleton
 
 
-def _label_block(names: list, indent: int, as_list: bool):
+def _label_block(names: list, quoted: list, indent: int, as_list: bool):
     """Renderer of a vector as the label -> value object json.dumps(indent=2)
-    writes with its labels at the given indent: coefficient lists, or else
-    constant terms.  Each call copies the zero lines and overwrites the
-    lines of the nonzero values."""
+    writes with its labels, quoted by json.dumps, at the given indent:
+    coefficient lists, or else constant terms.  Each call copies the zero
+    lines and overwrites the lines of the nonzero values; a value's text is
+    rendered once per renderer, since strata of one local type share their
+    coefficients."""
     pad = " " * indent
-    heads = [f"{pad}{json.dumps(name)}: " for name in names]
+    heads = [f"{pad}{name}: " for name in quoted]
     zeros = [head + ("[]" if as_list else '"0"') for head in heads]
     index = {name: i for i, name in enumerate(names)}
     sep, close = f'",\n{pad}  "', "\n" + pad[2:] + "}"
@@ -161,51 +167,171 @@ def _label_block(names: list, indent: int, as_list: bool):
             return f'[\n{pad}  "{sep.join(value.as_strings())}"\n{pad}]'
         return f'"{value.coeff(0)}"'
 
+    rendered = {}  # normal form of a coefficient -> its text, per report
+
     def block(vec: SigmaChowVector) -> str:
         if not zeros:
             return "{}"
         lines = zeros[:]
         for name, value in vec.values.items():
             i = index[name]
-            lines[i] = heads[i] + text(value)
+            form = (value.num, value.den, value.k)
+            body = rendered.get(form)
+            if body is None:
+                body = rendered[form] = text(value)
+            lines[i] = heads[i] + body
         return "{\n" + ",\n".join(lines) + close
 
     return block
 
 
-def _stratum_contribution(germ_sp: Spectrum, model: StratumModel,
+def _power_sums(lo: int, hi: int) -> tuple:
+    """The sums of c^i over lo <= c <= hi, for i = 0..3 and 0 <= lo."""
+    def upto(n):  # over 0 <= c <= n
+        s1 = n * (n + 1) // 2
+        return (n + 1, s1, s1 * (2 * n + 1) // 3, s1 * s1)
+    return tuple(x - z for x, z in zip(upto(hi), upto(lo - 1)))
+
+
+def _floor_sums(n: int, a: int, b: int, m: int) -> tuple:
+    """The sums over 0 <= i <= n of floor((a i + b) / m), of i times it and
+    of its square, for a, b >= 0 and m > 0: the Euclid-like recursion of
+    Graham, Knuth and Patashnik (Concrete Mathematics, section 3.5), in
+    O(log) steps."""
+    if n < 0:
+        return 0, 0, 0
+    s1 = n * (n + 1) // 2
+    if a >= m or b >= m:
+        qa, qb = a // m, b // m
+        f, g, h = _floor_sums(n, a % m, b % m, m)
+        s2 = s1 * (2 * n + 1) // 3
+        return (f + qa * s1 + qb * (n + 1), g + qa * s2 + qb * s1,
+                h + 2 * qb * f + 2 * qa * g + qa * qa * s2
+                + 2 * qa * qb * s1 + qb * qb * (n + 1))
+    top = (a * n + b) // m
+    if not top:
+        return 0, 0, 0
+    f1, g1, h1 = _floor_sums(top - 1, m, m - b - 1, a)
+    f = n * top - f1
+    return f, (top * n * (n + 1) - h1 - f1) // 2, \
+        n * top * (top + 1) - 2 * g1 - 2 * f1 - f
+
+
+def _twist_sum(lo: int, hi: int, a: int, b: int, slope: int, offset: int,
+               m: int) -> int:
+    """The sum of (a + b c) floor((slope c + offset) / m) over
+    lo <= c <= hi, in O(log) steps."""
+    f, g, _ = _floor_sums(hi - lo, slope, slope * lo + offset, m)
+    return (a + b * lo) * f + b * g
+
+
+def _breaks(lo: int, hi: int, a: int, b: int, m: int) -> list:
+    """The c in (lo, hi] at which floor((a c + b) / m) differs from its
+    value at c - 1, for |a| <= m."""
+    first, last = (a * lo + b) // m, (a * hi + b) // m
+    if a > 0:
+        return [-((b - v * m) // a) for v in range(first + 1, last + 1)]
+    if a < 0:
+        return [((v + 1) * m - b) // a + 1
+                for v in range(first - 1, last - 1, -1)]
+    return []
+
+
+def _germ_runs(germ, codim: int, m_s: int, mode: str) -> dict:
+    """The germ spectrum read in its own frame, by p = floor(codim - alpha):
+    p -> runs (q, lo, hi, a, b), the summed multiplicity of the exponents
+    at p with Deligne power k = q c being a + b c for lo <= c <= hi.
+
+    A catalogue germ of class (rank, e) has p = j, and its exponent
+    r - j - c/e has k = c m_s/e, so its runs are the class's.  In the
+    window (0,1] the power k = 0 stands for k = m_s: the twists of (0,1]
+    give both the class -D, since m_s times the base class is minus the
+    residue-weighted boundary.  A table gives one run per entry."""
+    if germ.frame != ("germ", codim):
+        raise SpectrumError(f"expected the germ frame ('germ', {codim}), "
+                            f"got {germ.frame}")
+    out = {}
+    if isinstance(germ, Spectrum):
+        for alpha, n_alpha in germ.entries:
+            p = (codim * alpha.denominator - alpha.numerator) // alpha.denominator
+            k = k_representative(alpha, m_s, mode)
+            out.setdefault(p, []).append((1, k, k, n_alpha, 0))
+        return out
+    e = germ.e
+    if m_s % e:
+        raise SpectrumError(f"exponent gcd {e} does not divide m_s = {m_s}")
+    for p, lo, hi, a, b in germ.runs():
+        if lo <= hi:
+            out.setdefault(p, []).append((m_s // e, lo, hi, a, b))
+    return out
+
+
+def _line_sum(model: StratumModel, runs: list, mode: str) -> tuple:
+    """Sum of N_k 2 ch(L_k) = N_k (2 + 2 D_k + D_k^2) over the Deligne
+    powers of the runs, with D_k = k base + the sum of t_r(k) D_r over the
+    residues r, for the twist t_r(k) = floor((k r + b0) / m_s) + c0.
+
+    On a point D_k = 0, and on a curve D_k^2 = 0, so floor sums in O(log)
+    steps give the twists' first-order sums.  On a surface the powers are
+    cut where some twist breaks: each twist is linear in c between
+    breaks, with the slope that leaves fewer of them (at most
+    min(r, e - r) for the powers c m_s/e), and so is D_k = U + V c."""
+    ring, m_s = model.ring, model.m_s
+    size, mul = len(ring.names), ring.mul_vectors
+    base, groups = model.deligne_base_vector, model.twist_classes
+    b0, c0 = twist_offsets(m_s, mode)
+    terms = []
+    const = 0
+    for q, lo, hi, a, b in runs:
+        sums = _power_sums(lo, hi)
+        n0, n1 = a * sums[0] + b * sums[1], a * sums[1] + b * sums[2]
+        if model.dim < 2:
+            const += 2 * n0
+            terms.append((2 * q * n1, base))
+            terms += [(2 * (_twist_sum(lo, hi, a, b, q * r, b0, m_s)
+                            + c0 * n0), cls) for r, cls in groups]
+            continue
+        slopes = [(q * r) // m_s + (2 * (q * r % m_s) > m_s)
+                  for r, _ in groups]
+        cuts = {lo}
+        for s, (r, _) in zip(slopes, groups):
+            cuts.update(_breaks(lo, hi, q * r - s * m_s, b0, m_s))
+        v = combine(size, 0, [(q, base)] + [(s, cls) for s, (_, cls)
+                                            in zip(slopes, groups)])
+        vv = mul(v, v)
+        cuts = sorted(cuts) + [hi + 1]
+        for start, end in zip(cuts, cuts[1:]):
+            u = combine(size, 0, [((start * (q * r - s * m_s) + b0) // m_s
+                                   + c0, cls)
+                                  for s, (r, cls) in zip(slopes, groups)])
+            p0, p1, p2, p3 = _power_sums(start, end - 1)
+            n0, n1, n2 = a * p0 + b * p1, a * p1 + b * p2, a * p2 + b * p3
+            const += 2 * n0
+            terms += [(2 * n0, u), (2 * n1, v), (n0, mul(u, u)),
+                      (2 * n1, mul(u, v)), (n2, vv)]
+    return combine(size, const, terms)
+
+
+def _stratum_contribution(germ, model: StratumModel,
                           conv: ConventionSet) -> list:
     """Sum over exponents and cotangent powers for one stratum, with the
     degree scaling already applied: one RatFuncY per model basis class.
 
-    The germ spectrum is read in its own frame: alpha stands at
-    p = floor(codim - alpha) with multiplicity (-1)^dim n_alpha, and
-    alpha + dim has the same Deligne power k.  The summand
-    td ch(L_k) ch(Omega^q) (-y)^(p + q) sign_q (-1)^dim n_alpha has y only
-    in y^(p + q), as (-1)^(p + q + dim) sign_q = (-1)^(p + codim - 1).  So
-    it is summed in integer vectors, times 48 = 2 * 2 * 12: 2 ch(L_k) per
-    p, its products with 2 ch(Omega^q) per power of y, each times 12 td;
-    y enters as each coefficient is built."""
+    germ is a catalogue GermKind or a table's Spectrum, read in its own
+    frame: alpha stands at p = floor(codim - alpha) with multiplicity
+    (-1)^dim n_alpha, and alpha + dim has the same Deligne power k.  The
+    summand td ch(L_k) ch(Omega^q) (-y)^(p + q) sign_q (-1)^dim n_alpha has
+    y only in y^(p + q), as (-1)^(p + q + dim) sign_q =
+    (-1)^(p + codim - 1).  So it is summed in integer vectors, times
+    48 = 2 * 2 * 12: 2 ch(L_k) summed over k per p, its products with
+    2 ch(Omega^q) per power of y, each times 12 td; y enters as each
+    coefficient is built."""
     codim = model.edge.codim
-    if germ_sp.frame != ("germ", codim):
-        raise SpectrumError(f"expected the germ frame ('germ', {codim}), "
-                            f"got {germ_sp.frame}")
     ring, mode = model.ring, conv.extension_mode
     size, mul = len(ring.names), ring.mul_vectors
-    counts = {}  # p = floor(codim - alpha) -> k -> the summed n_alpha
-    for alpha, n_alpha in germ_sp.entries:
-        p = (codim * alpha.denominator - alpha.numerator) // alpha.denominator
-        by_k = counts.setdefault(p, {})
-        k = k_representative(alpha, model.m_s, mode)
-        by_k[k] = by_k.get(k, 0) + n_alpha
-    ch_lines = {}  # k -> 2 ch(L_k) = 2 + 2 D_k + D_k^2
     buckets = {}  # j -> the (sign, class) terms of y^j, before the Todd class
-    for p, by_k in counts.items():
-        for k in by_k:
-            if k not in ch_lines:
-                d = deligne_vector(model, k, mode)
-                ch_lines[k] = combine(size, 2, [(2, d), (1, mul(d, d))])
-        line = combine(size, 0, [(c, ch_lines[k]) for k, c in by_k.items()])
+    for p, runs in _germ_runs(germ, codim, model.m_s, mode).items():
+        line = _line_sum(model, runs, mode)
         sign = -1 if (p + codim - 1) % 2 else 1
         for q, ch_q in enumerate(model.log_ch2):
             buckets.setdefault(p + q, []).append((sign, mul(line, ch_q)))
@@ -215,17 +341,21 @@ def _stratum_contribution(germ_sp: Spectrum, model: StratumModel,
             for i, deg in enumerate(ring.degrees)]
 
 
-def _signature(n: int, model: StratumModel, germ: Spectrum) -> tuple:
+def _type_key(n: int, model: StratumModel, germ) -> tuple:
     """Everything a stratum's contribution depends on once the conventions
-    are fixed.  On a point or a curve the boundary enters only through the
-    multiset of its (source, m_sub, m_res).  On a surface it also matters
-    which boundary lines pass through which blown points, so a surface's
-    signature names its edge and matches no other stratum."""
+    are fixed: the model's shape, and the germ's class (tag, rank, e) for a
+    catalogue germ, or a table's entries.  On a point or a curve the
+    boundary enters only through the multiset of its (source, m_sub,
+    m_res).  On a surface it also matters which boundary lines pass
+    through which blown points, so a surface's key names its edge and
+    matches no other stratum."""
     if model.kind == "surface":
         return (model.kind, model.edge.index_set)
     boundary = sorted((c.source, c.m_sub, c.m_res) for c in model.boundary)
+    germ_class = (germ.entries if isinstance(germ, Spectrum)
+                  else (germ.tag, germ.rank, germ.e))
     return (model.kind, model.dim, n, model.m_s, model.out_degree,
-            tuple(boundary), germ.entries, germ.frame)
+            tuple(boundary), germ_class, germ.frame)
 
 
 def _add_into(totals: dict, vec: SigmaChowVector):
@@ -243,25 +373,26 @@ def assemble(arr: Arrangement, user_tables: dict = None,
     a failure is raised as a convention violation rather than silenced.
 
     One pass over the strata: each is compactified once, and the models
-    are shared with the Chern path.  Strata with the same signature get the
-    same contribution, which is computed once per report.
+    are shared with the Chern path.  Strata with the same type key get the
+    same contribution, which is computed once per report, from the germ
+    of the first of them.
     """
     schema = build_labels(arr)
     strata = sigma_strata(arr)
     # compactify rejects strata of dimension > 2 before any spectrum lookup
     models = [compactify(arr, s) for s in strata]
-    spectra = [stratum_spectrum(arr, s, user_tables) for s in strata]
-    missing = [s.key for s, sp in zip(strata, spectra) if sp is None]
+    germs = [stratum_germ(arr, s, user_tables) for s in strata]
+    missing = [s.key for s, germ in zip(strata, germs) if germ is None]
     if missing:
         raise MissingSpectrumError(missing)
 
     totals = {}
     per_stratum = {}
-    memo = {}  # signature -> contribution, for this report only
-    for s, model, germ in zip(strata, models, spectra):
+    memo = {}  # type key -> contribution, for this report only
+    for s, model, germ in zip(strata, models, germs):
         if germ.is_zero():
             continue  # skip by spectrum content only
-        key = _signature(arr.n, model, germ)
+        key = _type_key(arr.n, model, germ)
         coeffs = memo.get(key)
         if coeffs is None:
             coeffs = _stratum_contribution(germ, model, conv)
@@ -290,7 +421,7 @@ def assemble(arr: Arrangement, user_tables: dict = None,
                          1: m_y.specialize(1)},
         chern_path=chern_path,
         cross_path_ok=(spec_minus1 == chern_path),
-        models=[m for m, germ in zip(models, spectra) if not germ.is_zero()],
+        models=[m for m, germ in zip(models, germs) if not germ.is_zero()],
     )
     report.degree0 = degree0_check(arr, report)
     return report

@@ -6,6 +6,13 @@ arrangements of small ambient dimension produce: monomial germs (local
 normal crossings with multiplicities) and ordinary plane germs (k distinct
 reduced concurrent lines).  Everything else is admitted via user tables,
 which are validated before use and rejected on any failure.
+
+A catalogue germ is fixed by a few integers, its class: the rank r and
+the gcd e of the exponents of a monomial germ, or the line count e of an
+ordinary one.  Its spectrum is held in closed form, as runs of exponents
+r - p - c/e whose multiplicities are linear in c, and assembly reads the
+runs; the entries are expanded into a Spectrum only for the spectrum
+report and the validators, in time linear in their number.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ __all__ = [
     "sp_shift",
     "sp_validate",
     "sp_user_load",
-    "catalogue_spectrum",
+    "stratum_germ",
     "stratum_spectrum",
 ]
 
@@ -90,50 +97,18 @@ class Spectrum:
 
 
 def sp_monomial(exponents) -> Spectrum:
-    """Spectrum of a monomial germ prod y_i^{m_i} on affine r-space.
-
-    Derived from the Milnor fiber directly: gcd-many disjoint tori of
-    dimension r-1, cohomology of Tate type (j,j) in degree j, monodromy
-    cycling the components, so each degree-j group splits into
-    one-dimensional eigenspaces for every gcd-th root of unity with
-    multiplicity binomial(r-1, j).
-    """
+    """Spectrum of a monomial germ prod y_i^{m_i} on affine r-space."""
     ms = [int(m) for m in exponents]
     if not ms or any(m < 1 for m in ms):
         raise SpectrumError("monomial exponents must be positive integers")
-    r = len(ms)
-    e = 0
-    for m in ms:
-        e = gcd(e, m)
-    out = {}
-    binom = 1
-    for j in range(r):
-        if j > 0:
-            binom = binom * (r - j) // j
-        for c in range(e):
-            count = binom
-            if j == 0 and c == 0:
-                count -= 1  # reduced cohomology
-            if count == 0:
-                continue
-            alpha = Fraction(r - j) - Fraction(c, e)
-            sign = 1 if (j - r + 1) % 2 == 0 else -1
-            out[alpha] = out.get(alpha, 0) + sign * count
-    return Spectrum.make(out, ("germ", r))
+    return GermKind("monomial", tuple(ms)).spectrum()
 
 
 def sp_ordinary(k: int) -> Spectrum:
-    """Spectrum of k distinct reduced concurrent lines in the plane, via the
-    quasi-homogeneous product rule on the equisingular model x^k + y^k:
-    exponent (i+j)/k for 1 <= i, j <= k-1, counted with multiplicity."""
+    """Spectrum of k distinct reduced concurrent lines in the plane."""
     if k < 2:
         raise SpectrumError("ordinary plane germ needs k >= 2 lines")
-    out = {}
-    for i in range(1, k):
-        for j in range(1, k):
-            a = Fraction(i + j, k)
-            out[a] = out.get(a, 0) + 1
-    return Spectrum.make(out, ("germ", 2))
+    return GermKind("ordinary", (k,)).spectrum()
 
 
 def sp_shift(germ_sp: Spectrum, stratum: Stratum, n: int) -> Spectrum:
@@ -154,7 +129,11 @@ def sp_shift(germ_sp: Spectrum, stratum: Stratum, n: int) -> Spectrum:
 @dataclass(frozen=True)
 class GermKind:
     """Classification of a localized germ: 'monomial' with its exponent
-    vector, 'ordinary' with its line count, or 'user_table'."""
+    vector, 'ordinary' with its line count, or 'user_table'.
+
+    A catalogue germ's spectrum depends only on its class (tag, rank, e):
+    the rank and the gcd of the exponents of a monomial germ, or rank 2
+    and the line count of an ordinary one."""
 
     tag: str
     data: tuple = ()
@@ -165,6 +144,56 @@ class GermKind:
         if self.tag == "ordinary":
             return f"ordinary({self.data[0]})"
         return "user_table_required"
+
+    @property
+    def rank(self) -> int:
+        return len(self.data) if self.tag == "monomial" else 2
+
+    @property
+    def e(self) -> int:
+        return gcd(*self.data)
+
+    @property
+    def frame(self) -> tuple:
+        return ("germ", self.rank)
+
+    def is_zero(self) -> bool:
+        # the runs of y^1 on the line are empty; every other catalogue
+        # germ has a nonzero spectrum
+        return self.rank == 1 and self.e == 1
+
+    def runs(self) -> tuple:
+        """The spectrum in closed form: runs (p, lo, hi, a, b), each the
+        exponents rank - p - c/e with multiplicity a + b c for
+        lo <= c <= hi < e.
+
+        A monomial germ's Milnor fiber is e disjoint tori of dimension
+        r - 1, of Tate type (j, j) in degree j, with the monodromy cycling
+        the components; so each degree-j group splits into eigenspaces for
+        every e-th root of unity, of dimension binomial(r - 1, j), and
+        p = j (reduced cohomology drops c = 0 from j = 0).  An ordinary
+        germ is equisingular to x^e + y^e, whose exponents (i + j)/e for
+        1 <= i, j <= e - 1 give p = 1 for i + j <= e and p = 0 above."""
+        r, e = self.rank, self.e
+        if self.tag == "ordinary":
+            return ((0, 1, e - 1, -1, 1), (1, 0, e - 2, e - 1, -1))
+        out = []
+        binom = 1
+        for j in range(r):
+            if j > 0:
+                binom = binom * (r - j) // j
+            sign = 1 if (j - r + 1) % 2 == 0 else -1
+            out.append((j, 1 if j == 0 else 0, e - 1, sign * binom, 0))
+        return tuple(out)
+
+    def spectrum(self) -> Spectrum:
+        """The runs expanded into a Spectrum, one entry per exponent."""
+        r, e = self.rank, self.e
+        out = {}
+        for p, lo, hi, a, b in self.runs():
+            for c in range(lo, hi + 1):
+                out[Fraction((r - p) * e - c, e)] = a + b * c
+        return Spectrum.make(out, self.frame)
 
 
 def classify_germ(loc: LocalizedArrangement) -> GermKind:
@@ -212,18 +241,6 @@ def sp_validate(sp: Spectrum, loc: LocalizedArrangement) -> dict:
     return {"ok": not failures, "failures": failures}
 
 
-def catalogue_spectrum(loc: LocalizedArrangement):
-    """Built-in germ spectrum for a localized arrangement, or None when only
-    a user table will do (non-monomial germs that are not reduced plane
-    germs)."""
-    kind = classify_germ(loc)
-    if kind.tag == "monomial":
-        return sp_monomial(kind.data)
-    if kind.tag == "ordinary":
-        return sp_ordinary(kind.data[0])
-    return None
-
-
 def sp_user_load(source, arr: Arrangement) -> dict:
     """Load and validate user spectrum tables.
 
@@ -268,11 +285,20 @@ def sp_user_load(source, arr: Arrangement) -> dict:
     return out
 
 
+def stratum_germ(arr: Arrangement, stratum: Stratum,
+                 user_tables: dict = None):
+    """Germ of a stratum as assembly reads it: the user table's Spectrum,
+    else the catalogue GermKind, else None.  User tables win over the
+    catalogue when both exist."""
+    if user_tables and stratum.edge.key in user_tables:
+        return user_tables[stratum.edge.key]
+    kind = classify_germ(localize(arr, stratum.edge))
+    return None if kind.tag == "user_table" else kind
+
+
 def stratum_spectrum(arr: Arrangement, stratum: Stratum,
                      user_tables: dict = None):
-    """Germ spectrum for a stratum from the catalogue or the user tables.
-    User tables win over the catalogue when both exist."""
-    key = stratum.edge.key
-    if user_tables and key in user_tables:
-        return user_tables[key]
-    return catalogue_spectrum(localize(arr, stratum.edge))
+    """Germ spectrum for a stratum from the catalogue or the user tables,
+    with a catalogue germ's entries expanded."""
+    germ = stratum_germ(arr, stratum, user_tables)
+    return germ.spectrum() if isinstance(germ, GermKind) else germ

@@ -5,7 +5,8 @@ the stratum closure blown up at the points where the induced arrangement
 fails to be normal crossing.  Each model carries its ring, the tangent
 Chern classes c1, c2 and its boundary divisors with integer residues.
 Every class of a model is a coefficient vector in the ring basis, of
-integers: the Deligne-extension classes and the closed forms through
+integers: the base Deligne-extension class, the boundary summed by residue
+(the classes a Deligne power twists), and the closed forms through
 degree 2 for 12 td, 2 ch(Omega^q(log D)) and 2 c(T(-log D)).  The
 pushforward takes such a vector, of ints or RatFuncY, to the labeled
 Chow basis of the singular locus.
@@ -18,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .arrangement import Arrangement, Edge, Stratum, sigma_strata
-from .coeffs import RatFuncY, rat
+from .coeffs import RatFuncY
 from .rings import BlownPlaneRing, ProjRing, combine
 
 __all__ = [
@@ -27,7 +28,7 @@ __all__ = [
     "StratumModel",
     "compactify",
     "residues",
-    "deligne_vector",
+    "twist_offsets",
     "deligne_residues",
     "power_identity_holds",
     "LabelSchema",
@@ -140,6 +141,17 @@ class StratumModel:
                                          for c in self.boundary
                                          if c.source != "infinity"])
 
+    @cached_property
+    def twist_classes(self) -> tuple:
+        """(m_res, D_r) per residue m_res on the boundary, D_r the sum of
+        the components with that residue: a Deligne power twists them
+        alike."""
+        size, by_res = len(self.c1), {}
+        for c in self.boundary:
+            by_res.setdefault(c.m_res, []).append((1, c.cls))
+        return tuple((r, combine(size, 0, terms))
+                     for r, terms in sorted(by_res.items()))
+
     def to_json(self) -> dict:
         return {
             "edge": self.edge.key,
@@ -239,11 +251,15 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def _twist(k: int, m_res: int, m_s: int, mode: str) -> int:
+def twist_offsets(m_s: int, mode: str) -> tuple:
+    """(b, c) such that the boundary twist of the Deligne power k on a
+    component of residue m_res is floor((k m_res + b) / m_s) + c: that is
+    ceil(k m_res / m_s) - 1 for residues in (0,1], floor(k m_res / m_s)
+    for [0,1)."""
     if mode == EXT_HALF_OPEN_UP:
-        return _ceil_div(k * m_res, m_s) - 1
+        return m_s - 1, -1
     if mode == EXT_HALF_OPEN_DOWN:
-        return (k * m_res) // m_s
+        return 0, 0
     raise StrataError(f"unknown extension mode {mode!r}")
 
 
@@ -259,30 +275,14 @@ def k_representative(alpha: Fraction, m_s: int, mode: str) -> int:
     return k
 
 
-def deligne_vector(model: StratumModel, k: int,
-                   mode: str = EXT_HALF_OPEN_UP) -> list:
-    """First Chern class of the k-th Deligne-extension power, as an integer
-    vector: k times the base class plus the boundary twists fixed by the
-    residue rounding."""
-    lo = 1 if mode == EXT_HALF_OPEN_UP else 0
-    if not lo <= k <= model.m_s - 1 + lo:
-        raise StrataError(f"k = {k} outside [{lo}, {model.m_s - 1 + lo}]")
-    acc = [k * x for x in model.deligne_base_vector]
-    for comp in model.boundary:
-        t = _twist(k, comp.m_res, model.m_s, mode)
-        if t:
-            for i, x in enumerate(comp.cls):
-                acc[i] += t * x
-    return acc
-
-
 def deligne_residues(model: StratumModel, k: int,
                      mode: str = EXT_HALF_OPEN_UP) -> dict:
     """Connection residues k*m_res/m_s minus their boundary twist, per
     component; they lie in (0,1] or [0,1) according to the mode."""
+    b, c = twist_offsets(model.m_s, mode)
     out = {}
     for comp in model.boundary:
-        t = _twist(k, comp.m_res, model.m_s, mode)
+        t = (k * comp.m_res + b) // model.m_s + c
         out[comp.name] = Fraction(k * comp.m_res, model.m_s) - t
     return out
 
@@ -402,11 +402,10 @@ class SigmaChowVector:
                 acc = acc + self.coefficient(l.name)
         return acc
 
-    def specialize(self, y0) -> "SigmaChowVector":
-        y0 = rat(y0)
+    def specialize(self, y0: int) -> "SigmaChowVector":
+        """The constant terms at an integer y0."""
         return SigmaChowVector(
-            self.schema,
-            {k: RatFuncY._coerce(v(y0)) for k, v in self.values.items()})
+            self.schema, {k: v.at(y0) for k, v in self.values.items()})
 
     def __repr__(self):
         items = [f"{k}: {v}" for k, v in self.values.items()]

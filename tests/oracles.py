@@ -16,9 +16,12 @@ of ring classes by the basis multiplication table.  The Newton-identity
 route from Chern data to Chern characters and Todd classes, and the
 scaled Todd transformation of RingElements, check the integer closed
 forms a stratum model carries; the Chern path built from those
-RingElements checks the integer one.  The sparse-vector sums, scalings
-and polynomiality test that the package itself never needs live here
-too.
+RingElements checks the integer one.  The per-exponent route to a
+stratum's contribution, with one Deligne-extension class per exponent
+summed over the boundary one component at a time, checks the closed forms
+that assembly reads.  The sparse-vector sums, scalings and polynomiality
+test that the package itself never needs live here too, and so do user
+tables that put a stratum's whole signed mass at exponent 1.
 """
 
 import math
@@ -35,9 +38,10 @@ from hmclass.arrangement import (Stratum, chi_y_pn,
 from hmclass.coeffs import RatFuncY
 from hmclass.genera import hirzebruch_series
 from hmclass.rings import ProjRing, Ring, RingElement, exp_nilpotent
-from hmclass.spectra import Spectrum, SpectrumError, sp_shift
-from hmclass.strata import (SigmaChowVector, StrataError, build_labels,
-                            compactify, deligne_vector, k_representative)
+from hmclass.spectra import (Spectrum, SpectrumError, sp_shift, sp_user_load,
+                             stratum_germ)
+from hmclass.strata import (EXT_HALF_OPEN_UP, SigmaChowVector, StrataError,
+                            build_labels, compactify, k_representative)
 
 
 def series_coeffs(expr, var, order):
@@ -457,6 +461,24 @@ def td_1py(cd: ChernData, model) -> RingElement:
     return td_transform(chern_to_ch(cd, model.ring), todd)
 
 
+def deligne_vector(model, k: int, mode: str = EXT_HALF_OPEN_UP) -> list:
+    """First Chern class of the k-th Deligne-extension power, as an integer
+    vector: k times the base class plus each boundary component's twist
+    fixed by the residue rounding, one component at a time."""
+    lo = 1 if mode == EXT_HALF_OPEN_UP else 0
+    if not lo <= k <= model.m_s - 1 + lo:
+        raise StrataError(f"k = {k} outside [{lo}, {model.m_s - 1 + lo}]")
+    acc = [k * x for x in model.deligne_base_vector]
+    for comp in model.boundary:
+        # the integer t that leaves k m_res / m_s - t in the window
+        x = Fraction(k * comp.m_res, model.m_s)
+        t = math.ceil(x) - 1 if lo else math.floor(x)
+        if t:
+            for i, x in enumerate(comp.cls):
+                acc[i] += t * x
+    return acc
+
+
 def stratum_contribution_by_terms(arr, stratum, germ_sp, model, conv) -> RingElement:
     """The per-stratum Milnor sum taken term by term: one Todd
     transformation per (exponent, cotangent power) pair, no regrouping."""
@@ -479,6 +501,23 @@ def stratum_contribution_by_terms(arr, stratum, germ_sp, model, conv) -> RingEle
             cls = td_transform(ch_line * ch_log[q], todd)
             acc = acc + cls * weight
     return acc
+
+
+def table_entries(arr):
+    """User table entries for the strata the catalogue cannot serve: the
+    whole signed mass at exponent 1, which passes the validators."""
+    raw = {}
+    for s in sigma_strata(arr):
+        if stratum_germ(arr, s) is None:
+            loc = localize(arr, s.edge)
+            mass = (-1) ** (loc.rank - 1) * (milnor_fiber_chi(loc) - 1)
+            raw[s.key] = [{"alpha": "1", "mult": mass}]
+    return raw
+
+
+def generated_tables(arr):
+    """Validated user tables for the strata the catalogue cannot serve."""
+    return sp_user_load(table_entries(arr), arr)
 
 
 def vector_sum(schema, vecs) -> SigmaChowVector:

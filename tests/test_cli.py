@@ -449,9 +449,16 @@ def test_wide_input_digest(capsys, name, command):
 # multiplicity 24 meeting 4 generic planes: Deligne powers and spectra far
 # above the pools'; the digests were recorded before the stratum
 # contributions moved to integer vectors, and CI checks the same files
-# with sha256sum -c
+# with sha256sum -c.  mult100k and plane100k are the same shapes at
+# multiplicity 100 000, the limit; their digests, and that of the spectra
+# of mult1000, were recorded while each stratum's spectrum was still
+# listed entry by entry and summed one Deligne power at a time
 MULTIPLE_DIGESTS = [("mult1000", "milnor"), ("mult1000", "milnor-dump-strata"),
-                    ("plane24", "milnor"), ("plane24", "milnor-dump-strata")]
+                    ("plane24", "milnor"), ("plane24", "milnor-dump-strata"),
+                    ("mult100k", "milnor"), ("mult100k", "milnor-dump-strata"),
+                    ("plane100k", "milnor"),
+                    ("plane100k", "milnor-dump-strata"),
+                    ("mult1000", "spectra")]
 
 
 @pytest.mark.parametrize("name,command", MULTIPLE_DIGESTS)

@@ -2,24 +2,25 @@ import json
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from hmclass import arrangement, cli, corpus, milnor, strata
-from hmclass.arrangement import (ArrangementError, build, localize,
-                                 milnor_fiber_chi, sigma_strata)
+from hmclass.arrangement import ArrangementError, build, sigma_strata
 from hmclass.coeffs import RatFuncY
 from hmclass.milnor import (ALL_CONVENTIONS, DEFAULT_CONVENTIONS,
                             ConventionSet, MissingSpectrumError,
-                            _signature,
-                            _stratum_contribution, assemble, calibrate,
-                            chern_milnor)
-from hmclass.spectra import (SpectrumError, sp_monomial, sp_shift,
-                             sp_user_load, stratum_spectrum)
+                            _stratum_contribution, _type_key, assemble,
+                            calibrate, chern_milnor)
+from hmclass.spectra import (GermKind, Spectrum, SpectrumError, sp_monomial,
+                             sp_shift, sp_user_load, stratum_germ,
+                             stratum_spectrum)
 from hmclass.strata import (SigmaChowVector, build_labels, compactify,
                             push_to_sigma, relabel_vector)
 from oracles import (ChernData, chern_milnor_by_classes, euler_defect,
-                     report_to_json, stratum_contribution_by_terms, td_1py,
+                     generated_tables, report_to_json,
+                     stratum_contribution_by_terms, table_entries, td_1py,
                      vector_is_polynomial, vector_scale, vector_sum)
 
 F = Fraction
@@ -44,8 +45,8 @@ def count_calls(monkeypatch, module, name):
 
 
 def signature(arr, model, tables=None):
-    sp = stratum_spectrum(arr, model.stratum, tables)
-    return _signature(arr.n, model, sp)
+    """The type key of a stratum's model and germ."""
+    return _type_key(arr.n, model, stratum_germ(arr, model.stratum, tables))
 
 
 def chern_path(arr):
@@ -398,9 +399,9 @@ class TestReportSerialization:
 class TestEulerDefect:
     # chi(smooth hypersurface) - chi(X) minus the trace of M_y at y = -1;
     # zero on the reduced plane files, a missing generic-section term on
-    # the files with curve strata (see tests/test_properties.py).  Of
-    # doubleplane3's 48, its curve strata give 24; the surface's 24 has no
-    # derived term yet.
+    # the files with curve and surface strata (see
+    # tests/test_properties.py).  Of doubleplane3's 48, its curve strata
+    # give 24 and its surface -4 * 1 * (2 - 3 - 5) = 24.
     @pytest.mark.parametrize("name, gap", [
         ("fourplanes", 18), ("pencil3planes", 8), ("doubleline", -1),
         ("concurrent3", 0), ("triangle3", 0), ("quad6a", 0), ("quad6b", 0),
@@ -411,15 +412,15 @@ class TestEulerDefect:
 
 
 def spectra_of_strata(arr):
-    """(stratum, germ spectrum) for each stratum of the singular locus with
+    """(stratum, catalogue germ) for each stratum of the singular locus with
     a nonzero catalogue spectrum, or None if some stratum has none."""
     out = []
     for s in sigma_strata(arr):
-        sp = stratum_spectrum(arr, s)
-        if sp is None:
+        germ = stratum_germ(arr, s)
+        if germ is None:
             return None
-        if not sp.is_zero():
-            out.append((s, sp))
+        if not germ.is_zero():
+            out.append((s, germ))
     return out
 
 
@@ -443,16 +444,64 @@ def random_covered(rng, n, count, mults=(1, 1, 2, 3)):
     return found
 
 
+class TestClosedFormSums:
+    """The sums the closed form is made of, against direct summation."""
+
+    def test_floor_sums(self):
+        rng = random.Random(7)
+        for _ in range(2000):
+            n, a = rng.randint(-1, 40), rng.randint(0, 60)
+            b, m = rng.randint(0, 60), rng.randint(1, 30)
+            floors = [(a * i + b) // m for i in range(n + 1)]
+            assert milnor._floor_sums(n, a, b, m) == (
+                sum(floors), sum(i * x for i, x in enumerate(floors)),
+                sum(x * x for x in floors)), (n, a, b, m)
+
+    def test_twist_sum(self):
+        rng = random.Random(8)
+        for _ in range(500):
+            lo = rng.randint(0, 20)
+            hi = rng.randint(lo, 50)
+            a, b = rng.randint(-9, 9), rng.randint(-3, 3)
+            slope, offset, m = (rng.randint(0, 90), rng.randint(0, 40),
+                                rng.randint(1, 40))
+            assert milnor._twist_sum(lo, hi, a, b, slope, offset, m) == sum(
+                (a + b * c) * ((slope * c + offset) // m)
+                for c in range(lo, hi + 1))
+
+    def test_breaks(self):
+        rng = random.Random(9)
+        for _ in range(2000):
+            lo = rng.randint(0, 30)
+            hi = rng.randint(lo, 60)
+            a, b, m = rng.randint(-15, 15), rng.randint(0, 60), rng.randint(
+                30, 60)
+            want = [c for c in range(lo + 1, hi + 1)
+                    if (a * c + b) // m != (a * (c - 1) + b) // m]
+            assert sorted(milnor._breaks(lo, hi, a, b, m)) == want
+
+    def test_power_sums(self):
+        for lo in range(6):
+            for hi in range(lo, 15):
+                assert milnor._power_sums(lo, hi) == tuple(
+                    sum(c ** i for c in range(lo, hi + 1)) for i in range(4))
+
+
 class TestRegroupedContribution:
     """The per-stratum sum, regrouped by Deligne power, against the sum
     taken term by term."""
 
     def check(self, arr, strata, conv):
-        for s, sp in strata:
+        # the closed form of the germ class, and its expanded spectrum read
+        # as a table, against the oracle
+        for s, germ in strata:
             model = compactify(arr, s)
-            got = _stratum_contribution(sp, model, conv)
-            assert tuple(got) == stratum_contribution_by_terms(
-                arr, s, sp, model, conv).coeffs, s.key
+            sp = germ.spectrum()
+            want = stratum_contribution_by_terms(arr, s, sp, model, conv)
+            assert tuple(_stratum_contribution(germ, model, conv)) \
+                == want.coeffs, s.key
+            assert tuple(_stratum_contribution(sp, model, conv)) \
+                == want.coeffs, s.key
 
     @pytest.mark.parametrize("name", corpus.ALL_NAMES)
     def test_corpus_under_all_conventions(self, name):
@@ -481,10 +530,10 @@ class TestRegroupedContribution:
                 self.check(arr, covered, conv)
                 mode = conv.extension_mode
                 end = 0 if mode == strata.EXT_HALF_OPEN_DOWN else None
-                for s, sp in covered:
+                for s, germ in covered:
                     m_s = s.edge.m_s
                     ks = {strata.k_representative(a, m_s, mode)
-                          for a, _ in sp.entries}
+                          for a, _ in germ.spectrum().entries}
                     seen.setdefault(mode, set()).update(ks)
                     if (m_s if end is None else end) in ks:
                         ends.setdefault(mode, set()).add(m_s)
@@ -493,14 +542,33 @@ class TestRegroupedContribution:
             assert set(range(lo, lo + 8)) <= seen[mode], (mode, seen)
             assert max(ends[mode]) >= 8, (mode, ends)
 
+    def test_ordinary_line_of_many_planes(self):
+        # nine reduced planes through the line x0 = x1 = 0 give an ordinary
+        # germ on a curve, whose counts are linear in the Deligne power, so
+        # its twists take the weighted floor sums; two more planes, one of
+        # them double, cross the line at points that need tables, so only
+        # the catalogue strata are checked
+        pencil = [(1, 0), (0, 1), (1, 1), (1, 2), (1, 3), (1, -1), (2, 1),
+                  (3, 1), (1, -2)]
+        arr = build(3, [((a, b, 0, 0), 1) for a, b in pencil]
+                    + [((1, 1, 1, 1), 2), ((1, 2, 3, 5), 1)])
+        covered = [(s, germ) for s in sigma_strata(arr)
+                   if (germ := stratum_germ(arr, s)) is not None]
+        assert any(germ.describe() == "ordinary(9)" and s.dim == 1
+                   for s, germ in covered)
+        for conv in ALL_CONVENTIONS:
+            self.check(arr, covered, conv)
+
     def test_germ_frame_only(self):
         # a spectrum in the stratum frame, or a germ of another codimension,
-        # is refused rather than read in the wrong frame
+        # catalogue class or table, is refused rather than read in the
+        # wrong frame
         arr = corpus.load("fourplanes")
         line = next(s for s in sigma_strata(arr) if s.dim == 1)
         germ = stratum_spectrum(arr, line)
         model = compactify(arr, line)
-        for wrong in (sp_shift(germ, line, arr.n), sp_monomial([1, 1, 1])):
+        for wrong in (sp_shift(germ, line, arr.n), sp_monomial([1, 1, 1]),
+                      GermKind("monomial", (1, 1, 1))):
             with pytest.raises(SpectrumError):
                 _stratum_contribution(wrong, model, DEFAULT_CONVENTIONS)
 
@@ -514,6 +582,54 @@ class TestRegroupedContribution:
             assert len(calls) - before == len(signatures), name
             if name in ("triangle3", "fourplanes"):  # repeated local types
                 assert len(signatures) < len(rep.models), name
+
+
+class TestWorkPerStratum:
+    """A stratum's work does not grow with its multiplicity: the same
+    shapes at multiplicity 1000 (a line plus 3 lines) or 24 (a plane plus 4
+    planes) and at 100 000 make as many twist sums and breaks, which
+    replace the sum over each Deligne power, and expand no spectrum entry.
+    When each power was summed on its own, the two lines made 1001 and
+    100 001 Deligne classes and listed 1005 and 100 005 entries, and the
+    two planes 27 and 100 003 classes and 53 and 100 029 entries."""
+
+    def work(self, name):
+        arr = arrangement.Arrangement.load(
+            Path(__file__).parent / "golden" / f"{name}.json")
+        counts = []
+        with pytest.MonkeyPatch.context() as patch:
+            sums = count_calls(patch, milnor, "_twist_sum")
+            breaks = []
+            entries = []
+            real_breaks, real_make = milnor._breaks, Spectrum.make
+
+            def counting_breaks(*args):
+                out = real_breaks(*args)
+                breaks.append(len(out))
+                return out
+
+            def counting_make(mapping, frame):
+                sp = real_make(mapping, frame)
+                entries.append(len(sp.entries))
+                return sp
+
+            patch.setattr(milnor, "_breaks", counting_breaks)
+            patch.setattr(Spectrum, "make", staticmethod(counting_make))
+            for conv in ALL_CONVENTIONS:
+                assemble(arr, None, conv)
+                counts.append((len(sums), len(breaks), sum(breaks),
+                               sum(entries)))
+        return counts
+
+    @pytest.mark.parametrize("low, high", [("mult1000", "mult100k"),
+                                           ("plane24", "plane100k")])
+    def test_same_work_at_any_multiplicity(self, low, high):
+        work = self.work(low)
+        assert work == self.work(high)
+        assert all(expanded == 0 for *_, expanded in work)
+        sums, calls, _, _ = work[-1]
+        # the line's twist sums, or the plane's breaks, were met
+        assert (sums if low == "mult1000" else calls) > 0
 
 
 class TestOneStrataPass:
@@ -658,23 +774,6 @@ def random_arrangement(rng, n):
             return build(n, list(zip(covs, mults)))
         except ArrangementError:
             pass
-
-
-def table_entries(arr):
-    """User table entries for the strata the catalogue cannot serve: the
-    whole signed mass at exponent 1."""
-    raw = {}
-    for s in sigma_strata(arr):
-        if stratum_spectrum(arr, s) is None:
-            loc = localize(arr, s.edge)
-            mass = (-1) ** (loc.rank - 1) * (milnor_fiber_chi(loc) - 1)
-            raw[s.key] = [{"alpha": "1", "mult": mass}]
-    return raw
-
-
-def generated_tables(arr):
-    """Validated user tables for the strata the catalogue cannot serve."""
-    return sp_user_load(table_entries(arr), arr)
 
 
 class TestMemo:

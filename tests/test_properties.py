@@ -2,8 +2,9 @@
 generated arrangements.
 
 Derandomized, with few examples, so the suite stays quick and repeatable.
-The properties hold for any stratum signature, so they also guard the
-per-report memo of contributions against a signature that is too coarse.
+The properties hold for any stratum type key, so they also guard the
+per-report memo of contributions against a key that is too coarse, and
+one of them names the stratum where it is.
 """
 
 import contextlib
@@ -14,24 +15,27 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, assume, given, reject, settings
+from hypothesis import (HealthCheck, assume, example, given, reject,
+                        settings)
 from hypothesis import strategies as st
 
 from hmclass import cli
 from hmclass.arrangement import (ArrangementError, build, chi_y,
                                  chi_y_stratum, euler_by_inclusion_exclusion,
-                                 localize, sigma_strata)
+                                 localize, milnor_fiber_chi, sigma_strata)
 from hmclass.corpus import ALL_NAMES, corpus_path
 from hmclass.milnor import (ALL_CONVENTIONS, DEFAULT_CONVENTIONS,
                             MissingSpectrumError, _stratum_contribution,
-                            assemble, chern_milnor)
+                            _type_key, assemble, chern_milnor)
 from hmclass.rings import BlownPlaneRing, ProjRing, RingElement
-from hmclass.spectra import stratum_spectrum
-from hmclass.strata import build_labels, compactify, relabel_vector
+from hmclass.spectra import GermKind, stratum_germ
+from hmclass.strata import (SigmaChowVector, build_labels, compactify,
+                            push_to_sigma, relabel_vector)
 from oracles import (chern_milnor_by_classes, chern_to_ch,
                      chi_y_stratum_by_whitney, euler_by_whitney, euler_defect,
-                     log_chern, log_tangent_by_chern, model_class,
-                     product_by_basis, report_to_json, tangent_chern,
+                     generated_tables, log_chern, log_tangent_by_chern,
+                     model_class, product_by_basis, report_to_json,
+                     stratum_contribution_by_terms, tangent_chern,
                      todd_from_chern)
 
 SETTINGS = settings(derandomize=True, max_examples=30, deadline=None,
@@ -150,6 +154,142 @@ def test_euler_defect_is_trace_plus_curve_terms(case):
                  for s in strata if s.dim == 1)
     term = (-1) ** (n - 1) * curves * (arr.m - 1)
     assert rep.m_y.trace()(-1) + term == euler_defect(arr)
+
+
+@st.composite
+def p4_arrangements(draw):
+    """(4, hyperplanes, permutation): 5 or 6 reduced hyperplanes in P^4
+    with covector entries in {-1, 0, 1}, so every stratum of the singular
+    locus is a point, a line or a plane, and a reordering of them."""
+    k = draw(st.integers(5, 6))
+    entry = st.integers(-1, 1)
+    covs = draw(st.lists(st.tuples(*[entry] * 5), min_size=k, max_size=k,
+                         unique=True))
+    return 4, [(c, 1) for c in covs], draw(st.permutations(range(k)))
+
+
+def with_tables(n, hyperplanes, conv=DEFAULT_CONVENTIONS):
+    """The arrangement and its report, with generated user tables for the
+    strata the catalogue cannot serve."""
+    try:
+        arr = build(n, hyperplanes)
+    except ArrangementError:
+        reject()
+    return arr, assemble(arr, generated_tables(arr), conv)
+
+
+def pushed_by_terms(arr, stratum, germ, conv, schema):
+    """A stratum's contribution on its own, term by term, pushed to the
+    labels."""
+    model = compactify(arr, stratum)
+    sp = germ.spectrum() if isinstance(germ, GermKind) else germ
+    elem = stratum_contribution_by_terms(arr, stratum, sp, model, conv)
+    if conv.sign_mode == "flip_odd_strata" and stratum.dim % 2 == 1:
+        elem = -elem
+    return SigmaChowVector(schema, push_to_sigma(schema, model, elem.coeffs))
+
+
+def test_type_key_is_sound():
+    # every stratum's memoized contribution is the one its own germ and
+    # model give: a type key that is too coarse fails on a named stratum
+    seen = Counter()
+
+    @settings(SETTINGS, max_examples=40)
+    @given(st.one_of(arrangements(), p4_arrangements()))
+    # two points with m_s = 4 and no boundary, whose germs differ only in
+    # the gcd of their exponents: (2, 2) and (1, 3)
+    @example((2, [((1, 0, 0), 2), ((0, 1, 0), 2), ((0, 0, 1), 1),
+                  ((1, 1, 1), 3)], [0, 1, 2, 3]))
+    def check(case):
+        n, hyperplanes, _ = case
+        for conv in ALL_CONVENTIONS:
+            arr, rep = with_tables(n, hyperplanes, conv)
+            tables = generated_tables(arr)
+            keys = set()
+            for s in sigma_strata(arr):
+                germ = stratum_germ(arr, s, tables)
+                if germ.is_zero():
+                    continue
+                keys.add(_type_key(n, compactify(arr, s), germ))
+                want = pushed_by_terms(arr, s, germ, conv, rep.schema)
+                assert rep.per_stratum[s.key] == want, (s.key, conv)
+        seen[n] += 1
+        seen["tables"] += bool(tables)
+        seen["repeats"] += len(keys) < len(rep.per_stratum)
+
+    check()
+    assert seen[2] and seen[3] and seen[4], seen
+    assert seen["tables"] and seen["repeats"], seen
+
+
+@st.composite
+def unimodular(draw, size):
+    """A product of one to six elementary integer matrices I + t E_ij."""
+    mat = [[int(i == j) for j in range(size)] for i in range(size)]
+    for _ in range(draw(st.integers(1, 6))):
+        i, j = draw(st.lists(st.integers(0, size - 1), min_size=2,
+                             max_size=2, unique=True))
+        t = draw(st.sampled_from([-2, -1, 1, 2]))
+        mat[i] = [x + t * z for x, z in zip(mat[i], mat[j])]
+    return mat
+
+
+@SETTINGS
+@given(arrangements(), st.data())
+def test_unimodular_coordinate_change_keeps_report_bytes(case, data):
+    # a GL_{n+1}(Z) change of coordinates keeps the lattice with its
+    # labels, so the milnor report keeps every byte
+    n, hyperplanes, _ = case
+    mat = data.draw(unimodular(n + 1))
+    moved = [(tuple(sum(c[i] * mat[i][j] for i in range(n + 1))
+                    for j in range(n + 1)), m) for c, m in hyperplanes]
+    _, rep = with_tables(n, hyperplanes)
+    _, rep_moved = with_tables(n, moved)
+    for dump_strata in (False, True):
+        assert ("".join(rep_moved.json_chunks(dump_strata))
+                == "".join(rep.json_chunks(dump_strata)))
+
+
+def generic_section_euler(arr) -> int:
+    """The y = -1 value of the generic-section term: a stratum S of
+    positive dimension meets the removed hyperplane H where the germ is
+    g_S + z^m, whose reduced Milnor-fiber Euler number is -(m - 1) times
+    that of g_S, along (S meet H) minus a generic degree-m hypersurface,
+    of Euler number 1 on a curve and 2 - (the lines on S) - m on a
+    surface."""
+    m = arr.m
+    total = 0
+    for s in sigma_strata(arr):
+        if s.dim == 0:
+            continue
+        chi_tilde = milnor_fiber_chi(localize(arr, s.edge)) - 1
+        factor = 1
+        if s.dim == 2:
+            lines = [e for e in arr.lattice.above(s.edge)
+                     if arr.n - e.codim == 1]
+            factor = 2 - len(lines) - m
+        total += -(m - 1) * chi_tilde * factor
+    return total
+
+
+def test_euler_defect_is_trace_plus_generic_section_terms():
+    # chi(smooth hypersurface) - chi(X) is the trace of M_y at y = -1 plus
+    # the generic-section term of every curve and surface stratum
+    seen = Counter()
+
+    @settings(SETTINGS, max_examples=40)
+    @given(st.one_of(arrangements(), p4_arrangements()))
+    def check(case):
+        n, hyperplanes, _ = case
+        arr, rep = with_tables(n, hyperplanes)
+        assert (rep.m_y.trace()(-1) + generic_section_euler(arr)
+                == euler_defect(arr))
+        seen[n] += 1
+        seen[n, "surface"] += any(s.dim == 2 for s in sigma_strata(arr))
+
+    check()
+    assert seen[2] and seen[3] and seen[4], seen
+    assert seen[3, "surface"] and seen[4, "surface"], seen
 
 
 @st.composite
@@ -288,13 +428,59 @@ def test_every_contribution_is_polynomial(case):
     except ArrangementError:
         reject()
     for s in sigma_strata(arr):
-        germ = stratum_spectrum(arr, s)
+        germ = stratum_germ(arr, s)
         assume(germ is not None)  # assemble raises MissingSpectrumError
         if germ.is_zero():
             continue
         coeffs = _stratum_contribution(germ, compactify(arr, s),
                                        DEFAULT_CONVENTIONS)
         assert all(c.k == 0 for c in coeffs), (s.key, coeffs)
+
+
+@st.composite
+def high_multiplicity_arrangements(draw):
+    """(n, hyperplanes): model_arrangements with the first line or plane
+    of multiplicity up to 1000 and the others up to 12."""
+    n, hyperplanes = draw(model_arrangements())
+    mults = draw(st.lists(st.sampled_from([1, 1, 2, 3, 4, 6, 12]),
+                          min_size=len(hyperplanes),
+                          max_size=len(hyperplanes)))
+    mults[0] = draw(st.integers(2, 1000))
+    return n, [(c, m) for (c, _), m in zip(hyperplanes, mults)]
+
+
+def test_closed_form_matches_per_exponent_oracle():
+    # the runs of a catalogue germ class, summed by floor sums on curves
+    # and between breaks on surfaces, against one Deligne class per
+    # exponent of the expanded spectrum
+    seen = Counter()
+
+    @settings(SETTINGS, max_examples=12)
+    @given(high_multiplicity_arrangements())
+    def check(case):
+        n, hyperplanes = case
+        try:
+            arr = build(n, hyperplanes)
+        except ArrangementError:
+            reject()
+        for s in sigma_strata(arr):
+            germ = stratum_germ(arr, s)
+            if germ is None or germ.is_zero():
+                continue
+            model = compactify(arr, s)
+            sp = germ.spectrum()
+            for conv in ALL_CONVENTIONS:
+                want = stratum_contribution_by_terms(arr, s, sp, model, conv)
+                assert (tuple(_stratum_contribution(germ, model, conv))
+                        == want.coeffs), (s.key, conv)
+            seen[model.kind, bool(model.blown)] += 1
+        seen["multiple planes"] += n == 3 and sum(
+            m > 1 for _, m in hyperplanes) >= 2
+        seen["largest"] = max(seen["largest"], hyperplanes[0][1])
+
+    check()
+    assert seen["surface", True] and seen["multiple planes"], seen
+    assert seen["largest"] >= 500, seen
 
 
 # values a mutation puts in place of a JSON value

@@ -6,7 +6,7 @@ import pytest
 from hmclass import corpus
 from hmclass.arrangement import build, edges, localize, sigma_strata
 from hmclass.spectra import (Spectrum, SpectrumError, SpectrumValidationError,
-                             catalogue_spectrum, sp_monomial, sp_ordinary,
+                             classify_germ, sp_monomial, sp_ordinary,
                              sp_shift, sp_user_load, sp_validate,
                              stratum_spectrum)
 from oracles import sp_unshift, support
@@ -167,9 +167,9 @@ class TestValidate:
         arr = corpus.load(name)
         for s in sigma_strata(arr):
             loc = localize(arr, s.edge)
-            sp = catalogue_spectrum(loc)
-            assert sp is not None
-            report = sp_validate(sp, loc)
+            kind = classify_germ(loc)
+            assert kind.tag != "user_table"
+            report = sp_validate(kind.spectrum(), loc)
             assert report["ok"], (name, s.key, report["failures"])
 
 
@@ -216,15 +216,17 @@ class TestCatalogueDispatch:
     def test_monomial_for_boolean_edges(self):
         arr = corpus.load("doubleplane3")
         line = [e for e in edges(arr) if e.index_set == (0, 1)][0]
-        sp = catalogue_spectrum(localize(arr, line))
+        sp = classify_germ(localize(arr, line)).spectrum()
         assert sp == sp_monomial([2, 1])
 
     def test_ordinary_for_reduced_plane_points(self):
         arr = corpus.load("quad6a")
         triple = [e for e in edges(arr) if len(e.index_set) == 3][0]
-        assert catalogue_spectrum(localize(arr, triple)) == sp_ordinary(3)
+        assert classify_germ(localize(arr, triple)).spectrum() == \
+            sp_ordinary(3)
 
     def test_none_for_nonreduced_plane_points(self):
         arr = build(2, [((1, 0, 0), 2), ((0, 1, 0), 1), ((1, 1, 0), 1)])
         point = [e for e in edges(arr) if e.codim == 2][0]
-        assert catalogue_spectrum(localize(arr, point)) is None
+        assert classify_germ(localize(arr, point)).tag == "user_table"
+        assert stratum_spectrum(arr, sigma_strata(arr)[-1]) is None

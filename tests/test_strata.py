@@ -8,9 +8,10 @@ from hmclass.coeffs import RatFuncY
 from hmclass.rings import BlownPlaneRing
 from hmclass.strata import (SigmaChowVector, StrataError, build_labels,
                             chow_dims, compactify, deligne_residues,
-                            deligne_vector, homology_weight_dims,
-                            power_identity_holds, push_to_sigma, residues)
-from oracles import basis_class, log_chern, model_class, vector_to_json
+                            homology_weight_dims, power_identity_holds,
+                            push_to_sigma, residues)
+from oracles import (basis_class, deligne_vector, log_chern, model_class,
+                     vector_to_json)
 
 F = Fraction
 
