@@ -245,7 +245,7 @@ class Edge:
     codim: int
     m_s: int
 
-    @cached_property
+    @property
     def key(self) -> str:
         return ",".join(str(j + 1) for j in self.index_set)
 

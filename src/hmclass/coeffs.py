@@ -286,18 +286,6 @@ class RatFuncY:
         return Fraction(acc * q ** (self.k + 1),
                         q_pow * self.den * (q + p) ** self.k)
 
-    def at(self, y0: int) -> "RatFuncY":
-        """The value at an integer y0, as a constant."""
-        if self.k and y0 == -1:
-            raise ZeroDivisionError(f"pole at y = {y0}: non-polynomial value {self}")
-        acc = 0
-        for c in reversed(self.num):
-            acc = acc * y0 + c
-        den = self.den * (1 + y0) ** self.k
-        if den < 0:
-            acc, den = -acc, -den
-        return _normal([acc], den, 0)
-
     def as_strings(self) -> list:
         """Coefficients of a polynomial as rational strings."""
         return [str(c) for c in self.as_poly().coeffs]

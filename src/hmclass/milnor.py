@@ -6,8 +6,9 @@ and the scaled Todd transformation, then pushed into the labeled Chow
 basis of the singular locus.  Both sums stay coefficient vectors in the
 model basis: integers until each RatFuncY coefficient is built.  A
 catalogue germ's multiplicities are read in closed form from its class,
-and summed over the Deligne powers by floor sums, so no spectrum is
-listed; each distinct local type is computed once per report.  An
+and summed over the Deligne powers between the breaks of each twist, so
+no spectrum is listed; each distinct local type is computed once per
+report.  An
 independent Euler-weighted Chern path provides the cross-check at
 y = -1, and a degree-zero comparison against the virtual-genus
 difference is always reported.  The one unprintable
@@ -116,10 +117,9 @@ class MilnorReport:
         block; a block splices its vector's nonzero values into the zero
         lines of the schema, which are rendered once per report."""
         names = self.schema.names()
-        quoted = [json.dumps(name) for name in names]
-        m_y = _label_block(names, quoted, 4, True)
-        stratum = _label_block(names, quoted, 6, True)
-        constants = _label_block(names, quoted, 6, False)
+        m_y = _label_block(names, 4, True)
+        stratum = _label_block(names, 6, True)
+        constants = _label_block(names, 6, False)
         skeleton = {
             "n": self.arrangement.n,
             "m": self.arrangement.m,
@@ -149,15 +149,14 @@ class MilnorReport:
 _HOLE = "\0"  # stands for a label -> value block in the json.dumps skeleton
 
 
-def _label_block(names: list, quoted: list, indent: int, as_list: bool):
+def _label_block(names: list, indent: int, as_list: bool):
     """Renderer of a vector as the label -> value object json.dumps(indent=2)
-    writes with its labels, quoted by json.dumps, at the given indent:
-    coefficient lists, or else constant terms.  Each call copies the zero
-    lines and overwrites the lines of the nonzero values; a value's text is
-    rendered once per renderer, since strata of one local type share their
-    coefficients."""
+    writes with its labels at the given indent: coefficient lists, or else
+    constant terms.  Each call copies the zero lines and overwrites the
+    lines of the nonzero values; a value's text is rendered once per
+    renderer, since strata of one local type share their coefficients."""
     pad = " " * indent
-    heads = [f"{pad}{name}: " for name in quoted]
+    heads = [f"{pad}{json.dumps(name)}: " for name in names]
     zeros = [head + ("[]" if as_list else '"0"') for head in heads]
     index = {name: i for i, name in enumerate(names)}
     sep, close = f'",\n{pad}  "', "\n" + pad[2:] + "}"
@@ -191,38 +190,6 @@ def _power_sums(lo: int, hi: int) -> tuple:
         s1 = n * (n + 1) // 2
         return (n + 1, s1, s1 * (2 * n + 1) // 3, s1 * s1)
     return tuple(x - z for x, z in zip(upto(hi), upto(lo - 1)))
-
-
-def _floor_sums(n: int, a: int, b: int, m: int) -> tuple:
-    """The sums over 0 <= i <= n of floor((a i + b) / m), of i times it and
-    of its square, for a, b >= 0 and m > 0: the Euclid-like recursion of
-    Graham, Knuth and Patashnik (Concrete Mathematics, section 3.5), in
-    O(log) steps."""
-    if n < 0:
-        return 0, 0, 0
-    s1 = n * (n + 1) // 2
-    if a >= m or b >= m:
-        qa, qb = a // m, b // m
-        f, g, h = _floor_sums(n, a % m, b % m, m)
-        s2 = s1 * (2 * n + 1) // 3
-        return (f + qa * s1 + qb * (n + 1), g + qa * s2 + qb * s1,
-                h + 2 * qb * f + 2 * qa * g + qa * qa * s2
-                + 2 * qa * qb * s1 + qb * qb * (n + 1))
-    top = (a * n + b) // m
-    if not top:
-        return 0, 0, 0
-    f1, g1, h1 = _floor_sums(top - 1, m, m - b - 1, a)
-    f = n * top - f1
-    return f, (top * n * (n + 1) - h1 - f1) // 2, \
-        n * top * (top + 1) - 2 * g1 - 2 * f1 - f
-
-
-def _twist_sum(lo: int, hi: int, a: int, b: int, slope: int, offset: int,
-               m: int) -> int:
-    """The sum of (a + b c) floor((slope c + offset) / m) over
-    lo <= c <= hi, in O(log) steps."""
-    f, g, _ = _floor_sums(hi - lo, slope, slope * lo + offset, m)
-    return (a + b * lo) * f + b * g
 
 
 def _breaks(lo: int, hi: int, a: int, b: int, m: int) -> list:
@@ -271,11 +238,10 @@ def _line_sum(model: StratumModel, runs: list, mode: str) -> tuple:
     powers of the runs, with D_k = k base + the sum of t_r(k) D_r over the
     residues r, for the twist t_r(k) = floor((k r + b0) / m_s) + c0.
 
-    On a point D_k = 0, and on a curve D_k^2 = 0, so floor sums in O(log)
-    steps give the twists' first-order sums.  On a surface the powers are
-    cut where some twist breaks: each twist is linear in c between
-    breaks, with the slope that leaves fewer of them (at most
-    min(r, e - r) for the powers c m_s/e), and so is D_k = U + V c."""
+    The powers are cut where some twist breaks: each twist is linear in c
+    between breaks, with the slope that leaves fewer of them (at most
+    min(r, e - r) for the powers c m_s/e), and so is D_k = U + V c.  On a
+    point or a curve the products of U and V vanish in the ring."""
     ring, m_s = model.ring, model.m_s
     size, mul = len(ring.names), ring.mul_vectors
     base, groups = model.deligne_base_vector, model.twist_classes
@@ -283,14 +249,6 @@ def _line_sum(model: StratumModel, runs: list, mode: str) -> tuple:
     terms = []
     const = 0
     for q, lo, hi, a, b in runs:
-        sums = _power_sums(lo, hi)
-        n0, n1 = a * sums[0] + b * sums[1], a * sums[1] + b * sums[2]
-        if model.dim < 2:
-            const += 2 * n0
-            terms.append((2 * q * n1, base))
-            terms += [(2 * (_twist_sum(lo, hi, a, b, q * r, b0, m_s)
-                            + c0 * n0), cls) for r, cls in groups]
-            continue
         slopes = [(q * r) // m_s + (2 * (q * r % m_s) > m_s)
                   for r, _ in groups]
         cuts = {lo}

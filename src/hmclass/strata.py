@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .arrangement import Arrangement, Edge, Stratum, sigma_strata
-from .coeffs import RatFuncY
+from .coeffs import RatFuncY, rat
 from .rings import BlownPlaneRing, ProjRing, combine
 
 __all__ = [
@@ -402,10 +402,11 @@ class SigmaChowVector:
                 acc = acc + self.coefficient(l.name)
         return acc
 
-    def specialize(self, y0: int) -> "SigmaChowVector":
-        """The constant terms at an integer y0."""
+    def specialize(self, y0) -> "SigmaChowVector":
+        y0 = rat(y0)
         return SigmaChowVector(
-            self.schema, {k: v.at(y0) for k, v in self.values.items()})
+            self.schema,
+            {k: RatFuncY._coerce(v(y0)) for k, v in self.values.items()})
 
     def __repr__(self):
         items = [f"{k}: {v}" for k, v in self.values.items()]

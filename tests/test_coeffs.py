@@ -81,22 +81,6 @@ class TestRatFunc:
         with pytest.raises(ZeroDivisionError):
             a(-1)
 
-    def test_value_at_an_integer(self):
-        # the constant at an integer y0 is the value __call__ gives, in
-        # normal form, and a pole at y = -1 is refused alike
-        rng = random.Random(11)
-        for _ in range(300):
-            value = RatFuncY([Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-                              for _ in range(rng.randint(0, 4))],
-                             rng.randint(0, 3))
-            for y0 in range(-3, 4):
-                if value.k and y0 == -1:
-                    with pytest.raises(ZeroDivisionError):
-                        value.at(y0)
-                    continue
-                assert value.at(y0) == RatFuncY([value(y0)]), (value, y0)
-                assert value.at(y0).den > 0
-
     def test_rat_parse_and_str(self):
         assert rat("-3/4") == Fraction(-3, 4)
         assert str(rat("5")) == "5"

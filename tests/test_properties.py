@@ -450,9 +450,9 @@ def high_multiplicity_arrangements(draw):
 
 
 def test_closed_form_matches_per_exponent_oracle():
-    # the runs of a catalogue germ class, summed by floor sums on curves
-    # and between breaks on surfaces, against one Deligne class per
-    # exponent of the expanded spectrum
+    # the runs of a catalogue germ class, summed between the breaks of
+    # each twist, against one Deligne class per exponent of the expanded
+    # spectrum
     seen = Counter()
 
     @settings(SETTINGS, max_examples=12)
