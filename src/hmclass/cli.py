@@ -2,8 +2,14 @@
 chi_y genera, Milnor-class assembly, the built-in check harness, and the
 convention calibration report.
 
-All output is deterministic JSON with rationals serialized as strings;
+All output is deterministic JSON with rationals serialized as strings,
+written as the text of json.dumps(value, indent=2) by jsontext.dumps;
 exit codes: 0 success, 1 validation failure, 2 malformed input.
+
+The lattice report reads each edge's density from the lattice's Euler
+table (dense exactly when the Euler number is nonzero, by Crapo's
+theorem), and the spectra report builds a catalogue row's spectrum,
+shift and validation once per germ type.
 """
 
 from __future__ import annotations
@@ -20,12 +26,13 @@ from .arrangement import (Arrangement, ArrangementError, chi_y, chi_y_pn,
                           is_dense, localize, milnor_fiber_chi, sigma_strata)
 from .coeffs import RatFuncY, poly_str
 from .genera import hirzebruch_series, verify_identity_qr
+from .jsontext import dumps
 from .milnor import (DEFAULT_CONVENTIONS, ConventionSet, MilnorError,
                      MissingSpectrumError, PolynomialityError, assemble,
                      calibrate)
-from .spectra import (SpectrumError, SpectrumValidationError, classify_germ,
+from .spectra import (GermKind, SpectrumError, SpectrumValidationError,
                       sp_monomial, sp_ordinary, sp_shift, sp_user_load,
-                      sp_validate, stratum_spectrum)
+                      sp_validate, stratum_germ)
 from .strata import (chow_dims, compactify, deligne_residues,
                      homology_weight_dims, power_identity_holds,
                      relabel_vector, residues)
@@ -66,7 +73,7 @@ def _emit(chunks, out_path=None):
 
 
 def _dumps(payload):
-    yield json.dumps(payload, indent=2)
+    yield dumps(payload)
     yield "\n"
 
 
@@ -100,7 +107,9 @@ def cmd_lattice(args) -> int:
             "codim": e.codim,
             "dim": arr.n - e.codim,
             "m_s": e.m_s,
-            "dense": is_dense(e, arr),
+            # dense exactly when the localization's beta invariant, up to
+            # sign its Euler number, is nonzero (Crapo 1967)
+            "dense": loc.euler != 0,
             "complement_chi": loc.euler,
             "milnor_fiber_chi": milnor_fiber_chi(loc),
         })
@@ -124,29 +133,46 @@ def cmd_lattice(args) -> int:
 def cmd_spectra(args) -> int:
     arr = Arrangement.load(args.input)
     tables = sp_user_load(args.tables, arr) if args.tables else {}
+    # a catalogue row's body reads only the germ kind, the stratum's
+    # dimension and the localization's rank, degree, reducedness and Euler
+    # number, so it is built once per such key; a table's row is its own
+    bodies = {}
     rows = []
     for s in sigma_strata(arr):
-        loc = localize(arr, s.edge)
-        sp = stratum_spectrum(arr, s, tables)
         row = {
             "edge": s.key,
             "codim": s.edge.codim,
             "dim": s.dim,
             "m_s": s.edge.m_s,
         }
-        if sp is None:
+        germ = stratum_germ(arr, s, tables)
+        loc = localize(arr, s.edge)
+        if germ is None:
             row["source"] = "user_table_required"
+        elif isinstance(germ, GermKind):
+            key = (germ, s.dim, loc.rank, loc.m_s, loc.reduced, loc.euler)
+            body = bodies.get(key)
+            if body is None:
+                body = bodies[key] = _spectrum_body(
+                    germ.describe(), germ.spectrum(), s, loc, arr.n)
+            row.update(body)
         else:
-            if s.key in tables:
-                row["source"] = "user_table"
-            else:
-                row["source"] = classify_germ(loc).describe()
-            row["germ"] = sp.to_json()
-            row["stratum_frame"] = sp_shift(sp, s, arr.n).to_json()
-            row["validation"] = sp_validate(sp, loc)
+            row.update(_spectrum_body("user_table", germ, s, loc, arr.n))
         rows.append(row)
     _emit(_dumps({"n": arr.n, "m": arr.m, "strata": rows}), args.out)
     return EXIT_OK
+
+
+def _spectrum_body(source: str, sp, stratum, loc, n: int) -> dict:
+    """The fields of a spectra row after the stratum's own: the spectrum's
+    source, its entries in the germ and the stratum frames, and the
+    validators' verdict."""
+    return {
+        "source": source,
+        "germ": sp.to_json(),
+        "stratum_frame": sp_shift(sp, stratum, n).to_json(),
+        "validation": sp_validate(sp, loc),
+    }
 
 
 def cmd_virtual(args) -> int:

@@ -18,13 +18,13 @@ explored exhaustively by calibrate().
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 
 from .ambient import virtual_genus
 from .arrangement import (Arrangement, chi_y, localize, milnor_fiber_chi,
                           sigma_strata)
 from .coeffs import RatFuncY
+from .jsontext import dumps
 from .rings import combine
 from .spectra import Spectrum, SpectrumError, stratum_germ
 from .strata import (EXT_HALF_OPEN_DOWN, EXT_HALF_OPEN_UP, LabelSchema,
@@ -113,8 +113,8 @@ class MilnorReport:
     def json_chunks(self, dump_strata: bool = False):
         """The report as indented JSON text, chunk by chunk.
 
-        json.dumps writes the skeleton, with a hole for each label -> value
-        block; a block splices its vector's nonzero values into the zero
+        jsontext.dumps writes the skeleton, with a hole for each label ->
+        value block; a block splices its vector's nonzero values into the zero
         lines of the schema, which are rendered once per report."""
         names = self.schema.names()
         m_y = _label_block(names, 4, True)
@@ -134,7 +134,7 @@ class MilnorReport:
         }
         if dump_strata:
             skeleton["strata"] = [m.to_json() for m in self.models]
-        parts = json.dumps(skeleton, indent=2).split(json.dumps(_HOLE))
+        parts = dumps(skeleton).split(dumps(_HOLE))
         holes = [(m_y, self.m_y),
                  *((stratum, vec) for vec in self.per_stratum.values()),
                  *((constants, vec) for vec in self.specializations.values()),
@@ -146,7 +146,7 @@ class MilnorReport:
         yield "\n"
 
 
-_HOLE = "\0"  # stands for a label -> value block in the json.dumps skeleton
+_HOLE = "\0"  # stands for a label -> value block in the skeleton's text
 
 
 def _label_block(names: list, indent: int, as_list: bool):
@@ -156,7 +156,7 @@ def _label_block(names: list, indent: int, as_list: bool):
     lines of the nonzero values; a value's text is rendered once per
     renderer, since strata of one local type share their coefficients."""
     pad = " " * indent
-    heads = [f"{pad}{json.dumps(name)}: " for name in names]
+    heads = [f"{pad}{dumps(name)}: " for name in names]
     zeros = [head + ("[]" if as_list else '"0"') for head in heads]
     index = {name: i for i, name in enumerate(names)}
     sep, close = f'",\n{pad}  "', "\n" + pad[2:] + "}"
@@ -335,8 +335,8 @@ def assemble(arr: Arrangement, user_tables: dict = None,
     same contribution, which is computed once per report, from the germ
     of the first of them.
     """
-    schema = build_labels(arr)
     strata = sigma_strata(arr)
+    schema = build_labels(arr, strata)
     # compactify rejects strata of dimension > 2 before any spectrum lookup
     models = [compactify(arr, s) for s in strata]
     germs = [stratum_germ(arr, s, user_tables) for s in strata]

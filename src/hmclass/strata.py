@@ -348,10 +348,14 @@ class LabelSchema:
         return self.fundamental[edge.key] if k == dim else self.shared[k]
 
 
-def build_labels(arr: Arrangement) -> LabelSchema:
+def build_labels(arr: Arrangement, strata: list = None) -> LabelSchema:
+    """The label schema of the singular locus, from its strata as
+    sigma_strata lists them; a caller that holds that list passes it."""
     n = arr.n
     multiple = set(arr.multiple_indices())
-    strata = [s.edge for s in sigma_strata(arr)]  # sorted by (codim, index set)
+    if strata is None:
+        strata = sigma_strata(arr)
+    strata = [s.edge for s in strata]  # sorted by (codim, index set)
     shared = {}
     if strata:
         if multiple and n >= 2:

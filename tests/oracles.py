@@ -21,7 +21,8 @@ stratum's contribution, with one Deligne-extension class per exponent
 summed over the boundary one component at a time, checks the closed forms
 that assembly reads.  The sparse-vector sums, scalings and polynomiality
 test that the package itself never needs live here too, and so do user
-tables that put a stratum's whole signed mass at exponent 1.
+tables that put a stratum's whole signed mass at exponent 1, and the rows
+of a spectra report built one stratum at a time.
 """
 
 import math
@@ -38,8 +39,9 @@ from hmclass.arrangement import (Stratum, chi_y_pn,
 from hmclass.coeffs import RatFuncY
 from hmclass.genera import hirzebruch_series
 from hmclass.rings import ProjRing, Ring, RingElement, exp_nilpotent
-from hmclass.spectra import (Spectrum, SpectrumError, sp_shift, sp_user_load,
-                             stratum_germ)
+from hmclass.spectra import (Spectrum, SpectrumError, classify_germ, sp_shift,
+                             sp_user_load, sp_validate, stratum_germ,
+                             stratum_spectrum)
 from hmclass.strata import (EXT_HALF_OPEN_UP, SigmaChowVector, StrataError,
                             build_labels, compactify, k_representative)
 
@@ -518,6 +520,34 @@ def table_entries(arr):
 def generated_tables(arr):
     """Validated user tables for the strata the catalogue cannot serve."""
     return sp_user_load(table_entries(arr), arr)
+
+
+def spectra_rows_by_stratum(arr, tables) -> list:
+    """The rows of a spectra report built stratum by stratum: each
+    stratum's spectrum is looked up, expanded, shifted and validated on its
+    own, with no sharing between strata of one germ type."""
+    rows = []
+    for s in sigma_strata(arr):
+        loc = localize(arr, s.edge)
+        sp = stratum_spectrum(arr, s, tables)
+        row = {
+            "edge": s.key,
+            "codim": s.edge.codim,
+            "dim": s.dim,
+            "m_s": s.edge.m_s,
+        }
+        if sp is None:
+            row["source"] = "user_table_required"
+        else:
+            if s.key in tables:
+                row["source"] = "user_table"
+            else:
+                row["source"] = classify_germ(loc).describe()
+            row["germ"] = sp.to_json()
+            row["stratum_frame"] = sp_shift(sp, s, arr.n).to_json()
+            row["validation"] = sp_validate(sp, loc)
+        rows.append(row)
+    return rows
 
 
 def vector_sum(schema, vecs) -> SigmaChowVector:

@@ -431,7 +431,8 @@ def test_corpus_report_under_conventions_matches_golden(capsys, name,
 # files with sha256sum -c
 WIDE_DIGESTS = [("lines30", "lattice"), ("lines30", "spectra"),
                 ("lines30", "chi-y"), ("planes12", "lattice"),
-                ("planes12", "chi-y"), ("planes12", "milnor")]
+                ("planes12", "chi-y"), ("planes12", "milnor"),
+                ("planes12", "spectra")]
 
 
 @pytest.mark.parametrize("name,command", WIDE_DIGESTS)

@@ -621,6 +621,16 @@ class TestOneStrataPass:
         assert len(calls) == 1
         assert rep.chern_path == chern_milnor_by_classes(arr)
 
+    @pytest.mark.parametrize("name", ["fourplanes", "doubleline"])
+    def test_milnor_report_lists_strata_once(self, monkeypatch, capsys,
+                                             name):
+        # the label schema is built from the strata assembly holds, so
+        # build_labels lists none of its own
+        calls = count_calls(monkeypatch, arrangement, "sigma_strata")
+        assert cli.main(["milnor", str(corpus.corpus_path(name))]) == 0
+        assert len(calls) == 1
+        assert '"M_y"' in capsys.readouterr().out
+
 
 class TestOnePass:
     """Per report: one lattice search, one localization per edge asked

@@ -22,7 +22,8 @@ from hypothesis import strategies as st
 from hmclass import cli
 from hmclass.arrangement import (ArrangementError, build, chi_y,
                                  chi_y_stratum, euler_by_inclusion_exclusion,
-                                 localize, milnor_fiber_chi, sigma_strata)
+                                 is_dense, localize, milnor_fiber_chi,
+                                 sigma_strata)
 from hmclass.corpus import ALL_NAMES, corpus_path
 from hmclass.milnor import (ALL_CONVENTIONS, DEFAULT_CONVENTIONS,
                             MissingSpectrumError, _stratum_contribution,
@@ -32,11 +33,12 @@ from hmclass.spectra import GermKind, stratum_germ
 from hmclass.strata import (SigmaChowVector, build_labels, compactify,
                             push_to_sigma, relabel_vector)
 from oracles import (chern_milnor_by_classes, chern_to_ch,
-                     chi_y_stratum_by_whitney, euler_by_whitney, euler_defect,
-                     generated_tables, log_chern, log_tangent_by_chern,
-                     model_class, product_by_basis, report_to_json,
-                     stratum_contribution_by_terms, tangent_chern,
-                     todd_from_chern)
+                     chi_y_stratum_by_whitney, dense_by_bipartition,
+                     euler_by_whitney, euler_defect, generated_tables,
+                     log_chern, log_tangent_by_chern, model_class,
+                     product_by_basis, report_to_json,
+                     spectra_rows_by_stratum, stratum_contribution_by_terms,
+                     table_entries, tangent_chern, todd_from_chern)
 
 SETTINGS = settings(derandomize=True, max_examples=30, deadline=None,
                     suppress_health_check=[HealthCheck.filter_too_much])
@@ -320,6 +322,88 @@ def test_lattice_tables_match_whitney_oracle(case):
         assert localize(arr, e).euler == euler_by_whitney(arr, e), e.key
         assert chi_y_stratum(arr, e) == chi_y_stratum_by_whitney(arr, e), e.key
     assert chi_y(arr)(-1) == euler_by_inclusion_exclusion(arr)
+
+
+def test_dense_iff_nonzero_euler():
+    # Crapo: a central arrangement is indecomposable exactly when its beta
+    # invariant, up to sign the Euler number of its projectivized
+    # complement, is nonzero; so the lattice report reads density from the
+    # Euler table, and is_dense and the bipartition search stay oracles
+    seen = Counter()
+
+    # the P^4 cases with entries in {-1, 0, 1} have dense edges of
+    # codimension 2 and more, which entries in [-2, 2] rarely give
+    @settings(SETTINGS, max_examples=80)
+    @given(st.one_of(lattice_arrangements(),
+                     p4_arrangements().map(lambda case: case[:2])))
+    def check(case):
+        n, hyperplanes = case
+        try:
+            arr = build(n, hyperplanes)
+        except ArrangementError:
+            reject()
+        for e in arr.lattice.edges:
+            dense = localize(arr, e).euler != 0
+            covs = [arr.covector(j) for j in e.index_set]
+            assert dense == is_dense(e, arr), e.key
+            assert dense == dense_by_bipartition(covs), e.key
+            seen[n, dense] += e.codim >= 2
+
+    check()
+    assert all(seen[n, dense] for n in (2, 3, 4)
+               for dense in (True, False)), seen
+
+
+def run_cli(argv) -> tuple:
+    """(exit code, standard output, standard error) of one command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_spectra_report_matches_rows_by_stratum():
+    # the rows built once per germ type are the rows each stratum gives on
+    # its own, without tables, where some strata need one, and with
+    # generated tables for those strata
+    seen = Counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        source, table_file = Path(tmp, "input.json"), Path(tmp, "tables.json")
+
+        @settings(SETTINGS, max_examples=40)
+        @given(st.one_of(arrangements(), p4_arrangements()))
+        # lines of multiplicities 1, 2, 1: the points with exponents (1, 2)
+        # and (2, 1) share the germ class (rank 2, e = 1) and print
+        # different sources
+        @example((2, [((1, 0, 0), 1), ((0, 1, 0), 2), ((0, 0, 1), 1)],
+                  [0, 1, 2]))
+        def check(case):
+            n, hyperplanes, _ = case
+            try:
+                arr = build(n, hyperplanes)
+            except ArrangementError:
+                reject()
+            source.write_text(json.dumps(arr.to_json()))
+            table_file.write_text(json.dumps(table_entries(arr)))
+            tables = generated_tables(arr)
+            for argv, used in ((["spectra", str(source)], {}),
+                               (["spectra", str(source), "--tables",
+                                 str(table_file)], tables)):
+                code, out, err = run_cli(argv)
+                assert code == 0, err
+                want = {"n": arr.n, "m": arr.m,
+                        "strata": spectra_rows_by_stratum(arr, used)}
+                assert out == json.dumps(want, indent=2) + "\n"
+                sources = [row["source"] for row in want["strata"]]
+                seen[n] += 1
+                seen["required"] += "user_table_required" in sources
+                seen["tables"] += "user_table" in sources
+                seen["order"] += ("monomial(1,2)" in sources
+                                  and "monomial(2,1)" in sources)
+
+        check()
+    assert seen[2] and seen[3] and seen[4], seen
+    assert seen["required"] and seen["tables"] and seen["order"], seen
 
 
 @st.composite
