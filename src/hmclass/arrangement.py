@@ -245,8 +245,10 @@ class Edge:
     codim: int
     m_s: int
 
-    @property
+    @cached_property
     def key(self) -> str:
+        """The 1-based index set as text, built on first read; it is kept
+        outside the fields, so equality and hashing never read it."""
         return ",".join(str(j + 1) for j in self.index_set)
 
     def contains(self, other: "Edge") -> bool:

@@ -23,7 +23,7 @@ from . import corpus
 from .ambient import virtual_genus, virtual_pushed
 from .arrangement import (Arrangement, ArrangementError, chi_y, chi_y_pn,
                           chi_y_stratum, edges, euler_by_inclusion_exclusion,
-                          is_dense, localize, milnor_fiber_chi, sigma_strata)
+                          is_dense, localize, sigma_strata)
 from .coeffs import RatFuncY, poly_str
 from .genera import hirzebruch_series, verify_identity_qr
 from .jsontext import dumps
@@ -99,9 +99,11 @@ def _conv_from_args(args) -> ConventionSet:
 
 def cmd_lattice(args) -> int:
     arr = Arrangement.load(args.input)
+    lattice = arr.lattice
     rows = []
-    for e in edges(arr):
-        loc = localize(arr, e)
+    # the localization's Euler number is read from the lattice's table by
+    # position, and its Milnor fiber's Euler number is that times m_s
+    for e, euler in zip(lattice.edges, lattice.euler):
         rows.append({
             "key": e.key,
             "codim": e.codim,
@@ -109,9 +111,9 @@ def cmd_lattice(args) -> int:
             "m_s": e.m_s,
             # dense exactly when the localization's beta invariant, up to
             # sign its Euler number, is nonzero (Crapo 1967)
-            "dense": loc.euler != 0,
-            "complement_chi": loc.euler,
-            "milnor_fiber_chi": milnor_fiber_chi(loc),
+            "dense": euler != 0,
+            "complement_chi": euler,
+            "milnor_fiber_chi": euler * e.m_s,
         })
     payload = {
         "n": arr.n,

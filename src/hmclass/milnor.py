@@ -385,20 +385,37 @@ def assemble(arr: Arrangement, user_tables: dict = None,
     return report
 
 
+def _chern_key(model: StratumModel):
+    """What 2 c(T(-log D)) of a model reads: it is (2,) on every point and
+    (2, 4 - 2b) on a curve with b boundary components, so those are keyed
+    by (dim, b).  A surface's class depends on its blown points, so a
+    surface is keyed by its edge and shares with no other stratum.  The
+    key reads no germ, spectrum or type key, so the Chern path stays
+    independent of the spectral sum it checks."""
+    if model.dim == 2:
+        return model.edge
+    return model.dim, len(model.boundary)
+
+
 def chern_milnor(arr: Arrangement, schema: LabelSchema,
                  models: list) -> SigmaChowVector:
     """Euler-weighted Chern-class path: sum over strata of the reduced
     Milnor-fiber Euler characteristic times the Chern class of the
     logarithmic tangent bundle, pushed to the Chow basis.  Needs no
     spectra and no conventions.  The sums are kept in integers, as twice
-    the class, until one coefficient per label is built."""
+    the class, until one coefficient per label is built.  Twice the
+    log-tangent class is built once per _chern_key and call."""
     totals = {}
+    classes = {}  # Chern key -> 2 c(T(-log D)), for this call only
     for model in models:
         chi_tilde = milnor_fiber_chi(localize(arr, model.edge)) - 1
         if chi_tilde == 0:
             continue
-        for name, v in push_to_sigma(schema, model,
-                                     model.log_tangent2).items():
+        key = _chern_key(model)
+        log_tangent2 = classes.get(key)
+        if log_tangent2 is None:
+            log_tangent2 = classes[key] = model.log_tangent2
+        for name, v in push_to_sigma(schema, model, log_tangent2).items():
             totals[name] = totals.get(name, 0) + chi_tilde * v
     return SigmaChowVector(schema, {name: RatFuncY.from_ints((v,), 2)
                                     for name, v in totals.items()})

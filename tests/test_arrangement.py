@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -138,6 +139,30 @@ class TestEdges:
                     m_rel = sum(arr.mult(j) for j in t.index_set
                                 if j not in s.index_set)
                     assert t.m_s == s.m_s + m_rel
+
+    def test_key_text_and_identity(self):
+        # twelve lines, three of them through [0:0:1]; the key is built on
+        # first read and kept outside the fields, so reading it changes no
+        # comparison, hash or copy of the edge
+        others = iter((1, i, i * i) for i in range(2, 11))
+        covs = [(1, 0, 0) if j == 0 else (0, 1, 0) if j == 9
+                else (1, 1, 0) if j == 11 else next(others)
+                for j in range(12)]
+        arr = lines(*covs)
+        point = arr.lattice.by_key["1,10,12"]
+        assert point.index_set == (0, 9, 11) and point.codim == 2
+        for e in edges(arr):
+            twin = arrangement.Edge(e.index_set, e.codim, e.m_s)
+            before = hash(twin)
+            assert e.key == ",".join(str(j + 1) for j in e.index_set)
+            assert vars(e)["key"] is e.key  # built once, then kept
+            assert e == twin and twin == e
+            assert hash(e) == hash(twin) == before
+            assert twin in {e} and e in {twin}
+            assert dataclasses.replace(e) == twin
+        moved = dataclasses.replace(point, index_set=(1, 2))
+        assert moved.key == "2,3" and point.key == "1,10,12"
+        assert "key" not in {f.name for f in dataclasses.fields(point)}
 
     def test_cover_walks_against_filters(self):
         # the walks over the search's covers give the same edges, in the

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from hmclass import arrangement, cli, corpus, milnor, strata
-from hmclass.arrangement import ArrangementError, build, sigma_strata
+from hmclass.arrangement import (ArrangementError, build, localize,
+                                 milnor_fiber_chi, sigma_strata)
 from hmclass.coeffs import RatFuncY
 from hmclass.milnor import (ALL_CONVENTIONS, DEFAULT_CONVENTIONS,
                             ConventionSet, MissingSpectrumError,
@@ -670,6 +671,34 @@ class TestOnePass:
             assert len(calls["_stratum_contribution"]) == len(signatures), path
         assert len(signatures) < len(strata_)  # the nine lines repeat types
 
+    def test_milnor_log_tangent_once_per_chern_key(self, monkeypatch,
+                                                   tmp_path, capsys):
+        # the Chern path evaluates 2 c(T(-log D)) once per Chern key among
+        # the strata it weighs, those with a nonzero reduced Euler number
+        evaluated = []
+        real = strata.StratumModel.log_tangent2.func
+
+        def counting(model):
+            evaluated.append(model)
+            return real(model)
+
+        shared = False
+        for path in self.files(tmp_path):
+            arr = arrangement.Arrangement.load(path)
+            weighed = [compactify(arr, s) for s in sigma_strata(arr)
+                       if milnor_fiber_chi(localize(arr, s.edge)) != 1]
+            keys = {milnor._chern_key(m) for m in weighed}
+            evaluated.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(strata.StratumModel, "log_tangent2",
+                              property(counting))
+                code = cli.main(["milnor", path])
+                assert code == 0, capsys.readouterr().err
+            assert len(evaluated) == len(keys), path
+            assert {milnor._chern_key(m) for m in evaluated} == keys, path
+            shared |= len(keys) < len(weighed)
+        assert shared  # some report has strata of one shape
+
     def test_spectra(self, monkeypatch, tmp_path, capsys):
         for path in self.files(tmp_path):
             arr = arrangement.Arrangement.load(path)
@@ -690,8 +719,8 @@ class TestOnePass:
                 code = cli.main(["lattice", path])
                 assert code == 0, capsys.readouterr().err
             assert len(calls["_search_edges"]) == 1, path
-            assert len(calls["LocalizedArrangement"]) == \
-                len(arr.lattice.edges), path
+            # every edge's Euler number is read from the lattice's table
+            assert not calls["LocalizedArrangement"], path
 
     def test_chi_y(self, monkeypatch, tmp_path, capsys):
         for path in self.files(tmp_path):

@@ -26,8 +26,9 @@ from hmclass.arrangement import (ArrangementError, build, chi_y,
                                  sigma_strata)
 from hmclass.corpus import ALL_NAMES, corpus_path
 from hmclass.milnor import (ALL_CONVENTIONS, DEFAULT_CONVENTIONS,
-                            MissingSpectrumError, _stratum_contribution,
-                            _type_key, assemble, chern_milnor)
+                            MissingSpectrumError, _chern_key,
+                            _stratum_contribution, _type_key, assemble,
+                            chern_milnor)
 from hmclass.rings import BlownPlaneRing, ProjRing, RingElement
 from hmclass.spectra import GermKind, stratum_germ
 from hmclass.strata import (SigmaChowVector, build_labels, compactify,
@@ -481,6 +482,39 @@ def test_chern_path_matches_class_oracle():
 
     check()
     assert seen["surface", True], seen  # some surface has a blown point
+
+
+def test_chern_key_fixes_the_log_tangent_class():
+    # every model's 2 c(T(-log D)) equals the class the Chern path keeps
+    # for its key: within an arrangement for every key, and across
+    # arrangements for the (dim, boundary count) keys of points and curves
+    seen = Counter()
+    shared = {}
+
+    @SETTINGS
+    @given(st.one_of(model_arrangements(), p4_arrangements()))
+    def check(case):
+        n, hyperplanes = case[:2]
+        try:
+            arr = build(n, hyperplanes)
+        except ArrangementError:
+            reject()
+        classes = {}
+        for s in sigma_strata(arr):
+            model = compactify(arr, s)
+            key = _chern_key(model)
+            kept = classes.setdefault(key, model.log_tangent2)
+            if model.dim == 2:
+                seen["surface", bool(model.blown)] += 1
+            else:
+                kept = shared.setdefault(key, kept)
+                seen[model.kind, len(model.boundary)] += 1
+            assert model.log_tangent2 == kept, (s.key, key)
+
+    check()
+    assert seen["surface", True] and seen["surface", False], seen
+    # curves with different boundary counts
+    assert len({b for kind, b in seen if kind == "curve"}) >= 2, seen
 
 
 @pytest.mark.parametrize("ring", [
