@@ -10,6 +10,8 @@ fundamental class.
 
 from __future__ import annotations
 
+import functools
+
 from .coeffs import RatFuncY
 from .genera import compose_scale, hirzebruch_series
 from .rings import RingElement
@@ -40,8 +42,12 @@ def virtual_pushed_ci(degrees, n: int) -> RingElement:
     return acc
 
 
+@functools.lru_cache(maxsize=32)
 def virtual_pushed(d: int, n: int) -> RingElement:
-    """Pushed virtual class of a degree-d hypersurface in projective n-space."""
+    """Pushed virtual class of a degree-d hypersurface in projective n-space.
+    Kept per process, as the Hirzebruch series are: the degree-0 check of
+    every report at one (m, n) reads the same class, and a RingElement is
+    never changed in place."""
     return virtual_pushed_ci([d], n)
 
 

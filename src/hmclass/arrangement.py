@@ -1,7 +1,7 @@
 """Projective hyperplane arrangements with multiplicities.
 
 Input model and validation, the intersection lattice (edges) with two
-per-edge tables computed once per lattice from its cover relation, localized
+per-edge tables computed once per lattice from its "above" relation, localized
 central arrangements, dense-edge detection, stratifications of the divisor
 and of its singular locus, and chi_y genera.
 
@@ -103,52 +103,30 @@ def _echelon(rows) -> list:
     return basis
 
 
-def _rank(rows) -> int:
-    return len(_echelon(rows))
-
-
 # ---------------------------------------------------------------------------
 # arrangement and edges
 
 
 @dataclass(frozen=True)
-class Hyperplane:
-    covector: tuple
-    mult: int
-
-
-@dataclass(frozen=True)
 class Arrangement:
+    """Hyperplanes in P^n, each given by its covector, a primitive integer
+    vector whose first nonzero entry is positive, so proportional
+    covectors are equal, and by its multiplicity."""
+
     n: int
-    hyperplanes: tuple
+    covectors: tuple
+    mults: tuple
 
     @property
     def m(self) -> int:
-        return sum(h.mult for h in self.hyperplanes)
+        return sum(self.mults)
 
     @property
     def r(self) -> int:
-        return len(self.hyperplanes)
-
-    def mult(self, j: int) -> int:
-        return self.hyperplanes[j].mult
-
-    def covector(self, j: int) -> tuple:
-        return self.hyperplanes[j].covector
+        return len(self.covectors)
 
     def multiple_indices(self) -> tuple:
-        return tuple(j for j, h in enumerate(self.hyperplanes) if h.mult > 1)
-
-    @cached_property
-    def int_covectors(self) -> tuple:
-        """Each covector scaled to a primitive integer vector whose first
-        nonzero entry is positive, so proportional covectors become equal."""
-        out = []
-        for h in self.hyperplanes:
-            scale = lcm(*(c.denominator for c in h.covector))
-            out.append(_primitive([c.numerator * (scale // c.denominator)
-                                   for c in h.covector]))
-        return tuple(out)
+        return tuple(j for j, m in enumerate(self.mults) if m > 1)
 
     @cached_property
     def lattice(self) -> "Lattice":
@@ -160,8 +138,8 @@ class Arrangement:
         return {
             "n": self.n,
             "hyperplanes": [
-                {"coeffs": [str(c) for c in h.covector], "mult": h.mult}
-                for h in self.hyperplanes
+                {"coeffs": [str(c) for c in cov], "mult": m}
+                for cov, m in zip(self.covectors, self.mults)
             ],
         }
 
@@ -202,11 +180,12 @@ def build(n: int, hyperplanes) -> Arrangement:
 
     Rejects zero covectors, proportional covector pairs (duplicates are an
     input error, never merged) and multiplicities outside
-    1..MAX_MULTIPLICITY.
+    1..MAX_MULTIPLICITY.  Each covector is scaled to its primitive integer
+    form once it has passed these checks.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ArrangementError(f"ambient dimension must be a positive integer, got {n!r}")
-    hyps = []
+    covs, mults = [], []
     for covector, mult in hyperplanes:
         cov = tuple(rat(c) for c in covector)
         if len(cov) != n + 1:
@@ -219,19 +198,21 @@ def build(n: int, hyperplanes) -> Arrangement:
         if mult > MAX_MULTIPLICITY:
             raise ArrangementError(
                 f"multiplicity {mult} exceeds the limit {MAX_MULTIPLICITY}")
-        hyps.append(Hyperplane(cov, mult))
-    if not hyps:
+        scale = lcm(*(c.denominator for c in cov))
+        covs.append(_primitive([c.numerator * (scale // c.denominator)
+                                for c in cov]))
+        mults.append(mult)
+    if not covs:
         raise ArrangementError("arrangement needs at least one hyperplane")
-    arr = Arrangement(n, tuple(hyps))
     first = {}
-    pairs = [(first.setdefault(c, j), j) for j, c in enumerate(arr.int_covectors)]
+    pairs = [(first.setdefault(c, j), j) for j, c in enumerate(covs)]
     clashes = [(i, j) for i, j in pairs if i != j]
     if clashes:
         # name the clash with the lowest first position, then the lowest second
         i, j = min(clashes)
         raise ArrangementError(
             f"proportional covectors at positions {i + 1} and {j + 1}")
-    return arr
+    return Arrangement(n, tuple(covs), tuple(mults))
 
 
 @dataclass(frozen=True)
@@ -258,39 +239,40 @@ class Edge:
 
 @dataclass(frozen=True)
 class Lattice:
-    """The edges of an arrangement in P^n with the index, rank and cover
+    """The edges of an arrangement in P^n with the index and the "above"
     relation its consumers look up, the per-edge Euler numbers and chi_y
     tables, and the localization at each edge once some consumer has asked
     for it."""
 
     n: int
     edges: tuple  # sorted by (codimension, index set)
-    by_key: dict  # edge key -> edge
-    rank: int  # rank of the whole covector family
     position: dict  # index set -> position in edges
-    up: tuple  # per position, the positions of the edge's upper covers
-    down: tuple  # per position, the positions of its lower covers
+    # per position, the positions of the edges strictly above it (index
+    # sets strictly containing its own), in lattice order
+    strictly_above: tuple
     localized: dict = field(default_factory=dict, compare=False, repr=False)
 
     def above(self, edge: Edge) -> list:
-        """The edges strictly above edge in the lattice (index sets
-        strictly containing its own), in lattice order."""
+        """The edges strictly above edge in the lattice, in lattice order."""
         return [self.edges[i] for i in
-                _reachable(self.position[edge.index_set], self.up)]
+                self.strictly_above[self.position[edge.index_set]]]
 
     @cached_property
     def euler(self) -> tuple:
         """Per position, the Euler number of the projectivized complement
-        of the localization at the edge: codim e + sum over x < e of
-        mu(x) (codim e - codim x), where mu(x) = mu(0, x) = -1 - sum over
-        0 < y < x of mu(y) is computed bottom up, once per edge."""
-        mu = []
+        of the localization at the edge: -codim e mu(e) - sum over x < e of
+        mu(x) codim x, where mu(e) = mu(0, e) = -1 - sum over x < e of
+        mu(x).  One bottom-up pass pushes each mu(x) into the two sums of
+        every edge above x."""
+        mu_below = [0] * len(self.edges)
+        codim_below = [0] * len(self.edges)
         out = []
         for i, e in enumerate(self.edges):
-            below = _reachable(i, self.down)
-            mu.append(-1 - sum(mu[x] for x in below))
-            out.append(e.codim + sum(mu[x] * (e.codim - self.edges[x].codim)
-                                     for x in below))
+            mu = -1 - mu_below[i]
+            out.append(-e.codim * mu - codim_below[i])
+            for j in self.strictly_above[i]:
+                mu_below[j] += mu
+                codim_below[j] += mu * e.codim
         return tuple(out)
 
     @cached_property
@@ -301,30 +283,17 @@ class Lattice:
         out = [None] * len(self.edges)
         for i in reversed(range(len(self.edges))):
             cs = [(-1) ** p for p in range(self.n - self.edges[i].codim + 1)]
-            for f in _reachable(i, self.up):
+            for f in self.strictly_above[i]:
                 for p, c in enumerate(out[f]):
                     cs[p] -= c
             out[i] = cs
         return tuple(out)
 
 
-def _reachable(start: int, links: tuple) -> list:
-    """The positions reached from start along links, start excluded, in
-    increasing order, which is the lattice order of their edges."""
-    seen = set()
-    stack = [start]
-    while stack:
-        for j in links[stack.pop()]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return sorted(seen)
-
-
 def _search_edges(arr: Arrangement) -> Lattice:
     """The intersection lattice: all intersections of subfamilies,
     deduplicated by subspace, with saturated index sets, sorted by
-    (codimension, index set), with their cover relation.
+    (codimension, index set), with the edges above each one.
 
     The search goes up from the whole space one codimension at a time.  The
     join of an edge with a hyperplane off it is fixed by the residual of the
@@ -333,8 +302,9 @@ def _search_edges(arr: Arrangement) -> Lattice:
     the covectors yields every join of an edge, with its saturated index
     set, and these joins are the edge's upper covers.  Edges of
     codimension n are not extended: a join of one has rank n + 1 and is no
-    edge."""
-    covs = arr.int_covectors
+    edge.  The edges above an edge are then its covers and the edges above
+    them, collected top down."""
+    covs = arr.covectors
     found = {}
     covers = {}  # index set -> index sets of its upper covers
     frontier = [((), [])]  # (index set, echelon basis of its covectors)
@@ -352,20 +322,21 @@ def _search_edges(arr: Arrangement) -> Lattice:
                 keys.append(key)
                 if key not in found:
                     codim = len(basis) + 1
-                    found[key] = Edge(key, codim, sum(arr.mult(i) for i in key))
+                    found[key] = Edge(key, codim, sum(arr.mults[i] for i in key))
                     if codim < arr.n:
                         nxt.append((key, _extend(basis, residual)))
         frontier = nxt
     edges = tuple(sorted(found.values(), key=lambda e: (e.codim, e.index_set)))
     position = {e.index_set: i for i, e in enumerate(edges)}
-    up = tuple(tuple(position[k] for k in covers.get(e.index_set, ()))
-               for e in edges)
-    down = [[] for _ in edges]
-    for i, covering in enumerate(up):
-        for j in covering:
-            down[j].append(i)
-    return Lattice(arr.n, edges, {e.key: e for e in edges}, _rank(covs),
-                   position, up, tuple(map(tuple, down)))
+    above = [()] * len(edges)
+    for i in reversed(range(len(edges))):
+        reach = set()
+        for key in covers.get(edges[i].index_set, ()):
+            j = position[key]
+            reach.add(j)
+            reach.update(above[j])
+        above[i] = tuple(sorted(reach))
+    return Lattice(arr.n, edges, position, tuple(above))
 
 
 def edges(arr: Arrangement) -> tuple:
@@ -379,18 +350,21 @@ def edges(arr: Arrangement) -> tuple:
 
 @dataclass(frozen=True)
 class LocalizedArrangement:
-    """The quotient central arrangement at an edge: its rank, the
-    multiplicities of its hyperplanes, and the Euler number of its
-    projectivized complement."""
+    """The quotient central arrangement at an edge: the multiplicities of
+    its hyperplanes and the Euler number of its projectivized complement.
+    Its rank and degree are the edge's codimension and m_s."""
 
     edge: Edge
-    rank: int
     mults: tuple
     euler: int
 
     @property
+    def rank(self) -> int:
+        return self.edge.codim
+
+    @property
     def m_s(self) -> int:
-        return sum(self.mults)
+        return self.edge.m_s
 
     @property
     def reduced(self) -> bool:
@@ -415,9 +389,8 @@ def localize(arr: Arrangement, edge: Edge) -> LocalizedArrangement:
     lattice = arr.lattice
     loc = lattice.localized.get(edge.index_set)
     if loc is None:
-        mults = tuple(arr.mult(j) for j in edge.index_set)
         loc = LocalizedArrangement(
-            edge, edge.codim, mults,
+            edge, tuple(arr.mults[j] for j in edge.index_set),
             lattice.euler[lattice.position[edge.index_set]])
         lattice.localized[edge.index_set] = loc
     return loc
@@ -448,7 +421,7 @@ def is_dense(edge: Edge, arr: Arrangement) -> bool:
             i = comp[i]
         return i
 
-    covs = arr.int_covectors
+    covs = arr.covectors
     for lead, row in _echelon(zip(*(covs[j] for j in edge.index_set))):
         lead = root(lead)
         for j, x in enumerate(row):
@@ -480,7 +453,7 @@ def sigma_strata(arr: Arrangement) -> list:
     handled symbolically downstream and never appears as an edge."""
     out = []
     for e in arr.lattice.edges:
-        if e.codim >= 2 or (len(e.index_set) == 1 and arr.mult(e.index_set[0]) > 1):
+        if e.codim >= 2 or (len(e.index_set) == 1 and arr.mults[e.index_set[0]] > 1):
             out.append(Stratum(e, arr.n - e.codim))
     return out
 
@@ -515,12 +488,12 @@ def euler_by_inclusion_exclusion(arr: Arrangement) -> int:
     """Independent Euler-characteristic oracle for the divisor: alternating
     sum over all subfamilies of hyperplanes.  Exponential in the number of
     hyperplanes, so only the check harness and the tests call it."""
-    covs = arr.int_covectors
+    covs = arr.covectors
     r = len(covs)
     total = 0
     for mask in range(1, 1 << r):
         subset = [covs[i] for i in range(r) if mask >> i & 1]
-        rank = _rank(subset)
+        rank = len(_echelon(subset))
         if rank <= arr.n:
             dim = arr.n - rank
             total += (-1) ** (bin(mask).count("1") + 1) * (dim + 1)

@@ -81,20 +81,6 @@ class Spectrum:
     def to_json(self) -> list:
         return [{"alpha": str(a), "mult": m} for a, m in self.entries]
 
-    def __str__(self):
-        if not self.entries:
-            return "0"
-        parts = []
-        for a, m in self.entries:
-            term = f"t^({a})" if a.denominator > 1 else f"t^{a}"
-            if m == 1:
-                parts.append(term)
-            elif m == -1:
-                parts.append(f"-{term}")
-            else:
-                parts.append(f"{m}*{term}")
-        return " + ".join(parts).replace("+ -", "- ")
-
 
 def sp_monomial(exponents) -> Spectrum:
     """Spectrum of a monomial germ prod y_i^{m_i} on affine r-space."""
@@ -258,9 +244,10 @@ def sp_user_load(source, arr: Arrangement) -> dict:
         data = source
     if not isinstance(data, dict):
         raise SpectrumError("spectrum tables must be a JSON object keyed by edge")
+    by_key = {e.key: e for e in arr.lattice.edges}
     out = {}
     for key, entries in data.items():
-        edge = arr.lattice.by_key.get(key)
+        edge = by_key.get(key)
         if edge is None:
             raise SpectrumError(f"unknown edge key {key!r}")
         if not isinstance(entries, list):

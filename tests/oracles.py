@@ -663,7 +663,7 @@ def chi_y_stratum_by_whitney(arr, edge) -> RatFuncY:
     flats += [(frozenset(e.index_set), e.codim - edge.codim)
               for e in arr.lattice.edges
               if set(e.index_set) > set(edge.index_set)]
-    if arr.lattice.rank == arr.n + 1:
+    if sympy.Matrix([list(c) for c in arr.covectors]).rank() == arr.n + 1:
         flats.append((frozenset(range(arr.r)) | {-1}, arr.n + 1 - edge.codim))
     if len(flats) == 1:
         return chi_y_pn(d)

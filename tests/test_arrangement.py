@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -29,15 +30,21 @@ MIXED = [Fraction(v) for v in (-2, -1, 0, 0, 0, 0, 1, 2)] \
     + [Fraction(v, 2) for v in (-3, -1, 1, 3)]
 
 
-def random_arrangement(rng, n, k, values):
-    """A seeded arrangement of k distinct hyperplanes in P^n with covector
-    entries drawn from values."""
+def random_covectors(rng, n, k, values):
+    """(covectors, arrangement): k seeded distinct hyperplanes in P^n with
+    covector entries drawn from values, as drawn and as built."""
     while True:
         covs = [[rng.choice(values) for _ in range(n + 1)] for _ in range(k)]
         try:
-            return build(n, [(c, 1) for c in covs])
+            return covs, build(n, [(c, 1) for c in covs])
         except ArrangementError:
             pass
+
+
+def random_arrangement(rng, n, k, values):
+    """A seeded arrangement of k distinct hyperplanes in P^n with covector
+    entries drawn from values."""
+    return random_covectors(rng, n, k, values)[1]
 
 
 def vandermonde(n, k):
@@ -78,6 +85,44 @@ class TestBuild:
         arr = corpus.load("fourplanes")
         assert arr.m == 4 and arr.n == 3
 
+    @pytest.mark.parametrize("n, hyperplanes, text", [
+        (3, [(("1/2", 0, 0), 1)],
+         "covector (Fraction(1, 2), Fraction(0, 1), Fraction(0, 1)) has "
+         "length 3, expected 4"),
+        (2, [((1, 0, 0), 1), ((0, 0, 0), 1)], "zero covector"),
+        (2, [((1, 0, 0), 0)], "multiplicity must be a positive integer, got 0"),
+        (2, [((1, 0, 0), True)],
+         "multiplicity must be a positive integer, got True"),
+        (2, [((1, 0, 0), 100_001)],
+         "multiplicity 100001 exceeds the limit 100000"),
+        (2, [], "arrangement needs at least one hyperplane"),
+        (2, [((0, 1, 0), 1), (("1/2", 0, 0), 1), ((0, -2, 0), 1),
+             ((3, 0, 0), 1)],
+         "proportional covectors at positions 1 and 3"),
+    ])
+    def test_error_texts(self, n, hyperplanes, text):
+        with pytest.raises(ArrangementError) as info:
+            build(n, hyperplanes)
+        assert str(info.value) == text
+
+    @pytest.mark.parametrize("command", ["lattice", "milnor"])
+    def test_fractional_input_reports_as_its_integer_twin(self, command,
+                                                          capsys, tmp_path):
+        # the same lines, once with fractional and sign-flipped covectors
+        # and once as primitive integers
+        fractional = [("1/2", "0", "0"), ("0", "-2/3", "0"), ("1/3", "1/3", "0"),
+                      ("0", "0", "-5"), ("1", "3/2", "9/4")]
+        integral = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (4, 6, 9)]
+        outputs = []
+        for name, covs in (("frac", fractional), ("int", integral)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({
+                "n": 2, "hyperplanes": [{"coeffs": [str(c) for c in cov],
+                                         "mult": 1} for cov in covs]}))
+            assert cli.main([command, str(path)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
 
 class TestEdges:
     @pytest.mark.parametrize("name", ["concurrent3", "triangle3", "fourplanes",
@@ -85,15 +130,15 @@ class TestEdges:
     def test_against_brute_force(self, name):
         arr = corpus.load(name)
         got = {(e.index_set, e.codim) for e in edges(arr)}
-        oracle = brute_force_edges([h.covector for h in arr.hyperplanes], arr.n)
+        oracle = brute_force_edges(arr.covectors, arr.n)
         assert got == oracle
 
     def test_random_arrangements_against_brute_force(self):
         rng = random.Random(4)
         concurrent = fractional = 0
         for n, k in [(2, 5), (2, 6), (2, 7)] * 4 + [(3, 5), (3, 6)] * 4:
-            arr = random_arrangement(rng, n, k, MIXED)
-            covs = [h.covector for h in arr.hyperplanes]
+            # the oracle reads the covectors as drawn, before scaling
+            covs, arr = random_covectors(rng, n, k, MIXED)
             got = {(e.index_set, e.codim) for e in edges(arr)}
             assert got == brute_force_edges(covs, n)
             concurrent += any(len(e.index_set) > e.codim for e in edges(arr))
@@ -136,7 +181,7 @@ class TestEdges:
         for s in es:
             for t in es:
                 if set(t.index_set) > set(s.index_set):
-                    m_rel = sum(arr.mult(j) for j in t.index_set
+                    m_rel = sum(arr.mults[j] for j in t.index_set
                                 if j not in s.index_set)
                     assert t.m_s == s.m_s + m_rel
 
@@ -149,7 +194,7 @@ class TestEdges:
                 else (1, 1, 0) if j == 11 else next(others)
                 for j in range(12)]
         arr = lines(*covs)
-        point = arr.lattice.by_key["1,10,12"]
+        [point] = [e for e in arr.lattice.edges if e.key == "1,10,12"]
         assert point.index_set == (0, 9, 11) and point.codim == 2
         for e in edges(arr):
             twin = arrangement.Edge(e.index_set, e.codim, e.m_s)
@@ -165,27 +210,23 @@ class TestEdges:
         assert "key" not in {f.name for f in dataclasses.fields(point)}
 
     def test_cover_walks_against_filters(self):
-        # the walks over the search's covers give the same edges, in the
-        # same (codimension, index set) order, as filtering every edge
+        # the table the search collects from its covers gives the same
+        # edges, in the same (codimension, index set) order, as filtering
+        # every edge, both above each edge and, read backwards, below it
         rng = random.Random(9)
         arrs = [random_arrangement(rng, n, k, MIXED)
                 for n, k in [(2, 6), (2, 8), (3, 5), (3, 7)] * 3]
         for arr in arrs + [corpus.load("pencil3planes")]:
             lat = arr.lattice
-            for i, (e, covers) in enumerate(zip(lat.edges, lat.up)):
+            for i, e in enumerate(lat.edges):
                 sset = set(e.index_set)
-                assert lat.above(e) == [f for f in lat.edges
-                                        if set(f.index_set) > sset]
-                # the lower covers reach down to the edges inside this one
-                below, stack = set(), [i]
-                while stack:
-                    for j in lat.down[stack.pop()]:
-                        if j not in below:
-                            below.add(j)
-                            stack.append(j)
-                assert [lat.edges[j] for j in sorted(below)] + [e] == \
+                above = [f for f in lat.edges if set(f.index_set) > sset]
+                assert lat.above(e) == above
+                assert [lat.edges[j] for j in lat.strictly_above[i]] == above
+                below = [lat.edges[x] for x in range(len(lat.edges))
+                         if i in lat.strictly_above[x]]
+                assert below + [e] == \
                     [f for f in lat.edges if set(f.index_set) <= sset]
-                assert all(lat.edges[j].codim == e.codim + 1 for j in covers)
 
 
 class TestStrata:
@@ -254,7 +295,7 @@ class TestDense:
         arr = corpus.load(name)
         for e in edges(arr):
             assert is_dense(e, arr) == (localize(arr, e).euler != 0)
-            covs = [arr.covector(j) for j in e.index_set]
+            covs = [arr.covectors[j] for j in e.index_set]
             assert is_dense(e, arr) == dense_by_bipartition(covs), e.key
 
     def test_matches_bipartition_oracle_on_random_arrangements(self):
@@ -268,7 +309,7 @@ class TestDense:
                              (2, 7, halves), (3, 7, halves), (3, 7, halves)]:
             arr = random_arrangement(rng, n, k, values)
             for e in edges(arr):
-                covs = [arr.covector(j) for j in e.index_set]
+                covs = [arr.covectors[j] for j in e.index_set]
                 assert is_dense(e, arr) == dense_by_bipartition(covs), e.key
 
 
@@ -300,9 +341,8 @@ class TestChiY:
     def test_euler_specialization_matches_inclusion_exclusion(self, name):
         arr = corpus.load(name)
         assert chi_y(arr)(-1) == euler_by_inclusion_exclusion(arr)
-        covs = [h.covector for h in arr.hyperplanes]
         assert euler_by_inclusion_exclusion(arr) == \
-            inclusion_exclusion_euler(covs, arr.n)
+            inclusion_exclusion_euler(arr.covectors, arr.n)
 
     def test_additivity_over_strata(self):
         arr = corpus.load("quad6a")

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hmclass import arrangement, cli, corpus, milnor, strata
+from hmclass import ambient, arrangement, cli, corpus, milnor, strata
 from hmclass.arrangement import (ArrangementError, build, localize,
                                  milnor_fiber_chi, sigma_strata)
 from hmclass.coeffs import RatFuncY
@@ -207,9 +207,9 @@ class TestInvariance:
                 if det != 0:
                     break
             moved = build(arr.n, [
-                (tuple(sum(mat[i][j] * h.covector[j] for j in range(size))
-                       for i in range(size)), h.mult)
-                for h in arr.hyperplanes])
+                (tuple(sum(mat[i][j] * cov[j] for j in range(size))
+                       for i in range(size)), m)
+                for cov, m in zip(arr.covectors, arr.mults)])
             rep = assemble(arr)
             rep_moved = assemble(moved)
             assert rep.m_y == rep_moved.m_y
@@ -219,8 +219,8 @@ class TestInvariance:
         arr = corpus.load("doubleplane3")
         order = [2, 0, 3, 1]  # new position -> old index
         perm = {old + 1: new + 1 for new, old in enumerate(order)}
-        shuffled = build(arr.n, [(arr.hyperplanes[i].covector,
-                                  arr.hyperplanes[i].mult) for i in order])
+        shuffled = build(arr.n, [(arr.covectors[i], arr.mults[i])
+                                 for i in order])
         rep = assemble(arr)
         rep_shuffled = assemble(shuffled)
         moved = relabel_vector(rep.m_y, perm, rep_shuffled.schema)
@@ -753,6 +753,18 @@ class TestOnePass:
             assert code == 0, capsys.readouterr().err
         assert len(calls["_search_edges"]) == 1
         assert len(calls["LocalizedArrangement"]) == len(sigma_strata(arr))
+
+    def test_virtual_class_once_per_degree_and_dimension(self, monkeypatch,
+                                                         capsys):
+        # the degree-0 check of every report at one (m, n) reads the same
+        # pushed virtual class, which is evaluated on the first report only
+        ambient.virtual_pushed.cache_clear()
+        calls = count_calls(monkeypatch, ambient, "virtual_pushed_ci")
+        paths = [str(corpus.corpus_path(name))
+                 for name in ("quad6a", "quad6b")]  # m = 6, n = 2
+        for path in paths * 3:
+            assert cli.main(["milnor", path]) == 0, capsys.readouterr().err
+        assert calls == [([6], 2)]
 
 
 class TestInPlaceSums:

@@ -345,7 +345,7 @@ def test_dense_iff_nonzero_euler():
             reject()
         for e in arr.lattice.edges:
             dense = localize(arr, e).euler != 0
-            covs = [arr.covector(j) for j in e.index_set]
+            covs = [arr.covectors[j] for j in e.index_set]
             assert dense == is_dense(e, arr), e.key
             assert dense == dense_by_bipartition(covs), e.key
             seen[n, dense] += e.codim >= 2

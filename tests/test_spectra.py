@@ -195,8 +195,9 @@ class TestUserTables:
 
     def test_unknown_edge_rejected(self):
         arr = corpus.load("concurrent3")
-        with pytest.raises(SpectrumError):
+        with pytest.raises(SpectrumError) as info:
             sp_user_load({"9": []}, arr)
+        assert str(info.value) == "unknown edge key '9'"
 
     def test_malformed_exponent_rejected(self):
         arr = corpus.load("concurrent3")
