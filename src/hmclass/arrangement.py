@@ -63,11 +63,15 @@ MAX_MULTIPLICITY = 100_000
 
 def _primitive(vec) -> tuple:
     """The coprime integer multiple of a nonzero integer vector whose first
-    nonzero entry is positive."""
+    nonzero entry is positive, as a tuple; a tuple that is already that
+    multiple comes back unchanged."""
+    for lead in vec:
+        if lead:
+            break
     g = gcd(*vec)
-    if next(x for x in vec if x) < 0:
+    if lead < 0:
         g = -g
-    return tuple(x // g for x in vec)
+    return tuple(vec) if g == 1 else tuple([x // g for x in vec])
 
 
 def _reduce(basis, vec):
@@ -158,7 +162,7 @@ class Arrangement:
                 coeffs = item["coeffs"]
                 if not isinstance(coeffs, list):
                     raise TypeError(f"coeffs must be a list, got {coeffs!r}")
-                coeffs = [rat(c) for c in coeffs]
+                coeffs = [_entry(c) for c in coeffs]
                 mult = item["mult"]
             except (KeyError, TypeError, ValueError) as exc:
                 raise ArrangementError(f"bad hyperplane entry {item!r}: {exc}")
@@ -175,6 +179,19 @@ class Arrangement:
         return Arrangement.from_json(data)
 
 
+def _entry(value):
+    """A covector entry: an int for an int or for a plain ASCII integer
+    string, with or without a leading "-"; anything else as rat parses
+    it, to a Fraction or to rat's error."""
+    if type(value) is str:
+        digits = value[1:] if value[:1] == "-" else value
+        if digits.isascii() and digits.isdigit():
+            return int(value)
+    elif type(value) is int:
+        return value
+    return rat(value)
+
+
 def build(n: int, hyperplanes) -> Arrangement:
     """Validate and construct an arrangement.
 
@@ -187,20 +204,21 @@ def build(n: int, hyperplanes) -> Arrangement:
         raise ArrangementError(f"ambient dimension must be a positive integer, got {n!r}")
     covs, mults = [], []
     for covector, mult in hyperplanes:
-        cov = tuple(rat(c) for c in covector)
+        cov = tuple(map(_entry, covector))
         if len(cov) != n + 1:
-            raise ArrangementError(
-                f"covector {cov} has length {len(cov)}, expected {n + 1}")
-        if all(c == 0 for c in cov):
+            raise ArrangementError(f"covector {tuple(map(rat, cov))} has "
+                                   f"length {len(cov)}, expected {n + 1}")
+        if not any(cov):
             raise ArrangementError("zero covector")
         if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
             raise ArrangementError(f"multiplicity must be a positive integer, got {mult!r}")
         if mult > MAX_MULTIPLICITY:
             raise ArrangementError(
                 f"multiplicity {mult} exceeds the limit {MAX_MULTIPLICITY}")
-        scale = lcm(*(c.denominator for c in cov))
-        covs.append(_primitive([c.numerator * (scale // c.denominator)
-                                for c in cov]))
+        if any(type(c) is not int for c in cov):
+            scale = lcm(*(c.denominator for c in cov))
+            cov = tuple(c.numerator * (scale // c.denominator) for c in cov)
+        covs.append(_primitive(cov))
         mults.append(mult)
     if not covs:
         raise ArrangementError("arrangement needs at least one hyperplane")
@@ -295,48 +313,66 @@ def _search_edges(arr: Arrangement) -> Lattice:
     deduplicated by subspace, with saturated index sets, sorted by
     (codimension, index set), with the edges above each one.
 
-    The search goes up from the whole space one codimension at a time.  The
-    join of an edge with a hyperplane off it is fixed by the residual of the
-    covector against the edge's echelon basis: two hyperplanes give the same
-    join exactly when their primitive residuals are equal.  So one pass over
-    the covectors yields every join of an edge, with its saturated index
-    set, and these joins are the edge's upper covers.  Edges of
-    codimension n are not extended: a join of one has rank n + 1 and is no
-    edge.  The edges above an edge are then its covers and the edges above
-    them, collected top down."""
-    covs = arr.covectors
-    found = {}
-    covers = {}  # index set -> index sets of its upper covers
-    frontier = [((), [])]  # (index set, echelon basis of its covectors)
-    while frontier:
+    The search goes up one codimension at a time from the hyperplanes, the
+    edges of codimension 1: build made the covectors distinct and
+    primitive, so each one is its own echelon basis and needs no
+    reduction.  The join of an edge with a hyperplane off it is fixed by
+    the residual of the covector against the edge's echelon basis: two
+    hyperplanes give the same join exactly when their primitive residuals
+    are equal.  So one pass over the covectors yields every join of an
+    edge, with its saturated index set kept as an int bitmask while
+    searching, and an Edge is built only for a mask not found before.
+    Edges of codimension n are not extended: a join of one has rank n + 1
+    and is no edge.  An edge is above another exactly when its index set
+    contains the other's, so the edges above an edge are those in every
+    hyperplane's set of containing edges, one bitmask over positions per
+    hyperplane."""
+    covs, mults = arr.covectors, arr.mults
+    found = {}  # index-set bitmask -> edge
+    frontier = []  # (index-set bitmask, echelon basis of its covectors)
+    for j, c in enumerate(covs):
+        found[1 << j] = Edge((j,), 1, mults[j])
+        frontier.append((1 << j, [(next(p for p, x in enumerate(c) if x), c)]))
+    codim = 1
+    while codim < arr.n:
+        codim += 1
         nxt = []
-        for iset, basis in frontier:
-            on_edge = set(iset)
+        for mask, basis in frontier:
             joins = {}
             for j, c in enumerate(covs):
-                if j not in on_edge:
-                    joins.setdefault(_reduce(basis, c), []).append(j)
-            covers[iset] = keys = []
-            for residual, off in joins.items():
-                key = tuple(sorted(on_edge.union(off)))
-                keys.append(key)
+                if not mask >> j & 1:
+                    res = _reduce(basis, c)
+                    joins[res] = joins.get(res, mask) | 1 << j
+            for res, key in joins.items():
                 if key not in found:
-                    codim = len(basis) + 1
-                    found[key] = Edge(key, codim, sum(arr.mults[i] for i in key))
+                    iset = _bits(key)
+                    found[key] = Edge(iset, codim, sum(mults[i] for i in iset))
                     if codim < arr.n:
-                        nxt.append((key, _extend(basis, residual)))
+                        nxt.append((key, _extend(basis, res)))
         frontier = nxt
     edges = tuple(sorted(found.values(), key=lambda e: (e.codim, e.index_set)))
+    containing = [0] * len(covs)  # per hyperplane, positions of its edges
+    for i, e in enumerate(edges):
+        for j in e.index_set:
+            containing[j] |= 1 << i
+    above = []
+    for i, e in enumerate(edges):
+        mask = containing[e.index_set[0]]
+        for j in e.index_set[1:]:
+            mask &= containing[j]
+        above.append(_bits(mask & ~(1 << i)))
     position = {e.index_set: i for i, e in enumerate(edges)}
-    above = [()] * len(edges)
-    for i in reversed(range(len(edges))):
-        reach = set()
-        for key in covers.get(edges[i].index_set, ()):
-            j = position[key]
-            reach.add(j)
-            reach.update(above[j])
-        above[i] = tuple(sorted(reach))
     return Lattice(arr.n, edges, position, tuple(above))
+
+
+def _bits(mask: int) -> tuple:
+    """The positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def edges(arr: Arrangement) -> tuple:

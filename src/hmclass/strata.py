@@ -407,10 +407,18 @@ class SigmaChowVector:
         return acc
 
     def specialize(self, y0) -> "SigmaChowVector":
+        """The vector at y = y0.  Strata of one local type carry equal
+        coefficients, so each distinct normal form is evaluated once."""
         y0 = rat(y0)
-        return SigmaChowVector(
-            self.schema,
-            {k: RatFuncY._coerce(v(y0)) for k, v in self.values.items()})
+        at = {}  # (num, den, k) -> value at y0
+        out = {}
+        for name, v in self.values.items():
+            form = (v.num, v.den, v.k)
+            c = at.get(form)
+            if c is None:
+                c = at[form] = RatFuncY._coerce(v(y0))
+            out[name] = c
+        return SigmaChowVector(self.schema, out)
 
     def __repr__(self):
         items = [f"{k}: {v}" for k, v in self.values.items()]

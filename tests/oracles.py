@@ -2,11 +2,12 @@
 
 Everything here must stay independent of the code paths it checks:
 sympy closed-form expansions for series coefficients, brute-force subset
-enumeration for intersection lattices, inclusion-exclusion counts, the
-K-theoretic lambda_y route to Hirzebruch classes, the Chern-integral
-route to the Euler number of a smooth hypersurface, the inverse of the
-spectrum frame shift, the coefficient recursion for the inverse of a
-truncated power series, the product over Chern roots of a
+enumeration for intersection lattices, the primitive form of an integer
+vector by its content and first nonzero entry, inclusion-exclusion
+counts, the K-theoretic lambda_y route to Hirzebruch classes, the
+Chern-integral route to the Euler number of a smooth hypersurface, the
+inverse of the spectrum frame shift, the coefficient recursion for the
+inverse of a truncated power series, the product over Chern roots of a
 Hirzebruch series evaluated root by root, the dense dict of a Milnor
 report for json.dumps, the Euler-number defect of a divisor against
 a smooth hypersurface of its degree, and the Whitney-polynomial route to
@@ -121,6 +122,16 @@ def brute_force_edges(covectors, n):
             )
             out.add((saturated, rank))
     return out
+
+
+def primitive_reference(vec) -> tuple:
+    """The coprime integer multiple of a nonzero integer vector whose first
+    nonzero entry is positive: the content, signed by that entry, divided
+    out of every entry."""
+    g = math.gcd(*vec)
+    if next(x for x in vec if x) < 0:
+        g = -g
+    return tuple(x // g for x in vec)
 
 
 def inclusion_exclusion_euler(covectors, n):

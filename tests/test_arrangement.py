@@ -1,20 +1,22 @@
 import dataclasses
 import json
+import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from hmclass import arrangement, cli, corpus
-from hmclass.arrangement import (ArrangementError, build, chi_y, chi_y_pn,
-                                 chi_y_stratum, edges,
+from hmclass.arrangement import (Arrangement, ArrangementError, build,
+                                 chi_y, chi_y_pn, chi_y_stratum, edges,
                                  euler_by_inclusion_exclusion, is_dense,
                                  localize, milnor_fiber_chi, sigma_strata)
-from hmclass.coeffs import RatFuncY
+from hmclass.coeffs import RatFuncY, rat
 from hmclass.milnor import assemble
 from oracles import (brute_force_edges, dense_by_bipartition,
-                     inclusion_exclusion_euler)
+                     inclusion_exclusion_euler, primitive_reference)
 
 
 def lines(*covs, mults=None):
@@ -45,6 +47,21 @@ def random_arrangement(rng, n, k, values):
     """A seeded arrangement of k distinct hyperplanes in P^n with covector
     entries drawn from values."""
     return random_covectors(rng, n, k, values)[1]
+
+
+def assert_above_by_filter(lat):
+    """The lattice's "above" table gives the same edges, in the same
+    (codimension, index set) order, as filtering every edge by index-set
+    containment, both above each edge and, read backwards, below it."""
+    for i, e in enumerate(lat.edges):
+        sset = set(e.index_set)
+        above = [f for f in lat.edges if set(f.index_set) > sset]
+        assert lat.above(e) == above
+        assert [lat.edges[j] for j in lat.strictly_above[i]] == above
+        below = [lat.edges[x] for x in range(len(lat.edges))
+                 if i in lat.strictly_above[x]]
+        assert below + [e] == \
+            [f for f in lat.edges if set(f.index_set) <= sset]
 
 
 def vandermonde(n, k):
@@ -123,6 +140,85 @@ class TestBuild:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 
+    # each string as the first entry of the covector (s, 1): what rat
+    # parses, and the primitive covector build makes, or the error text;
+    # from_json puts its entry before the text
+    @pytest.mark.parametrize("text, value, covector", [
+        ("7", Fraction(7), (7, 1)),
+        ("-7", Fraction(-7), (7, -1)),
+        ("+7", Fraction(7), (7, 1)),
+        (" 7 ", Fraction(7), (7, 1)),
+        ("007", Fraction(7), (7, 1)),
+        ("-0", Fraction(0), (0, 1)),
+        ("1_000", Fraction(1000), (1000, 1)),
+        # ARABIC-INDIC DIGIT THREE, then SUPERSCRIPT TWO
+        ("\u0663", Fraction(3), (3, 1)),
+        ("\u00b2", "Invalid literal for Fraction: '\u00b2'", None),
+        ("", "Invalid literal for Fraction: ''", None),
+        ("-", "Invalid literal for Fraction: '-'", None),
+        ("--7", "Invalid literal for Fraction: '--7'", None),
+        ("1/0", "zero denominator in '1/0'", None),
+        ("1e5", "exponent notation in '1e5'", None),
+        ("3.50", Fraction(7, 2), (7, 2)),
+        ("2/4", Fraction(1, 2), (1, 2)),
+    ])
+    def test_coefficient_parse(self, text, value, covector):
+        if text == "1_000" and sys.version_info < (3, 11):
+            pytest.skip("Fraction reads underscores from Python 3.11 on")
+        item = {"coeffs": [text, "1"], "mult": 1}
+        if covector is None:
+            for parse in (rat, lambda t: build(1, [([t, "1"], 1)])):
+                with pytest.raises(ValueError) as info:
+                    parse(text)
+                assert type(info.value) is ValueError
+                assert str(info.value) == value
+            with pytest.raises(ArrangementError) as info:
+                Arrangement.from_json({"n": 1, "hyperplanes": [item]})
+            assert str(info.value) == f"bad hyperplane entry {item!r}: {value}"
+        else:
+            got = rat(text)
+            assert type(got) is Fraction and got == value
+            assert build(1, [([text, "1"], 1)]).covectors == (covector,)
+            arr = Arrangement.from_json({"n": 1, "hyperplanes": [item]})
+            assert arr.covectors == (covector,)
+
+    def test_integer_text_past_the_digit_limit(self):
+        # int and Fraction refuse the same long digit strings with the same
+        # text, from Python 3.11 on
+        if not hasattr(sys, "get_int_max_str_digits"):
+            pytest.skip("no limit on integer text before Python 3.11")
+        text = "1" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(ValueError) as expected:
+            Fraction(text)
+        item = {"coeffs": [text, "1"], "mult": 1}
+        with pytest.raises(ArrangementError) as info:
+            Arrangement.from_json({"n": 1, "hyperplanes": [item]})
+        assert str(info.value).endswith(f": {expected.value}")
+
+
+class TestPrimitive:
+    def test_against_reference(self):
+        # seeded integer vectors with leading and inner zeros, negative
+        # leads, content above 1, and inputs already primitive
+        rng = random.Random(12)
+        seen = Counter()
+        for _ in range(800):
+            vec = tuple(rng.choice([0, 0, rng.randint(-9, 9)])
+                        for _ in range(rng.randint(1, 6)))
+            if not any(vec):
+                continue
+            vec = tuple(rng.choice([1, 1, 1, 1, -1, 2, -3]) * x for x in vec)
+            want = primitive_reference(vec)
+            got = arrangement._primitive(vec)
+            assert got == want
+            assert (got is vec) == (want == vec)  # primitive input: no copy
+            assert arrangement._primitive(list(vec)) == want
+            seen["zero"] += 0 in vec
+            seen["negative lead"] += next(x for x in vec if x) < 0
+            seen["content"] += math.gcd(*vec) > 1
+            seen["primitive"] += want == vec
+        assert min(seen.values()) >= 50, seen
+
 
 class TestEdges:
     @pytest.mark.parametrize("name", ["concurrent3", "triangle3", "fourplanes",
@@ -144,6 +240,22 @@ class TestEdges:
             concurrent += any(len(e.index_set) > e.codim for e in edges(arr))
             fractional += any(c.denominator > 1 for cov in covs for c in cov)
         assert concurrent >= 5 and fractional >= 5
+
+    def test_random_p4_arrangements_against_brute_force(self):
+        # five covector entries make zeros rarer, so the entries are drawn
+        # from a sparser list; the "above" table is checked too
+        rng = random.Random(5)
+        sparse = [Fraction(v) for v in (-1, 0, 0, 0, 0, 0, 1, 2)] \
+            + [Fraction(1, 2)]
+        concurrent = 0
+        for k in (6, 7, 6, 7):
+            covs, arr = random_covectors(rng, 4, k, sparse)
+            got = {(e.index_set, e.codim) for e in edges(arr)}
+            assert got == brute_force_edges(covs, 4)
+            assert max(e.codim for e in edges(arr)) == 4
+            assert_above_by_filter(arr.lattice)
+            concurrent += any(len(e.index_set) > e.codim for e in edges(arr))
+        assert concurrent >= 2
 
     @pytest.mark.parametrize("n, k, counts", [
         (2, 30, {1: 30, 2: 435}),
@@ -210,23 +322,11 @@ class TestEdges:
         assert "key" not in {f.name for f in dataclasses.fields(point)}
 
     def test_cover_walks_against_filters(self):
-        # the table the search collects from its covers gives the same
-        # edges, in the same (codimension, index set) order, as filtering
-        # every edge, both above each edge and, read backwards, below it
         rng = random.Random(9)
         arrs = [random_arrangement(rng, n, k, MIXED)
                 for n, k in [(2, 6), (2, 8), (3, 5), (3, 7)] * 3]
         for arr in arrs + [corpus.load("pencil3planes")]:
-            lat = arr.lattice
-            for i, e in enumerate(lat.edges):
-                sset = set(e.index_set)
-                above = [f for f in lat.edges if set(f.index_set) > sset]
-                assert lat.above(e) == above
-                assert [lat.edges[j] for j in lat.strictly_above[i]] == above
-                below = [lat.edges[x] for x in range(len(lat.edges))
-                         if i in lat.strictly_above[x]]
-                assert below + [e] == \
-                    [f for f in lat.edges if set(f.index_set) <= sset]
+            assert_above_by_filter(arr.lattice)
 
 
 class TestStrata:

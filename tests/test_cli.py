@@ -432,13 +432,17 @@ def test_corpus_report_under_conventions_matches_golden(capsys, name,
 WIDE_DIGESTS = [("lines30", "lattice"), ("lines30", "spectra"),
                 ("lines30", "chi-y"), ("planes12", "lattice"),
                 ("planes12", "chi-y"), ("planes12", "milnor"),
-                ("planes12", "spectra")]
+                ("planes12", "spectra"), ("pencil70", "lattice"),
+                ("pencil70", "chi-y"), ("pencil70", "spectra"),
+                ("pencil70", "milnor")]
 
 
 @pytest.mark.parametrize("name,command", WIDE_DIGESTS)
 def test_wide_input_digest(capsys, name, command):
     # lines30: covectors (1, i, i^2) for i < 30; planes12: (1, i, i^2, i^3)
-    # for i < 12, with 220 triple points and 66 double lines
+    # for i < 12, with 220 triple points and 66 double lines; pencil70: 66
+    # lines through [0:0:1] and 4 lines in general position, so an index
+    # set as a bitmask is wider than 64 bits
     golden = GOLDEN.parent
     code, out, err = run(capsys, command, str(golden / f"{name}.json"))
     assert code == 0, err
