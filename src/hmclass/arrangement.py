@@ -2,8 +2,9 @@
 
 Input model and validation, the intersection lattice (edges) with two
 per-edge tables computed once per lattice from its "above" relation, localized
-central arrangements, dense-edge detection, stratifications of the divisor
-and of its singular locus, and chi_y genera.
+central arrangements, dense-edge detection, the strata of the singular
+locus, each the localization at its edge, which the lattice keeps and
+every consumer shares, and chi_y genera.
 
 The tables: the Mobius function mu(0, x) is computed bottom up, and gives
 the Euler number of each edge's localization; chi_y of each open stratum is
@@ -26,13 +27,13 @@ __all__ = [
     "MAX_MULTIPLICITY",
     "Arrangement",
     "Edge",
-    "Stratum",
     "LocalizedArrangement",
     "build",
     "edges",
     "localize",
     "milnor_fiber_chi",
     "is_dense",
+    "in_sigma",
     "sigma_strata",
     "chi_y",
     "chi_y_stratum",
@@ -387,12 +388,18 @@ def edges(arr: Arrangement) -> tuple:
 @dataclass(frozen=True)
 class LocalizedArrangement:
     """The quotient central arrangement at an edge: the multiplicities of
-    its hyperplanes and the Euler number of its projectivized complement.
-    Its rank and degree are the edge's codimension and m_s."""
+    its hyperplanes, the Euler number of its projectivized complement and
+    the edge's dimension; its rank and degree are the edge's codimension
+    and m_s.  At an edge of the singular locus it is the stratum itself."""
 
     edge: Edge
     mults: tuple
     euler: int
+    dim: int
+
+    @property
+    def key(self) -> str:
+        return self.edge.key
 
     @property
     def rank(self) -> int:
@@ -427,7 +434,8 @@ def localize(arr: Arrangement, edge: Edge) -> LocalizedArrangement:
     if loc is None:
         loc = LocalizedArrangement(
             edge, tuple(arr.mults[j] for j in edge.index_set),
-            lattice.euler[lattice.position[edge.index_set]])
+            lattice.euler[lattice.position[edge.index_set]],
+            arr.n - edge.codim)
         lattice.localized[edge.index_set] = loc
     return loc
 
@@ -467,31 +475,21 @@ def is_dense(edge: Edge, arr: Arrangement) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# stratifications
+# strata of the singular locus
 
 
-@dataclass(frozen=True)
-class Stratum:
-    """Open stratum of the singular locus minus the generic section,
-    attached to an edge."""
-
-    edge: Edge
-    dim: int
-
-    @property
-    def key(self) -> str:
-        return self.edge.key
+def in_sigma(edge: Edge) -> bool:
+    """True for the edges of the singular locus: every edge of codimension
+    >= 2, and the multiple hyperplanes."""
+    return edge.codim > 1 or edge.m_s > 1
 
 
 def sigma_strata(arr: Arrangement) -> list:
-    """Strata of the singular locus away from the generic section: every edge
-    of codimension >= 2, plus multiple hyperplanes.  The generic section is
+    """Strata of the singular locus away from the generic section, in
+    lattice order: the localization at each edge in_sigma admits, shared
+    with every other caller through the lattice.  The generic section is
     handled symbolically downstream and never appears as an edge."""
-    out = []
-    for e in arr.lattice.edges:
-        if e.codim >= 2 or (len(e.index_set) == 1 and arr.mults[e.index_set[0]] > 1):
-            out.append(Stratum(e, arr.n - e.codim))
-    return out
+    return [localize(arr, e) for e in arr.lattice.edges if in_sigma(e)]
 
 
 # ---------------------------------------------------------------------------

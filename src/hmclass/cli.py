@@ -135,9 +135,9 @@ def cmd_lattice(args) -> int:
 def cmd_spectra(args) -> int:
     arr = Arrangement.load(args.input)
     tables = sp_user_load(args.tables, arr) if args.tables else {}
-    # a catalogue row's body reads only the germ kind, the stratum's
-    # dimension and the localization's rank, degree, reducedness and Euler
-    # number, so it is built once per such key; a table's row is its own
+    # a catalogue row's body reads only the germ kind and the stratum's
+    # dimension, rank, degree, reducedness and Euler number, so it is built
+    # once per such key; a table's row is its own
     bodies = {}
     rows = []
     for s in sigma_strata(arr):
@@ -145,35 +145,34 @@ def cmd_spectra(args) -> int:
             "edge": s.key,
             "codim": s.edge.codim,
             "dim": s.dim,
-            "m_s": s.edge.m_s,
+            "m_s": s.m_s,
         }
-        germ = stratum_germ(arr, s, tables)
-        loc = localize(arr, s.edge)
+        germ = stratum_germ(s, tables)
         if germ is None:
             row["source"] = "user_table_required"
         elif isinstance(germ, GermKind):
-            key = (germ, s.dim, loc.rank, loc.m_s, loc.reduced, loc.euler)
+            key = (germ, s.dim, s.rank, s.m_s, s.reduced, s.euler)
             body = bodies.get(key)
             if body is None:
                 body = bodies[key] = _spectrum_body(
-                    germ.describe(), germ.spectrum(), s, loc, arr.n)
+                    germ.describe(), germ.spectrum(), s, arr.n)
             row.update(body)
         else:
-            row.update(_spectrum_body("user_table", germ, s, loc, arr.n))
+            row.update(_spectrum_body("user_table", germ, s, arr.n))
         rows.append(row)
     _emit(_dumps({"n": arr.n, "m": arr.m, "strata": rows}), args.out)
     return EXIT_OK
 
 
-def _spectrum_body(source: str, sp, stratum, loc, n: int) -> dict:
+def _spectrum_body(source: str, sp, stratum, n: int) -> dict:
     """The fields of a spectra row after the stratum's own: the spectrum's
     source, its entries in the germ and the stratum frames, and the
-    validators' verdict."""
+    validators' verdict against the stratum's localization."""
     return {
         "source": source,
         "germ": sp.to_json(),
         "stratum_frame": sp_shift(sp, stratum, n).to_json(),
-        "validation": sp_validate(sp, loc),
+        "validation": sp_validate(sp, stratum),
     }
 
 
@@ -356,9 +355,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="print the JSON input/output schemas and exit")
     sub = parser.add_subparsers(dest="command")
 
-    def add_common(p, with_input=True):
-        if with_input:
-            p.add_argument("input", help="arrangement JSON file")
+    def add_common(p):
+        p.add_argument("input", help="arrangement JSON file")
         p.add_argument("--out", help="write the report to a file")
 
     p = sub.add_parser("lattice", help="edges, density, chi data, dimension tables")

@@ -306,7 +306,7 @@ RatFuncY.Y = _value((0, 1), 1, 0)
 RatFuncY.ONE_PLUS_Y = _value((1, 1), 1, 0)
 
 
-def poly_str(p: RatFuncY, var: str = "y") -> str:
+def poly_str(p: RatFuncY) -> str:
     """Human-readable form of a polynomial, like '2 - 20y + 2y^2' or
     '-1/2 + (7/2)y'."""
     if p.is_zero():
@@ -319,7 +319,7 @@ def poly_str(p: RatFuncY, var: str = "y") -> str:
         if k == 0:
             body = str(mag)
         else:
-            suffix = var if k == 1 else f"{var}^{k}"
+            suffix = "y" if k == 1 else f"y^{k}"
             if mag == 1:
                 body = suffix
             elif mag.denominator == 1:

@@ -21,8 +21,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 from .ambient import virtual_genus
-from .arrangement import (Arrangement, chi_y, localize, milnor_fiber_chi,
-                          sigma_strata)
+from .arrangement import Arrangement, chi_y, milnor_fiber_chi, sigma_strata
 from .coeffs import RatFuncY
 from .jsontext import dumps
 from .rings import combine
@@ -336,10 +335,10 @@ def assemble(arr: Arrangement, user_tables: dict = None,
     of the first of them.
     """
     strata = sigma_strata(arr)
-    schema = build_labels(arr, strata)
+    schema = build_labels(arr)
     # compactify rejects strata of dimension > 2 before any spectrum lookup
     models = [compactify(arr, s) for s in strata]
-    germs = [stratum_germ(arr, s, user_tables) for s in strata]
+    germs = [stratum_germ(s, user_tables) for s in strata]
     missing = [s.key for s, germ in zip(strata, germs) if germ is None]
     if missing:
         raise MissingSpectrumError(missing)
@@ -366,23 +365,21 @@ def assemble(arr: Arrangement, user_tables: dict = None,
         _add_into(totals, contribution)
     m_y = SigmaChowVector(schema, totals)
 
-    chern_path = chern_milnor(arr, schema, models)
+    chern_path = chern_milnor(schema, models)
     spec_minus1 = m_y.specialize(-1)
-    report = MilnorReport(
+    return MilnorReport(
         arrangement=arr,
         conventions=conv,
         schema=schema,
         m_y=m_y,
         per_stratum=per_stratum,
-        degree0={},
+        degree0=degree0_check(arr, m_y),
         specializations={-1: spec_minus1, 0: m_y.specialize(0),
                          1: m_y.specialize(1)},
         chern_path=chern_path,
         cross_path_ok=(spec_minus1 == chern_path),
         models=[m for m, germ in zip(models, germs) if not germ.is_zero()],
     )
-    report.degree0 = degree0_check(arr, report)
-    return report
 
 
 def _chern_key(model: StratumModel):
@@ -397,18 +394,18 @@ def _chern_key(model: StratumModel):
     return model.dim, len(model.boundary)
 
 
-def chern_milnor(arr: Arrangement, schema: LabelSchema,
-                 models: list) -> SigmaChowVector:
+def chern_milnor(schema: LabelSchema, models: list) -> SigmaChowVector:
     """Euler-weighted Chern-class path: sum over strata of the reduced
     Milnor-fiber Euler characteristic times the Chern class of the
     logarithmic tangent bundle, pushed to the Chow basis.  Needs no
     spectra and no conventions.  The sums are kept in integers, as twice
     the class, until one coefficient per label is built.  Twice the
-    log-tangent class is built once per _chern_key and call."""
+    log-tangent class is built once per _chern_key and call.  A model's
+    stratum is its localization, which holds the Euler number."""
     totals = {}
     classes = {}  # Chern key -> 2 c(T(-log D)), for this call only
     for model in models:
-        chi_tilde = milnor_fiber_chi(localize(arr, model.edge)) - 1
+        chi_tilde = milnor_fiber_chi(model.stratum) - 1
         if chi_tilde == 0:
             continue
         key = _chern_key(model)
@@ -421,14 +418,14 @@ def chern_milnor(arr: Arrangement, schema: LabelSchema,
                                     for name, v in totals.items()})
 
 
-def degree0_check(arr: Arrangement, report: MilnorReport) -> dict:
+def degree0_check(arr: Arrangement, m_y: SigmaChowVector) -> dict:
     """Compare the trace of the assembled class with the wholly independent
     degree-zero difference: the virtual genus of the divisor degree minus
     the chi_y genus of the underlying reduced divisor."""
     vg = virtual_genus(arr.m, arr.n)
     cx = chi_y(arr)
     delta = vg - cx
-    trace = report.m_y.trace().as_poly()
+    trace = m_y.trace().as_poly()
     return {
         "virtual_genus": vg.as_strings(),
         "chi_y_X": cx.as_strings(),

@@ -163,23 +163,22 @@ class Ring:
 
 class ProjRing(Ring):
     """Q[y, 1/(1+y)][h] / (h^{n+1}): the cohomology ring of projective n-space.
-    Instances are interned per dimension so elements from independent
-    call sites compare equal."""
+    Instances are interned per dimension, each validated and built once,
+    so elements from independent call sites compare equal."""
 
     _cache = {}
 
     def __new__(cls, n: int):
-        if n not in cls._cache:
-            cls._cache[n] = super().__new__(cls)
-        return cls._cache[n]
-
-    def __init__(self, n: int):
-        if n < 0:
-            raise ValueError("dimension must be >= 0")
-        self.dim = n
-        self.names = tuple("1" if k == 0 else ("h" if k == 1 else f"h^{k}")
-                           for k in range(n + 1))
-        self.degrees = tuple(range(n + 1))
+        ring = cls._cache.get(n)
+        if ring is None:
+            if n < 0:
+                raise ValueError("dimension must be >= 0")
+            ring = cls._cache[n] = super().__new__(cls)
+            ring.dim = n
+            ring.names = tuple("1" if k == 0 else ("h" if k == 1 else f"h^{k}")
+                               for k in range(n + 1))
+            ring.degrees = tuple(range(n + 1))
+        return ring
 
     def mul_vectors(self, a, b) -> list:
         """The truncated convolution of two vectors in the basis h^k."""

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arrangement import (Arrangement, LocalizedArrangement, Stratum,
-                          localize, milnor_fiber_chi)
+from .arrangement import (Arrangement, LocalizedArrangement, localize,
+                          milnor_fiber_chi)
 from .coeffs import rat
 
 __all__ = [
@@ -97,7 +97,8 @@ def sp_ordinary(k: int) -> Spectrum:
     return GermKind("ordinary", (k,)).spectrum()
 
 
-def sp_shift(germ_sp: Spectrum, stratum: Stratum, n: int) -> Spectrum:
+def sp_shift(germ_sp: Spectrum, stratum: LocalizedArrangement,
+             n: int) -> Spectrum:
     """Reindex a germ spectrum to the ambient stratum frame: exponents move
     up by dim S and multiplicities pick up (-1)^{dim S}."""
     kind, d = germ_sp.frame
@@ -272,20 +273,19 @@ def sp_user_load(source, arr: Arrangement) -> dict:
     return out
 
 
-def stratum_germ(arr: Arrangement, stratum: Stratum,
-                 user_tables: dict = None):
+def stratum_germ(stratum: LocalizedArrangement, user_tables: dict = None):
     """Germ of a stratum as assembly reads it: the user table's Spectrum,
-    else the catalogue GermKind, else None.  User tables win over the
-    catalogue when both exist."""
-    if user_tables and stratum.edge.key in user_tables:
-        return user_tables[stratum.edge.key]
-    kind = classify_germ(localize(arr, stratum.edge))
+    else the catalogue GermKind of its localization, else None.  User
+    tables win over the catalogue when both exist."""
+    if user_tables and stratum.key in user_tables:
+        return user_tables[stratum.key]
+    kind = classify_germ(stratum)
     return None if kind.tag == "user_table" else kind
 
 
-def stratum_spectrum(arr: Arrangement, stratum: Stratum,
+def stratum_spectrum(arr: Arrangement, stratum: LocalizedArrangement,
                      user_tables: dict = None):
     """Germ spectrum for a stratum from the catalogue or the user tables,
-    with a catalogue germ's entries expanded."""
-    germ = stratum_germ(arr, stratum, user_tables)
+    with a catalogue germ's entries expanded; arr is not read."""
+    germ = stratum_germ(stratum, user_tables)
     return germ.spectrum() if isinstance(germ, GermKind) else germ

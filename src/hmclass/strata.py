@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .arrangement import Arrangement, Edge, Stratum, sigma_strata
+from .arrangement import Arrangement, Edge, LocalizedArrangement, in_sigma
 from .coeffs import RatFuncY, rat
 from .rings import BlownPlaneRing, ProjRing, combine
 
@@ -66,9 +66,10 @@ def _unit(size: int, index: int) -> tuple:
 
 @dataclass(frozen=True)
 class StratumModel:
-    """A stratum's good compactification; D = sum D_i is its boundary."""
+    """A stratum's good compactification; D = sum D_i is its boundary.
+    stratum is the localization at the stratum's edge."""
 
-    stratum: Stratum
+    stratum: LocalizedArrangement
     ring: object
     blown: tuple               # keys of blown-up points (surface only)
     boundary: tuple            # BoundaryComponent list
@@ -173,7 +174,8 @@ class StratumModel:
         }
 
 
-def compactify(arr: Arrangement, stratum: Stratum) -> StratumModel:
+def compactify(arr: Arrangement,
+               stratum: LocalizedArrangement) -> StratumModel:
     """Good compactification of a stratum of dimension <= 2.
 
     Curves need no blow-ups; surfaces are blown up exactly at the points
@@ -348,14 +350,13 @@ class LabelSchema:
         return self.fundamental[edge.key] if k == dim else self.shared[k]
 
 
-def build_labels(arr: Arrangement, strata: list = None) -> LabelSchema:
-    """The label schema of the singular locus, from its strata as
-    sigma_strata lists them; a caller that holds that list passes it."""
+def build_labels(arr: Arrangement) -> LabelSchema:
+    """The label schema of the singular locus, from the edges in_sigma
+    admits; it reads the edges only, and localizes none of them."""
     n = arr.n
     multiple = set(arr.multiple_indices())
-    if strata is None:
-        strata = sigma_strata(arr)
-    strata = [s.edge for s in strata]  # sorted by (codim, index set)
+    # sorted by (codim, index set)
+    strata = [e for e in arr.lattice.edges if in_sigma(e)]
     shared = {}
     if strata:
         if multiple and n >= 2:

@@ -10,7 +10,8 @@ inverse of the spectrum frame shift, the coefficient recursion for the
 inverse of a truncated power series, the product over Chern roots of a
 Hirzebruch series evaluated root by root, the dense dict of a Milnor
 report for json.dumps, the Euler-number defect of a divisor against
-a smooth hypersurface of its degree, and the Whitney-polynomial route to
+a smooth hypersurface of its degree, the Hirzebruch class of the reduced
+divisor by additivity over the lattice, and the Whitney-polynomial route to
 each edge's Euler number and chi_y, with a Mobius function from a
 pairwise inclusion test over edges found by filtering, and the product
 of ring classes by the basis multiplication table.  The Newton-identity
@@ -34,7 +35,7 @@ from itertools import combinations
 import sympy
 
 from hmclass.ambient import virtual_genus
-from hmclass.arrangement import (Stratum, chi_y_pn,
+from hmclass.arrangement import (LocalizedArrangement, chi_y_pn,
                                  euler_by_inclusion_exclusion, localize,
                                  milnor_fiber_chi, sigma_strata)
 from hmclass.coeffs import RatFuncY
@@ -448,7 +449,8 @@ def support(sp: Spectrum) -> tuple:
     return tuple(a for a, _ in sp.entries)
 
 
-def sp_unshift(stratum_sp: Spectrum, stratum: Stratum) -> Spectrum:
+def sp_unshift(stratum_sp: Spectrum,
+               stratum: LocalizedArrangement) -> Spectrum:
     """Inverse of sp_shift."""
     kind, _ = stratum_sp.frame
     if kind != "stratum":
@@ -521,7 +523,7 @@ def table_entries(arr):
     whole signed mass at exponent 1, which passes the validators."""
     raw = {}
     for s in sigma_strata(arr):
-        if stratum_germ(arr, s) is None:
+        if stratum_germ(s) is None:
             loc = localize(arr, s.edge)
             mass = (-1) ** (loc.rank - 1) * (milnor_fiber_chi(loc) - 1)
             raw[s.key] = [{"alpha": "1", "mult": mass}]
@@ -623,6 +625,29 @@ def euler_defect(arr) -> int:
     """chi(smooth degree-m hypersurface in P^n) - chi(X), the value the
     degree-zero part of the Milnor class takes at y = -1."""
     return virtual_genus(arr.m, arr.n)(-1) - euler_by_inclusion_exclusion(arr)
+
+
+def hirzebruch_class_by_additivity(arr) -> list:
+    """T_y of the reduced divisor pushed to P^n, by homology degree 0..n-1,
+    from the lattice alone.  Hirzebruch classes are additive over the open
+    edge strata, and the closed stratum of an edge of dimension d is a
+    linear P^d, so top down T(S_e) = T(P^d) minus T(S_f) for every edge f
+    strictly above e.  T(P^d) is Q(h)^(d+1), whose h^j coefficient sits in
+    homology degree d - j, which a linear subspace keeps in P^n."""
+    lattice = arr.lattice
+    opened = [None] * len(lattice.edges)  # per position, T(S_e) by degree
+    total = [RatFuncY.ZERO] * arr.n
+    for i in reversed(range(len(lattice.edges))):
+        d = arr.n - lattice.edges[i].codim
+        closed = hirzebruch_series("Q", d) ** (d + 1)
+        cls = [closed.coeff(d - k) for k in range(d + 1)]
+        for f in lattice.strictly_above[i]:
+            for k, c in enumerate(opened[f]):
+                cls[k] = cls[k] - c
+        opened[i] = cls
+        for k, c in enumerate(cls):
+            total[k] = total[k] + c
+    return total
 
 
 def _mobius(isets) -> dict:

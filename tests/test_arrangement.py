@@ -345,6 +345,25 @@ class TestStrata:
         arr = build(2, [((1, 0, 0), 1)])
         assert sigma_strata(arr) == []
 
+    def test_each_stratum_is_its_localization(self):
+        # a stratum is one record: the lattice's localization at its edge,
+        # carrying the stratum's dimension and key, on every listing
+        rng = random.Random(21)
+        arrs = [corpus.load(name) for name in corpus.ALL_NAMES]
+        for n, k in [(2, 6), (3, 6), (4, 6)] * 4:
+            covs = random_covectors(rng, n, k, MIXED)[0]
+            arrs.append(build(n, [(c, rng.choice((1, 1, 2, 3)))
+                                  for c in covs]))
+        seen = Counter()
+        for arr in arrs:
+            strata = sigma_strata(arr)
+            for s, again in zip(strata, sigma_strata(arr), strict=True):
+                assert s is localize(arr, s.edge) is again, s.key
+                assert s.dim == arr.n - s.edge.codim, s.key
+                assert s.key == s.edge.key
+                seen[arr.n, s.dim] += 1
+        assert all(seen[n, d] for n in (2, 3, 4) for d in range(n)), seen
+
 
 class TestLocalizedChi:
     def test_three_concurrent_lines(self):

@@ -302,6 +302,18 @@ class TestSeries:
             assert a * b == b * a
             assert (a * b) * c == a * (b * c)
 
+    def test_proj_ring_built_once(self):
+        # an interned ring is validated and built once: later calls return
+        # it as it is, and a negative dimension is refused every time
+        # without leaving an instance behind
+        assert ProjRing(2) is ProjRing(2)
+        assert ProjRing(2).names is ProjRing(2).names
+        assert ProjRing(2).names == ("1", "h", "h^2")
+        for _ in range(2):
+            with pytest.raises(ValueError, match="dimension"):
+                ProjRing(-1)
+        assert -1 not in ProjRing._cache
+
     def test_length_invariant(self):
         ring = ProjRing(4)
         for coeffs in ([1], [1] * 4, [1] * 6):

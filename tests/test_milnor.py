@@ -47,13 +47,13 @@ def count_calls(monkeypatch, module, name):
 
 def signature(arr, model, tables=None):
     """The type key of a stratum's model and germ."""
-    return _type_key(arr.n, model, stratum_germ(arr, model.stratum, tables))
+    return _type_key(arr.n, model, stratum_germ(model.stratum, tables))
 
 
 def chern_path(arr):
     """The Chern path of an arrangement, checked against the oracle that
     sums RatFuncY classes."""
-    vec = chern_milnor(arr, build_labels(arr),
+    vec = chern_milnor(build_labels(arr),
                        [compactify(arr, s) for s in sigma_strata(arr)])
     assert vec == chern_milnor_by_classes(arr)
     return vec
@@ -417,7 +417,7 @@ def spectra_of_strata(arr):
     a nonzero catalogue spectrum, or None if some stratum has none."""
     out = []
     for s in sigma_strata(arr):
-        germ = stratum_germ(arr, s)
+        germ = stratum_germ(s)
         if germ is None:
             return None
         if not germ.is_zero():
@@ -532,7 +532,7 @@ class TestRegroupedContribution:
         arr = build(3, [((a, b, 0, 0), 1) for a, b in pencil]
                     + [((1, 1, 1, 1), 2), ((1, 2, 3, 5), 1)])
         covered = [(s, germ) for s in sigma_strata(arr)
-                   if (germ := stratum_germ(arr, s)) is not None]
+                   if (germ := stratum_germ(s)) is not None]
         assert any(germ.describe() == "ordinary(9)" and s.dim == 1
                    for s, germ in covered)
         for conv in ALL_CONVENTIONS:
@@ -625,8 +625,8 @@ class TestOneStrataPass:
     @pytest.mark.parametrize("name", ["fourplanes", "doubleline"])
     def test_milnor_report_lists_strata_once(self, monkeypatch, capsys,
                                              name):
-        # the label schema is built from the strata assembly holds, so
-        # build_labels lists none of its own
+        # the label schema reads the edges of the singular locus by the
+        # rule sigma_strata uses, so build_labels lists no strata
         calls = count_calls(monkeypatch, arrangement, "sigma_strata")
         assert cli.main(["milnor", str(corpus.corpus_path(name))]) == 0
         assert len(calls) == 1

@@ -10,6 +10,7 @@ one of them names the stratum where it is.
 import contextlib
 import io
 import json
+import random
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -19,11 +20,13 @@ from hypothesis import (HealthCheck, assume, example, given, reject,
                         settings)
 from hypothesis import strategies as st
 
-from hmclass import cli
+from hmclass import cli, corpus
+from hmclass.ambient import virtual_pushed
 from hmclass.arrangement import (ArrangementError, build, chi_y,
                                  chi_y_stratum, euler_by_inclusion_exclusion,
                                  is_dense, localize, milnor_fiber_chi,
                                  sigma_strata)
+from hmclass.coeffs import RatFuncY
 from hmclass.corpus import ALL_NAMES, corpus_path
 from hmclass.milnor import (ALL_CONVENTIONS, DEFAULT_CONVENTIONS,
                             MissingSpectrumError, _chern_key,
@@ -36,7 +39,8 @@ from hmclass.strata import (SigmaChowVector, build_labels, compactify,
 from oracles import (chern_milnor_by_classes, chern_to_ch,
                      chi_y_stratum_by_whitney, dense_by_bipartition,
                      euler_by_whitney, euler_defect, generated_tables,
-                     log_chern, log_tangent_by_chern, model_class,
+                     hirzebruch_class_by_additivity, log_chern,
+                     log_tangent_by_chern, model_class,
                      product_by_basis, report_to_json,
                      spectra_rows_by_stratum, stratum_contribution_by_terms,
                      table_entries, tangent_chern, todd_from_chern)
@@ -210,7 +214,7 @@ def test_type_key_is_sound():
             tables = generated_tables(arr)
             keys = set()
             for s in sigma_strata(arr):
-                germ = stratum_germ(arr, s, tables)
+                germ = stratum_germ(s, tables)
                 if germ.is_zero():
                     continue
                 keys.add(_type_key(n, compactify(arr, s), germ))
@@ -293,6 +297,52 @@ def test_euler_defect_is_trace_plus_generic_section_terms():
     check()
     assert seen[2] and seen[3] and seen[4], seen
     assert seen[3, "surface"] and seen[4, "surface"], seen
+
+
+def test_pushed_class_matches_additivity_from_sigma_dimension_up():
+    # Every label is the class of a linear subspace, so M_y pushed to P^n
+    # in degree k is the sum of its coefficients on the labels of degree k.
+    # It equals the virtual class minus T_*(V), which the lattice gives by
+    # additivity, in every degree k from d_Sigma, the largest stratum
+    # dimension, up.  The generic-section term these models leave out
+    # lives on Sigma meet H, of dimension d_Sigma - 1, so nothing is
+    # asserted below d_Sigma.
+    seen = Counter()
+    reports = [assemble(corpus.load(name)) for name in ALL_NAMES]
+    rng = random.Random(21)
+    # (n, multiplicities, entry bound, most hyperplanes, draws)
+    for n, mults, bound, most, count in [
+            (2, (1,), 2, 7, 12), (2, (1, 1, 1, 2), 2, 7, 16),
+            (3, (1,), 2, 6, 12), (3, (1, 1, 1, 1, 2), 2, 6, 16),
+            (4, (1,), 1, 6, 12)]:
+        drawn = len(reports)
+        while len(reports) < drawn + count:
+            hyperplanes = [([rng.randint(-bound, bound)
+                             for _ in range(n + 1)], rng.choice(mults))
+                           for _ in range(rng.randint(n + 1, most))]
+            try:
+                reports.append(assemble(build(n, hyperplanes)))
+            except (ArrangementError, MissingSpectrumError):
+                pass
+    for rep in reports:
+        arr, n = rep.arrangement, rep.arrangement.n
+        strata = sigma_strata(arr)
+        if not strata:
+            continue
+        virtual = virtual_pushed(arr.m, n)
+        reduced = hirzebruch_class_by_additivity(arr)
+        for k in range(max(s.dim for s in strata), n):
+            pushed = sum((rep.m_y.coefficient(label.name)
+                          for label in rep.schema.labels
+                          if label.degree == k), RatFuncY.ZERO)
+            assert pushed == virtual.coeff(n - k) - reduced[k], (arr, k)
+            seen["degrees"] += 1
+        seen[n, arr.m > arr.r] += 1
+    # reduced P^2, P^2 with a double line, reduced P^3, P^3 with a multiple
+    # plane, and reduced P^4
+    assert all(seen[shape] for shape in ((2, False), (2, True), (3, False),
+                                         (3, True), (4, False))), seen
+    assert seen["degrees"] >= 120, seen
 
 
 @st.composite
@@ -477,7 +527,7 @@ def test_chern_path_matches_class_oracle():
             reject()
         models = [compactify(arr, s) for s in sigma_strata(arr)]
         seen.update((m.kind, bool(m.blown)) for m in models)
-        assert (chern_milnor(arr, build_labels(arr), models)
+        assert (chern_milnor(build_labels(arr), models)
                 == chern_milnor_by_classes(arr))
 
     check()
@@ -546,7 +596,7 @@ def test_every_contribution_is_polynomial(case):
     except ArrangementError:
         reject()
     for s in sigma_strata(arr):
-        germ = stratum_germ(arr, s)
+        germ = stratum_germ(s)
         assume(germ is not None)  # assemble raises MissingSpectrumError
         if germ.is_zero():
             continue
@@ -582,7 +632,7 @@ def test_closed_form_matches_per_exponent_oracle():
         except ArrangementError:
             reject()
         for s in sigma_strata(arr):
-            germ = stratum_germ(arr, s)
+            germ = stratum_germ(s)
             if germ is None or germ.is_zero():
                 continue
             model = compactify(arr, s)
