@@ -139,15 +139,6 @@ class Arrangement:
         consumer of this arrangement."""
         return _search_edges(self)
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "hyperplanes": [
-                {"coeffs": [str(c) for c in cov], "mult": m}
-                for cov, m in zip(self.covectors, self.mults)
-            ],
-        }
-
     @staticmethod
     def from_json(data: dict) -> "Arrangement":
         try:

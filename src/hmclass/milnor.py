@@ -4,11 +4,11 @@ The class is summed stratum by stratum from spectrum multiplicities,
 Deligne-extension line bundles twisted by logarithmic cotangent powers,
 and the scaled Todd transformation, then pushed into the labeled Chow
 basis of the singular locus.  Both sums stay coefficient vectors in the
-model basis: integers until each RatFuncY coefficient is built.  A
-catalogue germ's multiplicities are read in closed form from its class,
-and summed over the Deligne powers between the breaks of each twist, so
-no spectrum is listed; each distinct local type is computed once per
-report.  An
+model basis: integers until each RatFuncY coefficient is built.  Every
+germ, catalogue class or user table, is read as runs of exponents whose
+multiplicities are linear in c, and summed over the Deligne powers
+between the breaks of each twist, so no spectrum is listed; each distinct
+local type is computed once per report.  An
 independent Euler-weighted Chern path provides the cross-check at
 y = -1, and a degree-zero comparison against the virtual-genus
 difference is always reported.  The one unprintable
@@ -25,10 +25,10 @@ from .arrangement import Arrangement, chi_y, milnor_fiber_chi, sigma_strata
 from .coeffs import RatFuncY
 from .jsontext import dumps
 from .rings import combine
-from .spectra import Spectrum, SpectrumError, stratum_germ
+from .spectra import SpectrumError, stratum_germ
 from .strata import (EXT_HALF_OPEN_DOWN, EXT_HALF_OPEN_UP, LabelSchema,
                      SigmaChowVector, StratumModel, build_labels, compactify,
-                     k_representative, push_to_sigma, twist_offsets)
+                     push_to_sigma, twist_offsets)
 
 __all__ = [
     "MilnorError",
@@ -203,29 +203,24 @@ def _breaks(lo: int, hi: int, a: int, b: int, m: int) -> list:
     return []
 
 
-def _germ_runs(germ, codim: int, m_s: int, mode: str) -> dict:
+def _germ_runs(germ, codim: int, m_s: int) -> dict:
     """The germ spectrum read in its own frame, by p = floor(codim - alpha):
     p -> runs (q, lo, hi, a, b), the summed multiplicity of the exponents
     at p with Deligne power k = q c being a + b c for lo <= c <= hi.
 
-    A catalogue germ of class (rank, e) has p = j, and its exponent
-    r - j - c/e has k = c m_s/e, so its runs are the class's.  In the
-    window (0,1] the power k = 0 stands for k = m_s: the twists of (0,1]
-    give both the class -D, since m_s times the base class is minus the
-    residue-weighted boundary.  A table gives one run per entry."""
+    Every germ, catalogue class or user table, gives its exponents as runs
+    codim - p - c/e, and the exponent at c has k = c m_s/e: e(k/m_s) =
+    e(-alpha) with k/m_s in [0,1).  In the window (0,1] the power k = 0
+    stands for k = m_s: the twists of (0,1] give both the class -D, since
+    m_s times the base class is minus the residue-weighted boundary, so
+    the window enters only through the twists."""
     if germ.frame != ("germ", codim):
         raise SpectrumError(f"expected the germ frame ('germ', {codim}), "
                             f"got {germ.frame}")
-    out = {}
-    if isinstance(germ, Spectrum):
-        for alpha, n_alpha in germ.entries:
-            p = (codim * alpha.denominator - alpha.numerator) // alpha.denominator
-            k = k_representative(alpha, m_s, mode)
-            out.setdefault(p, []).append((1, k, k, n_alpha, 0))
-        return out
     e = germ.e
     if m_s % e:
-        raise SpectrumError(f"exponent gcd {e} does not divide m_s = {m_s}")
+        raise SpectrumError(f"denominator lcm {e} does not divide m_s = {m_s}")
+    out = {}
     for p, lo, hi, a, b in germ.runs():
         if lo <= hi:
             out.setdefault(p, []).append((m_s // e, lo, hi, a, b))
@@ -274,20 +269,20 @@ def _stratum_contribution(germ, model: StratumModel,
     """Sum over exponents and cotangent powers for one stratum, with the
     degree scaling already applied: one RatFuncY per model basis class.
 
-    germ is a catalogue GermKind or a table's Spectrum, read in its own
-    frame: alpha stands at p = floor(codim - alpha) with multiplicity
-    (-1)^dim n_alpha, and alpha + dim has the same Deligne power k.  The
-    summand td ch(L_k) ch(Omega^q) (-y)^(p + q) sign_q (-1)^dim n_alpha has
-    y only in y^(p + q), as (-1)^(p + q + dim) sign_q =
-    (-1)^(p + codim - 1).  So it is summed in integer vectors, times
-    48 = 2 * 2 * 12: 2 ch(L_k) summed over k per p, its products with
-    2 ch(Omega^q) per power of y, each times 12 td; y enters as each
-    coefficient is built."""
+    germ is a catalogue GermKind or a table's Spectrum, both read through
+    their runs in their own frame: alpha stands at p = floor(codim - alpha)
+    with multiplicity (-1)^dim n_alpha, and alpha + dim has the same
+    Deligne power k.  The summand td ch(L_k) ch(Omega^q) (-y)^(p + q)
+    sign_q (-1)^dim n_alpha has y only in y^(p + q), as
+    (-1)^(p + q + dim) sign_q = (-1)^(p + codim - 1).  So it is summed in
+    integer vectors, times 48 = 2 * 2 * 12: 2 ch(L_k) summed over k per p,
+    its products with 2 ch(Omega^q) per power of y, each times 12 td; y
+    enters as each coefficient is built."""
     codim = model.edge.codim
     ring, mode = model.ring, conv.extension_mode
     size, mul = len(ring.names), ring.mul_vectors
     buckets = {}  # j -> the (sign, class) terms of y^j, before the Todd class
-    for p, runs in _germ_runs(germ, codim, model.m_s, mode).items():
+    for p, runs in _germ_runs(germ, codim, model.m_s).items():
         line = _line_sum(model, runs, mode)
         sign = -1 if (p + codim - 1) % 2 else 1
         for q, ch_q in enumerate(model.log_ch2):
@@ -300,8 +295,8 @@ def _stratum_contribution(germ, model: StratumModel,
 
 def _type_key(n: int, model: StratumModel, germ) -> tuple:
     """Everything a stratum's contribution depends on once the conventions
-    are fixed: the model's shape, and the germ's class (tag, rank, e) for a
-    catalogue germ, or a table's entries.  On a point or a curve the
+    are fixed: the model's shape, and the germ as the contribution reads
+    it, its frame, e and runs.  On a point or a curve the
     boundary enters only through the multiset of its (source, m_sub,
     m_res).  On a surface it also matters which boundary lines pass
     through which blown points, so a surface's key names its edge and
@@ -309,10 +304,8 @@ def _type_key(n: int, model: StratumModel, germ) -> tuple:
     if model.kind == "surface":
         return (model.kind, model.edge.index_set)
     boundary = sorted((c.source, c.m_sub, c.m_res) for c in model.boundary)
-    germ_class = (germ.entries if isinstance(germ, Spectrum)
-                  else (germ.tag, germ.rank, germ.e))
     return (model.kind, model.dim, n, model.m_s, model.out_degree,
-            tuple(boundary), germ_class, germ.frame)
+            tuple(boundary), (germ.frame, germ.e, germ.runs()))
 
 
 def _add_into(totals: dict, vec: SigmaChowVector):

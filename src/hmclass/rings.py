@@ -167,6 +167,7 @@ class ProjRing(Ring):
     so elements from independent call sites compare equal."""
 
     _cache = {}
+    point_ids = ()  # no blown-up points, as on a BlownPlaneRing
 
     def __new__(cls, n: int):
         ring = cls._cache.get(n)

@@ -10,9 +10,11 @@ which are validated before use and rejected on any failure.
 A catalogue germ is fixed by a few integers, its class: the rank r and
 the gcd e of the exponents of a monomial germ, or the line count e of an
 ordinary one.  Its spectrum is held in closed form, as runs of exponents
-r - p - c/e whose multiplicities are linear in c, and assembly reads the
-runs; the entries are expanded into a Spectrum only for the spectrum
-report and the validators, in time linear in their number.
+r - p - c/e whose multiplicities are linear in c; the entries are
+expanded into a Spectrum only for the spectrum report and the validators,
+in time linear in their number.  A user table answers the same questions
+(frame, e, runs), with one run per entry, so assembly reads every germ
+through its runs.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .arrangement import (Arrangement, LocalizedArrangement, localize,
                           milnor_fiber_chi)
@@ -56,7 +58,8 @@ class Spectrum:
 
     frame is ('germ', d) for a function germ on affine d-space at the
     origin, or ('stratum', n) for ambient indexing after the dimension
-    shift.  Zero multiplicities are never stored.
+    shift.  Zero multiplicities are never stored.  A germ-frame table
+    answers e and runs() as a catalogue GermKind does, one run per entry.
     """
 
     entries: tuple  # sorted ((Fraction, int), ...)
@@ -77,6 +80,24 @@ class Spectrum:
 
     def is_zero(self) -> bool:
         return not self.entries
+
+    @property
+    def e(self) -> int:
+        """The lcm of the exponents' denominators; 1 for an empty table."""
+        return lcm(*(a.denominator for a, _ in self.entries))
+
+    def runs(self) -> tuple:
+        """The entries as GermKind.runs() gives a spectrum: a run
+        (p, c, c, n, 0) per entry n at the exponent rank - p - c/e, so
+        p = floor(rank - alpha) and c = (rank - p - alpha) e."""
+        rank, e = self.frame[1], self.e
+        out = []
+        for alpha, n in self.entries:
+            num, den = alpha.numerator, alpha.denominator
+            p = (rank * den - num) // den
+            c = (rank - p) * e - num * (e // den)
+            out.append((p, c, c, n, 0))
+        return tuple(out)
 
     def to_json(self) -> list:
         return [{"alpha": str(a), "mult": m} for a, m in self.entries]

@@ -24,6 +24,7 @@ from .rings import BlownPlaneRing, ProjRing, combine
 
 __all__ = [
     "StrataError",
+    "StratumDimensionError",
     "BoundaryComponent",
     "StratumModel",
     "compactify",
@@ -42,6 +43,10 @@ __all__ = [
 
 class StrataError(ValueError):
     """Stratum-model construction or query error."""
+
+
+class StratumDimensionError(StrataError):
+    """A stratum of dimension > 2, outside the models' envelope."""
 
 
 # ---------------------------------------------------------------------------
@@ -67,16 +72,19 @@ def _unit(size: int, index: int) -> tuple:
 @dataclass(frozen=True)
 class StratumModel:
     """A stratum's good compactification; D = sum D_i is its boundary.
-    stratum is the localization at the stratum's edge."""
+    stratum is the localization at the stratum's edge, and a surface's
+    ring names its blown-up points."""
 
     stratum: LocalizedArrangement
     ring: object
-    blown: tuple               # keys of blown-up points (surface only)
     boundary: tuple            # BoundaryComponent list
-    m_s: int
     out_degree: int            # total multiplicity away from the stratum
     c1: tuple                  # Chern classes of the tangent bundle; every
     c2: tuple                  # class is an integer vector in the ring basis
+
+    @property
+    def m_s(self) -> int:
+        return self.stratum.m_s
 
     @property
     def dim(self) -> int:
@@ -160,7 +168,7 @@ class StratumModel:
             "dim": self.dim,
             "m_s": self.m_s,
             "ring_basis": list(self.ring.names),
-            "blown_points": list(self.blown),
+            "blown_points": list(self.ring.point_ids),
             "boundary": [
                 {
                     "name": c.name,
@@ -186,7 +194,8 @@ def compactify(arr: Arrangement,
     """
     d = stratum.dim
     if d > 2:
-        raise StrataError(f"unsupported stratum dimension {d} (cap is 2)")
+        raise StratumDimensionError(
+            f"unsupported stratum dimension {d} (cap is 2)")
     edge = stratum.edge
     m_s = edge.m_s
     out_degree = arr.m - m_s
@@ -195,8 +204,7 @@ def compactify(arr: Arrangement,
         return value % m_s
 
     if d == 0:
-        return StratumModel(stratum, ProjRing(0), (), (), m_s, out_degree,
-                            (0,), (0,))
+        return StratumModel(stratum, ProjRing(0), (), out_degree, (0,), (0,))
 
     # the edges inside the closure, with their induced multiplicities
     boundary = [(e, e.m_s - m_s) for e in arr.lattice.above(edge)]
@@ -207,8 +215,8 @@ def compactify(arr: Arrangement,
                  for e, m_rel in boundary]
         comps.append(BoundaryComponent("infinity", "infinity", 0,
                                        res(-arr.m), pt))
-        return StratumModel(stratum, ProjRing(1), (), tuple(comps), m_s,
-                            out_degree, (0, 2), (0, 0))
+        return StratumModel(stratum, ProjRing(1), tuple(comps), out_degree,
+                            (0, 2), (0, 0))
 
     lines = [(e, m_rel) for e, m_rel in boundary if e.codim == edge.codim + 1]
     points = [(e, m_rel) for e, m_rel in boundary if e.codim == edge.codim + 2]
@@ -233,8 +241,7 @@ def compactify(arr: Arrangement,
     comps.append(BoundaryComponent("infinity", "infinity", 0, res(-arr.m), e))
     c1 = combine(size, 0, [(3, e)] + [(-1, v) for v in eps.values()])
     c2 = combine(size, 0, [(3 + len(blown), _unit(size, size - 1))])
-    return StratumModel(stratum, ring, tuple(blown), tuple(comps), m_s,
-                        out_degree, c1, c2)
+    return StratumModel(stratum, ring, tuple(comps), out_degree, c1, c2)
 
 
 def residues(model: StratumModel) -> dict:
@@ -263,18 +270,6 @@ def twist_offsets(m_s: int, mode: str) -> tuple:
     if mode == EXT_HALF_OPEN_DOWN:
         return 0, 0
     raise StrataError(f"unknown extension mode {mode!r}")
-
-
-def k_representative(alpha: Fraction, m_s: int, mode: str) -> int:
-    """Integer k with e(k/m_s) = e(-alpha), normalized per extension mode:
-    k in {1..m_s} for residues in (0,1], k in {0..m_s-1} for [0,1)."""
-    scaled = alpha * m_s
-    if scaled.denominator != 1:
-        raise StrataError(f"exponent {alpha} has denominator not dividing {m_s}")
-    k = (-scaled.numerator) % m_s
-    if mode == EXT_HALF_OPEN_UP and k == 0:
-        k = m_s
-    return k
 
 
 def deligne_residues(model: StratumModel, k: int,

@@ -20,11 +20,13 @@ scaled Todd transformation of RingElements, check the integer closed
 forms a stratum model carries; the Chern path built from those
 RingElements checks the integer one.  The per-exponent route to a
 stratum's contribution, with one Deligne-extension class per exponent
-summed over the boundary one component at a time, checks the closed forms
-that assembly reads.  The sparse-vector sums, scalings and polynomiality
+summed over the boundary one component at a time and the power of each
+exponent picked in the window's own range, checks the closed forms that
+assembly reads.  The sparse-vector sums, scalings and polynomiality
 test that the package itself never needs live here too, and so do user
-tables that put a stratum's whole signed mass at exponent 1, and the rows
-of a spectra report built one stratum at a time.
+tables that put a stratum's whole signed mass at exponent 1, the rows
+of a spectra report built one stratum at a time, and the input JSON of an
+arrangement.
 """
 
 import math
@@ -45,7 +47,7 @@ from hmclass.spectra import (Spectrum, SpectrumError, classify_germ, sp_shift,
                              sp_user_load, sp_validate, stratum_germ,
                              stratum_spectrum)
 from hmclass.strata import (EXT_HALF_OPEN_UP, SigmaChowVector, StrataError,
-                            build_labels, compactify, k_representative)
+                            build_labels, compactify)
 
 
 def series_coeffs(expr, var, order):
@@ -494,6 +496,18 @@ def deligne_vector(model, k: int, mode: str = EXT_HALF_OPEN_UP) -> list:
     return acc
 
 
+def k_representative(alpha: Fraction, m_s: int, mode: str) -> int:
+    """Integer k with e(k/m_s) = e(-alpha), normalized per extension mode:
+    k in {1..m_s} for residues in (0,1], k in {0..m_s-1} for [0,1)."""
+    scaled = alpha * m_s
+    if scaled.denominator != 1:
+        raise StrataError(f"exponent {alpha} has denominator not dividing {m_s}")
+    k = (-scaled.numerator) % m_s
+    if mode == EXT_HALF_OPEN_UP and k == 0:
+        k = m_s
+    return k
+
+
 def stratum_contribution_by_terms(arr, stratum, germ_sp, model, conv) -> RingElement:
     """The per-stratum Milnor sum taken term by term: one Todd
     transformation per (exponent, cotangent power) pair, no regrouping."""
@@ -561,6 +575,18 @@ def spectra_rows_by_stratum(arr, tables) -> list:
             row["validation"] = sp_validate(sp, loc)
         rows.append(row)
     return rows
+
+
+def arrangement_to_json(arr) -> dict:
+    """The input JSON of an arrangement, which Arrangement.load reads
+    back."""
+    return {
+        "n": arr.n,
+        "hyperplanes": [
+            {"coeffs": [str(c) for c in cov], "mult": m}
+            for cov, m in zip(arr.covectors, arr.mults)
+        ],
+    }
 
 
 def vector_sum(schema, vecs) -> SigmaChowVector:

@@ -102,7 +102,7 @@ class TestMilnorCommand:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.count("\n") == 1
         assert json.loads(err)["error"] == {
-            "kind": "StrataError",
+            "kind": "StratumDimensionError",
             "message": "unsupported stratum dimension 3 (cap is 2)"}
 
     def test_invalid_table_exit_code(self, capsys, tmp_path):
@@ -473,6 +473,36 @@ def test_large_multiplicity_digest(capsys, name, command):
     code, out, err = run(capsys, *argv, str(golden / f"{name}.json"))
     assert code == 0, err
     digest = (golden / f"{name}.{command}.sha256").read_text().split()[0]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# seven planes in P^3 with multiplicities up to 3 and every stratum served
+# by a user table: each catalogue germ with m_s > 1 and a nonzero spectrum
+# by its catalogue spectrum written out as a table, and each stratum the
+# catalogue cannot serve by its whole signed mass at exponent 1
+# (oracles.table_entries).  The suffix after the colon names the golden
+# digest; CI checks the same files with sha256sum -c
+TABLE_DIGESTS = [
+    ("milnor", "as_printed/res_(0,1]:milnor"),
+    ("milnor", "as_printed/res_[0,1):milnor-as_printed-half_open_down"),
+    ("milnor", "flip_odd_strata/res_(0,1]:milnor-flip_odd_strata-half_open_up"),
+    ("milnor",
+     "flip_odd_strata/res_[0,1):milnor-flip_odd_strata-half_open_down"),
+    ("spectra", ":spectra"),
+]
+
+
+@pytest.mark.parametrize("command,variant", TABLE_DIGESTS)
+def test_user_tables_digest(capsys, command, variant):
+    golden = GOLDEN.parent
+    conventions, suffix = variant.split(":")
+    argv = [command, str(golden / "tables7.json"),
+            "--tables", str(golden / "tables7.tables.json")]
+    if conventions:
+        argv += ["--conventions", conventions]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    digest = (golden / f"tables7.{suffix}.sha256").read_text().split()[0]
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

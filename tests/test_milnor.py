@@ -19,10 +19,11 @@ from hmclass.spectra import (GermKind, Spectrum, SpectrumError, sp_monomial,
                              stratum_spectrum)
 from hmclass.strata import (SigmaChowVector, build_labels, compactify,
                             push_to_sigma, relabel_vector)
-from oracles import (ChernData, chern_milnor_by_classes, euler_defect,
-                     generated_tables, report_to_json,
-                     stratum_contribution_by_terms, table_entries, td_1py,
-                     vector_is_polynomial, vector_scale, vector_sum)
+from oracles import (ChernData, arrangement_to_json, chern_milnor_by_classes,
+                     euler_defect, generated_tables, k_representative,
+                     report_to_json, stratum_contribution_by_terms,
+                     table_entries, td_1py, vector_is_polynomial,
+                     vector_scale, vector_sum)
 
 F = Fraction
 
@@ -342,7 +343,7 @@ class TestBlownSurfacePath:
         rep = assemble(arr, tables)
         assert [m.kind for m in rep.models].count("surface") == 1
         surface = [m for m in rep.models if m.kind == "surface"][0]
-        assert surface.blown == ("1,2,3,4",)
+        assert surface.ring.point_ids == ("1,2,3,4",)
         assert vector_is_polynomial(rep.m_y)
         assert rep.cross_path_ok
         values = poly_values(rep.m_y)
@@ -511,7 +512,7 @@ class TestRegroupedContribution:
                 end = 0 if mode == strata.EXT_HALF_OPEN_DOWN else None
                 for s, germ in covered:
                     m_s = s.edge.m_s
-                    ks = {strata.k_representative(a, m_s, mode)
+                    ks = {k_representative(a, m_s, mode)
                           for a, _ in germ.spectrum().entries}
                     seen.setdefault(mode, set()).update(ks)
                     if (m_s if end is None else end) in ks:
@@ -652,7 +653,8 @@ class TestOnePass:
         covs = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 0, 1),
                 (0, 1, 1), (1, 2, 3), (2, -1, 5), (3, 1, -2)]
         path = tmp_path / "lines.json"
-        path.write_text(json.dumps(build(2, [(c, 1) for c in covs]).to_json()))
+        path.write_text(json.dumps(
+            arrangement_to_json(build(2, [(c, 1) for c in covs]))))
         return [str(corpus.corpus_path(name)) for name in corpus.ALL_NAMES] \
             + [str(path)]
 
@@ -742,7 +744,7 @@ class TestOnePass:
                 (0, 1, 2, 3)]
         arr = build(3, [(c, 2 if j == 4 else 1) for j, c in enumerate(covs)])
         source = tmp_path / "cone.json"
-        source.write_text(json.dumps(arr.to_json()))
+        source.write_text(json.dumps(arrangement_to_json(arr)))
         tables = tmp_path / "tables.json"
         raw = table_entries(arr)
         assert list(raw) == ["1,2,3,4"]

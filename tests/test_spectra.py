@@ -188,6 +188,19 @@ class TestUserTables:
         tables = sp_user_load({"1": []}, arr)
         assert tables["1"].is_zero()
 
+    @pytest.mark.parametrize("sp,e", [
+        (sp_ordinary(5), 5), (sp_monomial([4, 6]), 2),
+        (Spectrum.make({F(1, 2): 1, F(4, 3): -2}, ("germ", 2)), 6),
+        (Spectrum.make({}, ("germ", 1)), 1)])
+    def test_table_read_as_runs(self, sp, e):
+        # a table answers e and runs() as a catalogue germ does: one run
+        # (p, c, c, n, 0) per entry n at the exponent rank - p - c/e
+        assert sp.e == e
+        rank, runs = sp.frame[1], sp.runs()
+        assert all(lo == hi and b == 0 and 0 <= lo < e
+                   for _, lo, hi, _, b in runs)
+        assert {rank - p - F(c, e): n for p, c, _, n, _ in runs} == entries(sp)
+
     def test_mass_violation_rejected(self):
         arr = corpus.load("concurrent3")
         with pytest.raises(SpectrumValidationError):

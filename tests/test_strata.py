@@ -6,8 +6,9 @@ from hmclass import corpus
 from hmclass.arrangement import build, sigma_strata
 from hmclass.coeffs import RatFuncY
 from hmclass.rings import BlownPlaneRing
-from hmclass.strata import (SigmaChowVector, StrataError, build_labels,
-                            chow_dims, compactify, deligne_residues,
+from hmclass.strata import (SigmaChowVector, StrataError,
+                            StratumDimensionError, build_labels, chow_dims,
+                            compactify, deligne_residues,
                             homology_weight_dims, power_identity_holds,
                             push_to_sigma, residues)
 from oracles import (basis_class, deligne_vector, log_chern, model_class,
@@ -70,7 +71,7 @@ class TestCompactify:
         arr = double_plane_crossed(3)
         model = compactify(arr, stratum_of(arr, "1"))
         assert model.kind == "surface"
-        assert model.blown == ()
+        assert model.ring.point_ids == ()
         sources = [c.source for c in model.boundary]
         assert sources.count("edge") == 3 and sources.count("infinity") == 1
 
@@ -78,7 +79,7 @@ class TestCompactify:
         arr = double_plane_pencil()
         model = compactify(arr, stratum_of(arr, "1"))
         assert model.kind == "surface"
-        assert model.blown == ("1,2,3,4",)
+        assert model.ring.point_ids == ("1,2,3,4",)
         ring = model.ring
         eps = basis_class(ring, "eps_1,2,3,4")
         for comp in model.boundary:
@@ -97,7 +98,8 @@ class TestCompactify:
 
     def test_dimension_cap(self):
         arr = build(4, [((1, 0, 0, 0, 0), 2)])
-        with pytest.raises(StrataError, match="unsupported stratum dimension"):
+        with pytest.raises(StratumDimensionError,
+                           match="unsupported stratum dimension"):
             compactify(arr, sigma_strata(arr)[0])
 
 
