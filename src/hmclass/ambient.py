@@ -17,10 +17,15 @@ from .genera import compose_scale, hirzebruch_series
 from .rings import RingElement
 
 __all__ = [
+    "MAX_AMBIENT",
     "virtual_pushed",
     "virtual_pushed_ci",
     "virtual_genus",
 ]
+
+# The largest ambient dimension n whose virtual class is built.  The series
+# have order n, and the cost grows about like n^5: 0.6 s at n = 32.
+MAX_AMBIENT = 32
 
 
 def virtual_pushed_ci(degrees, n: int) -> RingElement:
@@ -30,6 +35,9 @@ def virtual_pushed_ci(degrees, n: int) -> RingElement:
     homology degree n - k.  Entries are asserted to be polynomial in y."""
     if n < 1:
         raise ValueError("ambient dimension must be >= 1")
+    if n > MAX_AMBIENT:
+        raise ValueError(
+            f"ambient dimension {n} exceeds the limit {MAX_AMBIENT}")
     if any(d < 1 for d in degrees):
         raise ValueError("degrees must be positive")
     acc = hirzebruch_series("Q", n) ** (n + 1)

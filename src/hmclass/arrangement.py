@@ -16,7 +16,6 @@ edges on it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, lcm
 
@@ -112,15 +111,13 @@ def _echelon(rows) -> list:
 # arrangement and edges
 
 
-@dataclass(frozen=True)
 class Arrangement:
     """Hyperplanes in P^n, each given by its covector, a primitive integer
     vector whose first nonzero entry is positive, so proportional
     covectors are equal, and by its multiplicity."""
 
-    n: int
-    covectors: tuple
-    mults: tuple
+    def __init__(self, n: int, covectors: tuple, mults: tuple):
+        self.n, self.covectors, self.mults = n, covectors, mults
 
     @property
     def m(self) -> int:
@@ -129,9 +126,6 @@ class Arrangement:
     @property
     def r(self) -> int:
         return len(self.covectors)
-
-    def multiple_indices(self) -> tuple:
-        return tuple(j for j, m in enumerate(self.mults) if m > 1)
 
     @cached_property
     def lattice(self) -> "Lattice":
@@ -225,42 +219,46 @@ def build(n: int, hyperplanes) -> Arrangement:
     return Arrangement(n, tuple(covs), tuple(mults))
 
 
-@dataclass(frozen=True)
 class Edge:
     """An intersection of hyperplanes, with saturated index set.
 
     index_set holds 0-based hyperplane indices; it identifies the edge.
     """
 
-    index_set: tuple
-    codim: int
-    m_s: int
+    def __init__(self, index_set: tuple, codim: int, m_s: int):
+        self.index_set, self.codim, self.m_s = index_set, codim, m_s
+
+    def __eq__(self, other):
+        if not isinstance(other, Edge):
+            return NotImplemented
+        return (self.index_set, self.codim, self.m_s) == (
+            other.index_set, other.codim, other.m_s)
+
+    def __hash__(self):
+        return hash((self.index_set, self.codim, self.m_s))
 
     @cached_property
     def key(self) -> str:
-        """The 1-based index set as text, built on first read; it is kept
-        outside the fields, so equality and hashing never read it."""
+        """The 1-based index set as text, built on first read and kept on
+        the instance; equality and hashing never read it."""
         return ",".join(str(j + 1) for j in self.index_set)
 
-    def contains(self, other: "Edge") -> bool:
-        """True when other is contained in this edge as a subspace."""
-        return set(self.index_set) <= set(other.index_set)
 
-
-@dataclass(frozen=True)
 class Lattice:
     """The edges of an arrangement in P^n with the index and the "above"
     relation its consumers look up, the per-edge Euler numbers and chi_y
     tables, and the localization at each edge once some consumer has asked
     for it."""
 
-    n: int
-    edges: tuple  # sorted by (codimension, index set)
-    position: dict  # index set -> position in edges
-    # per position, the positions of the edges strictly above it (index
-    # sets strictly containing its own), in lattice order
-    strictly_above: tuple
-    localized: dict = field(default_factory=dict, compare=False, repr=False)
+    def __init__(self, n: int, edges: tuple, position: dict,
+                 strictly_above: tuple):
+        self.n = n
+        self.edges = edges  # sorted by (codimension, index set)
+        self.position = position  # index set -> position in edges
+        # per position, the positions of the edges strictly above it (index
+        # sets strictly containing its own), in lattice order
+        self.strictly_above = strictly_above
+        self.localized = {}  # index set -> localization, kept by localize
 
     def above(self, edge: Edge) -> list:
         """The edges strictly above edge in the lattice, in lattice order."""
@@ -376,17 +374,14 @@ def edges(arr: Arrangement) -> tuple:
 # localization
 
 
-@dataclass(frozen=True)
 class LocalizedArrangement:
     """The quotient central arrangement at an edge: the multiplicities of
     its hyperplanes, the Euler number of its projectivized complement and
     the edge's dimension; its rank and degree are the edge's codimension
     and m_s.  At an edge of the singular locus it is the stratum itself."""
 
-    edge: Edge
-    mults: tuple
-    euler: int
-    dim: int
+    def __init__(self, edge: Edge, mults: tuple, euler: int, dim: int):
+        self.edge, self.mults, self.euler, self.dim = edge, mults, euler, dim
 
     @property
     def key(self) -> str:
@@ -403,16 +398,6 @@ class LocalizedArrangement:
     @property
     def reduced(self) -> bool:
         return all(m == 1 for m in self.mults)
-
-    @property
-    def size(self) -> int:
-        return len(self.mults)
-
-    @property
-    def boolean(self) -> bool:
-        """True when the covectors through the edge are linearly independent,
-        so the local model is a product of coordinate hyperplanes."""
-        return len(self.mults) == self.rank
 
 
 def localize(arr: Arrangement, edge: Edge) -> LocalizedArrangement:

@@ -18,8 +18,6 @@ explored exhaustively by calibrate().
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-
 from .ambient import virtual_genus
 from .arrangement import Arrangement, chi_y, milnor_fiber_chi, sigma_strata
 from .coeffs import RatFuncY
@@ -70,19 +68,23 @@ class PolynomialityError(MilnorError):
 SIGN_MODES = ("as_printed", "flip_odd_strata")
 
 
-@dataclass(frozen=True)
 class ConventionSet:
     """The two unprinted global choices: an overall per-stratum sign and the
     half-open window for Deligne-extension residues."""
 
-    sign_mode: str = "as_printed"
-    extension_mode: str = EXT_HALF_OPEN_UP
+    def __init__(self, sign_mode: str = "as_printed",
+                 extension_mode: str = EXT_HALF_OPEN_UP):
+        if sign_mode not in SIGN_MODES:
+            raise ValueError(f"unknown sign mode {sign_mode!r}")
+        if extension_mode not in (EXT_HALF_OPEN_UP, EXT_HALF_OPEN_DOWN):
+            raise ValueError(f"unknown extension mode {extension_mode!r}")
+        self.sign_mode, self.extension_mode = sign_mode, extension_mode
 
-    def __post_init__(self):
-        if self.sign_mode not in SIGN_MODES:
-            raise ValueError(f"unknown sign mode {self.sign_mode!r}")
-        if self.extension_mode not in (EXT_HALF_OPEN_UP, EXT_HALF_OPEN_DOWN):
-            raise ValueError(f"unknown extension mode {self.extension_mode!r}")
+    def __eq__(self, other):
+        if not isinstance(other, ConventionSet):
+            return NotImplemented
+        return (self.sign_mode, self.extension_mode) == (
+            other.sign_mode, other.extension_mode)
 
     def label(self) -> str:
         return f"{self.sign_mode}/{self.extension_mode}"
@@ -96,18 +98,17 @@ ALL_CONVENTIONS = tuple(
 )
 
 
-@dataclass
 class MilnorReport:
-    arrangement: Arrangement
-    conventions: ConventionSet
-    schema: LabelSchema
-    m_y: SigmaChowVector
-    per_stratum: dict
-    degree0: dict
-    specializations: dict
-    chern_path: SigmaChowVector
-    cross_path_ok: bool
-    models: list = field(default_factory=list)
+    def __init__(self, arrangement: Arrangement, conventions: ConventionSet,
+                 schema: LabelSchema, m_y: SigmaChowVector, per_stratum: dict,
+                 degree0: dict, specializations: dict,
+                 chern_path: SigmaChowVector, cross_path_ok: bool,
+                 models: list):
+        self.arrangement, self.conventions = arrangement, conventions
+        self.schema, self.m_y, self.per_stratum = schema, m_y, per_stratum
+        self.degree0, self.specializations = degree0, specializations
+        self.chern_path, self.cross_path_ok = chern_path, cross_path_ok
+        self.models = models
 
     def json_chunks(self, dump_strata: bool = False):
         """The report as indented JSON text, chunk by chunk.
@@ -122,7 +123,8 @@ class MilnorReport:
         skeleton = {
             "n": self.arrangement.n,
             "m": self.arrangement.m,
-            "conventions": asdict(self.conventions),
+            "conventions": {"sign_mode": self.conventions.sign_mode,
+                            "extension_mode": self.conventions.extension_mode},
             "M_y": _HOLE,
             "per_stratum": dict.fromkeys(self.per_stratum, _HOLE),
             "specializations": dict.fromkeys(map(str, self.specializations),

@@ -20,7 +20,6 @@ through its runs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -52,7 +51,6 @@ class SpectrumValidationError(SpectrumError):
     """Well-formed spectrum table rejected by the validators."""
 
 
-@dataclass(frozen=True)
 class Spectrum:
     """Finite map exponent -> multiplicity with a frame tag.
 
@@ -62,8 +60,14 @@ class Spectrum:
     answers e and runs() as a catalogue GermKind does, one run per entry.
     """
 
-    entries: tuple  # sorted ((Fraction, int), ...)
-    frame: tuple
+    def __init__(self, entries: tuple, frame: tuple):
+        self.entries = entries  # sorted ((Fraction, int), ...)
+        self.frame = frame
+
+    def __eq__(self, other):
+        if not isinstance(other, Spectrum):
+            return NotImplemented
+        return (self.entries, self.frame) == (other.entries, other.frame)
 
     @staticmethod
     def make(mapping, frame) -> "Spectrum":
@@ -134,7 +138,6 @@ def sp_shift(germ_sp: Spectrum, stratum: LocalizedArrangement,
     return Spectrum.make(out, ("stratum", n))
 
 
-@dataclass(frozen=True)
 class GermKind:
     """Classification of a localized germ: 'monomial' with its exponent
     vector, 'ordinary' with its line count, or 'user_table'.
@@ -143,8 +146,16 @@ class GermKind:
     the rank and the gcd of the exponents of a monomial germ, or rank 2
     and the line count of an ordinary one."""
 
-    tag: str
-    data: tuple = ()
+    def __init__(self, tag: str, data: tuple = ()):
+        self.tag, self.data = tag, data
+
+    def __eq__(self, other):
+        if not isinstance(other, GermKind):
+            return NotImplemented
+        return (self.tag, self.data) == (other.tag, other.data)
+
+    def __hash__(self):
+        return hash((self.tag, self.data))
 
     def describe(self) -> str:
         if self.tag == "monomial":
@@ -205,17 +216,14 @@ class GermKind:
 
 
 def classify_germ(loc: LocalizedArrangement) -> GermKind:
-    if loc.boolean:
+    # the covectors through the edge are linearly independent exactly when
+    # there are rank of them: the local model is then a product of
+    # coordinate hyperplanes
+    if len(loc.mults) == loc.rank:
         return GermKind("monomial", loc.mults)
     if loc.rank == 2 and loc.reduced:
-        return GermKind("ordinary", (loc.size,))
+        return GermKind("ordinary", (len(loc.mults),))
     return GermKind("user_table")
-
-
-def _is_isolated(loc: LocalizedArrangement) -> bool:
-    # A localized arrangement germ is an isolated singularity exactly for a
-    # single (possibly multiple) hyperplane or a reduced plane germ.
-    return loc.rank == 1 or (loc.rank == 2 and loc.reduced)
 
 
 def sp_validate(sp: Spectrum, loc: LocalizedArrangement) -> dict:
@@ -239,7 +247,9 @@ def sp_validate(sp: Spectrum, loc: LocalizedArrangement) -> dict:
     expected_mass = (-1) ** (loc.rank - 1) * (milnor_fiber_chi(loc) - 1)
     if sp.mass != expected_mass:
         failures.append(f"mass: total {sp.mass} != expected {expected_mass}")
-    if _is_isolated(loc):
+    # a localized arrangement germ is an isolated singularity exactly for a
+    # single (possibly multiple) hyperplane or a reduced plane germ
+    if loc.rank == 1 or (loc.rank == 2 and loc.reduced):
         table = sp.as_dict()
         for a, m in table.items():
             if table.get(loc.rank - a, 0) != m:

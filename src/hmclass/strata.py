@@ -14,7 +14,6 @@ Chow basis of the singular locus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -53,13 +52,14 @@ class StratumDimensionError(StrataError):
 # compactified models
 
 
-@dataclass(frozen=True)
 class BoundaryComponent:
-    name: str          # sub-edge key or "infinity"
-    source: str        # "edge" | "exceptional" | "infinity"
-    m_sub: int         # induced multiplicity (0 for infinity)
-    m_res: int         # residue integer in [0, m_s)
-    cls: tuple         # divisor class, an integer vector in the model basis
+    def __init__(self, name: str, source: str, m_sub: int, m_res: int,
+                 cls: tuple):
+        self.name = name      # sub-edge key or "infinity"
+        self.source = source  # "edge" | "exceptional" | "infinity"
+        self.m_sub = m_sub    # induced multiplicity (0 for infinity)
+        self.m_res = m_res    # residue integer in [0, m_s)
+        self.cls = cls  # divisor class, an integer vector in the model basis
 
 
 _KIND = ("point", "curve", "surface")
@@ -69,18 +69,18 @@ def _unit(size: int, index: int) -> tuple:
     return tuple(int(i == index) for i in range(size))
 
 
-@dataclass(frozen=True)
 class StratumModel:
-    """A stratum's good compactification; D = sum D_i is its boundary.
-    stratum is the localization at the stratum's edge, and a surface's
-    ring names its blown-up points."""
+    """A stratum's good compactification; D = sum D_i is its boundary, a
+    tuple of BoundaryComponents.  stratum is the localization at the
+    stratum's edge, a surface's ring names its blown-up points, out_degree
+    is the total multiplicity away from the stratum, and c1, c2 are the
+    Chern classes of the tangent bundle.  Every class is an integer vector
+    in the ring basis."""
 
-    stratum: LocalizedArrangement
-    ring: object
-    boundary: tuple            # BoundaryComponent list
-    out_degree: int            # total multiplicity away from the stratum
-    c1: tuple                  # Chern classes of the tangent bundle; every
-    c2: tuple                  # class is an integer vector in the ring basis
+    def __init__(self, stratum: LocalizedArrangement, ring, boundary: tuple,
+                 out_degree: int, c1: tuple, c2: tuple):
+        self.stratum, self.ring, self.boundary = stratum, ring, boundary
+        self.out_degree, self.c1, self.c2 = out_degree, c1, c2
 
     @property
     def m_s(self) -> int:
@@ -220,19 +220,19 @@ def compactify(arr: Arrangement,
 
     lines = [(e, m_rel) for e, m_rel in boundary if e.codim == edge.codim + 1]
     points = [(e, m_rel) for e, m_rel in boundary if e.codim == edge.codim + 2]
-    blown = []
-    for p, m_rel in points:
-        through = [l for l, _ in lines if l.contains(p)]
-        if len(through) >= 3:
-            blown.append(p.key)
+    # the lines through each point: those whose index sets lie in its own
+    through = {p.key: {l.key for l, _ in lines
+                       if set(l.index_set) <= set(p.index_set)}
+               for p, _ in points}
+    blown = [p.key for p, _ in points if len(through[p.key]) >= 3]
     ring = BlownPlaneRing(tuple(blown))
     size = len(ring.names)
     e = _unit(size, 1)
     eps = {p: _unit(size, 2 + i) for i, p in enumerate(blown)}
     comps = []
     for l, m_rel in lines:
-        cls = combine(size, 0, [(1, e)] + [(-1, eps[p.key]) for p, _ in points
-                                           if p.key in eps and l.contains(p)])
+        cls = combine(size, 0, [(1, e)] + [(-1, eps[p]) for p in blown
+                                           if l.key in through[p]])
         comps.append(BoundaryComponent(l.key, "edge", m_rel, res(m_rel), cls))
     for p, m_rel in points:
         if p.key in eps:
@@ -296,11 +296,10 @@ def power_identity_holds(model: StratumModel) -> bool:
 # Chow labels of the singular locus
 
 
-@dataclass(frozen=True)
 class Label:
-    name: str
-    degree: int
-    edge_key: str = ""  # the edge owning the label; "" for a shared label
+    def __init__(self, name: str, degree: int, edge_key: str = ""):
+        self.name, self.degree = name, degree
+        self.edge_key = edge_key  # the edge owning the label; "" if shared
 
 
 _DIM_LETTER = {0: "P", 1: "L", 2: "F"}
@@ -320,7 +319,6 @@ def _own_label_name(arr: Arrangement, edge: Edge) -> str:
     return f"{letter}_{{{_index_body(edge.index_set)}}}"
 
 
-@dataclass(frozen=True)
 class LabelSchema:
     """Ordered Chow basis of the singular locus: one label per multiple
     hyperplane in top degree, one per codimension-2 edge away from the
@@ -330,10 +328,10 @@ class LabelSchema:
     to the label of its closure's fundamental class; shared maps a degree
     to its shared label."""
 
-    n: int
-    labels: tuple
-    fundamental: dict
-    shared: dict
+    def __init__(self, n: int, labels: tuple, fundamental: dict,
+                 shared: dict):
+        self.n, self.labels = n, labels
+        self.fundamental, self.shared = fundamental, shared
 
     def names(self) -> list:
         return [l.name for l in self.labels]
@@ -349,7 +347,7 @@ def build_labels(arr: Arrangement) -> LabelSchema:
     """The label schema of the singular locus, from the edges in_sigma
     admits; it reads the edges only, and localizes none of them."""
     n = arr.n
-    multiple = set(arr.multiple_indices())
+    multiple = {j for j, m in enumerate(arr.mults) if m > 1}
     # sorted by (codim, index set)
     strata = [e for e in arr.lattice.edges if in_sigma(e)]
     shared = {}

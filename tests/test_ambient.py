@@ -1,6 +1,7 @@
 import pytest
 
-from hmclass.ambient import virtual_genus, virtual_pushed, virtual_pushed_ci
+from hmclass.ambient import (MAX_AMBIENT, virtual_genus, virtual_pushed,
+                             virtual_pushed_ci)
 from hmclass.coeffs import RatFuncY
 from hmclass.rings import ProjRing
 from oracles import (ChernData, class_from_roots, coeff_list, euler_via_chern,
@@ -84,6 +85,12 @@ class TestVirtualClasses:
         expected = (class_from_roots(ring, [ring.h] * (n + 1), "Q")
                     * class_from_roots(ring, [ring.h * d for d in ds], "R"))
         assert virtual_pushed_ci(ds, n) == expected
+
+    @pytest.mark.parametrize("ds", [(1,), (3,), (2, 3)])
+    def test_order_past_the_limit(self, ds):
+        with pytest.raises(ValueError, match=f"ambient dimension "
+                           f"{MAX_AMBIENT + 1} exceeds the limit"):
+            virtual_pushed_ci(ds, MAX_AMBIENT + 1)
 
 
 class TestSpecialize:

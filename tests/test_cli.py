@@ -3,11 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import hmclass
+from hmclass.ambient import MAX_AMBIENT
 from hmclass.arrangement import MAX_MULTIPLICITY
 from hmclass.cli import _build_parser, main
 from hmclass.corpus import ALL_NAMES, corpus_path
@@ -217,6 +219,26 @@ class TestMilnorCommand:
         assert error["message"] == (f"multiplicity {MAX_MULTIPLICITY + 1} "
                                     f"exceeds the limit {MAX_MULTIPLICITY}")
 
+    @pytest.mark.parametrize("command", ["virtual", "milnor"])
+    def test_ambient_past_the_limit_exit_code(self, capsys, tmp_path,
+                                              command):
+        # rejected before any series is built: a virtual class one step
+        # below the limit takes most of a second
+        n = MAX_AMBIENT + 1
+        source = tmp_path / "hyperplane.json"
+        source.write_text(json.dumps({
+            "n": n, "hyperplanes": [{"coeffs": ["1"] + ["0"] * n, "mult": 1}],
+        }))
+        argv = (["virtual", "--degree", "3", "--ambient", str(n)]
+                if command == "virtual" else ["milnor", str(source)])
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == {
+            "kind": "ValueError",
+            "message": f"ambient dimension {n} exceeds the limit {MAX_AMBIENT}"}
+
     def test_zero_denominator_covector_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({
@@ -368,7 +390,7 @@ class TestOtherCommands:
         assert sources["1,2,3"] == "user_table_required"
 
     def test_check(self, capsys):
-        code, out, _ = run(capsys, "check", "--suite", "builtin")
+        code, out, _ = run(capsys, "check")
         assert code == 0
         assert "12/12 checks passed" in out
         assert "FAIL" not in out
@@ -525,6 +547,21 @@ def fresh_run(*argv):
     done = subprocess.run([sys.executable, "-m", "hmclass", *argv],
                           capture_output=True, text=True, env=env)
     return done.returncode, done.stdout, done.stderr
+
+
+def test_cli_import_generates_no_code():
+    # a fresh interpreter without the host's site hooks (-S), which may
+    # import anything; the records are plain classes, and only check and
+    # calibrate import the corpus
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hmclass.__file__)))
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
+             "from hmclass import cli; "
+             "print(sorted({'dataclasses', 'inspect', 'importlib.resources'}"
+             " & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", probe, src],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 class TestParserReuse:
