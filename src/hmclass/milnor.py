@@ -117,9 +117,11 @@ class MilnorReport:
         value block; a block splices its vector's nonzero values into the zero
         lines of the schema, which are rendered once per report."""
         names = self.schema.names()
-        m_y = _label_block(names, 4, True)
-        stratum = _label_block(names, 6, True)
-        constants = _label_block(names, 6, False)
+        quoted = [dumps(name) for name in names]
+        index = {name: i for i, name in enumerate(names)}
+        m_y = _label_block(quoted, index, 4, True)
+        stratum = _label_block(quoted, index, 6, True)
+        constants = _label_block(quoted, index, 6, False)
         skeleton = {
             "n": self.arrangement.n,
             "m": self.arrangement.m,
@@ -150,16 +152,17 @@ class MilnorReport:
 _HOLE = "\0"  # stands for a label -> value block in the skeleton's text
 
 
-def _label_block(names: list, indent: int, as_list: bool):
+def _label_block(quoted: list, index: dict, indent: int, as_list: bool):
     """Renderer of a vector as the label -> value object json.dumps(indent=2)
     writes with its labels at the given indent: coefficient lists, or else
-    constant terms.  Each call copies the zero lines and overwrites the
-    lines of the nonzero values; a value's text is rendered once per
-    renderer, since strata of one local type share their coefficients."""
+    constant terms.  quoted holds the labels as JSON strings and index
+    maps each label to its position.  Each call copies the zero lines and
+    overwrites the lines of the nonzero values; a value's text is rendered
+    once per renderer, since strata of one local type share their
+    coefficients."""
     pad = " " * indent
-    heads = [f"{pad}{dumps(name)}: " for name in names]
+    heads = [f"{pad}{name}: " for name in quoted]
     zeros = [head + ("[]" if as_list else '"0"') for head in heads]
-    index = {name: i for i, name in enumerate(names)}
     sep, close = f'",\n{pad}  "', "\n" + pad[2:] + "}"
 
     def text(value: RatFuncY) -> str:

@@ -220,10 +220,12 @@ def compactify(arr: Arrangement,
 
     lines = [(e, m_rel) for e, m_rel in boundary if e.codim == edge.codim + 1]
     points = [(e, m_rel) for e, m_rel in boundary if e.codim == edge.codim + 2]
-    # the lines through each point: those whose index sets lie in its own
-    through = {p.key: {l.key for l, _ in lines
-                       if set(l.index_set) <= set(p.index_set)}
-               for p, _ in points}
+    # the lines through each point; the edges above a boundary line are
+    # exactly the points on it
+    through = {p.key: set() for p, _ in points}
+    for l, _ in lines:
+        for p in arr.lattice.above(l):
+            through[p.key].add(l.key)
     blown = [p.key for p, _ in points if len(through[p.key]) >= 3]
     ring = BlownPlaneRing(tuple(blown))
     size = len(ring.names)

@@ -1,4 +1,3 @@
-import hashlib
 import json
 import os
 import subprocess
@@ -12,9 +11,9 @@ import hmclass
 from hmclass.ambient import MAX_AMBIENT
 from hmclass.arrangement import MAX_MULTIPLICITY
 from hmclass.cli import _build_parser, main
-from hmclass.corpus import ALL_NAMES, corpus_path
+from hmclass.corpus import corpus_path
 
-GOLDEN = Path(__file__).parent / "golden" / "corpus"
+import pins
 
 
 def run(capsys, *argv):
@@ -31,6 +30,21 @@ def run_json(capsys, *argv):
 
 def corpus_file(name):
     return str(corpus_path(name))
+
+
+def pin_test(family):
+    """The test of one family of pins.PINS, run in process.  Each family
+    keeps the test name its pins were first recorded under."""
+    family_pins = [pin for pin in pins.PINS if pin.family == family]
+
+    @pytest.mark.parametrize("pin", family_pins,
+                             ids=[pin.name for pin in family_pins])
+    def test(capsys, pin):
+        code, out, err = run(capsys, *pin.argv)
+        assert code == 0, err
+        assert pins.matches(out.encode(), pin.golden), pin.golden.name
+
+    return test
 
 
 class TestMilnorCommand:
@@ -326,17 +340,9 @@ class TestMilnorCommand:
         assert json.loads(err)["error"]["kind"] == "ArrangementError"
 
 
-VIRTUAL_GOLDEN = Path(__file__).parent / "golden" / "virtual"
-
-
 class TestOtherCommands:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-    @pytest.mark.parametrize("d", [1, 2, 3, 4, 7])
-    def test_virtual_matches_golden(self, capsys, d, n):
-        code, out, err = run(capsys, "virtual", "--degree", str(d),
-                             "--ambient", str(n))
-        assert code == 0, err
-        assert out.encode() == (VIRTUAL_GOLDEN / f"d{d}-n{n}.json").read_bytes()
+    # staticmethod, as the pin test takes no instance
+    test_virtual_matches_golden = staticmethod(pin_test("virtual"))
 
     def test_virtual(self, capsys):
         payload = run_json(capsys, "virtual", "--degree", "4", "--ambient", "3")
@@ -411,133 +417,31 @@ class TestOtherCommands:
         assert code == 2
 
 
-# each report command on the corpus, with the suffix of its golden file
-GOLDEN_COMMANDS = {"milnor": ["milnor"],
-                   "milnor-dump-strata": ["milnor", "--dump-strata"],
-                   "lattice": ["lattice"],
-                   "spectra": ["spectra"],
-                   "chi-y": ["chi-y"]}
+test_corpus_report_matches_golden = pin_test("corpus")
+test_corpus_report_under_conventions_matches_golden = pin_test("conventions")
+test_wide_input_digest = pin_test("wide")
+test_large_multiplicity_digest = pin_test("multiplicity")
+test_user_tables_digest = pin_test("tables")
+test_calibration_matches_golden = pin_test("calibrate")
 
 
-@pytest.mark.parametrize("command", list(GOLDEN_COMMANDS))
-@pytest.mark.parametrize("name", ALL_NAMES)
-def test_corpus_report_matches_golden(capsys, name, command):
-    code, out, err = run(capsys, *GOLDEN_COMMANDS[command],
-                         corpus_file(name))
-    assert code == 0, err
-    assert out.encode() == (GOLDEN / f"{name}.{command}.json").read_bytes()
-
-
-# milnor under each non-default convention, with the suffix of its golden
-# file; recorded before the stratum models took their closed forms
-CONVENTION_GOLDENS = {
-    "as_printed/res_[0,1)": "milnor-as_printed-half_open_down",
-    "flip_odd_strata/res_(0,1]": "milnor-flip_odd_strata-half_open_up",
-    "flip_odd_strata/res_[0,1)": "milnor-flip_odd_strata-half_open_down",
-}
-
-
-@pytest.mark.parametrize("conventions", list(CONVENTION_GOLDENS))
-@pytest.mark.parametrize("name", ALL_NAMES)
-def test_corpus_report_under_conventions_matches_golden(capsys, name,
-                                                        conventions):
-    code, out, err = run(capsys, "milnor", corpus_file(name),
-                         "--conventions", conventions)
-    assert code == 0, err
-    golden = GOLDEN / f"{name}.{CONVENTION_GOLDENS[conventions]}.json"
-    assert out.encode() == golden.read_bytes()
-
-
-# inputs wider than the benchmark pools, with the SHA-256 of each report
-# recorded in tests/golden/<input>.<command>.sha256; CI checks the same
-# files with sha256sum -c
-WIDE_DIGESTS = [("lines30", "lattice"), ("lines30", "spectra"),
-                ("lines30", "chi-y"), ("planes12", "lattice"),
-                ("planes12", "chi-y"), ("planes12", "milnor"),
-                ("planes12", "spectra"), ("pencil70", "lattice"),
-                ("pencil70", "chi-y"), ("pencil70", "spectra"),
-                ("pencil70", "milnor")]
-
-
-@pytest.mark.parametrize("name,command", WIDE_DIGESTS)
-def test_wide_input_digest(capsys, name, command):
-    # lines30: covectors (1, i, i^2) for i < 30; planes12: (1, i, i^2, i^3)
-    # for i < 12, with 220 triple points and 66 double lines; pencil70: 66
-    # lines through [0:0:1] and 4 lines in general position, so an index
-    # set as a bitmask is wider than 64 bits
-    golden = GOLDEN.parent
-    code, out, err = run(capsys, command, str(golden / f"{name}.json"))
-    assert code == 0, err
-    digest = (golden / f"{name}.{command}.sha256").read_text().split()[0]
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-# one line of multiplicity 1000 plus 3 generic lines, and a plane of
-# multiplicity 24 meeting 4 generic planes: Deligne powers and spectra far
-# above the pools'; the digests were recorded before the stratum
-# contributions moved to integer vectors, and CI checks the same files
-# with sha256sum -c.  mult100k and plane100k are the same shapes at
-# multiplicity 100 000, the limit; their digests, and that of the spectra
-# of mult1000, were recorded while each stratum's spectrum was still
-# listed entry by entry and summed one Deligne power at a time
-MULTIPLE_DIGESTS = [("mult1000", "milnor"), ("mult1000", "milnor-dump-strata"),
-                    ("plane24", "milnor"), ("plane24", "milnor-dump-strata"),
-                    ("mult100k", "milnor"), ("mult100k", "milnor-dump-strata"),
-                    ("plane100k", "milnor"),
-                    ("plane100k", "milnor-dump-strata"),
-                    ("mult1000", "spectra")]
-
-
-@pytest.mark.parametrize("name,command", MULTIPLE_DIGESTS)
-def test_large_multiplicity_digest(capsys, name, command):
-    golden = GOLDEN.parent
-    argv = command.replace("-dump", " --dump").split()
-    code, out, err = run(capsys, *argv, str(golden / f"{name}.json"))
-    assert code == 0, err
-    digest = (golden / f"{name}.{command}.sha256").read_text().split()[0]
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-# seven planes in P^3 with multiplicities up to 3 and every stratum served
-# by a user table: each catalogue germ with m_s > 1 and a nonzero spectrum
-# by its catalogue spectrum written out as a table, and each stratum the
-# catalogue cannot serve by its whole signed mass at exponent 1
-# (oracles.table_entries).  The suffix after the colon names the golden
-# digest; CI checks the same files with sha256sum -c
-TABLE_DIGESTS = [
-    ("milnor", "as_printed/res_(0,1]:milnor"),
-    ("milnor", "as_printed/res_[0,1):milnor-as_printed-half_open_down"),
-    ("milnor", "flip_odd_strata/res_(0,1]:milnor-flip_odd_strata-half_open_up"),
-    ("milnor",
-     "flip_odd_strata/res_[0,1):milnor-flip_odd_strata-half_open_down"),
-    ("spectra", ":spectra"),
-]
-
-
-@pytest.mark.parametrize("command,variant", TABLE_DIGESTS)
-def test_user_tables_digest(capsys, command, variant):
-    golden = GOLDEN.parent
-    conventions, suffix = variant.split(":")
-    argv = [command, str(golden / "tables7.json"),
-            "--tables", str(golden / "tables7.tables.json")]
-    if conventions:
-        argv += ["--conventions", conventions]
-    code, out, err = run(capsys, *argv)
-    assert code == 0, err
-    digest = (golden / f"tables7.{suffix}.sha256").read_text().split()[0]
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-def test_thirty_generic_lines_digest(capsys):
-    # covectors (1, i, i^2) for i < 30: 435 double points and a 4.3 MB
-    # report, too large to keep; its digest was recorded with the dense
-    # json.dumps writer that the spliced one replaced, and CI checks the
-    # same file with sha256sum -c
-    golden = GOLDEN.parent
-    code, out, err = run(capsys, "milnor", str(golden / "lines30.json"))
-    assert code == 0, err
-    digest = (golden / "lines30.milnor.sha256").read_text().split()[0]
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+def test_pins_name_every_golden_and_catch_a_changed_byte(capsys):
+    # no file under tests/golden/ sits unread by a pin
+    named = {pin.golden for pin in pins.PINS}
+    named |= {Path(arg) for pin in pins.PINS for arg in pin.argv
+              if Path(arg).is_relative_to(pins.GOLDEN)}
+    assert named == {path for path in pins.GOLDEN.rglob("*")
+                     if path.is_file()}
+    # a report with one byte changed fails both kinds of golden
+    for suffix in (".json", ".sha256"):
+        pin = next(p for p in pins.PINS if p.golden.suffix == suffix)
+        code, out, err = run(capsys, *pin.argv)
+        assert code == 0, err
+        report = out.encode()
+        assert pins.matches(report, pin.golden)
+        i = len(report) // 2
+        changed = report[:i] + bytes([report[i] ^ 1]) + report[i + 1:]
+        assert not pins.matches(changed, pin.golden)
 
 
 def fresh_run(*argv):
@@ -550,18 +454,7 @@ def fresh_run(*argv):
 
 
 def test_cli_import_generates_no_code():
-    # a fresh interpreter without the host's site hooks (-S), which may
-    # import anything; the records are plain classes, and only check and
-    # calibrate import the corpus
-    src = os.path.dirname(os.path.dirname(os.path.abspath(hmclass.__file__)))
-    probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
-             "from hmclass import cli; "
-             "print(sorted({'dataclasses', 'inspect', 'importlib.resources'}"
-             " & set(sys.modules)))")
-    done = subprocess.run([sys.executable, "-I", "-S", "-c", probe, src],
-                          capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    assert pins.code_generating_imports() == []
 
 
 class TestParserReuse:
