@@ -20,13 +20,13 @@ import json
 import sys
 
 from .ambient import virtual_genus, virtual_pushed
-from .arrangement import (Arrangement, ArrangementError, chi_y, chi_y_pn,
-                          chi_y_stratum, edges, euler_by_inclusion_exclusion,
-                          is_dense, localize, sigma_strata)
+from .arrangement import (Arrangement, chi_y, chi_y_pn, chi_y_stratum,
+                          edges, euler_by_inclusion_exclusion, is_dense,
+                          localize, sigma_strata)
 from .coeffs import RatFuncY, poly_str
 from .genera import hirzebruch_series, verify_identity_qr
 from .jsontext import dumps
-from .milnor import (DEFAULT_CONVENTIONS, ConventionSet, MilnorError,
+from .milnor import (ALL_CONVENTIONS, DEFAULT_CONVENTIONS, MilnorError,
                      MissingSpectrumError, PolynomialityError, assemble,
                      calibrate)
 from .spectra import (GermKind, SpectrumValidationError, sp_monomial,
@@ -82,16 +82,6 @@ def _fail(code: int, kind: str, message: str) -> int:
     return code
 
 
-def _conv_from_args(args) -> ConventionSet:
-    try:
-        sign_mode, extension_mode = args.conventions.split("/", 1)
-        return ConventionSet(sign_mode, extension_mode)
-    except ValueError as exc:
-        raise ArrangementError(
-            f"bad --conventions value {args.conventions!r} "
-            f"(expected e.g. 'as_printed/res_(0,1]'): {exc}")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -134,9 +124,12 @@ def cmd_lattice(args) -> int:
 def cmd_spectra(args) -> int:
     arr = Arrangement.load(args.input)
     tables = sp_user_load(args.tables, arr) if args.tables else {}
-    # a catalogue row's body reads only the germ kind and the stratum's
-    # dimension, rank, degree, reducedness and Euler number, so it is built
-    # once per such key; a table's row is its own
+    # a catalogue row's body reads the germ and the stratum's dimension,
+    # rank, degree, reducedness and Euler number, and the germ fixes the
+    # rest: its data are the multiplicities of rank independent hyperplanes
+    # (a torus complement, Euler number 0 from rank 2) or k reduced lines
+    # through a point (Euler number 2 - k), and the dimension is n - rank.
+    # So a body is built once per germ; a table's row is its own
     bodies = {}
     rows = []
     for s in sigma_strata(arr):
@@ -150,10 +143,9 @@ def cmd_spectra(args) -> int:
         if germ is None:
             row["source"] = "user_table_required"
         elif isinstance(germ, GermKind):
-            key = (germ, s.dim, s.rank, s.m_s, s.reduced, s.euler)
-            body = bodies.get(key)
+            body = bodies.get(germ)
             if body is None:
-                body = bodies[key] = _spectrum_body(
+                body = bodies[germ] = _spectrum_body(
                     germ.describe(), germ.spectrum(), s, arr.n)
             row.update(body)
         else:
@@ -215,7 +207,8 @@ def cmd_chi_y(args) -> int:
 def cmd_milnor(args) -> int:
     arr = Arrangement.load(args.input)
     tables = sp_user_load(args.tables, arr) if args.tables else None
-    report = assemble(arr, tables, _conv_from_args(args))
+    conv = next(c for c in ALL_CONVENTIONS if c.label() == args.conventions)
+    report = assemble(arr, tables, conv)
     _emit(report.json_chunks(args.dump_strata), args.out)
     return EXIT_OK
 
@@ -379,6 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--tables", help="user spectrum tables JSON")
     p.add_argument("--conventions", default=DEFAULT_CONVENTIONS.label(),
+                   choices=[c.label() for c in ALL_CONVENTIONS],
                    help="sign mode/extension mode, default %(default)s")
     p.add_argument("--dump-strata", action="store_true")
 

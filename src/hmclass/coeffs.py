@@ -220,23 +220,13 @@ class RatFuncY:
             except TypeError:
                 return NotImplemented
         a, b = self.num, other.num
-        if not a or not b:
-            return RatFuncY.ZERO
-        den, k = self.den * other.den, self.k + other.k
-        if len(a) == 1 or len(b) == 1:
-            if len(a) != 1:
-                a, b = b, a
-            c = a[0]
-            out = [c * x for x in b] if c != 1 else list(b)
-        else:
-            out = [0] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, z in enumerate(b):
-                        out[i + j] += x * z
-        if den == 1 and not k:
-            return _value(tuple(out), 1, 0)
-        return _normal(out, den, k)
+        # a zero operand makes out empty, which _normal reads as zero
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, z in enumerate(b):
+                    out[i + j] += x * z
+        return _normal(out, self.den * other.den, self.k + other.k)
 
     __rmul__ = __mul__
 

@@ -298,19 +298,20 @@ def _stratum_contribution(germ, model: StratumModel,
             for i, deg in enumerate(ring.degrees)]
 
 
-def _type_key(n: int, model: StratumModel, germ) -> tuple:
-    """Everything a stratum's contribution depends on once the conventions
-    are fixed: the model's shape, and the germ as the contribution reads
-    it, its frame, e and runs.  On a point or a curve the
-    boundary enters only through the multiset of its (source, m_sub,
-    m_res).  On a surface it also matters which boundary lines pass
-    through which blown points, so a surface's key names its edge and
-    matches no other stratum."""
+def _type_key(model: StratumModel, germ) -> tuple:
+    """Everything a stratum's contribution depends on within one report,
+    where n, m and the conventions are fixed: the model's dimension and
+    m_s (its kind and its degree m - m_s away from the stratum follow),
+    and the germ as the contribution reads it, its frame, e and runs.  On
+    a point or a curve the boundary enters only through the multiset of
+    its (source, m_sub, m_res).  On a surface it also matters which
+    boundary lines pass through which blown points, so a surface's key
+    names its edge and matches no other stratum."""
     if model.kind == "surface":
-        return (model.kind, model.edge.index_set)
+        return ("surface", model.edge.index_set)
     boundary = sorted((c.source, c.m_sub, c.m_res) for c in model.boundary)
-    return (model.kind, model.dim, n, model.m_s, model.out_degree,
-            tuple(boundary), (germ.frame, germ.e, germ.runs()))
+    return (model.dim, model.m_s, tuple(boundary),
+            (germ.frame, germ.e, germ.runs()))
 
 
 def _add_into(totals: dict, vec: SigmaChowVector):
@@ -347,7 +348,7 @@ def assemble(arr: Arrangement, user_tables: dict = None,
     for s, model, germ in zip(strata, models, germs):
         if germ.is_zero():
             continue  # skip by spectrum content only
-        key = _type_key(arr.n, model, germ)
+        key = _type_key(model, germ)
         coeffs = memo.get(key)
         if coeffs is None:
             coeffs = _stratum_contribution(germ, model, conv)

@@ -69,9 +69,6 @@ class RingElement:
             return NotImplemented
         return self.ring is other.ring and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash((id(self.ring), self.coeffs))
-
     def __add__(self, other):
         if not isinstance(other, RingElement):
             other = self.ring.scalar(other)
@@ -84,21 +81,12 @@ class RingElement:
         return _element(self.ring, [-a for a in self.coeffs])
 
     def __sub__(self, other):
-        if not isinstance(other, RingElement):
-            other = self.ring.scalar(other)
-        self._check(other)
-        return _element(self.ring, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __rsub__(self, other):
-        return (-self) + other
+        return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, RingElement):
             w = RatFuncY._coerce(other)
-            if not w.num:
-                return self.ring.zero()
-            return _element(self.ring, [a * w if a.num else a
-                                        for a in self.coeffs])
+            return _element(self.ring, [a * w for a in self.coeffs])
         self._check(other)
         return _element(self.ring, self.ring.mul_vectors(self.coeffs,
                                                          other.coeffs))

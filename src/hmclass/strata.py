@@ -307,18 +307,14 @@ class Label:
 _DIM_LETTER = {0: "P", 1: "L", 2: "F"}
 
 
-def _index_body(index_set) -> str:
-    one_based = [j + 1 for j in index_set]
-    if all(v <= 9 for v in one_based):
-        return "".join(str(v) for v in one_based)
-    return ".".join(str(v) for v in one_based)
-
-
 def _own_label_name(arr: Arrangement, edge: Edge) -> str:
+    """H, P, L, F or S<dim>, then the edge key: its commas dropped while
+    every index is one digit, else turned into dots."""
+    body = edge.key.replace(",", "" if edge.index_set[-1] < 9 else ".")
     if edge.codim == 1:
-        return f"H_{{{_index_body(edge.index_set)}}}"
+        return f"H_{{{body}}}"
     letter = _DIM_LETTER.get(arr.n - edge.codim, f"S{arr.n - edge.codim}")
-    return f"{letter}_{{{_index_body(edge.index_set)}}}"
+    return f"{letter}_{{{body}}}"
 
 
 class LabelSchema:

@@ -136,18 +136,25 @@ def code_generating_imports() -> list:
     return done.stdout.split()
 
 
+def fresh_run(*argv) -> tuple:
+    """The exit code and the stdout and stderr bytes of ``hmclass *argv``
+    in a fresh interpreter that imports hmclass from src."""
+    done = subprocess.run([sys.executable, "-m", "hmclass", *argv],
+                          capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    return done.returncode, done.stdout, done.stderr
+
+
 def main() -> int:
     loaded = code_generating_imports()
     print("importing the CLI loads:", loaded)
-    env = dict(os.environ, PYTHONPATH=str(SRC))
     failed = 0
     for pin in PINS:
-        done = subprocess.run([sys.executable, "-m", "hmclass", *pin.argv],
-                              capture_output=True, env=env)
-        if done.returncode or not matches(done.stdout, pin.golden):
+        code, out, err = fresh_run(*pin.argv)
+        if code or not matches(out, pin.golden):
             failed += 1
-            print(f"FAIL {pin.family}[{pin.name}] (exit {done.returncode}):",
-                  done.stderr.decode().strip())
+            print(f"FAIL {pin.family}[{pin.name}] (exit {code}):",
+                  err.decode().strip())
     print(f"{len(PINS) - failed}/{len(PINS)} pins match their goldens")
     return 1 if failed or loaded else 0
 

@@ -1,13 +1,9 @@
 import json
-import os
-import subprocess
-import sys
 import time
 from pathlib import Path
 
 import pytest
 
-import hmclass
 from hmclass.ambient import MAX_AMBIENT
 from hmclass.arrangement import MAX_MULTIPLICITY
 from hmclass.cli import _build_parser, main
@@ -64,6 +60,14 @@ class TestMilnorCommand:
                            "--conventions", "flip_odd_strata/res_(0,1]")
         assert payload["conventions"]["sign_mode"] == "flip_odd_strata"
         assert payload["cross_path"]["ok"] is False
+
+    def test_bad_conventions_exit_code(self):
+        # argparse refuses a value outside the four conventions with its
+        # usage message, before the input is read
+        code, out, err = pins.fresh_run("milnor", corpus_file("doubleline"),
+                                        "--conventions", "foo")
+        assert code == 2 and out == b""
+        assert b"invalid choice: 'foo'" in err and b"Traceback" not in err
 
     def test_byte_identical_runs(self, capsys):
         _, out1, _ = run(capsys, "milnor", corpus_file("fourplanes"))
@@ -317,8 +321,8 @@ class TestMilnorCommand:
             argv = ["milnor", corpus_file("concurrent3"), "--tables",
                     str(deep)]
             kind = "SpectrumError"
-        code, out, err = fresh_run(*argv)
-        assert code == 2 and out == "" and err.count("\n") == 1
+        code, out, err = pins.fresh_run(*argv)
+        assert code == 2 and out == b"" and err.count(b"\n") == 1
         error = json.loads(err)["error"]
         assert error["kind"] == kind
         assert error["message"].startswith("malformed JSON")
@@ -444,15 +448,6 @@ def test_pins_name_every_golden_and_catch_a_changed_byte(capsys):
         assert not pins.matches(changed, pin.golden)
 
 
-def fresh_run(*argv):
-    """Exit code, stdout and stderr of the command in a new interpreter."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(hmclass.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-m", "hmclass", *argv],
-                          capture_output=True, text=True, env=env)
-    return done.returncode, done.stdout, done.stderr
-
-
 def test_cli_import_generates_no_code():
     assert pins.code_generating_imports() == []
 
@@ -474,6 +469,7 @@ class TestParserReuse:
             except SystemExit as exc:
                 code = exc.code
             captured = capsys.readouterr()
-            assert (code, captured.out, captured.err) == fresh_run(*argv)
+            assert (code, captured.out.encode(),
+                    captured.err.encode()) == pins.fresh_run(*argv)
             codes.append(code)
         assert codes == [0, 0, 2, 0]

@@ -207,8 +207,9 @@ class TestIntegerKernel:
             assert z == 0 and hash(z) == hash(0)
 
     def test_arithmetic_against_sympy_with_fast_paths(self):
-        # zero, int, Fraction and constant operands take the kernel's fast
-        # paths; 1/2 + (1/3)y has mixed denominators
+        # zero, int and Fraction operands are coerced; the RatFuncY ones
+        # are zero, a constant, a constant over 1 + y, and 1/2 + (1/3)y
+        # with mixed denominators
         operands = [0, 1, -1, 5, Fraction(1, 2), Fraction(-3, 4), RatFuncY.ZERO,
                     RatFuncY([Fraction(2, 3)]), RatFuncY([-2], 1),
                     RatFuncY([Fraction(1, 2), Fraction(1, 3)])]
@@ -259,7 +260,7 @@ def random_coefficient(rng):
     return RatFuncY(num, rng.randint(0, 2))
 
 
-def random_unit(rng):
+def random_series_unit(rng):
     """A random unit c (1+y)^j of Q[y, 1/(1+y)]."""
     c = Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 3))
     return RatFuncY([c]) * RatFuncY.ONE_PLUS_Y ** rng.randint(-2, 2)
@@ -326,7 +327,7 @@ class TestSeries:
         rng = random.Random(900 + order)
         ring = ProjRing(order)
         for _ in range(6):
-            cs = [random_unit(rng)]
+            cs = [random_series_unit(rng)]
             cs += [random_coefficient(rng) for _ in range(order)]
             s = RingElement(ring, cs)
             got = s.inverse()

@@ -46,9 +46,9 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
-def signature(arr, model, tables=None):
+def signature(model, tables=None):
     """The type key of a stratum's model and germ."""
-    return _type_key(arr.n, model, stratum_germ(model.stratum, tables))
+    return _type_key(model, stratum_germ(model.stratum, tables))
 
 
 def chern_path(arr):
@@ -558,7 +558,7 @@ class TestRegroupedContribution:
             arr = corpus.load(name)
             before = len(calls)
             rep = assemble(arr)
-            signatures = {signature(arr, m) for m in rep.models}
+            signatures = {signature(m) for m in rep.models}
             assert len(calls) - before == len(signatures), name
             if name in ("triangle3", "fourplanes"):  # repeated local types
                 assert len(signatures) < len(rep.models), name
@@ -662,7 +662,7 @@ class TestOnePass:
         for path in self.files(tmp_path):
             arr = arrangement.Arrangement.load(path)
             strata_ = sigma_strata(arr)
-            signatures = {signature(arr, compactify(arr, s)) for s in strata_}
+            signatures = {signature(compactify(arr, s)) for s in strata_}
             with monkeypatch.context() as patch:
                 calls = self.counters(patch)
                 code = cli.main(["milnor", path])
@@ -838,7 +838,7 @@ class TestMemo:
                 rep, tables = self.check(arr, conv)
                 kinds.update(m.kind for m in rep.models)
                 repeats += len(rep.models) - len(
-                    {signature(arr, m, tables) for m in rep.models})
+                    {signature(m, tables) for m in rep.models})
         assert repeats
         assert kinds == ({"point", "curve"} if n == 2
                          else {"point", "curve", "surface"})

@@ -218,7 +218,7 @@ def test_type_key_is_sound():
                 germ = stratum_germ(s, tables)
                 if germ.is_zero():
                     continue
-                keys.add(_type_key(n, compactify(arr, s), germ))
+                keys.add(_type_key(compactify(arr, s), germ))
                 want = pushed_by_terms(arr, s, germ, conv, rep.schema)
                 assert rep.per_stratum[s.key] == want, (s.key, conv)
         seen[n] += 1
@@ -404,6 +404,38 @@ def test_dense_iff_nonzero_euler():
     check()
     assert all(seen[n, dense] for n in (2, 3, 4)
                for dense in (True, False)), seen
+
+
+def test_catalogue_germ_fixes_the_spectra_row_fields():
+    # the spectra report builds one row body per catalogue germ, so the
+    # germ must fix every stratum field the body reads: the dimension in
+    # one P^n, and the rank, degree, reducedness and Euler number in any
+    seen = Counter()
+    fields = {}
+
+    @settings(SETTINGS, max_examples=100)
+    @given(st.one_of(arrangements(), p4_arrangements()))
+    def check(case):
+        n, hyperplanes, _ = case
+        try:
+            arr = build(n, hyperplanes)
+        except ArrangementError:
+            reject()
+        germs = set()
+        for s in sigma_strata(arr):
+            germ = stratum_germ(s)
+            if germ is None:
+                continue
+            kept = fields.setdefault((n, germ), (s.dim, s.rank, s.m_s,
+                                                 s.reduced, s.euler))
+            assert (s.dim, s.rank, s.m_s, s.reduced, s.euler) == kept, \
+                (s.key, germ.describe())
+            seen["repeats"] += germ in germs
+            germs.add(germ)
+        seen[n] += 1
+
+    check()
+    assert seen[2] and seen[3] and seen[4] and seen["repeats"], seen
 
 
 def run_cli(argv) -> tuple:
