@@ -48,15 +48,13 @@ def hirzebruch_series(kind: str, order: int) -> RingElement:
     element of ProjRing(order).
 
     Q and Qtilde have constant term 1; R vanishes at 0 with linear
-    coefficient 1; Todd is Q specialized at y = 0.  Kept per process: the
-    inverse costs O(order^3), and a RingElement is never changed in place.
+    coefficient 1.  Kept per process: the inverse costs O(order^3), and a
+    RingElement is never changed in place.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     ring = ProjRing(order)
     h = ring.h if order else ring.zero()
-    if kind == "Todd":
-        return _todd_series(order)
     if kind == "Q":
         return compose_scale(_todd_series(order), _ONE_PLUS_Y) - h * _Y
     if kind == "Qtilde":

@@ -208,65 +208,63 @@ def _breaks(lo: int, hi: int, a: int, b: int, m: int) -> list:
     return []
 
 
-def _germ_runs(germ, codim: int, m_s: int) -> dict:
-    """The germ spectrum read in its own frame, by p = floor(codim - alpha):
-    p -> runs (q, lo, hi, a, b), the summed multiplicity of the exponents
-    at p with Deligne power k = q c being a + b c for lo <= c <= hi.
+def _line_sums(germ, model: StratumModel, mode: str) -> dict:
+    """The germ spectrum read in its own frame, by p = floor(codim - alpha),
+    and summed over its Deligne powers: p -> the sum of N_k 2 ch(L_k) =
+    N_k (2 + 2 D_k + D_k^2) over the exponents at p, with D_k = k base +
+    the sum of t_r(k) D_r over the residues r, for the twist
+    t_r(k) = floor((k r + b0) / m_s) + c0.
 
     Every germ, catalogue class or user table, gives its exponents as runs
-    codim - p - c/e, and the exponent at c has k = c m_s/e: e(k/m_s) =
-    e(-alpha) with k/m_s in [0,1).  In the window (0,1] the power k = 0
-    stands for k = m_s: the twists of (0,1] give both the class -D, since
-    m_s times the base class is minus the residue-weighted boundary, so
-    the window enters only through the twists."""
-    if germ.frame != ("germ", codim):
-        raise SpectrumError(f"expected the germ frame ('germ', {codim}), "
-                            f"got {germ.frame}")
-    e = germ.e
-    if m_s % e:
-        raise SpectrumError(f"denominator lcm {e} does not divide m_s = {m_s}")
-    out = {}
-    for p, lo, hi, a, b in germ.runs():
-        if lo <= hi:
-            out.setdefault(p, []).append((m_s // e, lo, hi, a, b))
-    return out
-
-
-def _line_sum(model: StratumModel, runs: list, mode: str) -> tuple:
-    """Sum of N_k 2 ch(L_k) = N_k (2 + 2 D_k + D_k^2) over the Deligne
-    powers of the runs, with D_k = k base + the sum of t_r(k) D_r over the
-    residues r, for the twist t_r(k) = floor((k r + b0) / m_s) + c0.
+    codim - p - c/e with multiplicity a + b c for lo <= c <= hi, and the
+    exponent at c has k = q c for q = m_s/e: e(k/m_s) = e(-alpha) with
+    k/m_s in [0,1).  In the window (0,1] the power k = 0 stands for
+    k = m_s: the twists of (0,1] give both the class -D, since m_s times
+    the base class is minus the residue-weighted boundary, so the window
+    enters only through the twists.
 
     The powers are cut where some twist breaks: each twist is linear in c
     between breaks, with the slope that leaves fewer of them (at most
-    min(r, e - r) for the powers c m_s/e), and so is D_k = U + V c.  On a
-    point or a curve the products of U and V vanish in the ring."""
-    ring, m_s = model.ring, model.m_s
+    min(r, e - r) for the powers q c), and so is D_k = U + V c.  The
+    slopes and V depend on q alone, so they are built once per germ.  On
+    a point or a curve the products of U and V vanish in the ring."""
+    codim = model.edge.codim
+    if germ.frame != ("germ", codim):
+        raise SpectrumError(f"expected the germ frame ('germ', {codim}), "
+                            f"got {germ.frame}")
+    m_s, e = model.m_s, germ.e
+    if m_s % e:
+        raise SpectrumError(f"denominator lcm {e} does not divide m_s = {m_s}")
+    q = m_s // e
+    ring = model.ring
     size, mul = len(ring.names), ring.mul_vectors
-    base, groups = model.deligne_base_vector, model.twist_classes
+    groups = model.twist_classes
     b0, c0 = twist_offsets(m_s, mode)
-    terms = []
-    const = 0
-    for q, lo, hi, a, b in runs:
-        slopes = [(q * r) // m_s + (2 * (q * r % m_s) > m_s)
-                  for r, _ in groups]
+    slopes = [(q * r) // m_s + (2 * (q * r % m_s) > m_s) for r, _ in groups]
+    steps = [(q * r - s * m_s, cls) for s, (r, cls) in zip(slopes, groups)]
+    v = combine(size, 0, [(q, model.deligne_base_vector)]
+                + [(s, cls) for s, (_, cls) in zip(slopes, groups)])
+    vv = mul(v, v)
+    sums = {}  # p -> the constant and the (coefficient, class) terms
+    for p, lo, hi, a, b in germ.runs():
+        if lo > hi:
+            continue
         cuts = {lo}
-        for s, (r, _) in zip(slopes, groups):
-            cuts.update(_breaks(lo, hi, q * r - s * m_s, b0, m_s))
-        v = combine(size, 0, [(q, base)] + [(s, cls) for s, (_, cls)
-                                            in zip(slopes, groups)])
-        vv = mul(v, v)
+        for step, _ in steps:
+            cuts.update(_breaks(lo, hi, step, b0, m_s))
         cuts = sorted(cuts) + [hi + 1]
+        const, terms = sums.get(p, (0, []))
         for start, end in zip(cuts, cuts[1:]):
-            u = combine(size, 0, [((start * (q * r - s * m_s) + b0) // m_s
-                                   + c0, cls)
-                                  for s, (r, cls) in zip(slopes, groups)])
+            u = combine(size, 0, [((start * step + b0) // m_s + c0, cls)
+                                  for step, cls in steps])
             p0, p1, p2, p3 = _power_sums(start, end - 1)
             n0, n1, n2 = a * p0 + b * p1, a * p1 + b * p2, a * p2 + b * p3
             const += 2 * n0
             terms += [(2 * n0, u), (2 * n1, v), (n0, mul(u, u)),
                       (2 * n1, mul(u, v)), (n2, vv)]
-    return combine(size, const, terms)
+        sums[p] = const, terms
+    return {p: combine(size, const, terms)
+            for p, (const, terms) in sums.items()}
 
 
 def _stratum_contribution(germ, model: StratumModel,
@@ -283,12 +281,10 @@ def _stratum_contribution(germ, model: StratumModel,
     integer vectors, times 48 = 2 * 2 * 12: 2 ch(L_k) summed over k per p,
     its products with 2 ch(Omega^q) per power of y, each times 12 td; y
     enters as each coefficient is built."""
-    codim = model.edge.codim
-    ring, mode = model.ring, conv.extension_mode
+    codim, ring = model.edge.codim, model.ring
     size, mul = len(ring.names), ring.mul_vectors
     buckets = {}  # j -> the (sign, class) terms of y^j, before the Todd class
-    for p, runs in _germ_runs(germ, codim, model.m_s).items():
-        line = _line_sum(model, runs, mode)
+    for p, line in _line_sums(germ, model, conv.extension_mode).items():
         sign = -1 if (p + codim - 1) % 2 else 1
         for q, ch_q in enumerate(model.log_ch2):
             buckets.setdefault(p + q, []).append((sign, mul(line, ch_q)))
@@ -300,18 +296,22 @@ def _stratum_contribution(germ, model: StratumModel,
 
 def _type_key(model: StratumModel, germ) -> tuple:
     """Everything a stratum's contribution depends on within one report,
-    where n, m and the conventions are fixed: the model's dimension and
-    m_s (its kind and its degree m - m_s away from the stratum follow),
-    and the germ as the contribution reads it, its frame, e and runs.  On
-    a point or a curve the boundary enters only through the multiset of
-    its (source, m_sub, m_res).  On a surface it also matters which
-    boundary lines pass through which blown points, so a surface's key
-    names its edge and matches no other stratum."""
-    if model.kind == "surface":
+    where n, m and the conventions are fixed, as lattice integers and the
+    germ's runs: the model's dimension and m_s, the sorted m_sub of its
+    boundary, and the germ's e and runs.  The rest follows within the
+    report: the kind, the degree m - m_s away from the stratum, and the
+    germ frame ('germ', n - dim), the only one a contribution reads.  A
+    point has no boundary.  On a curve every edge component has m_sub >= 1,
+    since a point above the curve lies on more hyperplanes, and residue
+    m_sub mod m_s; the one infinity component has m_sub = 0 and residue
+    (-m) mod m_s.  So the m_sub fix each component's source and m_res.  On
+    a surface it also matters which boundary lines pass through which
+    blown points, so a surface's key names its edge and matches no other
+    stratum."""
+    if model.dim == 2:
         return ("surface", model.edge.index_set)
-    boundary = sorted((c.source, c.m_sub, c.m_res) for c in model.boundary)
-    return (model.dim, model.m_s, tuple(boundary),
-            (germ.frame, germ.e, germ.runs()))
+    m_sub = tuple(sorted(c.m_sub for c in model.boundary))
+    return model.dim, model.m_s, m_sub, germ.e, germ.runs()
 
 
 def _add_into(totals: dict, vec: SigmaChowVector):

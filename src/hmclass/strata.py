@@ -326,19 +326,12 @@ class LabelSchema:
     to the label of its closure's fundamental class; shared maps a degree
     to its shared label."""
 
-    def __init__(self, n: int, labels: tuple, fundamental: dict,
-                 shared: dict):
-        self.n, self.labels = n, labels
+    def __init__(self, labels: tuple, fundamental: dict, shared: dict):
+        self.labels = labels
         self.fundamental, self.shared = fundamental, shared
 
     def names(self) -> list:
         return [l.name for l in self.labels]
-
-    def resolve_push(self, edge: Edge, k: int) -> str:
-        dim = self.n - edge.codim
-        if k > dim:
-            raise StrataError(f"degree {k} exceeds stratum dimension {dim}")
-        return self.fundamental[edge.key] if k == dim else self.shared[k]
 
 
 def build_labels(arr: Arrangement) -> LabelSchema:
@@ -367,7 +360,7 @@ def build_labels(arr: Arrangement) -> LabelSchema:
             fundamental[e.key] = shared[n - e.codim]
     # canonical order: degree descending, own labels before the shared one
     labels = own + [Label(name, k) for k, name in shared.items()]
-    return LabelSchema(n, tuple(labels), fundamental, shared)
+    return LabelSchema(tuple(labels), fundamental, shared)
 
 
 class SigmaChowVector:
@@ -420,18 +413,20 @@ class SigmaChowVector:
 def push_to_sigma(schema: LabelSchema, model: StratumModel,
                   coeffs) -> dict:
     """Push a model class, given by its coefficients (ints or RatFuncY) in
-    the model basis, to the labeled Chow basis: label -> summed
-    coefficient.  A basis class of cohomological degree j sits in homology
-    degree dim - j: the fundamental part lands on the closure's own or
-    shared label, lower parts land on the shared label of their degree,
-    exceptional-curve classes contract to zero."""
+    the model basis, to the labeled Chow basis: label -> coefficient.  A
+    basis class of cohomological degree j sits in homology degree dim - j:
+    the fundamental class lands on the label of the stratum's closure,
+    each lower class on the shared label of its degree, and the
+    exceptional curves, at positions 2 to 1 + len(point_ids) of a
+    surface's basis, contract to zero.  The classes left have one
+    homology degree each, so no two land on one label."""
     ring = model.ring
+    blown = range(2, 2 + len(ring.point_ids))
     out = {}
-    for c, name, deg in zip(coeffs, ring.names, ring.degrees):
-        if not c or name.startswith("eps"):
-            continue  # exceptional curves contract
-        label = schema.resolve_push(model.edge, ring.dim - deg)
-        out[label] = out[label] + c if label in out else c
+    for i, (c, deg) in enumerate(zip(coeffs, ring.degrees)):
+        if c and i not in blown:
+            out[schema.shared[ring.dim - deg] if deg
+                else schema.fundamental[model.edge.key]] = c
     return out
 
 

@@ -41,7 +41,7 @@ from hmclass.arrangement import (LocalizedArrangement, chi_y_pn,
                                  euler_by_inclusion_exclusion, localize,
                                  milnor_fiber_chi, sigma_strata)
 from hmclass.coeffs import RatFuncY
-from hmclass.genera import hirzebruch_series
+from hmclass.genera import _todd_series, hirzebruch_series
 from hmclass.rings import ProjRing, Ring, RingElement, exp_nilpotent
 from hmclass.spectra import (Spectrum, SpectrumError, classify_germ, sp_shift,
                              sp_user_load, sp_validate, stratum_germ,
@@ -309,7 +309,9 @@ def log_tangent_by_chern(model) -> RingElement:
 def chern_milnor_by_classes(arr) -> SigmaChowVector:
     """The Euler-weighted Chern path with RatFuncY classes: per stratum,
     chi~ of its Milnor fiber times log_tangent_by_chern, pushed basis class
-    by basis class to its label, exceptional curves contracting."""
+    by basis class to its label, exceptional curves contracting.  The
+    placement is the oracle's own: the codegree-0 class on the label of
+    the stratum's closure, every other on the shared label of its degree."""
     schema = build_labels(arr)
     out = {}
     for s in sigma_strata(arr):
@@ -319,7 +321,8 @@ def chern_milnor_by_classes(arr) -> SigmaChowVector:
         cls = log_tangent_by_chern(model) * chi_tilde
         for c, name, deg in zip(cls.coeffs, ring.names, ring.degrees):
             if not name.startswith("eps"):
-                label = schema.resolve_push(s.edge, ring.dim - deg)
+                label = (schema.shared[ring.dim - deg] if deg
+                         else schema.fundamental[s.edge.key])
                 out[label] = out.get(label, RatFuncY.ZERO) + c
     return SigmaChowVector(schema, out)
 
@@ -383,8 +386,10 @@ def class_from_roots(ring: Ring, roots, kind: str) -> RingElement:
     """Product over Chern roots of the chosen series, truncated by the ring.
 
     Roots must be degree-1 ring elements; an empty root list gives 1.
+    kind is a hirzebruch_series kind, or "Todd" for the Todd series.
     """
-    series = hirzebruch_series(kind, ring.dim)
+    series = (_todd_series(ring.dim) if kind == "Todd"
+              else hirzebruch_series(kind, ring.dim))
     result = ring.one()
     for root in roots:
         value = ring.zero()

@@ -230,6 +230,40 @@ def test_type_key_is_sound():
     assert seen["tables"] and seen["repeats"], seen
 
 
+def test_each_class_pushes_to_a_label_of_its_own():
+    # every basis class but the exceptional curves lands on a label of its
+    # own, so the all-ones vector pushes to 1 on each of those labels, and
+    # the codegree-0 class lands on the label of the stratum's closure
+    seen = Counter()
+
+    @SETTINGS
+    @given(st.one_of(arrangements(), p4_arrangements()))
+    def check(case):
+        n, hyperplanes = case[:2]
+        try:
+            arr = build(n, hyperplanes)
+        except ArrangementError:
+            reject()
+        schema = build_labels(arr)
+        for s in sigma_strata(arr):
+            model = compactify(arr, s)
+            ring = model.ring
+            size = len(ring.names)
+            units = [push_to_sigma(schema, model,
+                                   [int(i == j) for i in range(size)])
+                     for j in range(size)]
+            labels = [name for pushed in units for name in pushed]
+            assert len(set(labels)) == len(labels), s.key
+            assert len(labels) == size - len(ring.point_ids), s.key
+            assert (push_to_sigma(schema, model, [1] * size)
+                    == dict.fromkeys(labels, 1)), s.key
+            assert units[0] == {schema.fundamental[s.key]: 1}, s.key
+            seen[model.kind, bool(ring.point_ids)] += 1
+
+    check()
+    assert seen["surface", True] and seen["surface", False], seen
+
+
 @st.composite
 def unimodular(draw, size):
     """A product of one to six elementary integer matrices I + t E_ij."""
