@@ -286,15 +286,15 @@ class Lattice:
     @cached_property
     def chi_y_open(self) -> tuple:
         """Per position, the integer coefficients of chi_y of the edge's
-        open stratum, top down by additivity: chi_y(P^d) minus chi_y of
-        every open stratum strictly above the edge."""
+        open stratum as a tuple, top down by additivity: chi_y(P^d) minus
+        chi_y of every open stratum strictly above the edge."""
         out = [None] * len(self.edges)
         for i in reversed(range(len(self.edges))):
             cs = [(-1) ** p for p in range(self.n - self.edges[i].codim + 1)]
             for f in self.strictly_above[i]:
                 for p, c in enumerate(out[f]):
                     cs[p] -= c
-            out[i] = cs
+            out[i] = tuple(cs)
         return tuple(out)
 
 

@@ -9,7 +9,9 @@ exit codes: 0 success, 1 validation failure, 2 malformed input.
 The lattice report reads each edge's density from the lattice's Euler
 table (dense exactly when the Euler number is nonzero, by Crapo's
 theorem), and the spectra report builds a catalogue row's spectrum,
-shift and validation once per germ type.
+shift and validation once per germ type, and reports a user table's
+verdict from its load.  The chi-y report renders each distinct
+open-stratum value once.
 """
 
 from __future__ import annotations
@@ -145,17 +147,22 @@ def cmd_spectra(args) -> int:
         elif isinstance(germ, GermKind):
             body = bodies.get(germ)
             if body is None:
+                sp = germ.spectrum()
                 body = bodies[germ] = _spectrum_body(
-                    germ.describe(), germ.spectrum(), s, arr.n)
+                    germ.describe(), sp, s, arr.n, sp_validate(sp, s))
             row.update(body)
         else:
-            row.update(_spectrum_body("user_table", germ, s, arr.n))
+            # sp_user_load validated the table against this same
+            # localization and rejected any failure
+            row.update(_spectrum_body("user_table", germ, s, arr.n,
+                                      {"ok": True, "failures": []}))
         rows.append(row)
     _emit(_dumps({"n": arr.n, "m": arr.m, "strata": rows}), args.out)
     return EXIT_OK
 
 
-def _spectrum_body(source: str, sp, stratum, n: int) -> dict:
+def _spectrum_body(source: str, sp, stratum, n: int,
+                   validation: dict) -> dict:
     """The fields of a spectra row after the stratum's own: the spectrum's
     source, its entries in the germ and the stratum frames, and the
     validators' verdict against the stratum's localization."""
@@ -163,7 +170,7 @@ def _spectrum_body(source: str, sp, stratum, n: int) -> dict:
         "source": source,
         "germ": sp.to_json(),
         "stratum_frame": sp_shift(sp, stratum, n).to_json(),
-        "validation": sp_validate(sp, stratum),
+        "validation": validation,
     }
 
 
@@ -188,9 +195,17 @@ def cmd_virtual(args) -> int:
 
 def cmd_chi_y(args) -> int:
     arr = Arrangement.load(args.input)
-    # chi_y of the divisor is the sum over its strata, one per edge
-    per = {e.key: chi_y_stratum(arr, e).as_strings()
-           for e in arr.lattice.edges}
+    # chi_y of the divisor is the sum over its strata, one per edge; the
+    # lattice holds each open stratum's chi_y as an integer tuple, and each
+    # distinct tuple is rendered once
+    lattice = arr.lattice
+    texts = {}
+    per = {}
+    for e, cs in zip(lattice.edges, lattice.chi_y_open):
+        text = texts.get(cs)
+        if text is None:
+            text = texts[cs] = chi_y_stratum(arr, e).as_strings()
+        per[e.key] = text
     value = chi_y(arr)
     payload = {
         "n": arr.n,

@@ -3,12 +3,14 @@
 The class is summed stratum by stratum from spectrum multiplicities,
 Deligne-extension line bundles twisted by logarithmic cotangent powers,
 and the scaled Todd transformation, then pushed into the labeled Chow
-basis of the singular locus.  Both sums stay coefficient vectors in the
-model basis: integers until each RatFuncY coefficient is built.  Every
-germ, catalogue class or user table, is read as runs of exponents whose
-multiplicities are linear in c, and summed over the Deligne powers
-between the breaks of each twist, so no spectrum is listed; each distinct
-local type is computed once per report.  An
+basis of the singular locus.  Every germ, catalogue class or user table,
+is read as runs of exponents whose multiplicities are linear in c, and
+summed over the Deligne powers between the breaks of each twist, so no
+spectrum is listed; each distinct local type is computed once per report.
+A point or a curve contributes from a few integers per power of y: the
+summed multiplicities, their twist degrees and its boundary count.  A
+surface's sums stay integer coefficient vectors in its model's basis
+until each RatFuncY coefficient is built.  An
 independent Euler-weighted Chern path provides the cross-check at
 y = -1, and a degree-zero comparison against the virtual-genus
 difference is always reported.  The one unprintable
@@ -208,12 +210,58 @@ def _breaks(lo: int, hi: int, a: int, b: int, m: int) -> list:
     return []
 
 
+def _germ_q(germ, model: StratumModel) -> int:
+    """q = m_s/e, the Deligne power per step of c in the germ's runs, after
+    checking that the germ is read in its own frame ('germ', codim) and
+    that e divides m_s."""
+    codim = model.edge.codim
+    if germ.frame != ("germ", codim):
+        raise SpectrumError(f"expected the germ frame ('germ', {codim}), "
+                            f"got {germ.frame}")
+    m_s, e = model.m_s, germ.e
+    if m_s % e:
+        raise SpectrumError(f"denominator lcm {e} does not divide m_s = {m_s}")
+    return m_s // e
+
+
+def _twist_slopes(q: int, m_s: int, residues) -> list:
+    """(slope, step) per residue r: the twist at the power q c is slope c
+    plus floor((step c + b0) / m_s) + c0, with the slope that leaves
+    fewer breaks (at most min(r, e - r))."""
+    out = []
+    for r in residues:
+        slope = (q * r) // m_s + (2 * (q * r % m_s) > m_s)
+        out.append((slope, q * r - slope * m_s))
+    return out
+
+
+def _segments(runs, twists, m_s: int, mode: str):
+    """The runs (p, lo, hi, a, b) cut where some twist breaks, for the
+    (slope, step) twists: per segment, p, the constant part
+    floor((start step + b0) / m_s) + c0 of each twist, and n_i = the sum of
+    (a + b c) c^i over its c, for i = 0..2."""
+    b0, c0 = twist_offsets(m_s, mode)
+    for p, lo, hi, a, b in runs:
+        if lo > hi:
+            continue
+        cuts = {lo}
+        for _, step in twists:
+            cuts.update(_breaks(lo, hi, step, b0, m_s))
+        cuts = sorted(cuts) + [hi + 1]
+        for start, end in zip(cuts, cuts[1:]):
+            p0, p1, p2, p3 = _power_sums(start, end - 1)
+            yield (p, [(start * step + b0) // m_s + c0 for _, step in twists],
+                   a * p0 + b * p1, a * p1 + b * p2, a * p2 + b * p3)
+
+
 def _line_sums(germ, model: StratumModel, mode: str) -> dict:
     """The germ spectrum read in its own frame, by p = floor(codim - alpha),
     and summed over its Deligne powers: p -> the sum of N_k 2 ch(L_k) =
-    N_k (2 + 2 D_k + D_k^2) over the exponents at p, with D_k = k base +
-    the sum of t_r(k) D_r over the residues r, for the twist
-    t_r(k) = floor((k r + b0) / m_s) + c0.
+    N_k (2 + 2 D_k + D_k^2) over the exponents at p, as an integer vector
+    in the model basis, with D_k = k base + the sum of t_r(k) D_r over the
+    residues r, for the twist t_r(k) = floor((k r + b0) / m_s) + c0.  The
+    ring path of a surface reads it; on a point or a curve the tests read
+    it as the oracle of the integer path.
 
     Every germ, catalogue class or user table, gives its exponents as runs
     codim - p - c/e with multiplicity a + b c for lo <= c <= hi, and the
@@ -224,45 +272,23 @@ def _line_sums(germ, model: StratumModel, mode: str) -> dict:
     enters only through the twists.
 
     The powers are cut where some twist breaks: each twist is linear in c
-    between breaks, with the slope that leaves fewer of them (at most
-    min(r, e - r) for the powers q c), and so is D_k = U + V c.  The
-    slopes and V depend on q alone, so they are built once per germ.  On
-    a point or a curve the products of U and V vanish in the ring."""
-    codim = model.edge.codim
-    if germ.frame != ("germ", codim):
-        raise SpectrumError(f"expected the germ frame ('germ', {codim}), "
-                            f"got {germ.frame}")
-    m_s, e = model.m_s, germ.e
-    if m_s % e:
-        raise SpectrumError(f"denominator lcm {e} does not divide m_s = {m_s}")
-    q = m_s // e
+    between breaks, and so is D_k = U + V c.  The slopes and V depend on
+    q alone, so they are built once per germ."""
+    q, m_s = _germ_q(germ, model), model.m_s
     ring = model.ring
     size, mul = len(ring.names), ring.mul_vectors
     groups = model.twist_classes
-    b0, c0 = twist_offsets(m_s, mode)
-    slopes = [(q * r) // m_s + (2 * (q * r % m_s) > m_s) for r, _ in groups]
-    steps = [(q * r - s * m_s, cls) for s, (r, cls) in zip(slopes, groups)]
+    twists = _twist_slopes(q, m_s, [r for r, _ in groups])
     v = combine(size, 0, [(q, model.deligne_base_vector)]
-                + [(s, cls) for s, (_, cls) in zip(slopes, groups)])
+                + [(s, cls) for (s, _), (_, cls) in zip(twists, groups)])
     vv = mul(v, v)
     sums = {}  # p -> the constant and the (coefficient, class) terms
-    for p, lo, hi, a, b in germ.runs():
-        if lo > hi:
-            continue
-        cuts = {lo}
-        for step, _ in steps:
-            cuts.update(_breaks(lo, hi, step, b0, m_s))
-        cuts = sorted(cuts) + [hi + 1]
+    for p, t, n0, n1, n2 in _segments(germ.runs(), twists, m_s, mode):
+        u = combine(size, 0, zip(t, (cls for _, cls in groups)))
         const, terms = sums.get(p, (0, []))
-        for start, end in zip(cuts, cuts[1:]):
-            u = combine(size, 0, [((start * step + b0) // m_s + c0, cls)
-                                  for step, cls in steps])
-            p0, p1, p2, p3 = _power_sums(start, end - 1)
-            n0, n1, n2 = a * p0 + b * p1, a * p1 + b * p2, a * p2 + b * p3
-            const += 2 * n0
-            terms += [(2 * n0, u), (2 * n1, v), (n0, mul(u, u)),
-                      (2 * n1, mul(u, v)), (n2, vv)]
-        sums[p] = const, terms
+        terms += [(2 * n0, u), (2 * n1, v), (n0, mul(u, u)),
+                  (2 * n1, mul(u, v)), (n2, vv)]
+        sums[p] = const + 2 * n0, terms
     return {p: combine(size, const, terms)
             for p, (const, terms) in sums.items()}
 
@@ -271,6 +297,56 @@ def _stratum_contribution(germ, model: StratumModel,
                           conv: ConventionSet) -> list:
     """Sum over exponents and cotangent powers for one stratum, with the
     degree scaling already applied: one RatFuncY per model basis class.
+
+    A surface takes the ring path.  On a point or a curve the sum is a
+    few integers per p, with the sign s_p = (-1)^(p + codim - 1):
+    A_p = the sum of the multiplicities a + b c at p, and on a curve
+    B_p = the sum of (a + b c) deg L_(qc), where deg L_k = beta k + the
+    sum of n_r t_r(k) over the residues r, n_r components having residue
+    r, and beta = floor(-(m - m_s)/m_s) + the sum of floor(m_sub/m_s) over
+    the edge components is the degree of the base class.  On P^1, 12 td =
+    (12, 12), 2 ch(Omega^0) = (2, 0), 2 ch(Omega^1(log D)) =
+    (2, 2 (b - 2)) for b boundary components, infinity included, and
+    2 ch(L_k) = (2, 2 deg L_k), and products of degree-1 classes vanish.
+    So the fundamental class is the sum of s_p A_p y^p (the (1+y)^-1 of
+    its degree scaling cancels), and the point class of a curve the sum of
+    s_p ((A_p + B_p) y^p + (B_p + (b - 1) A_p) y^(p+1))."""
+    if model.dim == 2:
+        return _ring_contribution(germ, model, conv)
+    q, m_s, boundary = _germ_q(germ, model), model.m_s, model.boundary
+    counts = {}  # residue -> the number of components with it
+    beta = -model.out_degree // m_s if model.dim else 0
+    for c in boundary:
+        counts[c.m_res] = counts.get(c.m_res, 0) + 1
+        if c.source != "infinity":
+            beta += c.m_sub // m_s
+    residues = sorted(counts)
+    twists = _twist_slopes(q, m_s, residues)
+    n_r = [counts[r] for r in residues]
+    v = q * beta + sum(s * n for (s, _), n in zip(twists, n_r))
+    sums = {}  # p -> A_p, B_p
+    for p, t, n0, n1, _ in _segments(germ.runs(), twists, m_s,
+                                     conv.extension_mode):
+        a_p, b_p = sums.get(p, (0, 0))
+        u = sum(x * n for x, n in zip(t, n_r))
+        sums[p] = a_p + n0, b_p + n0 * u + n1 * v
+    codim, b_d = model.edge.codim, len(boundary)
+    fundamental = [0] * (max(sums) + 2)
+    point = fundamental[:]
+    for p, (a_p, b_p) in sums.items():
+        sign = -1 if (p + codim - 1) % 2 else 1
+        fundamental[p] += sign * a_p
+        point[p] += sign * (a_p + b_p)
+        point[p + 1] += sign * (b_p + (b_d - 1) * a_p)
+    if not model.dim:
+        return [RatFuncY.from_ints(fundamental)]
+    return [RatFuncY.from_ints(fundamental), RatFuncY.from_ints(point)]
+
+
+def _ring_contribution(germ, model: StratumModel,
+                       conv: ConventionSet) -> list:
+    """The contribution of a stratum through its model's ring, on any
+    dimension; assembly takes it on surfaces only.
 
     germ is a catalogue GermKind or a table's Spectrum, both read through
     their runs in their own frame: alpha stands at p = floor(codim - alpha)

@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 import sys
@@ -6,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from hmclass import ambient, arrangement, cli, corpus, milnor, strata
+from hmclass import (ambient, arrangement, cli, corpus, milnor, spectra,
+                     strata)
 from hmclass.arrangement import (ArrangementError, build, localize,
                                  milnor_fiber_chi, sigma_strata)
 from hmclass.coeffs import RatFuncY
@@ -646,6 +648,7 @@ class TestOnePass:
                                      (arrangement, "LocalizedArrangement"),
                                      (arrangement, "chi_y_stratum"),
                                      (strata, "compactify"),
+                                     (spectra, "sp_validate"),
                                      (milnor, "_stratum_contribution"))}
 
     def files(self, tmp_path):
@@ -701,6 +704,38 @@ class TestOnePass:
             shared |= len(keys) < len(weighed)
         assert shared  # some report has strata of one shape
 
+    def test_milnor_ring_path_for_surfaces_only(self, monkeypatch, capsys):
+        # a point or a curve contributes from integers: the ring path and
+        # the model classes it reads are built once per surface
+        # contribution, and never for a point or a curve
+        surfaces = 0
+        for name in corpus.ALL_NAMES:
+            rep = assemble(corpus.load(name))
+            want = sorted(m.edge.key for m in rep.models if m.dim == 2)
+            with monkeypatch.context() as patch:
+                ring = count_calls(patch, milnor, "_ring_contribution")
+                built = {}
+                for attr in ("log_ch2", "todd12", "twist_classes",
+                             "deligne_base_vector"):
+                    real = getattr(strata.StratumModel, attr).func
+                    built[attr] = []
+
+                    def counting(model, real=real, log=built[attr]):
+                        log.append(model.edge.key)
+                        return real(model)
+
+                    prop = functools.cached_property(counting)
+                    prop.__set_name__(strata.StratumModel, attr)
+                    patch.setattr(strata.StratumModel, attr, prop)
+                code = cli.main(["milnor", str(corpus.corpus_path(name))])
+                assert code == 0, capsys.readouterr().err
+            assert sorted(model.edge.key for _, model, _ in ring) == want, \
+                name
+            for attr, keys in built.items():
+                assert sorted(keys) == want, (name, attr)
+            surfaces += len(want)
+        assert surfaces  # doubleplane3 has a surface stratum
+
     def test_spectra(self, monkeypatch, tmp_path, capsys):
         for path in self.files(tmp_path):
             arr = arrangement.Arrangement.load(path)
@@ -732,9 +767,12 @@ class TestOnePass:
                 code = cli.main(["chi-y", path])
                 assert code == 0, capsys.readouterr().err
             assert len(calls["_search_edges"]) == 1, path
-            assert len(calls["chi_y_stratum"]) == len(arr.lattice.edges), path
+            # one chi_y per distinct open-stratum value, not per edge
+            assert len(calls["chi_y_stratum"]) == \
+                len(set(arr.lattice.chi_y_open)), path
             assert not calls["LocalizedArrangement"], path
         assert len(corpus.load("quad6a").lattice.edges) == 13
+        assert len(set(corpus.load("quad6a").lattice.chi_y_open)) < 13
 
     @pytest.mark.parametrize("command", ["milnor", "spectra"])
     def test_user_tables(self, monkeypatch, tmp_path, capsys, command):
@@ -755,6 +793,11 @@ class TestOnePass:
             assert code == 0, capsys.readouterr().err
         assert len(calls["_search_edges"]) == 1
         assert len(calls["LocalizedArrangement"]) == len(sigma_strata(arr))
+        # the table is validated once, on load, and a spectra report
+        # validates each catalogue germ once
+        germs = {stratum_germ(s) for s in sigma_strata(arr)} - {None}
+        assert len(calls["sp_validate"]) == 1 + (
+            len(germs) if command == "spectra" else 0)
 
     def test_virtual_class_once_per_degree_and_dimension(self, monkeypatch,
                                                          capsys):

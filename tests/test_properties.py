@@ -30,8 +30,8 @@ from hmclass.coeffs import RatFuncY
 from hmclass.corpus import ALL_NAMES, corpus_path
 from hmclass.milnor import (ALL_CONVENTIONS, DEFAULT_CONVENTIONS,
                             MissingSpectrumError, _chern_key,
-                            _stratum_contribution, _type_key, assemble,
-                            chern_milnor)
+                            _ring_contribution, _stratum_contribution,
+                            _type_key, assemble, chern_milnor)
 from hmclass.rings import BlownPlaneRing, ProjRing, RingElement
 from hmclass.spectra import GermKind, stratum_germ
 from hmclass.strata import (SigmaChowVector, build_labels, compactify,
@@ -228,6 +228,40 @@ def test_type_key_is_sound():
     check()
     assert seen[2] and seen[3] and seen[4], seen
     assert seen["tables"] and seen["repeats"], seen
+
+
+def test_integer_path_matches_ring_path_on_points_and_curves():
+    # a point's or a curve's contribution, summed in integers, against the
+    # same sum through the model's ring, catalogue germs and user tables
+    # alike, under every convention
+    seen = Counter()
+
+    @SETTINGS
+    @given(st.one_of(arrangements(), p4_arrangements()))
+    def check(case):
+        n, hyperplanes, _ = case
+        try:
+            arr = build(n, hyperplanes)
+        except ArrangementError:
+            reject()
+        tables = generated_tables(arr)
+        for s in sigma_strata(arr):
+            germ = stratum_germ(s, tables)
+            model = compactify(arr, s)
+            if germ.is_zero() or model.dim == 2:
+                continue
+            for conv in ALL_CONVENTIONS:
+                assert (_stratum_contribution(germ, model, conv)
+                        == _ring_contribution(germ, model, conv)), (s.key,
+                                                                    conv)
+            seen[model.kind] += 1
+            seen["tables"] += s.key in tables
+            seen["curve, several residues"] += model.dim == 1 and len(
+                {c.m_res for c in model.boundary}) > 1
+
+    check()
+    assert all(seen[k] for k in ("point", "curve", "tables",
+                                 "curve, several residues")), seen
 
 
 def test_each_class_pushes_to_a_label_of_its_own():
