@@ -35,7 +35,6 @@ __all__ = [
     "in_sigma",
     "sigma_strata",
     "chi_y",
-    "chi_y_stratum",
     "chi_y_pn",
     "euler_by_inclusion_exclusion",
 ]
@@ -228,19 +227,14 @@ class Edge:
     def __init__(self, index_set: tuple, codim: int, m_s: int):
         self.index_set, self.codim, self.m_s = index_set, codim, m_s
 
-    def __eq__(self, other):
-        if not isinstance(other, Edge):
-            return NotImplemented
-        return (self.index_set, self.codim, self.m_s) == (
-            other.index_set, other.codim, other.m_s)
-
-    def __hash__(self):
-        return hash((self.index_set, self.codim, self.m_s))
-
     @cached_property
     def key(self) -> str:
         """The 1-based index set as text, built on first read and kept on
-        the instance; equality and hashing never read it."""
+        the instance.  Reports, labels and user tables name an edge by it;
+        the lattice finds an edge by its index set, and each edge is built
+        once per lattice, so an edge compares by identity.  Nothing keys
+        by the edge itself: the Chern path reads the lattice alone, by
+        position."""
         return ",".join(str(j + 1) for j in self.index_set)
 
 
@@ -475,13 +469,6 @@ def sigma_strata(arr: Arrangement) -> list:
 def chi_y_pn(n: int) -> RatFuncY:
     """chi_y of projective n-space: alternating powers of y."""
     return RatFuncY([(-1) ** p for p in range(n + 1)])
-
-
-def chi_y_stratum(arr: Arrangement, edge: Edge) -> RatFuncY:
-    """chi_y of the open stratum of an edge, read from the lattice's
-    table."""
-    lattice = arr.lattice
-    return RatFuncY(lattice.chi_y_open[lattice.position[edge.index_set]])
 
 
 def chi_y(arr: Arrangement) -> RatFuncY:

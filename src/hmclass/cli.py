@@ -22,9 +22,9 @@ import json
 import sys
 
 from .ambient import virtual_genus, virtual_pushed
-from .arrangement import (Arrangement, chi_y, chi_y_pn, chi_y_stratum,
-                          edges, euler_by_inclusion_exclusion, is_dense,
-                          localize, sigma_strata)
+from .arrangement import (Arrangement, chi_y, chi_y_pn, edges,
+                          euler_by_inclusion_exclusion, is_dense, localize,
+                          sigma_strata)
 from .coeffs import RatFuncY, poly_str
 from .genera import hirzebruch_series, verify_identity_qr
 from .jsontext import dumps
@@ -204,7 +204,7 @@ def cmd_chi_y(args) -> int:
     for e, cs in zip(lattice.edges, lattice.chi_y_open):
         text = texts.get(cs)
         if text is None:
-            text = texts[cs] = chi_y_stratum(arr, e).as_strings()
+            text = texts[cs] = RatFuncY(cs).as_strings()
         per[e.key] = text
     value = chi_y(arr)
     payload = {

@@ -12,8 +12,11 @@ summed multiplicities, their twist degrees and its boundary count.  A
 surface's sums stay integer coefficient vectors in its model's basis
 until each RatFuncY coefficient is built.  An
 independent Euler-weighted Chern path provides the cross-check at
-y = -1, and a degree-zero comparison against the virtual-genus
-difference is always reported.  The one unprintable
+y = -1: it reads the lattice alone, since c(T(-log D)) of a stratum,
+pushed to its closure, is a CSM class (Aluffi) in closed form: 1 on a
+point, 1 + (chi - 1) pt on a curve, 1 + (2 - L) line + (chi - 2 + L) pt
+on a surface with L boundary lines.  A degree-zero comparison against
+the virtual-genus difference is always reported.  The one unprintable
 global choice (a shift convention) is quarantined in ConventionSet and
 explored exhaustively by calibrate().
 """
@@ -404,10 +407,10 @@ def assemble(arr: Arrangement, user_tables: dict = None,
     user table); each per-stratum sum must come out polynomial in y, and
     a failure is raised as a convention violation rather than silenced.
 
-    One pass over the strata: each is compactified once, and the models
-    are shared with the Chern path.  Strata with the same type key get the
-    same contribution, which is computed once per report, from the germ
-    of the first of them.
+    One pass over the strata: each is compactified once, and the Chern
+    path reads the same list, through the lattice alone.  Strata with the
+    same type key get the same contribution, which is computed once per
+    report, from the germ of the first of them.
     """
     strata = sigma_strata(arr)
     schema = build_labels(arr)
@@ -440,7 +443,7 @@ def assemble(arr: Arrangement, user_tables: dict = None,
         _add_into(totals, contribution)
     m_y = SigmaChowVector(schema, totals)
 
-    chern_path = chern_milnor(schema, models)
+    chern_path = chern_milnor(arr, schema, strata)
     spec_minus1 = m_y.specialize(-1)
     return MilnorReport(
         arrangement=arr,
@@ -457,39 +460,40 @@ def assemble(arr: Arrangement, user_tables: dict = None,
     )
 
 
-def _chern_key(model: StratumModel):
-    """What 2 c(T(-log D)) of a model reads: it is (2,) on every point and
-    (2, 4 - 2b) on a curve with b boundary components, so those are keyed
-    by (dim, b).  A surface's class depends on its blown points, so a
-    surface is keyed by its edge and shares with no other stratum.  The
-    key reads no germ, spectrum or type key, so the Chern path stays
-    independent of the spectral sum it checks."""
-    if model.dim == 2:
-        return model.edge
-    return model.dim, len(model.boundary)
-
-
-def chern_milnor(schema: LabelSchema, models: list) -> SigmaChowVector:
-    """Euler-weighted Chern-class path: sum over strata of the reduced
-    Milnor-fiber Euler characteristic times the Chern class of the
-    logarithmic tangent bundle, pushed to the Chow basis.  Needs no
-    spectra and no conventions.  The sums are kept in integers, as twice
-    the class, until one coefficient per label is built.  Twice the
-    log-tangent class is built once per _chern_key and call.  A model's
-    stratum is its localization, which holds the Euler number."""
+def chern_milnor(arr: Arrangement, schema: LabelSchema,
+                 strata: list) -> SigmaChowVector:
+    """Euler-weighted Chern-class path: the sum over strata of the reduced
+    Milnor-fiber Euler number chi~ times c(T(-log D)) of the stratum's
+    compactification, pushed to the Chow basis.  Needs no spectra, no
+    conventions and no model: on an arrangement that class, pushed to the
+    closure S = P^d, is the Chern-Schwartz-MacPherson class of the open
+    stratum minus the generic section (Aluffi 1999), so it is read from
+    the lattice.  With chi = chi(open stratum), chi_y_open at y = -1: 1 on
+    the fundamental class; on a curve chi - 1 on the point; on a surface
+    with L boundary lines, the edges one codimension above it, 2 - L on
+    the line and chi - 2 + L on the point.  The sums are kept in
+    integers until one coefficient per label is built."""
+    lattice = arr.lattice
+    fundamental, shared = schema.fundamental, schema.shared
     totals = {}
-    classes = {}  # Chern key -> 2 c(T(-log D)), for this call only
-    for model in models:
-        chi_tilde = milnor_fiber_chi(model.stratum) - 1
+    for s in strata:
+        chi_tilde = milnor_fiber_chi(s) - 1
         if chi_tilde == 0:
             continue
-        key = _chern_key(model)
-        log_tangent2 = classes.get(key)
-        if log_tangent2 is None:
-            log_tangent2 = classes[key] = model.log_tangent2
-        for name, v in push_to_sigma(schema, model, log_tangent2).items():
+        terms = [(fundamental[s.key], 1)]
+        if s.dim:
+            i = lattice.position[s.edge.index_set]
+            cs = lattice.chi_y_open[i]
+            chi = sum(cs[::2]) - sum(cs[1::2])  # chi_y at y = -1
+            if s.dim == 1:
+                terms.append((shared[0], chi - 1))
+            else:
+                lines = sum(lattice.edges[j].codim == s.edge.codim + 1
+                            for j in lattice.strictly_above[i])
+                terms += [(shared[1], 2 - lines), (shared[0], chi - 2 + lines)]
+        for name, v in terms:
             totals[name] = totals.get(name, 0) + chi_tilde * v
-    return SigmaChowVector(schema, {name: RatFuncY.from_ints((v,), 2)
+    return SigmaChowVector(schema, {name: RatFuncY.from_ints((v,))
                                     for name, v in totals.items()})
 
 

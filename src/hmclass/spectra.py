@@ -276,11 +276,18 @@ def sp_user_load(source, arr: Arrangement) -> dict:
         data = source
     if not isinstance(data, dict):
         raise SpectrumError("spectrum tables must be a JSON object keyed by edge")
-    by_key = {e.key: e for e in arr.lattice.edges}
+    lattice = arr.lattice
     out = {}
     for key, entries in data.items():
-        edge = by_key.get(key)
-        if edge is None:
+        # the edge at the key's index set, if its key is this very text:
+        # another spelling ("2,1", "01,2", " 1", "+1") names no edge
+        try:
+            i = lattice.position.get(tuple(int(j) - 1
+                                           for j in key.split(",")))
+        except (AttributeError, ValueError):
+            i = None
+        edge = None if i is None else lattice.edges[i]
+        if edge is None or edge.key != key:
             raise SpectrumError(f"unknown edge key {key!r}")
         if not isinstance(entries, list):
             raise SpectrumError(

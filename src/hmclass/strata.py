@@ -7,9 +7,14 @@ Chern classes c1, c2 and its boundary divisors with integer residues.
 Every class of a model is a coefficient vector in the ring basis, of
 integers: the base Deligne-extension class, the boundary summed by residue
 (the classes a Deligne power twists), and the closed forms through
-degree 2 for 12 td, 2 ch(Omega^q(log D)) and 2 c(T(-log D)).  The
-pushforward takes such a vector, of ints or RatFuncY, to the labeled
-Chow basis of the singular locus.
+degree 2 for 12 td and 2 ch(Omega^q(log D)).  The pushforward takes such
+a vector, of ints or RatFuncY, to the labeled Chow basis of the singular
+locus.  The Chern path reads the lattice alone and builds no model:
+c(T(-log D)), pushed to a stratum's closure P^d, is the CSM class of the
+open stratum minus the generic section (Aluffi 1999), so with chi the
+open stratum's Euler number and L its boundary lines it is 1 on a point,
+1 + (chi - 1) pt on a curve, and 1 + (2 - L) line + (chi - 2 + L) pt on
+a surface (milnor.chern_milnor).
 """
 
 from __future__ import annotations
@@ -75,7 +80,10 @@ class StratumModel:
     stratum's edge, a surface's ring names its blown-up points, out_degree
     is the total multiplicity away from the stratum, and c1, c2 are the
     Chern classes of the tangent bundle.  Every class is an integer vector
-    in the ring basis."""
+    in the ring basis.  Only the spectral sum reads the model: the Chern
+    path reads the lattice alone, through the closed forms of Aluffi's
+    CSM classes (see the module docstring), so the y = -1 check shares no
+    compactification."""
 
     def __init__(self, stratum: LocalizedArrangement, ring, boundary: tuple,
                  out_degree: int, c1: tuple, c2: tuple):
@@ -99,14 +107,6 @@ class StratumModel:
         return self.stratum.edge
 
     @cached_property
-    def _divisors(self) -> tuple:
-        """D and the sum of the D_i^2."""
-        size, mul = len(self.c1), self.ring.mul_vectors
-        return (combine(size, 0, [(1, c.cls) for c in self.boundary]),
-                combine(size, 0, [(1, mul(c.cls, c.cls))
-                                  for c in self.boundary]))
-
-    @cached_property
     def todd12(self) -> tuple:
         """12 td(T) = 12 + 6 c1 + c1^2 + c2."""
         c1, mul = self.c1, self.ring.mul_vectors
@@ -118,24 +118,17 @@ class StratumModel:
         bundle K + D: 2 + 2x + x^2 for x = D - c1.  On a surface the
         residue sequence gives the middle one,
         4 - 2 c1 + 2 D + c1^2 - 2 c2 - sum D_i^2."""
-        c1, (d, squares) = self.c1, self._divisors
-        size, mul = len(c1), self.ring.mul_vectors
+        c1, mul = self.c1, self.ring.mul_vectors
+        size = len(c1)
+        d = combine(size, 0, [(1, c.cls) for c in self.boundary])
+        squares = combine(size, 0, [(1, mul(c.cls, c.cls))
+                                    for c in self.boundary])
         two = combine(size, 2, ())
         x = combine(size, 0, [(1, d), (-1, c1)])
         top = combine(size, 2, [(2, x), (1, mul(x, x))])
         middle = combine(size, 4, [(-2, c1), (2, d), (1, mul(c1, c1)),
                                    (-2, self.c2), (-1, squares)])
         return ((two,), (two, top), (two, middle, top))[self.dim]
-
-    @cached_property
-    def log_tangent2(self) -> tuple:
-        """2 c(T(-log D)) = 2 c(T) prod (1 + D_i)^{-1}, through degree 2:
-        2 + 2 c1 - 2 D + 2 c2 - 2 c1 D + D^2 + sum D_i^2."""
-        c1, (d, squares) = self.c1, self._divisors
-        mul = self.ring.mul_vectors
-        return combine(len(c1), 2, [(2, c1), (-2, d), (2, self.c2),
-                                    (-2, mul(c1, d)), (1, mul(d, d)),
-                                    (1, squares)])
 
     @cached_property
     def deligne_base_vector(self) -> tuple:

@@ -9,8 +9,7 @@ import pytest
 
 from hmclass import (ambient, arrangement, cli, corpus, milnor, spectra,
                      strata)
-from hmclass.arrangement import (ArrangementError, build, localize,
-                                 milnor_fiber_chi, sigma_strata)
+from hmclass.arrangement import ArrangementError, build, sigma_strata
 from hmclass.coeffs import RatFuncY
 from hmclass.milnor import (ALL_CONVENTIONS, DEFAULT_CONVENTIONS,
                             ConventionSet, MissingSpectrumError,
@@ -56,8 +55,7 @@ def signature(model, tables=None):
 def chern_path(arr):
     """The Chern path of an arrangement, checked against the oracle that
     sums RatFuncY classes."""
-    vec = chern_milnor(build_labels(arr),
-                       [compactify(arr, s) for s in sigma_strata(arr)])
+    vec = chern_milnor(arr, build_labels(arr), sigma_strata(arr))
     assert vec == chern_milnor_by_classes(arr)
     return vec
 
@@ -646,7 +644,6 @@ class TestOnePass:
         return {name: count_calls(monkeypatch, module, name)
                 for module, name in ((arrangement, "_search_edges"),
                                      (arrangement, "LocalizedArrangement"),
-                                     (arrangement, "chi_y_stratum"),
                                      (strata, "compactify"),
                                      (spectra, "sp_validate"),
                                      (milnor, "_stratum_contribution"))}
@@ -675,34 +672,6 @@ class TestOnePass:
             assert len(calls["compactify"]) == len(strata_), path
             assert len(calls["_stratum_contribution"]) == len(signatures), path
         assert len(signatures) < len(strata_)  # the nine lines repeat types
-
-    def test_milnor_log_tangent_once_per_chern_key(self, monkeypatch,
-                                                   tmp_path, capsys):
-        # the Chern path evaluates 2 c(T(-log D)) once per Chern key among
-        # the strata it weighs, those with a nonzero reduced Euler number
-        evaluated = []
-        real = strata.StratumModel.log_tangent2.func
-
-        def counting(model):
-            evaluated.append(model)
-            return real(model)
-
-        shared = False
-        for path in self.files(tmp_path):
-            arr = arrangement.Arrangement.load(path)
-            weighed = [compactify(arr, s) for s in sigma_strata(arr)
-                       if milnor_fiber_chi(localize(arr, s.edge)) != 1]
-            keys = {milnor._chern_key(m) for m in weighed}
-            evaluated.clear()
-            with monkeypatch.context() as patch:
-                patch.setattr(strata.StratumModel, "log_tangent2",
-                              property(counting))
-                code = cli.main(["milnor", path])
-                assert code == 0, capsys.readouterr().err
-            assert len(evaluated) == len(keys), path
-            assert {milnor._chern_key(m) for m in evaluated} == keys, path
-            shared |= len(keys) < len(weighed)
-        assert shared  # some report has strata of one shape
 
     def test_milnor_ring_path_for_surfaces_only(self, monkeypatch, capsys):
         # a point or a curve contributes from integers: the ring path and
@@ -764,12 +733,16 @@ class TestOnePass:
             arr = arrangement.Arrangement.load(path)
             with monkeypatch.context() as patch:
                 calls = self.counters(patch)
+                # the chi-y writer builds a RatFuncY only to render a value
+                rendered = []
+                patch.setattr(cli, "RatFuncY", lambda cs: rendered.append(cs)
+                              or RatFuncY(cs))
                 code = cli.main(["chi-y", path])
                 assert code == 0, capsys.readouterr().err
             assert len(calls["_search_edges"]) == 1, path
-            # one chi_y per distinct open-stratum value, not per edge
-            assert len(calls["chi_y_stratum"]) == \
-                len(set(arr.lattice.chi_y_open)), path
+            # one rendering per distinct open-stratum value, not per edge
+            assert sorted(rendered) == sorted(set(arr.lattice.chi_y_open)), \
+                path
             assert not calls["LocalizedArrangement"], path
         assert len(corpus.load("quad6a").lattice.edges) == 13
         assert len(set(corpus.load("quad6a").lattice.chi_y_open)) < 13

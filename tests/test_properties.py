@@ -23,14 +23,12 @@ from hypothesis import strategies as st
 from hmclass import cli, corpus
 from hmclass.ambient import virtual_pushed
 from hmclass.arrangement import (ArrangementError, build, chi_y,
-                                 chi_y_stratum, euler_by_inclusion_exclusion,
-                                 is_dense, localize, milnor_fiber_chi,
-                                 sigma_strata)
+                                 euler_by_inclusion_exclusion, is_dense,
+                                 localize, milnor_fiber_chi, sigma_strata)
 from hmclass.coeffs import RatFuncY
 from hmclass.corpus import ALL_NAMES, corpus_path
 from hmclass.milnor import (ALL_CONVENTIONS, DEFAULT_CONVENTIONS,
-                            MissingSpectrumError, _chern_key,
-                            _ring_contribution, _stratum_contribution,
+                            MissingSpectrumError, _ring_contribution, _stratum_contribution,
                             _type_key, assemble, chern_milnor)
 from hmclass.rings import BlownPlaneRing, ProjRing, RingElement
 from hmclass.spectra import GermKind, stratum_germ
@@ -41,8 +39,7 @@ from oracles import (arrangement_to_json, chern_milnor_by_classes,
                      dense_by_bipartition,
                      euler_by_whitney, euler_defect, generated_tables,
                      hirzebruch_class_by_additivity, log_chern,
-                     log_tangent_by_chern, model_class,
-                     product_by_basis, report_to_json,
+                     model_class, product_by_basis, report_to_json,
                      spectra_rows_by_stratum, stratum_contribution_by_terms,
                      table_entries, tangent_chern, todd_from_chern)
 
@@ -438,9 +435,9 @@ def test_lattice_tables_match_whitney_oracle(case):
         arr = build(n, hyperplanes)
     except ArrangementError:
         reject()
-    for e in arr.lattice.edges:
+    for e, cs in zip(arr.lattice.edges, arr.lattice.chi_y_open):
         assert localize(arr, e).euler == euler_by_whitney(arr, e), e.key
-        assert chi_y_stratum(arr, e) == chi_y_stratum_by_whitney(arr, e), e.key
+        assert RatFuncY(cs) == chi_y_stratum_by_whitney(arr, e), e.key
     assert chi_y(arr)(-1) == euler_by_inclusion_exclusion(arr)
 
 
@@ -605,8 +602,6 @@ def test_model_classes_match_newton_identity_oracle():
             for q, ch in enumerate(model.log_ch2):
                 assert (model_class(model, ch, 2)
                         == chern_to_ch(log_chern(model, q), ring)), (s.key, q)
-            assert (model_class(model, model.log_tangent2, 2)
-                    == log_tangent_by_chern(model)), s.key
 
     check()
     assert seen["surface", True], seen  # some surface has a blown point
@@ -614,33 +609,11 @@ def test_model_classes_match_newton_identity_oracle():
 
 
 def test_chern_path_matches_class_oracle():
-    # the Chern path, summed in integers, against the same sum of RatFuncY
-    # classes from the Chern data, pushed by hand
+    # the Chern path, read from the lattice in closed form, against the
+    # same sum of RatFuncY classes from each model's Chern data, pushed by
+    # hand: in P^2 to P^4, over points, curves and surfaces with and
+    # without blown points
     seen = Counter()
-
-    @SETTINGS
-    @given(model_arrangements())
-    def check(case):
-        n, hyperplanes = case
-        try:
-            arr = build(n, hyperplanes)
-        except ArrangementError:
-            reject()
-        models = [compactify(arr, s) for s in sigma_strata(arr)]
-        seen.update((m.kind, bool(m.ring.point_ids)) for m in models)
-        assert (chern_milnor(build_labels(arr), models)
-                == chern_milnor_by_classes(arr))
-
-    check()
-    assert seen["surface", True], seen  # some surface has a blown point
-
-
-def test_chern_key_fixes_the_log_tangent_class():
-    # every model's 2 c(T(-log D)) equals the class the Chern path keeps
-    # for its key: within an arrangement for every key, and across
-    # arrangements for the (dim, boundary count) keys of points and curves
-    seen = Counter()
-    shared = {}
 
     @SETTINGS
     @given(st.one_of(model_arrangements(), p4_arrangements()))
@@ -650,22 +623,17 @@ def test_chern_key_fixes_the_log_tangent_class():
             arr = build(n, hyperplanes)
         except ArrangementError:
             reject()
-        classes = {}
-        for s in sigma_strata(arr):
-            model = compactify(arr, s)
-            key = _chern_key(model)
-            kept = classes.setdefault(key, model.log_tangent2)
-            if model.dim == 2:
-                seen["surface", bool(model.ring.point_ids)] += 1
-            else:
-                kept = shared.setdefault(key, kept)
-                seen[model.kind, len(model.boundary)] += 1
-            assert model.log_tangent2 == kept, (s.key, key)
+        strata = sigma_strata(arr)
+        seen.update((n, m.kind, bool(m.ring.point_ids))
+                    for m in (compactify(arr, s) for s in strata))
+        assert (chern_milnor(arr, build_labels(arr), strata)
+                == chern_milnor_by_classes(arr))
 
     check()
-    assert seen["surface", True] and seen["surface", False], seen
-    # curves with different boundary counts
-    assert len({b for kind, b in seen if kind == "curve"}) >= 2, seen
+    for n in (3, 4):
+        for kind in ("point", "curve", "surface"):
+            assert seen[n, kind, False], (n, kind, seen)
+        assert seen[n, "surface", True], (n, seen)  # a blown point
 
 
 @pytest.mark.parametrize("ring", [

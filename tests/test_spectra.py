@@ -207,10 +207,16 @@ class TestUserTables:
             sp_user_load({"1,2,3": [{"alpha": "1", "mult": 1}]}, arr)
 
     def test_unknown_edge_rejected(self):
-        arr = corpus.load("concurrent3")
-        with pytest.raises(SpectrumError) as info:
-            sp_user_load({"9": []}, arr)
-        assert str(info.value) == "unknown edge key '9'"
+        # a table names an edge by its key text exactly: another spelling
+        # of an edge's index set names no edge
+        arr = corpus.load("triangle3")
+        assert [e.key for e in arr.lattice.edges] == [
+            "1", "2", "3", "1,2", "1,3", "2,3"]
+        for key in ["9", "2,1", "01,2", " 1", "1,,2", "+1", "", "1,2,3",
+                    "0", "-1", "1 ", "1_0", "\u0661"]:
+            with pytest.raises(SpectrumError) as info:
+                sp_user_load({key: []}, arr)
+            assert str(info.value) == f"unknown edge key {key!r}"
 
     def test_malformed_exponent_rejected(self):
         arr = corpus.load("concurrent3")
