@@ -300,53 +300,69 @@ def _search_edges(arr: Arrangement) -> Lattice:
     The search goes up one codimension at a time from the hyperplanes, the
     edges of codimension 1: build made the covectors distinct and
     primitive, so each one is its own echelon basis and needs no
-    reduction.  The join of an edge with a hyperplane off it is fixed by
-    the residual of the covector against the edge's echelon basis: two
+    reduction.  The join of an edge Y with a hyperplane off it is fixed by
+    the residual of the covector against Y's echelon basis: two
     hyperplanes give the same join exactly when their primitive residuals
-    are equal.  So one pass over the covectors yields every join of an
-    edge, with its saturated index set kept as an int bitmask while
-    searching, and an Edge is built only for a mask not found before.
-    Edges of codimension n are not extended: a join of one has rank n + 1
-    and is no edge.  An edge is above another exactly when its index set
-    contains the other's, so the edges above an edge are those in every
-    hyperplane's set of containing edges, one bitmask over positions per
-    hyperplane."""
-    covs, mults = arr.covectors, arr.mults
-    found = {}  # index-set bitmask -> edge
+    are equal.  So the joins of Y split the hyperplanes off Y into
+    disjoint blocks (Orlik-Terao, Arrangements of Hyperplanes, 2.1): if
+    H_j lies on two joins of Y, each of them is the join of Y and H_j.
+    Each level keeps, per hyperplane, the index-set bitmasks of the joins
+    found so far that contain it.  Before Y is scanned, each of those
+    under Y's lowest hyperplane that contains Y's mask is a join of Y found
+    from an earlier edge, and its hyperplanes are skipped.  The
+    hyperplanes left form Y's other joins, each one whole, so every
+    residual group is a new edge with a saturated index set, and each edge
+    is found from exactly one edge below it.  Edges of codimension n are
+    not extended: a join of one has rank n + 1 and is no edge.
+
+    An edge is above another exactly when its index set contains the
+    other's, so the edges above an edge are those in every hyperplane's
+    set of containing edges, one bitmask over positions per hyperplane;
+    no edge is above one of codimension n."""
+    n, covs, mults = arr.n, arr.covectors, arr.mults
+    edges = [Edge((j,), 1, mults[j]) for j in range(len(covs))]
     frontier = []  # (index-set bitmask, echelon basis of its covectors)
     for j, c in enumerate(covs):
-        found[1 << j] = Edge((j,), 1, mults[j])
         frontier.append((1 << j, [(next(p for p, x in enumerate(c) if x), c)]))
-    codim = 1
-    while codim < arr.n:
-        codim += 1
-        nxt = []
+    for codim in range(2, n + 1):
+        level, nxt = [], []
+        through = [[] for _ in covs]  # per hyperplane, the masks found
         for mask, basis in frontier:
+            skip = mask
+            for found in through[(mask & -mask).bit_length() - 1]:
+                if found & mask == mask:
+                    skip |= found
             joins = {}
             for j, c in enumerate(covs):
-                if not mask >> j & 1:
+                if not skip >> j & 1:
                     res = _reduce(basis, c)
                     joins[res] = joins.get(res, mask) | 1 << j
             for res, key in joins.items():
-                if key not in found:
-                    iset = _bits(key)
-                    found[key] = Edge(iset, codim, sum(mults[i] for i in iset))
-                    if codim < arr.n:
-                        nxt.append((key, _extend(basis, res)))
+                iset = _bits(key)
+                level.append(iset)
+                for j in iset:
+                    through[j].append(key)
+                if codim < n:
+                    nxt.append((key, _extend(basis, res)))
+        level.sort()
+        edges += [Edge(iset, codim, sum(mults[j] for j in iset))
+                  for iset in level]
         frontier = nxt
-    edges = tuple(sorted(found.values(), key=lambda e: (e.codim, e.index_set)))
     containing = [0] * len(covs)  # per hyperplane, positions of its edges
     for i, e in enumerate(edges):
         for j in e.index_set:
             containing[j] |= 1 << i
     above = []
     for i, e in enumerate(edges):
+        if e.codim == n:
+            above.append(())
+            continue
         mask = containing[e.index_set[0]]
         for j in e.index_set[1:]:
             mask &= containing[j]
         above.append(_bits(mask & ~(1 << i)))
     position = {e.index_set: i for i, e in enumerate(edges)}
-    return Lattice(arr.n, edges, position, tuple(above))
+    return Lattice(n, tuple(edges), position, tuple(above))
 
 
 def _bits(mask: int) -> tuple:

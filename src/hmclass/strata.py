@@ -327,26 +327,31 @@ class LabelSchema:
         return [l.name for l in self.labels]
 
 
+def _label_owners(arr: Arrangement) -> tuple:
+    """The rule for which strata own a label: the edges in_sigma admits, in
+    lattice order, each with whether it owns a label (the multiple
+    hyperplanes and the codimension-2 edges on none of them), and the
+    degrees, descending, that get one shared label (every degree below
+    n - 2, and n - 2 itself when some hyperplane is multiple)."""
+    n = arr.n
+    multiple = {j for j, m in enumerate(arr.mults) if m > 1}
+    strata = [(e, e.codim == 1
+               or (e.codim == 2 and multiple.isdisjoint(e.index_set)))
+              for e in arr.lattice.edges if in_sigma(e)]
+    top = n - 2 if multiple else n - 3
+    return strata, range(top, -1, -1) if strata else ()
+
+
 def build_labels(arr: Arrangement) -> LabelSchema:
     """The label schema of the singular locus, from the edges in_sigma
     admits; it reads the edges only, and localizes none of them."""
     n = arr.n
-    multiple = {j for j, m in enumerate(arr.mults) if m > 1}
-    # sorted by (codim, index set)
-    strata = [e for e in arr.lattice.edges if in_sigma(e)]
-    shared = {}
-    if strata:
-        if multiple and n >= 2:
-            shared[n - 2] = f"Q_{{{n - 2}}}"
-        for k in range(n - 3, -1, -1):
-            shared[k] = f"Q_{{{k}}}"
-    # own labels go to the multiple hyperplanes and to the codimension-2
-    # edges on none of them; every other stratum shares its degree's label
+    strata, degrees = _label_owners(arr)
+    shared = {k: f"Q_{{{k}}}" for k in degrees}
     fundamental = {}
     own = []
-    for e in strata:
-        off_multiple = not multiple.intersection(e.index_set)
-        if e.codim == 1 or (e.codim == 2 and off_multiple):
+    for e, owns in strata:
+        if owns:
             fundamental[e.key] = _own_label_name(arr, e)
             own.append(Label(fundamental[e.key], n - e.codim, e.key))
         else:
@@ -452,8 +457,12 @@ def chow_dims(arr: Arrangement) -> dict:
     for k in range(n - 1):
         ch_x[k] = 1
     ch_sigma = dict.fromkeys(range(n - 1, -1, -1), 0)
-    for l in build_labels(arr).labels:
-        ch_sigma[l.degree] += 1
+    strata, degrees = _label_owners(arr)
+    for e, owns in strata:
+        if owns:
+            ch_sigma[n - e.codim] += 1
+    for k in degrees:
+        ch_sigma[k] += 1
     return {"CH_X": ch_x, "CH_Sigma": ch_sigma}
 
 

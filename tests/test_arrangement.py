@@ -236,6 +236,7 @@ class TestEdges:
             covs, arr = random_covectors(rng, n, k, MIXED)
             got = {(e.index_set, e.codim) for e in edges(arr)}
             assert got == brute_force_edges(covs, n)
+            assert len(edges(arr)) == len(got)  # each edge found once
             concurrent += any(len(e.index_set) > e.codim for e in edges(arr))
             fractional += any(c.denominator > 1 for cov in covs for c in cov)
         assert concurrent >= 5 and fractional >= 5
@@ -251,6 +252,7 @@ class TestEdges:
             covs, arr = random_covectors(rng, 4, k, sparse)
             got = {(e.index_set, e.codim) for e in edges(arr)}
             assert got == brute_force_edges(covs, 4)
+            assert len(edges(arr)) == len(got)
             assert max(e.codim for e in edges(arr)) == 4
             assert_above_by_filter(arr.lattice)
             concurrent += any(len(e.index_set) > e.codim for e in edges(arr))

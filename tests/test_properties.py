@@ -11,8 +11,10 @@ import contextlib
 import io
 import json
 import random
+import sys
 import tempfile
 from collections import Counter
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -20,7 +22,7 @@ from hypothesis import (HealthCheck, assume, example, given, reject,
                         settings)
 from hypothesis import strategies as st
 
-from hmclass import cli, corpus
+from hmclass import arrangement, cli, corpus
 from hmclass.ambient import virtual_pushed
 from hmclass.arrangement import (ArrangementError, build, chi_y,
                                  euler_by_inclusion_exclusion, is_dense,
@@ -439,6 +441,62 @@ def test_lattice_tables_match_whitney_oracle(case):
         assert localize(arr, e).euler == euler_by_whitney(arr, e), e.key
         assert RatFuncY(cs) == chi_y_stratum_by_whitney(arr, e), e.key
     assert chi_y(arr)(-1) == euler_by_inclusion_exclusion(arr)
+
+
+def search_reductions(arr):
+    """The lattice of arr, searched afresh, and the number of _reduce calls
+    _search_edges makes itself; the calls made inside _extend are told
+    apart by the caller's frame and not counted."""
+    reduce = arrangement._reduce
+    calls = 0
+
+    def counted(basis, vec):
+        nonlocal calls
+        calls += sys._getframe(1).f_code.co_name == "_search_edges"
+        return reduce(basis, vec)
+
+    arrangement._reduce = counted
+    try:
+        lattice = arrangement._search_edges(arr)
+    finally:
+        arrangement._reduce = reduce
+    return lattice, calls
+
+
+def test_search_reduces_each_hyperplane_into_one_new_edge():
+    # each reduction of the search adds a hyperplane to a new edge X beyond
+    # the index set of the one edge X is found from, which holds at least
+    # codim X - 1 hyperplanes; so X costs at most |S_X| - codim X + 1
+    # reductions
+    seen = Counter()
+
+    @settings(SETTINGS, max_examples=60)
+    @given(st.one_of(arrangements(), p4_arrangements()))
+    def check(case):
+        n, hyperplanes, _ = case
+        try:
+            arr = build(n, hyperplanes)
+        except ArrangementError:
+            reject()
+        lattice, calls = search_reductions(arr)
+        assert calls <= sum(len(e.index_set) - e.codim + 1
+                            for e in lattice.edges if e.codim >= 2)
+        seen[n] += 1
+        seen["concurrent"] += any(len(e.index_set) > e.codim
+                                  for e in lattice.edges)
+
+    check()
+    assert seen[2] and seen[3] and seen[4] and seen["concurrent"], seen
+
+
+@pytest.mark.parametrize("n, k, reductions", [(2, 10, 45), (3, 30, 4495),
+                                              (4, 8, 154)])
+def test_search_reduces_generic_hyperplanes_once_per_edge(n, k, reductions):
+    # k generic hyperplanes in P^n: every edge of codimension i >= 2 is one
+    # i-subset, found by exactly one reduction
+    arr = build(n, [([i ** p for p in range(n + 1)], 1) for i in range(k)])
+    assert search_reductions(arr)[1] == reductions
+    assert reductions == sum(comb(k, i) for i in range(2, n + 1))
 
 
 def test_dense_iff_nonzero_euler():

@@ -1,9 +1,11 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from hmclass import corpus
-from hmclass.arrangement import build, sigma_strata
+from hmclass.arrangement import ArrangementError, build, sigma_strata
 from hmclass.coeffs import RatFuncY
 from hmclass.rings import BlownPlaneRing
 from hmclass.strata import (SigmaChowVector, StrataError,
@@ -347,6 +349,27 @@ class TestDimensionTables:
     def test_smooth(self):
         dims = chow_dims(build(3, [((1, 0, 0, 0), 1)]))
         assert all(v == 0 for v in dims["CH_Sigma"].values())
+
+    def test_sigma_ranks_count_the_schema_labels(self):
+        # chow_dims names no label: its CH_Sigma ranks are the per-degree
+        # counts of the labels build_labels names, on every corpus file and
+        # on seeded draws in P^2 to P^4, some with multiple hyperplanes
+        rng = random.Random(12)
+        arrs = [corpus.load(name) for name in corpus.ALL_NAMES]
+        for n, k in [(2, 5), (2, 8), (3, 5), (3, 7), (4, 6), (4, 7)] * 4:
+            while True:
+                hyps = [([rng.choice((-1, 0, 0, 1, 2)) for _ in range(n + 1)],
+                         rng.choice((1, 1, 1, 2))) for _ in range(k)]
+                try:
+                    arrs.append(build(n, hyps))
+                    break
+                except ArrangementError:
+                    pass
+        assert sum(max(a.mults) > 1 for a in arrs) >= 10
+        for arr in arrs:
+            counts = Counter(l.degree for l in build_labels(arr).labels)
+            assert chow_dims(arr)["CH_Sigma"] == {
+                d: counts[d] for d in range(arr.n - 1, -1, -1)}
 
     @pytest.mark.parametrize("name,r", [("triangle3", 3), ("quad6a", 6),
                                         ("fourplanes", 4)])
