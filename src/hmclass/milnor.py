@@ -7,10 +7,11 @@ basis of the singular locus.  Every germ, catalogue class or user table,
 is read as runs of exponents whose multiplicities are linear in c, and
 summed over the Deligne powers between the breaks of each twist, so no
 spectrum is listed; each distinct local type is computed once per report.
-A point or a curve contributes from a few integers per power of y: the
-summed multiplicities, their twist degrees and its boundary count.  A
-surface's sums stay integer coefficient vectors in its model's basis
-until each RatFuncY coefficient is built.  An
+Every stratum contributes from a few integers per power of y, in closed
+form, one coefficient per codegree on its closure: the summed
+multiplicities, and on a curve their twist degrees and its boundary
+count, on a surface the pairings of the summed Deligne classes with the
+line, c1 and K + D, the sum of their squares and its boundary lines.  An
 independent Euler-weighted Chern path provides the cross-check at
 y = -1: it reads the lattice alone, since c(T(-log D)) of a stratum,
 pushed to its closure, is a CSM class (Aluffi) in closed form: 1 on a
@@ -242,7 +243,16 @@ def _segments(runs, twists, m_s: int, mode: str):
     """The runs (p, lo, hi, a, b) cut where some twist breaks, for the
     (slope, step) twists: per segment, p, the constant part
     floor((start step + b0) / m_s) + c0 of each twist, and n_i = the sum of
-    (a + b c) c^i over its c, for i = 0..2."""
+    (a + b c) c^i over its c, for i = 0..2.
+
+    Every germ, catalogue class or user table, gives its exponents as runs
+    codim - p - c/e with multiplicity a + b c for lo <= c <= hi, and the
+    exponent at c has the Deligne power k = q c for q = m_s/e:
+    e(k/m_s) = e(-alpha) with k/m_s in [0,1).  In the window (0,1] the
+    power k = 0 stands for k = m_s: the twists of (0,1] give both the
+    class -D, since m_s times the base class is minus the residue-weighted
+    boundary, so the window enters only through the twists.  Each twist is
+    linear in c between its breaks."""
     b0, c0 = twist_offsets(m_s, mode)
     for p, lo, hi, a, b in runs:
         if lo > hi:
@@ -257,65 +267,18 @@ def _segments(runs, twists, m_s: int, mode: str):
                    a * p0 + b * p1, a * p1 + b * p2, a * p2 + b * p3)
 
 
-def _line_sums(germ, model: StratumModel, mode: str) -> dict:
-    """The germ spectrum read in its own frame, by p = floor(codim - alpha),
-    and summed over its Deligne powers: p -> the sum of N_k 2 ch(L_k) =
-    N_k (2 + 2 D_k + D_k^2) over the exponents at p, as an integer vector
-    in the model basis, with D_k = k base + the sum of t_r(k) D_r over the
-    residues r, for the twist t_r(k) = floor((k r + b0) / m_s) + c0.  The
-    ring path of a surface reads it; on a point or a curve the tests read
-    it as the oracle of the integer path.
-
-    Every germ, catalogue class or user table, gives its exponents as runs
-    codim - p - c/e with multiplicity a + b c for lo <= c <= hi, and the
-    exponent at c has k = q c for q = m_s/e: e(k/m_s) = e(-alpha) with
-    k/m_s in [0,1).  In the window (0,1] the power k = 0 stands for
-    k = m_s: the twists of (0,1] give both the class -D, since m_s times
-    the base class is minus the residue-weighted boundary, so the window
-    enters only through the twists.
-
-    The powers are cut where some twist breaks: each twist is linear in c
-    between breaks, and so is D_k = U + V c.  The slopes and V depend on
-    q alone, so they are built once per germ."""
-    q, m_s = _germ_q(germ, model), model.m_s
-    ring = model.ring
-    size, mul = len(ring.names), ring.mul_vectors
-    groups = model.twist_classes
-    twists = _twist_slopes(q, m_s, [r for r, _ in groups])
-    v = combine(size, 0, [(q, model.deligne_base_vector)]
-                + [(s, cls) for (s, _), (_, cls) in zip(twists, groups)])
-    vv = mul(v, v)
-    sums = {}  # p -> the constant and the (coefficient, class) terms
-    for p, t, n0, n1, n2 in _segments(germ.runs(), twists, m_s, mode):
-        u = combine(size, 0, zip(t, (cls for _, cls in groups)))
-        const, terms = sums.get(p, (0, []))
-        terms += [(2 * n0, u), (2 * n1, v), (n0, mul(u, u)),
-                  (2 * n1, mul(u, v)), (n2, vv)]
-        sums[p] = const + 2 * n0, terms
-    return {p: combine(size, const, terms)
-            for p, (const, terms) in sums.items()}
-
-
-def _stratum_contribution(germ, model: StratumModel,
-                          conv: ConventionSet) -> list:
-    """Sum over exponents and cotangent powers for one stratum, with the
-    degree scaling already applied: one RatFuncY per model basis class.
-
-    A surface takes the ring path.  On a point or a curve the sum is a
-    few integers per p, with the sign s_p = (-1)^(p + codim - 1):
-    A_p = the sum of the multiplicities a + b c at p, and on a curve
-    B_p = the sum of (a + b c) deg L_(qc), where deg L_k = beta k + the
+def _curve_terms(germ, model: StratumModel, mode: str) -> dict:
+    """p -> the fundamental and point classes of a point or a curve at
+    s_p y^p, as integer coefficients of powers of y: (A_p,) and
+    (A_p + B_p, B_p + (b - 1) A_p), for A_p = the sum of the
+    multiplicities a + b c at p, b boundary components, infinity included,
+    and B_p = the sum of (a + b c) deg L_(qc), where deg L_k = beta k + the
     sum of n_r t_r(k) over the residues r, n_r components having residue
-    r, and beta = floor(-(m - m_s)/m_s) + the sum of floor(m_sub/m_s) over
-    the edge components is the degree of the base class.  On P^1, 12 td =
-    (12, 12), 2 ch(Omega^0) = (2, 0), 2 ch(Omega^1(log D)) =
-    (2, 2 (b - 2)) for b boundary components, infinity included, and
-    2 ch(L_k) = (2, 2 deg L_k), and products of degree-1 classes vanish.
-    So the fundamental class is the sum of s_p A_p y^p (the (1+y)^-1 of
-    its degree scaling cancels), and the point class of a curve the sum of
-    s_p ((A_p + B_p) y^p + (B_p + (b - 1) A_p) y^(p+1))."""
-    if model.dim == 2:
-        return _ring_contribution(germ, model, conv)
+    r, t_r(k) = floor((k r + b0) / m_s) + c0, and beta = floor(-(m - m_s)/m_s)
+    + the sum of floor(m_sub/m_s) over the edge components is the degree
+    of the base class.  On P^1, 12 td = (12, 12),
+    2 ch(Omega^1(log D)) = (2, 2 (b - 2)) and 2 ch(L_k) = (2, 2 deg L_k),
+    and products of degree-1 classes vanish."""
     q, m_s, boundary = _germ_q(germ, model), model.m_s, model.boundary
     counts = {}  # residue -> the number of components with it
     beta = -model.out_degree // m_s if model.dim else 0
@@ -328,49 +291,95 @@ def _stratum_contribution(germ, model: StratumModel,
     n_r = [counts[r] for r in residues]
     v = q * beta + sum(s * n for (s, _), n in zip(twists, n_r))
     sums = {}  # p -> A_p, B_p
-    for p, t, n0, n1, _ in _segments(germ.runs(), twists, m_s,
-                                     conv.extension_mode):
+    for p, t, n0, n1, _ in _segments(germ.runs(), twists, m_s, mode):
         a_p, b_p = sums.get(p, (0, 0))
         u = sum(x * n for x, n in zip(t, n_r))
         sums[p] = a_p + n0, b_p + n0 * u + n1 * v
-    codim, b_d = model.edge.codim, len(boundary)
-    fundamental = [0] * (max(sums) + 2)
-    point = fundamental[:]
-    for p, (a_p, b_p) in sums.items():
+    b_d = len(boundary)
+    return {p: ((a_p,), (a_p + b_p, b_p + (b_d - 1) * a_p))
+            for p, (a_p, b_p) in sums.items()}
+
+
+def _surface_terms(germ, model: StratumModel, mode: str) -> dict:
+    """p -> the fundamental, line and point classes of a surface at
+    s_p y^p, times 2, as integer coefficients of powers of y: 2 A,
+    (2E + 3A)(1 + y) + 2 (L - 2) A y and
+    (Q + C + 2A)(1 + y)^2 + (2X + kappa A) y (1 + y) + A (s1 y + s2 y^2).
+
+    A is the sum of the multiplicities N at p; with W = the sum of N D_k,
+    E, C and X are the pairings of W with the line e, with c1 and with
+    x = D - c1 = K + D, and Q is the sum of N D_k^2.  D_k = k base + the
+    sum of t_r(k) D_r over the residues r, so D_k = U + V c between the
+    breaks of the twists, and the slopes and V depend on q alone.  Two
+    degree-1 classes pair to the top coefficient of their product in the
+    model's ring.  L is the number of boundary lines, kappa = x.c1,
+    s1 = c1^2 - 2 c2 - the sum of D_i^2 and s2 = x^2: with c1^2 + c2 = 12
+    on a blown-up plane (Noether), 12 td = 12 + 6 c1 + 12 pt,
+    2 ch(Omega^1(log D)) = 4 + 2x + s1 pt, 2 ch(Omega^2(log D)) =
+    2 + 2x + s2 pt and 2 ch(L_k) = 2 + 2 D_k + D_k^2."""
+    q, m_s, c1 = _germ_q(germ, model), model.m_s, model.c1
+    size, mul = len(c1), model.ring.mul_vectors
+
+    def pair(a, b) -> int:
+        return mul(a, b)[-1]
+
+    groups = model.twist_classes
+    twists = _twist_slopes(q, m_s, [r for r, _ in groups])
+    v = combine(size, 0, [(q, model.deligne_base_vector)]
+                + [(s, cls) for (s, _), (_, cls) in zip(twists, groups)])
+    vv = pair(v, v)
+    sums = {}  # p -> A, the (coefficient, class) terms of W, Q
+    for p, t, n0, n1, n2 in _segments(germ.runs(), twists, m_s, mode):
+        u = combine(size, 0, zip(t, (cls for _, cls in groups)))
+        a, terms, sq = sums.get(p, (0, [], 0))
+        terms += [(n0, u), (n1, v)]
+        sums[p] = (a + n0, terms,
+                   sq + n0 * pair(u, u) + 2 * n1 * pair(u, v) + n2 * vv)
+    boundary = model.boundary
+    e = (0, 1) + (0,) * (size - 2)
+    x = combine(size, 0, [(1, c.cls) for c in boundary] + [(-1, c1)])
+    kappa, s2 = pair(x, c1), pair(x, x)
+    s1 = 3 * pair(c1, c1) - 24 - sum(pair(c.cls, c.cls) for c in boundary)
+    lines = sum(c.source == "edge" for c in boundary)
+    out = {}
+    for p, (a, terms, sq) in sums.items():
+        w = combine(size, 0, terms)
+        line = 2 * pair(w, e) + 3 * a
+        point = sq + pair(w, c1) + 2 * a
+        middle = 2 * pair(w, x) + kappa * a
+        out[p] = ((2 * a,), (line, line + 2 * (lines - 2) * a),
+                  (point, 2 * point + middle + s1 * a,
+                   point + middle + s2 * a))
+    return out
+
+
+def _stratum_contribution(germ, model: StratumModel,
+                          conv: ConventionSet) -> list:
+    """Sum over exponents and cotangent powers for one stratum, with the
+    degree scaling already applied: one RatFuncY per codegree j = 0..dim
+    on the closure P^dim.  The exceptional curves of a surface contract to
+    zero there, so none of their classes is summed.
+
+    germ, a catalogue GermKind or a table's Spectrum, is read through its
+    runs in its own frame: alpha stands at p = floor(codim - alpha) with
+    multiplicity (-1)^dim n_alpha, and the summand td ch(L_k) ch(Omega^q)
+    (-y)^(p + q) sign_q (-1)^dim n_alpha has y only in y^(p + q), with the
+    sign (-1)^(p + q + dim) sign_q = s_p = (-1)^(p + codim - 1).  So the
+    sum is a few integers per p, and 12 td, 2 ch(Omega^q(log D)),
+    2 ch(L_k) and the scaling (1+y)^(q - dim) multiply out to closed
+    forms, each polynomial in y (_curve_terms, _surface_terms)."""
+    if model.dim == 2:
+        den, terms = 2, _surface_terms(germ, model, conv.extension_mode)
+    else:
+        den, terms = 1, _curve_terms(germ, model, conv.extension_mode)
+    codim = model.edge.codim
+    out = [[0] * (max(terms) + model.dim + 1) for _ in range(model.dim + 1)]
+    for p, by_codegree in terms.items():
         sign = -1 if (p + codim - 1) % 2 else 1
-        fundamental[p] += sign * a_p
-        point[p] += sign * (a_p + b_p)
-        point[p + 1] += sign * (b_p + (b_d - 1) * a_p)
-    if not model.dim:
-        return [RatFuncY.from_ints(fundamental)]
-    return [RatFuncY.from_ints(fundamental), RatFuncY.from_ints(point)]
-
-
-def _ring_contribution(germ, model: StratumModel,
-                       conv: ConventionSet) -> list:
-    """The contribution of a stratum through its model's ring, on any
-    dimension; assembly takes it on surfaces only.
-
-    germ is a catalogue GermKind or a table's Spectrum, both read through
-    their runs in their own frame: alpha stands at p = floor(codim - alpha)
-    with multiplicity (-1)^dim n_alpha, and alpha + dim has the same
-    Deligne power k.  The summand td ch(L_k) ch(Omega^q) (-y)^(p + q)
-    sign_q (-1)^dim n_alpha has y only in y^(p + q), as
-    (-1)^(p + q + dim) sign_q = (-1)^(p + codim - 1).  So it is summed in
-    integer vectors, times 48 = 2 * 2 * 12: 2 ch(L_k) summed over k per p,
-    its products with 2 ch(Omega^q) per power of y, each times 12 td; y
-    enters as each coefficient is built."""
-    codim, ring = model.edge.codim, model.ring
-    size, mul = len(ring.names), ring.mul_vectors
-    buckets = {}  # j -> the (sign, class) terms of y^j, before the Todd class
-    for p, line in _line_sums(germ, model, conv.extension_mode).items():
-        sign = -1 if (p + codim - 1) % 2 else 1
-        for q, ch_q in enumerate(model.log_ch2):
-            buckets.setdefault(p + q, []).append((sign, mul(line, ch_q)))
-    by_power = [mul(combine(size, 0, buckets.get(j, ())), model.todd12)
-                for j in range(max(buckets) + 1)]
-    return [RatFuncY.from_ints([v[i] for v in by_power], 48, ring.dim - deg)
-            for i, deg in enumerate(ring.degrees)]
+        for cls, poly in zip(out, by_codegree):
+            for i, c in enumerate(poly):
+                cls[p + i] += sign * c
+    return [RatFuncY.from_ints(cls, den) for cls in out]
 
 
 def _type_key(model: StratumModel, germ) -> tuple:

@@ -124,12 +124,11 @@ class RingElement:
 
 
 class Ring:
-    """Base for graded basis rings; subclasses fill names/degrees and the
-    product mul_vectors of coefficient vectors (ints or RatFuncY) by the
-    ring's shape."""
+    """Base for graded basis rings; subclasses fill names and the product
+    mul_vectors of coefficient vectors (ints or RatFuncY) by the ring's
+    shape."""
 
     names: tuple
-    degrees: tuple
     dim: int
 
     def zero(self) -> RingElement:
@@ -166,7 +165,6 @@ class ProjRing(Ring):
             ring.dim = n
             ring.names = tuple("1" if k == 0 else ("h" if k == 1 else f"h^{k}")
                                for k in range(n + 1))
-            ring.degrees = tuple(range(n + 1))
         return ring
 
     def mul_vectors(self, a, b) -> list:
@@ -202,7 +200,6 @@ class BlownPlaneRing(Ring):
         names += [f"eps_{p}" for p in self.point_ids]
         names.append("pt")
         self.names = tuple(names)
-        self.degrees = tuple([0, 1] + [1] * len(self.point_ids) + [2])
 
     def mul_vectors(self, a, b) -> list:
         """Product of two vectors (1; e, eps_p...; pt): e^2 = pt,

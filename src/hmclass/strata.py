@@ -3,18 +3,20 @@
 Strata of dimension <= 2 are compactified explicitly: a point, a line, or
 the stratum closure blown up at the points where the induced arrangement
 fails to be normal crossing.  Each model carries its ring, the tangent
-Chern classes c1, c2 and its boundary divisors with integer residues.
-Every class of a model is a coefficient vector in the ring basis, of
-integers: the base Deligne-extension class, the boundary summed by residue
-(the classes a Deligne power twists), and the closed forms through
-degree 2 for 12 td and 2 ch(Omega^q(log D)).  The pushforward takes such
-a vector, of ints or RatFuncY, to the labeled Chow basis of the singular
-locus.  The Chern path reads the lattice alone and builds no model:
-c(T(-log D)), pushed to a stratum's closure P^d, is the CSM class of the
-open stratum minus the generic section (Aluffi 1999), so with chi the
-open stratum's Euler number and L its boundary lines it is 1 on a point,
-1 + (chi - 1) pt on a curve, and 1 + (2 - L) line + (chi - 2 + L) pt on
-a surface (milnor.chern_milnor).
+Chern class c1 and its boundary divisors with integer residues.  Every
+class of a model is a coefficient vector in the ring basis, of integers:
+the boundary components, the base Deligne-extension class and the
+boundary summed by residue (the classes a Deligne power twists).  A
+surface's contribution pairs such classes; a contribution is a few
+integers per power of y on every stratum, and comes out as one
+coefficient per codegree on the closure P^d, which the pushforward takes
+to the labeled Chow basis of the singular locus.  The Chern path reads
+the lattice alone and builds no model: c(T(-log D)), pushed to a
+stratum's closure P^d, is the CSM class of the open stratum minus the
+generic section (Aluffi 1999), so with chi the open stratum's Euler
+number and L its boundary lines it is 1 on a point, 1 + (chi - 1) pt on
+a curve, and 1 + (2 - L) line + (chi - 2 + L) pt on a surface
+(milnor.chern_milnor).
 """
 
 from __future__ import annotations
@@ -78,17 +80,17 @@ class StratumModel:
     """A stratum's good compactification; D = sum D_i is its boundary, a
     tuple of BoundaryComponents.  stratum is the localization at the
     stratum's edge, a surface's ring names its blown-up points, out_degree
-    is the total multiplicity away from the stratum, and c1, c2 are the
-    Chern classes of the tangent bundle.  Every class is an integer vector
+    is the total multiplicity away from the stratum, and c1 is the first
+    Chern class of the tangent bundle.  Every class is an integer vector
     in the ring basis.  Only the spectral sum reads the model: the Chern
     path reads the lattice alone, through the closed forms of Aluffi's
     CSM classes (see the module docstring), so the y = -1 check shares no
     compactification."""
 
     def __init__(self, stratum: LocalizedArrangement, ring, boundary: tuple,
-                 out_degree: int, c1: tuple, c2: tuple):
+                 out_degree: int, c1: tuple):
         self.stratum, self.ring, self.boundary = stratum, ring, boundary
-        self.out_degree, self.c1, self.c2 = out_degree, c1, c2
+        self.out_degree, self.c1 = out_degree, c1
 
     @property
     def m_s(self) -> int:
@@ -105,30 +107,6 @@ class StratumModel:
     @property
     def edge(self) -> Edge:
         return self.stratum.edge
-
-    @cached_property
-    def todd12(self) -> tuple:
-        """12 td(T) = 12 + 6 c1 + c1^2 + c2."""
-        c1, mul = self.c1, self.ring.mul_vectors
-        return combine(len(c1), 12, [(6, c1), (1, mul(c1, c1)), (1, self.c2)])
-
-    @cached_property
-    def log_ch2(self) -> tuple:
-        """2 ch(Omega^q(log D)) for q = 0..dim.  The top power is the line
-        bundle K + D: 2 + 2x + x^2 for x = D - c1.  On a surface the
-        residue sequence gives the middle one,
-        4 - 2 c1 + 2 D + c1^2 - 2 c2 - sum D_i^2."""
-        c1, mul = self.c1, self.ring.mul_vectors
-        size = len(c1)
-        d = combine(size, 0, [(1, c.cls) for c in self.boundary])
-        squares = combine(size, 0, [(1, mul(c.cls, c.cls))
-                                    for c in self.boundary])
-        two = combine(size, 2, ())
-        x = combine(size, 0, [(1, d), (-1, c1)])
-        top = combine(size, 2, [(2, x), (1, mul(x, x))])
-        middle = combine(size, 4, [(-2, c1), (2, d), (1, mul(c1, c1)),
-                                   (-2, self.c2), (-1, squares)])
-        return ((two,), (two, top), (two, middle, top))[self.dim]
 
     @cached_property
     def deligne_base_vector(self) -> tuple:
@@ -197,7 +175,7 @@ def compactify(arr: Arrangement,
         return value % m_s
 
     if d == 0:
-        return StratumModel(stratum, ProjRing(0), (), out_degree, (0,), (0,))
+        return StratumModel(stratum, ProjRing(0), (), out_degree, (0,))
 
     # the edges inside the closure, with their induced multiplicities
     boundary = [(e, e.m_s - m_s) for e in arr.lattice.above(edge)]
@@ -209,7 +187,7 @@ def compactify(arr: Arrangement,
         comps.append(BoundaryComponent("infinity", "infinity", 0,
                                        res(-arr.m), pt))
         return StratumModel(stratum, ProjRing(1), tuple(comps), out_degree,
-                            (0, 2), (0, 0))
+                            (0, 2))
 
     lines = [(e, m_rel) for e, m_rel in boundary if e.codim == edge.codim + 1]
     points = [(e, m_rel) for e, m_rel in boundary if e.codim == edge.codim + 2]
@@ -235,8 +213,7 @@ def compactify(arr: Arrangement,
                                            res(m_rel), eps[p.key]))
     comps.append(BoundaryComponent("infinity", "infinity", 0, res(-arr.m), e))
     c1 = combine(size, 0, [(3, e)] + [(-1, v) for v in eps.values()])
-    c2 = combine(size, 0, [(3 + len(blown), _unit(size, size - 1))])
-    return StratumModel(stratum, ring, tuple(comps), out_degree, c1, c2)
+    return StratumModel(stratum, ring, tuple(comps), out_degree, c1)
 
 
 def residues(model: StratumModel) -> dict:
@@ -410,20 +387,15 @@ class SigmaChowVector:
 
 def push_to_sigma(schema: LabelSchema, model: StratumModel,
                   coeffs) -> dict:
-    """Push a model class, given by its coefficients (ints or RatFuncY) in
-    the model basis, to the labeled Chow basis: label -> coefficient.  A
-    basis class of cohomological degree j sits in homology degree dim - j:
-    the fundamental class lands on the label of the stratum's closure,
-    each lower class on the shared label of its degree, and the
-    exceptional curves, at positions 2 to 1 + len(point_ids) of a
-    surface's basis, contract to zero.  The classes left have one
-    homology degree each, so no two land on one label."""
-    ring = model.ring
-    blown = range(2, 2 + len(ring.point_ids))
+    """Push a stratum's class, given by its coefficients (ints or RatFuncY)
+    by codegree j = 0..dim on the closure P^dim, to the labeled Chow basis:
+    label -> coefficient.  Codegree 0, the fundamental class, lands on the
+    label of the stratum's closure, and codegree j > 0 on the shared label
+    of homology degree dim - j, so no two land on one label."""
     out = {}
-    for i, (c, deg) in enumerate(zip(coeffs, ring.degrees)):
-        if c and i not in blown:
-            out[schema.shared[ring.dim - deg] if deg
+    for j, c in enumerate(coeffs):
+        if c:
+            out[schema.shared[model.dim - j] if j
                 else schema.fundamental[model.edge.key]] = c
     return out
 

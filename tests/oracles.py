@@ -16,20 +16,25 @@ each edge's Euler number and chi_y, with a Mobius function from a
 pairwise inclusion test over edges found by filtering, and the product
 of ring classes by the basis multiplication table.  The Newton-identity
 route from Chern data to Chern characters and Todd classes, and the
-scaled Todd transformation of RingElements, check the integer closed
-forms a stratum model carries; the Chern path built from those
-RingElements checks the integer one.  The per-exponent route to a
-stratum's contribution, with one Deligne-extension class per exponent
-summed over the boundary one component at a time and the power of each
-exponent picked in the window's own range, checks the closed forms that
-assembly reads.  The sparse-vector sums, scalings and polynomiality
-test that the package itself never needs live here too, and so do user
-tables that put a stratum's whole signed mass at exponent 1, the rows
-of a spectra report built one stratum at a time, and the input JSON of an
+scaled Todd transformation of RingElements, check the integer forms of
+12 td and 2 ch(Omega^q(log D)) on each stratum model; the Chern path
+built from those RingElements checks the lattice's closed form.  The
+ring path multiplies those integer forms with the summed Deligne classes
+in each model's ring, exceptional curves included, and pushes the result
+basis class by basis class: it checks the closed forms in y that
+assembly reads.  The per-exponent route to a stratum's contribution,
+with one Deligne-extension class per exponent summed over the boundary
+one component at a time and the power of each exponent picked in the
+window's own range, checks them too.  The sparse-vector sums, scalings
+and polynomiality test that the package itself never needs live here
+too, and so do user tables that put a stratum's whole signed mass at
+exponent 1 or spread it over random exponents, the rows of a spectra
+report built one stratum at a time, and the input JSON of an
 arrangement.
 """
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -42,7 +47,8 @@ from hmclass.arrangement import (LocalizedArrangement, chi_y_pn,
                                  milnor_fiber_chi, sigma_strata)
 from hmclass.coeffs import RatFuncY
 from hmclass.genera import _todd_series, hirzebruch_series
-from hmclass.rings import ProjRing, Ring, RingElement, exp_nilpotent
+from hmclass.milnor import _germ_q, _segments, _twist_slopes
+from hmclass.rings import ProjRing, Ring, RingElement, combine, exp_nilpotent
 from hmclass.spectra import (Spectrum, SpectrumError, classify_germ, sp_shift,
                              sp_user_load, sp_validate, stratum_germ,
                              stratum_spectrum)
@@ -166,6 +172,15 @@ def dense_by_bipartition(covectors):
     return True
 
 
+def basis_degrees(ring) -> tuple:
+    """The cohomological degree of each basis class of a ProjRing or a
+    BlownPlaneRing: h^k has degree k; on a blown-up plane 1 has degree 0,
+    e and every eps_p degree 1, and pt degree 2."""
+    if isinstance(ring, ProjRing):
+        return tuple(range(ring.dim + 1))
+    return (0,) + (1,) * (len(ring.names) - 2) + (2,)
+
+
 def _basis_product(ring, i: int, j: int):
     """(index, sign) of the product of basis classes i and j of a ProjRing
     or a BlownPlaneRing, or None when it vanishes."""
@@ -174,7 +189,7 @@ def _basis_product(ring, i: int, j: int):
     i, j = min(i, j), max(i, j)
     if i == 0:
         return (j, 1)
-    if i != j or ring.degrees[i] != 1:
+    if i != j or basis_degrees(ring)[i] != 1:
         return None  # degree above 2, e eps_p = 0, eps_p eps_q = 0
     return (len(ring.names) - 1, 1 if i == 1 else -1)  # e^2, eps_p^2
 
@@ -196,7 +211,7 @@ def graded_part(elem: RingElement, degree: int) -> RingElement:
     """The part of a class of one cohomological degree."""
     return RingElement(elem.ring, [c if d == degree else RatFuncY.ZERO
                                    for c, d in zip(elem.coeffs,
-                                                   elem.ring.degrees)])
+                                                   basis_degrees(elem.ring))])
 
 
 @dataclass(frozen=True)
@@ -268,10 +283,21 @@ def model_class(model, vec, den: int = 1) -> RingElement:
     return RingElement(model.ring, [Fraction(x, den) for x in vec])
 
 
+def tangent_c2(model) -> tuple:
+    """c2 of the tangent bundle of a stratum model, as an integer vector:
+    the Euler number of the model times the point class, so 0 below
+    dimension 2 and 3 + (blown points) on a surface."""
+    size = len(model.ring.names)
+    if model.dim < 2:
+        return (0,) * size
+    return (0,) * (size - 1) + (3 + len(model.ring.point_ids),)
+
+
 def tangent_chern(model) -> ChernData:
     """Chern data of the tangent bundle of a stratum model."""
     return ChernData(model.dim, (model_class(model, model.c1),
-                                 model_class(model, model.c2))[:model.dim])
+                                 model_class(model, tangent_c2(model)))
+                     [:model.dim])
 
 
 def log_chern(model, q: int) -> ChernData:
@@ -291,7 +317,7 @@ def log_chern(model, q: int) -> ChernData:
         return ChernData(1, (c1,) + (ring.zero(),) * (dim - 1))
     # q == 1 on a surface: c(log cotangent) = c(cotangent) * prod over
     # boundary of (1 - D)^{-1}, truncated in degree 2
-    total = ring.one() + k_cls + model_class(model, model.c2)
+    total = ring.one() + k_cls + model_class(model, tangent_c2(model))
     for cls in boundary:
         total = total * (ring.one() + cls + cls * cls)
     return ChernData(2, (graded_part(total, 1), graded_part(total, 2)))
@@ -306,24 +332,42 @@ def log_tangent_by_chern(model) -> RingElement:
     return total
 
 
+def push_by_basis(schema, model, coeffs) -> dict:
+    """A model class, given per basis class, pushed basis class by basis
+    class to its label, exceptional curves contracting: label ->
+    coefficient, zeros dropped.  The placement is the oracle's own: the
+    degree-0 class on the label of the stratum's closure, every other on
+    the shared label of its homology degree."""
+    ring = model.ring
+    out = {}
+    for c, name, deg in zip(coeffs, ring.names, basis_degrees(ring)):
+        if c and not name.startswith("eps"):
+            label = (schema.shared[ring.dim - deg] if deg
+                     else schema.fundamental[model.edge.key])
+            out[label] = out.get(label, 0) + c
+    return out
+
+
+def by_codegree(model, coeffs) -> list:
+    """A model class, given per basis class, as its coefficients by
+    codegree on the closure P^dim: the exceptional curves of a blown-up
+    plane, which contract to zero there, are dropped."""
+    return [c for c, name in zip(coeffs, model.ring.names)
+            if not name.startswith("eps")]
+
+
 def chern_milnor_by_classes(arr) -> SigmaChowVector:
     """The Euler-weighted Chern path with RatFuncY classes: per stratum,
-    chi~ of its Milnor fiber times log_tangent_by_chern, pushed basis class
-    by basis class to its label, exceptional curves contracting.  The
-    placement is the oracle's own: the codegree-0 class on the label of
-    the stratum's closure, every other on the shared label of its degree."""
+    chi~ of its Milnor fiber times log_tangent_by_chern, pushed by
+    push_by_basis."""
     schema = build_labels(arr)
     out = {}
     for s in sigma_strata(arr):
         model = compactify(arr, s)
-        ring = model.ring
         chi_tilde = milnor_fiber_chi(localize(arr, s.edge)) - 1
         cls = log_tangent_by_chern(model) * chi_tilde
-        for c, name, deg in zip(cls.coeffs, ring.names, ring.degrees):
-            if not name.startswith("eps"):
-                label = (schema.shared[ring.dim - deg] if deg
-                         else schema.fundamental[s.edge.key])
-                out[label] = out.get(label, RatFuncY.ZERO) + c
+        for label, c in push_by_basis(schema, model, cls.coeffs).items():
+            out[label] = out.get(label, RatFuncY.ZERO) + c
     return SigmaChowVector(schema, out)
 
 
@@ -473,7 +517,8 @@ def td_transform(ch_elem: RingElement, todd_elem: RingElement) -> RingElement:
     total = ch_elem * todd_elem
     ring = total.ring
     return RingElement(ring, [c * RatFuncY([1], ring.dim - j)
-                              for c, j in zip(total.coeffs, ring.degrees)])
+                              for c, j in zip(total.coeffs,
+                                              basis_degrees(ring))])
 
 
 def td_1py(cd: ChernData, model) -> RingElement:
@@ -537,6 +582,78 @@ def stratum_contribution_by_terms(arr, stratum, germ_sp, model, conv) -> RingEle
     return acc
 
 
+def todd12(model) -> tuple:
+    """12 td(T) = 12 + 6 c1 + c1^2 + c2 of a stratum model, as an integer
+    vector."""
+    c1, mul = model.c1, model.ring.mul_vectors
+    return combine(len(c1), 12, [(6, c1), (1, mul(c1, c1)),
+                                 (1, tangent_c2(model))])
+
+
+def log_ch2(model) -> tuple:
+    """2 ch(Omega^q(log D)) for q = 0..dim, as integer vectors.  The top
+    power is the line bundle K + D: 2 + 2x + x^2 for x = D - c1.  On a
+    surface the residue sequence gives the middle one,
+    4 - 2 c1 + 2 D + c1^2 - 2 c2 - sum D_i^2."""
+    c1, mul = model.c1, model.ring.mul_vectors
+    size = len(c1)
+    d = combine(size, 0, [(1, c.cls) for c in model.boundary])
+    squares = combine(size, 0, [(1, mul(c.cls, c.cls))
+                                for c in model.boundary])
+    two = combine(size, 2, ())
+    x = combine(size, 0, [(1, d), (-1, c1)])
+    top = combine(size, 2, [(2, x), (1, mul(x, x))])
+    middle = combine(size, 4, [(-2, c1), (2, d), (1, mul(c1, c1)),
+                               (-2, tangent_c2(model)), (-1, squares)])
+    return ((two,), (two, top), (two, middle, top))[model.dim]
+
+
+def line_sums(germ, model, mode: str) -> dict:
+    """The germ spectrum read in its own frame, by p = floor(codim - alpha),
+    and summed over its Deligne powers: p -> the sum of N_k 2 ch(L_k) =
+    N_k (2 + 2 D_k + D_k^2) over the exponents at p, as an integer vector
+    in the model basis, with D_k = k base + the sum of t_r(k) D_r over the
+    residues r, for the twist t_r(k) = floor((k r + b0) / m_s) + c0.
+    Between the breaks of the twists D_k = U + V c."""
+    q, m_s = _germ_q(germ, model), model.m_s
+    ring = model.ring
+    size, mul = len(ring.names), ring.mul_vectors
+    groups = model.twist_classes
+    twists = _twist_slopes(q, m_s, [r for r, _ in groups])
+    v = combine(size, 0, [(q, model.deligne_base_vector)]
+                + [(s, cls) for (s, _), (_, cls) in zip(twists, groups)])
+    vv = mul(v, v)
+    sums = {}  # p -> the constant and the (coefficient, class) terms
+    for p, t, n0, n1, n2 in _segments(germ.runs(), twists, m_s, mode):
+        u = combine(size, 0, zip(t, (cls for _, cls in groups)))
+        const, terms = sums.get(p, (0, []))
+        terms += [(2 * n0, u), (2 * n1, v), (n0, mul(u, u)),
+                  (2 * n1, mul(u, v)), (n2, vv)]
+        sums[p] = const + 2 * n0, terms
+    return {p: combine(size, const, terms)
+            for p, (const, terms) in sums.items()}
+
+
+def ring_contribution(germ, model, conv) -> list:
+    """A stratum's contribution through its model's ring, one RatFuncY per
+    basis class, exceptional curves included: the line sums of each p
+    times 2 ch(Omega^q(log D)) in y^(p + q), with the sign
+    (-1)^(p + codim - 1), times 12 td, over 48 = 2 * 2 * 12 and scaled by
+    (1+y)^-(homology degree)."""
+    codim, ring = model.edge.codim, model.ring
+    size, mul = len(ring.names), ring.mul_vectors
+    buckets = {}  # j -> the (sign, class) terms of y^j, before the Todd class
+    for p, line in line_sums(germ, model, conv.extension_mode).items():
+        sign = -1 if (p + codim - 1) % 2 else 1
+        for q, ch_q in enumerate(log_ch2(model)):
+            buckets.setdefault(p + q, []).append((sign, mul(line, ch_q)))
+    twelve_td = todd12(model)
+    by_power = [mul(combine(size, 0, buckets.get(j, ())), twelve_td)
+                for j in range(max(buckets) + 1)]
+    return [RatFuncY.from_ints([v[i] for v in by_power], 48, ring.dim - deg)
+            for i, deg in enumerate(basis_degrees(ring))]
+
+
 def table_entries(arr):
     """User table entries for the strata the catalogue cannot serve: the
     whole signed mass at exponent 1, which passes the validators."""
@@ -552,6 +669,50 @@ def table_entries(arr):
 def generated_tables(arr):
     """Validated user tables for the strata the catalogue cannot serve."""
     return sp_user_load(table_entries(arr), arr)
+
+
+def spread_table_entries(arr, rng: random.Random):
+    """User table entries that spread a stratum's whole signed mass over
+    random exponents in (0, rank) with denominators dividing m_s, for the
+    strata the catalogue cannot serve and for about half of the others.
+    Where sp_validate asks for symmetry under alpha -> rank - alpha (one
+    hyperplane, or a reduced plane germ) the mass goes on symmetric pairs,
+    and an odd remainder on the centre rank/2, which then has a
+    denominator dividing m_s."""
+    raw = {}
+    for s in sigma_strata(arr):
+        if stratum_germ(s) is not None and rng.random() < 0.5:
+            continue
+        loc = localize(arr, s.edge)
+        rank, m_s = loc.rank, loc.m_s
+        left = (-1) ** (rank - 1) * (milnor_fiber_chi(loc) - 1)
+        exponents = [Fraction(j, m_s) for j in range(1, rank * m_s)]
+        table = dict.fromkeys(exponents, 0)
+        if rank == 1 or (rank == 2 and loc.reduced):
+            centre = Fraction(rank, 2)
+            pairs = [a for a in exponents if a < centre]
+            chosen = rng.sample(pairs, min(len(pairs), 3))
+            for a in chosen:
+                v = rng.randint(-3, 3)
+                table[a] += v
+                table[rank - a] += v
+                left -= 2 * v
+            if chosen:
+                table[chosen[0]] += left // 2
+                table[rank - chosen[0]] += left // 2
+                left %= 2
+            if left:
+                table[centre] += left
+        else:
+            chosen = rng.sample(exponents, min(len(exponents), 4))
+            for a in chosen[1:]:
+                v = rng.randint(-3, 3)
+                table[a] += v
+                left -= v
+            table[chosen[0]] += left
+        raw[s.key] = [{"alpha": str(a), "mult": v}
+                      for a, v in table.items() if v]
+    return raw
 
 
 def spectra_rows_by_stratum(arr, tables) -> list:

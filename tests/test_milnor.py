@@ -19,12 +19,12 @@ from hmclass.spectra import (GermKind, Spectrum, SpectrumError, sp_monomial,
                              sp_shift, sp_user_load, stratum_germ,
                              stratum_spectrum)
 from hmclass.strata import (SigmaChowVector, build_labels, compactify,
-                            push_to_sigma, relabel_vector)
-from oracles import (ChernData, arrangement_to_json, chern_milnor_by_classes,
-                     euler_defect, generated_tables, k_representative,
-                     report_to_json, stratum_contribution_by_terms,
-                     table_entries, td_1py, vector_is_polynomial,
-                     vector_scale, vector_sum)
+                            relabel_vector)
+from oracles import (ChernData, arrangement_to_json, by_codegree,
+                     chern_milnor_by_classes, euler_defect, generated_tables,
+                     k_representative, push_by_basis, report_to_json,
+                     stratum_contribution_by_terms, table_entries, td_1py,
+                     vector_is_polynomial, vector_scale, vector_sum)
 
 F = Fraction
 
@@ -477,11 +477,10 @@ class TestRegroupedContribution:
         for s, germ in strata:
             model = compactify(arr, s)
             sp = germ.spectrum()
-            want = stratum_contribution_by_terms(arr, s, sp, model, conv)
-            assert tuple(_stratum_contribution(germ, model, conv)) \
-                == want.coeffs, s.key
-            assert tuple(_stratum_contribution(sp, model, conv)) \
-                == want.coeffs, s.key
+            want = by_codegree(model, stratum_contribution_by_terms(
+                arr, s, sp, model, conv).coeffs)
+            assert _stratum_contribution(germ, model, conv) == want, s.key
+            assert _stratum_contribution(sp, model, conv) == want, s.key
 
     @pytest.mark.parametrize("name", corpus.ALL_NAMES)
     def test_corpus_under_all_conventions(self, name):
@@ -673,19 +672,19 @@ class TestOnePass:
             assert len(calls["_stratum_contribution"]) == len(signatures), path
         assert len(signatures) < len(strata_)  # the nine lines repeat types
 
-    def test_milnor_ring_path_for_surfaces_only(self, monkeypatch, capsys):
-        # a point or a curve contributes from integers: the ring path and
-        # the model classes it reads are built once per surface
+    def test_milnor_model_classes_for_surfaces_only(self, monkeypatch,
+                                                     capsys):
+        # a point or a curve contributes from integers per residue: the
+        # model classes a surface pairs are built once per surface
         # contribution, and never for a point or a curve
         surfaces = 0
         for name in corpus.ALL_NAMES:
             rep = assemble(corpus.load(name))
             want = sorted(m.edge.key for m in rep.models if m.dim == 2)
             with monkeypatch.context() as patch:
-                ring = count_calls(patch, milnor, "_ring_contribution")
+                terms = count_calls(patch, milnor, "_surface_terms")
                 built = {}
-                for attr in ("log_ch2", "todd12", "twist_classes",
-                             "deligne_base_vector"):
+                for attr in ("twist_classes", "deligne_base_vector"):
                     real = getattr(strata.StratumModel, attr).func
                     built[attr] = []
 
@@ -698,7 +697,7 @@ class TestOnePass:
                     patch.setattr(strata.StratumModel, attr, prop)
                 code = cli.main(["milnor", str(corpus.corpus_path(name))])
                 assert code == 0, capsys.readouterr().err
-            assert sorted(model.edge.key for _, model, _ in ring) == want, \
+            assert sorted(model.edge.key for _, model, _ in terms) == want, \
                 name
             for attr, keys in built.items():
                 assert sorted(keys) == want, (name, attr)
@@ -836,7 +835,7 @@ class TestMemo:
             if conv.sign_mode == "flip_odd_strata" and s.dim % 2 == 1:
                 elem = -elem
             want[s.key] = SigmaChowVector(
-                schema, push_to_sigma(schema, model, elem.coeffs))
+                schema, push_by_basis(schema, model, elem.coeffs))
         rep = assemble(arr, tables, conv)
         assert rep.per_stratum == want
         assert rep.chern_path == chern_milnor_by_classes(arr)

@@ -30,20 +30,22 @@ from hmclass.arrangement import (ArrangementError, build, chi_y,
 from hmclass.coeffs import RatFuncY
 from hmclass.corpus import ALL_NAMES, corpus_path
 from hmclass.milnor import (ALL_CONVENTIONS, DEFAULT_CONVENTIONS,
-                            MissingSpectrumError, _ring_contribution, _stratum_contribution,
+                            MissingSpectrumError, _stratum_contribution,
                             _type_key, assemble, chern_milnor)
 from hmclass.rings import BlownPlaneRing, ProjRing, RingElement
-from hmclass.spectra import GermKind, stratum_germ
+from hmclass.spectra import GermKind, sp_user_load, stratum_germ
 from hmclass.strata import (SigmaChowVector, build_labels, compactify,
                             push_to_sigma, relabel_vector)
-from oracles import (arrangement_to_json, chern_milnor_by_classes,
-                     chern_to_ch, chi_y_stratum_by_whitney,
-                     dense_by_bipartition,
+from oracles import (arrangement_to_json, by_codegree,
+                     chern_milnor_by_classes, chern_to_ch,
+                     chi_y_stratum_by_whitney, dense_by_bipartition,
                      euler_by_whitney, euler_defect, generated_tables,
-                     hirzebruch_class_by_additivity, log_chern,
-                     model_class, product_by_basis, report_to_json,
-                     spectra_rows_by_stratum, stratum_contribution_by_terms,
-                     table_entries, tangent_chern, todd_from_chern)
+                     hirzebruch_class_by_additivity, log_ch2, log_chern,
+                     model_class, product_by_basis, push_by_basis,
+                     report_to_json, ring_contribution,
+                     spectra_rows_by_stratum, spread_table_entries,
+                     stratum_contribution_by_terms, table_entries,
+                     tangent_chern, todd12, todd_from_chern)
 
 SETTINGS = settings(derandomize=True, max_examples=30, deadline=None,
                     suppress_health_check=[HealthCheck.filter_too_much])
@@ -193,7 +195,7 @@ def pushed_by_terms(arr, stratum, germ, conv, schema):
     elem = stratum_contribution_by_terms(arr, stratum, sp, model, conv)
     if conv.sign_mode == "flip_odd_strata" and stratum.dim % 2 == 1:
         elem = -elem
-    return SigmaChowVector(schema, push_to_sigma(schema, model, elem.coeffs))
+    return SigmaChowVector(schema, push_by_basis(schema, model, elem.coeffs))
 
 
 def test_type_key_is_sound():
@@ -229,44 +231,62 @@ def test_type_key_is_sound():
     assert seen["tables"] and seen["repeats"], seen
 
 
-def test_integer_path_matches_ring_path_on_points_and_curves():
-    # a point's or a curve's contribution, summed in integers, against the
-    # same sum through the model's ring, catalogue germs and user tables
-    # alike, under every convention
+def test_integer_path_matches_ring_path_on_every_stratum():
+    # every stratum's contribution, summed in integers and pushed to the
+    # labels, against the same sum through the model's ring, exceptional
+    # curves included, pushed basis class by basis class: catalogue germs,
+    # tables with a whole mass at exponent 1 and tables spread over random
+    # exponents, under every convention, in P^2 to P^4
     seen = Counter()
 
-    @SETTINGS
-    @given(st.one_of(arrangements(), p4_arrangements()))
-    def check(case):
-        n, hyperplanes, _ = case
+    @settings(SETTINGS, max_examples=50)
+    @given(st.one_of(arrangements(), model_arrangements(),
+                     p4_arrangements()), st.integers(0, 2 ** 32))
+    def check(case, seed):
+        n, hyperplanes = case[:2]
         try:
             arr = build(n, hyperplanes)
         except ArrangementError:
             reject()
-        tables = generated_tables(arr)
-        for s in sigma_strata(arr):
-            germ = stratum_germ(s, tables)
-            model = compactify(arr, s)
-            if germ.is_zero() or model.dim == 2:
-                continue
-            for conv in ALL_CONVENTIONS:
-                assert (_stratum_contribution(germ, model, conv)
-                        == _ring_contribution(germ, model, conv)), (s.key,
-                                                                    conv)
-            seen[model.kind] += 1
-            seen["tables"] += s.key in tables
-            seen["curve, several residues"] += model.dim == 1 and len(
-                {c.m_res for c in model.boundary}) > 1
+        schema = build_labels(arr)
+        spread = sp_user_load(
+            spread_table_entries(arr, random.Random(seed)), arr)
+        for tables in (generated_tables(arr), spread):
+            for s in sigma_strata(arr):
+                germ = stratum_germ(s, tables)
+                model = compactify(arr, s)
+                if germ.is_zero():
+                    continue
+                for conv in ALL_CONVENTIONS:
+                    got = _stratum_contribution(germ, model, conv)
+                    want = ring_contribution(germ, model, conv)
+                    assert (push_to_sigma(schema, model, got)
+                            == push_by_basis(schema, model, want)), (
+                                s.key, conv.label())
+                seen[n, model.kind] += 1
+                seen[model.kind, bool(model.ring.point_ids)] += 1
+                seen["spread", model.kind] += tables is spread and (
+                    s.key in tables)
+                seen["whole mass"] += tables is not spread and (
+                    s.key in tables)
+                seen["curve, several residues"] += model.dim == 1 and len(
+                    {c.m_res for c in model.boundary}) > 1
 
     check()
-    assert all(seen[k] for k in ("point", "curve", "tables",
-                                 "curve, several residues")), seen
+    for n in (3, 4):
+        for kind in ("point", "curve", "surface"):
+            assert seen[n, kind], (n, kind, seen)
+    assert seen["surface", True] and seen["surface", False], seen
+    assert all(seen["spread", kind] for kind in ("point", "curve",
+                                                 "surface")), seen
+    assert seen["whole mass"] and seen["curve, several residues"], seen
 
 
 def test_each_class_pushes_to_a_label_of_its_own():
-    # every basis class but the exceptional curves lands on a label of its
-    # own, so the all-ones vector pushes to 1 on each of those labels, and
-    # the codegree-0 class lands on the label of the stratum's closure
+    # a stratum's class of codegree j lands on the label of its closure
+    # when j = 0 and on the shared label of degree dim - j otherwise, so
+    # each codegree has a label of its own, and the all-ones class pushes
+    # to 1 on each of them
     seen = Counter()
 
     @SETTINGS
@@ -280,21 +300,21 @@ def test_each_class_pushes_to_a_label_of_its_own():
         schema = build_labels(arr)
         for s in sigma_strata(arr):
             model = compactify(arr, s)
-            ring = model.ring
-            size = len(ring.names)
+            size = model.dim + 1
             units = [push_to_sigma(schema, model,
                                    [int(i == j) for i in range(size)])
                      for j in range(size)]
-            labels = [name for pushed in units for name in pushed]
-            assert len(set(labels)) == len(labels), s.key
-            assert len(labels) == size - len(ring.point_ids), s.key
+            want = [{schema.fundamental[s.key]: 1}] + [
+                {schema.shared[model.dim - j]: 1} for j in range(1, size)]
+            assert units == want, s.key
+            labels = {name for pushed in want for name in pushed}
+            assert len(labels) == size, s.key
             assert (push_to_sigma(schema, model, [1] * size)
                     == dict.fromkeys(labels, 1)), s.key
-            assert units[0] == {schema.fundamental[s.key]: 1}, s.key
-            seen[model.kind, bool(ring.point_ids)] += 1
+            seen[model.kind] += 1
 
     check()
-    assert seen["surface", True] and seen["surface", False], seen
+    assert seen["point"] and seen["curve"] and seen["surface"], seen
 
 
 @st.composite
@@ -654,10 +674,10 @@ def test_model_classes_match_newton_identity_oracle():
             model = compactify(arr, s)
             seen[model.kind, bool(model.ring.point_ids)] += 1
             ring = model.ring
-            assert (model_class(model, model.todd12, 12)
+            assert (model_class(model, todd12(model), 12)
                     == todd_from_chern(tangent_chern(model), ring))
-            assert len(model.log_ch2) == model.dim + 1
-            for q, ch in enumerate(model.log_ch2):
+            assert len(log_ch2(model)) == model.dim + 1
+            for q, ch in enumerate(log_ch2(model)):
                 assert (model_class(model, ch, 2)
                         == chern_to_ch(log_chern(model, q), ring)), (s.key, q)
 
@@ -766,8 +786,8 @@ def test_closed_form_matches_per_exponent_oracle():
             sp = germ.spectrum()
             for conv in ALL_CONVENTIONS:
                 want = stratum_contribution_by_terms(arr, s, sp, model, conv)
-                assert (tuple(_stratum_contribution(germ, model, conv))
-                        == want.coeffs), (s.key, conv)
+                assert (_stratum_contribution(germ, model, conv)
+                        == by_codegree(model, want.coeffs)), (s.key, conv)
             seen[model.kind, bool(model.ring.point_ids)] += 1
         seen["multiple planes"] += n == 3 and sum(
             m > 1 for _, m in hyperplanes) >= 2

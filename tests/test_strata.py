@@ -13,8 +13,8 @@ from hmclass.strata import (SigmaChowVector, StrataError,
                             compactify, deligne_residues,
                             homology_weight_dims, power_identity_holds,
                             push_to_sigma, residues)
-from oracles import (basis_class, deligne_vector, log_chern, model_class,
-                     vector_to_json)
+from oracles import (basis_class, by_codegree, deligne_vector, log_chern,
+                     model_class, vector_to_json)
 
 F = Fraction
 
@@ -32,8 +32,10 @@ def deligne_class(model, k):
 
 
 def pushed(schema, model, elem):
-    """A class of the model ring pushed to the labeled Chow basis."""
-    return SigmaChowVector(schema, push_to_sigma(schema, model, elem.coeffs))
+    """A class of the model ring pushed to the labeled Chow basis, by
+    codegree."""
+    return SigmaChowVector(schema, push_to_sigma(
+        schema, model, by_codegree(model, elem.coeffs)))
 
 
 def two_planes():
