@@ -91,6 +91,14 @@ PINS += [digest("multiplicity", name, suffix)
          for suffix in ("milnor", "milnor-dump-strata")]
 PINS.append(digest("multiplicity", "mult1000", "spectra"))
 
+# the lattice-side reports of mult1000 and mult100k, whose m_s and Milnor
+# fiber Euler numbers are far above the pools'; recorded while the lattice
+# report still summed chi_y over the open strata for its Euler number.
+# chi_y does not read the multiplicities, so the two chi-y digests are equal
+PINS += [digest("multiplicity", name, suffix)
+         for name in ("mult1000", "mult100k")
+         for suffix in ("lattice", "chi-y")]
+
 # seven planes in P^3 with multiplicities up to 3 and every stratum served
 # by a user table: each catalogue germ with m_s > 1 and a nonzero spectrum
 # by its catalogue spectrum written out as a table, and each stratum the
