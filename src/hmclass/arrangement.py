@@ -7,7 +7,8 @@ locus, each the localization at its edge, which the lattice keeps and
 every consumer shares, and chi_y genera.
 
 The tables: the Mobius function mu(0, x) is computed bottom up, and gives
-the Euler number of each edge's localization; chi_y of each open stratum is
+the Euler number of each edge's localization and, in the same pass, that
+of the divisor; chi_y of each open stratum is
 computed top down by additivity, since the closed stratum of an edge of
 dimension d is a P^d and the disjoint union of the open strata of the
 edges on it.
@@ -241,8 +242,8 @@ class Edge:
 class Lattice:
     """The edges of an arrangement in P^n with the index and the "above"
     relation its consumers look up, the per-edge Euler numbers and chi_y
-    tables, and the localization at each edge once some consumer has asked
-    for it."""
+    tables, the divisor's Euler number, and the localization at each edge
+    once some consumer has asked for it."""
 
     def __init__(self, n: int, edges: tuple, position: dict,
                  strictly_above: tuple):
@@ -262,20 +263,37 @@ class Lattice:
     @cached_property
     def euler(self) -> tuple:
         """Per position, the Euler number of the projectivized complement
-        of the localization at the edge: -codim e mu(e) - sum over x < e of
-        mu(x) codim x, where mu(e) = mu(0, e) = -1 - sum over x < e of
-        mu(x).  One bottom-up pass pushes each mu(x) into the two sums of
-        every edge above x."""
+        of the localization at the edge."""
+        return self._mobius[0]
+
+    @cached_property
+    def divisor_euler(self) -> int:
+        """The Euler number of the divisor, the union of the hyperplanes."""
+        return self._mobius[1]
+
+    @cached_property
+    def _mobius(self) -> tuple:
+        """(euler, divisor_euler) from one bottom-up pass over mu(e) =
+        mu(0, e) = -1 - sum over x < e of mu(x).  The localization at e has
+        Euler number -codim e mu(e) - sum over x < e of mu(x) codim x, so
+        the pass pushes each mu(x) into the two sums of every edge above x.
+        The divisor's Euler number is -sum over e of mu(e) (n - codim e +
+        1), by Mobius inversion over the lattice (Orlik-Terao, ch. 2): the
+        complement of the divisor in P^n has Euler number the sum over all
+        X of mu(X) chi(P(X)), the whole space included, and P(X) is a
+        P^(n - codim X)."""
         mu_below = [0] * len(self.edges)
         codim_below = [0] * len(self.edges)
         out = []
+        divisor = 0
         for i, e in enumerate(self.edges):
             mu = -1 - mu_below[i]
             out.append(-e.codim * mu - codim_below[i])
+            divisor -= mu * (self.n - e.codim + 1)
             for j in self.strictly_above[i]:
                 mu_below[j] += mu
                 codim_below[j] += mu * e.codim
-        return tuple(out)
+        return tuple(out), divisor
 
     @cached_property
     def chi_y_open(self) -> tuple:

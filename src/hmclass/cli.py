@@ -3,15 +3,19 @@ chi_y genera, Milnor-class assembly, the built-in check harness, and the
 convention calibration report.
 
 All output is deterministic JSON with rationals serialized as strings,
-written as the text of json.dumps(value, indent=2) by jsontext.dumps;
-exit codes: 0 success, 1 validation failure, 2 malformed input.
+written as the text of json.dumps(value, indent=2) by jsontext: a report
+whose parts repeat is a skeleton that jsontext.splice fills with each
+distinct part's text, rendered once.  Exit codes: 0 success, 1 validation
+failure, 2 malformed input.
 
 The lattice report reads each edge's density from the lattice's Euler
 table (dense exactly when the Euler number is nonzero, by Crapo's
-theorem), and the spectra report builds a catalogue row's spectrum,
-shift and validation once per germ type, and reports a user table's
-verdict from its load.  The chi-y report renders each distinct
-open-stratum value once.
+theorem) and the divisor's Euler number from the same Mobius pass, and
+renders each edge's row from one template.  The spectra report builds a
+catalogue row's spectrum, shift and validation once per germ type, and
+reports a user table's verdict from its load; each distinct row body is
+rendered once and follows each row's own fields.  The chi-y report
+renders each distinct open-stratum value once.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ import argparse
 import functools
 import json
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from .ambient import virtual_genus, virtual_pushed
 from .arrangement import (Arrangement, chi_y, chi_y_pn, edges,
@@ -27,7 +33,7 @@ from .arrangement import (Arrangement, chi_y, chi_y_pn, edges,
                           sigma_strata)
 from .coeffs import RatFuncY, poly_str
 from .genera import hirzebruch_series, verify_identity_qr
-from .jsontext import dumps
+from .jsontext import HOLE, dumps, splice
 from .milnor import (ALL_CONVENTIONS, DEFAULT_CONVENTIONS, MilnorError,
                      MissingSpectrumError, PolynomialityError, assemble,
                      calibrate)
@@ -73,9 +79,26 @@ def _emit(chunks, out_path=None):
         sys.stdout.writelines(chunks)
 
 
-def _dumps(payload):
-    yield dumps(payload)
-    yield "\n"
+def _dumps(payload, fills=()):
+    """A report's text, chunk by chunk: dumps(payload) with its holes
+    filled in turn from fills, and a newline."""
+    return chain(splice(payload, fills), ("\n",))
+
+
+def _row_tail(fields: dict) -> str:
+    """The text of a row's fields after the head, down to the row's
+    closing brace, for a row two levels deep in the report."""
+    return "," + dumps(fields, 2)[1:]
+
+
+def _members(texts: list, brackets: str = "[]") -> str:
+    """The text of a list, or with brackets "{}" of an object, one level
+    deep in a report, whose members, two levels deep, have the given
+    texts."""
+    if not texts:
+        return brackets
+    opening, closing = brackets
+    return f"{opening}\n    " + ",\n    ".join(texts) + f"\n  {closing}"
 
 
 def _fail(code: int, kind: str, message: str) -> int:
@@ -88,39 +111,47 @@ def _fail(code: int, kind: str, message: str) -> int:
 # subcommands
 
 
+# a lattice row, two levels deep in the report: its key, codimension,
+# dimension, m_s, density, and the Euler numbers of the localization and of
+# its Milnor fiber
+_LATTICE_ROW = ('{\n      "key": %s,\n      "codim": %d,\n      "dim": %d,'
+                '\n      "m_s": %d,\n      "dense": %s,'
+                '\n      "complement_chi": %d,'
+                '\n      "milnor_fiber_chi": %d\n    }')
+
+
 def cmd_lattice(args) -> int:
     arr = Arrangement.load(args.input)
     lattice = arr.lattice
-    rows = []
     # the localization's Euler number is read from the lattice's table by
-    # position, and its Milnor fiber's Euler number is that times m_s
-    for e, euler in zip(lattice.edges, lattice.euler):
-        rows.append({
-            "key": e.key,
-            "codim": e.codim,
-            "dim": arr.n - e.codim,
-            "m_s": e.m_s,
-            # dense exactly when the localization's beta invariant, up to
-            # sign its Euler number, is nonzero (Crapo 1967)
-            "dense": euler != 0,
-            "complement_chi": euler,
-            "milnor_fiber_chi": euler * e.m_s,
-        })
+    # position, and its Milnor fiber's Euler number is that times m_s; the
+    # edge is dense exactly when the localization's beta invariant, up to
+    # sign its Euler number, is nonzero (Crapo 1967)
+    rows = [_LATTICE_ROW % (encode_basestring_ascii(e.key), e.codim,
+                            arr.n - e.codim, e.m_s,
+                            "true" if euler else "false", euler,
+                            euler * e.m_s)
+            for e, euler in zip(lattice.edges, lattice.euler)]
     payload = {
         "n": arr.n,
         "m": arr.m,
-        "edges": rows,
+        "edges": HOLE,
         "chow_dims": {k: {str(d): v for d, v in sorted(t.items(), reverse=True)}
                       for k, t in chow_dims(arr).items()},
         "weight_dims": {str(k): v
                         for k, v in sorted(homology_weight_dims(arr).items())},
-        # the divisor's Euler number, chi_y at y = -1 from the lattice's
-        # table of open strata; the key name is kept so the report stays
-        # stable
-        "euler_inclusion_exclusion": int(chi_y(arr)(-1)),
+        # the divisor's Euler number, from the lattice's Mobius pass; the
+        # key name is kept so the report stays stable
+        "euler_inclusion_exclusion": lattice.divisor_euler,
     }
-    _emit(_dumps(payload), args.out)
+    _emit(_dumps(payload, [_members(rows)]), args.out)
     return EXIT_OK
+
+
+# the head of a spectra row, two levels deep in the report: the stratum's
+# edge, codimension, dimension and m_s; the row's body follows
+_SPECTRA_ROW = ('{\n      "edge": %s,\n      "codim": %d,\n      "dim": %d,'
+                '\n      "m_s": %d')
 
 
 def cmd_spectra(args) -> int:
@@ -131,47 +162,44 @@ def cmd_spectra(args) -> int:
     # rest: its data are the multiplicities of rank independent hyperplanes
     # (a torus complement, Euler number 0 from rank 2) or k reduced lines
     # through a point (Euler number 2 - k), and the dimension is n - rank.
-    # So a body is built once per germ; a table's row is its own
+    # So a body is built and rendered once per germ; a table's row is its
+    # own.  A row is its stratum's four fields, then its body's text
+    required = _row_tail({"source": "user_table_required"})
     bodies = {}
     rows = []
     for s in sigma_strata(arr):
-        row = {
-            "edge": s.key,
-            "codim": s.edge.codim,
-            "dim": s.dim,
-            "m_s": s.m_s,
-        }
         germ = stratum_germ(s, tables)
         if germ is None:
-            row["source"] = "user_table_required"
+            body = required
         elif isinstance(germ, GermKind):
             body = bodies.get(germ)
             if body is None:
                 sp = germ.spectrum()
                 body = bodies[germ] = _spectrum_body(
                     germ.describe(), sp, s, arr.n, sp_validate(sp, s))
-            row.update(body)
         else:
             # sp_user_load validated the table against this same
             # localization and rejected any failure
-            row.update(_spectrum_body("user_table", germ, s, arr.n,
-                                      {"ok": True, "failures": []}))
-        rows.append(row)
-    _emit(_dumps({"n": arr.n, "m": arr.m, "strata": rows}), args.out)
+            body = _spectrum_body("user_table", germ, s, arr.n,
+                                  {"ok": True, "failures": []})
+        rows.append(_SPECTRA_ROW % (encode_basestring_ascii(s.key),
+                                    s.edge.codim, s.dim, s.m_s) + body)
+    payload = {"n": arr.n, "m": arr.m, "strata": HOLE}
+    _emit(_dumps(payload, [_members(rows)]), args.out)
     return EXIT_OK
 
 
 def _spectrum_body(source: str, sp, stratum, n: int,
-                   validation: dict) -> dict:
-    """The fields of a spectra row after the stratum's own: the spectrum's
-    source, its entries in the germ and the stratum frames, and the
-    validators' verdict against the stratum's localization."""
-    return {
+                   validation: dict) -> str:
+    """The text of a spectra row after the stratum's own fields: the
+    spectrum's source, its entries in the germ and the stratum frames, and
+    the validators' verdict against the stratum's localization."""
+    return _row_tail({
         "source": source,
         "germ": sp.to_json(),
         "stratum_frame": sp_shift(sp, stratum, n).to_json(),
         "validation": validation,
-    }
+    })
 
 
 def cmd_virtual(args) -> int:
@@ -200,12 +228,12 @@ def cmd_chi_y(args) -> int:
     # distinct tuple is rendered once
     lattice = arr.lattice
     texts = {}
-    per = {}
+    per = []
     for e, cs in zip(lattice.edges, lattice.chi_y_open):
         text = texts.get(cs)
         if text is None:
-            text = texts[cs] = RatFuncY(cs).as_strings()
-        per[e.key] = text
+            text = texts[cs] = dumps(RatFuncY(cs).as_strings(), 2)
+        per.append(f"{encode_basestring_ascii(e.key)}: {text}")
     value = chi_y(arr)
     payload = {
         "n": arr.n,
@@ -213,9 +241,9 @@ def cmd_chi_y(args) -> int:
         "chi_y_X_text": poly_str(value),
         "chi_y_Pn": chi_y_pn(arr.n).as_strings(),
         "euler_X": str(value(-1)),
-        "per_stratum": per,
+        "per_stratum": HOLE,
     }
-    _emit(_dumps(payload), args.out)
+    _emit(_dumps(payload, [_members(per, "{}")]), args.out)
     return EXIT_OK
 
 

@@ -7,20 +7,50 @@ json.dumps writes indented text with its pure-Python encoder, which walks
 every value through a chain of generators; this writer appends the pieces
 to one list and renders each string with the C routine that encoder
 calls, encode_basestring_ascii.
+
+A report whose parts repeat is written as a skeleton: splice(value, fills)
+is the text of dumps(value) with each HOLE in value replaced by a text
+rendered elsewhere, such as dumps of a repeated part at its depth, which
+is then rendered once however often it occurs.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
-__all__ = ["dumps"]
+__all__ = ["HOLE", "dumps", "splice"]
+
+HOLE = "\0"  # a value that splice replaces with a text rendered elsewhere
+_HOLE_TEXT = encode_basestring_ascii(HOLE)
 
 
-def dumps(value) -> str:
-    """The text of json.dumps(value, indent=2)."""
+def dumps(value, depth: int = 0) -> str:
+    """The text of json.dumps(value, indent=2), as it stands where value
+    sits depth levels deep in an enclosing value: every line after the
+    first is indented by 2 * depth more spaces."""
     out = []
-    _write(value, "\n", out.append)
+    _write(value, "\n" + "  " * depth, out.append)
     return "".join(out)
+
+
+def splice(value, fills, count: int = None):
+    """The text of dumps(value) as an iterator of chunks, with the i-th
+    HOLE in the text's order replaced by the i-th text of fills.  fills is
+    a sequence of texts, or an iterator of count texts, such as a map that
+    renders each text as its chunk is read, so that a long report streams.
+    A fill must be the text of a value at the hole's depth for the result
+    to be that of the filled value.  Unless the text holds exactly that
+    many holes, raises ValueError, so a string that renders like a hole
+    can never shift the text; an iterator that ends early or runs on
+    raises ValueError when it is read."""
+    if count is None:
+        count = len(fills)
+    parts = dumps(value).split(_HOLE_TEXT)
+    if len(parts) != count + 1:
+        raise ValueError(f"a skeleton with {len(parts) - 1} holes "
+                         f"for {count} fills")
+    return chain.from_iterable(zip(parts, chain(fills, ("",)), strict=True))
 
 
 def _leaf(value) -> str:

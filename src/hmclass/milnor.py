@@ -24,10 +24,12 @@ explored exhaustively by calibrate().
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .ambient import virtual_genus
 from .arrangement import Arrangement, chi_y, milnor_fiber_chi, sigma_strata
 from .coeffs import RatFuncY
-from .jsontext import dumps
+from .jsontext import HOLE, dumps, splice
 from .rings import combine
 from .spectra import SpectrumError, stratum_germ
 from .strata import (EXT_HALF_OPEN_DOWN, EXT_HALF_OPEN_UP, LabelSchema,
@@ -119,7 +121,7 @@ class MilnorReport:
     def json_chunks(self, dump_strata: bool = False):
         """The report as indented JSON text, chunk by chunk.
 
-        jsontext.dumps writes the skeleton, with a hole for each label ->
+        jsontext.splice writes the skeleton, with a hole for each label ->
         value block; a block splices its vector's nonzero values into the zero
         lines of the schema, which are rendered once per report."""
         names = self.schema.names()
@@ -133,29 +135,23 @@ class MilnorReport:
             "m": self.arrangement.m,
             "conventions": {"sign_mode": self.conventions.sign_mode,
                             "extension_mode": self.conventions.extension_mode},
-            "M_y": _HOLE,
-            "per_stratum": dict.fromkeys(self.per_stratum, _HOLE),
+            "M_y": HOLE,
+            "per_stratum": dict.fromkeys(self.per_stratum, HOLE),
             "specializations": dict.fromkeys(map(str, self.specializations),
-                                             _HOLE),
+                                             HOLE),
             "degree0": self.degree0,
             "cross_path_ok": self.cross_path_ok,
-            "cross_path": {"ok": self.cross_path_ok, "chern_milnor": _HOLE},
+            "cross_path": {"ok": self.cross_path_ok, "chern_milnor": HOLE},
         }
         if dump_strata:
             skeleton["strata"] = [m.to_json() for m in self.models]
-        parts = dumps(skeleton).split(dumps(_HOLE))
-        holes = [(m_y, self.m_y),
-                 *((stratum, vec) for vec in self.per_stratum.values()),
-                 *((constants, vec) for vec in self.specializations.values()),
-                 (constants, self.chern_path)]
-        yield parts[0]
-        for (block, vec), part in zip(holes, parts[1:]):
-            yield block(vec)
-            yield part
-        yield "\n"
-
-
-_HOLE = "\0"  # stands for a label -> value block in the skeleton's text
+        # each block is rendered as its chunk is read
+        blocks = chain(map(m_y, [self.m_y]),
+                       map(stratum, self.per_stratum.values()),
+                       map(constants, self.specializations.values()),
+                       map(constants, [self.chern_path]))
+        count = len(self.per_stratum) + len(self.specializations) + 2
+        return chain(splice(skeleton, blocks, count), ("\n",))
 
 
 def _label_block(quoted: list, index: dict, indent: int, as_list: bool):

@@ -1,5 +1,8 @@
 """The report writer gives the text of json.dumps(value, indent=2) on every
-value the reports hold, and refuses every other value."""
+value the reports hold, and refuses every other value; a skeleton whose
+holes are filled with the texts of values at their depths gives the text
+of the filled value, and one whose holes and fills differ in number is
+refused."""
 
 import json
 from fractions import Fraction
@@ -8,8 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmclass.jsontext import dumps
-from hmclass.milnor import _HOLE
+from hmclass.jsontext import HOLE, dumps, splice
 
 SETTINGS = settings(derandomize=True, max_examples=300, deadline=None)
 
@@ -19,7 +21,7 @@ SETTINGS = settings(derandomize=True, max_examples=300, deadline=None)
 AWKWARD = ['"', "\\", "\0", "\b", "\f", "\n", "\r", "\t", "\x1f", "\x7f",
            "/", "é", "π", " ", " ", "\ud800", "\U0001f600"]
 TEXT = st.text(st.one_of(st.characters(), st.sampled_from(AWKWARD)),
-               max_size=12) | st.just(_HOLE)
+               max_size=12) | st.just(HOLE)
 INTS = st.integers() | st.integers(-(10 ** 300), 10 ** 300)
 LEAVES = st.none() | st.booleans() | INTS | TEXT
 VALUES = st.recursive(
@@ -49,3 +51,83 @@ def test_edge_values(value):
 def test_other_values_raise_type_error(value):
     with pytest.raises(TypeError):
         dumps(value)
+
+
+def _fill(value, depth: int, holes: list, draw):
+    """value with each HOLE replaced, in the order dumps writes them, by a
+    drawn value; holes gets each drawn value with its depth."""
+    if isinstance(value, dict):
+        return {k: _fill(v, depth + 1, holes, draw) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_fill(v, depth + 1, holes, draw) for v in value]
+    if value == HOLE:
+        sub = draw()
+        holes.append((sub, depth))
+        return sub
+    return value
+
+
+# skeletons whose holes are values only: a key that is a hole would need
+# a key's text as its fill
+SKELETONS = st.recursive(
+    LEAVES,
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.dictionaries(TEXT.filter(lambda k: k != HOLE), inner,
+                                     max_size=5)),
+    max_leaves=40)
+
+
+@settings(SETTINGS, max_examples=150)
+@given(SKELETONS, st.data())
+def test_filled_skeleton_matches_json_dumps(skeleton, data):
+    # each fill is the text of a value at its hole's depth; a string that
+    # renders like a hole, such as '"' followed by NUL, makes the counts
+    # differ, and splice refuses before any text
+    holes = []
+    filled = _fill(skeleton, 0, holes, lambda: data.draw(VALUES))
+    texts = [dumps(sub, depth) for sub, depth in holes]
+    if dumps(skeleton).count(dumps(HOLE)) != len(holes):
+        with pytest.raises(ValueError):
+            splice(skeleton, texts)
+    else:
+        assert "".join(splice(skeleton, texts)) == json.dumps(filled,
+                                                              indent=2)
+
+
+@pytest.mark.parametrize("skeleton, fills", [
+    ([HOLE, HOLE], ["1"]),
+    ({"a": HOLE}, ["1", "2"]),
+    ([], ["1"]),
+    ({"a": '"\0', "b": HOLE}, ["1"]),
+])
+def test_splice_refuses_unequal_counts_before_any_text(skeleton, fills):
+    rendered = []
+
+    def render(fill):
+        rendered.append(fill)
+        return fill
+
+    with pytest.raises(ValueError):
+        splice(skeleton, fills)
+    with pytest.raises(ValueError):
+        splice(skeleton, map(render, fills), len(fills))
+    assert rendered == []
+
+
+@pytest.mark.parametrize("fills", [["2"], ["2", "3", "4"]])
+def test_splice_refuses_an_iterator_of_another_length(fills):
+    with pytest.raises(ValueError):
+        "".join(splice([HOLE, HOLE], iter(fills), 2))
+
+
+def test_splice_renders_each_fill_as_its_chunk_is_read():
+    rendered = []
+
+    def render(fill):
+        rendered.append(fill)
+        return str(fill)
+
+    chunks = splice({"a": [HOLE, 1], "b": HOLE}, map(render, [2, 3]), 2)
+    assert rendered == []
+    assert "".join(chunks) == json.dumps({"a": [2, 1], "b": 3}, indent=2)
+    assert rendered == [2, 3]

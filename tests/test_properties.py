@@ -24,18 +24,19 @@ from hypothesis import strategies as st
 
 from hmclass import arrangement, cli, corpus
 from hmclass.ambient import virtual_pushed
-from hmclass.arrangement import (ArrangementError, build, chi_y,
+from hmclass.arrangement import (ArrangementError, build, chi_y, chi_y_pn,
                                  euler_by_inclusion_exclusion, is_dense,
                                  localize, milnor_fiber_chi, sigma_strata)
-from hmclass.coeffs import RatFuncY
+from hmclass.coeffs import RatFuncY, poly_str
 from hmclass.corpus import ALL_NAMES, corpus_path
 from hmclass.milnor import (ALL_CONVENTIONS, DEFAULT_CONVENTIONS,
                             MissingSpectrumError, _stratum_contribution,
                             _type_key, assemble, chern_milnor)
 from hmclass.rings import BlownPlaneRing, ProjRing, RingElement
 from hmclass.spectra import GermKind, sp_user_load, stratum_germ
-from hmclass.strata import (SigmaChowVector, build_labels, compactify,
-                            push_to_sigma, relabel_vector)
+from hmclass.strata import (SigmaChowVector, build_labels, chow_dims,
+                            compactify, homology_weight_dims, push_to_sigma,
+                            relabel_vector)
 from oracles import (arrangement_to_json, by_codegree,
                      chern_milnor_by_classes, chern_to_ch,
                      chi_y_stratum_by_whitney, dense_by_bipartition,
@@ -631,6 +632,121 @@ def test_spectra_report_matches_rows_by_stratum():
         check()
     assert seen[2] and seen[3] and seen[4], seen
     assert seen["required"] and seen["tables"] and seen["order"], seen
+
+
+def lattice_payload(arr) -> dict:
+    """The lattice report built dict by dict: each edge's row from its own
+    localization and density test, and the divisor's Euler number as chi_y
+    at y = -1."""
+    rows = []
+    for e in arr.lattice.edges:
+        loc = localize(arr, e)
+        rows.append({"key": e.key, "codim": e.codim, "dim": arr.n - e.codim,
+                     "m_s": e.m_s, "dense": is_dense(e, arr),
+                     "complement_chi": loc.euler,
+                     "milnor_fiber_chi": milnor_fiber_chi(loc)})
+    return {
+        "n": arr.n,
+        "m": arr.m,
+        "edges": rows,
+        "chow_dims": {k: {str(d): v for d, v in sorted(t.items(),
+                                                       reverse=True)}
+                      for k, t in chow_dims(arr).items()},
+        "weight_dims": {str(k): v for k, v in
+                        sorted(homology_weight_dims(arr).items())},
+        "euler_inclusion_exclusion": int(chi_y(arr)(-1)),
+    }
+
+
+def chi_y_payload(arr) -> dict:
+    """The chi-y report built dict by dict, one open stratum at a time."""
+    value = chi_y(arr)
+    return {
+        "n": arr.n,
+        "chi_y_X": value.as_strings(),
+        "chi_y_X_text": poly_str(value),
+        "chi_y_Pn": chi_y_pn(arr.n).as_strings(),
+        "euler_X": str(value(-1)),
+        "per_stratum": {e.key: RatFuncY(cs).as_strings() for e, cs in
+                        zip(arr.lattice.edges, arr.lattice.chi_y_open)},
+    }
+
+
+def test_lattice_side_reports_match_json_dumps():
+    # the lattice, spectra and chi-y writers splice text rendered once per
+    # row or per distinct part into a skeleton; the result is json.dumps of
+    # the report built dict by dict, with catalogue germs, strata that need
+    # a table, and tables that spread each mass over random exponents
+    seen = Counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        source, table_file = Path(tmp, "input.json"), Path(tmp, "tables.json")
+
+        @settings(SETTINGS, max_examples=40)
+        @given(lattice_arrangements(), st.integers(0, 2 ** 32 - 1))
+        # one reduced line: no stratum, so the spectra report lists none
+        @example((2, [((1, 0, 0), 1)]), 0)
+        def check(case, seed):
+            n, hyperplanes = case
+            try:
+                arr = build(n, hyperplanes)
+            except ArrangementError:
+                reject()
+            source.write_text(json.dumps(arrangement_to_json(arr)))
+            raw = spread_table_entries(arr, random.Random(seed))
+            table_file.write_text(json.dumps(raw))
+            tables = sp_user_load(raw, arr)
+            cases = [(["lattice"], lattice_payload(arr)),
+                     (["chi-y"], chi_y_payload(arr))]
+            for extra, used in (([], {}),
+                                (["--tables", str(table_file)], tables)):
+                rows = spectra_rows_by_stratum(arr, used)
+                cases.append((["spectra", *extra],
+                              {"n": arr.n, "m": arr.m, "strata": rows}))
+                sources = [row["source"] for row in rows]
+                seen["required"] += "user_table_required" in sources
+                seen["tables"] += "user_table" in sources
+                seen["no strata"] += not rows
+            for (command, *extra), want in cases:
+                code, out, err = run_cli([command, str(source), *extra])
+                assert code == 0, err
+                assert out == json.dumps(want, indent=2) + "\n", command
+            seen[n] += 1
+            seen["not dense"] += not all(row["dense"] for row in
+                                         cases[0][1]["edges"])
+
+        check()
+    assert seen[2] and seen[3] and seen[4], seen
+    assert all(seen[k] for k in ("required", "tables", "no strata",
+                                 "not dense")), seen
+
+
+@st.composite
+def euler_arrangements(draw):
+    """(n, hyperplanes): small integer covectors in P^2 to P^4 with
+    multiplicities 1 to 3, up to 12 hyperplanes."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    k = draw(st.integers(1, {2: 12, 3: 10, 4: 8}[n]))
+    entry = st.integers(-2, 2)
+    covs = draw(st.lists(st.tuples(*[entry] * (n + 1)), min_size=k,
+                         max_size=k, unique=True))
+    mults = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    return n, list(zip(covs, mults))
+
+
+@settings(SETTINGS, max_examples=100)
+@given(euler_arrangements())
+def test_divisor_euler_of_the_mobius_pass(case):
+    # the Mobius pass's Euler number of the divisor is chi_y at y = -1 from
+    # the top-down table of open strata, and for few hyperplanes the
+    # inclusion-exclusion count over every subfamily
+    n, hyperplanes = case
+    try:
+        arr = build(n, hyperplanes)
+    except ArrangementError:
+        reject()
+    assert arr.lattice.divisor_euler == chi_y(arr)(-1)
+    if arr.r <= 9:
+        assert arr.lattice.divisor_euler == euler_by_inclusion_exclusion(arr)
 
 
 @st.composite
