@@ -695,8 +695,8 @@ def test_lattice_side_reports_match_json_dumps():
             raw = spread_table_entries(arr, random.Random(seed))
             table_file.write_text(json.dumps(raw))
             tables = sp_user_load(raw, arr)
-            cases = [(["lattice"], lattice_payload(arr)),
-                     (["chi-y"], chi_y_payload(arr))]
+            lattice = lattice_payload(arr)
+            cases = [(["lattice"], lattice), (["chi-y"], chi_y_payload(arr))]
             for extra, used in (([], {}),
                                 (["--tables", str(table_file)], tables)):
                 rows = spectra_rows_by_stratum(arr, used)
@@ -711,8 +711,8 @@ def test_lattice_side_reports_match_json_dumps():
                 assert code == 0, err
                 assert out == json.dumps(want, indent=2) + "\n", command
             seen[n] += 1
-            seen["not dense"] += not all(row["dense"] for row in
-                                         cases[0][1]["edges"])
+            seen["not dense"] += not all(row["dense"]
+                                         for row in lattice["edges"])
 
         check()
     assert seen[2] and seen[3] and seen[4], seen
