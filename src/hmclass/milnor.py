@@ -24,6 +24,7 @@ explored exhaustively by calibrate().
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import chain
 
 from .ambient import virtual_genus
@@ -33,8 +34,9 @@ from .jsontext import HOLE, dumps, splice
 from .rings import combine
 from .spectra import SpectrumError, stratum_germ
 from .strata import (EXT_HALF_OPEN_DOWN, EXT_HALF_OPEN_UP, LabelSchema,
-                     SigmaChowVector, StratumModel, build_labels, compactify,
-                     push_to_sigma, twist_offsets)
+                     SigmaChowVector, StratumModel, boundary_edges,
+                     build_labels, check_envelope, compactify, push_to_sigma,
+                     twist_offsets)
 
 __all__ = [
     "MilnorError",
@@ -111,12 +113,20 @@ class MilnorReport:
                  schema: LabelSchema, m_y: SigmaChowVector, per_stratum: dict,
                  degree0: dict, specializations: dict,
                  chern_path: SigmaChowVector, cross_path_ok: bool,
-                 models: list):
+                 listed: dict):
         self.arrangement, self.conventions = arrangement, conventions
         self.schema, self.m_y, self.per_stratum = schema, m_y, per_stratum
         self.degree0, self.specializations = degree0, specializations
         self.chern_path, self.cross_path_ok = chern_path, cross_path_ok
-        self.models = models
+        self.listed = listed  # edge key -> a surface's model, or a stratum
+
+    @cached_property
+    def models(self) -> list:
+        """The model of each stratum with a nonzero germ, in lattice order:
+        a surface's is the one assembly built, and the others are built on
+        the first request."""
+        return [x if x.dim == 2 else compactify(self.arrangement, x)
+                for x in self.listed.values()]
 
     def json_chunks(self, dump_strata: bool = False):
         """The report as indented JSON text, chunk by chunk.
@@ -210,15 +220,15 @@ def _breaks(lo: int, hi: int, a: int, b: int, m: int) -> list:
     return []
 
 
-def _germ_q(germ, model: StratumModel) -> int:
+def _germ_q(germ, stratum) -> int:
     """q = m_s/e, the Deligne power per step of c in the germ's runs, after
     checking that the germ is read in its own frame ('germ', codim) and
     that e divides m_s."""
-    codim = model.edge.codim
+    codim = stratum.edge.codim
     if germ.frame != ("germ", codim):
         raise SpectrumError(f"expected the germ frame ('germ', {codim}), "
                             f"got {germ.frame}")
-    m_s, e = model.m_s, germ.e
+    m_s, e = stratum.m_s, germ.e
     if m_s % e:
         raise SpectrumError(f"denominator lcm {e} does not divide m_s = {m_s}")
     return m_s // e
@@ -263,7 +273,7 @@ def _segments(runs, twists, m_s: int, mode: str):
                    a * p0 + b * p1, a * p1 + b * p2, a * p2 + b * p3)
 
 
-def _curve_terms(germ, model: StratumModel, mode: str) -> dict:
+def _curve_terms(arr: Arrangement, germ, stratum, mode: str) -> dict:
     """p -> the fundamental and point classes of a point or a curve at
     s_p y^p, as integer coefficients of powers of y: (A_p,) and
     (A_p + B_p, B_p + (b - 1) A_p), for A_p = the sum of the
@@ -274,14 +284,20 @@ def _curve_terms(germ, model: StratumModel, mode: str) -> dict:
     + the sum of floor(m_sub/m_s) over the edge components is the degree
     of the base class.  On P^1, 12 td = (12, 12),
     2 ch(Omega^1(log D)) = (2, 2 (b - 2)) and 2 ch(L_k) = (2, 2 deg L_k),
-    and products of degree-1 classes vanish."""
-    q, m_s, boundary = _germ_q(germ, model), model.m_s, model.boundary
+    and products of degree-1 classes vanish.  A point has no boundary; a
+    curve's edge components are its lattice row (boundary_edges), with
+    m_sub = m_rel, and its infinity has residue (-m) mod m_s."""
+    q, m_s = _germ_q(germ, stratum), stratum.m_s
     counts = {}  # residue -> the number of components with it
-    beta = -model.out_degree // m_s if model.dim else 0
-    for c in boundary:
-        counts[c.m_res] = counts.get(c.m_res, 0) + 1
-        if c.source != "infinity":
-            beta += c.m_sub // m_s
+    beta, b_d = 0, 0
+    if stratum.dim:
+        beta, b_d = -(arr.m - m_s) // m_s, 1
+        counts[-arr.m % m_s] = 1  # infinity
+    for _, m_sub in boundary_edges(arr, stratum):
+        r = m_sub % m_s
+        counts[r] = counts.get(r, 0) + 1
+        beta += m_sub // m_s
+        b_d += 1
     residues = sorted(counts)
     twists = _twist_slopes(q, m_s, residues)
     n_r = [counts[r] for r in residues]
@@ -291,9 +307,14 @@ def _curve_terms(germ, model: StratumModel, mode: str) -> dict:
         a_p, b_p = sums.get(p, (0, 0))
         u = sum(x * n for x, n in zip(t, n_r))
         sums[p] = a_p + n0, b_p + n0 * u + n1 * v
-    b_d = len(boundary)
     return {p: ((a_p,), (a_p + b_p, b_p + (b_d - 1) * a_p))
             for p, (a_p, b_p) in sums.items()}
+
+
+def _pair(a, b) -> int:
+    """The intersection number a_e b_e - sum a_p b_p of two degree-1
+    classes of a plane blown up at points (e^2 = 1, eps_p^2 = -1)."""
+    return a[1] * b[1] - sum(x * z for x, z in zip(a[2:-1], b[2:-1]))
 
 
 def _surface_terms(germ, model: StratumModel, mode: str) -> dict:
@@ -307,18 +328,13 @@ def _surface_terms(germ, model: StratumModel, mode: str) -> dict:
     x = D - c1 = K + D, and Q is the sum of N D_k^2.  D_k = k base + the
     sum of t_r(k) D_r over the residues r, so D_k = U + V c between the
     breaks of the twists, and the slopes and V depend on q alone.  Two
-    degree-1 classes pair to the top coefficient of their product in the
-    model's ring.  L is the number of boundary lines, kappa = x.c1,
-    s1 = c1^2 - 2 c2 - the sum of D_i^2 and s2 = x^2: with c1^2 + c2 = 12
-    on a blown-up plane (Noether), 12 td = 12 + 6 c1 + 12 pt,
+    degree-1 classes pair by _pair.  L is the number of boundary lines,
+    kappa = x.c1, s1 = c1^2 - 2 c2 - the sum of D_i^2 and s2 = x^2: with
+    c1^2 + c2 = 12 on a blown-up plane (Noether), 12 td = 12 + 6 c1 + 12 pt,
     2 ch(Omega^1(log D)) = 4 + 2x + s1 pt, 2 ch(Omega^2(log D)) =
     2 + 2x + s2 pt and 2 ch(L_k) = 2 + 2 D_k + D_k^2."""
     q, m_s, c1 = _germ_q(germ, model), model.m_s, model.c1
-    size, mul = len(c1), model.ring.mul_vectors
-
-    def pair(a, b) -> int:
-        return mul(a, b)[-1]
-
+    size, pair = len(c1), _pair
     groups = model.twist_classes
     twists = _twist_slopes(q, m_s, [r for r, _ in groups])
     v = combine(size, 0, [(q, model.deligne_base_vector)]
@@ -349,12 +365,14 @@ def _surface_terms(germ, model: StratumModel, mode: str) -> dict:
     return out
 
 
-def _stratum_contribution(germ, model: StratumModel,
+def _stratum_contribution(arr: Arrangement, germ, stratum,
                           conv: ConventionSet) -> list:
     """Sum over exponents and cotangent powers for one stratum, with the
     degree scaling already applied: one RatFuncY per codegree j = 0..dim
-    on the closure P^dim.  The exceptional curves of a surface contract to
-    zero there, so none of their classes is summed.
+    on the closure P^dim.  stratum is a surface's model, or a point's or a
+    curve's localization (or model), read with its lattice row in arr.
+    The exceptional curves of a surface contract to zero on P^2, so none
+    of their classes is summed.
 
     germ, a catalogue GermKind or a table's Spectrum, is read through its
     runs in its own frame: alpha stands at p = floor(codim - alpha) with
@@ -364,12 +382,13 @@ def _stratum_contribution(germ, model: StratumModel,
     sum is a few integers per p, and 12 td, 2 ch(Omega^q(log D)),
     2 ch(L_k) and the scaling (1+y)^(q - dim) multiply out to closed
     forms, each polynomial in y (_curve_terms, _surface_terms)."""
-    if model.dim == 2:
-        den, terms = 2, _surface_terms(germ, model, conv.extension_mode)
+    dim = stratum.dim
+    if dim == 2:
+        den, terms = 2, _surface_terms(germ, stratum, conv.extension_mode)
     else:
-        den, terms = 1, _curve_terms(germ, model, conv.extension_mode)
-    codim = model.edge.codim
-    out = [[0] * (max(terms) + model.dim + 1) for _ in range(model.dim + 1)]
+        den, terms = 1, _curve_terms(arr, germ, stratum, conv.extension_mode)
+    codim = stratum.edge.codim
+    out = [[0] * (max(terms) + dim + 1) for _ in range(dim + 1)]
     for p, by_codegree in terms.items():
         sign = -1 if (p + codim - 1) % 2 else 1
         for cls, poly in zip(out, by_codegree):
@@ -378,24 +397,20 @@ def _stratum_contribution(germ, model: StratumModel,
     return [RatFuncY.from_ints(cls, den) for cls in out]
 
 
-def _type_key(model: StratumModel, germ) -> tuple:
+def _type_key(arr: Arrangement, stratum, germ) -> tuple:
     """Everything a stratum's contribution depends on within one report,
-    where n, m and the conventions are fixed, as lattice integers and the
-    germ's runs: the model's dimension and m_s, the sorted m_sub of its
-    boundary, and the germ's e and runs.  The rest follows within the
-    report: the kind, the degree m - m_s away from the stratum, and the
-    germ frame ('germ', n - dim), the only one a contribution reads.  A
-    point has no boundary.  On a curve every edge component has m_sub >= 1,
-    since a point above the curve lies on more hyperplanes, and residue
-    m_sub mod m_s; the one infinity component has m_sub = 0 and residue
-    (-m) mod m_s.  So the m_sub fix each component's source and m_res.  On
-    a surface it also matters which boundary lines pass through which
+    where n, m and the conventions are fixed: the dimension and m_s, the
+    sorted m_rel of the stratum's lattice row (boundary_edges) and the
+    germ's e and runs.  That is all _curve_terms reads: the germ frame
+    ('germ', n - dim) and the degree m - m_s follow within the report, and
+    the residues, beta and the boundary count depend on the m_rel alone.
+    On a surface it also matters which boundary lines pass through which
     blown points, so a surface's key names its edge and matches no other
     stratum."""
-    if model.dim == 2:
-        return ("surface", model.edge.index_set)
-    m_sub = tuple(sorted(c.m_sub for c in model.boundary))
-    return model.dim, model.m_s, m_sub, germ.e, germ.runs()
+    if stratum.dim == 2:
+        return ("surface", stratum.edge.index_set)
+    m_sub = tuple(sorted(m_rel for _, m_rel in boundary_edges(arr, stratum)))
+    return stratum.dim, stratum.m_s, m_sub, germ.e, germ.runs()
 
 
 def _add_into(totals: dict, vec: SigmaChowVector):
@@ -412,15 +427,16 @@ def assemble(arr: Arrangement, user_tables: dict = None,
     user table); each per-stratum sum must come out polynomial in y, and
     a failure is raised as a convention violation rather than silenced.
 
-    One pass over the strata: each is compactified once, and the Chern
-    path reads the same list, through the lattice alone.  Strata with the
-    same type key get the same contribution, which is computed once per
-    report, from the germ of the first of them.
+    One pass over the strata, and the Chern path reads the same list,
+    through the lattice alone.  Only a surface with a nonzero germ is
+    compactified; a point or a curve contributes from its lattice row.
+    Strata with the same type key get the same contribution, which is
+    computed once per report, from the germ of the first of them.
     """
     strata = sigma_strata(arr)
     schema = build_labels(arr)
-    # compactify rejects strata of dimension > 2 before any spectrum lookup
-    models = [compactify(arr, s) for s in strata]
+    for s in strata:  # before any spectrum lookup
+        check_envelope(s)
     germs = [stratum_germ(s, user_tables) for s in strata]
     missing = [s.key for s, germ in zip(strata, germs) if germ is None]
     if missing:
@@ -428,14 +444,16 @@ def assemble(arr: Arrangement, user_tables: dict = None,
 
     totals = {}
     per_stratum = {}
+    listed = {}  # edge key -> a surface's model, or another stratum
     memo = {}  # type key -> contribution, for this report only
-    for s, model, germ in zip(strata, models, germs):
+    for s, germ in zip(strata, germs):
         if germ.is_zero():
             continue  # skip by spectrum content only
-        key = _type_key(model, germ)
+        shape = listed[s.key] = compactify(arr, s) if s.dim == 2 else s
+        key = _type_key(arr, shape, germ)
         coeffs = memo.get(key)
         if coeffs is None:
-            coeffs = _stratum_contribution(germ, model, conv)
+            coeffs = _stratum_contribution(arr, germ, shape, conv)
             for c in coeffs:
                 if not c.is_polynomial():
                     raise PolynomialityError(s.key, c)
@@ -443,7 +461,7 @@ def assemble(arr: Arrangement, user_tables: dict = None,
                 coeffs = [-c for c in coeffs]
             memo[key] = coeffs
         contribution = SigmaChowVector(schema,
-                                       push_to_sigma(schema, model, coeffs))
+                                       push_to_sigma(schema, s, coeffs))
         per_stratum[s.key] = contribution
         _add_into(totals, contribution)
     m_y = SigmaChowVector(schema, totals)
@@ -461,7 +479,7 @@ def assemble(arr: Arrangement, user_tables: dict = None,
                          1: m_y.specialize(1)},
         chern_path=chern_path,
         cross_path_ok=(spec_minus1 == chern_path),
-        models=[m for m, germ in zip(models, germs) if not germ.is_zero()],
+        listed=listed,
     )
 
 

@@ -1,13 +1,12 @@
-"""Small graded intersection rings with exact rational-function coefficients.
+"""The truncated graded ring of projective space, with exact
+rational-function coefficients.
 
-Two concrete rings cover every space this package touches: the truncated
-polynomial ring of projective space, and the ring of a plane blown up at
-finitely many points (basis 1; e, exceptional classes; point class).
-ProjRing(order) is also the one truncated power-series algebra: a
-Hirzebruch series truncated at a given order is a RingElement of it, with
-the series variable as h, and so is a virtual class.  Each ring also
-multiplies plain coefficient vectors by its own shape: the classes of a
-stratum model are such vectors, of integers, and never RingElements.
+ProjRing(n), Q[y, 1/(1+y)][h] / (h^{n+1}), is the one truncated
+power-series algebra: a Hirzebruch series truncated at a given order is
+a RingElement of it, with the series variable as h, and so is a virtual
+class.  The classes of a stratum model are plain integer vectors in the
+model basis, never RingElements; combine sums them, and a surface pairs
+its degree-1 classes by their signed dot product (milnor).
 """
 
 from __future__ import annotations
@@ -16,8 +15,7 @@ from fractions import Fraction
 
 from .coeffs import RatFuncY
 
-__all__ = ["Ring", "RingElement", "ProjRing", "BlownPlaneRing", "combine",
-           "exp_nilpotent"]
+__all__ = ["RingElement", "ProjRing", "combine", "exp_nilpotent"]
 
 
 _ZERO = RatFuncY.ZERO
@@ -123,13 +121,23 @@ class RingElement:
         return " + ".join(parts) if parts else "0"
 
 
-class Ring:
-    """Base for graded basis rings; subclasses fill names and the product
-    mul_vectors of coefficient vectors (ints or RatFuncY) by the ring's
-    shape."""
+class ProjRing:
+    """Q[y, 1/(1+y)][h] / (h^{n+1}): the cohomology ring of projective n-space.
+    Instances are interned per dimension, each validated and built once,
+    so elements from independent call sites compare equal."""
 
-    names: tuple
-    dim: int
+    _cache = {}
+
+    def __new__(cls, n: int):
+        ring = cls._cache.get(n)
+        if ring is None:
+            if n < 0:
+                raise ValueError("dimension must be >= 0")
+            ring = cls._cache[n] = super().__new__(cls)
+            ring.dim = n
+            ring.names = tuple("1" if k == 0 else ("h" if k == 1 else f"h^{k}")
+                               for k in range(n + 1))
+        return ring
 
     def zero(self) -> RingElement:
         return _element(self, [_ZERO] * len(self.names))
@@ -147,26 +155,6 @@ class Ring:
         coeffs[index] = RatFuncY.ONE
         return _element(self, coeffs)
 
-
-class ProjRing(Ring):
-    """Q[y, 1/(1+y)][h] / (h^{n+1}): the cohomology ring of projective n-space.
-    Instances are interned per dimension, each validated and built once,
-    so elements from independent call sites compare equal."""
-
-    _cache = {}
-    point_ids = ()  # no blown-up points, as on a BlownPlaneRing
-
-    def __new__(cls, n: int):
-        ring = cls._cache.get(n)
-        if ring is None:
-            if n < 0:
-                raise ValueError("dimension must be >= 0")
-            ring = cls._cache[n] = super().__new__(cls)
-            ring.dim = n
-            ring.names = tuple("1" if k == 0 else ("h" if k == 1 else f"h^{k}")
-                               for k in range(n + 1))
-        return ring
-
     def mul_vectors(self, a, b) -> list:
         """The truncated convolution of two vectors in the basis h^k."""
         n = self.dim
@@ -182,34 +170,6 @@ class ProjRing(Ring):
         if self.dim < 1:
             raise ValueError("no degree-1 class on a point")
         return self.basis_element(1)
-
-
-class BlownPlaneRing(Ring):
-    """Intersection ring of a projective plane blown up at named points.
-
-    Basis: 1; e (pullback of a line), one class per exceptional curve;
-    pt.  Relations: e^2 = pt, eps_p * eps_q = -delta_{pq} pt, e * eps_p = 0.
-    Every instance is its own ring: the classes of one surface model live
-    on that model's ring, and elements of two instances do not mix.
-    """
-
-    def __init__(self, point_ids=()):
-        self.point_ids = tuple(point_ids)
-        self.dim = 2
-        names = ["1", "e"]
-        names += [f"eps_{p}" for p in self.point_ids]
-        names.append("pt")
-        self.names = tuple(names)
-
-    def mul_vectors(self, a, b) -> list:
-        """Product of two vectors (1; e, eps_p...; pt): e^2 = pt,
-        eps_p^2 = -pt, and every other product of degree-1 classes is 0."""
-        a0, b0 = a[0], b[0]
-        top = a0 * b[-1] + a[-1] * b0 + a[1] * b[1]
-        for x, z in zip(a[2:-1], b[2:-1]):
-            top -= x * z
-        return ([a0 * b0] + [a0 * z + x * b0 for x, z in zip(a[1:-1], b[1:-1])]
-                + [top])
 
 
 def exp_nilpotent(x: RingElement) -> RingElement:

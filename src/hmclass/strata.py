@@ -2,21 +2,22 @@
 
 Strata of dimension <= 2 are compactified explicitly: a point, a line, or
 the stratum closure blown up at the points where the induced arrangement
-fails to be normal crossing.  Each model carries its ring, the tangent
-Chern class c1 and its boundary divisors with integer residues.  Every
-class of a model is a coefficient vector in the ring basis, of integers:
-the boundary components, the base Deligne-extension class and the
-boundary summed by residue (the classes a Deligne power twists).  A
-surface's contribution pairs such classes; a contribution is a few
-integers per power of y on every stratum, and comes out as one
-coefficient per codegree on the closure P^d, which the pushforward takes
-to the labeled Chow basis of the singular locus.  The Chern path reads
-the lattice alone and builds no model: c(T(-log D)), pushed to a
-stratum's closure P^d, is the CSM class of the open stratum minus the
-generic section (Aluffi 1999), so with chi the open stratum's Euler
-number and L its boundary lines it is 1 on a point, 1 + (chi - 1) pt on
-a curve, and 1 + (2 - L) line + (chi - 2 + L) pt on a surface
-(milnor.chern_milnor).
+fails to be normal crossing.  Each model carries its blown points, the
+tangent Chern class c1 and its boundary divisors with integer residues.
+Every class of a model is a coefficient vector of integers in the model
+basis: the boundary components, the base Deligne-extension class and
+the boundary summed by residue (the classes a Deligne power twists).
+Only a surface's contribution pairs such classes; a point's or a
+curve's reads its edge's lattice row (boundary_edges, from which
+compactify builds a curve's boundary too).  A contribution is a few
+integers per power of y, one coefficient per codegree on the closure
+P^d, which the pushforward takes to the labeled Chow basis of the
+singular locus.  The Chern path reads the lattice alone and builds no
+model: c(T(-log D)), pushed to a stratum's closure P^d, is the CSM class
+of the open stratum minus the generic section (Aluffi 1999), so with chi
+the open stratum's Euler number and L its boundary lines it is 1 on a
+point, 1 + (chi - 1) pt on a curve, and 1 + (2 - L) line
++ (chi - 2 + L) pt on a surface (milnor.chern_milnor).
 """
 
 from __future__ import annotations
@@ -26,13 +27,15 @@ from functools import cached_property
 
 from .arrangement import Arrangement, Edge, LocalizedArrangement, in_sigma
 from .coeffs import RatFuncY, rat
-from .rings import BlownPlaneRing, ProjRing, combine
+from .rings import combine
 
 __all__ = [
     "StrataError",
     "StratumDimensionError",
     "BoundaryComponent",
     "StratumModel",
+    "check_envelope",
+    "boundary_edges",
     "compactify",
     "residues",
     "twist_offsets",
@@ -79,18 +82,18 @@ def _unit(size: int, index: int) -> tuple:
 class StratumModel:
     """A stratum's good compactification; D = sum D_i is its boundary, a
     tuple of BoundaryComponents.  stratum is the localization at the
-    stratum's edge, a surface's ring names its blown-up points, out_degree
-    is the total multiplicity away from the stratum, and c1 is the first
-    Chern class of the tangent bundle.  Every class is an integer vector
-    in the ring basis.  Only the spectral sum reads the model: the Chern
-    path reads the lattice alone, through the closed forms of Aluffi's
-    CSM classes (see the module docstring), so the y = -1 check shares no
-    compactification."""
+    stratum's edge, blown_points the edge keys of a surface's blown-up
+    points, out_degree the total multiplicity away from the stratum, and
+    c1 the first Chern class of the tangent bundle.  Every class is an
+    integer vector in the basis 1 (point); 1, h (line); or 1, e, eps_p
+    per blown point, pt (surface).  Assembly builds the model of a surface
+    only; the strata dumps and the invariant checks build any."""
 
-    def __init__(self, stratum: LocalizedArrangement, ring, boundary: tuple,
-                 out_degree: int, c1: tuple):
-        self.stratum, self.ring, self.boundary = stratum, ring, boundary
+    def __init__(self, stratum: LocalizedArrangement, boundary: tuple,
+                 out_degree: int, c1: tuple, blown_points: tuple):
+        self.stratum, self.boundary = stratum, boundary
         self.out_degree, self.c1 = out_degree, c1
+        self.blown_points = blown_points
 
     @property
     def m_s(self) -> int:
@@ -133,13 +136,15 @@ class StratumModel:
                      for r, terms in sorted(by_res.items()))
 
     def to_json(self) -> dict:
+        basis = (["1", "h"][:self.dim + 1] if self.dim < 2 else
+                 ["1", "e", *(f"eps_{p}" for p in self.blown_points), "pt"])
         return {
             "edge": self.edge.key,
             "kind": self.kind,
             "dim": self.dim,
             "m_s": self.m_s,
-            "ring_basis": list(self.ring.names),
-            "blown_points": list(self.ring.point_ids),
+            "ring_basis": basis,
+            "blown_points": list(self.blown_points),
             "boundary": [
                 {
                     "name": c.name,
@@ -153,6 +158,20 @@ class StratumModel:
         }
 
 
+def check_envelope(stratum: LocalizedArrangement):
+    """Refuse a stratum of dimension > 2, which no model serves."""
+    if stratum.dim > 2:
+        raise StratumDimensionError(
+            f"unsupported stratum dimension {stratum.dim} (cap is 2)")
+
+
+def boundary_edges(arr: Arrangement, stratum: LocalizedArrangement) -> list:
+    """(edge, m_rel) per edge inside the stratum's closure: its lattice
+    row, the edges strictly above its edge in lattice order, each with its
+    induced multiplicity m_rel = m_s(edge) - m_s >= 1."""
+    return [(e, e.m_s - stratum.m_s) for e in arr.lattice.above(stratum.edge)]
+
+
 def compactify(arr: Arrangement,
                stratum: LocalizedArrangement) -> StratumModel:
     """Good compactification of a stratum of dimension <= 2.
@@ -163,10 +182,8 @@ def compactify(arr: Arrangement,
     component symbolically (a generic point on curves, a generic line on
     surfaces) and never passes through an edge.
     """
+    check_envelope(stratum)
     d = stratum.dim
-    if d > 2:
-        raise StratumDimensionError(
-            f"unsupported stratum dimension {d} (cap is 2)")
     edge = stratum.edge
     m_s = edge.m_s
     out_degree = arr.m - m_s
@@ -175,10 +192,9 @@ def compactify(arr: Arrangement,
         return value % m_s
 
     if d == 0:
-        return StratumModel(stratum, ProjRing(0), (), out_degree, (0,))
+        return StratumModel(stratum, (), out_degree, (0,), ())
 
-    # the edges inside the closure, with their induced multiplicities
-    boundary = [(e, e.m_s - m_s) for e in arr.lattice.above(edge)]
+    boundary = boundary_edges(arr, stratum)
 
     if d == 1:
         pt = (0, 1)
@@ -186,8 +202,7 @@ def compactify(arr: Arrangement,
                  for e, m_rel in boundary]
         comps.append(BoundaryComponent("infinity", "infinity", 0,
                                        res(-arr.m), pt))
-        return StratumModel(stratum, ProjRing(1), tuple(comps), out_degree,
-                            (0, 2))
+        return StratumModel(stratum, tuple(comps), out_degree, (0, 2), ())
 
     lines = [(e, m_rel) for e, m_rel in boundary if e.codim == edge.codim + 1]
     points = [(e, m_rel) for e, m_rel in boundary if e.codim == edge.codim + 2]
@@ -197,9 +212,8 @@ def compactify(arr: Arrangement,
     for l, _ in lines:
         for p in arr.lattice.above(l):
             through[p.key].add(l.key)
-    blown = [p.key for p, _ in points if len(through[p.key]) >= 3]
-    ring = BlownPlaneRing(tuple(blown))
-    size = len(ring.names)
+    blown = tuple(p.key for p, _ in points if len(through[p.key]) >= 3)
+    size = 3 + len(blown)
     e = _unit(size, 1)
     eps = {p: _unit(size, 2 + i) for i, p in enumerate(blown)}
     comps = []
@@ -213,7 +227,7 @@ def compactify(arr: Arrangement,
                                            res(m_rel), eps[p.key]))
     comps.append(BoundaryComponent("infinity", "infinity", 0, res(-arr.m), e))
     c1 = combine(size, 0, [(3, e)] + [(-1, v) for v in eps.values()])
-    return StratumModel(stratum, ring, tuple(comps), out_degree, c1)
+    return StratumModel(stratum, tuple(comps), out_degree, c1, blown)
 
 
 def residues(model: StratumModel) -> dict:
@@ -385,18 +399,19 @@ class SigmaChowVector:
         return "SigmaChowVector(" + ", ".join(items) + ")"
 
 
-def push_to_sigma(schema: LabelSchema, model: StratumModel,
+def push_to_sigma(schema: LabelSchema, stratum: LocalizedArrangement,
                   coeffs) -> dict:
     """Push a stratum's class, given by its coefficients (ints or RatFuncY)
     by codegree j = 0..dim on the closure P^dim, to the labeled Chow basis:
     label -> coefficient.  Codegree 0, the fundamental class, lands on the
     label of the stratum's closure, and codegree j > 0 on the shared label
-    of homology degree dim - j, so no two land on one label."""
+    of homology degree dim - j, so no two land on one label.  A model
+    serves as its stratum."""
     out = {}
     for j, c in enumerate(coeffs):
         if c:
-            out[schema.shared[model.dim - j] if j
-                else schema.fundamental[model.edge.key]] = c
+            out[schema.shared[stratum.dim - j] if j
+                else schema.fundamental[stratum.edge.key]] = c
     return out
 
 

@@ -1,0 +1,135 @@
+"""Mutants the tests must kill.
+
+Each mutant names a source file, an exact text that occurs in it exactly
+once, the text that replaces it, and the pytest node ids that must each
+fail once it is in place.  The runner copies src/ and tests/ to a
+temporary directory, checks that the named tests all pass on the
+unmutated copy, and then, mutant by mutant, makes the one replacement in
+a fresh copy and runs its tests there.  It exits 1 if the clean copy
+fails, if a text is not found exactly once, or if any named test passes
+under its mutant.  Standard library only; the tests it runs need
+pytest, hypothesis and sympy.
+
+    python tests/mutants.py
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+PROPS = "tests/test_properties.py"
+RING_PATH = f"{PROPS}::test_integer_path_matches_ring_path_on_every_stratum"
+BRUTE = "tests/test_arrangement.py::TestEdges"
+
+# name -> (file, old text, new text, node ids that must fail)
+MUTANTS = {
+    "surface-drops-Q": (
+        "src/hmclass/milnor.py",
+        "        point = sq + pair(w, c1) + 2 * a\n",
+        "        point = pair(w, c1) + 2 * a\n",
+        [RING_PATH]),
+    "surface-L-for-L-minus-2": (
+        "src/hmclass/milnor.py",
+        "line + 2 * (lines - 2) * a",
+        "line + 2 * lines * a",
+        [RING_PATH]),
+    "surface-swaps-C-and-X": (
+        "src/hmclass/milnor.py",
+        "        point = sq + pair(w, c1) + 2 * a\n"
+        "        middle = 2 * pair(w, x) + kappa * a\n",
+        "        point = sq + pair(w, x) + 2 * a\n"
+        "        middle = 2 * pair(w, c1) + kappa * a\n",
+        [RING_PATH]),
+    "chern-3-minus-L": (
+        "src/hmclass/milnor.py",
+        "(shared[1], 2 - lines)",
+        "(shared[1], 3 - lines)",
+        [f"{PROPS}::test_chern_path_matches_class_oracle"]),
+    "search-skips-without-containment": (
+        "src/hmclass/arrangement.py",
+        "                if found & mask == mask:\n"
+        "                    skip |= found\n",
+        "                skip |= found\n",
+        [f"{BRUTE}::test_random_arrangements_against_brute_force",
+         f"{BRUTE}::test_random_p4_arrangements_against_brute_force"]),
+    "curve-beta-ceiling-as-floor": (
+        "src/hmclass/milnor.py",
+        "beta, b_d = -(arr.m - m_s) // m_s, 1",
+        "beta, b_d = -((arr.m - m_s) // m_s), 1",
+        [RING_PATH]),
+}
+
+
+def copy_tree(dest: Path):
+    skip = shutil.ignore_patterns("__pycache__", ".hypothesis", "*.pyc")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, dest / part, ignore=skip)
+
+
+def run_tests(tree: Path, node_ids) -> dict:
+    """node id -> passed, for each id; a test pytest does not report (a
+    wrong id, or a collection error) counts as not passed."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider",
+         *node_ids], cwd=tree, env=env, capture_output=True, text=True)
+    outcome = {}
+    for line in proc.stdout.splitlines():
+        word, _, rest = line.partition(" ")
+        if word in ("PASSED", "FAILED", "ERROR"):
+            outcome[rest.split(" - ")[0]] = word == "PASSED"
+    # a node id names a test or a group of them (a class, parametrized
+    # cases): it passes when every test under it does, and there is one
+    def under(node):
+        return [ok for k, ok in outcome.items()
+                if k == node or k.startswith((node + "[", node + "::"))]
+
+    return {node: bool(under(node)) and all(under(node))
+            for node in node_ids}
+
+
+def main() -> int:
+    bad = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        clean = Path(tmp) / "clean"
+        copy_tree(clean)
+        nodes = sorted({n for *_, ids in MUTANTS.values() for n in ids})
+        start = time.perf_counter()
+        passed = run_tests(clean, nodes)
+        failing = [n for n, ok in passed.items() if not ok]
+        print(f"clean copy: {len(nodes) - len(failing)}/{len(nodes)} pass "
+              f"({time.perf_counter() - start:.1f} s)")
+        if failing:
+            print("  fail on the clean copy:", *failing, sep="\n    ")
+            return 1
+        for name, (rel, old, new, ids) in MUTANTS.items():
+            tree = Path(tmp) / name
+            copy_tree(tree)
+            path = tree / rel
+            text = path.read_text()
+            if text.count(old) != 1:
+                print(f"{name}: the text occurs {text.count(old)} times "
+                      f"in {rel}, not once")
+                bad += 1
+                continue
+            path.write_text(text.replace(old, new))
+            start = time.perf_counter()
+            survived = [n for n, ok in run_tests(tree, ids).items() if ok]
+            took = time.perf_counter() - start
+            print(f"{name}: {'SURVIVED' if survived else 'killed'} "
+                  f"({took:.1f} s)")
+            for n in survived:
+                print(f"  still passes: {n}")
+            bad += bool(survived)
+            shutil.rmtree(tree)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

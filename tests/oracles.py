@@ -14,7 +14,11 @@ a smooth hypersurface of its degree, the Hirzebruch class of the reduced
 divisor by additivity over the lattice, and the Whitney-polynomial route to
 each edge's Euler number and chi_y, with a Mobius function from a
 pairwise inclusion test over edges found by filtering, and the product
-of ring classes by the basis multiplication table.  The Newton-identity
+of ring classes by the basis multiplication table.  The ring of each
+stratum model, model_ring, is built here: ProjRing on a point or a line,
+and on a surface BlownPlaneRing, the intersection ring of a blown-up
+plane, which the package does not keep, since a surface pairs its
+degree-1 classes by a signed dot product.  The Newton-identity
 route from Chern data to Chern characters and Todd classes, and the
 scaled Todd transformation of RingElements, check the integer forms of
 12 td and 2 ch(Omega^q(log D)) on each stratum model; the Chern path
@@ -35,6 +39,7 @@ arrangement.
 
 import math
 import random
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -48,7 +53,7 @@ from hmclass.arrangement import (LocalizedArrangement, chi_y_pn,
 from hmclass.coeffs import RatFuncY
 from hmclass.genera import _todd_series, hirzebruch_series
 from hmclass.milnor import _germ_q, _segments, _twist_slopes
-from hmclass.rings import ProjRing, Ring, RingElement, combine, exp_nilpotent
+from hmclass.rings import ProjRing, RingElement, combine, exp_nilpotent
 from hmclass.spectra import (Spectrum, SpectrumError, classify_germ, sp_shift,
                              sp_user_load, sp_validate, stratum_germ,
                              stratum_spectrum)
@@ -172,6 +177,60 @@ def dense_by_bipartition(covectors):
     return True
 
 
+class BlownPlaneRing:
+    """Intersection ring of a projective plane blown up at named points.
+
+    Basis: 1; e (pullback of a line), one class per exceptional curve;
+    pt.  Relations: e^2 = pt, eps_p * eps_q = -delta_{pq} pt, e * eps_p = 0.
+    Elements of two instances do not mix; model_ring keeps one instance
+    per surface model.
+    """
+
+    def __init__(self, point_ids=()):
+        self.point_ids = tuple(point_ids)
+        self.dim = 2
+        self.names = ("1", "e", *(f"eps_{p}" for p in self.point_ids), "pt")
+
+    def zero(self) -> RingElement:
+        return RingElement(self, [0] * len(self.names))
+
+    def one(self) -> RingElement:
+        return self.scalar(1)
+
+    def scalar(self, value) -> RingElement:
+        return RingElement(self, [value] + [0] * (len(self.names) - 1))
+
+    def basis_element(self, index: int) -> RingElement:
+        return RingElement(self, [int(i == index)
+                                  for i in range(len(self.names))])
+
+    def mul_vectors(self, a, b) -> list:
+        """Product of two vectors (1; e, eps_p...; pt): e^2 = pt,
+        eps_p^2 = -pt, and every other product of degree-1 classes is 0."""
+        a0, b0 = a[0], b[0]
+        top = a0 * b[-1] + a[-1] * b0 + a[1] * b[1]
+        for x, z in zip(a[2:-1], b[2:-1]):
+            top -= x * z
+        return ([a0 * b0] + [a0 * z + x * b0 for x, z in zip(a[1:-1], b[1:-1])]
+                + [top])
+
+
+_BLOWN_RINGS = weakref.WeakKeyDictionary()  # surface model -> its ring
+
+
+def model_ring(model):
+    """The ring of a stratum model: ProjRing(dim) on a point or a line, and
+    on a surface a BlownPlaneRing of its blown points, one instance per
+    model, so classes of one model read twice still mix and classes of
+    two surface models do not."""
+    if model.dim < 2:
+        return ProjRing(model.dim)
+    ring = _BLOWN_RINGS.get(model)
+    if ring is None:
+        ring = _BLOWN_RINGS[model] = BlownPlaneRing(model.blown_points)
+    return ring
+
+
 def basis_degrees(ring) -> tuple:
     """The cohomological degree of each basis class of a ProjRing or a
     BlownPlaneRing: h^k has degree k; on a blown-up plane 1 has degree 0,
@@ -232,7 +291,7 @@ class ChernData:
         return self.chern[i - 1]
 
 
-def _power_sums(cd: ChernData, ring: Ring) -> list:
+def _power_sums(cd: ChernData, ring) -> list:
     """Newton's identities: power sums of the Chern roots up to ring.dim."""
     d = ring.dim
     e = [ring.one()] + [cd.chern[i] if i < len(cd.chern) else ring.zero()
@@ -247,7 +306,7 @@ def _power_sums(cd: ChernData, ring: Ring) -> list:
     return p
 
 
-def chern_to_ch(cd: ChernData, ring: Ring) -> RingElement:
+def chern_to_ch(cd: ChernData, ring) -> RingElement:
     """Chern character from Chern data: rank + sum of power sums / k!."""
     p = _power_sums(cd, ring)
     acc = ring.scalar(cd.rank)
@@ -258,7 +317,7 @@ def chern_to_ch(cd: ChernData, ring: Ring) -> RingElement:
     return acc
 
 
-def todd_from_chern(cd: ChernData, ring: Ring) -> RingElement:
+def todd_from_chern(cd: ChernData, ring) -> RingElement:
     """Todd class from Chern data, valid through degree 2."""
     if ring.dim > 2:
         raise ValueError("todd_from_chern implemented through degree 2 only")
@@ -280,17 +339,17 @@ def basis_class(ring, name: str) -> RingElement:
 def model_class(model, vec, den: int = 1) -> RingElement:
     """An integer vector of a stratum model, divided by den, as a class in
     the model ring."""
-    return RingElement(model.ring, [Fraction(x, den) for x in vec])
+    return RingElement(model_ring(model), [Fraction(x, den) for x in vec])
 
 
 def tangent_c2(model) -> tuple:
     """c2 of the tangent bundle of a stratum model, as an integer vector:
     the Euler number of the model times the point class, so 0 below
     dimension 2 and 3 + (blown points) on a surface."""
-    size = len(model.ring.names)
+    size = len(model.c1)
     if model.dim < 2:
         return (0,) * size
-    return (0,) * (size - 1) + (3 + len(model.ring.point_ids),)
+    return (0,) * (size - 1) + (3 + len(model.blown_points),)
 
 
 def tangent_chern(model) -> ChernData:
@@ -305,7 +364,7 @@ def log_chern(model, q: int) -> ChernData:
     boundary divisor of the model."""
     if q < 0 or q > model.dim:
         raise StrataError(f"q = {q} outside [0, {model.dim}]")
-    ring, dim = model.ring, model.dim
+    ring, dim = model_ring(model), model.dim
     if q == 0:
         return ChernData(1, (ring.zero(),) * dim)
     k_cls = -model_class(model, model.c1)
@@ -326,7 +385,7 @@ def log_chern(model, q: int) -> ChernData:
 def log_tangent_by_chern(model) -> RingElement:
     """c(T(-log D)) = 1 - c_1 + c_2 of the logarithmic cotangent bundle,
     from its Chern data."""
-    total = model.ring.one()
+    total = model_ring(model).one()
     for i, c in enumerate(log_chern(model, min(model.dim, 1)).chern):
         total = total + c * (-1) ** (i + 1)
     return total
@@ -338,7 +397,7 @@ def push_by_basis(schema, model, coeffs) -> dict:
     coefficient, zeros dropped.  The placement is the oracle's own: the
     degree-0 class on the label of the stratum's closure, every other on
     the shared label of its homology degree."""
-    ring = model.ring
+    ring = model_ring(model)
     out = {}
     for c, name, deg in zip(coeffs, ring.names, basis_degrees(ring)):
         if c and not name.startswith("eps"):
@@ -352,7 +411,7 @@ def by_codegree(model, coeffs) -> list:
     """A model class, given per basis class, as its coefficients by
     codegree on the closure P^dim: the exceptional curves of a blown-up
     plane, which contract to zero there, are dropped."""
-    return [c for c, name in zip(coeffs, model.ring.names)
+    return [c for c, name in zip(coeffs, model_ring(model).names)
             if not name.startswith("eps")]
 
 
@@ -389,7 +448,7 @@ def _exp_minus_one_powers(dim: int) -> list:
     return powers
 
 
-def lambda_y(cd: ChernData, ring: Ring) -> RingElement:
+def lambda_y(cd: ChernData, ring) -> RingElement:
     """Chern character of the lambda_y class of a bundle.
 
     For Chern roots x_i this is prod_i (1 + y e^{x_i}), evaluated exactly
@@ -416,7 +475,7 @@ def lambda_y(cd: ChernData, ring: Ring) -> RingElement:
 
 
 def lambda_y_virtual(numerator: ChernData, denominator: ChernData,
-                     ring: Ring) -> RingElement:
+                     ring) -> RingElement:
     """lambda_y of a virtual difference of bundles: the exact quotient
     lambda_y(numerator) / lambda_y(denominator), truncated by nilpotency."""
     num = lambda_y(numerator, ring)
@@ -426,7 +485,7 @@ def lambda_y_virtual(numerator: ChernData, denominator: ChernData,
     return num * den.inverse()
 
 
-def class_from_roots(ring: Ring, roots, kind: str) -> RingElement:
+def class_from_roots(ring, roots, kind: str) -> RingElement:
     """Product over Chern roots of the chosen series, truncated by the ring.
 
     Roots must be degree-1 ring elements; an empty root list gives 1.
@@ -524,8 +583,8 @@ def td_transform(ch_elem: RingElement, todd_elem: RingElement) -> RingElement:
 def td_1py(cd: ChernData, model) -> RingElement:
     """Scaled Todd transformation of a K-class given by Chern data on a
     stratum model."""
-    todd = todd_from_chern(tangent_chern(model), model.ring)
-    return td_transform(chern_to_ch(cd, model.ring), todd)
+    todd = todd_from_chern(tangent_chern(model), model_ring(model))
+    return td_transform(chern_to_ch(cd, model_ring(model)), todd)
 
 
 def deligne_vector(model, k: int, mode: str = EXT_HALF_OPEN_UP) -> list:
@@ -562,7 +621,7 @@ def stratum_contribution_by_terms(arr, stratum, germ_sp, model, conv) -> RingEle
     """The per-stratum Milnor sum taken term by term: one Todd
     transformation per (exponent, cotangent power) pair, no regrouping."""
     n = arr.n
-    ring = model.ring
+    ring = model_ring(model)
     strat_sp = sp_shift(germ_sp, stratum, n)
     acc = ring.zero()
     minus_y = RatFuncY([0, -1])
@@ -585,7 +644,7 @@ def stratum_contribution_by_terms(arr, stratum, germ_sp, model, conv) -> RingEle
 def todd12(model) -> tuple:
     """12 td(T) = 12 + 6 c1 + c1^2 + c2 of a stratum model, as an integer
     vector."""
-    c1, mul = model.c1, model.ring.mul_vectors
+    c1, mul = model.c1, model_ring(model).mul_vectors
     return combine(len(c1), 12, [(6, c1), (1, mul(c1, c1)),
                                  (1, tangent_c2(model))])
 
@@ -595,7 +654,7 @@ def log_ch2(model) -> tuple:
     power is the line bundle K + D: 2 + 2x + x^2 for x = D - c1.  On a
     surface the residue sequence gives the middle one,
     4 - 2 c1 + 2 D + c1^2 - 2 c2 - sum D_i^2."""
-    c1, mul = model.c1, model.ring.mul_vectors
+    c1, mul = model.c1, model_ring(model).mul_vectors
     size = len(c1)
     d = combine(size, 0, [(1, c.cls) for c in model.boundary])
     squares = combine(size, 0, [(1, mul(c.cls, c.cls))
@@ -616,7 +675,7 @@ def line_sums(germ, model, mode: str) -> dict:
     residues r, for the twist t_r(k) = floor((k r + b0) / m_s) + c0.
     Between the breaks of the twists D_k = U + V c."""
     q, m_s = _germ_q(germ, model), model.m_s
-    ring = model.ring
+    ring = model_ring(model)
     size, mul = len(ring.names), ring.mul_vectors
     groups = model.twist_classes
     twists = _twist_slopes(q, m_s, [r for r, _ in groups])
@@ -640,7 +699,7 @@ def ring_contribution(germ, model, conv) -> list:
     times 2 ch(Omega^q(log D)) in y^(p + q), with the sign
     (-1)^(p + codim - 1), times 12 td, over 48 = 2 * 2 * 12 and scaled by
     (1+y)^-(homology degree)."""
-    codim, ring = model.edge.codim, model.ring
+    codim, ring = model.edge.codim, model_ring(model)
     size, mul = len(ring.names), ring.mul_vectors
     buckets = {}  # j -> the (sign, class) terms of y^j, before the Todd class
     for p, line in line_sums(germ, model, conv.extension_mode).items():

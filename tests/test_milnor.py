@@ -9,7 +9,7 @@ import pytest
 
 from hmclass import (ambient, arrangement, cli, corpus, milnor, spectra,
                      strata)
-from hmclass.arrangement import ArrangementError, build, sigma_strata
+from hmclass.arrangement import ArrangementError, build, localize, sigma_strata
 from hmclass.coeffs import RatFuncY
 from hmclass.milnor import (ALL_CONVENTIONS, DEFAULT_CONVENTIONS,
                             ConventionSet, MissingSpectrumError,
@@ -22,7 +22,8 @@ from hmclass.strata import (SigmaChowVector, build_labels, compactify,
                             relabel_vector)
 from oracles import (ChernData, arrangement_to_json, by_codegree,
                      chern_milnor_by_classes, euler_defect, generated_tables,
-                     k_representative, push_by_basis, report_to_json,
+                     k_representative, model_ring, push_by_basis,
+                     report_to_json,
                      stratum_contribution_by_terms, table_entries, td_1py,
                      vector_is_polynomial, vector_scale, vector_sum)
 
@@ -47,9 +48,10 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
-def signature(model, tables=None):
-    """The type key of a stratum's model and germ."""
-    return _type_key(model, stratum_germ(model.stratum, tables))
+def signature(arr, stratum, tables=None):
+    """The type key of a stratum, or of its model, and its germ."""
+    return _type_key(arr, stratum, stratum_germ(localize(arr, stratum.edge),
+                                                tables))
 
 
 def chern_path(arr):
@@ -75,7 +77,7 @@ class TestTdTransform:
 
     def test_line_bundles_riemann_roch(self):
         model = self.line_model()
-        ring = model.ring
+        ring = model_ring(model)
         inv = RatFuncY([1], 1)
         for d in range(-3, 6):
             cd = ChernData(1, (ring.h * d,))
@@ -343,7 +345,7 @@ class TestBlownSurfacePath:
         rep = assemble(arr, tables)
         assert [m.kind for m in rep.models].count("surface") == 1
         surface = [m for m in rep.models if m.kind == "surface"][0]
-        assert surface.ring.point_ids == ("1,2,3,4",)
+        assert surface.blown_points == ("1,2,3,4",)
         assert vector_is_polynomial(rep.m_y)
         assert rep.cross_path_ok
         values = poly_values(rep.m_y)
@@ -479,8 +481,9 @@ class TestRegroupedContribution:
             sp = germ.spectrum()
             want = by_codegree(model, stratum_contribution_by_terms(
                 arr, s, sp, model, conv).coeffs)
-            assert _stratum_contribution(germ, model, conv) == want, s.key
-            assert _stratum_contribution(sp, model, conv) == want, s.key
+            assert _stratum_contribution(arr, germ, model, conv) == want, \
+                s.key
+            assert _stratum_contribution(arr, sp, model, conv) == want, s.key
 
     @pytest.mark.parametrize("name", corpus.ALL_NAMES)
     def test_corpus_under_all_conventions(self, name):
@@ -549,7 +552,7 @@ class TestRegroupedContribution:
         for wrong in (sp_shift(germ, line, arr.n), sp_monomial([1, 1, 1]),
                       GermKind("monomial", (1, 1, 1))):
             with pytest.raises(SpectrumError):
-                _stratum_contribution(wrong, model, DEFAULT_CONVENTIONS)
+                _stratum_contribution(arr, wrong, model, DEFAULT_CONVENTIONS)
 
     def test_one_contribution_per_signature(self, monkeypatch):
         calls = count_calls(monkeypatch, milnor, "_stratum_contribution")
@@ -557,7 +560,7 @@ class TestRegroupedContribution:
             arr = corpus.load(name)
             before = len(calls)
             rep = assemble(arr)
-            signatures = {signature(m) for m in rep.models}
+            signatures = {signature(arr, m) for m in rep.models}
             assert len(calls) - before == len(signatures), name
             if name in ("triangle3", "fourplanes"):  # repeated local types
                 assert len(signatures) < len(rep.models), name
@@ -636,8 +639,9 @@ class TestOneStrataPass:
 class TestOnePass:
     """Per report: one lattice search, one localization per edge asked
     about, shared by every consumer through the lattice, one model per
-    stratum of the singular locus across both paths, and one contribution
-    per distinct signature."""
+    surface stratum and none for a point or a curve (one per listed
+    stratum with --dump-strata), and one contribution per distinct
+    signature."""
 
     def counters(self, monkeypatch):
         return {name: count_calls(monkeypatch, module, name)
@@ -645,7 +649,25 @@ class TestOnePass:
                                      (arrangement, "LocalizedArrangement"),
                                      (strata, "compactify"),
                                      (spectra, "sp_validate"),
-                                     (milnor, "_stratum_contribution"))}
+                                     (milnor, "_stratum_contribution"),
+                                     (milnor, "_surface_terms"))}
+
+    def model_classes(self, monkeypatch):
+        """The edge keys of the models whose twist classes and base
+        Deligne class get built, per class."""
+        built = {}
+        for attr in ("twist_classes", "deligne_base_vector"):
+            real = getattr(strata.StratumModel, attr).func
+            built[attr] = []
+
+            def counting(model, real=real, log=built[attr]):
+                log.append(model.edge.key)
+                return real(model)
+
+            prop = functools.cached_property(counting)
+            prop.__set_name__(strata.StratumModel, attr)
+            monkeypatch.setattr(strata.StratumModel, attr, prop)
+        return built
 
     def files(self, tmp_path):
         # nine lines with three triple points and many double points
@@ -658,50 +680,39 @@ class TestOnePass:
             + [str(path)]
 
     def test_milnor(self, monkeypatch, tmp_path, capsys):
+        # a point or a curve contributes from its lattice row, so a report
+        # compactifies each surface stratum with a nonzero germ once, and
+        # builds its closed form and model classes once, and builds no
+        # model for a point or a curve; --dump-strata lists every stratum
+        # with a nonzero germ and compactifies each of them once
+        surfaces = 0
         for path in self.files(tmp_path):
             arr = arrangement.Arrangement.load(path)
             strata_ = sigma_strata(arr)
-            signatures = {signature(compactify(arr, s)) for s in strata_}
-            with monkeypatch.context() as patch:
-                calls = self.counters(patch)
-                code = cli.main(["milnor", path])
-                assert code == 0, capsys.readouterr().err
-            assert len(calls["_search_edges"]) == 1, path
-            assert len(calls["LocalizedArrangement"]) == len(strata_), path
-            assert len(calls["compactify"]) == len(strata_), path
-            assert len(calls["_stratum_contribution"]) == len(signatures), path
-        assert len(signatures) < len(strata_)  # the nine lines repeat types
-
-    def test_milnor_model_classes_for_surfaces_only(self, monkeypatch,
-                                                     capsys):
-        # a point or a curve contributes from integers per residue: the
-        # model classes a surface pairs are built once per surface
-        # contribution, and never for a point or a curve
-        surfaces = 0
-        for name in corpus.ALL_NAMES:
-            rep = assemble(corpus.load(name))
-            want = sorted(m.edge.key for m in rep.models if m.dim == 2)
-            with monkeypatch.context() as patch:
-                terms = count_calls(patch, milnor, "_surface_terms")
-                built = {}
-                for attr in ("twist_classes", "deligne_base_vector"):
-                    real = getattr(strata.StratumModel, attr).func
-                    built[attr] = []
-
-                    def counting(model, real=real, log=built[attr]):
-                        log.append(model.edge.key)
-                        return real(model)
-
-                    prop = functools.cached_property(counting)
-                    prop.__set_name__(strata.StratumModel, attr)
-                    patch.setattr(strata.StratumModel, attr, prop)
-                code = cli.main(["milnor", str(corpus.corpus_path(name))])
-                assert code == 0, capsys.readouterr().err
-            assert sorted(model.edge.key for _, model, _ in terms) == want, \
-                name
-            for attr, keys in built.items():
-                assert sorted(keys) == want, (name, attr)
+            signatures = {signature(arr, s) for s in strata_}
+            listed = sorted(s.key for s in strata_
+                            if not stratum_germ(s).is_zero())
+            want = sorted(s.key for s in strata_
+                          if s.dim == 2 and s.key in listed)
+            for dump in ([], ["--dump-strata"]):
+                with monkeypatch.context() as patch:
+                    calls = self.counters(patch)
+                    built = self.model_classes(patch)
+                    code = cli.main(["milnor", path, *dump])
+                    assert code == 0, capsys.readouterr().err
+                assert len(calls["_search_edges"]) == 1, path
+                assert len(calls["LocalizedArrangement"]) == len(strata_), \
+                    path
+                compactified = sorted(s.key for _, s in calls["compactify"])
+                assert compactified == (listed if dump else want), path
+                assert (len(calls["_stratum_contribution"])
+                        == len(signatures)), path
+                assert sorted(model.edge.key for _, model, _
+                              in calls["_surface_terms"]) == want, path
+                for attr, keys in built.items():
+                    assert sorted(keys) == want, (path, attr)
             surfaces += len(want)
+        assert len(signatures) < len(strata_)  # the nine lines repeat types
         assert surfaces  # doubleplane3 has a surface stratum
 
     def test_spectra(self, monkeypatch, tmp_path, capsys):
@@ -853,7 +864,7 @@ class TestMemo:
                 rep, tables = self.check(arr, conv)
                 kinds.update(m.kind for m in rep.models)
                 repeats += len(rep.models) - len(
-                    {signature(m, tables) for m in rep.models})
+                    {signature(arr, m, tables) for m in rep.models})
         assert repeats
         assert kinds == ({"point", "curve"} if n == 2
                          else {"point", "curve", "surface"})

@@ -18,7 +18,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import (HealthCheck, assume, example, given, reject,
+from hypothesis import (HealthCheck, Phase, assume, example, given, reject,
                         settings)
 from hypothesis import strategies as st
 
@@ -30,26 +30,33 @@ from hmclass.arrangement import (ArrangementError, build, chi_y, chi_y_pn,
 from hmclass.coeffs import RatFuncY, poly_str
 from hmclass.corpus import ALL_NAMES, corpus_path
 from hmclass.milnor import (ALL_CONVENTIONS, DEFAULT_CONVENTIONS,
-                            MissingSpectrumError, _stratum_contribution,
-                            _type_key, assemble, chern_milnor)
-from hmclass.rings import BlownPlaneRing, ProjRing, RingElement
+                            MissingSpectrumError, _pair,
+                            _stratum_contribution, _type_key, assemble,
+                            chern_milnor)
+from hmclass.rings import ProjRing, RingElement
 from hmclass.spectra import GermKind, sp_user_load, stratum_germ
 from hmclass.strata import (SigmaChowVector, build_labels, chow_dims,
                             compactify, homology_weight_dims, push_to_sigma,
                             relabel_vector)
-from oracles import (arrangement_to_json, by_codegree,
+from oracles import (BlownPlaneRing, arrangement_to_json, by_codegree,
                      chern_milnor_by_classes, chern_to_ch,
                      chi_y_stratum_by_whitney, dense_by_bipartition,
                      euler_by_whitney, euler_defect, generated_tables,
                      hirzebruch_class_by_additivity, log_ch2, log_chern,
-                     model_class, product_by_basis, push_by_basis,
-                     report_to_json, ring_contribution,
+                     model_class, model_ring, product_by_basis,
+                     push_by_basis, report_to_json, ring_contribution,
                      spectra_rows_by_stratum, spread_table_entries,
                      stratum_contribution_by_terms, table_entries,
                      tangent_chern, todd12, todd_from_chern)
 
 SETTINGS = settings(derandomize=True, max_examples=30, deadline=None,
                     suppress_health_check=[HealthCheck.filter_too_much])
+
+# every phase but shrinking, for the properties that are slow to fail: a
+# draw that writes files and runs the CLI, or that checks many strata
+# under every convention, is costly, and shrinking one tries hundreds of
+# them; such a property reports the first failing draw as drawn
+NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
 
 
 @st.composite
@@ -220,7 +227,7 @@ def test_type_key_is_sound():
                 germ = stratum_germ(s, tables)
                 if germ.is_zero():
                     continue
-                keys.add(_type_key(compactify(arr, s), germ))
+                keys.add(_type_key(arr, s, germ))
                 want = pushed_by_terms(arr, s, germ, conv, rep.schema)
                 assert rep.per_stratum[s.key] == want, (s.key, conv)
         seen[n] += 1
@@ -240,7 +247,7 @@ def test_integer_path_matches_ring_path_on_every_stratum():
     # exponents, under every convention, in P^2 to P^4
     seen = Counter()
 
-    @settings(SETTINGS, max_examples=50)
+    @settings(SETTINGS, max_examples=50, phases=NO_SHRINK)
     @given(st.one_of(arrangements(), model_arrangements(),
                      p4_arrangements()), st.integers(0, 2 ** 32))
     def check(case, seed):
@@ -258,14 +265,16 @@ def test_integer_path_matches_ring_path_on_every_stratum():
                 model = compactify(arr, s)
                 if germ.is_zero():
                     continue
+                # what assembly passes: a surface's model, or the stratum
+                shape = model if s.dim == 2 else s
                 for conv in ALL_CONVENTIONS:
-                    got = _stratum_contribution(germ, model, conv)
+                    got = _stratum_contribution(arr, germ, shape, conv)
                     want = ring_contribution(germ, model, conv)
                     assert (push_to_sigma(schema, model, got)
                             == push_by_basis(schema, model, want)), (
                                 s.key, conv.label())
                 seen[n, model.kind] += 1
-                seen[model.kind, bool(model.ring.point_ids)] += 1
+                seen[model.kind, bool(model.blown_points)] += 1
                 seen["spread", model.kind] += tables is spread and (
                     s.key in tables)
                 seen["whole mass"] += tables is not spread and (
@@ -598,7 +607,7 @@ def test_spectra_report_matches_rows_by_stratum():
     with tempfile.TemporaryDirectory() as tmp:
         source, table_file = Path(tmp, "input.json"), Path(tmp, "tables.json")
 
-        @settings(SETTINGS, max_examples=40)
+        @settings(SETTINGS, max_examples=40, phases=NO_SHRINK)
         @given(st.one_of(arrangements(), p4_arrangements()))
         # lines of multiplicities 1, 2, 1: the points with exponents (1, 2)
         # and (2, 1) share the germ class (rank 2, e = 1) and print
@@ -681,7 +690,7 @@ def test_lattice_side_reports_match_json_dumps():
     with tempfile.TemporaryDirectory() as tmp:
         source, table_file = Path(tmp, "input.json"), Path(tmp, "tables.json")
 
-        @settings(SETTINGS, max_examples=40)
+        @settings(SETTINGS, max_examples=40, phases=NO_SHRINK)
         @given(lattice_arrangements(), st.integers(0, 2 ** 32 - 1))
         # one reduced line: no stratum, so the spectra report lists none
         @example((2, [((1, 0, 0), 1)]), 0)
@@ -788,8 +797,8 @@ def test_model_classes_match_newton_identity_oracle():
             reject()
         for s in sigma_strata(arr):
             model = compactify(arr, s)
-            seen[model.kind, bool(model.ring.point_ids)] += 1
-            ring = model.ring
+            seen[model.kind, bool(model.blown_points)] += 1
+            ring = model_ring(model)
             assert (model_class(model, todd12(model), 12)
                     == todd_from_chern(tangent_chern(model), ring))
             assert len(log_ch2(model)) == model.dim + 1
@@ -809,7 +818,7 @@ def test_chern_path_matches_class_oracle():
     # without blown points
     seen = Counter()
 
-    @SETTINGS
+    @settings(SETTINGS, phases=NO_SHRINK)
     @given(st.one_of(model_arrangements(), p4_arrangements()))
     def check(case):
         n, hyperplanes = case[:2]
@@ -818,7 +827,7 @@ def test_chern_path_matches_class_oracle():
         except ArrangementError:
             reject()
         strata = sigma_strata(arr)
-        seen.update((n, m.kind, bool(m.ring.point_ids))
+        seen.update((n, m.kind, bool(m.blown_points))
                     for m in (compactify(arr, s) for s in strata))
         assert (chern_milnor(arr, build_labels(arr), strata)
                 == chern_milnor_by_classes(arr))
@@ -838,7 +847,9 @@ def test_chern_path_matches_class_oracle():
 @given(st.data())
 def test_vector_product_matches_ring_elements(ring, data):
     # the per-shape product of integer vectors, and RingElement.__mul__,
-    # against the product by the basis multiplication table
+    # against the product by the basis multiplication table; on a blown-up
+    # plane, the surface pairing of the degree-1 parts against the top
+    # coefficient of their product
     vector = st.lists(st.integers(-50, 50), min_size=len(ring.names),
                       max_size=len(ring.names))
     a, b = data.draw(vector), data.draw(vector)
@@ -846,6 +857,9 @@ def test_vector_product_matches_ring_elements(ring, data):
     assert ring.mul_vectors(a, b) == expected
     assert (RingElement(ring, a) * RingElement(ring, b)
             == RingElement(ring, expected))
+    if isinstance(ring, BlownPlaneRing):
+        a1, b1 = ([0, *v[1:-1], 0] for v in (a, b))
+        assert _pair(a1, b1) == product_by_basis(ring, a1, b1)[-1]
 
 
 @SETTINGS
@@ -863,8 +877,8 @@ def test_every_contribution_is_polynomial(case):
         assume(germ is not None)  # assemble raises MissingSpectrumError
         if germ.is_zero():
             continue
-        coeffs = _stratum_contribution(germ, compactify(arr, s),
-                                       DEFAULT_CONVENTIONS)
+        shape = compactify(arr, s) if s.dim == 2 else s
+        coeffs = _stratum_contribution(arr, germ, shape, DEFAULT_CONVENTIONS)
         assert all(c.k == 0 for c in coeffs), (s.key, coeffs)
 
 
@@ -902,9 +916,9 @@ def test_closed_form_matches_per_exponent_oracle():
             sp = germ.spectrum()
             for conv in ALL_CONVENTIONS:
                 want = stratum_contribution_by_terms(arr, s, sp, model, conv)
-                assert (_stratum_contribution(germ, model, conv)
+                assert (_stratum_contribution(arr, germ, model, conv)
                         == by_codegree(model, want.coeffs)), (s.key, conv)
-            seen[model.kind, bool(model.ring.point_ids)] += 1
+            seen[model.kind, bool(model.blown_points)] += 1
         seen["multiple planes"] += n == 3 and sum(
             m > 1 for _, m in hyperplanes) >= 2
         seen["largest"] = max(seen["largest"], hyperplanes[0][1])
