@@ -7,11 +7,12 @@ locus, each the localization at its edge, which the lattice keeps and
 every consumer shares, and chi_y genera.
 
 The tables: the Mobius function mu(0, x) is computed bottom up, and gives
-the Euler number of each edge's localization and, in the same pass, that
-of the divisor; chi_y of each open stratum is
-computed top down by additivity, since the closed stratum of an edge of
-dimension d is a P^d and the disjoint union of the open strata of the
-edges on it.
+the Euler number of each edge's localization and, in the same pass, chi_y
+of the divisor, whose value at y = -1 is the divisor's Euler number.
+chi_y of each open stratum is computed top down by additivity, since the
+closed stratum of an edge of dimension d is a P^d and the disjoint union
+of the open strata of the edges on it; only the chi-y report's rows and
+the Chern terms of curves and surfaces read that table.
 """
 
 from __future__ import annotations
@@ -223,27 +224,24 @@ class Edge:
     """An intersection of hyperplanes, with saturated index set.
 
     index_set holds 0-based hyperplane indices; it identifies the edge.
+    key is the 1-based index set as text, built with the edge.  Reports,
+    labels and user tables name an edge by it; the lattice finds an edge
+    by its index set, and each edge is built once per lattice, so an edge
+    compares by identity.  Nothing keys by the edge itself: the Chern path
+    reads the lattice alone, by position.
     """
 
     def __init__(self, index_set: tuple, codim: int, m_s: int):
         self.index_set, self.codim, self.m_s = index_set, codim, m_s
-
-    @cached_property
-    def key(self) -> str:
-        """The 1-based index set as text, built on first read and kept on
-        the instance.  Reports, labels and user tables name an edge by it;
-        the lattice finds an edge by its index set, and each edge is built
-        once per lattice, so an edge compares by identity.  Nothing keys
-        by the edge itself: the Chern path reads the lattice alone, by
-        position."""
-        return ",".join(str(j + 1) for j in self.index_set)
+        self.key = ",".join([str(j + 1) for j in index_set])
 
 
 class Lattice:
     """The edges of an arrangement in P^n with the index and the "above"
     relation its consumers look up, the per-edge Euler numbers and chi_y
-    tables, the divisor's Euler number, and the localization at each edge
-    once some consumer has asked for it."""
+    table, the per-dimension Mobius tally that gives chi_y and the Euler
+    number of the divisor, and the localization at each edge once some
+    consumer has asked for it."""
 
     def __init__(self, n: int, edges: tuple, position: dict,
                  strictly_above: tuple):
@@ -268,38 +266,42 @@ class Lattice:
 
     @cached_property
     def divisor_euler(self) -> int:
-        """The Euler number of the divisor, the union of the hyperplanes."""
-        return self._mobius[1]
+        """The Euler number of the divisor, the union of the hyperplanes:
+        its chi_y at y = -1, where chi_y(P^d) is d + 1."""
+        return sum((d + 1) * t for d, t in enumerate(self._mobius[1]))
 
     @cached_property
     def _mobius(self) -> tuple:
-        """(euler, divisor_euler) from one bottom-up pass over mu(e) =
-        mu(0, e) = -1 - sum over x < e of mu(x).  The localization at e has
-        Euler number -codim e mu(e) - sum over x < e of mu(x) codim x, so
-        the pass pushes each mu(x) into the two sums of every edge above x.
-        The divisor's Euler number is -sum over e of mu(e) (n - codim e +
-        1), by Mobius inversion over the lattice (Orlik-Terao, ch. 2): the
-        complement of the divisor in P^n has Euler number the sum over all
-        X of mu(X) chi(P(X)), the whole space included, and P(X) is a
-        P^(n - codim X)."""
+        """(euler, tally) from one bottom-up pass over mu(e) = mu(0, e) =
+        -1 - sum over x < e of mu(x).  The localization at e has Euler
+        number -codim e mu(e) - sum over x < e of mu(x) codim x, so the
+        pass pushes each mu(x) into the two sums of every edge above x.
+        tally[d] is -sum of mu(e) over the edges e of dimension d, which
+        is all that chi_y of the divisor needs: by Mobius inversion over
+        the lattice (Orlik-Terao, ch. 2), the complement of the divisor in
+        P^n is the sum over all X of mu(X) P(X), the whole space included,
+        in any additive invariant, and P(X) is a P^(n - codim X); so
+        chi_y(D) = the sum over d of tally[d] chi_y(P^d)."""
         mu_below = [0] * len(self.edges)
         codim_below = [0] * len(self.edges)
         out = []
-        divisor = 0
+        tally = [0] * self.n
         for i, e in enumerate(self.edges):
             mu = -1 - mu_below[i]
             out.append(-e.codim * mu - codim_below[i])
-            divisor -= mu * (self.n - e.codim + 1)
+            tally[self.n - e.codim] -= mu
             for j in self.strictly_above[i]:
                 mu_below[j] += mu
                 codim_below[j] += mu * e.codim
-        return tuple(out), divisor
+        return tuple(out), tuple(tally)
 
     @cached_property
     def chi_y_open(self) -> tuple:
         """Per position, the integer coefficients of chi_y of the edge's
         open stratum as a tuple, top down by additivity: chi_y(P^d) minus
-        chi_y of every open stratum strictly above the edge."""
+        chi_y of every open stratum strictly above the edge.  Built only
+        for the chi-y report's rows and the Chern terms of curves and
+        surfaces; chi_y of the divisor comes from the Mobius pass."""
         out = [None] * len(self.edges)
         for i in reversed(range(len(self.edges))):
             cs = [(-1) ** p for p in range(self.n - self.edges[i].codim + 1)]
@@ -506,13 +508,15 @@ def chi_y_pn(n: int) -> RatFuncY:
 
 
 def chi_y(arr: Arrangement) -> RatFuncY:
-    """chi_y genus of the divisor by additivity over its canonical
-    stratification: the sum over all edge strata."""
-    total = [0] * arr.n
-    for cs in arr.lattice.chi_y_open:
-        for p, c in enumerate(cs):
-            total[p] += c
-    return RatFuncY(total)
+    """chi_y genus of the divisor from the Mobius pass: the sum over edge
+    dimensions d of tally[d] chi_y(P^d), so the coefficient of y^p is
+    (-1)^p times the sum of tally[d] over d >= p."""
+    tally = arr.lattice._mobius[1]
+    total, acc = [0] * arr.n, 0
+    for p in reversed(range(arr.n)):
+        acc += tally[p]
+        total[p] = -acc if p % 2 else acc
+    return RatFuncY.from_ints(total)
 
 
 def euler_by_inclusion_exclusion(arr: Arrangement) -> int:

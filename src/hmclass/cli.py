@@ -223,9 +223,10 @@ def cmd_virtual(args) -> int:
 
 def cmd_chi_y(args) -> int:
     arr = Arrangement.load(args.input)
-    # chi_y of the divisor is the sum over its strata, one per edge; the
-    # lattice holds each open stratum's chi_y as an integer tuple, and each
-    # distinct tuple is rendered once
+    # chi_y of the divisor comes from the lattice's Mobius pass, and is
+    # the sum over its strata, one per edge; the lattice holds each open
+    # stratum's chi_y as an integer tuple, and each distinct tuple is
+    # rendered once
     lattice = arr.lattice
     texts = {}
     per = []

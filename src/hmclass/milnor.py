@@ -26,11 +26,12 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from .ambient import virtual_genus
 from .arrangement import Arrangement, chi_y, milnor_fiber_chi, sigma_strata
 from .coeffs import RatFuncY
-from .jsontext import HOLE, dumps, splice
+from .jsontext import HOLE, splice
 from .rings import combine
 from .spectra import SpectrumError, stratum_germ
 from .strata import (EXT_HALF_OPEN_DOWN, EXT_HALF_OPEN_UP, LabelSchema,
@@ -135,7 +136,7 @@ class MilnorReport:
         value block; a block splices its vector's nonzero values into the zero
         lines of the schema, which are rendered once per report."""
         names = self.schema.names()
-        quoted = [dumps(name) for name in names]
+        quoted = [encode_basestring_ascii(name) for name in names]
         index = {name: i for i, name in enumerate(names)}
         m_y = _label_block(quoted, index, 4, True)
         stratum = _label_block(quoted, index, 6, True)
@@ -467,7 +468,7 @@ def assemble(arr: Arrangement, user_tables: dict = None,
     m_y = SigmaChowVector(schema, totals)
 
     chern_path = chern_milnor(arr, schema, strata)
-    spec_minus1 = m_y.specialize(-1)
+    specializations = m_y.specializations()
     return MilnorReport(
         arrangement=arr,
         conventions=conv,
@@ -475,10 +476,9 @@ def assemble(arr: Arrangement, user_tables: dict = None,
         m_y=m_y,
         per_stratum=per_stratum,
         degree0=degree0_check(arr, m_y),
-        specializations={-1: spec_minus1, 0: m_y.specialize(0),
-                         1: m_y.specialize(1)},
+        specializations=specializations,
         chern_path=chern_path,
-        cross_path_ok=(spec_minus1 == chern_path),
+        cross_path_ok=(specializations[-1] == chern_path),
         listed=listed,
     )
 

@@ -19,6 +19,7 @@ through its runs.
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 from math import gcd, lcm
@@ -184,26 +185,8 @@ class GermKind:
     def runs(self) -> tuple:
         """The spectrum in closed form: runs (p, lo, hi, a, b), each the
         exponents rank - p - c/e with multiplicity a + b c for
-        lo <= c <= hi < e.
-
-        A monomial germ's Milnor fiber is e disjoint tori of dimension
-        r - 1, of Tate type (j, j) in degree j, with the monodromy cycling
-        the components; so each degree-j group splits into eigenspaces for
-        every e-th root of unity, of dimension binomial(r - 1, j), and
-        p = j (reduced cohomology drops c = 0 from j = 0).  An ordinary
-        germ is equisingular to x^e + y^e, whose exponents (i + j)/e for
-        1 <= i, j <= e - 1 give p = 1 for i + j <= e and p = 0 above."""
-        r, e = self.rank, self.e
-        if self.tag == "ordinary":
-            return ((0, 1, e - 1, -1, 1), (1, 0, e - 2, e - 1, -1))
-        out = []
-        binom = 1
-        for j in range(r):
-            if j > 0:
-                binom = binom * (r - j) // j
-            sign = 1 if (j - r + 1) % 2 == 0 else -1
-            out.append((j, 1 if j == 0 else 0, e - 1, sign * binom, 0))
-        return tuple(out)
+        lo <= c <= hi < e; built once per class (_catalogue_runs)."""
+        return _catalogue_runs(self.tag, self.rank, self.e)
 
     def spectrum(self) -> Spectrum:
         """The runs expanded into a Spectrum, one entry per exponent."""
@@ -213,6 +196,31 @@ class GermKind:
             for c in range(lo, hi + 1):
                 out[Fraction((r - p) * e - c, e)] = a + b * c
         return Spectrum.make(out, self.frame)
+
+
+@functools.lru_cache(maxsize=256)
+def _catalogue_runs(tag: str, r: int, e: int) -> tuple:
+    """The runs of the catalogue class (tag, rank r, e), kept per process
+    as the Hirzebruch series are: a report reads them for every stratum,
+    and a tuple of ints is never changed.
+
+    A monomial germ's Milnor fiber is e disjoint tori of dimension r - 1,
+    of Tate type (j, j) in degree j, with the monodromy cycling the
+    components; so each degree-j group splits into eigenspaces for every
+    e-th root of unity, of dimension binomial(r - 1, j), and p = j (reduced
+    cohomology drops c = 0 from j = 0).  An ordinary germ is equisingular
+    to x^e + y^e, whose exponents (i + j)/e for 1 <= i, j <= e - 1 give
+    p = 1 for i + j <= e and p = 0 above."""
+    if tag == "ordinary":
+        return ((0, 1, e - 1, -1, 1), (1, 0, e - 2, e - 1, -1))
+    out = []
+    binom = 1
+    for j in range(r):
+        if j > 0:
+            binom = binom * (r - j) // j
+        sign = 1 if (j - r + 1) % 2 == 0 else -1
+        out.append((j, 1 if j == 0 else 0, e - 1, sign * binom, 0))
+    return tuple(out)
 
 
 def classify_germ(loc: LocalizedArrangement) -> GermKind:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .arrangement import Arrangement, Edge, LocalizedArrangement, in_sigma
-from .coeffs import RatFuncY, rat
+from .coeffs import RatFuncY
 from .rings import combine
 
 __all__ = [
@@ -373,26 +373,36 @@ class SigmaChowVector:
 
     def trace(self) -> RatFuncY:
         """Sum of the degree-zero coefficients (each basis point has
-        degree one)."""
-        acc = RatFuncY.ZERO
+        degree one).  Strata of one local type carry equal coefficients,
+        so each distinct normal form is added once, times the number of
+        labels that hold it."""
+        counts = {}  # (num, den, k) -> labels holding it
         for l in self.schema.labels:
             if l.degree == 0:
-                acc = acc + self.coefficient(l.name)
+                v = self.values.get(l.name)
+                if v is not None:
+                    form = (v.num, v.den, v.k)
+                    counts[form] = counts.get(form, 0) + 1
+        acc = RatFuncY.ZERO
+        for (num, den, k), count in counts.items():
+            acc = acc + RatFuncY.from_ints([count * c for c in num], den, k)
         return acc
 
-    def specialize(self, y0) -> "SigmaChowVector":
-        """The vector at y = y0.  Strata of one local type carry equal
-        coefficients, so each distinct normal form is evaluated once."""
-        y0 = rat(y0)
-        at = {}  # (num, den, k) -> value at y0
-        out = {}
+    def specializations(self) -> dict:
+        """y0 -> the vector at y = y0, for y0 = -1, 0 and 1, in one pass:
+        strata of one local type carry equal coefficients, so each
+        distinct normal form is evaluated once at each point."""
+        at = {}  # (num, den, k) -> its values at the points
+        outs = {-1: {}, 0: {}, 1: {}}
         for name, v in self.values.items():
             form = (v.num, v.den, v.k)
-            c = at.get(form)
-            if c is None:
-                c = at[form] = RatFuncY._coerce(v(y0))
-            out[name] = c
-        return SigmaChowVector(self.schema, out)
+            cs = at.get(form)
+            if cs is None:
+                cs = at[form] = [RatFuncY._coerce(v(y0)) for y0 in outs]
+            for out, c in zip(outs.values(), cs):
+                out[name] = c
+        return {y0: SigmaChowVector(self.schema, out)
+                for y0, out in outs.items()}
 
     def __repr__(self):
         items = [f"{k}: {v}" for k, v in self.values.items()]

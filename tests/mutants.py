@@ -63,6 +63,19 @@ MUTANTS = {
         "beta, b_d = -(arr.m - m_s) // m_s, 1",
         "beta, b_d = -((arr.m - m_s) // m_s), 1",
         [RING_PATH]),
+    "mobius-chi-y-parity-sign": (
+        "src/hmclass/arrangement.py",
+        "total[p] = -acc if p % 2 else acc",
+        "total[p] = acc if p % 2 else -acc",
+        [f"{PROPS}::test_chi_y_of_the_mobius_pass_sums_the_open_strata",
+         f"{PROPS}::test_degree0_equality_on_reduced_plane_arrangements"]),
+    "trace-ignores-multiplicity": (
+        "src/hmclass/strata.py",
+        "RatFuncY.from_ints([count * c for c in num], den, k)",
+        "RatFuncY.from_ints(list(num), den, k)",
+        ["tests/test_strata.py::TestTraceAndSpecializations"
+         "::test_trace_counts_each_label",
+         f"{PROPS}::test_degree0_equality_on_reduced_plane_arrangements"]),
 }
 
 

@@ -299,8 +299,8 @@ class TestEdges:
                     assert t.m_s == s.m_s + m_rel
 
     def test_key_text_and_identity(self):
-        # twelve lines, three of them through [0:0:1]; the key is built on
-        # first read and kept beside the three fields
+        # twelve lines, three of them through [0:0:1]; the key is built with
+        # the edge and kept beside the three fields
         others = iter((1, i, i * i) for i in range(2, 11))
         covs = [(1, 0, 0) if j == 0 else (0, 1, 0) if j == 9
                 else (1, 1, 0) if j == 11 else next(others)
@@ -308,13 +308,13 @@ class TestEdges:
         arr = lines(*covs)
         [point] = [e for e in arr.lattice.edges if e.key == "1,10,12"]
         assert point.index_set == (0, 9, 11) and point.codim == 2
-        fields = {"index_set", "codim", "m_s"}
+        fields = {"index_set", "codim", "m_s", "key"}
         for e in edges(arr):
             twin = arrangement.Edge(e.index_set, e.codim, e.m_s)
-            assert set(vars(twin)) == fields  # the key is no stored field
+            assert set(vars(twin)) == fields  # stored before any read
             assert e.key == ",".join(str(j + 1) for j in e.index_set)
             assert vars(e)["key"] is e.key  # built once, then kept
-            assert twin.key == e.key and set(vars(twin)) == fields | {"key"}
+            assert twin.key == e.key and set(vars(twin)) == fields
         moved = arrangement.Edge((1, 2), point.codim, point.m_s)
         assert moved.key == "2,3" and point.key == "1,10,12"
 

@@ -14,6 +14,7 @@ import random
 import sys
 import tempfile
 from collections import Counter
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
@@ -742,20 +743,69 @@ def euler_arrangements(draw):
     return n, list(zip(covs, mults))
 
 
+def summed_open_strata(arr) -> list:
+    """chi_y of the divisor by additivity: the top-down table's rows of
+    every open stratum, summed coefficient by coefficient."""
+    total = [0] * arr.n
+    for cs in arr.lattice.chi_y_open:
+        for p, c in enumerate(cs):
+            total[p] += c
+    return total
+
+
 @settings(SETTINGS, max_examples=100)
 @given(euler_arrangements())
 def test_divisor_euler_of_the_mobius_pass(case):
-    # the Mobius pass's Euler number of the divisor is chi_y at y = -1 from
-    # the top-down table of open strata, and for few hyperplanes the
+    # the Mobius pass's Euler number of the divisor is the top-down table's
+    # sum over open strata at y = -1, and for few hyperplanes the
     # inclusion-exclusion count over every subfamily
     n, hyperplanes = case
     try:
         arr = build(n, hyperplanes)
     except ArrangementError:
         reject()
-    assert arr.lattice.divisor_euler == chi_y(arr)(-1)
+    total = summed_open_strata(arr)
+    assert arr.lattice.divisor_euler == sum(total[::2]) - sum(total[1::2])
     if arr.r <= 9:
         assert arr.lattice.divisor_euler == euler_by_inclusion_exclusion(arr)
+
+
+def test_chi_y_of_the_mobius_pass_sums_the_open_strata():
+    # chi_y of the divisor from the Mobius pass is the sum of the top-down
+    # table's rows in every coefficient, and the chi-y report's per-stratum
+    # values sum to its chi_y_X
+    seen = Counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        source = Path(tmp, "input.json")
+
+        @settings(SETTINGS, max_examples=100, phases=NO_SHRINK)
+        @given(euler_arrangements())
+        def check(case):
+            n, hyperplanes = case
+            try:
+                arr = build(n, hyperplanes)
+            except ArrangementError:
+                reject()
+            total = summed_open_strata(arr)
+            value = chi_y(arr)
+            assert value.is_polynomial()
+            assert [value.coeff(p) for p in range(n)] == total
+            assert len(value.num) <= n
+            source.write_text(json.dumps(arrangement_to_json(arr)))
+            code, out, err = run_cli(["chi-y", str(source)])
+            assert code == 0, err
+            report = json.loads(out)
+            summed = [0] * n
+            for cs in report["per_stratum"].values():
+                for p, c in enumerate(cs):
+                    summed[p] += Fraction(c)
+            want = [Fraction(c) for c in report["chi_y_X"]]
+            assert summed == want + [0] * (n - len(want))
+            seen[n] += 1
+            seen["multiple"] += any(m > 1 for m in arr.mults)
+
+        check()
+    assert seen[2] and seen[3] and seen[4] and seen["multiple"], seen
 
 
 @st.composite

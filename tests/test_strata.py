@@ -7,7 +7,7 @@ import pytest
 from hmclass import corpus
 from hmclass.arrangement import ArrangementError, build, sigma_strata
 from hmclass.coeffs import RatFuncY
-from hmclass.strata import (SigmaChowVector, StrataError,
+from hmclass.strata import (Label, LabelSchema, SigmaChowVector, StrataError,
                             StratumDimensionError, build_labels, chow_dims,
                             compactify, deligne_residues,
                             homology_weight_dims, power_identity_holds,
@@ -335,6 +335,67 @@ class TestPushAndLabels:
     def test_smooth_arrangement_has_no_labels(self):
         arr = build(2, [((1, 0, 0), 1)])
         assert build_labels(arr).labels == ()
+
+
+def repeated(*groups) -> SigmaChowVector:
+    """A vector on point labels P_{1}, P_{2}, ... and one line label
+    H_{1}: each group (count, value) puts value on count point labels in
+    turn, and the line label holds the first group's value, which the
+    trace must skip."""
+    names, values = [], {}
+    for count, value in groups:
+        for _ in range(count):
+            names.append(f"P_{{{len(names) + 1}}}")
+            values[names[-1]] = value
+    values["H_{1}"] = groups[0][1]
+    labels = tuple(Label(name, 0) for name in names) + (Label("H_{1}", 1),)
+    return SigmaChowVector(LabelSchema(labels, {}, {}), values)
+
+
+class TestTraceAndSpecializations:
+    # each distinct coefficient is added, or evaluated, once for all the
+    # labels holding it; the sums below are written out label by label
+    half = RatFuncY([F(1, 2), F(-3, 2)])  # (1 - 3y)/2
+    negative = RatFuncY([-1, 0, 1])  # -1 + y^2
+
+    def test_trace_counts_each_label(self):
+        vec = repeated((4, self.half), (2, self.negative), (1, self.half))
+        a, b = self.half, self.negative
+        want = a + a + a + a + b + b + a
+        assert want == RatFuncY([F(1, 2), F(-15, 2), 2])
+        assert vec.trace() == want
+
+    def test_trace_cancels_to_zero(self):
+        # 4 (1 - y)/2 + 2 (-1 + y) = 0, and 3 a + 3 (-a) = 0
+        vec = repeated((4, RatFuncY([F(1, 2), F(-1, 2)])),
+                       (2, RatFuncY([-1, 1])))
+        assert vec.trace().is_zero()
+        vec = repeated((3, self.half), (3, -self.half))
+        assert vec.trace() == RatFuncY.ZERO
+
+    def test_trace_of_repeated_fractions_in_y(self):
+        # 3 y/(1 + y) + 3/(1 + y) = 3
+        vec = repeated((3, RatFuncY([0, 1], 1)), (3, RatFuncY([1], 1)))
+        assert vec.trace() == RatFuncY([3])
+        vec = repeated((5, RatFuncY([F(1, 2)], 1)))
+        assert vec.trace() == RatFuncY([F(5, 2)], 1)
+
+    def test_three_specializations(self):
+        vec = repeated((4, self.half), (2, self.negative), (1, self.half))
+        at = vec.specializations()
+        assert list(at) == [-1, 0, 1]
+        at_minus1, at0, at1 = at.values()
+        a_labels = ["P_{1}", "P_{2}", "P_{3}", "P_{4}", "P_{7}", "H_{1}"]
+        b_labels = ["P_{5}", "P_{6}"]
+        # (1 - 3y)/2 is 2, 1/2, -1 and -1 + y^2 is 0, -1, 0 at y = -1, 0, 1
+        assert at_minus1.values == dict.fromkeys(a_labels, RatFuncY([2]))
+        assert at0.values == {**dict.fromkeys(a_labels, RatFuncY([F(1, 2)])),
+                              **dict.fromkeys(b_labels, RatFuncY([-1]))}
+        assert at1.values == dict.fromkeys(a_labels, RatFuncY([-1]))
+        # the trace at each point: 5 * 2, 5/2 - 2 and -5
+        assert [v.trace() for v in (at_minus1, at0, at1)] == [
+            RatFuncY([10]), RatFuncY([F(1, 2)]), RatFuncY([-5])]
+        assert all(v.schema is vec.schema for v in (at_minus1, at0, at1))
 
 
 class TestDimensionTables:
