@@ -336,11 +336,14 @@ def _search_edges(arr: Arrangement) -> Lattice:
     not extended: a join of one has rank n + 1 and is no edge.
 
     An edge is above another exactly when its index set contains the
-    other's, so the edges above an edge are those in every hyperplane's
-    set of containing edges, one bitmask over positions per hyperplane;
-    no edge is above one of codimension n."""
+    other's.  Hyperplane j sits at position j, and the edges above it are
+    the edges through it, listed per hyperplane from their index sets.
+    Any other edge takes the list of its first hyperplane, kept where the
+    index-set mask contains its own; no edge is above one of
+    codimension n."""
     n, covs, mults = arr.n, arr.covectors, arr.mults
     edges = [Edge((j,), 1, mults[j]) for j in range(len(covs))]
+    masks = [1 << j for j in range(len(covs))]  # per position
     frontier = []  # (index-set bitmask, echelon basis of its covectors)
     for j, c in enumerate(covs):
         frontier.append((1 << j, [(next(p for p, x in enumerate(c) if x), c)]))
@@ -359,28 +362,30 @@ def _search_edges(arr: Arrangement) -> Lattice:
                     joins[res] = joins.get(res, mask) | 1 << j
             for res, key in joins.items():
                 iset = _bits(key)
-                level.append(iset)
+                level.append((iset, key))
                 for j in iset:
                     through[j].append(key)
                 if codim < n:
                     nxt.append((key, _extend(basis, res)))
         level.sort()
-        edges += [Edge(iset, codim, sum(mults[j] for j in iset))
-                  for iset in level]
+        for iset, key in level:
+            edges.append(Edge(iset, codim, sum(mults[j] for j in iset)))
+            masks.append(key)
         frontier = nxt
-    containing = [0] * len(covs)  # per hyperplane, positions of its edges
+    containing = [[] for _ in covs]  # per hyperplane, positions of its edges
     for i, e in enumerate(edges):
         for j in e.index_set:
-            containing[j] |= 1 << i
+            containing[j].append(i)
     above = []
     for i, e in enumerate(edges):
         if e.codim == n:
             above.append(())
-            continue
-        mask = containing[e.index_set[0]]
-        for j in e.index_set[1:]:
-            mask &= containing[j]
-        above.append(_bits(mask & ~(1 << i)))
+        elif e.codim == 1:  # its own position heads its list
+            above.append(tuple(containing[i][1:]))
+        else:
+            mask = masks[i]
+            above.append(tuple([k for k in containing[e.index_set[0]]
+                                if k > i and masks[k] & mask == mask]))
     position = {e.index_set: i for i, e in enumerate(edges)}
     return Lattice(n, tuple(edges), position, tuple(above))
 

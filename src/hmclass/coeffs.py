@@ -66,6 +66,14 @@ def _value(num: tuple, den: int, k: int) -> "RatFuncY":
     return out
 
 
+def _ratio_text(c: int, den: int) -> str:
+    """c/den as str(Fraction(c, den)) writes it, for den > 0."""
+    g = gcd(c, den)
+    if g == den:
+        return str(c // den)
+    return f"{c // g}/{den // g}"
+
+
 def _normal(num: list, den: int, k: int) -> "RatFuncY":
     """The value num / (den (1+y)^k) of an integer coefficient list, brought
     to normal form."""
@@ -94,7 +102,9 @@ class RatFuncY:
     prime to the content of the numerator.  So the value is a polynomial
     exactly when k == 0, and equal values have equal (num, den, k).  The
     zero element is ((), 1, 0).  The constructor takes rational
-    coefficients; coeffs and coeff() read them back as Fractions."""
+    coefficients; coeffs and coeff() read them back as Fractions, and
+    as_strings() and coeff_text() write them as str of those Fractions
+    would, from the integers alone."""
 
     __slots__ = ("num", "den", "k")
 
@@ -125,6 +135,12 @@ class RatFuncY:
         if 0 <= i < len(self.num):
             return Fraction(self.num[i], self.den)
         return Fraction(0)
+
+    def coeff_text(self, i: int) -> str:
+        """str(coeff(i)), written without building a Fraction."""
+        if 0 <= i < len(self.num):
+            return _ratio_text(self.num[i], self.den)
+        return "0"
 
     def is_zero(self) -> bool:
         return not self.num
@@ -277,8 +293,13 @@ class RatFuncY:
                         q_pow * self.den * (q + p) ** self.k)
 
     def as_strings(self) -> list:
-        """Coefficients of a polynomial as rational strings."""
-        return [str(c) for c in self.as_poly().coeffs]
+        """Coefficients of a polynomial as rational strings, each the text
+        str(Fraction(c, den)) writes: the integer c / den when den divides
+        c, else c/den in lowest terms."""
+        den = self.as_poly().den
+        if den == 1:
+            return [str(c) for c in self.num]
+        return [_ratio_text(c, den) for c in self.num]
 
     def __str__(self):
         if not self.k:

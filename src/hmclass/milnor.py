@@ -11,12 +11,15 @@ Every stratum contributes from a few integers per power of y, in closed
 form, one coefficient per codegree on its closure: the summed
 multiplicities, and on a curve their twist degrees and its boundary
 count, on a surface the pairings of the summed Deligne classes with the
-line, c1 and K + D, the sum of their squares and its boundary lines.  An
-independent Euler-weighted Chern path provides the cross-check at
-y = -1: it reads the lattice alone, since c(T(-log D)) of a stratum,
-pushed to its closure, is a CSM class (Aluffi) in closed form: 1 on a
-point, 1 + (chi - 1) pt on a curve, 1 + (2 - L) line + (chi - 2 + L) pt
-on a surface with L boundary lines.  A degree-zero comparison against
+line, c1 and K + D, the sum of their squares and its boundary lines.  A
+point has no boundary, so no twist and no break: it sums its runs
+directly.  M_y adds each label's coefficient of each local type once,
+times the number of strata that push it there.  An independent
+Euler-weighted Chern path provides the cross-check at y = -1: it reads
+the lattice alone, since c(T(-log D)) of a stratum, pushed to its
+closure, is a CSM class (Aluffi) in closed form: 1 on a point,
+1 + (chi - 1) pt on a curve, 1 + (2 - L) line + (chi - 2 + L) pt on a
+surface with L boundary lines.  A degree-zero comparison against
 the virtual-genus difference is always reported.  The one unprintable
 global choice (a shift convention) is quarantined in ConventionSet and
 explored exhaustively by calibrate().
@@ -181,7 +184,7 @@ def _label_block(quoted: list, index: dict, indent: int, as_list: bool):
     def text(value: RatFuncY) -> str:
         if as_list:
             return f'[\n{pad}  "{sep.join(value.as_strings())}"\n{pad}]'
-        return f'"{value.coeff(0)}"'
+        return f'"{value.coeff_text(0)}"'
 
     rendered = {}  # normal form of a coefficient -> its text, per report
 
@@ -202,11 +205,13 @@ def _label_block(quoted: list, index: dict, indent: int, as_list: bool):
 
 
 def _power_sums(lo: int, hi: int) -> tuple:
-    """The sums of c^i over lo <= c <= hi, for i = 0..3 and 0 <= lo."""
-    def upto(n):  # over 0 <= c <= n
-        s1 = n * (n + 1) // 2
-        return (n + 1, s1, s1 * (2 * n + 1) // 3, s1 * s1)
-    return tuple(x - z for x, z in zip(upto(hi), upto(lo - 1)))
+    """The sums of c^i over lo <= c <= hi, for i = 0..3 and 0 <= lo: the
+    sums over 0 <= c <= hi less those over 0 <= c <= lo - 1, where the
+    sum of c, s = n (n + 1)/2 up to n, gives s (2n + 1)/3 and s^2."""
+    m = lo - 1
+    s, t = hi * (hi + 1) // 2, m * (m + 1) // 2
+    return (hi - m, s - t, (s * (2 * hi + 1) - t * (2 * m + 1)) // 3,
+            s * s - t * t)
 
 
 def _breaks(lo: int, hi: int, a: int, b: int, m: int) -> list:
@@ -264,20 +269,29 @@ def _segments(runs, twists, m_s: int, mode: str):
     for p, lo, hi, a, b in runs:
         if lo > hi:
             continue
-        cuts = {lo}
-        for _, step in twists:
-            cuts.update(_breaks(lo, hi, step, b0, m_s))
-        cuts = sorted(cuts) + [hi + 1]
+        cuts = [lo]
+        if lo < hi:  # a run of one exponent has no break
+            for _, step in twists:
+                cuts += _breaks(lo, hi, step, b0, m_s)
+            if len(cuts) > 2:  # each twist's breaks ascend, past lo
+                cuts = sorted(set(cuts))
+        cuts.append(hi + 1)
         for start, end in zip(cuts, cuts[1:]):
             p0, p1, p2, p3 = _power_sums(start, end - 1)
             yield (p, [(start * step + b0) // m_s + c0 for _, step in twists],
                    a * p0 + b * p1, a * p1 + b * p2, a * p2 + b * p3)
 
 
-def _curve_terms(arr: Arrangement, germ, stratum, mode: str) -> dict:
-    """p -> the fundamental and point classes of a point or a curve at
-    s_p y^p, as integer coefficients of powers of y: (A_p,) and
-    (A_p + B_p, B_p + (b - 1) A_p), for A_p = the sum of the
+def _sign(p: int, codim: int) -> int:
+    """s_p = (-1)^(p + codim - 1), the sign of the terms at p."""
+    return -1 if (p + codim - 1) % 2 else 1
+
+
+def _curve_terms(arr: Arrangement, germ, stratum, mode: str) -> list:
+    """The fundamental class of a point, or the fundamental and point
+    classes of a curve, each as the integer coefficients of powers of y:
+    the sums over p of s_p y^p times A_p, and times
+    (A_p + B_p) + (B_p + (b - 1) A_p) y, for A_p = the sum of the
     multiplicities a + b c at p, b boundary components, infinity included,
     and B_p = the sum of (a + b c) deg L_(qc), where deg L_k = beta k + the
     sum of n_r t_r(k) over the residues r, n_r components having residue
@@ -285,15 +299,25 @@ def _curve_terms(arr: Arrangement, germ, stratum, mode: str) -> dict:
     + the sum of floor(m_sub/m_s) over the edge components is the degree
     of the base class.  On P^1, 12 td = (12, 12),
     2 ch(Omega^1(log D)) = (2, 2 (b - 2)) and 2 ch(L_k) = (2, 2 deg L_k),
-    and products of degree-1 classes vanish.  A point has no boundary; a
-    curve's edge components are its lattice row (boundary_edges), with
-    m_sub = m_rel, and its infinity has residue (-m) mod m_s."""
-    q, m_s = _germ_q(germ, stratum), stratum.m_s
-    counts = {}  # residue -> the number of components with it
-    beta, b_d = 0, 0
-    if stratum.dim:
-        beta, b_d = -(arr.m - m_s) // m_s, 1
-        counts[-arr.m % m_s] = 1  # infinity
+    and products of degree-1 classes vanish.  A curve's edge components
+    are its lattice row (boundary_edges), with m_sub = m_rel, and its
+    infinity has residue (-m) mod m_s.  A point has no boundary, so no
+    twist and no break: it sums its runs directly, A_p = the sum over its
+    runs at p of a (hi - lo + 1) + b (lo + hi)(hi - lo + 1)/2."""
+    q, m_s, codim = _germ_q(germ, stratum), stratum.m_s, stratum.edge.codim
+    if not stratum.dim:
+        points = {}  # p -> A_p
+        for p, lo, hi, a, b in germ.runs():
+            if lo <= hi:
+                n = hi - lo + 1
+                points[p] = points.get(p, 0) + a * n + b * (lo + hi) * n // 2
+        fundamental = [0] * (max(points) + 1)
+        for p, a_p in points.items():
+            fundamental[p] = _sign(p, codim) * a_p
+        return [fundamental]
+    m = arr.m
+    beta, b_d = -(m - m_s) // m_s, 1
+    counts = {-m % m_s: 1}  # residue -> the components with it
     for _, m_sub in boundary_edges(arr, stratum):
         r = m_sub % m_s
         counts[r] = counts.get(r, 0) + 1
@@ -302,26 +326,39 @@ def _curve_terms(arr: Arrangement, germ, stratum, mode: str) -> dict:
     residues = sorted(counts)
     twists = _twist_slopes(q, m_s, residues)
     n_r = [counts[r] for r in residues]
-    v = q * beta + sum(s * n for (s, _), n in zip(twists, n_r))
+    v = q * beta
+    for (s, _), n in zip(twists, n_r):
+        v += s * n
     sums = {}  # p -> A_p, B_p
     for p, t, n0, n1, _ in _segments(germ.runs(), twists, m_s, mode):
         a_p, b_p = sums.get(p, (0, 0))
-        u = sum(x * n for x, n in zip(t, n_r))
+        u = 0
+        for x, n in zip(t, n_r):
+            u += x * n
         sums[p] = a_p + n0, b_p + n0 * u + n1 * v
-    return {p: ((a_p,), (a_p + b_p, b_p + (b_d - 1) * a_p))
-            for p, (a_p, b_p) in sums.items()}
+    top = max(sums) + 2
+    fundamental, point = [0] * top, [0] * top
+    for p, (a_p, b_p) in sums.items():
+        sign = _sign(p, codim)
+        fundamental[p] = sign * a_p
+        point[p] += sign * (a_p + b_p)
+        point[p + 1] += sign * (b_p + (b_d - 1) * a_p)
+    return [fundamental, point]
 
 
 def _pair(a, b) -> int:
     """The intersection number a_e b_e - sum a_p b_p of two degree-1
     classes of a plane blown up at points (e^2 = 1, eps_p^2 = -1)."""
-    return a[1] * b[1] - sum(x * z for x, z in zip(a[2:-1], b[2:-1]))
+    out = a[1] * b[1]
+    for i in range(2, len(a) - 1):
+        out -= a[i] * b[i]
+    return out
 
 
-def _surface_terms(germ, model: StratumModel, mode: str) -> dict:
-    """p -> the fundamental, line and point classes of a surface at
-    s_p y^p, times 2, as integer coefficients of powers of y: 2 A,
-    (2E + 3A)(1 + y) + 2 (L - 2) A y and
+def _surface_terms(germ, model: StratumModel, mode: str) -> list:
+    """The fundamental, line and point classes of a surface, times 2,
+    each as the integer coefficients of powers of y: the sums over p of
+    s_p y^p times 2 A, (2E + 3A)(1 + y) + 2 (L - 2) A y and
     (Q + C + 2A)(1 + y)^2 + (2X + kappa A) y (1 + y) + A (s1 y + s2 y^2).
 
     A is the sum of the multiplicities N at p; with W = the sum of N D_k,
@@ -329,40 +366,50 @@ def _surface_terms(germ, model: StratumModel, mode: str) -> dict:
     x = D - c1 = K + D, and Q is the sum of N D_k^2.  D_k = k base + the
     sum of t_r(k) D_r over the residues r, so D_k = U + V c between the
     breaks of the twists, and the slopes and V depend on q alone.  Two
-    degree-1 classes pair by _pair.  L is the number of boundary lines,
+    degree-1 classes pair by _pair, and W is never formed: each segment
+    adds its pairings with e, c1 and x, which are linear in it, to those
+    of its p.  L is the number of boundary lines,
     kappa = x.c1, s1 = c1^2 - 2 c2 - the sum of D_i^2 and s2 = x^2: with
     c1^2 + c2 = 12 on a blown-up plane (Noether), 12 td = 12 + 6 c1 + 12 pt,
     2 ch(Omega^1(log D)) = 4 + 2x + s1 pt, 2 ch(Omega^2(log D)) =
     2 + 2x + s2 pt and 2 ch(L_k) = 2 + 2 D_k + D_k^2."""
     q, m_s, c1 = _germ_q(germ, model), model.m_s, model.c1
-    size, pair = len(c1), _pair
+    size, pair, boundary = len(c1), _pair, model.boundary
     groups = model.twist_classes
+    classes = [cls for _, cls in groups]
     twists = _twist_slopes(q, m_s, [r for r, _ in groups])
     v = combine(size, 0, [(q, model.deligne_base_vector)]
-                + [(s, cls) for (s, _), (_, cls) in zip(twists, groups)])
-    vv = pair(v, v)
-    sums = {}  # p -> A, the (coefficient, class) terms of W, Q
-    for p, t, n0, n1, n2 in _segments(germ.runs(), twists, m_s, mode):
-        u = combine(size, 0, zip(t, (cls for _, cls in groups)))
-        a, terms, sq = sums.get(p, (0, [], 0))
-        terms += [(n0, u), (n1, v)]
-        sums[p] = (a + n0, terms,
-                   sq + n0 * pair(u, u) + 2 * n1 * pair(u, v) + n2 * vv)
-    boundary = model.boundary
-    e = (0, 1) + (0,) * (size - 2)
+                + [(s, cls) for (s, _), cls in zip(twists, classes)])
     x = combine(size, 0, [(1, c.cls) for c in boundary] + [(-1, c1)])
+    ve, vc, vx, vv = v[1], pair(v, c1), pair(v, x), pair(v, v)
+    sums = {}  # p -> A, W.e, W.c1, W.x, Q
+    for p, t, n0, n1, n2 in _segments(germ.runs(), twists, m_s, mode):
+        u = combine(size, 0, zip(t, classes))
+        a, we, wc, wx, sq = sums.get(p, (0, 0, 0, 0, 0))
+        sums[p] = (a + n0, we + n0 * u[1] + n1 * ve,
+                   wc + n0 * pair(u, c1) + n1 * vc,
+                   wx + n0 * pair(u, x) + n1 * vx,
+                   sq + n0 * pair(u, u) + 2 * n1 * pair(u, v) + n2 * vv)
     kappa, s2 = pair(x, c1), pair(x, x)
-    s1 = 3 * pair(c1, c1) - 24 - sum(pair(c.cls, c.cls) for c in boundary)
-    lines = sum(c.source == "edge" for c in boundary)
-    out = {}
-    for p, (a, terms, sq) in sums.items():
-        w = combine(size, 0, terms)
-        line = 2 * pair(w, e) + 3 * a
-        point = sq + pair(w, c1) + 2 * a
-        middle = 2 * pair(w, x) + kappa * a
-        out[p] = ((2 * a,), (line, line + 2 * (lines - 2) * a),
-                  (point, 2 * point + middle + s1 * a,
-                   point + middle + s2 * a))
+    s1 = 3 * pair(c1, c1) - 24
+    lines = 0
+    for c in boundary:
+        s1 -= pair(c.cls, c.cls)
+        lines += c.source == "edge"
+    codim, top = model.edge.codim, max(sums) + 3
+    out = [[0] * top, [0] * top, [0] * top]
+    fundamental, line_class, point_class = out
+    for p, (a, we, wc, wx, sq) in sums.items():
+        sign = _sign(p, codim)
+        line = 2 * we + 3 * a
+        point = sq + wc + 2 * a
+        middle = 2 * wx + kappa * a
+        fundamental[p] = sign * 2 * a
+        line_class[p] += sign * line
+        line_class[p + 1] += sign * (line + 2 * (lines - 2) * a)
+        point_class[p] += sign * point
+        point_class[p + 1] += sign * (2 * point + middle + s1 * a)
+        point_class[p + 2] += sign * (point + middle + s2 * a)
     return out
 
 
@@ -382,42 +429,45 @@ def _stratum_contribution(arr: Arrangement, germ, stratum,
     sign (-1)^(p + q + dim) sign_q = s_p = (-1)^(p + codim - 1).  So the
     sum is a few integers per p, and 12 td, 2 ch(Omega^q(log D)),
     2 ch(L_k) and the scaling (1+y)^(q - dim) multiply out to closed
-    forms, each polynomial in y (_curve_terms, _surface_terms)."""
-    dim = stratum.dim
-    if dim == 2:
-        den, terms = 2, _surface_terms(germ, stratum, conv.extension_mode)
+    forms, each polynomial in y (_curve_terms, _surface_terms), which
+    give each class as its integer coefficients."""
+    if stratum.dim == 2:
+        den, out = 2, _surface_terms(germ, stratum, conv.extension_mode)
     else:
-        den, terms = 1, _curve_terms(arr, germ, stratum, conv.extension_mode)
-    codim = stratum.edge.codim
-    out = [[0] * (max(terms) + dim + 1) for _ in range(dim + 1)]
-    for p, by_codegree in terms.items():
-        sign = -1 if (p + codim - 1) % 2 else 1
-        for cls, poly in zip(out, by_codegree):
-            for i, c in enumerate(poly):
-                cls[p + i] += sign * c
+        den, out = 1, _curve_terms(arr, germ, stratum, conv.extension_mode)
     return [RatFuncY.from_ints(cls, den) for cls in out]
 
 
 def _type_key(arr: Arrangement, stratum, germ) -> tuple:
     """Everything a stratum's contribution depends on within one report,
     where n, m and the conventions are fixed: the dimension and m_s, the
-    sorted m_rel of the stratum's lattice row (boundary_edges) and the
-    germ's e and runs.  That is all _curve_terms reads: the germ frame
-    ('germ', n - dim) and the degree m - m_s follow within the report, and
-    the residues, beta and the boundary count depend on the m_rel alone.
+    sorted m_rel of the stratum's lattice row (boundary_edges, read for a
+    curve only, since a point's row is empty) and the germ's e and runs.
+    That is all _curve_terms reads: the germ frame ('germ', n - dim) and
+    the degree m - m_s follow within the report, and the residues, beta
+    and the boundary count depend on the m_rel alone.
     On a surface it also matters which boundary lines pass through which
     blown points, so a surface's key names its edge and matches no other
     stratum."""
     if stratum.dim == 2:
         return ("surface", stratum.edge.index_set)
+    if not stratum.dim:  # a point's lattice row is empty
+        return 0, stratum.m_s, (), germ.e, germ.runs()
     m_sub = tuple(sorted(m_rel for _, m_rel in boundary_edges(arr, stratum)))
-    return stratum.dim, stratum.m_s, m_sub, germ.e, germ.runs()
+    return 1, stratum.m_s, m_sub, germ.e, germ.runs()
 
 
-def _add_into(totals: dict, vec: SigmaChowVector):
-    """Add vec into a label -> coefficient dict, in place."""
-    for name, v in vec.values.items():
-        totals[name] = totals.get(name, RatFuncY.ZERO) + v
+def _sum_pushes(pushes: dict) -> dict:
+    """label -> the sum of its pushed coefficients, from the
+    (label, _) -> [coefficient, count] of each distinct push: count times
+    the coefficient is added once."""
+    totals = {}
+    for (name, _), (v, count) in pushes.items():
+        if count > 1:
+            v = RatFuncY.from_ints([count * c for c in v.num], v.den, v.k)
+        prev = totals.get(name)
+        totals[name] = v if prev is None else prev + v
+    return totals
 
 
 def assemble(arr: Arrangement, user_tables: dict = None,
@@ -432,7 +482,9 @@ def assemble(arr: Arrangement, user_tables: dict = None,
     through the lattice alone.  Only a surface with a nonzero germ is
     compactified; a point or a curve contributes from its lattice row.
     Strata with the same type key get the same contribution, which is
-    computed once per report, from the germ of the first of them.
+    computed once per report, from the germ of the first of them, and M_y
+    adds each label's coefficient of each type once, times the number of
+    strata that push it there.
     """
     strata = sigma_strata(arr)
     schema = build_labels(arr)
@@ -443,10 +495,12 @@ def assemble(arr: Arrangement, user_tables: dict = None,
     if missing:
         raise MissingSpectrumError(missing)
 
-    totals = {}
     per_stratum = {}
     listed = {}  # edge key -> a surface's model, or another stratum
     memo = {}  # type key -> contribution, for this report only
+    # (label, id of a memoized coefficient) -> [coefficient, count]: the
+    # memo keeps one coefficient object per type and codegree
+    pushes = {}
     for s, germ in zip(strata, germs):
         if germ.is_zero():
             continue  # skip by spectrum content only
@@ -464,8 +518,13 @@ def assemble(arr: Arrangement, user_tables: dict = None,
         contribution = SigmaChowVector(schema,
                                        push_to_sigma(schema, s, coeffs))
         per_stratum[s.key] = contribution
-        _add_into(totals, contribution)
-    m_y = SigmaChowVector(schema, totals)
+        for name, v in contribution.values.items():
+            push = pushes.get((name, id(v)))
+            if push is None:
+                pushes[name, id(v)] = [v, 1]
+            else:
+                push[1] += 1
+    m_y = SigmaChowVector(schema, _sum_pushes(pushes))
 
     chern_path = chern_milnor(arr, schema, strata)
     specializations = m_y.specializations()

@@ -59,11 +59,14 @@ class Spectrum:
     origin, or ('stratum', n) for ambient indexing after the dimension
     shift.  Zero multiplicities are never stored.  A germ-frame table
     answers e and runs() as a catalogue GermKind does, one run per entry.
+    A Spectrum is never changed, so e and the runs are computed on their
+    first read and kept.
     """
 
     def __init__(self, entries: tuple, frame: tuple):
         self.entries = entries  # sorted ((Fraction, int), ...)
         self.frame = frame
+        self._e = self._runs = None
 
     def __eq__(self, other):
         if not isinstance(other, Spectrum):
@@ -89,20 +92,24 @@ class Spectrum:
     @property
     def e(self) -> int:
         """The lcm of the exponents' denominators; 1 for an empty table."""
-        return lcm(*(a.denominator for a, _ in self.entries))
+        if self._e is None:
+            self._e = lcm(*(a.denominator for a, _ in self.entries))
+        return self._e
 
     def runs(self) -> tuple:
         """The entries as GermKind.runs() gives a spectrum: a run
         (p, c, c, n, 0) per entry n at the exponent rank - p - c/e, so
         p = floor(rank - alpha) and c = (rank - p - alpha) e."""
-        rank, e = self.frame[1], self.e
-        out = []
-        for alpha, n in self.entries:
-            num, den = alpha.numerator, alpha.denominator
-            p = (rank * den - num) // den
-            c = (rank - p) * e - num * (e // den)
-            out.append((p, c, c, n, 0))
-        return tuple(out)
+        if self._runs is None:
+            rank, e = self.frame[1], self.e
+            out = []
+            for alpha, n in self.entries:
+                num, den = alpha.numerator, alpha.denominator
+                p = (rank * den - num) // den
+                c = (rank - p) * e - num * (e // den)
+                out.append((p, c, c, n, 0))
+            self._runs = tuple(out)
+        return self._runs
 
     def to_json(self) -> list:
         return [{"alpha": str(a), "mult": m} for a, m in self.entries]
@@ -145,10 +152,15 @@ class GermKind:
 
     A catalogue germ's spectrum depends only on its class (tag, rank, e):
     the rank and the gcd of the exponents of a monomial germ, or rank 2
-    and the line count of an ordinary one."""
+    and the line count of an ordinary one.  A GermKind is never changed,
+    so its rank, e and frame are plain attributes set with it; equality
+    and the hash read (tag, data) alone."""
 
     def __init__(self, tag: str, data: tuple = ()):
         self.tag, self.data = tag, data
+        self.rank = len(data) if tag == "monomial" else 2
+        self.e = gcd(*data)
+        self.frame = ("germ", self.rank)
 
     def __eq__(self, other):
         if not isinstance(other, GermKind):
@@ -164,18 +176,6 @@ class GermKind:
         if self.tag == "ordinary":
             return f"ordinary({self.data[0]})"
         return "user_table_required"
-
-    @property
-    def rank(self) -> int:
-        return len(self.data) if self.tag == "monomial" else 2
-
-    @property
-    def e(self) -> int:
-        return gcd(*self.data)
-
-    @property
-    def frame(self) -> tuple:
-        return ("germ", self.rank)
 
     def is_zero(self) -> bool:
         # the runs of y^1 on the line are empty; every other catalogue

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 
 from .arrangement import Arrangement, Edge, LocalizedArrangement, in_sigma
 from .coeffs import RatFuncY
@@ -117,10 +118,10 @@ class StratumModel:
         by minus the rounded-up relative degree, corrected on the sub-edge
         transforms by the integer parts of the induced multiplicity ratios.
         The ambient hyperplane pulls back to basis class 1."""
-        size = len(self.c1)
-        twist = [(-_ceil_div(self.out_degree, self.m_s), _unit(size, 1))
+        size, m_s = len(self.c1), self.m_s
+        twist = [(-_ceil_div(self.out_degree, m_s), _unit(size, 1))
                  ] if self.dim else []
-        return combine(size, 0, twist + [(c.m_sub // self.m_s, c.cls)
+        return combine(size, 0, twist + [(c.m_sub // m_s, c.cls)
                                          for c in self.boundary
                                          if c.source != "infinity"])
 
@@ -129,11 +130,12 @@ class StratumModel:
         """(m_res, D_r) per residue m_res on the boundary, D_r the sum of
         the components with that residue: a Deligne power twists them
         alike."""
-        size, by_res = len(self.c1), {}
+        by_res = {}
         for c in self.boundary:
-            by_res.setdefault(c.m_res, []).append((1, c.cls))
-        return tuple((r, combine(size, 0, terms))
-                     for r, terms in sorted(by_res.items()))
+            cls = by_res.get(c.m_res)
+            by_res[c.m_res] = (c.cls if cls is None
+                               else tuple(map(add, cls, c.cls)))
+        return tuple(sorted(by_res.items()))
 
     def to_json(self) -> dict:
         basis = (["1", "h"][:self.dim + 1] if self.dim < 2 else
@@ -169,7 +171,8 @@ def boundary_edges(arr: Arrangement, stratum: LocalizedArrangement) -> list:
     """(edge, m_rel) per edge inside the stratum's closure: its lattice
     row, the edges strictly above its edge in lattice order, each with its
     induced multiplicity m_rel = m_s(edge) - m_s >= 1."""
-    return [(e, e.m_s - stratum.m_s) for e in arr.lattice.above(stratum.edge)]
+    m_s = stratum.m_s
+    return [(e, e.m_s - m_s) for e in arr.lattice.above(stratum.edge)]
 
 
 def compactify(arr: Arrangement,
@@ -194,40 +197,53 @@ def compactify(arr: Arrangement,
     if d == 0:
         return StratumModel(stratum, (), out_degree, (0,), ())
 
-    boundary = boundary_edges(arr, stratum)
-
     if d == 1:
         pt = (0, 1)
         comps = [BoundaryComponent(e.key, "edge", m_rel, res(m_rel), pt)
-                 for e, m_rel in boundary]
+                 for e, m_rel in boundary_edges(arr, stratum)]
         comps.append(BoundaryComponent("infinity", "infinity", 0,
                                        res(-arr.m), pt))
         return StratumModel(stratum, tuple(comps), out_degree, (0, 2), ())
 
-    lines = [(e, m_rel) for e, m_rel in boundary if e.codim == edge.codim + 1]
-    points = [(e, m_rel) for e, m_rel in boundary if e.codim == edge.codim + 2]
-    # the lines through each point; the edges above a boundary line are
-    # exactly the points on it
-    through = {p.key: set() for p, _ in points}
-    for l, _ in lines:
-        for p in arr.lattice.above(l):
-            through[p.key].add(l.key)
-    blown = tuple(p.key for p, _ in points if len(through[p.key]) >= 3)
-    size = 3 + len(blown)
+    # the lattice row by position: the edges above a boundary line are
+    # exactly the points on it, so its row counts the lines through each
+    lattice = arr.lattice
+    above, edges = lattice.strictly_above, lattice.edges
+    lines, points, through = [], [], {}
+    for j in above[lattice.position[edge.index_set]]:
+        if edges[j].codim == edge.codim + 1:
+            lines.append(j)
+            for i in above[j]:
+                through[i] = through.get(i, 0) + 1
+        else:
+            points.append(j)
+    slot = {}  # blown point's position -> its eps index in the basis
+    for j in points:
+        if through.get(j, 0) >= 3:
+            slot[j] = 2 + len(slot)
+    size = 3 + len(slot)
     e = _unit(size, 1)
-    eps = {p: _unit(size, 2 + i) for i, p in enumerate(blown)}
     comps = []
-    for l, m_rel in lines:
-        cls = combine(size, 0, [(1, e)] + [(-1, eps[p]) for p in blown
-                                           if l.key in through[p]])
-        comps.append(BoundaryComponent(l.key, "edge", m_rel, res(m_rel), cls))
-    for p, m_rel in points:
-        if p.key in eps:
-            comps.append(BoundaryComponent(p.key, "exceptional", m_rel,
-                                           res(m_rel), eps[p.key]))
+    for j in lines:
+        cls = [0] * size
+        cls[1] = 1
+        for i in above[j]:
+            if i in slot:
+                cls[slot[i]] = -1
+        m_rel = edges[j].m_s - m_s
+        comps.append(BoundaryComponent(edges[j].key, "edge", m_rel,
+                                       res(m_rel), tuple(cls)))
+    for j, k in slot.items():
+        m_rel = edges[j].m_s - m_s
+        comps.append(BoundaryComponent(edges[j].key, "exceptional", m_rel,
+                                       res(m_rel), _unit(size, k)))
     comps.append(BoundaryComponent("infinity", "infinity", 0, res(-arr.m), e))
-    c1 = combine(size, 0, [(3, e)] + [(-1, v) for v in eps.values()])
-    return StratumModel(stratum, tuple(comps), out_degree, c1, blown)
+    c1 = [0] * size
+    c1[1] = 3
+    for k in slot.values():
+        c1[k] = -1
+    return StratumModel(stratum, tuple(comps), out_degree, tuple(c1),
+                        tuple(edges[j].key for j in slot))
 
 
 def residues(model: StratumModel) -> dict:

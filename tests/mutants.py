@@ -25,14 +25,16 @@ ROOT = Path(__file__).resolve().parent.parent
 
 PROPS = "tests/test_properties.py"
 RING_PATH = f"{PROPS}::test_integer_path_matches_ring_path_on_every_stratum"
+CROSS_PATH = f"{PROPS}::test_cross_path_reruns_and_relabeling"
+DEGREE0 = f"{PROPS}::test_degree0_equality_on_reduced_plane_arrangements"
 BRUTE = "tests/test_arrangement.py::TestEdges"
 
 # name -> (file, old text, new text, node ids that must fail)
 MUTANTS = {
     "surface-drops-Q": (
         "src/hmclass/milnor.py",
-        "        point = sq + pair(w, c1) + 2 * a\n",
-        "        point = pair(w, c1) + 2 * a\n",
+        "        point = sq + wc + 2 * a\n",
+        "        point = wc + 2 * a\n",
         [RING_PATH]),
     "surface-L-for-L-minus-2": (
         "src/hmclass/milnor.py",
@@ -41,10 +43,10 @@ MUTANTS = {
         [RING_PATH]),
     "surface-swaps-C-and-X": (
         "src/hmclass/milnor.py",
-        "        point = sq + pair(w, c1) + 2 * a\n"
-        "        middle = 2 * pair(w, x) + kappa * a\n",
-        "        point = sq + pair(w, x) + 2 * a\n"
-        "        middle = 2 * pair(w, c1) + kappa * a\n",
+        "        point = sq + wc + 2 * a\n"
+        "        middle = 2 * wx + kappa * a\n",
+        "        point = sq + wx + 2 * a\n"
+        "        middle = 2 * wc + kappa * a\n",
         [RING_PATH]),
     "chern-3-minus-L": (
         "src/hmclass/milnor.py",
@@ -60,22 +62,33 @@ MUTANTS = {
          f"{BRUTE}::test_random_p4_arrangements_against_brute_force"]),
     "curve-beta-ceiling-as-floor": (
         "src/hmclass/milnor.py",
-        "beta, b_d = -(arr.m - m_s) // m_s, 1",
-        "beta, b_d = -((arr.m - m_s) // m_s), 1",
+        "beta, b_d = -(m - m_s) // m_s, 1",
+        "beta, b_d = -((m - m_s) // m_s), 1",
         [RING_PATH]),
     "mobius-chi-y-parity-sign": (
         "src/hmclass/arrangement.py",
         "total[p] = -acc if p % 2 else acc",
         "total[p] = acc if p % 2 else -acc",
         [f"{PROPS}::test_chi_y_of_the_mobius_pass_sums_the_open_strata",
-         f"{PROPS}::test_degree0_equality_on_reduced_plane_arrangements"]),
+         DEGREE0]),
     "trace-ignores-multiplicity": (
         "src/hmclass/strata.py",
         "RatFuncY.from_ints([count * c for c in num], den, k)",
         "RatFuncY.from_ints(list(num), den, k)",
         ["tests/test_strata.py::TestTraceAndSpecializations"
          "::test_trace_counts_each_label",
-         f"{PROPS}::test_degree0_equality_on_reduced_plane_arrangements"]),
+         DEGREE0]),
+    "point-drops-linear-term": (
+        "src/hmclass/milnor.py",
+        "a * n + b * (lo + hi) * n // 2",
+        "a * n",
+        [RING_PATH, DEGREE0, CROSS_PATH]),
+    "m-y-ignores-push-count": (
+        "src/hmclass/milnor.py",
+        "RatFuncY.from_ints([count * c for c in v.num], v.den, v.k)",
+        "RatFuncY.from_ints(list(v.num), v.den, v.k)",
+        ["tests/test_milnor.py::TestMemo::test_random_arrangements",
+         CROSS_PATH]),
 }
 
 

@@ -833,15 +833,23 @@ def vector_is_polynomial(vec: SigmaChowVector) -> bool:
 
 
 def vector_to_json(vec: SigmaChowVector) -> dict:
-    """Coefficient strings for every label of the schema, in order."""
-    return {name: vec.coefficient(name).as_strings()
-            for name in vec.schema.names()}
+    """Coefficient strings for every label of the schema, in order, each
+    written by str of its Fraction, not by the writer's text path."""
+    out = {}
+    for name in vec.schema.names():
+        value = vec.coefficient(name).as_poly()
+        out[name] = [str(Fraction(c, value.den)) for c in value.num]
+    return out
 
 
 def vector_constants(vec: SigmaChowVector) -> dict:
-    """Constant term of the coefficient on every schema label, in order."""
-    return {name: str(vec.coefficient(name).coeff(0))
-            for name in vec.schema.names()}
+    """Constant term of the coefficient on every schema label, in order,
+    written by str of its Fraction."""
+    out = {}
+    for name in vec.schema.names():
+        value = vec.coefficient(name)
+        out[name] = str(Fraction(value.num[0] if value.num else 0, value.den))
+    return out
 
 
 def report_to_json(report, dump_strata: bool = False) -> dict:

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmclass.coeffs import RatFuncY, poly_str, rat
 from hmclass.genera import compose_scale
@@ -227,6 +229,28 @@ class TestIntegerKernel:
                     assert sympy.cancel(to_sympy(got) - want) == 0
             y0 = Fraction(rng.choice([-5, -2, 0, 1, 2, 4]), rng.choice([1, 3]))
             assert a(y0) == Fraction(str(sa.subs(Y, sympy.Rational(str(y0)))))
+
+
+class TestCoefficientText:
+    """The text the writers print for a coefficient, built from the
+    integers alone, against str of its Fraction."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-60, 60) | st.sampled_from([0, -360, 720]),
+                    max_size=5),
+           st.integers(1, 12), st.integers(-60, 60), st.integers(1, 3))
+    def test_text_is_the_fraction_text(self, num, den, c, k):
+        value = RatFuncY.from_ints(num, den)
+        want = [str(Fraction(x, den)) for x in num]
+        while want and want[-1] == "0":  # the normal form strips them
+            want.pop()
+        assert value.as_strings() == want
+        assert value.coeff_text(0) == str(Fraction(num[0] if num else 0,
+                                                   den))
+        for i in range(-1, len(num) + 2):
+            assert value.coeff_text(i) == str(value.coeff(i))
+        with pytest.raises(ValueError):
+            RatFuncY.from_ints([c or 1], den, k).as_strings()
 
 
 class TestPolyString:

@@ -5,8 +5,9 @@ import pytest
 
 from hmclass import corpus
 from hmclass.arrangement import build, edges, localize, sigma_strata
-from hmclass.spectra import (Spectrum, SpectrumError, SpectrumValidationError,
-                             classify_germ, sp_monomial, sp_ordinary,
+from hmclass.spectra import (GermKind, Spectrum, SpectrumError,
+                             SpectrumValidationError, classify_germ,
+                             sp_monomial, sp_ordinary,
                              sp_shift, sp_user_load, sp_validate,
                              stratum_spectrum)
 from oracles import sp_unshift, support
@@ -230,6 +231,34 @@ class TestUserTables:
                        {"alpha": "4/3", "mult": 1}]}, arr)
         stratum = sigma_strata(arr)[0]
         assert stratum_spectrum(arr, stratum, tables) is tables["1,2,3"]
+
+
+class TestGermData:
+    """A germ's e, rank and runs are computed once and kept; they are
+    never part of its identity."""
+
+    def test_table_runs_repeat_a_fresh_computation(self):
+        sp = Spectrum.make({F(1, 2): 1, F(4, 3): -2, F(5, 6): 3, F(1): 4},
+                           ("germ", 2))
+        # p = floor(rank - alpha), c = (rank - p - alpha) e, with e = 6
+        fresh = tuple((int(2 - a), int((2 - int(2 - a) - a) * 6),
+                       int((2 - int(2 - a) - a) * 6), n, 0)
+                      for a, n in sp.entries)
+        first = sp.runs()
+        for _ in range(3):
+            assert sp.runs() == fresh
+            assert sp.e == 6
+        assert sp.runs() is first
+        assert Spectrum(sp.entries, sp.frame).runs() == fresh
+
+    def test_germ_kind_identity_is_tag_and_data(self):
+        a, b = GermKind("monomial", (4, 6)), GermKind("monomial", (4, 6))
+        assert (a.rank, a.e, a.frame) == (2, 2, ("germ", 2))
+        b.rank, b.e, b.frame = 3, 5, ("germ", 3)  # read by neither
+        assert a == b and hash(a) == hash(b) == hash(("monomial", (4, 6)))
+        assert {a: 1}[b] == 1
+        assert a != GermKind("monomial", (6, 4))
+        assert GermKind("ordinary", (3,)) != GermKind("monomial", (3,))
 
 
 class TestCatalogueDispatch:
