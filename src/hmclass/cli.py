@@ -3,19 +3,19 @@ chi_y genera, Milnor-class assembly, the built-in check harness, and the
 convention calibration report.
 
 All output is deterministic JSON with rationals serialized as strings,
-written as the text of json.dumps(value, indent=2) by jsontext: a report
-whose parts repeat is a skeleton that jsontext.splice fills with each
-distinct part's text, rendered once.  Exit codes: 0 success, 1 validation
-failure, 2 malformed input.
+written as the text of json.dumps(value, indent=2) by jsontext, the one
+module that writes JSON punctuation and indents: this one names fields,
+builds skeletons with holes and renders leaf texts.  Exit codes: 0
+success, 1 validation failure, 2 malformed input.
 
 The lattice report reads each edge's density from the lattice's Euler
 table (dense exactly when the Euler number is nonzero, by Crapo's
 theorem) and the divisor's Euler number from the same Mobius pass, and
-renders each edge's row from one template.  The spectra report builds a
-catalogue row's spectrum, shift and validation once per germ type, and
-reports a user table's verdict from its load; each distinct row body is
-rendered once and follows each row's own fields.  The chi-y report
-renders each distinct open-stratum value once.
+fills each edge's fields into one row skeleton, cut once per report.  The
+spectra report builds a catalogue row's spectrum, shift and validation
+once per germ type, and reports a user table's verdict from its load;
+each distinct row is rendered once, cut at its stratum's own fields.
+The chi-y report renders each distinct open-stratum value once.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .arrangement import (Arrangement, chi_y, chi_y_pn, edges,
                           sigma_strata)
 from .coeffs import RatFuncY, poly_str
 from .genera import hirzebruch_series, verify_identity_qr
-from .jsontext import HOLE, dumps, splice
+from .jsontext import HOLE, dumps, parts, splice
 from .milnor import (ALL_CONVENTIONS, DEFAULT_CONVENTIONS, MilnorError,
                      MissingSpectrumError, PolynomialityError, assemble,
                      calibrate)
@@ -85,20 +85,19 @@ def _dumps(payload, fills=()):
     return chain(splice(payload, fills), ("\n",))
 
 
-def _row_tail(fields: dict) -> str:
-    """The text of a row's fields after the head, down to the row's
-    closing brace, for a row two levels deep in the report."""
-    return "," + dumps(fields, 2)[1:]
+def _template(value, depth: int) -> str:
+    """A %-template of dumps(value, depth), with a %s in each hole."""
+    return "%s".join(piece.replace("%", "%%")
+                     for piece in parts(value, depth))
 
 
-def _members(texts: list, brackets: str = "[]") -> str:
-    """The text of a list, or with brackets "{}" of an object, one level
-    deep in a report, whose members, two levels deep, have the given
-    texts."""
-    if not texts:
-        return brackets
-    opening, closing = brackets
-    return f"{opening}\n    " + ",\n    ".join(texts) + f"\n  {closing}"
+def _list_text(members: list, depth: int) -> str:
+    """The text of a list depth levels deep in a report whose members have
+    the given texts, framed by one join."""
+    if not members:
+        return dumps([], depth)
+    opening, sep, closing = parts([HOLE, HOLE], depth)
+    return opening + sep.join(members) + closing
 
 
 def _fail(code: int, kind: str, message: str) -> int:
@@ -111,15 +110,6 @@ def _fail(code: int, kind: str, message: str) -> int:
 # subcommands
 
 
-# a lattice row, two levels deep in the report: its key, codimension,
-# dimension, m_s, density, and the Euler numbers of the localization and of
-# its Milnor fiber
-_LATTICE_ROW = ('{\n      "key": %s,\n      "codim": %d,\n      "dim": %d,'
-                '\n      "m_s": %d,\n      "dense": %s,'
-                '\n      "complement_chi": %d,'
-                '\n      "milnor_fiber_chi": %d\n    }')
-
-
 def cmd_lattice(args) -> int:
     arr = Arrangement.load(args.input)
     lattice = arr.lattice
@@ -127,10 +117,11 @@ def cmd_lattice(args) -> int:
     # position, and its Milnor fiber's Euler number is that times m_s; the
     # edge is dense exactly when the localization's beta invariant, up to
     # sign its Euler number, is nonzero (Crapo 1967)
-    rows = [_LATTICE_ROW % (encode_basestring_ascii(e.key), e.codim,
-                            arr.n - e.codim, e.m_s,
-                            "true" if euler else "false", euler,
-                            euler * e.m_s)
+    row = _template(dict.fromkeys(
+        ("key", "codim", "dim", "m_s", "dense", "complement_chi",
+         "milnor_fiber_chi"), HOLE), 2)
+    rows = [row % (encode_basestring_ascii(e.key), e.codim, arr.n - e.codim,
+                   e.m_s, "true" if euler else "false", euler, euler * e.m_s)
             for e, euler in zip(lattice.edges, lattice.euler)]
     payload = {
         "n": arr.n,
@@ -144,14 +135,13 @@ def cmd_lattice(args) -> int:
         # key name is kept so the report stays stable
         "euler_inclusion_exclusion": lattice.divisor_euler,
     }
-    _emit(_dumps(payload, [_members(rows)]), args.out)
+    _emit(_dumps(payload, [_list_text(rows, 1)]), args.out)
     return EXIT_OK
 
 
-# the head of a spectra row, two levels deep in the report: the stratum's
-# edge, codimension, dimension and m_s; the row's body follows
-_SPECTRA_ROW = ('{\n      "edge": %s,\n      "codim": %d,\n      "dim": %d,'
-                '\n      "m_s": %d')
+# the head of a spectra row: the stratum's edge, codimension, dimension
+# and m_s; the row's body follows
+_SPECTRA_HEAD = dict.fromkeys(("edge", "codim", "dim", "m_s"), HOLE)
 
 
 def cmd_spectra(args) -> int:
@@ -162,44 +152,47 @@ def cmd_spectra(args) -> int:
     # rest: its data are the multiplicities of rank independent hyperplanes
     # (a torus complement, Euler number 0 from rank 2) or k reduced lines
     # through a point (Euler number 2 - k), and the dimension is n - rank.
-    # So a body is built and rendered once per germ; a table's row is its
-    # own.  A row is its stratum's four fields, then its body's text
-    required = _row_tail({"source": "user_table_required"})
-    bodies = {}
+    # So a row is rendered once per germ, cut at its stratum's four fields,
+    # and a table's row is its own
+    required = _template({**_SPECTRA_HEAD, "source": "user_table_required"},
+                         2)
+    by_germ = {}
     rows = []
     for s in sigma_strata(arr):
         germ = stratum_germ(s, tables)
         if germ is None:
-            body = required
+            row = required
         elif isinstance(germ, GermKind):
-            body = bodies.get(germ)
-            if body is None:
+            row = by_germ.get(germ)
+            if row is None:
                 sp = germ.spectrum()
-                body = bodies[germ] = _spectrum_body(
+                row = by_germ[germ] = _spectrum_row(
                     germ.describe(), sp, s, arr.n, sp_validate(sp, s))
         else:
             # sp_user_load validated the table against this same
             # localization and rejected any failure
-            body = _spectrum_body("user_table", germ, s, arr.n,
-                                  {"ok": True, "failures": []})
-        rows.append(_SPECTRA_ROW % (encode_basestring_ascii(s.key),
-                                    s.edge.codim, s.dim, s.m_s) + body)
+            row = _spectrum_row("user_table", germ, s, arr.n,
+                                {"ok": True, "failures": []})
+        rows.append(row % (encode_basestring_ascii(s.key), s.edge.codim,
+                           s.dim, s.m_s))
     payload = {"n": arr.n, "m": arr.m, "strata": HOLE}
-    _emit(_dumps(payload, [_members(rows)]), args.out)
+    _emit(_dumps(payload, [_list_text(rows, 1)]), args.out)
     return EXIT_OK
 
 
-def _spectrum_body(source: str, sp, stratum, n: int,
-                   validation: dict) -> str:
-    """The text of a spectra row after the stratum's own fields: the
-    spectrum's source, its entries in the germ and the stratum frames, and
-    the validators' verdict against the stratum's localization."""
-    return _row_tail({
+def _spectrum_row(source: str, sp, stratum, n: int,
+                  validation: dict) -> str:
+    """The template of a spectra row, two levels deep in the report, with
+    a hole for each of the stratum's own fields: then the spectrum's
+    source, its entries in the germ and the stratum frames, and the
+    validators' verdict against the stratum's localization."""
+    return _template({
+        **_SPECTRA_HEAD,
         "source": source,
         "germ": sp.to_json(),
         "stratum_frame": sp_shift(sp, stratum, n).to_json(),
         "validation": validation,
-    })
+    }, 2)
 
 
 def cmd_virtual(args) -> int:
@@ -228,13 +221,8 @@ def cmd_chi_y(args) -> int:
     # stratum's chi_y as an integer tuple, and each distinct tuple is
     # rendered once
     lattice = arr.lattice
-    texts = {}
-    per = []
-    for e, cs in zip(lattice.edges, lattice.chi_y_open):
-        text = texts.get(cs)
-        if text is None:
-            text = texts[cs] = dumps(RatFuncY(cs).as_strings(), 2)
-        per.append(f"{encode_basestring_ascii(e.key)}: {text}")
+    texts = {cs: dumps(RatFuncY(cs).as_strings(), 2)
+             for cs in set(lattice.chi_y_open)}
     value = chi_y(arr)
     payload = {
         "n": arr.n,
@@ -242,9 +230,10 @@ def cmd_chi_y(args) -> int:
         "chi_y_X_text": poly_str(value),
         "chi_y_Pn": chi_y_pn(arr.n).as_strings(),
         "euler_X": str(value(-1)),
-        "per_stratum": HOLE,
+        "per_stratum": dict.fromkeys([e.key for e in lattice.edges], HOLE),
     }
-    _emit(_dumps(payload, [_members(per, "{}")]), args.out)
+    _emit(_dumps(payload, [texts[cs] for cs in lattice.chi_y_open]),
+          args.out)
     return EXIT_OK
 
 

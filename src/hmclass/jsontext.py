@@ -8,10 +8,11 @@ every value through a chain of generators; this writer appends the pieces
 to one list and renders each string with the C routine that encoder
 calls, encode_basestring_ascii.
 
-A report whose parts repeat is written as a skeleton: splice(value, fills)
-is the text of dumps(value) with each HOLE in value replaced by a text
-rendered elsewhere, such as dumps of a repeated part at its depth, which
-is then rendered once however often it occurs.
+A report whose parts repeat is written as a skeleton with holes:
+parts(value, depth) is the text of dumps(value, depth) cut at each HOLE,
+and splice(value, fills) fills each hole with a text rendered elsewhere,
+such as dumps of a repeated part at its depth, rendered once however
+often it occurs.  No other module writes JSON punctuation or indents.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from __future__ import annotations
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
-__all__ = ["HOLE", "dumps", "splice"]
+__all__ = ["HOLE", "dumps", "parts", "splice"]
 
-HOLE = "\0"  # a value that splice replaces with a text rendered elsewhere
+HOLE = "\0"  # a value whose text is rendered elsewhere
 _HOLE_TEXT = encode_basestring_ascii(HOLE)
 
 
@@ -32,6 +33,13 @@ def dumps(value, depth: int = 0) -> str:
     out = []
     _write(value, "\n" + "  " * depth, out.append)
     return "".join(out)
+
+
+def parts(value, depth: int = 0) -> list:
+    """The text of dumps(value, depth) cut at each HOLE: one more piece
+    than value holds holes, unless a string that renders like a hole, such
+    as '"' followed by NUL, cuts the text too."""
+    return dumps(value, depth).split(_HOLE_TEXT)
 
 
 def splice(value, fills, count: int = None):
@@ -46,11 +54,11 @@ def splice(value, fills, count: int = None):
     raises ValueError when it is read."""
     if count is None:
         count = len(fills)
-    parts = dumps(value).split(_HOLE_TEXT)
-    if len(parts) != count + 1:
-        raise ValueError(f"a skeleton with {len(parts) - 1} holes "
+    pieces = parts(value)
+    if len(pieces) != count + 1:
+        raise ValueError(f"a skeleton with {len(pieces) - 1} holes "
                          f"for {count} fills")
-    return chain.from_iterable(zip(parts, chain(fills, ("",)), strict=True))
+    return chain.from_iterable(zip(pieces, chain(fills, ("",)), strict=True))
 
 
 def _leaf(value) -> str:
@@ -77,7 +85,7 @@ def _write(value, newline: str, put):
             put("{}")
             return
         inner = newline + "  "
-        sep = "{" + inner
+        sep, comma = "{" + inner, "," + inner
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not "
@@ -94,14 +102,14 @@ def _write(value, newline: str, put):
                 put("true" if item else "false")
             else:
                 _write(item, inner, put)
-            sep = "," + inner
+            sep = comma
         put(newline + "}")
     elif isinstance(value, list):
         if not value:
             put("[]")
             return
         inner = newline + "  "
-        sep = "[" + inner
+        sep, comma = "[" + inner, "," + inner
         for item in value:
             put(sep)
             kind = type(item)
@@ -111,7 +119,7 @@ def _write(value, newline: str, put):
                 put(int.__repr__(item))
             else:
                 _write(item, inner, put)
-            sep = "," + inner
+            sep = comma
         put(newline + "]")
     else:
         put(_leaf(value))

@@ -22,19 +22,20 @@ closure, is a CSM class (Aluffi) in closed form: 1 on a point,
 surface with L boundary lines.  A degree-zero comparison against
 the virtual-genus difference is always reported.  The one unprintable
 global choice (a shift convention) is quarantined in ConventionSet and
-explored exhaustively by calibrate().
+explored exhaustively by calibrate().  The report's layout is jsontext's:
+each label -> value object is the schema's object of zero values, cut
+once per report, with the text of each nonzero value in its place.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 
 from .ambient import virtual_genus
 from .arrangement import Arrangement, chi_y, milnor_fiber_chi, sigma_strata
 from .coeffs import RatFuncY
-from .jsontext import HOLE, splice
+from .jsontext import HOLE, dumps, parts, splice
 from .rings import combine
 from .spectra import SpectrumError, stratum_germ
 from .strata import (EXT_HALF_OPEN_DOWN, EXT_HALF_OPEN_UP, LabelSchema,
@@ -133,17 +134,15 @@ class MilnorReport:
                 for x in self.listed.values()]
 
     def json_chunks(self, dump_strata: bool = False):
-        """The report as indented JSON text, chunk by chunk.
-
-        jsontext.splice writes the skeleton, with a hole for each label ->
-        value block; a block splices its vector's nonzero values into the zero
-        lines of the schema, which are rendered once per report."""
+        """The report as indented JSON text, chunk by chunk: jsontext.splice
+        writes the skeleton, with a hole for each label -> value block."""
         names = self.schema.names()
-        quoted = [encode_basestring_ascii(name) for name in names]
-        index = {name: i for i, name in enumerate(names)}
-        m_y = _label_block(quoted, index, 4, True)
-        stratum = _label_block(quoted, index, 6, True)
-        constants = _label_block(quoted, index, 6, False)
+        labels = dict.fromkeys(names, HOLE)
+        top, inner = parts(labels, 1), parts(labels, 2)
+        slot = {name: 2 * i + 1 for i, name in enumerate(names)}
+        m_y = _label_block(top, slot, 1, RatFuncY.as_strings)
+        stratum = _label_block(inner, slot, 2, RatFuncY.as_strings)
+        constants = _label_block(inner, slot, 2, lambda v: v.coeff_text(0))
         skeleton = {
             "n": self.arrangement.n,
             "m": self.arrangement.m,
@@ -168,38 +167,28 @@ class MilnorReport:
         return chain(splice(skeleton, blocks, count), ("\n",))
 
 
-def _label_block(quoted: list, index: dict, indent: int, as_list: bool):
-    """Renderer of a vector as the label -> value object json.dumps(indent=2)
-    writes with its labels at the given indent: coefficient lists, or else
-    constant terms.  quoted holds the labels as JSON strings and index
-    maps each label to its position.  Each call copies the zero lines and
-    overwrites the lines of the nonzero values; a value's text is rendered
-    once per renderer, since strata of one local type share their
-    coefficients."""
-    pad = " " * indent
-    heads = [f"{pad}{name}: " for name in quoted]
-    zeros = [head + ("[]" if as_list else '"0"') for head in heads]
-    sep, close = f'",\n{pad}  "', "\n" + pad[2:] + "}"
-
-    def text(value: RatFuncY) -> str:
-        if as_list:
-            return f'[\n{pad}  "{sep.join(value.as_strings())}"\n{pad}]'
-        return f'"{value.coeff_text(0)}"'
-
+def _label_block(pieces: list, slot: dict, depth: int, to_json):
+    """Renderer of a vector as its label -> value object, depth levels deep
+    in the report, whose text cut at each value is pieces, with each value
+    written as to_json writes a RatFuncY: the object of zero values,
+    rendered once, with the texts of the vector's nonzero values in their
+    places.  slot maps each label to the place of its value among the
+    pieces and values.  A value's text is rendered once per renderer,
+    since strata of one local type share their coefficients."""
+    zeros = [None] * (2 * len(pieces) - 1)
+    zeros[::2] = pieces
+    zeros[1::2] = [dumps(to_json(RatFuncY()), depth + 1)] * len(slot)
     rendered = {}  # normal form of a coefficient -> its text, per report
 
     def block(vec: SigmaChowVector) -> str:
-        if not zeros:
-            return "{}"
-        lines = zeros[:]
+        out = zeros[:]
         for name, value in vec.values.items():
-            i = index[name]
             form = (value.num, value.den, value.k)
-            body = rendered.get(form)
-            if body is None:
-                body = rendered[form] = text(value)
-            lines[i] = heads[i] + body
-        return "{\n" + ",\n".join(lines) + close
+            text = rendered.get(form)
+            if text is None:
+                text = rendered[form] = dumps(to_json(value), depth + 1)
+            out[slot[name]] = text
+        return "".join(out)
 
     return block
 

@@ -28,6 +28,9 @@ RING_PATH = f"{PROPS}::test_integer_path_matches_ring_path_on_every_stratum"
 CROSS_PATH = f"{PROPS}::test_cross_path_reruns_and_relabeling"
 DEGREE0 = f"{PROPS}::test_degree0_equality_on_reduced_plane_arrangements"
 BRUTE = "tests/test_arrangement.py::TestEdges"
+STREAMED = f"{PROPS}::test_streamed_report_matches_dense_reference"
+LATTICE_SIDE = f"{PROPS}::test_lattice_side_reports_match_json_dumps"
+CORPUS = "tests/test_cli.py::test_corpus_report_matches_golden"
 
 # name -> (file, old text, new text, node ids that must fail)
 MUTANTS = {
@@ -89,6 +92,27 @@ MUTANTS = {
         "RatFuncY.from_ints(list(v.num), v.den, v.k)",
         ["tests/test_milnor.py::TestMemo::test_random_arrangements",
          CROSS_PATH]),
+    "label-value-depth-off-by-one": (
+        "src/hmclass/milnor.py",
+        "rendered[form] = dumps(to_json(value), depth + 1)",
+        "rendered[form] = dumps(to_json(value), depth)",
+        [f"{CORPUS}[fourplanes-milnor]", STREAMED]),
+    "lattice-row-depth-off-by-one": (
+        "src/hmclass/cli.py",
+        '"milnor_fiber_chi"), HOLE), 2)',
+        '"milnor_fiber_chi"), HOLE), 1)',
+        [f"{CORPUS}[concurrent3-lattice]", LATTICE_SIDE]),
+    # every milnor coefficient has denominator 1 or 2, so no report text
+    # shows a fraction whose gcd is neither 1 nor its denominator; the
+    # coefficient-text property and a virtual class do
+    "coeff-text-skips-gcd": (
+        "src/hmclass/coeffs.py",
+        'return f"{c // g}/{den // g}"',
+        'return f"{c}/{den}"',
+        ["tests/test_coeffs.py::TestCoefficientText"
+         "::test_text_is_the_fraction_text",
+         "tests/test_cli.py::TestOtherCommands"
+         "::test_virtual_matches_golden[1-4]"]),
 }
 
 

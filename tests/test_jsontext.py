@@ -1,25 +1,26 @@
 """The report writer gives the text of json.dumps(value, indent=2) on every
-value the reports hold, and refuses every other value; a skeleton whose
-holes are filled with the texts of values at their depths gives the text
-of the filled value, and one whose holes and fills differ in number is
-refused."""
+value the reports hold, and refuses every other value; a skeleton at any
+depth, cut at its holes, whose pieces are interleaved with the texts of
+values at the holes' depths gives the text of the filled value, and a
+skeleton whose holes and fills differ in number is refused."""
 
 import json
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmclass.jsontext import HOLE, dumps, splice
+from hmclass.jsontext import HOLE, dumps, parts, splice
 
 SETTINGS = settings(derandomize=True, max_examples=300, deadline=None)
 
 # characters json escapes, or escapes by code point under ensure_ascii:
 # quotes, backslashes, control characters, NUL, DEL, non-ASCII, the line
-# separators and a lone surrogate
+# separators and a lone surrogate; and "%", which a %-template would read
 AWKWARD = ['"', "\\", "\0", "\b", "\f", "\n", "\r", "\t", "\x1f", "\x7f",
-           "/", "é", "π", " ", " ", "\ud800", "\U0001f600"]
+           "/", "é", "π", " ", " ", "\ud800", "\U0001f600", "%"]
 TEXT = st.text(st.one_of(st.characters(), st.sampled_from(AWKWARD)),
                max_size=12) | st.just(HOLE)
 INTS = st.integers() | st.integers(-(10 ** 300), 10 ** 300)
@@ -78,20 +79,31 @@ SKELETONS = st.recursive(
 
 
 @settings(SETTINGS, max_examples=150)
-@given(SKELETONS, st.data())
-def test_filled_skeleton_matches_json_dumps(skeleton, data):
+@given(SKELETONS, st.integers(0, 3), st.data())
+def test_filled_skeleton_matches_json_dumps(skeleton, depth, data):
     # each fill is the text of a value at its hole's depth; a string that
     # renders like a hole, such as '"' followed by NUL, makes the counts
-    # differ, and splice refuses before any text
+    # differ, and splice refuses before any text.  The pieces of the
+    # skeleton at a depth, interleaved with the fills, are the text of the
+    # filled value at that depth, each line after the first indented by
+    # two spaces per level
+    def indented(value):
+        return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+
     holes = []
-    filled = _fill(skeleton, 0, holes, lambda: data.draw(VALUES))
-    texts = [dumps(sub, depth) for sub, depth in holes]
-    if dumps(skeleton).count(dumps(HOLE)) != len(holes):
+    filled = _fill(skeleton, depth, holes, lambda: data.draw(VALUES))
+    texts = [dumps(sub, at) for sub, at in holes]
+    pieces = parts(skeleton, depth)
+    assert dumps(HOLE).join(pieces) == indented(skeleton)
+    if len(pieces) != len(holes) + 1:
         with pytest.raises(ValueError):
             splice(skeleton, texts)
     else:
-        assert "".join(splice(skeleton, texts)) == json.dumps(filled,
-                                                              indent=2)
+        assert "".join(chain.from_iterable(zip(pieces, texts))
+                       ) + pieces[-1] == indented(filled)
+        top = [dumps(sub, at - depth) for sub, at in holes]
+        assert "".join(splice(skeleton, top)) == json.dumps(filled,
+                                                            indent=2)
 
 
 @pytest.mark.parametrize("skeleton, fills", [

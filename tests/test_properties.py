@@ -82,7 +82,7 @@ def assembled(n, hyperplanes):
         reject()
 
 
-@SETTINGS
+@settings(SETTINGS, phases=NO_SHRINK)
 @given(arrangements())
 def test_cross_path_reruns_and_relabeling(case):
     n, hyperplanes, order = case  # order: new position -> old index
@@ -119,7 +119,7 @@ def reduced_plane_arrangements(draw):
     return [(cov, 1) for cov in covs]
 
 
-@SETTINGS
+@settings(SETTINGS, phases=NO_SHRINK)
 @given(reduced_plane_arrangements())
 def test_degree0_equality_on_reduced_plane_arrangements(hyperplanes):
     # trace of M_y equals the virtual genus of the degree minus chi_y
@@ -127,7 +127,7 @@ def test_degree0_equality_on_reduced_plane_arrangements(hyperplanes):
     assert rep.degree0["equal"], rep.degree0
 
 
-@SETTINGS
+@settings(SETTINGS, phases=NO_SHRINK)
 @given(arrangements())
 def test_streamed_report_matches_dense_reference(case):
     # the spliced writer gives the bytes of json.dumps on the dense dict,
