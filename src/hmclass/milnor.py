@@ -39,9 +39,8 @@ from .jsontext import HOLE, dumps, parts, splice
 from .rings import combine
 from .spectra import SpectrumError, stratum_germ
 from .strata import (EXT_HALF_OPEN_DOWN, EXT_HALF_OPEN_UP, LabelSchema,
-                     SigmaChowVector, StratumModel, boundary_edges,
-                     build_labels, check_envelope, compactify, push_to_sigma,
-                     twist_offsets)
+                     SigmaChowVector, boundary_edges, build_labels,
+                     check_envelope, compactify, push_to_sigma, twist_offsets)
 
 __all__ = [
     "MilnorError",
@@ -215,20 +214,6 @@ def _breaks(lo: int, hi: int, a: int, b: int, m: int) -> list:
     return []
 
 
-def _germ_q(germ, stratum) -> int:
-    """q = m_s/e, the Deligne power per step of c in the germ's runs, after
-    checking that the germ is read in its own frame ('germ', codim) and
-    that e divides m_s."""
-    codim = stratum.edge.codim
-    if germ.frame != ("germ", codim):
-        raise SpectrumError(f"expected the germ frame ('germ', {codim}), "
-                            f"got {germ.frame}")
-    m_s, e = stratum.m_s, germ.e
-    if m_s % e:
-        raise SpectrumError(f"denominator lcm {e} does not divide m_s = {m_s}")
-    return m_s // e
-
-
 def _twist_slopes(q: int, m_s: int, residues) -> list:
     """(slope, step) per residue r: the twist at the power q c is slope c
     plus floor((step c + b0) / m_s) + c0, with the slope that leaves
@@ -276,7 +261,7 @@ def _sign(p: int, codim: int) -> int:
     return -1 if (p + codim - 1) % 2 else 1
 
 
-def _curve_terms(arr: Arrangement, germ, stratum, mode: str) -> list:
+def _curve_terms(key: tuple, codim: int, m: int, mode: str) -> list:
     """The fundamental class of a point, or the fundamental and point
     classes of a curve, each as the integer coefficients of powers of y:
     the sums over p of s_p y^p times A_p, and times
@@ -289,14 +274,15 @@ def _curve_terms(arr: Arrangement, germ, stratum, mode: str) -> list:
     of the base class.  On P^1, 12 td = (12, 12),
     2 ch(Omega^1(log D)) = (2, 2 (b - 2)) and 2 ch(L_k) = (2, 2 deg L_k),
     and products of degree-1 classes vanish.  A curve's edge components
-    are its lattice row (boundary_edges), with m_sub = m_rel, and its
+    are its lattice row, whose m_sub = m_rel the key holds, and its
     infinity has residue (-m) mod m_s.  A point has no boundary, so no
     twist and no break: it sums its runs directly, A_p = the sum over its
     runs at p of a (hi - lo + 1) + b (lo + hi)(hi - lo + 1)/2."""
-    q, m_s, codim = _germ_q(germ, stratum), stratum.m_s, stratum.edge.codim
-    if not stratum.dim:
+    dim, m_s, row, e, runs = key
+    q = m_s // e
+    if not dim:
         points = {}  # p -> A_p
-        for p, lo, hi, a, b in germ.runs():
+        for p, lo, hi, a, b in runs:
             if lo <= hi:
                 n = hi - lo + 1
                 points[p] = points.get(p, 0) + a * n + b * (lo + hi) * n // 2
@@ -304,14 +290,12 @@ def _curve_terms(arr: Arrangement, germ, stratum, mode: str) -> list:
         for p, a_p in points.items():
             fundamental[p] = _sign(p, codim) * a_p
         return [fundamental]
-    m = arr.m
-    beta, b_d = -(m - m_s) // m_s, 1
+    beta, b_d = -(m - m_s) // m_s, len(row) + 1
     counts = {-m % m_s: 1}  # residue -> the components with it
-    for _, m_sub in boundary_edges(arr, stratum):
+    for m_sub in row:
         r = m_sub % m_s
         counts[r] = counts.get(r, 0) + 1
         beta += m_sub // m_s
-        b_d += 1
     residues = sorted(counts)
     twists = _twist_slopes(q, m_s, residues)
     n_r = [counts[r] for r in residues]
@@ -319,7 +303,7 @@ def _curve_terms(arr: Arrangement, germ, stratum, mode: str) -> list:
     for (s, _), n in zip(twists, n_r):
         v += s * n
     sums = {}  # p -> A_p, B_p
-    for p, t, n0, n1, _ in _segments(germ.runs(), twists, m_s, mode):
+    for p, t, n0, n1, _ in _segments(runs, twists, m_s, mode):
         a_p, b_p = sums.get(p, (0, 0))
         u = 0
         for x, n in zip(t, n_r):
@@ -344,10 +328,11 @@ def _pair(a, b) -> int:
     return out
 
 
-def _surface_terms(germ, model: StratumModel, mode: str) -> list:
-    """The fundamental, line and point classes of a surface, times 2,
-    each as the integer coefficients of powers of y: the sums over p of
-    s_p y^p times 2 A, (2E + 3A)(1 + y) + 2 (L - 2) A y and
+def _surface_terms(key: tuple, codim: int, mode: str) -> list:
+    """The fundamental, line and point classes of a surface, whose type
+    key holds its model, times 2, each as the integer coefficients of
+    powers of y: the sums over p of s_p y^p times 2 A,
+    (2E + 3A)(1 + y) + 2 (L - 2) A y and
     (Q + C + 2A)(1 + y)^2 + (2X + kappa A) y (1 + y) + A (s1 y + s2 y^2).
 
     A is the sum of the multiplicities N at p; with W = the sum of N D_k,
@@ -362,7 +347,8 @@ def _surface_terms(germ, model: StratumModel, mode: str) -> list:
     c1^2 + c2 = 12 on a blown-up plane (Noether), 12 td = 12 + 6 c1 + 12 pt,
     2 ch(Omega^1(log D)) = 4 + 2x + s1 pt, 2 ch(Omega^2(log D)) =
     2 + 2x + s2 pt and 2 ch(L_k) = 2 + 2 D_k + D_k^2."""
-    q, m_s, c1 = _germ_q(germ, model), model.m_s, model.c1
+    _, m_s, model, e, runs = key
+    q, c1 = m_s // e, model.c1
     size, pair, boundary = len(c1), _pair, model.boundary
     groups = model.twist_classes
     classes = [cls for _, cls in groups]
@@ -372,7 +358,7 @@ def _surface_terms(germ, model: StratumModel, mode: str) -> list:
     x = combine(size, 0, [(1, c.cls) for c in boundary] + [(-1, c1)])
     ve, vc, vx, vv = v[1], pair(v, c1), pair(v, x), pair(v, v)
     sums = {}  # p -> A, W.e, W.c1, W.x, Q
-    for p, t, n0, n1, n2 in _segments(germ.runs(), twists, m_s, mode):
+    for p, t, n0, n1, n2 in _segments(runs, twists, m_s, mode):
         u = combine(size, 0, zip(t, classes))
         a, we, wc, wx, sq = sums.get(p, (0, 0, 0, 0, 0))
         sums[p] = (a + n0, we + n0 * u[1] + n1 * ve,
@@ -385,7 +371,7 @@ def _surface_terms(germ, model: StratumModel, mode: str) -> list:
     for c in boundary:
         s1 -= pair(c.cls, c.cls)
         lines += c.source == "edge"
-    codim, top = model.edge.codim, max(sums) + 3
+    top = max(sums) + 3
     out = [[0] * top, [0] * top, [0] * top]
     fundamental, line_class, point_class = out
     for p, (a, we, wc, wx, sq) in sums.items():
@@ -402,48 +388,53 @@ def _surface_terms(germ, model: StratumModel, mode: str) -> list:
     return out
 
 
-def _stratum_contribution(arr: Arrangement, germ, stratum,
+def _stratum_contribution(arr: Arrangement, key: tuple,
                           conv: ConventionSet) -> list:
-    """Sum over exponents and cotangent powers for one stratum, with the
-    degree scaling already applied: one RatFuncY per codegree j = 0..dim
-    on the closure P^dim.  stratum is a surface's model, or a point's or a
-    curve's localization (or model), read with its lattice row in arr.
-    The exceptional curves of a surface contract to zero on P^2, so none
-    of their classes is summed.
+    """Sum over exponents and cotangent powers for one stratum of the type
+    key (_type_key), with the degree scaling already applied: one RatFuncY
+    per codegree j = 0..dim on the closure P^dim.  Besides the key it
+    reads n and m alone.  The exceptional curves of a surface contract to
+    zero on P^2, so none of their classes is summed.
 
-    germ, a catalogue GermKind or a table's Spectrum, is read through its
-    runs in its own frame: alpha stands at p = floor(codim - alpha) with
-    multiplicity (-1)^dim n_alpha, and the summand td ch(L_k) ch(Omega^q)
-    (-y)^(p + q) sign_q (-1)^dim n_alpha has y only in y^(p + q), with the
-    sign (-1)^(p + q + dim) sign_q = s_p = (-1)^(p + codim - 1).  So the
-    sum is a few integers per p, and 12 td, 2 ch(Omega^q(log D)),
-    2 ch(L_k) and the scaling (1+y)^(q - dim) multiply out to closed
-    forms, each polynomial in y (_curve_terms, _surface_terms), which
-    give each class as its integer coefficients."""
-    if stratum.dim == 2:
-        den, out = 2, _surface_terms(germ, stratum, conv.extension_mode)
+    The germ is read through its runs in its own frame: alpha stands at
+    p = floor(codim - alpha) with multiplicity (-1)^dim n_alpha, and the
+    summand td ch(L_k) ch(Omega^q) (-y)^(p + q) sign_q (-1)^dim n_alpha
+    has y only in y^(p + q), with the sign (-1)^(p + q + dim) sign_q =
+    s_p = (-1)^(p + codim - 1).  So the sum is a few integers per p, and
+    12 td, 2 ch(Omega^q(log D)), 2 ch(L_k) and the scaling (1+y)^(q - dim)
+    multiply out to closed forms, each polynomial in y (_curve_terms,
+    _surface_terms), which give each class as its integer coefficients."""
+    codim, mode = arr.n - key[0], conv.extension_mode
+    if key[0] == 2:
+        den, out = 2, _surface_terms(key, codim, mode)
     else:
-        den, out = 1, _curve_terms(arr, germ, stratum, conv.extension_mode)
+        den, out = 1, _curve_terms(key, codim, arr.m, mode)
     return [RatFuncY.from_ints(cls, den) for cls in out]
 
 
 def _type_key(arr: Arrangement, stratum, germ) -> tuple:
-    """Everything a stratum's contribution depends on within one report,
-    where n, m and the conventions are fixed: the dimension and m_s, the
-    sorted m_rel of the stratum's lattice row (boundary_edges, read for a
-    curve only, since a point's row is empty) and the germ's e and runs.
-    That is all _curve_terms reads: the germ frame ('germ', n - dim) and
-    the degree m - m_s follow within the report, and the residues, beta
-    and the boundary count depend on the m_rel alone.
-    On a surface it also matters which boundary lines pass through which
-    blown points, so a surface's key names its edge and matches no other
-    stratum."""
-    if stratum.dim == 2:
-        return ("surface", stratum.edge.index_set)
-    if not stratum.dim:  # a point's lattice row is empty
-        return 0, stratum.m_s, (), germ.e, germ.runs()
-    m_sub = tuple(sorted(m_rel for _, m_rel in boundary_edges(arr, stratum)))
-    return 1, stratum.m_s, m_sub, germ.e, germ.runs()
+    """The input of a stratum's contribution within one report, where n, m
+    and the conventions are fixed: (dim, m_s, row, e, runs), for the
+    germ's e and runs, read in its own frame ('germ', codim) with e
+    dividing m_s, or SpectrumError.  row is () for a point, the sorted
+    m_rel of a curve's lattice row (boundary_edges) and a surface's own
+    model, which matches no other stratum: on a surface it also matters
+    which boundary lines pass through which blown points."""
+    edge, dim = stratum.edge, stratum.dim
+    codim, m_s = edge.codim, edge.m_s
+    if germ.frame != ("germ", codim):
+        raise SpectrumError(f"expected the germ frame ('germ', {codim}), "
+                            f"got {germ.frame}")
+    e = germ.e
+    if m_s % e:
+        raise SpectrumError(f"denominator lcm {e} does not divide m_s = {m_s}")
+    if not dim:
+        row = ()
+    elif dim == 1:
+        row = tuple(sorted(m_rel for _, m_rel in boundary_edges(arr, stratum)))
+    else:
+        row = stratum
+    return dim, m_s, row, e, germ.runs()
 
 
 def _sum_pushes(pushes: dict) -> dict:
@@ -471,9 +462,9 @@ def assemble(arr: Arrangement, user_tables: dict = None,
     through the lattice alone.  Only a surface with a nonzero germ is
     compactified; a point or a curve contributes from its lattice row.
     Strata with the same type key get the same contribution, which is
-    computed once per report, from the germ of the first of them, and M_y
-    adds each label's coefficient of each type once, times the number of
-    strata that push it there.
+    computed once per report from the key alone, and M_y adds each
+    label's coefficient of each type once, times the number of strata
+    that push it there.
     """
     strata = sigma_strata(arr)
     schema = build_labels(arr)
@@ -497,7 +488,7 @@ def assemble(arr: Arrangement, user_tables: dict = None,
         key = _type_key(arr, shape, germ)
         coeffs = memo.get(key)
         if coeffs is None:
-            coeffs = _stratum_contribution(arr, germ, shape, conv)
+            coeffs = _stratum_contribution(arr, key, conv)
             for c in coeffs:
                 if not c.is_polynomial():
                     raise PolynomialityError(s.key, c)

@@ -7,9 +7,9 @@ tangent Chern class c1 and its boundary divisors with integer residues.
 Every class of a model is a coefficient vector of integers in the model
 basis: the boundary components, the base Deligne-extension class and
 the boundary summed by residue (the classes a Deligne power twists).
-Only a surface's contribution pairs such classes; a point's or a
-curve's reads its edge's lattice row (boundary_edges, from which
-compactify builds a curve's boundary too).  A contribution is a few
+Only a surface's contribution pairs such classes; a curve's type key
+reads its edge's lattice row (boundary_edges, from which compactify
+builds a curve's boundary too).  A contribution is a few
 integers per power of y, one coefficient per codegree on the closure
 P^d, which the pushforward takes to the labeled Chow basis of the
 singular locus.  The Chern path reads the lattice alone and builds no

@@ -31,6 +31,7 @@ BRUTE = "tests/test_arrangement.py::TestEdges"
 STREAMED = f"{PROPS}::test_streamed_report_matches_dense_reference"
 LATTICE_SIDE = f"{PROPS}::test_lattice_side_reports_match_json_dumps"
 CORPUS = "tests/test_cli.py::test_corpus_report_matches_golden"
+REGROUPED = "tests/test_milnor.py::TestRegroupedContribution"
 
 # name -> (file, old text, new text, node ids that must fail)
 MUTANTS = {
@@ -65,9 +66,21 @@ MUTANTS = {
          f"{BRUTE}::test_random_p4_arrangements_against_brute_force"]),
     "curve-beta-ceiling-as-floor": (
         "src/hmclass/milnor.py",
-        "beta, b_d = -(m - m_s) // m_s, 1",
-        "beta, b_d = -((m - m_s) // m_s), 1",
+        "beta, b_d = -(m - m_s) // m_s,",
+        "beta, b_d = -((m - m_s) // m_s),",
         [RING_PATH]),
+    "type-key-skips-frame-check": (
+        "src/hmclass/milnor.py",
+        'if germ.frame != ("germ", codim):',
+        "if False:",
+        [f"{REGROUPED}::test_germ_frame_only"]),
+    # no catalogue germ or validated table has an e that does not divide
+    # m_s, so only a hand-built table reaches the refusal
+    "type-key-skips-divisibility": (
+        "src/hmclass/milnor.py",
+        "    if m_s % e:\n",
+        "    if False:\n",
+        [f"{REGROUPED}::test_e_divides_m_s"]),
     "mobius-chi-y-parity-sign": (
         "src/hmclass/arrangement.py",
         "total[p] = -acc if p % 2 else acc",

@@ -52,7 +52,7 @@ from hmclass.arrangement import (LocalizedArrangement, chi_y_pn,
                                  milnor_fiber_chi, sigma_strata)
 from hmclass.coeffs import RatFuncY
 from hmclass.genera import _todd_series, hirzebruch_series
-from hmclass.milnor import _germ_q, _segments, _twist_slopes
+from hmclass.milnor import _segments, _twist_slopes
 from hmclass.rings import ProjRing, RingElement, combine, exp_nilpotent
 from hmclass.spectra import (Spectrum, SpectrumError, classify_germ, sp_shift,
                              sp_user_load, sp_validate, stratum_germ,
@@ -674,7 +674,7 @@ def line_sums(germ, model, mode: str) -> dict:
     in the model basis, with D_k = k base + the sum of t_r(k) D_r over the
     residues r, for the twist t_r(k) = floor((k r + b0) / m_s) + c0.
     Between the breaks of the twists D_k = U + V c."""
-    q, m_s = _germ_q(germ, model), model.m_s
+    q, m_s = model.m_s // germ.e, model.m_s
     ring = model_ring(model)
     size, mul = len(ring.names), ring.mul_vectors
     groups = model.twist_classes

@@ -481,9 +481,9 @@ class TestRegroupedContribution:
             sp = germ.spectrum()
             want = by_codegree(model, stratum_contribution_by_terms(
                 arr, s, sp, model, conv).coeffs)
-            assert _stratum_contribution(arr, germ, model, conv) == want, \
-                s.key
-            assert _stratum_contribution(arr, sp, model, conv) == want, s.key
+            for g in (germ, sp):
+                got = _stratum_contribution(arr, _type_key(arr, model, g), conv)
+                assert got == want, s.key
 
     @pytest.mark.parametrize("name", corpus.ALL_NAMES)
     def test_corpus_under_all_conventions(self, name):
@@ -552,7 +552,17 @@ class TestRegroupedContribution:
         for wrong in (sp_shift(germ, line, arr.n), sp_monomial([1, 1, 1]),
                       GermKind("monomial", (1, 1, 1))):
             with pytest.raises(SpectrumError):
-                _stratum_contribution(arr, wrong, model, DEFAULT_CONVENTIONS)
+                _type_key(arr, model, wrong)
+
+    def test_e_divides_m_s(self):
+        # a table in the germ frame whose exponent denominators have an
+        # lcm e that does not divide m_s is refused: a double point read
+        # with an exponent in thirds
+        arr = build(2, [((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1)])
+        point = next(s for s in sigma_strata(arr) if s.m_s == 2)
+        table = Spectrum.make({F(2, 3): 1}, ("germ", 2))
+        with pytest.raises(SpectrumError, match="does not divide m_s"):
+            _type_key(arr, point, table)
 
     def test_one_contribution_per_signature(self, monkeypatch):
         calls = count_calls(monkeypatch, milnor, "_stratum_contribution")
@@ -640,8 +650,9 @@ class TestOnePass:
     """Per report: one lattice search, one localization per edge asked
     about, shared by every consumer through the lattice, one model per
     surface stratum and none for a point or a curve (one per listed
-    stratum with --dump-strata), and one contribution per distinct
-    signature."""
+    stratum with --dump-strata), one read of each curve's lattice row (two
+    with --dump-strata, whose model reads it again) and none of a point's
+    or a surface's, and one contribution per distinct signature."""
 
     def counters(self, monkeypatch):
         return {name: count_calls(monkeypatch, module, name)
@@ -649,6 +660,7 @@ class TestOnePass:
                                      (arrangement, "LocalizedArrangement"),
                                      (strata, "compactify"),
                                      (spectra, "sp_validate"),
+                                     (strata, "boundary_edges"),
                                      (milnor, "_stratum_contribution"),
                                      (milnor, "_surface_terms"))}
 
@@ -694,6 +706,7 @@ class TestOnePass:
                             if not stratum_germ(s).is_zero())
             want = sorted(s.key for s in strata_
                           if s.dim == 2 and s.key in listed)
+            curves = sum(s.dim == 1 and s.key in listed for s in strata_)
             for dump in ([], ["--dump-strata"]):
                 with monkeypatch.context() as patch:
                     calls = self.counters(patch)
@@ -707,8 +720,10 @@ class TestOnePass:
                 assert compactified == (listed if dump else want), path
                 assert (len(calls["_stratum_contribution"])
                         == len(signatures)), path
-                assert sorted(model.edge.key for _, model, _
+                assert sorted(key[2].edge.key for key, *_
                               in calls["_surface_terms"]) == want, path
+                assert (len(calls["boundary_edges"])
+                        == curves * (2 if dump else 1)), path
                 for attr, keys in built.items():
                     assert sorted(keys) == want, (path, attr)
             surfaces += len(want)

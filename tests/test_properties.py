@@ -17,6 +17,7 @@ from collections import Counter
 from fractions import Fraction
 from math import comb
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import (HealthCheck, Phase, assume, example, given, reject,
@@ -209,7 +210,9 @@ def pushed_by_terms(arr, stratum, germ, conv, schema):
 
 def test_type_key_is_sound():
     # every stratum's memoized contribution is the one its own germ and
-    # model give: a type key that is too coarse fails on a named stratum
+    # model give: a type key that is too coarse fails on a named stratum;
+    # and it is the one its key gives with n and m alone, on a bare record
+    # in place of the arrangement, so nothing else is read
     seen = Counter()
 
     @settings(SETTINGS, max_examples=40)
@@ -228,9 +231,16 @@ def test_type_key_is_sound():
                 germ = stratum_germ(s, tables)
                 if germ.is_zero():
                     continue
-                keys.add(_type_key(arr, s, germ))
+                key = _type_key(arr, rep.listed[s.key], germ)
+                keys.add(key)
                 want = pushed_by_terms(arr, s, germ, conv, rep.schema)
                 assert rep.per_stratum[s.key] == want, (s.key, conv)
+                bare = SimpleNamespace(n=arr.n, m=arr.m)
+                coeffs = _stratum_contribution(bare, key, conv)
+                if conv.sign_mode == "flip_odd_strata" and s.dim % 2 == 1:
+                    coeffs = [-c for c in coeffs]
+                got = push_to_sigma(rep.schema, s, coeffs)
+                assert SigmaChowVector(rep.schema, got) == want, (s.key, conv)
         seen[n] += 1
         seen["tables"] += bool(tables)
         seen["repeats"] += len(keys) < len(rep.per_stratum)
@@ -268,8 +278,9 @@ def test_integer_path_matches_ring_path_on_every_stratum():
                     continue
                 # what assembly passes: a surface's model, or the stratum
                 shape = model if s.dim == 2 else s
+                key = _type_key(arr, shape, germ)
                 for conv in ALL_CONVENTIONS:
-                    got = _stratum_contribution(arr, germ, shape, conv)
+                    got = _stratum_contribution(arr, key, conv)
                     want = ring_contribution(germ, model, conv)
                     assert (push_to_sigma(schema, model, got)
                             == push_by_basis(schema, model, want)), (
@@ -928,7 +939,8 @@ def test_every_contribution_is_polynomial(case):
         if germ.is_zero():
             continue
         shape = compactify(arr, s) if s.dim == 2 else s
-        coeffs = _stratum_contribution(arr, germ, shape, DEFAULT_CONVENTIONS)
+        coeffs = _stratum_contribution(arr, _type_key(arr, shape, germ),
+                                       DEFAULT_CONVENTIONS)
         assert all(c.k == 0 for c in coeffs), (s.key, coeffs)
 
 
@@ -963,10 +975,10 @@ def test_closed_form_matches_per_exponent_oracle():
             if germ is None or germ.is_zero():
                 continue
             model = compactify(arr, s)
-            sp = germ.spectrum()
+            sp, key = germ.spectrum(), _type_key(arr, model, germ)
             for conv in ALL_CONVENTIONS:
                 want = stratum_contribution_by_terms(arr, s, sp, model, conv)
-                assert (_stratum_contribution(arr, germ, model, conv)
+                assert (_stratum_contribution(arr, key, conv)
                         == by_codegree(model, want.coeffs)), (s.key, conv)
             seen[model.kind, bool(model.blown_points)] += 1
         seen["multiple planes"] += n == 3 and sum(
