@@ -77,13 +77,13 @@ def _primitive(vec) -> tuple:
 
 def _reduce(basis, vec):
     """vec reduced against an integer echelon basis: a primitive vector that
-    is zero at every pivot, or None when vec lies in the span."""
+    is zero at every pivot, or None when vec lies in the span.  Each step
+    scales vec by a pivot entry, and the primitive vector at the end takes
+    out the common factor and the sign, so no step divides by a gcd."""
     for p, row in basis:
         b = vec[p]
         if b:
             a = row[p]
-            g = gcd(a, b)
-            a, b = a // g, b // g
             vec = [a * x - b * y for x, y in zip(vec, row)]
     return _primitive(vec) if any(vec) else None
 
@@ -333,7 +333,10 @@ def _search_edges(arr: Arrangement) -> Lattice:
     hyperplanes left form Y's other joins, each one whole, so every
     residual group is a new edge with a saturated index set, and each edge
     is found from exactly one edge below it.  Edges of codimension n are
-    not extended: a join of one has rank n + 1 and is no edge.
+    not extended: a join of one has rank n + 1 and is no edge.  A join
+    lists the hyperplanes it adds, which from a hyperplane all come after
+    it, each earlier one having joined it from its own row.  Each edge is
+    built from the hyperplanes' key texts, made once per search.
 
     An edge is above another exactly when its index set contains the
     other's.  Hyperplane j sits at position j, and the edges above it are
@@ -342,40 +345,52 @@ def _search_edges(arr: Arrangement) -> Lattice:
     index-set mask contains its own; no edge is above one of
     codimension n."""
     n, covs, mults = arr.n, arr.covectors, arr.mults
-    edges = [Edge((j,), 1, mults[j]) for j in range(len(covs))]
-    masks = [1 << j for j in range(len(covs))]  # per position
-    frontier = []  # (index-set bitmask, echelon basis of its covectors)
+    texts = [str(j + 1) for j in range(len(covs))]  # per hyperplane
+    containing = [[j] for j in range(len(covs))]  # its edges' positions
+    edges, masks, frontier = [], [], []
     for j, c in enumerate(covs):
-        frontier.append((1 << j, [(next(p for p, x in enumerate(c) if x), c)]))
+        edges.append(_edge((j,), 1, mults[j], texts[j]))
+        masks.append(1 << j)
+        lead = next(p for p, x in enumerate(c) if x)
+        # (index set, its bitmask, echelon basis of its covectors)
+        frontier.append(((j,), 1 << j, [(lead, c)]))
     for codim in range(2, n + 1):
         level, nxt = [], []
         through = [[] for _ in covs]  # per hyperplane, the masks found
-        for mask, basis in frontier:
+        for iset, mask, basis in frontier:
             skip = mask
-            for found in through[(mask & -mask).bit_length() - 1]:
+            for found in through[iset[0]]:
                 if found & mask == mask:
                     skip |= found
-            joins = {}
+            joins = {}  # residual -> the hyperplanes joined along it
             for j, c in enumerate(covs):
                 if not skip >> j & 1:
                     res = _reduce(basis, c)
-                    joins[res] = joins.get(res, mask) | 1 << j
-            for res, key in joins.items():
-                iset = _bits(key)
-                level.append((iset, key))
-                for j in iset:
+                    group = joins.get(res)
+                    if group is None:
+                        joins[res] = [j]
+                    else:
+                        group.append(j)
+            for res, group in joins.items():
+                key = mask
+                for j in group:
+                    key |= 1 << j
+                joined = (iset + tuple(group) if codim == 2
+                          else tuple(sorted(iset + tuple(group))))
+                level.append((joined, key))
+                for j in joined:
                     through[j].append(key)
                 if codim < n:
-                    nxt.append((key, _extend(basis, res)))
+                    nxt.append((joined, key, _extend(basis, res)))
         level.sort()
-        for iset, key in level:
-            edges.append(Edge(iset, codim, sum(mults[j] for j in iset)))
+        for joined, key in level:
+            for j in joined:
+                containing[j].append(len(edges))
+            edges.append(_edge(joined, codim,
+                               sum(map(mults.__getitem__, joined)),
+                               ",".join(map(texts.__getitem__, joined))))
             masks.append(key)
         frontier = nxt
-    containing = [[] for _ in covs]  # per hyperplane, positions of its edges
-    for i, e in enumerate(edges):
-        for j in e.index_set:
-            containing[j].append(i)
     above = []
     for i, e in enumerate(edges):
         if e.codim == n:
@@ -390,14 +405,11 @@ def _search_edges(arr: Arrangement) -> Lattice:
     return Lattice(n, tuple(edges), position, tuple(above))
 
 
-def _bits(mask: int) -> tuple:
-    """The positions of the set bits of mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+def _edge(index_set: tuple, codim: int, m_s: int, key: str) -> Edge:
+    """An Edge from parts the search already holds (no checks)."""
+    out = object.__new__(Edge)
+    out.index_set, out.codim, out.m_s, out.key = index_set, codim, m_s, key
+    return out
 
 
 def edges(arr: Arrangement) -> tuple:
@@ -443,11 +455,10 @@ def localize(arr: Arrangement, edge: Edge) -> LocalizedArrangement:
     lattice = arr.lattice
     loc = lattice.localized.get(edge.index_set)
     if loc is None:
-        loc = LocalizedArrangement(
-            edge, tuple(arr.mults[j] for j in edge.index_set),
+        loc = lattice.localized[edge.index_set] = LocalizedArrangement(
+            edge, tuple(map(arr.mults.__getitem__, edge.index_set)),
             lattice.euler[lattice.position[edge.index_set]],
             arr.n - edge.codim)
-        lattice.localized[edge.index_set] = loc
     return loc
 
 
@@ -498,9 +509,21 @@ def in_sigma(edge: Edge) -> bool:
 def sigma_strata(arr: Arrangement) -> list:
     """Strata of the singular locus away from the generic section, in
     lattice order: the localization at each edge in_sigma admits, shared
-    with every other caller through the lattice.  The generic section is
+    with every other caller through the lattice.  One pass over the
+    lattice builds each one localize has not built yet, as localize
+    would, reading the Euler number by position.  The generic section is
     handled symbolically downstream and never appears as an edge."""
-    return [localize(arr, e) for e in arr.lattice.edges if in_sigma(e)]
+    lattice, n, mults = arr.lattice, arr.n, arr.mults
+    localized, euler, out = lattice.localized, lattice.euler, []
+    for i, e in enumerate(lattice.edges):
+        if in_sigma(e):
+            loc = localized.get(e.index_set)
+            if loc is None:
+                loc = localized[e.index_set] = LocalizedArrangement(
+                    e, tuple(map(mults.__getitem__, e.index_set)), euler[i],
+                    n - e.codim)
+            out.append(loc)
+    return out
 
 
 # ---------------------------------------------------------------------------

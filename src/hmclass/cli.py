@@ -39,7 +39,7 @@ from .milnor import (ALL_CONVENTIONS, DEFAULT_CONVENTIONS, MilnorError,
                      calibrate)
 from .spectra import (GermKind, SpectrumValidationError, sp_monomial,
                       sp_ordinary, sp_shift, sp_user_load, sp_validate,
-                      stratum_germ)
+                      stratum_germs)
 from .strata import (chow_dims, compactify, deligne_residues,
                      homology_weight_dims, power_identity_holds,
                      relabel_vector, residues)
@@ -158,8 +158,8 @@ def cmd_spectra(args) -> int:
                          2)
     by_germ = {}
     rows = []
-    for s in sigma_strata(arr):
-        germ = stratum_germ(s, tables)
+    strata = sigma_strata(arr)
+    for s, germ in zip(strata, stratum_germs(strata, tables)):
         if germ is None:
             row = required
         elif isinstance(germ, GermKind):

@@ -33,11 +33,11 @@ from functools import cached_property
 from itertools import chain
 
 from .ambient import virtual_genus
-from .arrangement import Arrangement, chi_y, milnor_fiber_chi, sigma_strata
+from .arrangement import Arrangement, chi_y, sigma_strata
 from .coeffs import RatFuncY
 from .jsontext import HOLE, dumps, parts, splice
 from .rings import combine
-from .spectra import SpectrumError, stratum_germ
+from .spectra import SpectrumError, stratum_germs
 from .strata import (EXT_HALF_OPEN_DOWN, EXT_HALF_OPEN_UP, LabelSchema,
                      SigmaChowVector, boundary_edges, build_labels,
                      check_envelope, compactify, push_to_sigma, twist_offsets)
@@ -136,8 +136,10 @@ class MilnorReport:
         """The report as indented JSON text, chunk by chunk: jsontext.splice
         writes the skeleton, with a hole for each label -> value block."""
         names = self.schema.names()
-        labels = dict.fromkeys(names, HOLE)
-        top, inner = parts(labels, 1), parts(labels, 2)
+        # no rendered string holds a raw newline, so the object one level
+        # deeper is the same text with each line indented two more spaces
+        top = parts(dict.fromkeys(names, HOLE), 1)
+        inner = [piece.replace("\n", "\n  ") for piece in top]
         slot = {name: 2 * i + 1 for i, name in enumerate(names)}
         m_y = _label_block(top, slot, 1, RatFuncY.as_strings)
         stratum = _label_block(inner, slot, 2, RatFuncY.as_strings)
@@ -447,7 +449,7 @@ def _sum_pushes(pushes: dict) -> dict:
             v = RatFuncY.from_ints([count * c for c in v.num], v.den, v.k)
         prev = totals.get(name)
         totals[name] = v if prev is None else prev + v
-    return totals
+    return {name: v for name, v in totals.items() if v}  # sums may cancel
 
 
 def assemble(arr: Arrangement, user_tables: dict = None,
@@ -459,18 +461,20 @@ def assemble(arr: Arrangement, user_tables: dict = None,
     a failure is raised as a convention violation rather than silenced.
 
     One pass over the strata, and the Chern path reads the same list,
-    through the lattice alone.  Only a surface with a nonzero germ is
-    compactified; a point or a curve contributes from its lattice row.
-    Strata with the same type key get the same contribution, which is
-    computed once per report from the key alone, and M_y adds each
-    label's coefficient of each type once, times the number of strata
-    that push it there.
+    through the lattice alone.  Each distinct (codim, mults) has its
+    germ classified once (stratum_germs).  Only a surface with a nonzero
+    germ is compactified; a point or a curve contributes from its lattice
+    row.  Strata with the same type key get the same contribution, which
+    is computed once per report from the key alone; a stratum's vector is
+    push_to_sigma's output as it stands, and M_y adds each label's
+    coefficient of each type once, times the number of strata that push
+    it there.
     """
     strata = sigma_strata(arr)
     schema = build_labels(arr)
     for s in strata:  # before any spectrum lookup
         check_envelope(s)
-    germs = [stratum_germ(s, user_tables) for s in strata]
+    germs = stratum_germs(strata, user_tables)
     missing = [s.key for s, germ in zip(strata, germs) if germ is None]
     if missing:
         raise MissingSpectrumError(missing)
@@ -534,29 +538,32 @@ def chern_milnor(arr: Arrangement, schema: LabelSchema,
     the fundamental class; on a curve chi - 1 on the point; on a surface
     with L boundary lines, the edges one codimension above it, 2 - L on
     the line and chi - 2 + L on the point.  The sums are kept in
-    integers until one coefficient per label is built."""
+    integers until one coefficient per nonzero label is built.  Each
+    stratum is read once, its Euler number and m_s directly."""
     lattice = arr.lattice
     fundamental, shared = schema.fundamental, schema.shared
     totals = {}
     for s in strata:
-        chi_tilde = milnor_fiber_chi(s) - 1
-        if chi_tilde == 0:
+        edge = s.edge
+        chi_tilde = s.euler * edge.m_s - 1  # milnor_fiber_chi(s) - 1
+        if not chi_tilde:
             continue
-        terms = [(fundamental[s.key], 1)]
+        name = fundamental[edge.key]
+        totals[name] = totals.get(name, 0) + chi_tilde
         if s.dim:
-            i = lattice.position[s.edge.index_set]
+            i = lattice.position[edge.index_set]
             cs = lattice.chi_y_open[i]
             chi = sum(cs[::2]) - sum(cs[1::2])  # chi_y at y = -1
             if s.dim == 1:
-                terms.append((shared[0], chi - 1))
+                terms = ((shared[0], chi - 1),)
             else:
-                lines = sum(lattice.edges[j].codim == s.edge.codim + 1
+                lines = sum(lattice.edges[j].codim == edge.codim + 1
                             for j in lattice.strictly_above[i])
-                terms += [(shared[1], 2 - lines), (shared[0], chi - 2 + lines)]
-        for name, v in terms:
-            totals[name] = totals.get(name, 0) + chi_tilde * v
+                terms = ((shared[1], 2 - lines), (shared[0], chi - 2 + lines))
+            for name, v in terms:
+                totals[name] = totals.get(name, 0) + chi_tilde * v
     return SigmaChowVector(schema, {name: RatFuncY.from_ints((v,))
-                                    for name, v in totals.items()})
+                                    for name, v in totals.items() if v})
 
 
 def degree0_check(arr: Arrangement, m_y: SigmaChowVector) -> dict:

@@ -40,6 +40,7 @@ __all__ = [
     "sp_validate",
     "sp_user_load",
     "stratum_germ",
+    "stratum_germs",
     "stratum_spectrum",
 ]
 
@@ -327,6 +328,23 @@ def stratum_germ(stratum: LocalizedArrangement, user_tables: dict = None):
         return user_tables[stratum.key]
     kind = classify_germ(stratum)
     return None if kind.tag == "user_table" else kind
+
+
+def stratum_germs(strata, user_tables: dict = None) -> list:
+    """stratum_germ of each stratum, in order, with each distinct
+    (codim, mults) classified once: a catalogue germ depends on both
+    alone, as (1, 1, 1) is ordinary(3) on a triple line and
+    monomial(1,1,1) at a normal-crossing point."""
+    by_type, out = {}, []
+    for s in strata:
+        if user_tables and s.key in user_tables:
+            out.append(user_tables[s.key])
+        else:
+            local = (s.edge.codim, s.mults)
+            if local not in by_type:
+                by_type[local] = stratum_germ(s)
+            out.append(by_type[local])
+    return out
 
 
 def stratum_spectrum(arr: Arrangement, stratum: LocalizedArrangement,

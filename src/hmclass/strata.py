@@ -299,22 +299,14 @@ def power_identity_holds(model: StratumModel) -> bool:
 
 
 class Label:
+    __slots__ = ("name", "degree", "edge_key")
+
     def __init__(self, name: str, degree: int, edge_key: str = ""):
         self.name, self.degree = name, degree
         self.edge_key = edge_key  # the edge owning the label; "" if shared
 
 
 _DIM_LETTER = {0: "P", 1: "L", 2: "F"}
-
-
-def _own_label_name(arr: Arrangement, edge: Edge) -> str:
-    """H, P, L, F or S<dim>, then the edge key: its commas dropped while
-    every index is one digit, else turned into dots."""
-    body = edge.key.replace(",", "" if edge.index_set[-1] < 9 else ".")
-    if edge.codim == 1:
-        return f"H_{{{body}}}"
-    letter = _DIM_LETTER.get(arr.n - edge.codim, f"S{arr.n - edge.codim}")
-    return f"{letter}_{{{body}}}"
 
 
 class LabelSchema:
@@ -339,30 +331,39 @@ def _label_owners(arr: Arrangement) -> tuple:
     lattice order, each with whether it owns a label (the multiple
     hyperplanes and the codimension-2 edges on none of them), and the
     degrees, descending, that get one shared label (every degree below
-    n - 2, and n - 2 itself when some hyperplane is multiple)."""
-    n = arr.n
+    n - 2, and n - 2 itself when some hyperplane is multiple).  The
+    lattice lists the hyperplanes first and in order, and every edge
+    after them is in_sigma, so each edge is read once."""
+    n, r, edges = arr.n, arr.r, arr.lattice.edges
     multiple = {j for j, m in enumerate(arr.mults) if m > 1}
-    strata = [(e, e.codim == 1
-               or (e.codim == 2 and multiple.isdisjoint(e.index_set)))
-              for e in arr.lattice.edges if in_sigma(e)]
+    strata = [(edges[j], True) for j in sorted(multiple)]
+    strata += [(e, e.codim == 2 and multiple.isdisjoint(e.index_set))
+               for e in edges[r:]]
     top = n - 2 if multiple else n - 3
     return strata, range(top, -1, -1) if strata else ()
 
 
 def build_labels(arr: Arrangement) -> LabelSchema:
     """The label schema of the singular locus, from the edges in_sigma
-    admits; it reads the edges only, and localizes none of them."""
+    admits; it reads the edges only, each once, and localizes none of
+    them."""
     n = arr.n
     strata, degrees = _label_owners(arr)
     shared = {k: f"Q_{{{k}}}" for k in degrees}
+    # an own label is H, or P, L, F or S<dim> by the edge's dimension, then
+    # the edge key: its commas dropped while every index is one digit,
+    # else turned into dots
+    letter = {1: "H", 2: _DIM_LETTER.get(n - 2, f"S{n - 2}")}
     fundamental = {}
     own = []
     for e, owns in strata:
+        key = e.key
         if owns:
-            fundamental[e.key] = _own_label_name(arr, e)
-            own.append(Label(fundamental[e.key], n - e.codim, e.key))
+            body = key.replace(",", "" if e.index_set[-1] < 9 else ".")
+            name = fundamental[key] = f"{letter[e.codim]}_{{{body}}}"
+            own.append(Label(name, n - e.codim, key))
         else:
-            fundamental[e.key] = shared[n - e.codim]
+            fundamental[key] = shared[n - e.codim]
     # canonical order: degree descending, own labels before the shared one
     labels = own + [Label(name, k) for k, name in shared.items()]
     return LabelSchema(tuple(labels), fundamental, shared)
@@ -371,13 +372,14 @@ def build_labels(arr: Arrangement) -> LabelSchema:
 class SigmaChowVector:
     """Element of the labeled Chow basis with rational-function-in-y
     coefficients (polynomial after full assembly).  values holds the
-    nonzero coefficients only."""
+    nonzero coefficients only: each builder drops its zeros as it makes
+    them (push_to_sigma, specializations, and in milnor the sum of the
+    pushes and the Chern path), and the vector keeps values as given."""
 
     __slots__ = ("schema", "values")
 
     def __init__(self, schema: LabelSchema, values: dict):
-        self.schema = schema
-        self.values = {k: v for k, v in values.items() if not v.is_zero()}
+        self.schema, self.values = schema, values
 
     def __eq__(self, other):
         if not isinstance(other, SigmaChowVector):
@@ -407,15 +409,25 @@ class SigmaChowVector:
     def specializations(self) -> dict:
         """y0 -> the vector at y = y0, for y0 = -1, 0 and 1, in one pass:
         strata of one local type carry equal coefficients, so each
-        distinct normal form is evaluated once at each point."""
-        at = {}  # (num, den, k) -> its values at the points
+        distinct normal form is evaluated once, and its zero values are
+        dropped there.  A value must be a polynomial num / den (any other
+        has a pole at -1): at -1, 0 and 1 it is the alternating sum of
+        num, num[0] and the sum of num, over den."""
+        at = {}  # (num, den, k) -> its nonzero values, each with its out
         outs = {-1: {}, 0: {}, 1: {}}
         for name, v in self.values.items():
             form = (v.num, v.den, v.k)
             cs = at.get(form)
             if cs is None:
-                cs = at[form] = [RatFuncY._coerce(v(y0)) for y0 in outs]
-            for out, c in zip(outs.values(), cs):
+                if v.k:
+                    raise ZeroDivisionError(
+                        f"pole at y = -1: non-polynomial value {v}")
+                num, den = v.num, v.den
+                values = (sum(num[::2]) - sum(num[1::2]), num[0], sum(num))
+                cs = at[form] = [(out, RatFuncY.from_ints((c,), den))
+                                 for out, c in zip(outs.values(), values)
+                                 if c]
+            for out, c in cs:
                 out[name] = c
         return {y0: SigmaChowVector(self.schema, out)
                 for y0, out in outs.items()}

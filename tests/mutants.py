@@ -126,6 +126,29 @@ MUTANTS = {
          "::test_text_is_the_fraction_text",
          "tests/test_cli.py::TestOtherCommands"
          "::test_virtual_matches_golden[1-4]"]),
+    # (1, 1, 1) is ordinary(3) on a triple line and monomial(1,1,1) at a
+    # normal-crossing point, so a germ memo keyed by the multiplicities
+    # alone gives one of them the other's germ
+    "germ-memo-drops-codim": (
+        "src/hmclass/spectra.py",
+        "local = (s.edge.codim, s.mults)",
+        "local = s.mults",
+        ["tests/test_milnor.py::TestOnePass::test_germ_per_local_type"]),
+    # a stored zero renders as "0", as a missing label does, so no golden
+    # shows it; the vectors do
+    "specialization-keeps-zero": (
+        "src/hmclass/strata.py",
+        "for out, c in zip(outs.values(), values)\n"
+        "                                 if c]",
+        "for out, c in zip(outs.values(), values)]",
+        [f"{PROPS}::test_no_vector_stores_a_zero",
+         "tests/test_strata.py::TestTraceAndSpecializations"
+         "::test_three_specializations"]),
+    "m-y-keeps-cancelled-sum": (
+        "src/hmclass/milnor.py",
+        "return {name: v for name, v in totals.items() if v}",
+        "return totals",
+        [f"{PROPS}::test_no_vector_stores_a_zero"]),
 }
 
 

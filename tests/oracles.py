@@ -427,7 +427,7 @@ def chern_milnor_by_classes(arr) -> SigmaChowVector:
         cls = log_tangent_by_chern(model) * chi_tilde
         for label, c in push_by_basis(schema, model, cls.coeffs).items():
             out[label] = out.get(label, RatFuncY.ZERO) + c
-    return SigmaChowVector(schema, out)
+    return nonzero_vector(schema, out)
 
 
 def _exp_minus_one_powers(dim: int) -> list:
@@ -820,12 +820,18 @@ def vector_sum(schema, vecs) -> SigmaChowVector:
     for vec in vecs:
         for name, v in vec.values.items():
             out[name] = out.get(name, RatFuncY.ZERO) + v
-    return SigmaChowVector(schema, out)
+    return nonzero_vector(schema, out)
 
 
 def vector_scale(vec: SigmaChowVector, scalar) -> SigmaChowVector:
-    return SigmaChowVector(
+    return nonzero_vector(
         vec.schema, {k: v * scalar for k, v in vec.values.items()})
+
+
+def nonzero_vector(schema, values: dict) -> SigmaChowVector:
+    """The vector of values with its zero coefficients dropped: a
+    SigmaChowVector keeps its values as given, and holds no zero."""
+    return SigmaChowVector(schema, {k: v for k, v in values.items() if v})
 
 
 def vector_is_polynomial(vec: SigmaChowVector) -> bool:

@@ -11,7 +11,8 @@ from hmclass import arrangement, cli, corpus
 from hmclass.arrangement import (Arrangement, ArrangementError, build,
                                  chi_y, chi_y_pn, edges,
                                  euler_by_inclusion_exclusion, is_dense,
-                                 localize, milnor_fiber_chi, sigma_strata)
+                                 in_sigma, localize, milnor_fiber_chi,
+                                 sigma_strata)
 from hmclass.coeffs import RatFuncY, rat
 from hmclass.milnor import assemble
 from oracles import (brute_force_edges, dense_by_bipartition,
@@ -360,6 +361,29 @@ class TestStrata:
                 assert s.key == s.edge.key
                 seen[arr.n, s.dim] += 1
         assert all(seen[n, d] for n in (2, 3, 4) for d in range(n)), seen
+
+    def test_one_pass_lists_what_localize_built(self):
+        # sigma_strata builds, in one pass, each localization localize has
+        # not built yet, with the fields localize gives it, and lists the
+        # very objects localize built first: the lattice keeps them all
+        rng = random.Random(22)
+        arrs = [corpus.load(name) for name in corpus.ALL_NAMES]
+        for n, k in [(2, 7), (3, 6), (4, 6)] * 3:
+            covs = random_covectors(rng, n, k, MIXED)[0]
+            arrs.append(build(n, [(c, rng.choice((1, 1, 2, 3)))
+                                  for c in covs]))
+        for arr in arrs:
+            edges = [e for e in arr.lattice.edges if in_sigma(e)]
+            first = {e.key: localize(arr, e) for e in edges[::2]}
+            strata = sigma_strata(arr)
+            assert [s.edge for s in strata] == edges
+            alone = Arrangement(arr.n, arr.covectors, arr.mults)
+            for s in strata:
+                assert s is first.get(s.key, s) is localize(arr, s.edge)
+                other = localize(alone, alone.lattice.edges[
+                    alone.lattice.position[s.edge.index_set]])
+                assert (s.mults, s.euler, s.dim, s.key) == (
+                    other.mults, other.euler, other.dim, other.key), s.key
 
 
 class TestLocalizedChi:

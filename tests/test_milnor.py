@@ -707,12 +707,16 @@ class TestOnePass:
             want = sorted(s.key for s in strata_
                           if s.dim == 2 and s.key in listed)
             curves = sum(s.dim == 1 and s.key in listed for s in strata_)
+            local_types = {(s.edge.codim, s.mults) for s in strata_}
             for dump in ([], ["--dump-strata"]):
                 with monkeypatch.context() as patch:
                     calls = self.counters(patch)
                     built = self.model_classes(patch)
+                    classified = count_calls(patch, spectra, "classify_germ")
                     code = cli.main(["milnor", path, *dump])
                     assert code == 0, capsys.readouterr().err
+                # one germ per distinct (codim, mults) in the report
+                assert len(classified) == len(local_types), path
                 assert len(calls["_search_edges"]) == 1, path
                 assert len(calls["LocalizedArrangement"]) == len(strata_), \
                     path
@@ -729,6 +733,50 @@ class TestOnePass:
             surfaces += len(want)
         assert len(signatures) < len(strata_)  # the nine lines repeat types
         assert surfaces  # doubleplane3 has a surface stratum
+
+    def test_germ_per_local_type(self, monkeypatch, tmp_path, capsys):
+        # x, y, x + y, z, w in P^3: multiplicities (1, 1, 1) are
+        # ordinary(3) on the triple line x = y = 0 (codim 2) and
+        # monomial(1,1,1) at each normal-crossing point such as
+        # x = z = w = 0 (codim 3), so the codimension is part of the key;
+        # the two quadruple points need a table
+        arr = build(3, [(c, 1) for c in [(1, 0, 0, 0), (0, 1, 0, 0),
+                                         (1, 1, 0, 0), (0, 0, 1, 0),
+                                         (0, 0, 0, 1)]])
+        entries = table_entries(arr)
+        tables = sp_user_load(entries, arr)
+        strata_ = sigma_strata(arr)
+        germs = spectra.stratum_germs(strata_, tables)
+        for s, germ in zip(strata_, germs, strict=True):
+            assert germ == stratum_germ(s, tables), s.key
+        kinds = {(s.edge.codim, germ.describe()) for s, germ
+                 in zip(strata_, germs) if s.mults == (1, 1, 1)
+                 and isinstance(germ, GermKind)}
+        assert kinds == {(2, "ordinary(3)"), (3, "monomial(1,1,1)")}
+        assert len(entries) == 2
+        path, table_path = tmp_path / "arr.json", tmp_path / "tables.json"
+        path.write_text(json.dumps(arrangement_to_json(arr)))
+        table_path.write_text(json.dumps(entries))
+
+        def reports():
+            out = {}
+            for command in ("milnor", "spectra"):
+                code = cli.main([command, str(path), "--tables",
+                                 str(table_path)])
+                captured = capsys.readouterr()
+                assert code == 0, captured.err
+                out[command] = captured.out
+            return out
+
+        memo = reports()
+        with monkeypatch.context() as patch:
+            # a run with no memo: every stratum's germ found on its own
+            def alone(strata, user_tables=None):
+                return [stratum_germ(s, user_tables) for s in strata]
+
+            for module in (spectra, milnor, cli):
+                patch.setattr(module, "stratum_germs", alone)
+            assert reports() == memo
 
     def test_spectra(self, monkeypatch, tmp_path, capsys):
         for path in self.files(tmp_path):

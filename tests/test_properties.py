@@ -541,6 +541,29 @@ def test_search_reduces_generic_hyperplanes_once_per_edge(n, k, reductions):
     assert reductions == sum(comb(k, i) for i in range(2, n + 1))
 
 
+def test_searched_edge_keys_and_degrees():
+    # the search builds each edge's key from the hyperplanes' key texts
+    # and its m_s from their multiplicities, as Edge would build them
+    seen = Counter()
+
+    @settings(SETTINGS, max_examples=60)
+    @given(st.one_of(arrangements(), p4_arrangements()))
+    def check(case):
+        n, hyperplanes, _ = case
+        try:
+            arr = build(n, hyperplanes)
+        except ArrangementError:
+            reject()
+        for e in arr.lattice.edges:
+            assert e.key == ",".join(str(j + 1) for j in e.index_set)
+            assert e.m_s == sum(arr.mults[j] for j in e.index_set)
+        seen[n] += 1
+        seen["multiple"] += max(arr.mults) > 1
+
+    check()
+    assert seen[2] and seen[3] and seen[4] and seen["multiple"], seen
+
+
 def test_dense_iff_nonzero_euler():
     # Crapo: a central arrangement is indecomposable exactly when its beta
     # invariant, up to sign the Euler number of its projectivized
@@ -1072,3 +1095,44 @@ def test_mutated_inputs_exit_with_a_code_never_a_traceback():
                                                               "message"}
 
         check()
+
+
+def stored_zeros(rep) -> list:
+    """(vector, label) for each value of a report's vectors that is zero."""
+    vectors = {"M_y": rep.m_y, "chern_path": rep.chern_path,
+               **{f"per_stratum {k}": v for k, v in rep.per_stratum.items()},
+               **{f"specialization {y0}": v
+                  for y0, v in rep.specializations.items()}}
+    return [(where, name) for where, vec in vectors.items()
+            for name, v in vec.values.items() if v.is_zero()]
+
+
+def test_no_vector_stores_a_zero():
+    # each builder drops its zeros as it makes them and a SigmaChowVector
+    # keeps its values as given, so no vector of a report holds a zero:
+    # on the corpus and on random P^2 to P^4 draws, under every convention
+    for name in ALL_NAMES:
+        arr = corpus.load(name)
+        for conv in ALL_CONVENTIONS:
+            rep = assemble(arr, generated_tables(arr), conv)
+            assert not stored_zeros(rep), (name, conv.label())
+    seen = Counter()
+
+    @settings(SETTINGS, max_examples=40)
+    @given(st.one_of(arrangements(), p4_arrangements()))
+    # under flip_odd_strata/res_[0,1) the pushes to one label of M_y
+    # cancel, so the sum must drop it
+    @example((2, [((0, -1, -1), 2), ((0, -1, 2), 3), ((-1, -2, 1), 1)],
+              [0, 1, 2]))
+    def check(case):
+        n, hyperplanes, _ = case
+        for conv in ALL_CONVENTIONS:
+            _, rep = with_tables(n, hyperplanes, conv)
+            assert not stored_zeros(rep), conv.label()
+            seen["zero at a point"] += any(
+                len(v.values) < len(rep.m_y.values)
+                for v in rep.specializations.values())
+        seen[n] += 1
+
+    check()
+    assert seen[2] and seen[3] and seen[4] and seen["zero at a point"], seen
