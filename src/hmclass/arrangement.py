@@ -1,10 +1,10 @@
 """Projective hyperplane arrangements with multiplicities.
 
-Input model and validation, the intersection lattice (edges) with two
-per-edge tables computed once per lattice from its "above" relation, localized
-central arrangements, dense-edge detection, the strata of the singular
-locus, each the localization at its edge, which the lattice keeps and
-every consumer shares, and chi_y genera.
+Input model and validation, the intersection lattice (edges) with its
+per-edge tables computed once per lattice from its "above" relation, among
+them the localized central arrangement at every edge, which every
+consumer shares, dense-edge detection, the strata of the singular locus,
+each the localization at its edge, and chi_y genera.
 
 The tables: the Mobius function mu(0, x) is computed bottom up, and gives
 the Euler number of each edge's localization and, in the same pass, chi_y
@@ -224,34 +224,35 @@ class Edge:
     """An intersection of hyperplanes, with saturated index set.
 
     index_set holds 0-based hyperplane indices; it identifies the edge.
-    key is the 1-based index set as text, built with the edge.  Reports,
-    labels and user tables name an edge by it; the lattice finds an edge
-    by its index set, and each edge is built once per lattice, so an edge
-    compares by identity.  Nothing keys by the edge itself: the Chern path
-    reads the lattice alone, by position.
+    key is the 1-based index set as text, which the lattice search passes
+    in from the hyperplanes' key texts.  Reports, labels and user tables
+    name an edge by it; the lattice finds an edge by its index set, and
+    each edge is built once per lattice, so an edge compares by identity.
+    Nothing keys by the edge itself: the Chern path reads the lattice
+    alone, by position.
     """
 
-    def __init__(self, index_set: tuple, codim: int, m_s: int):
+    def __init__(self, index_set: tuple, codim: int, m_s: int, key: str):
         self.index_set, self.codim, self.m_s = index_set, codim, m_s
-        self.key = ",".join([str(j + 1) for j in index_set])
+        self.key = key
 
 
 class Lattice:
-    """The edges of an arrangement in P^n with the index and the "above"
-    relation its consumers look up, the per-edge Euler numbers and chi_y
-    table, the per-dimension Mobius tally that gives chi_y and the Euler
-    number of the divisor, and the localization at each edge once some
-    consumer has asked for it."""
+    """The edges of an arrangement in P^n with the hyperplanes'
+    multiplicities, the index and the "above" relation its consumers look
+    up, and the per-edge tables, each built once on first request: the
+    Euler numbers, the chi_y of open strata and the localizations, and the
+    per-dimension Mobius tally that gives chi_y and the Euler number of
+    the divisor."""
 
-    def __init__(self, n: int, edges: tuple, position: dict,
+    def __init__(self, n: int, mults: tuple, edges: tuple, position: dict,
                  strictly_above: tuple):
-        self.n = n
+        self.n, self.mults = n, mults
         self.edges = edges  # sorted by (codimension, index set)
         self.position = position  # index set -> position in edges
         # per position, the positions of the edges strictly above it (index
         # sets strictly containing its own), in lattice order
         self.strictly_above = strictly_above
-        self.localized = {}  # index set -> localization, kept by localize
 
     def above(self, edge: Edge) -> list:
         """The edges strictly above edge in the lattice, in lattice order."""
@@ -263,6 +264,17 @@ class Lattice:
         """Per position, the Euler number of the projectivized complement
         of the localization at the edge."""
         return self._mobius[0]
+
+    @cached_property
+    def localizations(self) -> tuple:
+        """Per position, the localized central arrangement at the edge, all
+        built in one pass.  Its lattice is the interval of this lattice
+        below the edge, so its Euler number is read by position."""
+        n, mults = self.n, self.mults
+        return tuple([
+            LocalizedArrangement(e, tuple(map(mults.__getitem__, e.index_set)),
+                                 euler, n - e.codim)
+            for e, euler in zip(self.edges, self.euler)])
 
     @cached_property
     def divisor_euler(self) -> int:
@@ -349,7 +361,7 @@ def _search_edges(arr: Arrangement) -> Lattice:
     containing = [[j] for j in range(len(covs))]  # its edges' positions
     edges, masks, frontier = [], [], []
     for j, c in enumerate(covs):
-        edges.append(_edge((j,), 1, mults[j], texts[j]))
+        edges.append(Edge((j,), 1, mults[j], texts[j]))
         masks.append(1 << j)
         lead = next(p for p, x in enumerate(c) if x)
         # (index set, its bitmask, echelon basis of its covectors)
@@ -386,9 +398,9 @@ def _search_edges(arr: Arrangement) -> Lattice:
         for joined, key in level:
             for j in joined:
                 containing[j].append(len(edges))
-            edges.append(_edge(joined, codim,
-                               sum(map(mults.__getitem__, joined)),
-                               ",".join(map(texts.__getitem__, joined))))
+            edges.append(Edge(joined, codim,
+                              sum(map(mults.__getitem__, joined)),
+                              ",".join(map(texts.__getitem__, joined))))
             masks.append(key)
         frontier = nxt
     above = []
@@ -402,14 +414,7 @@ def _search_edges(arr: Arrangement) -> Lattice:
             above.append(tuple([k for k in containing[e.index_set[0]]
                                 if k > i and masks[k] & mask == mask]))
     position = {e.index_set: i for i, e in enumerate(edges)}
-    return Lattice(n, tuple(edges), position, tuple(above))
-
-
-def _edge(index_set: tuple, codim: int, m_s: int, key: str) -> Edge:
-    """An Edge from parts the search already holds (no checks)."""
-    out = object.__new__(Edge)
-    out.index_set, out.codim, out.m_s, out.key = index_set, codim, m_s, key
-    return out
+    return Lattice(n, mults, tuple(edges), position, tuple(above))
 
 
 def edges(arr: Arrangement) -> tuple:
@@ -448,18 +453,10 @@ class LocalizedArrangement:
 
 
 def localize(arr: Arrangement, edge: Edge) -> LocalizedArrangement:
-    """The localized central arrangement at an edge.  It is built on the
-    first request and kept by the lattice, which every later caller
-    shares.  Its lattice is the interval of the big lattice below the
-    edge, so its Euler number is read from the lattice's table."""
+    """The localized central arrangement at an edge: the lattice's record
+    at the edge's position, which every caller shares."""
     lattice = arr.lattice
-    loc = lattice.localized.get(edge.index_set)
-    if loc is None:
-        loc = lattice.localized[edge.index_set] = LocalizedArrangement(
-            edge, tuple(map(arr.mults.__getitem__, edge.index_set)),
-            lattice.euler[lattice.position[edge.index_set]],
-            arr.n - edge.codim)
-    return loc
+    return lattice.localizations[lattice.position[edge.index_set]]
 
 
 def milnor_fiber_chi(loc: LocalizedArrangement) -> int:
@@ -508,22 +505,10 @@ def in_sigma(edge: Edge) -> bool:
 
 def sigma_strata(arr: Arrangement) -> list:
     """Strata of the singular locus away from the generic section, in
-    lattice order: the localization at each edge in_sigma admits, shared
-    with every other caller through the lattice.  One pass over the
-    lattice builds each one localize has not built yet, as localize
-    would, reading the Euler number by position.  The generic section is
+    lattice order: the lattice's localization at each edge in_sigma
+    admits, shared with every other caller.  The generic section is
     handled symbolically downstream and never appears as an edge."""
-    lattice, n, mults = arr.lattice, arr.n, arr.mults
-    localized, euler, out = lattice.localized, lattice.euler, []
-    for i, e in enumerate(lattice.edges):
-        if in_sigma(e):
-            loc = localized.get(e.index_set)
-            if loc is None:
-                loc = localized[e.index_set] = LocalizedArrangement(
-                    e, tuple(map(mults.__getitem__, e.index_set)), euler[i],
-                    n - e.codim)
-            out.append(loc)
-    return out
+    return [loc for loc in arr.lattice.localizations if in_sigma(loc.edge)]
 
 
 # ---------------------------------------------------------------------------

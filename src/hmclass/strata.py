@@ -331,14 +331,12 @@ def _label_owners(arr: Arrangement) -> tuple:
     lattice order, each with whether it owns a label (the multiple
     hyperplanes and the codimension-2 edges on none of them), and the
     degrees, descending, that get one shared label (every degree below
-    n - 2, and n - 2 itself when some hyperplane is multiple).  The
-    lattice lists the hyperplanes first and in order, and every edge
-    after them is in_sigma, so each edge is read once."""
-    n, r, edges = arr.n, arr.r, arr.lattice.edges
+    n - 2, and n - 2 itself when some hyperplane is multiple)."""
+    n = arr.n
     multiple = {j for j, m in enumerate(arr.mults) if m > 1}
-    strata = [(edges[j], True) for j in sorted(multiple)]
-    strata += [(e, e.codim == 2 and multiple.isdisjoint(e.index_set))
-               for e in edges[r:]]
+    strata = [(e, e.codim == 1 or (e.codim == 2
+                                   and multiple.isdisjoint(e.index_set)))
+              for e in arr.lattice.edges if in_sigma(e)]
     top = n - 2 if multiple else n - 3
     return strata, range(top, -1, -1) if strata else ()
 

@@ -144,6 +144,20 @@ MUTANTS = {
         [f"{PROPS}::test_no_vector_stores_a_zero",
          "tests/test_strata.py::TestTraceAndSpecializations"
          "::test_three_specializations"]),
+    # labels and strata read one rule, so the multiple hyperplanes lose
+    # both their labels and their strata
+    "sigma-rule-drops-multiple-hyperplanes": (
+        "src/hmclass/arrangement.py",
+        "    return edge.codim > 1 or edge.m_s > 1\n",
+        "    return edge.codim > 1\n",
+        [f"{CORPUS}[doubleline-milnor]", f"{CORPUS}[doubleline-lattice]"]),
+    "localization-misreads-euler": (
+        "src/hmclass/arrangement.py",
+        "for e, euler in zip(self.edges, self.euler)])",
+        "for e, euler in zip(self.edges, self.euler[1:] + self.euler[:1])])",
+        [f"{CORPUS}[concurrent3-milnor]",
+         "tests/test_arrangement.py::TestStrata"
+         "::test_localizations_are_one_table"]),
     "m-y-keeps-cancelled-sum": (
         "src/hmclass/milnor.py",
         "return {name: v for name, v in totals.items() if v}",

@@ -300,8 +300,9 @@ class TestEdges:
                     assert t.m_s == s.m_s + m_rel
 
     def test_key_text_and_identity(self):
-        # twelve lines, three of them through [0:0:1]; the key is built with
-        # the edge and kept beside the three fields
+        # twelve lines, three of them through [0:0:1]; the search passes
+        # each edge its key, the 1-based index set as text, kept beside the
+        # three fields
         others = iter((1, i, i * i) for i in range(2, 11))
         covs = [(1, 0, 0) if j == 0 else (0, 1, 0) if j == 9
                 else (1, 1, 0) if j == 11 else next(others)
@@ -311,13 +312,11 @@ class TestEdges:
         assert point.index_set == (0, 9, 11) and point.codim == 2
         fields = {"index_set", "codim", "m_s", "key"}
         for e in edges(arr):
-            twin = arrangement.Edge(e.index_set, e.codim, e.m_s)
-            assert set(vars(twin)) == fields  # stored before any read
+            twin = arrangement.Edge(e.index_set, e.codim, e.m_s, e.key)
+            assert set(vars(e)) == set(vars(twin)) == fields
             assert e.key == ",".join(str(j + 1) for j in e.index_set)
-            assert vars(e)["key"] is e.key  # built once, then kept
-            assert twin.key == e.key and set(vars(twin)) == fields
-        moved = arrangement.Edge((1, 2), point.codim, point.m_s)
-        assert moved.key == "2,3" and point.key == "1,10,12"
+            assert vars(e)["key"] is e.key  # stored once, then kept
+            assert twin.key is e.key
 
     def test_cover_walks_against_filters(self):
         rng = random.Random(9)
@@ -362,10 +361,11 @@ class TestStrata:
                 seen[arr.n, s.dim] += 1
         assert all(seen[n, d] for n in (2, 3, 4) for d in range(n)), seen
 
-    def test_one_pass_lists_what_localize_built(self):
-        # sigma_strata builds, in one pass, each localization localize has
-        # not built yet, with the fields localize gives it, and lists the
-        # very objects localize built first: the lattice keeps them all
+    def test_localizations_are_one_table(self):
+        # the lattice holds one localization per edge, off the singular
+        # locus too: localize reads it by position, its fields are the
+        # edge's multiplicities, Euler number and dimension, and
+        # sigma_strata lists the very records in_sigma admits, in order
         rng = random.Random(22)
         arrs = [corpus.load(name) for name in corpus.ALL_NAMES]
         for n, k in [(2, 7), (3, 6), (4, 6)] * 3:
@@ -373,17 +373,18 @@ class TestStrata:
             arrs.append(build(n, [(c, rng.choice((1, 1, 2, 3)))
                                   for c in covs]))
         for arr in arrs:
-            edges = [e for e in arr.lattice.edges if in_sigma(e)]
-            first = {e.key: localize(arr, e) for e in edges[::2]}
-            strata = sigma_strata(arr)
-            assert [s.edge for s in strata] == edges
-            alone = Arrangement(arr.n, arr.covectors, arr.mults)
-            for s in strata:
-                assert s is first.get(s.key, s) is localize(arr, s.edge)
-                other = localize(alone, alone.lattice.edges[
-                    alone.lattice.position[s.edge.index_set]])
-                assert (s.mults, s.euler, s.dim, s.key) == (
-                    other.mults, other.euler, other.dim, other.key), s.key
+            lattice = arr.lattice
+            table = lattice.localizations
+            assert len(table) == len(lattice.edges)
+            for i, e in enumerate(lattice.edges):
+                loc = localize(arr, e)
+                assert loc is table[i] and loc.edge is e, e.key
+                assert loc.mults == tuple(arr.mults[j] for j in e.index_set)
+                assert (loc.euler, loc.dim) == (lattice.euler[i],
+                                                arr.n - e.codim), e.key
+            listed = [loc for loc in table if in_sigma(loc.edge)]
+            for s, loc in zip(sigma_strata(arr), listed, strict=True):
+                assert s is loc, s.key
 
 
 class TestLocalizedChi:

@@ -647,8 +647,9 @@ class TestOneStrataPass:
 
 
 class TestOnePass:
-    """Per report: one lattice search, one localization per edge asked
-    about, shared by every consumer through the lattice, one model per
+    """Per report: one lattice search, one localization per edge, built
+    in one pass by the lattice for a report that reads any (none for
+    `lattice` and `chi-y`) and shared by every consumer, one model per
     surface stratum and none for a point or a curve (one per listed
     stratum with --dump-strata), one read of each curve's lattice row (two
     with --dump-strata, whose model reads it again) and none of a point's
@@ -718,8 +719,8 @@ class TestOnePass:
                 # one germ per distinct (codim, mults) in the report
                 assert len(classified) == len(local_types), path
                 assert len(calls["_search_edges"]) == 1, path
-                assert len(calls["LocalizedArrangement"]) == len(strata_), \
-                    path
+                assert len(calls["LocalizedArrangement"]) == \
+                    len(arr.lattice.edges), path
                 compactified = sorted(s.key for _, s in calls["compactify"])
                 assert compactified == (listed if dump else want), path
                 assert (len(calls["_stratum_contribution"])
@@ -787,7 +788,7 @@ class TestOnePass:
                 assert code == 0, capsys.readouterr().err
             assert len(calls["_search_edges"]) == 1, path
             assert len(calls["LocalizedArrangement"]) == \
-                len(sigma_strata(arr)), path
+                len(arr.lattice.edges), path
             assert not calls["compactify"], path
 
     def test_lattice(self, monkeypatch, tmp_path, capsys):
@@ -835,10 +836,16 @@ class TestOnePass:
         tables.write_text(json.dumps(raw))
         with monkeypatch.context() as patch:
             calls = self.counters(patch)
+            listed = count_calls(patch, arrangement, "sigma_strata")
             code = cli.main([command, str(source), "--tables", str(tables)])
             assert code == 0, capsys.readouterr().err
         assert len(calls["_search_edges"]) == 1
-        assert len(calls["LocalizedArrangement"]) == len(sigma_strata(arr))
+        assert len(calls["LocalizedArrangement"]) == len(arr.lattice.edges)
+        # the record the table was validated against is the stratum the
+        # report lists
+        loaded, validated = listed[0][0], calls["sp_validate"][0][1]
+        assert validated.key == "1,2,3,4"
+        assert any(s is validated for s in sigma_strata(loaded))
         # the table is validated once, on load, and a spectra report
         # validates each catalogue germ once
         germs = {stratum_germ(s) for s in sigma_strata(arr)} - {None}

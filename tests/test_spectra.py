@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from hmclass import corpus
+from hmclass import corpus, spectra
 from hmclass.arrangement import build, edges, localize, sigma_strata
 from hmclass.spectra import (GermKind, Spectrum, SpectrumError,
                              SpectrumValidationError, classify_germ,
@@ -206,6 +206,23 @@ class TestUserTables:
         arr = corpus.load("concurrent3")
         with pytest.raises(SpectrumValidationError):
             sp_user_load({"1,2,3": [{"alpha": "1", "mult": 1}]}, arr)
+
+    def test_table_off_sigma_checked_against_its_localization(
+            self, monkeypatch):
+        # a reduced hyperplane is no stratum, yet a table may name it: it is
+        # validated against the lattice's localization at that hyperplane
+        arr = corpus.load("triangle3")
+        real, seen = spectra.sp_validate, []
+        monkeypatch.setattr(spectra, "sp_validate",
+                            lambda sp, loc: seen.append(loc) or real(sp, loc))
+        with pytest.raises(SpectrumValidationError) as info:
+            sp_user_load({"1": [{"alpha": "1/2", "mult": 1}]}, arr)
+        assert str(info.value) == (
+            "table for edge 1 rejected: support: exponent 1/2 has "
+            "denominator not dividing 1; mass: total 1 != expected 0")
+        assert seen == [arr.lattice.localizations[0]]
+        assert seen[0] is localize(arr, arr.lattice.edges[0])
+        assert seen[0] not in sigma_strata(arr)
 
     def test_unknown_edge_rejected(self):
         # a table names an edge by its key text exactly: another spelling
