@@ -352,9 +352,9 @@ def run_builtin_checks() -> list:
                       for n in ("concurrent3", "triangle3", "quad6a", "quad6b")))
 
     def invariance_pair():
-        rep_a = reports["quad6a"]
-        rep_b = reports["quad6b"]
-        moved = relabel_vector(rep_a.m_y, corpus.QUAD6_BIJECTION, rep_b.schema)
+        rep_a, rep_b = reports["quad6a"], reports["quad6b"]
+        moved = relabel_vector(rep_a.m_y, corpus.QUAD6_BIJECTION,
+                               rep_a.schema, rep_b.schema)
         return moved == rep_b.m_y
 
     check("combinatorial invariance of the 6-line pair", invariance_pair)

@@ -12,7 +12,8 @@ A report whose parts repeat is written as a skeleton with holes:
 parts(value, depth) is the text of dumps(value, depth) cut at each HOLE,
 and splice(value, fills) fills each hole with a text rendered elsewhere,
 such as dumps of a repeated part at its depth, rendered once however
-often it occurs.  No other module writes JSON punctuation or indents.
+often it occurs.  No other module writes JSON punctuation or indents,
+but MilnorReport.json_chunks re-indents depth-1 pieces for depth 2.
 """
 
 from __future__ import annotations

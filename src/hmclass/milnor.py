@@ -39,8 +39,8 @@ from .jsontext import HOLE, dumps, parts, splice
 from .rings import combine
 from .spectra import SpectrumError, stratum_germs
 from .strata import (EXT_HALF_OPEN_DOWN, EXT_HALF_OPEN_UP, LabelSchema,
-                     SigmaChowVector, boundary_edges, build_labels,
-                     check_envelope, compactify, push_to_sigma, twist_offsets)
+                     boundary_edges, build_labels, check_envelope, compactify,
+                     push_to_sigma, specializations, trace, twist_offsets)
 
 __all__ = [
     "MilnorError",
@@ -113,11 +113,13 @@ ALL_CONVENTIONS = tuple(
 
 
 class MilnorReport:
+    """An assembled class and its checks.  m_y, chern_path and each value
+    of per_stratum and of specializations are Chow vectors on schema."""
+
     def __init__(self, arrangement: Arrangement, conventions: ConventionSet,
-                 schema: LabelSchema, m_y: SigmaChowVector, per_stratum: dict,
-                 degree0: dict, specializations: dict,
-                 chern_path: SigmaChowVector, cross_path_ok: bool,
-                 listed: dict):
+                 schema: LabelSchema, m_y: dict, per_stratum: dict,
+                 degree0: dict, specializations: dict, chern_path: dict,
+                 cross_path_ok: bool, listed: dict):
         self.arrangement, self.conventions = arrangement, conventions
         self.schema, self.m_y, self.per_stratum = schema, m_y, per_stratum
         self.degree0, self.specializations = degree0, specializations
@@ -181,9 +183,9 @@ def _label_block(pieces: list, slot: dict, depth: int, to_json):
     zeros[1::2] = [dumps(to_json(RatFuncY()), depth + 1)] * len(slot)
     rendered = {}  # normal form of a coefficient -> its text, per report
 
-    def block(vec: SigmaChowVector) -> str:
+    def block(vec: dict) -> str:
         out = zeros[:]
-        for name, value in vec.values.items():
+        for name, value in vec.items():
             form = (value.num, value.den, value.k)
             text = rendered.get(form)
             if text is None:
@@ -466,9 +468,9 @@ def assemble(arr: Arrangement, user_tables: dict = None,
     germ is compactified; a point or a curve contributes from its lattice
     row.  Strata with the same type key get the same contribution, which
     is computed once per report from the key alone; a stratum's vector is
-    push_to_sigma's output as it stands, and M_y adds each label's
-    coefficient of each type once, times the number of strata that push
-    it there.
+    push_to_sigma's label -> coefficient dict as it stands, and M_y adds
+    each label's coefficient of each type once, times the number of
+    strata that push it there.
     """
     strata = sigma_strata(arr)
     schema = build_labels(arr)
@@ -499,35 +501,33 @@ def assemble(arr: Arrangement, user_tables: dict = None,
             if conv.sign_mode == "flip_odd_strata" and s.dim % 2 == 1:
                 coeffs = [-c for c in coeffs]
             memo[key] = coeffs
-        contribution = SigmaChowVector(schema,
-                                       push_to_sigma(schema, s, coeffs))
-        per_stratum[s.key] = contribution
-        for name, v in contribution.values.items():
+        contribution = per_stratum[s.key] = push_to_sigma(schema, s, coeffs)
+        for name, v in contribution.items():
             push = pushes.get((name, id(v)))
             if push is None:
                 pushes[name, id(v)] = [v, 1]
             else:
                 push[1] += 1
-    m_y = SigmaChowVector(schema, _sum_pushes(pushes))
+    m_y = _sum_pushes(pushes)
 
     chern_path = chern_milnor(arr, schema, strata)
-    specializations = m_y.specializations()
+    at = specializations(m_y)
     return MilnorReport(
         arrangement=arr,
         conventions=conv,
         schema=schema,
         m_y=m_y,
         per_stratum=per_stratum,
-        degree0=degree0_check(arr, m_y),
-        specializations=specializations,
+        degree0=degree0_check(arr, schema, m_y),
+        specializations=at,
         chern_path=chern_path,
-        cross_path_ok=(specializations[-1] == chern_path),
+        cross_path_ok=(at[-1] == chern_path),
         listed=listed,
     )
 
 
 def chern_milnor(arr: Arrangement, schema: LabelSchema,
-                 strata: list) -> SigmaChowVector:
+                 strata: list) -> dict:
     """Euler-weighted Chern-class path: the sum over strata of the reduced
     Milnor-fiber Euler number chi~ times c(T(-log D)) of the stratum's
     compactification, pushed to the Chow basis.  Needs no spectra, no
@@ -562,24 +562,23 @@ def chern_milnor(arr: Arrangement, schema: LabelSchema,
                 terms = ((shared[1], 2 - lines), (shared[0], chi - 2 + lines))
             for name, v in terms:
                 totals[name] = totals.get(name, 0) + chi_tilde * v
-    return SigmaChowVector(schema, {name: RatFuncY.from_ints((v,))
-                                    for name, v in totals.items() if v})
+    return {name: RatFuncY.from_ints((v,)) for name, v in totals.items() if v}
 
 
-def degree0_check(arr: Arrangement, m_y: SigmaChowVector) -> dict:
-    """Compare the trace of the assembled class with the wholly independent
-    degree-zero difference: the virtual genus of the divisor degree minus
-    the chi_y genus of the underlying reduced divisor."""
+def degree0_check(arr: Arrangement, schema: LabelSchema, m_y: dict) -> dict:
+    """Compare the trace of the assembled class m_y on schema with the
+    wholly independent degree-zero difference: the virtual genus of the
+    divisor degree minus the chi_y genus of the underlying reduced divisor."""
     vg = virtual_genus(arr.m, arr.n)
     cx = chi_y(arr)
     delta = vg - cx
-    trace = m_y.trace().as_poly()
+    total = trace(schema, m_y).as_poly()
     return {
         "virtual_genus": vg.as_strings(),
         "chi_y_X": cx.as_strings(),
         "delta": delta.as_strings(),
-        "trace_M_y": trace.as_strings(),
-        "equal": delta == trace,
+        "trace_M_y": total.as_strings(),
+        "equal": delta == total,
     }
 
 

@@ -9,14 +9,14 @@ basis: the boundary components, the base Deligne-extension class and
 the boundary summed by residue (the classes a Deligne power twists).
 Only a surface's contribution pairs such classes; a curve's type key
 reads its edge's lattice row (boundary_edges, from which compactify
-builds a curve's boundary too).  A contribution is a few
-integers per power of y, one coefficient per codegree on the closure
-P^d, which the pushforward takes to the labeled Chow basis of the
-singular locus.  The Chern path reads the lattice alone and builds no
-model: c(T(-log D)), pushed to a stratum's closure P^d, is the CSM class
-of the open stratum minus the generic section (Aluffi 1999), so with chi
-the open stratum's Euler number and L its boundary lines it is 1 on a
-point, 1 + (chi - 1) pt on a curve, and 1 + (2 - L) line
+builds a curve's boundary too).  A contribution is a few integers per
+power of y, one coefficient per codegree on the closure P^d, which the
+pushforward takes to a Chow vector of the singular locus, a dict from
+label to nonzero coefficient.  The Chern path reads the lattice alone and
+builds no model: c(T(-log D)), pushed to a stratum's closure P^d, is the
+CSM class of the open stratum minus the generic section (Aluffi 1999),
+so with chi the open stratum's Euler number and L its boundary lines it
+is 1 on a point, 1 + (chi - 1) pt on a curve, and 1 + (2 - L) line
 + (chi - 2 + L) pt on a surface (milnor.chern_milnor).
 """
 
@@ -44,7 +44,8 @@ __all__ = [
     "power_identity_holds",
     "LabelSchema",
     "build_labels",
-    "SigmaChowVector",
+    "trace",
+    "specializations",
     "push_to_sigma",
     "chow_dims",
     "homology_weight_dims",
@@ -367,72 +368,48 @@ def build_labels(arr: Arrangement) -> LabelSchema:
     return LabelSchema(tuple(labels), fundamental, shared)
 
 
-class SigmaChowVector:
-    """Element of the labeled Chow basis with rational-function-in-y
-    coefficients (polynomial after full assembly).  values holds the
-    nonzero coefficients only: each builder drops its zeros as it makes
-    them (push_to_sigma, specializations, and in milnor the sum of the
-    pushes and the Chern path), and the vector keeps values as given."""
+def trace(schema: LabelSchema, vec: dict) -> RatFuncY:
+    """Sum of a vector's degree-zero coefficients (each basis point has
+    degree one).  Strata of one local type carry equal coefficients, so
+    each distinct normal form is added once, times the number of labels
+    that hold it."""
+    counts = {}  # (num, den, k) -> labels holding it
+    for l in schema.labels:
+        if l.degree == 0:
+            v = vec.get(l.name)
+            if v is not None:
+                form = (v.num, v.den, v.k)
+                counts[form] = counts.get(form, 0) + 1
+    acc = RatFuncY.ZERO
+    for (num, den, k), count in counts.items():
+        acc = acc + RatFuncY.from_ints([count * c for c in num], den, k)
+    return acc
 
-    __slots__ = ("schema", "values")
 
-    def __init__(self, schema: LabelSchema, values: dict):
-        self.schema, self.values = schema, values
-
-    def __eq__(self, other):
-        if not isinstance(other, SigmaChowVector):
-            return NotImplemented
-        return self.values == other.values
-
-    def coefficient(self, name: str) -> RatFuncY:
-        return self.values.get(name, RatFuncY.ZERO)
-
-    def trace(self) -> RatFuncY:
-        """Sum of the degree-zero coefficients (each basis point has
-        degree one).  Strata of one local type carry equal coefficients,
-        so each distinct normal form is added once, times the number of
-        labels that hold it."""
-        counts = {}  # (num, den, k) -> labels holding it
-        for l in self.schema.labels:
-            if l.degree == 0:
-                v = self.values.get(l.name)
-                if v is not None:
-                    form = (v.num, v.den, v.k)
-                    counts[form] = counts.get(form, 0) + 1
-        acc = RatFuncY.ZERO
-        for (num, den, k), count in counts.items():
-            acc = acc + RatFuncY.from_ints([count * c for c in num], den, k)
-        return acc
-
-    def specializations(self) -> dict:
-        """y0 -> the vector at y = y0, for y0 = -1, 0 and 1, in one pass:
-        strata of one local type carry equal coefficients, so each
-        distinct normal form is evaluated once, and its zero values are
-        dropped there.  A value must be a polynomial num / den (any other
-        has a pole at -1): at -1, 0 and 1 it is the alternating sum of
-        num, num[0] and the sum of num, over den."""
-        at = {}  # (num, den, k) -> its nonzero values, each with its out
-        outs = {-1: {}, 0: {}, 1: {}}
-        for name, v in self.values.items():
-            form = (v.num, v.den, v.k)
-            cs = at.get(form)
-            if cs is None:
-                if v.k:
-                    raise ZeroDivisionError(
-                        f"pole at y = -1: non-polynomial value {v}")
-                num, den = v.num, v.den
-                values = (sum(num[::2]) - sum(num[1::2]), num[0], sum(num))
-                cs = at[form] = [(out, RatFuncY.from_ints((c,), den))
-                                 for out, c in zip(outs.values(), values)
-                                 if c]
-            for out, c in cs:
-                out[name] = c
-        return {y0: SigmaChowVector(self.schema, out)
-                for y0, out in outs.items()}
-
-    def __repr__(self):
-        items = [f"{k}: {v}" for k, v in self.values.items()]
-        return "SigmaChowVector(" + ", ".join(items) + ")"
+def specializations(vec: dict) -> dict:
+    """y0 -> the vector at y = y0, for y0 = -1, 0 and 1, in one pass:
+    strata of one local type carry equal coefficients, so each distinct
+    normal form is evaluated once, and its zero values are dropped there.
+    A value must be a polynomial num / den (any other has a pole at -1):
+    at -1, 0 and 1 it is the alternating sum of num, num[0] and the sum
+    of num, over den."""
+    at = {}  # (num, den, k) -> its nonzero values, each with its out
+    outs = {-1: {}, 0: {}, 1: {}}
+    for name, v in vec.items():
+        form = (v.num, v.den, v.k)
+        cs = at.get(form)
+        if cs is None:
+            if v.k:
+                raise ZeroDivisionError(
+                    f"pole at y = -1: non-polynomial value {v}")
+            num, den = v.num, v.den
+            values = (sum(num[::2]) - sum(num[1::2]), num[0], sum(num))
+            cs = at[form] = [(out, RatFuncY.from_ints((c,), den))
+                             for out, c in zip(outs.values(), values)
+                             if c]
+        for out, c in cs:
+            out[name] = c
+    return outs
 
 
 def push_to_sigma(schema: LabelSchema, stratum: LocalizedArrangement,
@@ -442,7 +419,9 @@ def push_to_sigma(schema: LabelSchema, stratum: LocalizedArrangement,
     label -> coefficient.  Codegree 0, the fundamental class, lands on the
     label of the stratum's closure, and codegree j > 0 on the shared label
     of homology degree dim - j, so no two land on one label.  A model
-    serves as its stratum."""
+    serves as its stratum.  Such a dict is a Chow vector: it holds the
+    nonzero coefficients only, as each builder drops its zeros where it
+    makes them (here, specializations, milnor's sums and Chern path)."""
     out = {}
     for j, c in enumerate(coeffs):
         if c:
@@ -451,21 +430,21 @@ def push_to_sigma(schema: LabelSchema, stratum: LocalizedArrangement,
     return out
 
 
-def relabel_vector(vec: SigmaChowVector, perm: dict,
-                   target: LabelSchema) -> SigmaChowVector:
-    """Transport a vector along a hyperplane relabeling (1-based index map),
-    for comparing lattice-isomorphic arrangements."""
+def relabel_vector(vec: dict, perm: dict, source: LabelSchema,
+                   target: LabelSchema) -> dict:
+    """Transport a vector on source along a hyperplane relabeling (1-based
+    index map) to target, for comparing lattice-isomorphic arrangements."""
     values = {}
-    for l in vec.schema.labels:
-        if l.name not in vec.values:
+    for l in source.labels:
+        if l.name not in vec:
             continue
         if l.edge_key:
             moved = sorted(perm[int(j)] for j in l.edge_key.split(","))
             name = target.fundamental[",".join(map(str, moved))]
         else:
             name = target.shared[l.degree]
-        values[name] = vec.values[l.name]
-    return SigmaChowVector(target, values)
+        values[name] = vec[l.name]
+    return values
 
 
 # ---------------------------------------------------------------------------

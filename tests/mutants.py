@@ -32,6 +32,7 @@ STREAMED = f"{PROPS}::test_streamed_report_matches_dense_reference"
 LATTICE_SIDE = f"{PROPS}::test_lattice_side_reports_match_json_dumps"
 CORPUS = "tests/test_cli.py::test_corpus_report_matches_golden"
 REGROUPED = "tests/test_milnor.py::TestRegroupedContribution"
+SPECIALIZED = f"{PROPS}::test_specializations_and_trace_read_every_label"
 
 # name -> (file, old text, new text, node ids that must fail)
 MUTANTS = {
@@ -139,11 +140,26 @@ MUTANTS = {
     "specialization-keeps-zero": (
         "src/hmclass/strata.py",
         "for out, c in zip(outs.values(), values)\n"
-        "                                 if c]",
+        "                             if c]",
         "for out, c in zip(outs.values(), values)]",
         [f"{PROPS}::test_no_vector_stores_a_zero",
          "tests/test_strata.py::TestTraceAndSpecializations"
          "::test_three_specializations"]),
+    # a coefficient's value at y = 1 is the sum of its numerator over den
+    "specialization-at-one-reads-constant": (
+        "src/hmclass/strata.py",
+        "num[0], sum(num))",
+        "num[0], num[0])",
+        [SPECIALIZED,
+         "tests/test_strata.py::TestTraceAndSpecializations"
+         "::test_three_specializations"]),
+    # a vector is keyed by the labels of its source schema; the target's
+    # names differ under any relabeling that moves an edge
+    "relabel-reads-target-labels": (
+        "src/hmclass/strata.py",
+        "    for l in source.labels:\n",
+        "    for l in target.labels:\n",
+        ["tests/test_milnor.py::TestInvariance", CROSS_PATH]),
     # labels and strata read one rule, so the multiple hyperplanes lose
     # both their labels and their strata
     "sigma-rule-drops-multiple-hyperplanes": (

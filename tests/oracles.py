@@ -57,8 +57,8 @@ from hmclass.rings import ProjRing, RingElement, combine, exp_nilpotent
 from hmclass.spectra import (Spectrum, SpectrumError, classify_germ, sp_shift,
                              sp_user_load, sp_validate, stratum_germ,
                              stratum_spectrum)
-from hmclass.strata import (EXT_HALF_OPEN_UP, SigmaChowVector, StrataError,
-                            build_labels, compactify)
+from hmclass.strata import (EXT_HALF_OPEN_UP, StrataError, build_labels,
+                            compactify)
 
 
 def series_coeffs(expr, var, order):
@@ -415,7 +415,7 @@ def by_codegree(model, coeffs) -> list:
             if not name.startswith("eps")]
 
 
-def chern_milnor_by_classes(arr) -> SigmaChowVector:
+def chern_milnor_by_classes(arr) -> dict:
     """The Euler-weighted Chern path with RatFuncY classes: per stratum,
     chi~ of its Milnor fiber times log_tangent_by_chern, pushed by
     push_by_basis."""
@@ -427,7 +427,7 @@ def chern_milnor_by_classes(arr) -> SigmaChowVector:
         cls = log_tangent_by_chern(model) * chi_tilde
         for label, c in push_by_basis(schema, model, cls.coeffs).items():
             out[label] = out.get(label, RatFuncY.ZERO) + c
-    return nonzero_vector(schema, out)
+    return nonzero_vector(out)
 
 
 def _exp_minus_one_powers(dim: int) -> list:
@@ -814,46 +814,45 @@ def arrangement_to_json(arr) -> dict:
     }
 
 
-def vector_sum(schema, vecs) -> SigmaChowVector:
-    """Sum of sparse Chow vectors over one schema."""
+def vector_sum(vecs) -> dict:
+    """Sum of sparse Chow vectors (label -> coefficient dicts)."""
     out = {}
     for vec in vecs:
-        for name, v in vec.values.items():
+        for name, v in vec.items():
             out[name] = out.get(name, RatFuncY.ZERO) + v
-    return nonzero_vector(schema, out)
+    return nonzero_vector(out)
 
 
-def vector_scale(vec: SigmaChowVector, scalar) -> SigmaChowVector:
-    return nonzero_vector(
-        vec.schema, {k: v * scalar for k, v in vec.values.items()})
+def vector_scale(vec: dict, scalar) -> dict:
+    return nonzero_vector({k: v * scalar for k, v in vec.items()})
 
 
-def nonzero_vector(schema, values: dict) -> SigmaChowVector:
-    """The vector of values with its zero coefficients dropped: a
-    SigmaChowVector keeps its values as given, and holds no zero."""
-    return SigmaChowVector(schema, {k: v for k, v in values.items() if v})
+def nonzero_vector(values: dict) -> dict:
+    """The vector of values with its zero coefficients dropped: a Chow
+    vector holds no zero."""
+    return {k: v for k, v in values.items() if v}
 
 
-def vector_is_polynomial(vec: SigmaChowVector) -> bool:
-    return all(v.is_polynomial() for v in vec.values.values())
+def vector_is_polynomial(vec: dict) -> bool:
+    return all(v.is_polynomial() for v in vec.values())
 
 
-def vector_to_json(vec: SigmaChowVector) -> dict:
+def vector_to_json(schema, vec: dict) -> dict:
     """Coefficient strings for every label of the schema, in order, each
     written by str of its Fraction, not by the writer's text path."""
     out = {}
-    for name in vec.schema.names():
-        value = vec.coefficient(name).as_poly()
+    for name in schema.names():
+        value = vec.get(name, RatFuncY.ZERO).as_poly()
         out[name] = [str(Fraction(c, value.den)) for c in value.num]
     return out
 
 
-def vector_constants(vec: SigmaChowVector) -> dict:
+def vector_constants(schema, vec: dict) -> dict:
     """Constant term of the coefficient on every schema label, in order,
     written by str of its Fraction."""
     out = {}
-    for name in vec.schema.names():
-        value = vec.coefficient(name)
+    for name in schema.names():
+        value = vec.get(name, RatFuncY.ZERO)
         out[name] = str(Fraction(value.num[0] if value.num else 0, value.den))
     return out
 
@@ -862,6 +861,7 @@ def report_to_json(report, dump_strata: bool = False) -> dict:
     """A Milnor report as one dense dict, every schema label listed for
     every vector: json.dumps(..., indent=2) + "\\n" of it is the report
     text."""
+    schema = report.schema
     out = {
         "n": report.arrangement.n,
         "m": report.arrangement.m,
@@ -869,16 +869,16 @@ def report_to_json(report, dump_strata: bool = False) -> dict:
             "sign_mode": report.conventions.sign_mode,
             "extension_mode": report.conventions.extension_mode,
         },
-        "M_y": vector_to_json(report.m_y),
-        "per_stratum": {k: vector_to_json(v)
+        "M_y": vector_to_json(schema, report.m_y),
+        "per_stratum": {k: vector_to_json(schema, v)
                         for k, v in report.per_stratum.items()},
-        "specializations": {str(y0): vector_constants(vec)
+        "specializations": {str(y0): vector_constants(schema, vec)
                             for y0, vec in report.specializations.items()},
         "degree0": report.degree0,
         "cross_path_ok": report.cross_path_ok,
         "cross_path": {
             "ok": report.cross_path_ok,
-            "chern_milnor": vector_constants(report.chern_path),
+            "chern_milnor": vector_constants(schema, report.chern_path),
         },
     }
     if dump_strata:

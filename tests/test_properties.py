@@ -37,9 +37,9 @@ from hmclass.milnor import (ALL_CONVENTIONS, DEFAULT_CONVENTIONS,
                             chern_milnor)
 from hmclass.rings import ProjRing, RingElement
 from hmclass.spectra import GermKind, sp_user_load, stratum_germ
-from hmclass.strata import (SigmaChowVector, build_labels, chow_dims,
-                            compactify, homology_weight_dims, push_to_sigma,
-                            relabel_vector)
+from hmclass.strata import (build_labels, chow_dims, compactify,
+                            homology_weight_dims, push_to_sigma,
+                            relabel_vector, trace)
 from oracles import (BlownPlaneRing, arrangement_to_json, by_codegree,
                      chern_milnor_by_classes, chern_to_ch,
                      chi_y_stratum_by_whitney, dense_by_bipartition,
@@ -93,7 +93,8 @@ def test_cross_path_reruns_and_relabeling(case):
     assert "".join(again.json_chunks(True)) == "".join(rep.json_chunks(True))
     shuffled = assemble(build(n, [hyperplanes[i] for i in order]))
     perm = {old + 1: new + 1 for new, old in enumerate(order)}
-    assert relabel_vector(rep.m_y, perm, shuffled.schema) == shuffled.m_y
+    assert (relabel_vector(rep.m_y, perm, rep.schema, shuffled.schema)
+            == shuffled.m_y)
 
 
 @SETTINGS
@@ -172,7 +173,7 @@ def test_euler_defect_is_trace_plus_curve_terms(case):
     curves = sum(transversal_milnor_number(s)
                  for s in strata if s.dim == 1)
     term = (-1) ** (n - 1) * curves * (arr.m - 1)
-    assert rep.m_y.trace()(-1) + term == euler_defect(arr)
+    assert trace(rep.schema, rep.m_y)(-1) + term == euler_defect(arr)
 
 
 @st.composite
@@ -205,7 +206,7 @@ def pushed_by_terms(arr, stratum, germ, conv, schema):
     elem = stratum_contribution_by_terms(arr, stratum, sp, model, conv)
     if conv.sign_mode == "flip_odd_strata" and stratum.dim % 2 == 1:
         elem = -elem
-    return SigmaChowVector(schema, push_by_basis(schema, model, elem.coeffs))
+    return push_by_basis(schema, model, elem.coeffs)
 
 
 def test_type_key_is_sound():
@@ -240,7 +241,7 @@ def test_type_key_is_sound():
                 if conv.sign_mode == "flip_odd_strata" and s.dim % 2 == 1:
                     coeffs = [-c for c in coeffs]
                 got = push_to_sigma(rep.schema, s, coeffs)
-                assert SigmaChowVector(rep.schema, got) == want, (s.key, conv)
+                assert got == want, (s.key, conv)
         seen[n] += 1
         seen["tables"] += bool(tables)
         seen["repeats"] += len(keys) < len(rep.per_stratum)
@@ -399,7 +400,7 @@ def test_euler_defect_is_trace_plus_generic_section_terms():
     def check(case):
         n, hyperplanes, _ = case
         arr, rep = with_tables(n, hyperplanes)
-        assert (rep.m_y.trace()(-1) + generic_section_euler(arr)
+        assert (trace(rep.schema, rep.m_y)(-1) + generic_section_euler(arr)
                 == euler_defect(arr))
         seen[n] += 1
         seen[n, "surface"] += any(s.dim == 2 for s in sigma_strata(arr))
@@ -442,7 +443,7 @@ def test_pushed_class_matches_additivity_from_sigma_dimension_up():
         virtual = virtual_pushed(arr.m, n)
         reduced = hirzebruch_class_by_additivity(arr)
         for k in range(max(s.dim for s in strata), n):
-            pushed = sum((rep.m_y.coefficient(label.name)
+            pushed = sum((rep.m_y.get(label.name, RatFuncY.ZERO)
                           for label in rep.schema.labels
                           if label.degree == k), RatFuncY.ZERO)
             assert pushed == virtual.coeff(n - k) - reduced[k], (arr, k)
@@ -1098,19 +1099,23 @@ def test_mutated_inputs_exit_with_a_code_never_a_traceback():
 
 
 def stored_zeros(rep) -> list:
-    """(vector, label) for each value of a report's vectors that is zero."""
+    """(vector, label) for each value of a report's vectors that is zero,
+    and for each label of one that is not in the report's schema, which
+    the writer has no place for."""
     vectors = {"M_y": rep.m_y, "chern_path": rep.chern_path,
                **{f"per_stratum {k}": v for k, v in rep.per_stratum.items()},
                **{f"specialization {y0}": v
                   for y0, v in rep.specializations.items()}}
+    names = set(rep.schema.names())
     return [(where, name) for where, vec in vectors.items()
-            for name, v in vec.values.items() if v.is_zero()]
+            for name, v in vec.items() if v.is_zero() or name not in names]
 
 
 def test_no_vector_stores_a_zero():
-    # each builder drops its zeros as it makes them and a SigmaChowVector
-    # keeps its values as given, so no vector of a report holds a zero:
-    # on the corpus and on random P^2 to P^4 draws, under every convention
+    # each builder drops its zeros as it makes them and nothing filters a
+    # vector afterwards, so no vector of a report holds a zero, nor a
+    # label outside the schema: on the corpus and on random P^2 to P^4
+    # draws, under every convention
     for name in ALL_NAMES:
         arr = corpus.load(name)
         for conv in ALL_CONVENTIONS:
@@ -1130,9 +1135,38 @@ def test_no_vector_stores_a_zero():
             _, rep = with_tables(n, hyperplanes, conv)
             assert not stored_zeros(rep), conv.label()
             seen["zero at a point"] += any(
-                len(v.values) < len(rep.m_y.values)
-                for v in rep.specializations.values())
+                len(v) < len(rep.m_y) for v in rep.specializations.values())
         seen[n] += 1
 
     check()
     assert seen[2] and seen[3] and seen[4] and seen["zero at a point"], seen
+
+
+def test_specializations_and_trace_read_every_label():
+    # the specializations and the trace evaluate, or add, each distinct
+    # coefficient once; each must equal the label-by-label value: every
+    # label evaluated on its own at y0, and the degree-0 labels summed one
+    # by one
+    seen = Counter()
+
+    @settings(SETTINGS, phases=NO_SHRINK)
+    @given(st.one_of(arrangements(), p4_arrangements()))
+    def check(case):
+        n, hyperplanes, _ = case
+        for conv in ALL_CONVENTIONS:
+            _, rep = with_tables(n, hyperplanes, conv)
+            for y0 in (-1, 0, 1):
+                want = {name: RatFuncY([v(y0)])
+                        for name, v in rep.m_y.items() if v(y0)}
+                assert rep.specializations[y0] == want, (y0, conv.label())
+            total = RatFuncY.ZERO
+            for label in rep.schema.labels:
+                if label.degree == 0 and label.name in rep.m_y:
+                    total = total + rep.m_y[label.name]
+            assert trace(rep.schema, rep.m_y) == total, conv.label()
+            forms = {(v.num, v.den, v.k) for v in rep.m_y.values()}
+            seen["shared"] += len(forms) < len(rep.m_y)
+        seen[n] += 1
+
+    check()
+    assert seen[2] and seen[3] and seen[4] and seen["shared"], seen
