@@ -13,13 +13,12 @@ multiplicities, and on a curve their twist degrees and its boundary
 count, on a surface the pairings of the summed Deligne classes with the
 line, c1 and K + D, the sum of their squares and its boundary lines.  A
 point has no boundary, so no twist and no break: it sums its runs
-directly.  M_y adds each label's coefficient of each local type once,
-times the number of strata that push it there.  An independent
-Euler-weighted Chern path provides the cross-check at y = -1: it reads
-the lattice alone, since c(T(-log D)) of a stratum, pushed to its
-closure, is a CSM class (Aluffi) in closed form: 1 on a point,
-1 + (chi - 1) pt on a curve, 1 + (2 - L) line + (chi - 2 + L) pt on a
-surface with L boundary lines.  A degree-zero comparison against
+directly.  M_y is the label-by-label sum of the per-stratum vectors.
+An independent Euler-weighted Chern path provides the cross-check at
+y = -1: it reads the lattice alone, since c(T(-log D)) of a stratum,
+pushed to its closure, is a CSM class (Aluffi) in closed form: 1 on a
+point, 1 + (chi - 1) pt on a curve, 1 + (2 - L) line + (chi - 2 + L) pt
+on a surface with L boundary lines.  A degree-zero comparison against
 the virtual-genus difference is always reported.  The one unprintable
 global choice (a shift convention) is quarantined in ConventionSet and
 explored exhaustively by calibrate().  The report's layout is jsontext's:
@@ -441,19 +440,6 @@ def _type_key(arr: Arrangement, stratum, germ) -> tuple:
     return dim, m_s, row, e, germ.runs()
 
 
-def _sum_pushes(pushes: dict) -> dict:
-    """label -> the sum of its pushed coefficients, from the
-    (label, _) -> [coefficient, count] of each distinct push: count times
-    the coefficient is added once."""
-    totals = {}
-    for (name, _), (v, count) in pushes.items():
-        if count > 1:
-            v = RatFuncY.from_ints([count * c for c in v.num], v.den, v.k)
-        prev = totals.get(name)
-        totals[name] = v if prev is None else prev + v
-    return {name: v for name, v in totals.items() if v}  # sums may cancel
-
-
 def assemble(arr: Arrangement, user_tables: dict = None,
              conv: ConventionSet = DEFAULT_CONVENTIONS) -> MilnorReport:
     """Assemble the Hirzebruch-Milnor class of the arrangement divisor.
@@ -468,9 +454,8 @@ def assemble(arr: Arrangement, user_tables: dict = None,
     germ is compactified; a point or a curve contributes from its lattice
     row.  Strata with the same type key get the same contribution, which
     is computed once per report from the key alone; a stratum's vector is
-    push_to_sigma's label -> coefficient dict as it stands, and M_y adds
-    each label's coefficient of each type once, times the number of
-    strata that push it there.
+    push_to_sigma's label -> coefficient dict as it stands, and M_y is
+    the label-by-label sum of those vectors.
     """
     strata = sigma_strata(arr)
     schema = build_labels(arr)
@@ -484,9 +469,7 @@ def assemble(arr: Arrangement, user_tables: dict = None,
     per_stratum = {}
     listed = {}  # edge key -> a surface's model, or another stratum
     memo = {}  # type key -> contribution, for this report only
-    # (label, id of a memoized coefficient) -> [coefficient, count]: the
-    # memo keeps one coefficient object per type and codegree
-    pushes = {}
+    m_y = {}
     for s, germ in zip(strata, germs):
         if germ.is_zero():
             continue  # skip by spectrum content only
@@ -503,12 +486,9 @@ def assemble(arr: Arrangement, user_tables: dict = None,
             memo[key] = coeffs
         contribution = per_stratum[s.key] = push_to_sigma(schema, s, coeffs)
         for name, v in contribution.items():
-            push = pushes.get((name, id(v)))
-            if push is None:
-                pushes[name, id(v)] = [v, 1]
-            else:
-                push[1] += 1
-    m_y = _sum_pushes(pushes)
+            prev = m_y.get(name)
+            m_y[name] = v if prev is None else prev + v
+    m_y = {name: v for name, v in m_y.items() if v}  # sums may cancel
 
     chern_path = chern_milnor(arr, schema, strata)
     at = specializations(m_y)

@@ -24,8 +24,7 @@ import json
 from fractions import Fraction
 from math import gcd, lcm
 
-from .arrangement import (Arrangement, LocalizedArrangement, localize,
-                          milnor_fiber_chi)
+from .arrangement import Arrangement, LocalizedArrangement, milnor_fiber_chi
 from .coeffs import rat
 
 __all__ = [
@@ -60,14 +59,11 @@ class Spectrum:
     origin, or ('stratum', n) for ambient indexing after the dimension
     shift.  Zero multiplicities are never stored.  A germ-frame table
     answers e and runs() as a catalogue GermKind does, one run per entry.
-    A Spectrum is never changed, so e and the runs are computed on their
-    first read and kept.
     """
 
     def __init__(self, entries: tuple, frame: tuple):
         self.entries = entries  # sorted ((Fraction, int), ...)
         self.frame = frame
-        self._e = self._runs = None
 
     def __eq__(self, other):
         if not isinstance(other, Spectrum):
@@ -93,24 +89,20 @@ class Spectrum:
     @property
     def e(self) -> int:
         """The lcm of the exponents' denominators; 1 for an empty table."""
-        if self._e is None:
-            self._e = lcm(*(a.denominator for a, _ in self.entries))
-        return self._e
+        return lcm(*(a.denominator for a, _ in self.entries))
 
     def runs(self) -> tuple:
         """The entries as GermKind.runs() gives a spectrum: a run
         (p, c, c, n, 0) per entry n at the exponent rank - p - c/e, so
         p = floor(rank - alpha) and c = (rank - p - alpha) e."""
-        if self._runs is None:
-            rank, e = self.frame[1], self.e
-            out = []
-            for alpha, n in self.entries:
-                num, den = alpha.numerator, alpha.denominator
-                p = (rank * den - num) // den
-                c = (rank - p) * e - num * (e // den)
-                out.append((p, c, c, n, 0))
-            self._runs = tuple(out)
-        return self._runs
+        rank, e = self.frame[1], self.e
+        out = []
+        for alpha, n in self.entries:
+            num, den = alpha.numerator, alpha.denominator
+            p = (rank * den - num) // den
+            c = (rank - p) * e - num * (e // den)
+            out.append((p, c, c, n, 0))
+        return tuple(out)
 
     def to_json(self) -> list:
         return [{"alpha": str(a), "mult": m} for a, m in self.entries]
@@ -285,18 +277,13 @@ def sp_user_load(source, arr: Arrangement) -> dict:
         data = source
     if not isinstance(data, dict):
         raise SpectrumError("spectrum tables must be a JSON object keyed by edge")
-    lattice = arr.lattice
+    records = {loc.key: loc for loc in arr.lattice.localizations}
     out = {}
     for key, entries in data.items():
-        # the edge at the key's index set, if its key is this very text:
-        # another spelling ("2,1", "01,2", " 1", "+1") names no edge
-        try:
-            i = lattice.position.get(tuple(int(j) - 1
-                                           for j in key.split(",")))
-        except (AttributeError, ValueError):
-            i = None
-        edge = None if i is None else lattice.edges[i]
-        if edge is None or edge.key != key:
+        # the edge whose key is this very text: another spelling ("2,1",
+        # "01,2", " 1", "+1") names no edge
+        loc = records.get(key)
+        if loc is None:
             raise SpectrumError(f"unknown edge key {key!r}")
         if not isinstance(entries, list):
             raise SpectrumError(
@@ -311,8 +298,8 @@ def sp_user_load(source, arr: Arrangement) -> dict:
             except (KeyError, TypeError, ValueError) as exc:
                 raise SpectrumError(f"bad spectrum entry {item!r}: {exc}")
             table[alpha] = table.get(alpha, 0) + mult
-        sp = Spectrum.make(table, ("germ", edge.codim))
-        report = sp_validate(sp, localize(arr, edge))
+        sp = Spectrum.make(table, ("germ", loc.rank))
+        report = sp_validate(sp, loc)
         if not report["ok"]:
             raise SpectrumValidationError(
                 f"table for edge {key} rejected: " + "; ".join(report["failures"]))

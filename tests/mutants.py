@@ -100,10 +100,10 @@ MUTANTS = {
         "a * n + b * (lo + hi) * n // 2",
         "a * n",
         [RING_PATH, DEGREE0, CROSS_PATH]),
-    "m-y-ignores-push-count": (
+    "m-y-keeps-last-push": (
         "src/hmclass/milnor.py",
-        "RatFuncY.from_ints([count * c for c in v.num], v.den, v.k)",
-        "RatFuncY.from_ints(list(v.num), v.den, v.k)",
+        "            m_y[name] = v if prev is None else prev + v\n",
+        "            m_y[name] = v\n",
         ["tests/test_milnor.py::TestMemo::test_random_arrangements",
          CROSS_PATH]),
     "label-value-depth-off-by-one": (
@@ -176,8 +176,8 @@ MUTANTS = {
          "::test_localizations_are_one_table"]),
     "m-y-keeps-cancelled-sum": (
         "src/hmclass/milnor.py",
-        "return {name: v for name, v in totals.items() if v}",
-        "return totals",
+        "    m_y = {name: v for name, v in m_y.items() if v}  # sums may cancel\n",
+        "",
         [f"{PROPS}::test_no_vector_stores_a_zero"]),
 }
 
