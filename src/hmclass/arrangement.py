@@ -1,18 +1,20 @@
 """Projective hyperplane arrangements with multiplicities.
 
-Input model and validation, the intersection lattice (edges) with its
-per-edge tables computed once per lattice from its "above" relation, among
-them the localized central arrangement at every edge, which every
-consumer shares, dense-edge detection, the strata of the singular locus,
-each the localization at its edge, and chi_y genera.
+Input model and validation, the intersection lattice, dense-edge
+detection, the strata of the singular locus and chi_y genera.  The
+lattice holds one record per edge, which is also the localized central
+arrangement at the edge: its multiplicities, Euler number and dimension
+are set when the edge is built, and a stratum of the singular locus is
+its edge.
 
-The tables: the Mobius function mu(0, x) is computed bottom up, and gives
-the Euler number of each edge's localization and, in the same pass, chi_y
-of the divisor, whose value at y = -1 is the divisor's Euler number.
-chi_y of each open stratum is computed top down by additivity, since the
-closed stratum of an edge of dimension d is a P^d and the disjoint union
-of the open strata of the edges on it; only the chi-y report's rows and
-the Chern terms of curves and surfaces read that table.
+The search runs the Mobius function mu(0, x) bottom up before it builds
+the edges; the pass gives the Euler number of each edge's localization
+and, in the same pass, chi_y of the divisor, whose value at y = -1 is the
+divisor's Euler number.  chi_y of each open stratum is computed top down
+by additivity, since the closed stratum of an edge of dimension d is a
+P^d and the disjoint union of the open strata of the edges on it; only
+the chi-y report's rows and the Chern terms of curves and surfaces read
+that table.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ __all__ = [
     "MAX_MULTIPLICITY",
     "Arrangement",
     "Edge",
-    "LocalizedArrangement",
     "build",
     "edges",
     "localize",
@@ -221,91 +222,60 @@ def build(n: int, hyperplanes) -> Arrangement:
 
 
 class Edge:
-    """An intersection of hyperplanes, with saturated index set.
+    """An edge of the intersection lattice, with saturated index set, and
+    the localized central arrangement at it, in one record: the lattice
+    search builds each edge once, so an edge compares by identity.
 
     index_set holds 0-based hyperplane indices; it identifies the edge.
-    key is the 1-based index set as text, which the lattice search passes
-    in from the hyperplanes' key texts.  Reports, labels and user tables
-    name an edge by it; the lattice finds an edge by its index set, and
-    each edge is built once per lattice, so an edge compares by identity.
-    Nothing keys by the edge itself: the Chern path reads the lattice
-    alone, by position.
+    key is the 1-based index set as text, by which reports, labels and
+    user tables name the edge, and position is its place in the lattice's
+    edges.  The localization's hyperplanes are the ones through the edge:
+    mults are their multiplicities, m_s is their sum, the localization's
+    degree, and euler is the Euler number of its projectivized complement.
+    Its rank is the edge's codimension, and dim the edge's dimension.  At
+    an edge of the singular locus the record is the stratum itself.
     """
 
-    def __init__(self, index_set: tuple, codim: int, m_s: int, key: str):
-        self.index_set, self.codim, self.m_s = index_set, codim, m_s
-        self.key = key
+    def __init__(self, index_set: tuple, codim: int, key: str,
+                 position: int, mults: tuple, euler: int, dim: int):
+        self.index_set, self.codim, self.key = index_set, codim, key
+        self.position, self.mults = position, mults
+        self.euler, self.dim = euler, dim
+        self.m_s = sum(mults)
+
+    @property
+    def rank(self) -> int:
+        return self.codim
+
+    @property
+    def reduced(self) -> bool:
+        return all(m == 1 for m in self.mults)
+
+    @property
+    def edge(self) -> "Edge":
+        # read only by perfbench/make_pool.py's describe (s.edge.codim)
+        return self
 
 
 class Lattice:
-    """The edges of an arrangement in P^n with the hyperplanes'
-    multiplicities, the index and the "above" relation its consumers look
-    up, and the per-edge tables, each built once on first request: the
-    Euler numbers, the chi_y of open strata and the localizations, and the
-    per-dimension Mobius tally that gives chi_y and the Euler number of
-    the divisor."""
+    """The edges of an arrangement in P^n, the "above" relation its
+    consumers look up by position, chi_y of the divisor as integer
+    coefficients and its Euler number, both from the Mobius pass, and the
+    chi_y of the open strata, built on first request."""
 
-    def __init__(self, n: int, mults: tuple, edges: tuple, position: dict,
-                 strictly_above: tuple):
-        self.n, self.mults = n, mults
+    def __init__(self, edges: tuple, strictly_above: tuple,
+                 divisor_chi_y: tuple):
         self.edges = edges  # sorted by (codimension, index set)
-        self.position = position  # index set -> position in edges
         # per position, the positions of the edges strictly above it (index
         # sets strictly containing its own), in lattice order
         self.strictly_above = strictly_above
+        self.divisor_chi_y = divisor_chi_y
+        # the divisor's Euler number: its chi_y at y = -1
+        self.divisor_euler = sum(divisor_chi_y[::2]) - sum(divisor_chi_y[1::2])
 
     def above(self, edge: Edge) -> list:
         """The edges strictly above edge in the lattice, in lattice order."""
-        return [self.edges[i] for i in
-                self.strictly_above[self.position[edge.index_set]]]
-
-    @cached_property
-    def euler(self) -> tuple:
-        """Per position, the Euler number of the projectivized complement
-        of the localization at the edge."""
-        return self._mobius[0]
-
-    @cached_property
-    def localizations(self) -> tuple:
-        """Per position, the localized central arrangement at the edge, all
-        built in one pass.  Its lattice is the interval of this lattice
-        below the edge, so its Euler number is read by position."""
-        n, mults = self.n, self.mults
-        return tuple([
-            LocalizedArrangement(e, tuple(map(mults.__getitem__, e.index_set)),
-                                 euler, n - e.codim)
-            for e, euler in zip(self.edges, self.euler)])
-
-    @cached_property
-    def divisor_euler(self) -> int:
-        """The Euler number of the divisor, the union of the hyperplanes:
-        its chi_y at y = -1, where chi_y(P^d) is d + 1."""
-        return sum((d + 1) * t for d, t in enumerate(self._mobius[1]))
-
-    @cached_property
-    def _mobius(self) -> tuple:
-        """(euler, tally) from one bottom-up pass over mu(e) = mu(0, e) =
-        -1 - sum over x < e of mu(x).  The localization at e has Euler
-        number -codim e mu(e) - sum over x < e of mu(x) codim x, so the
-        pass pushes each mu(x) into the two sums of every edge above x.
-        tally[d] is -sum of mu(e) over the edges e of dimension d, which
-        is all that chi_y of the divisor needs: by Mobius inversion over
-        the lattice (Orlik-Terao, ch. 2), the complement of the divisor in
-        P^n is the sum over all X of mu(X) P(X), the whole space included,
-        in any additive invariant, and P(X) is a P^(n - codim X); so
-        chi_y(D) = the sum over d of tally[d] chi_y(P^d)."""
-        mu_below = [0] * len(self.edges)
-        codim_below = [0] * len(self.edges)
-        out = []
-        tally = [0] * self.n
-        for i, e in enumerate(self.edges):
-            mu = -1 - mu_below[i]
-            out.append(-e.codim * mu - codim_below[i])
-            tally[self.n - e.codim] -= mu
-            for j in self.strictly_above[i]:
-                mu_below[j] += mu
-                codim_below[j] += mu * e.codim
-        return tuple(out), tuple(tally)
+        return [self.edges[i] for i in self.strictly_above[edge.position]]
 
     @cached_property
     def chi_y_open(self) -> tuple:
@@ -316,12 +286,45 @@ class Lattice:
         surfaces; chi_y of the divisor comes from the Mobius pass."""
         out = [None] * len(self.edges)
         for i in reversed(range(len(self.edges))):
-            cs = [(-1) ** p for p in range(self.n - self.edges[i].codim + 1)]
+            cs = [(-1) ** p for p in range(self.edges[i].dim + 1)]
             for f in self.strictly_above[i]:
                 for p, c in enumerate(out[f]):
                     cs[p] -= c
             out[i] = tuple(cs)
         return tuple(out)
+
+
+def _mu_pass(n: int, codims: list, above: list) -> tuple:
+    """(euler, chi_y) from one bottom-up pass over mu(e) = mu(0, e) =
+    -1 - sum over x < e of mu(x), for the edges of codimensions codims in
+    lattice order, above[i] the positions strictly above position i.
+
+    The localization at e has Euler number -codim e mu(e) - sum over x < e
+    of mu(x) codim x, so the pass pushes each mu(x) into the two sums of
+    every edge above x; euler holds that number per position.  By Mobius
+    inversion over the lattice (Orlik-Terao, ch. 2), the complement of the
+    divisor in P^n is the sum over all X of mu(X) P(X), the whole space
+    included, in any additive invariant, and P(X) is a P^(n - codim X).
+    So with tally[d] = -sum of mu(e) over the edges e of dimension d,
+    chi_y(D) = the sum over d of tally[d] chi_y(P^d), and the coefficient
+    of y^p in chi_y, returned as integers, is (-1)^p times the sum of
+    tally[d] over d >= p."""
+    mu_below = [0] * len(codims)
+    codim_below = [0] * len(codims)
+    euler = []
+    tally = [0] * n
+    for i, codim in enumerate(codims):
+        mu = -1 - mu_below[i]
+        euler.append(-codim * mu - codim_below[i])
+        tally[n - codim] -= mu
+        for j in above[i]:
+            mu_below[j] += mu
+            codim_below[j] += mu * codim
+    chi_y, acc = [0] * n, 0
+    for p in reversed(range(n)):
+        acc += tally[p]
+        chi_y[p] = -acc if p % 2 else acc
+    return euler, tuple(chi_y)
 
 
 def _search_edges(arr: Arrangement) -> Lattice:
@@ -347,21 +350,23 @@ def _search_edges(arr: Arrangement) -> Lattice:
     is found from exactly one edge below it.  Edges of codimension n are
     not extended: a join of one has rank n + 1 and is no edge.  A join
     lists the hyperplanes it adds, which from a hyperplane all come after
-    it, each earlier one having joined it from its own row.  Each edge is
-    built from the hyperplanes' key texts, made once per search.
+    it, each earlier one having joined it from its own row.  Each edge's
+    key is built from the hyperplanes' key texts, made once per search.
 
     An edge is above another exactly when its index set contains the
     other's.  Hyperplane j sits at position j, and the edges above it are
     the edges through it, listed per hyperplane from their index sets.
     Any other edge takes the list of its first hyperplane, kept where the
     index-set mask contains its own; no edge is above one of
-    codimension n."""
+    codimension n.  The Mobius pass runs over that relation, and then each
+    edge is built once, with its Euler number."""
     n, covs, mults = arr.n, arr.covectors, arr.mults
     texts = [str(j + 1) for j in range(len(covs))]  # per hyperplane
     containing = [[j] for j in range(len(covs))]  # its edges' positions
-    edges, masks, frontier = [], [], []
+    # per position, (index set, codimension, key)
+    records, masks, frontier = [], [], []
     for j, c in enumerate(covs):
-        edges.append(Edge((j,), 1, mults[j], texts[j]))
+        records.append(((j,), 1, texts[j]))
         masks.append(1 << j)
         lead = next(p for p, x in enumerate(c) if x)
         # (index set, its bitmask, echelon basis of its covectors)
@@ -397,24 +402,27 @@ def _search_edges(arr: Arrangement) -> Lattice:
         level.sort()
         for joined, key in level:
             for j in joined:
-                containing[j].append(len(edges))
-            edges.append(Edge(joined, codim,
-                              sum(map(mults.__getitem__, joined)),
-                              ",".join(map(texts.__getitem__, joined))))
+                containing[j].append(len(records))
+            records.append((joined, codim,
+                            ",".join(map(texts.__getitem__, joined))))
             masks.append(key)
         frontier = nxt
     above = []
-    for i, e in enumerate(edges):
-        if e.codim == n:
+    for i, (iset, codim, _) in enumerate(records):
+        if codim == n:
             above.append(())
-        elif e.codim == 1:  # its own position heads its list
+        elif codim == 1:  # its own position heads its list
             above.append(tuple(containing[i][1:]))
         else:
             mask = masks[i]
-            above.append(tuple([k for k in containing[e.index_set[0]]
+            above.append(tuple([k for k in containing[iset[0]]
                                 if k > i and masks[k] & mask == mask]))
-    position = {e.index_set: i for i, e in enumerate(edges)}
-    return Lattice(n, mults, tuple(edges), position, tuple(above))
+    euler, chi_y = _mu_pass(n, [codim for _, codim, _ in records], above)
+    edges = tuple([Edge(iset, codim, key, i,
+                        tuple(map(mults.__getitem__, iset)), euler[i],
+                        n - codim)
+                   for i, (iset, codim, key) in enumerate(records)])
+    return Lattice(edges, tuple(above), chi_y)
 
 
 def edges(arr: Arrangement) -> tuple:
@@ -422,44 +430,13 @@ def edges(arr: Arrangement) -> tuple:
     return arr.lattice.edges
 
 
-# ---------------------------------------------------------------------------
-# localization
-
-
-class LocalizedArrangement:
-    """The quotient central arrangement at an edge: the multiplicities of
-    its hyperplanes, the Euler number of its projectivized complement and
-    the edge's dimension; its rank and degree are the edge's codimension
-    and m_s.  At an edge of the singular locus it is the stratum itself."""
-
-    def __init__(self, edge: Edge, mults: tuple, euler: int, dim: int):
-        self.edge, self.mults, self.euler, self.dim = edge, mults, euler, dim
-
-    @property
-    def key(self) -> str:
-        return self.edge.key
-
-    @property
-    def rank(self) -> int:
-        return self.edge.codim
-
-    @property
-    def m_s(self) -> int:
-        return self.edge.m_s
-
-    @property
-    def reduced(self) -> bool:
-        return all(m == 1 for m in self.mults)
-
-
-def localize(arr: Arrangement, edge: Edge) -> LocalizedArrangement:
+def localize(arr: Arrangement, edge: Edge) -> Edge:
     """The localized central arrangement at an edge: the lattice's record
-    at the edge's position, which every caller shares."""
-    lattice = arr.lattice
-    return lattice.localizations[lattice.position[edge.index_set]]
+    at the edge's position, which is the edge itself."""
+    return arr.lattice.edges[edge.position]
 
 
-def milnor_fiber_chi(loc: LocalizedArrangement) -> int:
+def milnor_fiber_chi(loc: Edge) -> int:
     """Euler characteristic of the local Milnor fiber: the projectivized
     complement count scaled by the local degree."""
     return loc.euler * loc.m_s
@@ -505,10 +482,10 @@ def in_sigma(edge: Edge) -> bool:
 
 def sigma_strata(arr: Arrangement) -> list:
     """Strata of the singular locus away from the generic section, in
-    lattice order: the lattice's localization at each edge in_sigma
-    admits, shared with every other caller.  The generic section is
-    handled symbolically downstream and never appears as an edge."""
-    return [loc for loc in arr.lattice.localizations if in_sigma(loc.edge)]
+    lattice order: the lattice's edges that in_sigma admits, each the
+    stratum itself, shared with every other caller.  The generic section
+    is handled symbolically downstream and never appears as an edge."""
+    return [e for e in arr.lattice.edges if in_sigma(e)]
 
 
 # ---------------------------------------------------------------------------
@@ -521,15 +498,8 @@ def chi_y_pn(n: int) -> RatFuncY:
 
 
 def chi_y(arr: Arrangement) -> RatFuncY:
-    """chi_y genus of the divisor from the Mobius pass: the sum over edge
-    dimensions d of tally[d] chi_y(P^d), so the coefficient of y^p is
-    (-1)^p times the sum of tally[d] over d >= p."""
-    tally = arr.lattice._mobius[1]
-    total, acc = [0] * arr.n, 0
-    for p in reversed(range(arr.n)):
-        acc += tally[p]
-        total[p] = -acc if p % 2 else acc
-    return RatFuncY.from_ints(total)
+    """chi_y genus of the divisor, from the lattice's Mobius pass."""
+    return RatFuncY.from_ints(arr.lattice.divisor_chi_y)
 
 
 def euler_by_inclusion_exclusion(arr: Arrangement) -> int:

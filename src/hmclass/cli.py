@@ -113,16 +113,16 @@ def _fail(code: int, kind: str, message: str) -> int:
 def cmd_lattice(args) -> int:
     arr = Arrangement.load(args.input)
     lattice = arr.lattice
-    # the localization's Euler number is read from the lattice's table by
-    # position, and its Milnor fiber's Euler number is that times m_s; the
-    # edge is dense exactly when the localization's beta invariant, up to
-    # sign its Euler number, is nonzero (Crapo 1967)
+    # each edge carries its localization's Euler number, and its Milnor
+    # fiber's Euler number is that times m_s; the edge is dense exactly
+    # when the localization's beta invariant, up to sign its Euler number,
+    # is nonzero (Crapo 1967)
     row = _template(dict.fromkeys(
         ("key", "codim", "dim", "m_s", "dense", "complement_chi",
          "milnor_fiber_chi"), HOLE), 2)
-    rows = [row % (encode_basestring_ascii(e.key), e.codim, arr.n - e.codim,
-                   e.m_s, "true" if euler else "false", euler, euler * e.m_s)
-            for e, euler in zip(lattice.edges, lattice.euler)]
+    rows = [row % (encode_basestring_ascii(e.key), e.codim, e.dim, e.m_s,
+                   "true" if e.euler else "false", e.euler, e.euler * e.m_s)
+            for e in lattice.edges]
     payload = {
         "n": arr.n,
         "m": arr.m,
@@ -170,10 +170,10 @@ def cmd_spectra(args) -> int:
                     germ.describe(), sp, s, arr.n, sp_validate(sp, s))
         else:
             # sp_user_load validated the table against this same
-            # localization and rejected any failure
+            # record and rejected any failure
             row = _spectrum_row("user_table", germ, s, arr.n,
                                 {"ok": True, "failures": []})
-        rows.append(row % (encode_basestring_ascii(s.key), s.edge.codim,
+        rows.append(row % (encode_basestring_ascii(s.key), s.codim,
                            s.dim, s.m_s))
     payload = {"n": arr.n, "m": arr.m, "strata": HOLE}
     _emit(_dumps(payload, [_list_text(rows, 1)]), args.out)

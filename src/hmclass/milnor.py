@@ -423,8 +423,8 @@ def _type_key(arr: Arrangement, stratum, germ) -> tuple:
     m_rel of a curve's lattice row (boundary_edges) and a surface's own
     model, which matches no other stratum: on a surface it also matters
     which boundary lines pass through which blown points."""
-    edge, dim = stratum.edge, stratum.dim
-    codim, m_s = edge.codim, edge.m_s
+    dim, m_s = stratum.dim, stratum.m_s
+    codim = arr.n - dim
     if germ.frame != ("germ", codim):
         raise SpectrumError(f"expected the germ frame ('germ', {codim}), "
                             f"got {germ.frame}")
@@ -458,9 +458,9 @@ def assemble(arr: Arrangement, user_tables: dict = None,
     the label-by-label sum of those vectors.
     """
     strata = sigma_strata(arr)
-    schema = build_labels(arr)
-    for s in strata:  # before any spectrum lookup
+    for s in strata:  # before any label is named or spectrum looked up
         check_envelope(s)
+    schema = build_labels(arr)
     germs = stratum_germs(strata, user_tables)
     missing = [s.key for s, germ in zip(strata, germs) if germ is None]
     if missing:
@@ -524,20 +524,19 @@ def chern_milnor(arr: Arrangement, schema: LabelSchema,
     fundamental, shared = schema.fundamental, schema.shared
     totals = {}
     for s in strata:
-        edge = s.edge
-        chi_tilde = s.euler * edge.m_s - 1  # milnor_fiber_chi(s) - 1
+        chi_tilde = s.euler * s.m_s - 1  # milnor_fiber_chi(s) - 1
         if not chi_tilde:
             continue
-        name = fundamental[edge.key]
+        name = fundamental[s.key]
         totals[name] = totals.get(name, 0) + chi_tilde
         if s.dim:
-            i = lattice.position[edge.index_set]
+            i = s.position
             cs = lattice.chi_y_open[i]
             chi = sum(cs[::2]) - sum(cs[1::2])  # chi_y at y = -1
             if s.dim == 1:
                 terms = ((shared[0], chi - 1),)
             else:
-                lines = sum(lattice.edges[j].codim == edge.codim + 1
+                lines = sum(lattice.edges[j].codim == s.codim + 1
                             for j in lattice.strictly_above[i])
                 terms = ((shared[1], 2 - lines), (shared[0], chi - 2 + lines))
             for name, v in terms:

@@ -24,7 +24,7 @@ import json
 from fractions import Fraction
 from math import gcd, lcm
 
-from .arrangement import Arrangement, LocalizedArrangement, milnor_fiber_chi
+from .arrangement import Arrangement, Edge, milnor_fiber_chi
 from .coeffs import rat
 
 __all__ = [
@@ -123,17 +123,16 @@ def sp_ordinary(k: int) -> Spectrum:
     return GermKind("ordinary", (k,)).spectrum()
 
 
-def sp_shift(germ_sp: Spectrum, stratum: LocalizedArrangement,
-             n: int) -> Spectrum:
+def sp_shift(germ_sp: Spectrum, stratum: Edge, n: int) -> Spectrum:
     """Reindex a germ spectrum to the ambient stratum frame: exponents move
     up by dim S and multiplicities pick up (-1)^{dim S}."""
     kind, d = germ_sp.frame
     if kind != "germ":
         raise SpectrumError(f"expected a germ frame, got {germ_sp.frame}")
-    if d != stratum.edge.codim:
+    if d != stratum.codim:
         raise SpectrumError(
             f"germ frame dimension {d} does not match stratum codimension "
-            f"{stratum.edge.codim}")
+            f"{stratum.codim}")
     sign = (-1) ** stratum.dim
     out = {a + stratum.dim: sign * m for a, m in germ_sp.entries}
     return Spectrum.make(out, ("stratum", n))
@@ -216,7 +215,7 @@ def _catalogue_runs(tag: str, r: int, e: int) -> tuple:
     return tuple(out)
 
 
-def classify_germ(loc: LocalizedArrangement) -> GermKind:
+def classify_germ(loc: Edge) -> GermKind:
     # the covectors through the edge are linearly independent exactly when
     # there are rank of them: the local model is then a product of
     # coordinate hyperplanes
@@ -227,7 +226,7 @@ def classify_germ(loc: LocalizedArrangement) -> GermKind:
     return GermKind("user_table")
 
 
-def sp_validate(sp: Spectrum, loc: LocalizedArrangement) -> dict:
+def sp_validate(sp: Spectrum, loc: Edge) -> dict:
     """Validate a germ spectrum against its localized arrangement.
 
     Checks support within (0, rank) with denominators dividing the local
@@ -277,7 +276,7 @@ def sp_user_load(source, arr: Arrangement) -> dict:
         data = source
     if not isinstance(data, dict):
         raise SpectrumError("spectrum tables must be a JSON object keyed by edge")
-    records = {loc.key: loc for loc in arr.lattice.localizations}
+    records = {e.key: e for e in arr.lattice.edges}
     out = {}
     for key, entries in data.items():
         # the edge whose key is this very text: another spelling ("2,1",
@@ -307,7 +306,7 @@ def sp_user_load(source, arr: Arrangement) -> dict:
     return out
 
 
-def stratum_germ(stratum: LocalizedArrangement, user_tables: dict = None):
+def stratum_germ(stratum: Edge, user_tables: dict = None):
     """Germ of a stratum as assembly reads it: the user table's Spectrum,
     else the catalogue GermKind of its localization, else None.  User
     tables win over the catalogue when both exist."""
@@ -327,14 +326,14 @@ def stratum_germs(strata, user_tables: dict = None) -> list:
         if user_tables and s.key in user_tables:
             out.append(user_tables[s.key])
         else:
-            local = (s.edge.codim, s.mults)
+            local = (s.codim, s.mults)
             if local not in by_type:
                 by_type[local] = stratum_germ(s)
             out.append(by_type[local])
     return out
 
 
-def stratum_spectrum(arr: Arrangement, stratum: LocalizedArrangement,
+def stratum_spectrum(arr: Arrangement, stratum: Edge,
                      user_tables: dict = None):
     """Germ spectrum for a stratum from the catalogue or the user tables,
     with a catalogue germ's entries expanded; arr is not read."""

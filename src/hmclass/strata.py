@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import add
 
-from .arrangement import Arrangement, Edge, LocalizedArrangement, in_sigma
+from .arrangement import Arrangement, Edge, in_sigma
 from .coeffs import RatFuncY
 from .rings import combine
 
@@ -83,15 +83,15 @@ def _unit(size: int, index: int) -> tuple:
 
 class StratumModel:
     """A stratum's good compactification; D = sum D_i is its boundary, a
-    tuple of BoundaryComponents.  stratum is the localization at the
-    stratum's edge, blown_points the edge keys of a surface's blown-up
+    tuple of BoundaryComponents.  stratum is the stratum's edge, the
+    lattice's record, blown_points the edge keys of a surface's blown-up
     points, out_degree the total multiplicity away from the stratum, and
     c1 the first Chern class of the tangent bundle.  Every class is an
     integer vector in the basis 1 (point); 1, h (line); or 1, e, eps_p
     per blown point, pt (surface).  Assembly builds the model of a surface
     only; the strata dumps and the invariant checks build any."""
 
-    def __init__(self, stratum: LocalizedArrangement, boundary: tuple,
+    def __init__(self, stratum: Edge, boundary: tuple,
                  out_degree: int, c1: tuple, blown_points: tuple):
         self.stratum, self.boundary = stratum, boundary
         self.out_degree, self.c1 = out_degree, c1
@@ -108,10 +108,6 @@ class StratumModel:
     @property
     def kind(self) -> str:
         return _KIND[self.dim]
-
-    @property
-    def edge(self) -> Edge:
-        return self.stratum.edge
 
     @cached_property
     def deligne_base_vector(self) -> tuple:
@@ -142,7 +138,7 @@ class StratumModel:
         basis = (["1", "h"][:self.dim + 1] if self.dim < 2 else
                  ["1", "e", *(f"eps_{p}" for p in self.blown_points), "pt"])
         return {
-            "edge": self.edge.key,
+            "edge": self.stratum.key,
             "kind": self.kind,
             "dim": self.dim,
             "m_s": self.m_s,
@@ -161,23 +157,22 @@ class StratumModel:
         }
 
 
-def check_envelope(stratum: LocalizedArrangement):
+def check_envelope(stratum: Edge):
     """Refuse a stratum of dimension > 2, which no model serves."""
     if stratum.dim > 2:
         raise StratumDimensionError(
             f"unsupported stratum dimension {stratum.dim} (cap is 2)")
 
 
-def boundary_edges(arr: Arrangement, stratum: LocalizedArrangement) -> list:
+def boundary_edges(arr: Arrangement, stratum: Edge) -> list:
     """(edge, m_rel) per edge inside the stratum's closure: its lattice
-    row, the edges strictly above its edge in lattice order, each with its
+    row, the edges strictly above it in lattice order, each with its
     induced multiplicity m_rel = m_s(edge) - m_s >= 1."""
     m_s = stratum.m_s
-    return [(e, e.m_s - m_s) for e in arr.lattice.above(stratum.edge)]
+    return [(e, e.m_s - m_s) for e in arr.lattice.above(stratum)]
 
 
-def compactify(arr: Arrangement,
-               stratum: LocalizedArrangement) -> StratumModel:
+def compactify(arr: Arrangement, stratum: Edge) -> StratumModel:
     """Good compactification of a stratum of dimension <= 2.
 
     Curves need no blow-ups; surfaces are blown up exactly at the points
@@ -187,9 +182,7 @@ def compactify(arr: Arrangement,
     surfaces) and never passes through an edge.
     """
     check_envelope(stratum)
-    d = stratum.dim
-    edge = stratum.edge
-    m_s = edge.m_s
+    d, m_s = stratum.dim, stratum.m_s
     out_degree = arr.m - m_s
 
     def res(value: int) -> int:
@@ -211,8 +204,8 @@ def compactify(arr: Arrangement,
     lattice = arr.lattice
     above, edges = lattice.strictly_above, lattice.edges
     lines, points, through = [], [], {}
-    for j in above[lattice.position[edge.index_set]]:
-        if edges[j].codim == edge.codim + 1:
+    for j in above[stratum.position]:
+        if edges[j].codim == stratum.codim + 1:
             lines.append(j)
             for i in above[j]:
                 through[i] = through.get(i, 0) + 1
@@ -344,22 +337,22 @@ def _label_owners(arr: Arrangement) -> tuple:
 
 def build_labels(arr: Arrangement) -> LabelSchema:
     """The label schema of the singular locus, from the edges in_sigma
-    admits; it reads the edges only, each once, and localizes none of
-    them."""
+    admits, each read once.  A codimension-2 edge that owns a label is
+    named by its dimension, so the caller checks the envelope first."""
     n = arr.n
     strata, degrees = _label_owners(arr)
     shared = {k: f"Q_{{{k}}}" for k in degrees}
-    # an own label is H, or P, L, F or S<dim> by the edge's dimension, then
-    # the edge key: its commas dropped while every index is one digit,
-    # else turned into dots
-    letter = {1: "H", 2: _DIM_LETTER.get(n - 2, f"S{n - 2}")}
+    # an own label is H, or P, L or F by the edge's dimension, which the
+    # envelope caps at 2, then the edge key: its commas dropped while every
+    # index is one digit, else turned into dots
     fundamental = {}
     own = []
     for e, owns in strata:
         key = e.key
         if owns:
+            letter = "H" if e.codim == 1 else _DIM_LETTER[e.dim]
             body = key.replace(",", "" if e.index_set[-1] < 9 else ".")
-            name = fundamental[key] = f"{letter[e.codim]}_{{{body}}}"
+            name = fundamental[key] = f"{letter}_{{{body}}}"
             own.append(Label(name, n - e.codim, key))
         else:
             fundamental[key] = shared[n - e.codim]
@@ -412,21 +405,20 @@ def specializations(vec: dict) -> dict:
     return outs
 
 
-def push_to_sigma(schema: LabelSchema, stratum: LocalizedArrangement,
-                  coeffs) -> dict:
+def push_to_sigma(schema: LabelSchema, stratum: Edge, coeffs) -> dict:
     """Push a stratum's class, given by its coefficients (ints or RatFuncY)
     by codegree j = 0..dim on the closure P^dim, to the labeled Chow basis:
     label -> coefficient.  Codegree 0, the fundamental class, lands on the
     label of the stratum's closure, and codegree j > 0 on the shared label
-    of homology degree dim - j, so no two land on one label.  A model
-    serves as its stratum.  Such a dict is a Chow vector: it holds the
-    nonzero coefficients only, as each builder drops its zeros where it
-    makes them (here, specializations, milnor's sums and Chern path)."""
+    of homology degree dim - j, so no two land on one label.  Such a
+    dict is a Chow vector: it holds the nonzero coefficients only, as each
+    builder drops its zeros where it makes them (here, specializations,
+    milnor's sums and Chern path)."""
     out = {}
     for j, c in enumerate(coeffs):
         if c:
             out[schema.shared[stratum.dim - j] if j
-                else schema.fundamental[stratum.edge.key]] = c
+                else schema.fundamental[stratum.key]] = c
     return out
 
 

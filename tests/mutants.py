@@ -84,8 +84,8 @@ MUTANTS = {
         [f"{REGROUPED}::test_e_divides_m_s"]),
     "mobius-chi-y-parity-sign": (
         "src/hmclass/arrangement.py",
-        "total[p] = -acc if p % 2 else acc",
-        "total[p] = acc if p % 2 else -acc",
+        "chi_y[p] = -acc if p % 2 else acc",
+        "chi_y[p] = acc if p % 2 else -acc",
         [f"{PROPS}::test_chi_y_of_the_mobius_pass_sums_the_open_strata",
          DEGREE0]),
     "trace-ignores-multiplicity": (
@@ -132,7 +132,7 @@ MUTANTS = {
     # alone gives one of them the other's germ
     "germ-memo-drops-codim": (
         "src/hmclass/spectra.py",
-        "local = (s.edge.codim, s.mults)",
+        "local = (s.codim, s.mults)",
         "local = s.mults",
         ["tests/test_milnor.py::TestOnePass::test_germ_per_local_type"]),
     # a stored zero renders as "0", as a missing label does, so no golden
@@ -167,13 +167,28 @@ MUTANTS = {
         "    return edge.codim > 1 or edge.m_s > 1\n",
         "    return edge.codim > 1\n",
         [f"{CORPUS}[doubleline-milnor]", f"{CORPUS}[doubleline-lattice]"]),
+    # each edge is built with the Euler number of its own position
     "localization-misreads-euler": (
         "src/hmclass/arrangement.py",
-        "for e, euler in zip(self.edges, self.euler)])",
-        "for e, euler in zip(self.edges, self.euler[1:] + self.euler[:1])])",
+        "tuple(map(mults.__getitem__, iset)), euler[i],",
+        "tuple(map(mults.__getitem__, iset)), euler[i - 1],",
         [f"{CORPUS}[concurrent3-milnor]",
-         "tests/test_arrangement.py::TestStrata"
-         "::test_localizations_are_one_table"]),
+         f"{PROPS}::test_lattice_tables_match_whitney_oracle"]),
+    # the divisor's Euler number is its chi_y at y = -1, the even
+    # coefficients counted positive
+    "divisor-euler-parity": (
+        "src/hmclass/arrangement.py",
+        "sum(divisor_chi_y[::2]) - sum(divisor_chi_y[1::2])",
+        "sum(divisor_chi_y[1::2]) - sum(divisor_chi_y[::2])",
+        [f"{PROPS}::test_divisor_euler_of_the_mobius_pass",
+         f"{CORPUS}[concurrent3-lattice]"]),
+    # no CLI input reaches a frame mismatch, since sp_user_load builds each
+    # table's frame from its record; a direct caller's spectrum does
+    "sp-validate-frame-check-and": (
+        "src/hmclass/spectra.py",
+        'if kind != "germ" or d != loc.rank:',
+        'if kind != "germ" and d != loc.rank:',
+        ["tests/test_spectra.py::TestValidate::test_frame_failure"]),
     "m-y-keeps-cancelled-sum": (
         "src/hmclass/milnor.py",
         "    m_y = {name: v for name, v in m_y.items() if v}  # sums may cancel\n",

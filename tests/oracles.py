@@ -47,7 +47,7 @@ from itertools import combinations
 import sympy
 
 from hmclass.ambient import virtual_genus
-from hmclass.arrangement import (LocalizedArrangement, chi_y_pn,
+from hmclass.arrangement import (Edge, chi_y_pn,
                                  euler_by_inclusion_exclusion, localize,
                                  milnor_fiber_chi, sigma_strata)
 from hmclass.coeffs import RatFuncY
@@ -402,7 +402,7 @@ def push_by_basis(schema, model, coeffs) -> dict:
     for c, name, deg in zip(coeffs, ring.names, basis_degrees(ring)):
         if c and not name.startswith("eps"):
             label = (schema.shared[ring.dim - deg] if deg
-                     else schema.fundamental[model.edge.key])
+                     else schema.fundamental[model.stratum.key])
             out[label] = out.get(label, 0) + c
     return out
 
@@ -423,7 +423,7 @@ def chern_milnor_by_classes(arr) -> dict:
     out = {}
     for s in sigma_strata(arr):
         model = compactify(arr, s)
-        chi_tilde = milnor_fiber_chi(localize(arr, s.edge)) - 1
+        chi_tilde = milnor_fiber_chi(localize(arr, s)) - 1
         cls = log_tangent_by_chern(model) * chi_tilde
         for label, c in push_by_basis(schema, model, cls.coeffs).items():
             out[label] = out.get(label, RatFuncY.ZERO) + c
@@ -560,14 +560,14 @@ def support(sp: Spectrum) -> tuple:
 
 
 def sp_unshift(stratum_sp: Spectrum,
-               stratum: LocalizedArrangement) -> Spectrum:
+               stratum: Edge) -> Spectrum:
     """Inverse of sp_shift."""
     kind, _ = stratum_sp.frame
     if kind != "stratum":
         raise SpectrumError(f"expected a stratum frame, got {stratum_sp.frame}")
     sign = (-1) ** stratum.dim
     out = {a - stratum.dim: sign * m for a, m in stratum_sp.entries}
-    return Spectrum.make(out, ("germ", stratum.edge.codim))
+    return Spectrum.make(out, ("germ", stratum.codim))
 
 
 def td_transform(ch_elem: RingElement, todd_elem: RingElement) -> RingElement:
@@ -699,7 +699,7 @@ def ring_contribution(germ, model, conv) -> list:
     times 2 ch(Omega^q(log D)) in y^(p + q), with the sign
     (-1)^(p + codim - 1), times 12 td, over 48 = 2 * 2 * 12 and scaled by
     (1+y)^-(homology degree)."""
-    codim, ring = model.edge.codim, model_ring(model)
+    codim, ring = model.stratum.codim, model_ring(model)
     size, mul = len(ring.names), ring.mul_vectors
     buckets = {}  # j -> the (sign, class) terms of y^j, before the Todd class
     for p, line in line_sums(germ, model, conv.extension_mode).items():
@@ -719,7 +719,7 @@ def table_entries(arr):
     raw = {}
     for s in sigma_strata(arr):
         if stratum_germ(s) is None:
-            loc = localize(arr, s.edge)
+            loc = localize(arr, s)
             mass = (-1) ** (loc.rank - 1) * (milnor_fiber_chi(loc) - 1)
             raw[s.key] = [{"alpha": "1", "mult": mass}]
     return raw
@@ -742,7 +742,7 @@ def spread_table_entries(arr, rng: random.Random):
     for s in sigma_strata(arr):
         if stratum_germ(s) is not None and rng.random() < 0.5:
             continue
-        loc = localize(arr, s.edge)
+        loc = localize(arr, s)
         rank, m_s = loc.rank, loc.m_s
         left = (-1) ** (rank - 1) * (milnor_fiber_chi(loc) - 1)
         exponents = [Fraction(j, m_s) for j in range(1, rank * m_s)]
@@ -780,13 +780,13 @@ def spectra_rows_by_stratum(arr, tables) -> list:
     own, with no sharing between strata of one germ type."""
     rows = []
     for s in sigma_strata(arr):
-        loc = localize(arr, s.edge)
+        loc = localize(arr, s)
         sp = stratum_spectrum(arr, s, tables)
         row = {
             "edge": s.key,
-            "codim": s.edge.codim,
+            "codim": s.codim,
             "dim": s.dim,
-            "m_s": s.edge.m_s,
+            "m_s": s.m_s,
         }
         if sp is None:
             row["source"] = "user_table_required"

@@ -302,7 +302,7 @@ class TestEdges:
     def test_key_text_and_identity(self):
         # twelve lines, three of them through [0:0:1]; the search passes
         # each edge its key, the 1-based index set as text, kept beside the
-        # three fields
+        # other six fields, and m_s is the sum of its multiplicities
         others = iter((1, i, i * i) for i in range(2, 11))
         covs = [(1, 0, 0) if j == 0 else (0, 1, 0) if j == 9
                 else (1, 1, 0) if j == 11 else next(others)
@@ -310,10 +310,13 @@ class TestEdges:
         arr = lines(*covs)
         [point] = [e for e in arr.lattice.edges if e.key == "1,10,12"]
         assert point.index_set == (0, 9, 11) and point.codim == 2
-        fields = {"index_set", "codim", "m_s", "key"}
+        fields = {"index_set", "codim", "key", "position", "mults", "euler",
+                  "dim"}
         for e in edges(arr):
-            twin = arrangement.Edge(e.index_set, e.codim, e.m_s, e.key)
-            assert set(vars(e)) == set(vars(twin)) == fields
+            twin = arrangement.Edge(e.index_set, e.codim, e.key, e.position,
+                                    e.mults, e.euler, e.dim)
+            assert set(vars(e)) == set(vars(twin)) == fields | {"m_s"}
+            assert twin.m_s == e.m_s == sum(e.mults)
             assert e.key == ",".join(str(j + 1) for j in e.index_set)
             assert vars(e)["key"] is e.key  # stored once, then kept
             assert twin.key is e.key
@@ -331,7 +334,7 @@ class TestStrata:
         arr = corpus.load("doubleline")
         strata = sigma_strata(arr)
         assert len(strata) == 1
-        assert strata[0].dim == 1 and arr.lattice.above(strata[0].edge) == []
+        assert strata[0].dim == 1 and arr.lattice.above(strata[0]) == []
 
     def test_triangle_point_strata(self):
         strata = sigma_strata(corpus.load("triangle3"))
@@ -343,8 +346,9 @@ class TestStrata:
         assert sigma_strata(arr) == []
 
     def test_each_stratum_is_its_localization(self):
-        # a stratum is one record: the lattice's localization at its edge,
-        # carrying the stratum's dimension and key, on every listing
+        # a stratum is one record: the lattice's edge, which is its own
+        # localization, carrying the stratum's dimension and key, on every
+        # listing
         rng = random.Random(21)
         arrs = [corpus.load(name) for name in corpus.ALL_NAMES]
         for n, k in [(2, 6), (3, 6), (4, 6)] * 4:
@@ -355,17 +359,19 @@ class TestStrata:
         for arr in arrs:
             strata = sigma_strata(arr)
             for s, again in zip(strata, sigma_strata(arr), strict=True):
-                assert s is localize(arr, s.edge) is again, s.key
-                assert s.dim == arr.n - s.edge.codim, s.key
-                assert s.key == s.edge.key
+                assert s is localize(arr, s) is again, s.key
+                assert s is arr.lattice.edges[s.position], s.key
+                assert s.dim == arr.n - s.codim, s.key
                 seen[arr.n, s.dim] += 1
         assert all(seen[n, d] for n in (2, 3, 4) for d in range(n)), seen
 
-    def test_localizations_are_one_table(self):
-        # the lattice holds one localization per edge, off the singular
-        # locus too: localize reads it by position, its fields are the
-        # edge's multiplicities, Euler number and dimension, and
-        # sigma_strata lists the very records in_sigma admits, in order
+    def test_each_edge_is_its_own_localization(self):
+        # the lattice holds one record per edge, off the singular locus
+        # too: localize returns the record at the edge's position, its
+        # fields are the multiplicities of the hyperplanes through it and
+        # its dimension, and sigma_strata lists the very records in_sigma
+        # admits, in order; the Euler numbers are checked against the
+        # Whitney oracle in test_properties
         rng = random.Random(22)
         arrs = [corpus.load(name) for name in corpus.ALL_NAMES]
         for n, k in [(2, 7), (3, 6), (4, 6)] * 3:
@@ -373,18 +379,15 @@ class TestStrata:
             arrs.append(build(n, [(c, rng.choice((1, 1, 2, 3)))
                                   for c in covs]))
         for arr in arrs:
-            lattice = arr.lattice
-            table = lattice.localizations
-            assert len(table) == len(lattice.edges)
-            for i, e in enumerate(lattice.edges):
-                loc = localize(arr, e)
-                assert loc is table[i] and loc.edge is e, e.key
-                assert loc.mults == tuple(arr.mults[j] for j in e.index_set)
-                assert (loc.euler, loc.dim) == (lattice.euler[i],
-                                                arr.n - e.codim), e.key
-            listed = [loc for loc in table if in_sigma(loc.edge)]
-            for s, loc in zip(sigma_strata(arr), listed, strict=True):
-                assert s is loc, s.key
+            table = arr.lattice.edges
+            for i, e in enumerate(table):
+                assert e.position == i, e.key
+                assert localize(arr, e) is e, e.key
+                assert e.mults == tuple(arr.mults[j] for j in e.index_set)
+                assert e.dim == arr.n - e.codim, e.key
+            listed = [e for e in table if in_sigma(e)]
+            for s, e in zip(sigma_strata(arr), listed, strict=True):
+                assert s is e, s.key
 
 
 class TestLocalizedChi:

@@ -125,6 +125,29 @@ class TestMilnorCommand:
             "kind": "StratumDimensionError",
             "message": "unsupported stratum dimension 3 (cap is 2)"}
 
+    def test_one_hyperplane_in_p5(self, capsys, tmp_path):
+        # a reduced hyperplane has no singular locus, so the report names
+        # no label in any dimension
+        source = tmp_path / "p5.json"
+        source.write_text(json.dumps({"n": 5, "hyperplanes": [
+            {"coeffs": ["1", "0", "0", "0", "0", "0"], "mult": 1}]}))
+        payload = run_json(capsys, "milnor", str(source))
+        assert payload["M_y"] == {}
+        assert payload["degree0"]["equal"] is True
+
+    def test_two_hyperplanes_in_p5_exit_code(self, capsys, tmp_path):
+        # their meet is a stratum of dimension 3, refused before any label
+        # is named
+        source = tmp_path / "p5.json"
+        source.write_text(json.dumps({"n": 5, "hyperplanes": [
+            {"coeffs": ["1", "0", "0", "0", "0", "0"], "mult": 1},
+            {"coeffs": ["0", "1", "0", "0", "0", "0"], "mult": 1}]}))
+        code, out, err = run(capsys, "milnor", str(source))
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert json.loads(err)["error"] == {
+            "kind": "StratumDimensionError",
+            "message": "unsupported stratum dimension 3 (cap is 2)"}
+
     def test_invalid_table_exit_code(self, capsys, tmp_path):
         tables = tmp_path / "tables.json"
         tables.write_text(json.dumps({"1,2,3": [{"alpha": "1", "mult": 1}]}))

@@ -9,7 +9,7 @@ import pytest
 
 from hmclass import (ambient, arrangement, cli, corpus, milnor, spectra,
                      strata)
-from hmclass.arrangement import ArrangementError, build, localize, sigma_strata
+from hmclass.arrangement import ArrangementError, build, sigma_strata
 from hmclass.coeffs import RatFuncY
 from hmclass.milnor import (ALL_CONVENTIONS, DEFAULT_CONVENTIONS,
                             ConventionSet, MissingSpectrumError,
@@ -48,9 +48,8 @@ def count_calls(monkeypatch, module, name):
 
 
 def signature(arr, stratum, tables=None):
-    """The type key of a stratum, or of its model, and its germ."""
-    return _type_key(arr, stratum, stratum_germ(localize(arr, stratum.edge),
-                                                tables))
+    """The type key of a stratum and its germ."""
+    return _type_key(arr, stratum, stratum_germ(stratum, tables))
 
 
 def chern_path(arr):
@@ -486,7 +485,8 @@ class TestRegroupedContribution:
             want = by_codegree(model, stratum_contribution_by_terms(
                 arr, s, sp, model, conv).coeffs)
             for g in (germ, sp):
-                got = _stratum_contribution(arr, _type_key(arr, model, g), conv)
+                shape = model if s.dim == 2 else s
+                got = _stratum_contribution(arr, _type_key(arr, shape, g), conv)
                 assert got == want, s.key
 
     @pytest.mark.parametrize("name", corpus.ALL_NAMES)
@@ -517,7 +517,7 @@ class TestRegroupedContribution:
                 mode = conv.extension_mode
                 end = 0 if mode == strata.EXT_HALF_OPEN_DOWN else None
                 for s, germ in covered:
-                    m_s = s.edge.m_s
+                    m_s = s.m_s
                     ks = {k_representative(a, m_s, mode)
                           for a, _ in germ.spectrum().entries}
                     seen.setdefault(mode, set()).update(ks)
@@ -552,11 +552,10 @@ class TestRegroupedContribution:
         arr = corpus.load("fourplanes")
         line = next(s for s in sigma_strata(arr) if s.dim == 1)
         germ = stratum_spectrum(arr, line)
-        model = compactify(arr, line)
         for wrong in (sp_shift(germ, line, arr.n), sp_monomial([1, 1, 1]),
                       GermKind("monomial", (1, 1, 1))):
             with pytest.raises(SpectrumError):
-                _type_key(arr, model, wrong)
+                _type_key(arr, line, wrong)
 
     def test_e_divides_m_s(self):
         # a table in the germ frame whose exponent denominators have an
@@ -574,7 +573,7 @@ class TestRegroupedContribution:
             arr = corpus.load(name)
             before = len(calls)
             rep = assemble(arr)
-            signatures = {signature(arr, m) for m in rep.models}
+            signatures = {signature(arr, m.stratum) for m in rep.models}
             assert len(calls) - before == len(signatures), name
             if name in ("triangle3", "fourplanes"):  # repeated local types
                 assert len(signatures) < len(rep.models), name
@@ -651,9 +650,8 @@ class TestOneStrataPass:
 
 
 class TestOnePass:
-    """Per report: one lattice search, one localization per edge, built
-    in one pass by the lattice for a report that reads any (none for
-    `lattice` and `chi-y`) and shared by every consumer, one model per
+    """Per report: one lattice search, one record per edge, which is its
+    own localization, built once and shared by every consumer, one model per
     surface stratum and none for a point or a curve (one per listed
     stratum with --dump-strata), one read of each curve's lattice row (two
     with --dump-strata, whose model reads it again) and none of a point's
@@ -662,7 +660,7 @@ class TestOnePass:
     def counters(self, monkeypatch):
         return {name: count_calls(monkeypatch, module, name)
                 for module, name in ((arrangement, "_search_edges"),
-                                     (arrangement, "LocalizedArrangement"),
+                                     (arrangement, "Edge"),
                                      (strata, "compactify"),
                                      (spectra, "sp_validate"),
                                      (strata, "boundary_edges"),
@@ -678,7 +676,7 @@ class TestOnePass:
             built[attr] = []
 
             def counting(model, real=real, log=built[attr]):
-                log.append(model.edge.key)
+                log.append(model.stratum.key)
                 return real(model)
 
             prop = functools.cached_property(counting)
@@ -712,7 +710,7 @@ class TestOnePass:
             want = sorted(s.key for s in strata_
                           if s.dim == 2 and s.key in listed)
             curves = sum(s.dim == 1 and s.key in listed for s in strata_)
-            local_types = {(s.edge.codim, s.mults) for s in strata_}
+            local_types = {(s.codim, s.mults) for s in strata_}
             for dump in ([], ["--dump-strata"]):
                 with monkeypatch.context() as patch:
                     calls = self.counters(patch)
@@ -723,13 +721,12 @@ class TestOnePass:
                 # one germ per distinct (codim, mults) in the report
                 assert len(classified) == len(local_types), path
                 assert len(calls["_search_edges"]) == 1, path
-                assert len(calls["LocalizedArrangement"]) == \
-                    len(arr.lattice.edges), path
+                assert len(calls["Edge"]) == len(arr.lattice.edges), path
                 compactified = sorted(s.key for _, s in calls["compactify"])
                 assert compactified == (listed if dump else want), path
                 assert (len(calls["_stratum_contribution"])
                         == len(signatures)), path
-                assert sorted(key[2].edge.key for key, *_
+                assert sorted(key[2].stratum.key for key, *_
                               in calls["_surface_terms"]) == want, path
                 assert (len(calls["boundary_edges"])
                         == curves * (2 if dump else 1)), path
@@ -754,7 +751,7 @@ class TestOnePass:
         germs = spectra.stratum_germs(strata_, tables)
         for s, germ in zip(strata_, germs, strict=True):
             assert germ == stratum_germ(s, tables), s.key
-        kinds = {(s.edge.codim, germ.describe()) for s, germ
+        kinds = {(s.codim, germ.describe()) for s, germ
                  in zip(strata_, germs) if s.mults == (1, 1, 1)
                  and isinstance(germ, GermKind)}
         assert kinds == {(2, "ordinary(3)"), (3, "monomial(1,1,1)")}
@@ -791,8 +788,7 @@ class TestOnePass:
                 code = cli.main(["spectra", path])
                 assert code == 0, capsys.readouterr().err
             assert len(calls["_search_edges"]) == 1, path
-            assert len(calls["LocalizedArrangement"]) == \
-                len(arr.lattice.edges), path
+            assert len(calls["Edge"]) == len(arr.lattice.edges), path
             assert not calls["compactify"], path
 
     def test_lattice(self, monkeypatch, tmp_path, capsys):
@@ -803,8 +799,9 @@ class TestOnePass:
                 code = cli.main(["lattice", path])
                 assert code == 0, capsys.readouterr().err
             assert len(calls["_search_edges"]) == 1, path
-            # every edge's Euler number is read from the lattice's table
-            assert not calls["LocalizedArrangement"], path
+            # every edge carries its Euler number: the localization is the
+            # edge, built once
+            assert len(calls["Edge"]) == len(arr.lattice.edges), path
 
     def test_chi_y(self, monkeypatch, tmp_path, capsys):
         for path in self.files(tmp_path):
@@ -821,7 +818,7 @@ class TestOnePass:
             # one rendering per distinct open-stratum value, not per edge
             assert sorted(rendered) == sorted(set(arr.lattice.chi_y_open)), \
                 path
-            assert not calls["LocalizedArrangement"], path
+            assert len(calls["Edge"]) == len(arr.lattice.edges), path
         assert len(corpus.load("quad6a").lattice.edges) == 13
         assert len(set(corpus.load("quad6a").lattice.chi_y_open)) < 13
 
@@ -844,7 +841,7 @@ class TestOnePass:
             code = cli.main([command, str(source), "--tables", str(tables)])
             assert code == 0, capsys.readouterr().err
         assert len(calls["_search_edges"]) == 1
-        assert len(calls["LocalizedArrangement"]) == len(arr.lattice.edges)
+        assert len(calls["Edge"]) == len(arr.lattice.edges)
         # the record the table was validated against is the stratum the
         # report lists
         loaded, validated = listed[0][0], calls["sp_validate"][0][1]
@@ -932,7 +929,7 @@ class TestMemo:
                 rep, tables = self.check(arr, conv)
                 kinds.update(m.kind for m in rep.models)
                 repeats += len(rep.models) - len(
-                    {signature(arr, m, tables) for m in rep.models})
+                    {signature(arr, m.stratum, tables) for m in rep.models})
         assert repeats
         assert kinds == ({"point", "curve"} if n == 2
                          else {"point", "curve", "surface"})

@@ -163,11 +163,23 @@ class TestValidate:
         report = sp_validate(bad, localize(arr, point))
         assert any("denominator" in f for f in report["failures"])
 
+    @pytest.mark.parametrize("frame", [("germ", 3), ("stratum", 2)])
+    def test_frame_failure(self, frame):
+        # the entries of ordinary(3) pass every other check at the triple
+        # point of x, y, x + y, so the frame is the one failure: another
+        # germ dimension, or the right dimension in the stratum frame
+        arr = concurrent_lines(3)
+        point = [e for e in edges(arr) if e.codim == 2][0]
+        sp = Spectrum.make(entries(sp_ordinary(3)), frame)
+        report = sp_validate(sp, localize(arr, point))
+        assert report == {"ok": False, "failures": [
+            f"frame {frame} does not match germ dimension 2"]}
+
     @pytest.mark.parametrize("name", list(corpus.ALL_NAMES))
     def test_catalogue_validates_everywhere(self, name):
         arr = corpus.load(name)
         for s in sigma_strata(arr):
-            loc = localize(arr, s.edge)
+            loc = localize(arr, s)
             kind = classify_germ(loc)
             assert kind.tag != "user_table"
             report = sp_validate(kind.spectrum(), loc)
@@ -210,7 +222,8 @@ class TestUserTables:
     def test_table_off_sigma_checked_against_its_localization(
             self, monkeypatch):
         # a reduced hyperplane is no stratum, yet a table may name it: it is
-        # validated against the lattice's localization at that hyperplane
+        # validated against the lattice's record of that hyperplane, its
+        # own localization
         arr = corpus.load("triangle3")
         real, seen = spectra.sp_validate, []
         monkeypatch.setattr(spectra, "sp_validate",
@@ -220,7 +233,7 @@ class TestUserTables:
         assert str(info.value) == (
             "table for edge 1 rejected: support: exponent 1/2 has "
             "denominator not dividing 1; mass: total 1 != expected 0")
-        assert seen == [arr.lattice.localizations[0]]
+        assert seen == [arr.lattice.edges[0]]
         assert seen[0] is localize(arr, arr.lattice.edges[0])
         assert seen[0] not in sigma_strata(arr)
 

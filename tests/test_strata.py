@@ -33,7 +33,8 @@ def deligne_class(model, k):
 def pushed(schema, model, elem):
     """A class of the model ring pushed to the labeled Chow basis, by
     codegree."""
-    return push_to_sigma(schema, model, by_codegree(model, elem.coeffs))
+    return push_to_sigma(schema, model.stratum,
+                         by_codegree(model, elem.coeffs))
 
 
 def two_planes():
