@@ -198,10 +198,10 @@ def _spectrum_row(source: str, sp, stratum, n: int,
 def cmd_virtual(args) -> int:
     n = args.ambient
     pushed = virtual_pushed(args.degree, n)
-    genus = pushed.coeff(n)
+    genus = pushed[n]
     # the coefficient of h^(n-k) sits in homology degree k
-    pushed_class = {str(k): pushed.coeff(n - k).as_strings()
-                    for k in range(n + 1) if pushed.coeff(n - k)}
+    pushed_class = {str(k): pushed[n - k].as_strings()
+                    for k in range(n + 1) if pushed[n - k]}
     payload = {
         "degree": args.degree,
         "ambient": n,
@@ -284,7 +284,7 @@ def run_builtin_checks() -> list:
     check("series identity (order 12)",
           lambda: verify_identity_qr(12)["ok"])
     check("series specialization y=-1 is 1+a",
-          lambda: [c(-1) for c in hirzebruch_series("Q", 8).coeffs] ==
+          lambda: [c(-1) for c in hirzebruch_series("Q", 8)] ==
           [1, 1] + [0] * 7)
     check("virtual genus oracle values",
           lambda: virtual_genus(2, 2) == RatFuncY([1, -1])

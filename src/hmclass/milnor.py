@@ -35,11 +35,11 @@ from .ambient import virtual_genus
 from .arrangement import Arrangement, chi_y, sigma_strata
 from .coeffs import RatFuncY
 from .jsontext import HOLE, dumps, parts, splice
-from .rings import combine
 from .spectra import SpectrumError, stratum_germs
 from .strata import (EXT_HALF_OPEN_DOWN, EXT_HALF_OPEN_UP, LabelSchema,
-                     boundary_edges, build_labels, check_envelope, compactify,
-                     push_to_sigma, specializations, trace, twist_offsets)
+                     boundary_edges, build_labels, check_envelope, combine,
+                     compactify, push_to_sigma, specializations, trace,
+                     twist_offsets)
 
 __all__ = [
     "MilnorError",

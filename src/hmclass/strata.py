@@ -28,13 +28,13 @@ from operator import add
 
 from .arrangement import Arrangement, Edge, in_sigma
 from .coeffs import RatFuncY
-from .rings import combine
 
 __all__ = [
     "StrataError",
     "StratumDimensionError",
     "BoundaryComponent",
     "StratumModel",
+    "combine",
     "check_envelope",
     "boundary_edges",
     "compactify",
@@ -75,6 +75,17 @@ class BoundaryComponent:
 
 
 _KIND = ("point", "curve", "surface")
+
+
+def combine(size: int, const: int, terms) -> tuple:
+    """const + sum of c v over (c, v) pairs of integer vectors of one size."""
+    out = [0] * size
+    out[0] = const
+    for c, v in terms:
+        if c:
+            for i, x in enumerate(v):
+                out[i] += c * x
+    return tuple(out)
 
 
 def _unit(size: int, index: int) -> tuple:
@@ -338,7 +349,7 @@ def _label_owners(arr: Arrangement) -> tuple:
 def build_labels(arr: Arrangement) -> LabelSchema:
     """The label schema of the singular locus, from the edges in_sigma
     admits, each read once.  A codimension-2 edge that owns a label is
-    named by its dimension, so the caller checks the envelope first."""
+    named by its dimension, so one outside the envelope is refused."""
     n = arr.n
     strata, degrees = _label_owners(arr)
     shared = {k: f"Q_{{{k}}}" for k in degrees}
@@ -350,7 +361,11 @@ def build_labels(arr: Arrangement) -> LabelSchema:
     for e, owns in strata:
         key = e.key
         if owns:
-            letter = "H" if e.codim == 1 else _DIM_LETTER[e.dim]
+            if e.codim == 1:
+                letter = "H"
+            else:
+                check_envelope(e)
+                letter = _DIM_LETTER[e.dim]
             body = key.replace(",", "" if e.index_set[-1] < 9 else ".")
             name = fundamental[key] = f"{letter}_{{{body}}}"
             own.append(Label(name, n - e.codim, key))

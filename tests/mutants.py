@@ -194,6 +194,29 @@ MUTANTS = {
         "    m_y = {name: v for name, v in m_y.items() if v}  # sums may cancel\n",
         "",
         [f"{PROPS}::test_no_vector_stores_a_zero"]),
+    # a label-owning codimension-2 edge of dimension 3 in P^5 has no letter
+    "labels-skip-envelope": (
+        "src/hmclass/strata.py",
+        "                check_envelope(e)\n",
+        "",
+        ["tests/test_strata.py::TestPushAndLabels"
+         "::test_label_past_the_envelope_is_refused"]),
+    "series-inverse-sign": (
+        "src/hmclass/genera.py",
+        "out.append(-acc * inv0)",
+        "out.append(acc * inv0)",
+        ["tests/test_coeffs.py::TestSeries::test_geometric_inverse"]),
+    "series-product-drops-top": (
+        "src/hmclass/genera.py",
+        "range(len(a) - i)",
+        "range(len(a) - i - 1)",
+        ["tests/test_coeffs.py::TestSeries::test_product_truncation"]),
+    "q-adds-y": (
+        "src/hmclass/genera.py",
+        "q[1] - _Y",
+        "q[1] + _Y",
+        ["tests/test_genera.py::TestSeries"
+         "::test_q_specializes_to_chern_at_minus_one"]),
 }
 
 

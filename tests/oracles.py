@@ -14,11 +14,15 @@ a smooth hypersurface of its degree, the Hirzebruch class of the reduced
 divisor by additivity over the lattice, and the Whitney-polynomial route to
 each edge's Euler number and chi_y, with a Mobius function from a
 pairwise inclusion test over edges found by filtering, and the product
-of ring classes by the basis multiplication table.  The ring of each
-stratum model, model_ring, is built here: ProjRing on a point or a line,
-and on a surface BlownPlaneRing, the intersection ring of a blown-up
-plane, which the package does not keep, since a surface pairs its
-degree-1 classes by a signed dot product.  The Newton-identity
+of ring classes by the basis multiplication table.  The rings live here,
+for the package keeps none: ProjRing(n), the truncated graded ring of
+projective n-space, and its RingElements, with exp_nilpotent, since a
+Hirzebruch series of the package is the plain tuple of its coefficients
+and RingElement(ProjRing(order), series) reads one as a class.  The ring
+of each stratum model, model_ring, is built here too: ProjRing on a point
+or a line, and on a surface BlownPlaneRing, the intersection ring of a
+blown-up plane, since a surface pairs its degree-1 classes by a signed
+dot product.  The Newton-identity
 route from Chern data to Chern characters and Todd classes, and the
 scaled Todd transformation of RingElements, check the integer forms of
 12 td and 2 ch(Omega^q(log D)) on each stratum model; the Chern path
@@ -53,12 +57,11 @@ from hmclass.arrangement import (Edge, chi_y_pn,
 from hmclass.coeffs import RatFuncY
 from hmclass.genera import _todd_series, hirzebruch_series
 from hmclass.milnor import _segments, _twist_slopes
-from hmclass.rings import ProjRing, RingElement, combine, exp_nilpotent
 from hmclass.spectra import (Spectrum, SpectrumError, classify_germ, sp_shift,
                              sp_user_load, sp_validate, stratum_germ,
                              stratum_spectrum)
 from hmclass.strata import (EXT_HALF_OPEN_UP, StrataError, build_labels,
-                            compactify)
+                            combine, compactify)
 
 
 def series_coeffs(expr, var, order):
@@ -175,6 +178,165 @@ def dense_by_bipartition(covectors):
         if rank_of(part_a) + rank_of(part_b) == total:
             return False
     return True
+
+
+def _element(ring, coeffs: list) -> "RingElement":
+    """A RingElement from a full list of RatFuncY coefficients (no checks)."""
+    out = object.__new__(RingElement)
+    out.ring = ring
+    out.coeffs = tuple(coeffs)
+    return out
+
+
+class RingElement:
+    """Element of a graded basis ring; coefficients are RatFuncY.  A series
+    of hmclass, the tuple of its coefficients of h^0..h^order, reads as
+    RingElement(ProjRing(order), series)."""
+
+    __slots__ = ("ring", "coeffs")
+
+    def __init__(self, ring, coeffs):
+        cs = tuple(RatFuncY._coerce(c) for c in coeffs)
+        if len(cs) != len(ring.names):
+            raise ValueError("coefficient vector does not match ring basis")
+        self.ring = ring
+        self.coeffs = cs
+
+    def _check(self, other: "RingElement"):
+        if self.ring is not other.ring:
+            raise ValueError("elements live in different rings")
+
+    def is_zero(self) -> bool:
+        return all(c.is_zero() for c in self.coeffs)
+
+    def coeff(self, index: int) -> RatFuncY:
+        return self.coeffs[index]
+
+    def __eq__(self, other):
+        if not isinstance(other, RingElement):
+            return NotImplemented
+        return self.ring is other.ring and self.coeffs == other.coeffs
+
+    def __add__(self, other):
+        if not isinstance(other, RingElement):
+            other = self.ring.scalar(other)
+        self._check(other)
+        return _element(self.ring, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _element(self.ring, [-a for a in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, RingElement):
+            w = RatFuncY._coerce(other)
+            return _element(self.ring, [a * w for a in self.coeffs])
+        self._check(other)
+        return _element(self.ring, self.ring.mul_vectors(self.coeffs,
+                                                         other.coeffs))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power of a ring element")
+        result = self.ring.one()
+        base = self
+        for _ in range(n):
+            result = result * base
+        return result
+
+    def inverse(self) -> "RingElement":
+        """Inverse of an element with invertible degree-0 part (geometric series
+        in the nilpotent remainder)."""
+        a0 = self.coeffs[0]
+        if a0.is_zero():
+            raise ZeroDivisionError("ring element with zero constant term")
+        lead = self.ring.scalar(a0)
+        nil = lead - self  # zero constant term
+        inv0 = a0.inverse()
+        acc = self.ring.one()
+        term = self.ring.one()
+        for _ in range(self.ring.dim):
+            term = term * nil * inv0
+            acc = acc + term
+        return acc * inv0
+
+    def __repr__(self):
+        parts = [f"{c}*{n}" for c, n in zip(self.coeffs, self.ring.names) if not c.is_zero()]
+        return " + ".join(parts) if parts else "0"
+
+
+class ProjRing:
+    """Q[y, 1/(1+y)][h] / (h^{n+1}): the cohomology ring of projective n-space.
+    Instances are interned per dimension, each validated and built once,
+    so elements from independent call sites compare equal."""
+
+    _cache = {}
+
+    def __new__(cls, n: int):
+        ring = cls._cache.get(n)
+        if ring is None:
+            if n < 0:
+                raise ValueError("dimension must be >= 0")
+            ring = cls._cache[n] = super().__new__(cls)
+            ring.dim = n
+            ring.names = tuple("1" if k == 0 else ("h" if k == 1 else f"h^{k}")
+                               for k in range(n + 1))
+        return ring
+
+    def zero(self) -> RingElement:
+        return _element(self, [RatFuncY.ZERO] * len(self.names))
+
+    def one(self) -> RingElement:
+        return self.scalar(1)
+
+    def scalar(self, value) -> RingElement:
+        coeffs = [RatFuncY.ZERO] * len(self.names)
+        coeffs[0] = RatFuncY._coerce(value)
+        return _element(self, coeffs)
+
+    def basis_element(self, index: int) -> RingElement:
+        coeffs = [RatFuncY.ZERO] * len(self.names)
+        coeffs[index] = RatFuncY.ONE
+        return _element(self, coeffs)
+
+    def mul_vectors(self, a, b) -> list:
+        """The truncated convolution of two vectors in the basis h^k."""
+        n = self.dim
+        out = [a[0] * x for x in b]
+        for i in range(1, n + 1):
+            if a[i]:
+                for j in range(n + 1 - i):
+                    out[i + j] = out[i + j] + a[i] * b[j]
+        return out
+
+    @property
+    def h(self) -> RingElement:
+        if self.dim < 1:
+            raise ValueError("no degree-1 class on a point")
+        return self.basis_element(1)
+
+
+def exp_nilpotent(x: RingElement) -> RingElement:
+    """exp of a ring element with zero degree-0 part, truncated by nilpotency."""
+    if not x.coeffs[0].is_zero():
+        raise ValueError("exp_nilpotent requires zero constant term")
+    ring = x.ring
+    acc = ring.one()
+    term = ring.one()
+    fact = 1
+    for k in range(1, ring.dim + 1):
+        term = term * x
+        fact *= k
+        if term.is_zero():
+            break
+        acc = acc + term * Fraction(1, fact)
+    return acc
 
 
 class BlownPlaneRing:
@@ -498,7 +660,7 @@ def class_from_roots(ring, roots, kind: str) -> RingElement:
         value = ring.zero()
         power = ring.one()
         for k in range(ring.dim + 1):
-            c = series.coeff(k)
+            c = series[k]
             if not c.is_zero():
                 value = value + power * c
             power = power * root
@@ -537,11 +699,10 @@ def coeff_list(elem: RingElement) -> list:
     return [elem.coeff(elem.ring.dim - k) for k in range(elem.ring.dim + 1)]
 
 
-def series_inverse_by_recursion(s: RingElement) -> RingElement:
-    """Inverse of a truncated power series with invertible constant term,
-    solved coefficient by coefficient: b_0 = 1/a_0 and
-    b_k = -(1/a_0) sum_{i=1..k} a_i b_{k-i}."""
-    a = s.coeffs
+def series_inverse_by_recursion(a: tuple) -> tuple:
+    """Inverse of a truncated power series, the tuple of its coefficients,
+    with invertible constant term, solved coefficient by coefficient:
+    b_0 = 1/a_0 and b_k = -(1/a_0) sum_{i=1..k} a_i b_{k-i}."""
     if a[0].is_zero():
         raise ZeroDivisionError("series with zero constant term has no inverse")
     inv0 = a[0].inverse()
@@ -551,7 +712,7 @@ def series_inverse_by_recursion(s: RingElement) -> RingElement:
         for i in range(1, k + 1):
             acc = acc + a[i] * out[k - i]
         out.append(-inv0 * acc)
-    return RingElement(s.ring, out)
+    return tuple(out)
 
 
 def support(sp: Spectrum) -> tuple:
@@ -904,7 +1065,8 @@ def hirzebruch_class_by_additivity(arr) -> list:
     total = [RatFuncY.ZERO] * arr.n
     for i in reversed(range(len(lattice.edges))):
         d = arr.n - lattice.edges[i].codim
-        closed = hirzebruch_series("Q", d) ** (d + 1)
+        q = RingElement(ProjRing(d), hirzebruch_series("Q", d))
+        closed = q ** (d + 1)
         cls = [closed.coeff(d - k) for k in range(d + 1)]
         for f in lattice.strictly_above[i]:
             for k, c in enumerate(opened[f]):

@@ -68,6 +68,12 @@ PINS += [Pin("virtual", f"{d}-{n}",
              GOLDEN / "virtual" / f"d{d}-n{n}.json")
          for d in (1, 2, 3, 4, 7) for n in range(1, 7)]
 
+# the full-order series at the largest ambient dimension, MAX_AMBIENT;
+# recorded while the series were still elements of a truncated ring class
+PINS.append(Pin("virtual", "3-32",
+                ["virtual", "--degree", "3", "--ambient", "32"],
+                GOLDEN / "virtual" / "d3-n32.sha256"))
+
 # inputs wider than the benchmark pools.  lines30: covectors (1, i, i^2)
 # for i < 30, with 435 double points; its milnor report is 4.3 MB, too
 # large to keep, and its digest was recorded with the dense json.dumps

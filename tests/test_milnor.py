@@ -856,14 +856,15 @@ class TestOnePass:
     def test_virtual_class_once_per_degree_and_dimension(self, monkeypatch,
                                                          capsys):
         # the degree-0 check of every report at one (m, n) reads the same
-        # pushed virtual class, which is evaluated on the first report only
+        # pushed virtual class, which is evaluated on the first report only,
+        # reading each of its two series once
         ambient.virtual_pushed.cache_clear()
-        calls = count_calls(monkeypatch, ambient, "virtual_pushed_ci")
+        calls = count_calls(monkeypatch, ambient, "hirzebruch_series")
         paths = [str(corpus.corpus_path(name))
                  for name in ("quad6a", "quad6b")]  # m = 6, n = 2
         for path in paths * 3:
             assert cli.main(["milnor", path]) == 0, capsys.readouterr().err
-        assert calls == [([6], 2)]
+        assert calls == [("Q", 2), ("R", 2)]
 
 
 class TestInPlaceSums:

@@ -35,12 +35,12 @@ from hmclass.milnor import (ALL_CONVENTIONS, DEFAULT_CONVENTIONS,
                             MissingSpectrumError, _pair,
                             _stratum_contribution, _type_key, assemble,
                             chern_milnor)
-from hmclass.rings import ProjRing, RingElement
 from hmclass.spectra import GermKind, sp_user_load, stratum_germ
 from hmclass.strata import (build_labels, chow_dims, compactify,
                             homology_weight_dims, push_to_sigma,
                             relabel_vector, trace)
-from oracles import (BlownPlaneRing, arrangement_to_json, by_codegree,
+from oracles import (BlownPlaneRing, ProjRing, RingElement,
+                     arrangement_to_json, by_codegree,
                      chern_milnor_by_classes, chern_to_ch,
                      chi_y_stratum_by_whitney, dense_by_bipartition,
                      euler_by_whitney, euler_defect, generated_tables,
@@ -446,7 +446,7 @@ def test_pushed_class_matches_additivity_from_sigma_dimension_up():
             pushed = sum((rep.m_y.get(label.name, RatFuncY.ZERO)
                           for label in rep.schema.labels
                           if label.degree == k), RatFuncY.ZERO)
-            assert pushed == virtual.coeff(n - k) - reduced[k], (arr, k)
+            assert pushed == virtual[n - k] - reduced[k], (arr, k)
             seen["degrees"] += 1
         seen[n, arr.m > arr.r] += 1
     # reduced P^2, P^2 with a double line, reduced P^3, P^3 with a multiple

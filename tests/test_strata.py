@@ -337,6 +337,19 @@ class TestPushAndLabels:
         arr = build(2, [((1, 0, 0), 1)])
         assert build_labels(arr).labels == ()
 
+    def test_label_past_the_envelope_is_refused(self):
+        # a codimension-2 edge that owns a label is named by its dimension,
+        # which the models cap at 2; a multiple hyperplane is named H
+        # whatever its dimension
+        arr = build(5, [((1, 0, 0, 0, 0, 0), 1), ((0, 1, 0, 0, 0, 0), 1)])
+        with pytest.raises(StratumDimensionError) as raised:
+            build_labels(arr)
+        assert str(raised.value) == ("unsupported stratum dimension 3 "
+                                     "(cap is 2)")
+        arr = build(5, [((1, 0, 0, 0, 0, 0), 2)])
+        assert build_labels(arr).names() == ["H_{1}", "Q_{3}", "Q_{2}",
+                                             "Q_{1}", "Q_{0}"]
+
 
 def repeated(*groups) -> tuple:
     """(schema, vector) on point labels P_{1}, P_{2}, ... and one line
