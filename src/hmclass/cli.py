@@ -16,16 +16,22 @@ spectra report builds a catalogue row's spectrum, shift and validation
 once per germ type, and reports a user table's verdict from its load;
 each distinct row is rendered once, cut at its stratum's own fields.
 The chi-y report renders each distinct open-stratum value once.
+
+The argv shapes README documents are parsed by a small table-driven
+parser, without argparse, into the namespace argparse would give them.
+Any other argv, help and abbreviations included, goes to argparse, which
+is imported and built only then, so every help, usage and error text is
+argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from .ambient import virtual_genus, virtual_pushed
 from .arrangement import (Arrangement, chi_y, chi_y_pn, edges,
@@ -372,8 +378,84 @@ def run_builtin_checks() -> list:
 # argument parsing
 
 
+_LABELS = frozenset(c.label() for c in ALL_CONVENTIONS)
+
+
+def _count(value: str) -> int:
+    """An integer written in ASCII digits, as type=int reads it."""
+    if not (value.isascii() and value.isdigit()):
+        raise ValueError(value)
+    return int(value)  # ValueError past int()'s digit limit
+
+
+def _label(value: str) -> str:
+    """One of the four conventions labels."""
+    if value not in _LABELS:
+        raise ValueError(value)
+    return value
+
+
+# The argv shapes README documents, parsed without argparse: each
+# command's options, keyed by their spelling ("input" for the positional
+# input), each with the converter of its value (None for a flag) and
+# argparse's default for it; a _REQUIRED one must be given.
+_REQUIRED = object()
+_INPUT = {"input": (str, _REQUIRED), "--out": (str, None)}
+_OPTIONS = {
+    "lattice": _INPUT,
+    "spectra": {**_INPUT, "--tables": (str, None)},
+    "virtual": {"--degree": (_count, _REQUIRED),
+                "--ambient": (_count, _REQUIRED), "--out": (str, None)},
+    "chi-y": _INPUT,
+    "milnor": {**_INPUT, "--tables": (str, None),
+               "--conventions": (_label, DEFAULT_CONVENTIONS.label()),
+               "--dump-strata": (None, False)},
+    "check": {},
+    "calibrate": {"--out": (str, None)},
+}
+
+
+def _documented_args(argv: list):
+    """The namespace argparse gives argv, when argv is a lone --schema or
+    a command word followed by its input and options, each spelled out in
+    full at most once, with a value that is not empty and does not start
+    with '-'; None for any other argv, which argparse then parses, so that
+    every help, usage and error text is argparse's own."""
+    if argv == ["--schema"]:
+        return SimpleNamespace(schema=True, command=None)
+    options = _OPTIONS.get(argv[0]) if argv else None
+    if options is None:
+        return None
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        key = token if token.startswith("-") else "input"
+        if key not in options or key in given:
+            return None
+        convert = options[key][0]
+        if convert is None:
+            given[key] = True
+            continue
+        value = token if key == "input" else next(tokens, "")
+        if not value or value.startswith("-"):
+            return None
+        try:
+            given[key] = convert(value)
+        except ValueError:
+            return None
+    values = {}
+    for key, (_, default) in options.items():
+        value = given.get(key, default)
+        if value is _REQUIRED:
+            return None
+        values[key.lstrip("-").replace("-", "_")] = value
+    return SimpleNamespace(schema=False, command=argv[0], **values)
+
+
 @functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse  # only help, usage and errors need it
+
     parser = argparse.ArgumentParser(
         prog="hmclass",
         description="Exact characteristic-class computations for projective "
@@ -428,13 +510,15 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _documented_args(argv)
+    if args is None:
+        args = _build_parser().parse_args(argv)
     if args.schema:
         _emit(_dumps(SCHEMAS))
         return EXIT_OK
     if not args.command:
-        parser.print_help()
+        _build_parser().print_help()
         return EXIT_MALFORMED
     try:
         return COMMANDS[args.command](args)

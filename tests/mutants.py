@@ -5,10 +5,11 @@ once, the text that replaces it, and the pytest node ids that must each
 fail once it is in place.  The runner copies src/ and tests/ to a
 temporary directory, checks that the named tests all pass on the
 unmutated copy, and then, mutant by mutant, makes the one replacement in
-a fresh copy and runs its tests there.  It exits 1 if the clean copy
-fails, if a text is not found exactly once, or if any named test passes
-under its mutant.  Standard library only; the tests it runs need
-pytest, hypothesis and sympy.
+a fresh copy of that checked copy and runs its tests there, so that
+every verdict is about one tree, whatever the working tree does
+meanwhile.  It exits 1 if the clean copy fails, if a text is not found
+exactly once, or if any named test passes under its mutant.  Standard
+library only; the tests it runs need pytest, hypothesis and sympy.
 
     python tests/mutants.py
 """
@@ -31,6 +32,7 @@ BRUTE = "tests/test_arrangement.py::TestEdges"
 STREAMED = f"{PROPS}::test_streamed_report_matches_dense_reference"
 LATTICE_SIDE = f"{PROPS}::test_lattice_side_reports_match_json_dumps"
 CORPUS = "tests/test_cli.py::test_corpus_report_matches_golden"
+PARITY = "tests/test_cli.py::test_exact_parser_agrees_with_argparse"
 REGROUPED = "tests/test_milnor.py::TestRegroupedContribution"
 SPECIALIZED = f"{PROPS}::test_specializations_and_trace_read_every_label"
 
@@ -217,13 +219,26 @@ MUTANTS = {
         "q[1] + _Y",
         ["tests/test_genera.py::TestSeries"
          "::test_q_specializes_to_chern_at_minus_one"]),
+    # the exact parser then hands documented argv over, and gives no
+    # dump_strata to the milnor argv it still parses
+    "exact-parser-drops-dump-strata": (
+        "src/hmclass/cli.py",
+        '               "--dump-strata": (None, False)},\n',
+        "               },\n",
+        [PARITY]),
+    # argparse refuses --conventions foo; the exact parser must hand it over
+    "exact-parser-skips-label-check": (
+        "src/hmclass/cli.py",
+        "    if value not in _LABELS:\n",
+        "    if False:\n",
+        [PARITY]),
 }
 
 
-def copy_tree(dest: Path):
+def copy_tree(source: Path, dest: Path):
     skip = shutil.ignore_patterns("__pycache__", ".hypothesis", "*.pyc")
     for part in ("src", "tests"):
-        shutil.copytree(ROOT / part, dest / part, ignore=skip)
+        shutil.copytree(source / part, dest / part, ignore=skip)
 
 
 def run_tests(tree: Path, node_ids) -> dict:
@@ -252,7 +267,7 @@ def main() -> int:
     bad = 0
     with tempfile.TemporaryDirectory() as tmp:
         clean = Path(tmp) / "clean"
-        copy_tree(clean)
+        copy_tree(ROOT, clean)
         nodes = sorted({n for *_, ids in MUTANTS.values() for n in ids})
         start = time.perf_counter()
         passed = run_tests(clean, nodes)
@@ -264,7 +279,7 @@ def main() -> int:
             return 1
         for name, (rel, old, new, ids) in MUTANTS.items():
             tree = Path(tmp) / name
-            copy_tree(tree)
+            copy_tree(clean, tree)
             path = tree / rel
             text = path.read_text()
             if text.count(old) != 1:

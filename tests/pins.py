@@ -126,6 +126,14 @@ PINS.append(Pin("calibrate", "calibrate", ["calibrate"],
                 GOLDEN / "calibration.json"))
 
 
+# dataclasses and inspect generate code, where the records are plain
+# classes; importlib.resources is for the corpus, which only check and
+# calibrate read; argparse, with the gettext and shutil it imports, is for
+# help, usage and error texts only, as the CLI parses documented argv itself
+COSTLY = {"dataclasses", "inspect", "importlib.resources", "argparse",
+          "gettext", "shutil"}
+
+
 def matches(report: bytes, golden: Path) -> bool:
     """Whether a report's bytes are those its golden pins."""
     if golden.suffix == ".sha256":
@@ -134,15 +142,13 @@ def matches(report: bytes, golden: Path) -> bool:
     return report == golden.read_bytes()
 
 
-def code_generating_imports() -> list:
-    """The modules among dataclasses, inspect and importlib.resources that
-    importing hmclass.cli loads, in a fresh interpreter without the site
-    hooks (-I -S), which may import anything.  The records are plain
-    classes, and only check and calibrate read the corpus."""
+def costly_imports() -> list:
+    """The modules among COSTLY that importing hmclass.cli loads, in a
+    fresh interpreter without the site hooks (-I -S), which may import
+    anything.  Each costs a cold run time that its report does not need."""
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
              "from hmclass import cli; "
-             "print(*sorted({'dataclasses', 'inspect', 'importlib.resources'}"
-             " & set(sys.modules)))")
+             f"print(*sorted({sorted(COSTLY)!r} & sys.modules.keys()))")
     done = subprocess.run([sys.executable, "-I", "-S", "-c", probe, str(SRC)],
                           capture_output=True, text=True)
     if done.returncode:
@@ -160,7 +166,7 @@ def fresh_run(*argv) -> tuple:
 
 
 def main() -> int:
-    loaded = code_generating_imports()
+    loaded = costly_imports()
     print("importing the CLI loads:", loaded)
     failed = 0
     for pin in PINS:

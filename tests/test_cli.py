@@ -9,6 +9,7 @@ from hmclass.arrangement import MAX_MULTIPLICITY
 from hmclass.cli import _build_parser, main
 from hmclass.corpus import corpus_path
 
+import argv_parity
 import pins
 
 
@@ -471,8 +472,43 @@ def test_pins_name_every_golden_and_catch_a_changed_byte(capsys):
         assert not pins.matches(changed, pin.golden)
 
 
-def test_cli_import_generates_no_code():
-    assert pins.code_generating_imports() == []
+def test_cli_import_loads_no_costly_module():
+    assert pins.costly_imports() == []
+
+
+# the exit code and the stdout and stderr texts of argv lists that argparse
+# answers with help or an error, recorded before the documented argv was
+# parsed without it, under Python 3.10.13, 3.11.7, 3.12.1 and 3.13.0 alike
+# and with COLUMNS unset
+FALLBACK_TEXTS = json.loads(
+    (Path(__file__).parent / "fallback_texts.json").read_text())
+
+
+@pytest.mark.parametrize("name", FALLBACK_TEXTS)
+def test_help_and_error_texts_are_unchanged(monkeypatch, name):
+    # argparse wraps its texts at the width that COLUMNS names
+    monkeypatch.delenv("COLUMNS", raising=False)
+    pinned = FALLBACK_TEXTS[name]
+    assert pins.fresh_run(*pinned["argv"]) == (
+        pinned["exit"], pinned["stdout"].encode(), pinned["stderr"].encode())
+
+
+def test_exact_parser_agrees_with_argparse():
+    assert argv_parity.main() == 0
+
+
+def test_abbreviated_and_joined_options_give_the_same_report(capsys,
+                                                             tmp_path):
+    # argparse takes --dump for --dump-strata, and --out=G for --out G
+    source = corpus_file("doubleline")
+    spelled = run(capsys, "milnor", source, "--dump-strata")
+    assert spelled[0] == 0
+    assert run(capsys, "milnor", source, "--dump") == spelled
+    spelled_out, joined_out = tmp_path / "spelled.json", tmp_path / "joined.json"
+    assert run(capsys, "milnor", source, "--out", str(spelled_out))[0] == 0
+    assert run(capsys, "milnor", source, f"--out={joined_out}")[0] == 0
+    assert joined_out.read_bytes() == spelled_out.read_bytes()
+    assert spelled_out.read_text() == run(capsys, "milnor", source)[1]
 
 
 class TestParserReuse:
