@@ -43,9 +43,8 @@ from .jsontext import HOLE, dumps, parts, splice
 from .milnor import (ALL_CONVENTIONS, DEFAULT_CONVENTIONS, MilnorError,
                      MissingSpectrumError, PolynomialityError, assemble,
                      calibrate)
-from .spectra import (GermKind, SpectrumValidationError, sp_monomial,
-                      sp_ordinary, sp_shift, sp_user_load, sp_validate,
-                      stratum_germs)
+from .spectra import (SpectrumValidationError, sp_monomial, sp_ordinary,
+                      sp_shift, sp_user_load, sp_validate, stratum_germs)
 from .strata import (chow_dims, compactify, deligne_residues,
                      homology_weight_dims, power_identity_holds,
                      relabel_vector, residues)
@@ -158,27 +157,26 @@ def cmd_spectra(args) -> int:
     # rest: its data are the multiplicities of rank independent hyperplanes
     # (a torus complement, Euler number 0 from rank 2) or k reduced lines
     # through a point (Euler number 2 - k), and the dimension is n - rank.
-    # So a row is rendered once per germ, cut at its stratum's four fields,
-    # and a table's row is its own
+    # So a row is rendered once per germ, keyed by its source text (one to
+    # one with its class and the order of its data), cut at its stratum's
+    # four fields, and a table's row is its own
     required = _template({**_SPECTRA_HEAD, "source": "user_table_required"},
                          2)
-    by_germ = {}
+    by_source = {}
     rows = []
     strata = sigma_strata(arr)
     for s, germ in zip(strata, stratum_germs(strata, tables)):
         if germ is None:
             row = required
-        elif isinstance(germ, GermKind):
-            row = by_germ.get(germ)
-            if row is None:
-                sp = germ.spectrum()
-                row = by_germ[germ] = _spectrum_row(
-                    germ.describe(), sp, s, arr.n, sp_validate(sp, s))
-        else:
+        elif germ.source == "user_table":
             # sp_user_load validated the table against this same
             # record and rejected any failure
-            row = _spectrum_row("user_table", germ, s, arr.n,
-                                {"ok": True, "failures": []})
+            row = _spectrum_row(germ, s, arr.n, {"ok": True, "failures": []})
+        else:
+            row = by_source.get(germ.source)
+            if row is None:
+                row = by_source[germ.source] = _spectrum_row(
+                    germ, s, arr.n, sp_validate(germ, s))
         rows.append(row % (encode_basestring_ascii(s.key), s.codim,
                            s.dim, s.m_s))
     payload = {"n": arr.n, "m": arr.m, "strata": HOLE}
@@ -186,15 +184,14 @@ def cmd_spectra(args) -> int:
     return EXIT_OK
 
 
-def _spectrum_row(source: str, sp, stratum, n: int,
-                  validation: dict) -> str:
+def _spectrum_row(sp, stratum, n: int, validation: dict) -> str:
     """The template of a spectra row, two levels deep in the report, with
     a hole for each of the stratum's own fields: then the spectrum's
     source, its entries in the germ and the stratum frames, and the
     validators' verdict against the stratum's localization."""
     return _template({
         **_SPECTRA_HEAD,
-        "source": source,
+        "source": sp.source,
         "germ": sp.to_json(),
         "stratum_frame": sp_shift(sp, stratum, n).to_json(),
         "validation": validation,

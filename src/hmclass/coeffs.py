@@ -23,7 +23,9 @@ __all__ = [
 
 def rat(value) -> Fraction:
     """Parse a rational from an int (not a bool), Fraction, 'p/q' or decimal
-    string.  Bad syntax, a zero denominator or an exponent is a ValueError."""
+    string.  Bad syntax, a zero denominator, an exponent or an underscore
+    is a ValueError: Fraction reads underscores from Python 3.11 on only,
+    so they are refused on every version."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
@@ -31,6 +33,8 @@ def rat(value) -> Fraction:
     if isinstance(value, str):
         if "e" in value or "E" in value:
             raise ValueError(f"exponent notation in {value!r}")
+        if "_" in value:
+            raise ValueError(f"underscore in {value!r}")
         try:
             return Fraction(value.strip())
         except ZeroDivisionError:

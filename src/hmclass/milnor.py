@@ -437,7 +437,7 @@ def _type_key(arr: Arrangement, stratum, germ) -> tuple:
         row = tuple(sorted(m_rel for _, m_rel in boundary_edges(arr, stratum)))
     else:
         row = stratum
-    return dim, m_s, row, e, germ.runs()
+    return dim, m_s, row, e, germ.runs
 
 
 def assemble(arr: Arrangement, user_tables: dict = None,

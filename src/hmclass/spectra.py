@@ -7,14 +7,14 @@ normal crossings with multiplicities) and ordinary plane germs (k distinct
 reduced concurrent lines).  Everything else is admitted via user tables,
 which are validated before use and rejected on any failure.
 
-A catalogue germ is fixed by a few integers, its class: the rank r and
-the gcd e of the exponents of a monomial germ, or the line count e of an
-ordinary one.  Its spectrum is held in closed form, as runs of exponents
-r - p - c/e whose multiplicities are linear in c; the entries are
-expanded into a Spectrum only for the spectrum report and the validators,
-in time linear in their number.  A user table answers the same questions
-(frame, e, runs), with one run per entry, so assembly reads every germ
-through its runs.
+Every germ, catalogue or table, is one Spectrum record: its frame, the
+lcm e of its exponents' denominators, its runs and its source.  A run
+holds exponents rank - p - c/e whose multiplicities are linear in c; a
+catalogue germ has a few runs fixed by its class (the rank and the gcd e
+of the exponents of a monomial germ, or the line count e of an ordinary
+one), and a table one run per entry.  Assembly reads every germ through
+its runs; the entries are expanded only when the spectrum report or a
+validator asks for them, in time linear in their number.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import functools
 import json
 from fractions import Fraction
 from math import gcd, lcm
+from types import SimpleNamespace
 
 from .arrangement import Arrangement, Edge, milnor_fiber_chi
 from .coeffs import rat
@@ -31,7 +32,6 @@ __all__ = [
     "SpectrumError",
     "SpectrumValidationError",
     "Spectrum",
-    "GermKind",
     "classify_germ",
     "sp_monomial",
     "sp_ordinary",
@@ -53,17 +53,25 @@ class SpectrumValidationError(SpectrumError):
 
 
 class Spectrum:
-    """Finite map exponent -> multiplicity with a frame tag.
+    """A germ's spectrum as runs: each run (p, lo, hi, a, b) stands for the
+    exponents rank - p - c/e with multiplicity a + b c, for lo <= c <= hi,
+    where rank is frame[1].
 
     frame is ('germ', d) for a function germ on affine d-space at the
     origin, or ('stratum', n) for ambient indexing after the dimension
-    shift.  Zero multiplicities are never stored.  A germ-frame table
-    answers e and runs() as a catalogue GermKind does, one run per entry.
-    """
+    shift.  source is the catalogue class, such as 'monomial(1,2)' or
+    'ordinary(3)', or 'user_table'.  A record is never changed, so it is
+    zero or not from its runs alone, set with it; its entries are
+    expanded on first request, sorted, with zero multiplicities dropped.
+    Equality reads the entries and the frame."""
 
-    def __init__(self, entries: tuple, frame: tuple):
-        self.entries = entries  # sorted ((Fraction, int), ...)
-        self.frame = frame
+    def __init__(self, frame: tuple, e: int, runs: tuple,
+                 source: str = "user_table"):
+        self.frame, self.e, self.runs, self.source = frame, e, runs, source
+        # a + b c is linear in c, so it vanishes on a run exactly when it
+        # does at both ends; a run with lo > hi is empty
+        self._zero = all(lo > hi or a + b * lo == 0 == a + b * hi
+                         for _, lo, hi, a, b in runs)
 
     def __eq__(self, other):
         if not isinstance(other, Spectrum):
@@ -72,40 +80,53 @@ class Spectrum:
 
     @staticmethod
     def make(mapping, frame) -> "Spectrum":
+        """A table: a run (p, c, c, n, 0) per entry n at the exponent
+        alpha = rank - p - c/e, so p = floor(rank - alpha) and
+        c = (rank - p - alpha) e, with its entries set."""
         items = tuple(sorted((Fraction(a), int(m)) for a, m in mapping.items()
                              if m != 0))
-        return Spectrum(items, tuple(frame))
+        rank = frame[1]
+        e = lcm(*(a.denominator for a, _ in items))
+        runs = []
+        for alpha, n in items:
+            num, den = alpha.numerator, alpha.denominator
+            p = (rank * den - num) // den
+            c = (rank - p) * e - num * (e // den)
+            runs.append((p, c, c, n, 0))
+        sp = Spectrum(tuple(frame), e, tuple(runs))
+        sp.entries = items
+        return sp
 
-    def as_dict(self) -> dict:
-        return dict(self.entries)
+    @functools.cached_property
+    def entries(self) -> tuple:
+        """Sorted ((Fraction, int), ...), one per nonzero multiplicity."""
+        rank, e = self.frame[1], self.e
+        return tuple(sorted(
+            (Fraction((rank - p) * e - c, e), a + b * c)
+            for p, lo, hi, a, b in self.runs for c in range(lo, hi + 1)
+            if a + b * c))
 
     @property
     def mass(self) -> int:
         return sum(m for _, m in self.entries)
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return self._zero
 
-    @property
-    def e(self) -> int:
-        """The lcm of the exponents' denominators; 1 for an empty table."""
-        return lcm(*(a.denominator for a, _ in self.entries))
-
-    def runs(self) -> tuple:
-        """The entries as GermKind.runs() gives a spectrum: a run
-        (p, c, c, n, 0) per entry n at the exponent rank - p - c/e, so
-        p = floor(rank - alpha) and c = (rank - p - alpha) e."""
-        rank, e = self.frame[1], self.e
-        out = []
-        for alpha, n in self.entries:
-            num, den = alpha.numerator, alpha.denominator
-            p = (rank * den - num) // den
-            c = (rank - p) * e - num * (e // den)
-            out.append((p, c, c, n, 0))
-        return tuple(out)
+    def describe(self) -> str:
+        return self.source
 
     def to_json(self) -> list:
         return [{"alpha": str(a), "mult": m} for a, m in self.entries]
+
+
+def _catalogue(tag: str, data: tuple) -> Spectrum:
+    """The record of the catalogue class 'monomial' with its exponent
+    vector or 'ordinary' with its line count: its spectrum depends only on
+    the rank and e, the gcd of the data."""
+    r, e = (len(data) if tag == "monomial" else 2), gcd(*data)
+    return Spectrum(("germ", r), e, _catalogue_runs(tag, r, e),
+                    f"{tag}({','.join(map(str, data))})")
 
 
 def sp_monomial(exponents) -> Spectrum:
@@ -113,19 +134,21 @@ def sp_monomial(exponents) -> Spectrum:
     ms = [int(m) for m in exponents]
     if not ms or any(m < 1 for m in ms):
         raise SpectrumError("monomial exponents must be positive integers")
-    return GermKind("monomial", tuple(ms)).spectrum()
+    return _catalogue("monomial", tuple(ms))
 
 
 def sp_ordinary(k: int) -> Spectrum:
     """Spectrum of k distinct reduced concurrent lines in the plane."""
     if k < 2:
         raise SpectrumError("ordinary plane germ needs k >= 2 lines")
-    return GermKind("ordinary", (k,)).spectrum()
+    return _catalogue("ordinary", (k,))
 
 
 def sp_shift(germ_sp: Spectrum, stratum: Edge, n: int) -> Spectrum:
     """Reindex a germ spectrum to the ambient stratum frame: exponents move
-    up by dim S and multiplicities pick up (-1)^{dim S}."""
+    up by dim S and multiplicities pick up (-1)^{dim S}.  As codim S +
+    dim S = n, the run exponents codim - p - c/e move to n - p - c/e, so
+    each run keeps p, lo and hi and only its a and b change sign."""
     kind, d = germ_sp.frame
     if kind != "germ":
         raise SpectrumError(f"expected a germ frame, got {germ_sp.frame}")
@@ -134,67 +157,14 @@ def sp_shift(germ_sp: Spectrum, stratum: Edge, n: int) -> Spectrum:
             f"germ frame dimension {d} does not match stratum codimension "
             f"{stratum.codim}")
     sign = (-1) ** stratum.dim
-    out = {a + stratum.dim: sign * m for a, m in germ_sp.entries}
-    return Spectrum.make(out, ("stratum", n))
+    runs = tuple((p, lo, hi, sign * a, sign * b)
+                 for p, lo, hi, a, b in germ_sp.runs)
+    return Spectrum(("stratum", n), germ_sp.e, runs, germ_sp.source)
 
 
-class GermKind:
-    """Classification of a localized germ: 'monomial' with its exponent
-    vector, 'ordinary' with its line count, or 'user_table'.
-
-    A catalogue germ's spectrum depends only on its class (tag, rank, e):
-    the rank and the gcd of the exponents of a monomial germ, or rank 2
-    and the line count of an ordinary one.  A GermKind is never changed,
-    so its rank, e and frame are plain attributes set with it; equality
-    and the hash read (tag, data) alone."""
-
-    def __init__(self, tag: str, data: tuple = ()):
-        self.tag, self.data = tag, data
-        self.rank = len(data) if tag == "monomial" else 2
-        self.e = gcd(*data)
-        self.frame = ("germ", self.rank)
-
-    def __eq__(self, other):
-        if not isinstance(other, GermKind):
-            return NotImplemented
-        return (self.tag, self.data) == (other.tag, other.data)
-
-    def __hash__(self):
-        return hash((self.tag, self.data))
-
-    def describe(self) -> str:
-        if self.tag == "monomial":
-            return "monomial(" + ",".join(map(str, self.data)) + ")"
-        if self.tag == "ordinary":
-            return f"ordinary({self.data[0]})"
-        return "user_table_required"
-
-    def is_zero(self) -> bool:
-        # the runs of y^1 on the line are empty; every other catalogue
-        # germ has a nonzero spectrum
-        return self.rank == 1 and self.e == 1
-
-    def runs(self) -> tuple:
-        """The spectrum in closed form: runs (p, lo, hi, a, b), each the
-        exponents rank - p - c/e with multiplicity a + b c for
-        lo <= c <= hi < e; built once per class (_catalogue_runs)."""
-        return _catalogue_runs(self.tag, self.rank, self.e)
-
-    def spectrum(self) -> Spectrum:
-        """The runs expanded into a Spectrum, one entry per exponent."""
-        r, e = self.rank, self.e
-        out = {}
-        for p, lo, hi, a, b in self.runs():
-            for c in range(lo, hi + 1):
-                out[Fraction((r - p) * e - c, e)] = a + b * c
-        return Spectrum.make(out, self.frame)
-
-
-@functools.lru_cache(maxsize=256)
 def _catalogue_runs(tag: str, r: int, e: int) -> tuple:
-    """The runs of the catalogue class (tag, rank r, e), kept per process
-    as the Hirzebruch series are: a report reads them for every stratum,
-    and a tuple of ints is never changed.
+    """The runs of the catalogue class (tag, rank r, e), at most r of them
+    whatever e is.
 
     A monomial germ's Milnor fiber is e disjoint tori of dimension r - 1,
     of Tate type (j, j) in degree j, with the monodromy cycling the
@@ -215,15 +185,21 @@ def _catalogue_runs(tag: str, r: int, e: int) -> tuple:
     return tuple(out)
 
 
-def classify_germ(loc: Edge) -> GermKind:
+# what classify_germ gives for a germ the catalogue cannot serve
+_USER_TABLE_REQUIRED = SimpleNamespace(describe=lambda: "user_table_required")
+
+
+def classify_germ(loc: Edge):
+    """The catalogue record of a localized germ, or a stand-in that only
+    describes itself as 'user_table_required'."""
     # the covectors through the edge are linearly independent exactly when
     # there are rank of them: the local model is then a product of
     # coordinate hyperplanes
     if len(loc.mults) == loc.rank:
-        return GermKind("monomial", loc.mults)
+        return _catalogue("monomial", loc.mults)
     if loc.rank == 2 and loc.reduced:
-        return GermKind("ordinary", (len(loc.mults),))
-    return GermKind("user_table")
+        return _catalogue("ordinary", (len(loc.mults),))
+    return _USER_TABLE_REQUIRED
 
 
 def sp_validate(sp: Spectrum, loc: Edge) -> dict:
@@ -250,7 +226,7 @@ def sp_validate(sp: Spectrum, loc: Edge) -> dict:
     # a localized arrangement germ is an isolated singularity exactly for a
     # single (possibly multiple) hyperplane or a reduced plane germ
     if loc.rank == 1 or (loc.rank == 2 and loc.reduced):
-        table = sp.as_dict()
+        table = dict(sp.entries)
         for a, m in table.items():
             if table.get(loc.rank - a, 0) != m:
                 failures.append(f"symmetry: n_{a} = {m} but "
@@ -308,12 +284,12 @@ def sp_user_load(source, arr: Arrangement) -> dict:
 
 def stratum_germ(stratum: Edge, user_tables: dict = None):
     """Germ of a stratum as assembly reads it: the user table's Spectrum,
-    else the catalogue GermKind of its localization, else None.  User
+    else the catalogue Spectrum of its localization, else None.  User
     tables win over the catalogue when both exist."""
     if user_tables and stratum.key in user_tables:
         return user_tables[stratum.key]
-    kind = classify_germ(stratum)
-    return None if kind.tag == "user_table" else kind
+    germ = classify_germ(stratum)
+    return None if germ is _USER_TABLE_REQUIRED else germ
 
 
 def stratum_germs(strata, user_tables: dict = None) -> list:
@@ -335,7 +311,7 @@ def stratum_germs(strata, user_tables: dict = None) -> list:
 
 def stratum_spectrum(arr: Arrangement, stratum: Edge,
                      user_tables: dict = None):
-    """Germ spectrum for a stratum from the catalogue or the user tables,
-    with a catalogue germ's entries expanded; arr is not read."""
-    germ = stratum_germ(stratum, user_tables)
-    return germ.spectrum() if isinstance(germ, GermKind) else germ
+    """stratum_germ, under the name and signature that
+    perfbench/make_pool.py calls and perfbench/spans.py traces; arr is not
+    read."""
+    return stratum_germ(stratum, user_tables)

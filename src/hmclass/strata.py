@@ -398,9 +398,9 @@ def specializations(vec: dict) -> dict:
     """y0 -> the vector at y = y0, for y0 = -1, 0 and 1, in one pass:
     strata of one local type carry equal coefficients, so each distinct
     normal form is evaluated once, and its zero values are dropped there.
-    A value must be a polynomial num / den (any other has a pole at -1):
-    at -1, 0 and 1 it is the alternating sum of num, num[0] and the sum
-    of num, over den."""
+    A value must be a polynomial num / den (any other has a pole at -1)
+    and nonzero (no builder stores a zero): at -1, 0 and 1 it is the
+    alternating sum of num, num[0] and the sum of num, over den."""
     at = {}  # (num, den, k) -> its nonzero values, each with its out
     outs = {-1: {}, 0: {}, 1: {}}
     for name, v in vec.items():
@@ -410,6 +410,8 @@ def specializations(vec: dict) -> dict:
             if v.k:
                 raise ZeroDivisionError(
                     f"pole at y = -1: non-polynomial value {v}")
+            if not v.num:
+                raise ValueError(f"zero value stored at label {name}")
             num, den = v.num, v.den
             values = (sum(num[::2]) - sum(num[1::2]), num[0], sum(num))
             cs = at[form] = [(out, RatFuncY.from_ints((c,), den))

@@ -191,6 +191,21 @@ MUTANTS = {
         'if kind != "germ" or d != loc.rank:',
         'if kind != "germ" and d != loc.rank:',
         ["tests/test_spectra.py::TestValidate::test_frame_failure"]),
+    # assembly asks every germ whether it is zero, so a zero test that
+    # expands the entries expands every catalogue germ in every report
+    "is-zero-expands-entries": (
+        "src/hmclass/spectra.py",
+        "        return self._zero\n",
+        "        return not self.entries\n",
+        ["tests/test_milnor.py::TestWorkPerStratum"]),
+    # sp_shift signs the runs, not the entries; on a curve ordinary(3)'s
+    # linear multiplicities change sign with their constants
+    "sp-shift-leaves-b-unsigned": (
+        "src/hmclass/spectra.py",
+        "(p, lo, hi, sign * a, sign * b)",
+        "(p, lo, hi, sign * a, b)",
+        ["tests/test_spectra.py::TestShift::test_triple_germ_on_a_line",
+         f"{CORPUS}[pencil3planes-spectra]"]),
     "m-y-keeps-cancelled-sum": (
         "src/hmclass/milnor.py",
         "    m_y = {name: v for name, v in m_y.items() if v}  # sums may cancel\n",

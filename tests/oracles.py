@@ -844,7 +844,7 @@ def line_sums(germ, model, mode: str) -> dict:
                 + [(s, cls) for (s, _), (_, cls) in zip(twists, groups)])
     vv = mul(v, v)
     sums = {}  # p -> the constant and the (coefficient, class) terms
-    for p, t, n0, n1, n2 in _segments(germ.runs(), twists, m_s, mode):
+    for p, t, n0, n1, n2 in _segments(germ.runs, twists, m_s, mode):
         u = combine(size, 0, zip(t, (cls for _, cls in groups)))
         const, terms = sums.get(p, (0, []))
         terms += [(2 * n0, u), (2 * n1, v), (n0, mul(u, u)),
@@ -937,8 +937,9 @@ def spread_table_entries(arr, rng: random.Random):
 
 def spectra_rows_by_stratum(arr, tables) -> list:
     """The rows of a spectra report built stratum by stratum: each
-    stratum's spectrum is looked up, expanded, shifted and validated on its
-    own, with no sharing between strata of one germ type."""
+    stratum's spectrum is looked up, expanded, shifted entry by entry and
+    validated on its own, with no sharing between strata of one germ
+    type."""
     rows = []
     for s in sigma_strata(arr):
         loc = localize(arr, s)
@@ -957,7 +958,10 @@ def spectra_rows_by_stratum(arr, tables) -> list:
             else:
                 row["source"] = classify_germ(loc).describe()
             row["germ"] = sp.to_json()
-            row["stratum_frame"] = sp_shift(sp, s, arr.n).to_json()
+            sign = (-1) ** s.dim
+            row["stratum_frame"] = [
+                {"alpha": str(a + s.dim), "mult": sign * m}
+                for a, m in sp.entries]
             row["validation"] = sp_validate(sp, loc)
         rows.append(row)
     return rows

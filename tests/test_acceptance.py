@@ -105,7 +105,7 @@ def test_c07_spectrum_validators():
     for k in range(2, 7):
         sp = sp_ordinary(k)
         assert sp.mass == (k - 1) ** 2
-        table = sp.as_dict()
+        table = dict(sp.entries)
         assert all(table[2 - a] == m for a, m in table.items())
         assert all(0 < a < 2 for a in support(sp))
     for r in (1, 2, 3):

@@ -150,7 +150,7 @@ class TestBuild:
         (" 7 ", Fraction(7), (7, 1)),
         ("007", Fraction(7), (7, 1)),
         ("-0", Fraction(0), (0, 1)),
-        ("1_000", Fraction(1000), (1000, 1)),
+        ("1_000", "underscore in '1_000'", None),
         # ARABIC-INDIC DIGIT THREE, then SUPERSCRIPT TWO
         ("\u0663", Fraction(3), (3, 1)),
         ("\u00b2", "Invalid literal for Fraction: '\u00b2'", None),
@@ -163,8 +163,6 @@ class TestBuild:
         ("2/4", Fraction(1, 2), (1, 2)),
     ])
     def test_coefficient_parse(self, text, value, covector):
-        if text == "1_000" and sys.version_info < (3, 11):
-            pytest.skip("Fraction reads underscores from Python 3.11 on")
         item = {"coeffs": [text, "1"], "mult": 1}
         if covector is None:
             for parse in (rat, lambda t: build(1, [([t, "1"], 1)])):

@@ -333,6 +333,33 @@ class TestMilnorCommand:
         assert error["kind"] == "SpectrumError"
         assert "exponent notation" in error["message"]
 
+    def test_underscore_covector_exit_code(self, capsys, tmp_path):
+        # Fraction reads "1_0" as 10 from Python 3.11 on only, so the
+        # report would depend on the interpreter
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "n": 2,
+            "hyperplanes": [{"coeffs": ["1_0", "0", "1"], "mult": 1},
+                            {"coeffs": ["0", "1", "0"], "mult": 1}],
+        }))
+        code, out, err = run(capsys, "lattice", str(bad))
+        assert code == 2 and out == "" and err.count("\n") == 1
+        error = json.loads(err)["error"]
+        assert error["kind"] == "ArrangementError"
+        assert "underscore in '1_0'" in error["message"]
+
+    def test_underscore_table_exit_code(self, capsys, tmp_path):
+        tables = tmp_path / "tables.json"
+        tables.write_text(json.dumps({"1,2,3": [
+            {"alpha": "2/3", "mult": 1}, {"alpha": "1", "mult": 2},
+            {"alpha": "4/3", "mult": 1}, {"alpha": "1_0/3", "mult": 0}]}))
+        code, out, err = run(capsys, "spectra", corpus_file("concurrent3"),
+                             "--tables", str(tables))
+        assert code == 2 and out == "" and err.count("\n") == 1
+        error = json.loads(err)["error"]
+        assert error["kind"] == "SpectrumError"
+        assert "underscore in '1_0/3'" in error["message"]
+
     @pytest.mark.parametrize("target", ["input", "tables"])
     def test_deeply_nested_json_exit_code(self, tmp_path, target):
         # the decoder gives up on 10^5 nested arrays with a RecursionError

@@ -99,6 +99,13 @@ class TestRatFunc:
             with pytest.raises(ValueError, match="exponent notation"):
                 rat(text)
 
+    def test_rat_rejects_underscores_on_every_version(self):
+        # Fraction reads "1_000" from Python 3.11 on and refuses it before
+        for text in ("1_000", "1_0/3", "0.2_5", "_1"):
+            with pytest.raises(ValueError) as info:
+                rat(text)
+            assert str(info.value) == f"underscore in {text!r}"
+
     def test_against_sympy_randomized(self):
         rng = random.Random(2013)
         for _ in range(80):

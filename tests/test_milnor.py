@@ -15,9 +15,8 @@ from hmclass.milnor import (ALL_CONVENTIONS, DEFAULT_CONVENTIONS,
                             ConventionSet, MissingSpectrumError,
                             _stratum_contribution, _type_key, assemble,
                             calibrate, chern_milnor)
-from hmclass.spectra import (GermKind, Spectrum, SpectrumError, sp_monomial,
-                             sp_shift, sp_user_load, stratum_germ,
-                             stratum_spectrum)
+from hmclass.spectra import (Spectrum, SpectrumError, sp_monomial, sp_shift,
+                             sp_user_load, stratum_germ, stratum_spectrum)
 from hmclass.strata import build_labels, compactify, relabel_vector, trace
 from oracles import (ChernData, arrangement_to_json, by_codegree,
                      chern_milnor_by_classes, euler_defect, generated_tables,
@@ -481,7 +480,7 @@ class TestRegroupedContribution:
         # as a table, against the oracle
         for s, germ in strata:
             model = compactify(arr, s)
-            sp = germ.spectrum()
+            sp = Spectrum.make(dict(germ.entries), germ.frame)
             want = by_codegree(model, stratum_contribution_by_terms(
                 arr, s, sp, model, conv).coeffs)
             for g in (germ, sp):
@@ -519,7 +518,7 @@ class TestRegroupedContribution:
                 for s, germ in covered:
                     m_s = s.m_s
                     ks = {k_representative(a, m_s, mode)
-                          for a, _ in germ.spectrum().entries}
+                          for a, _ in germ.entries}
                     seen.setdefault(mode, set()).update(ks)
                     if (m_s if end is None else end) in ks:
                         ends.setdefault(mode, set()).add(m_s)
@@ -552,8 +551,9 @@ class TestRegroupedContribution:
         arr = corpus.load("fourplanes")
         line = next(s for s in sigma_strata(arr) if s.dim == 1)
         germ = stratum_spectrum(arr, line)
-        for wrong in (sp_shift(germ, line, arr.n), sp_monomial([1, 1, 1]),
-                      GermKind("monomial", (1, 1, 1))):
+        triple = sp_monomial([1, 1, 1])
+        for wrong in (sp_shift(germ, line, arr.n), triple,
+                      Spectrum.make(dict(triple.entries), triple.frame)):
             with pytest.raises(SpectrumError):
                 _type_key(arr, line, wrong)
 
@@ -583,10 +583,11 @@ class TestWorkPerStratum:
     """A stratum's work does not grow with its multiplicity: the same
     shapes at multiplicity 1000 (a line plus 3 lines) or 24 (a plane plus 4
     planes) and at 100 000 cut the Deligne powers at as many breaks, whose
-    segments replace the sum over each power, and expand no spectrum entry.
-    When each power was summed on its own, the two lines made 1001 and
-    100 001 Deligne classes and listed 1005 and 100 005 entries, and the
-    two planes 27 and 100 003 classes and 53 and 100 029 entries."""
+    segments replace the sum over each power, and expand no spectrum entry,
+    neither from a germ's runs nor into a table.  When each power was
+    summed on its own, the two lines made 1001 and 100 001 Deligne classes
+    and listed 1005 and 100 005 entries, and the two planes 27 and 100 003
+    classes and 53 and 100 029 entries."""
 
     def work(self, name):
         arr = arrangement.Arrangement.load(
@@ -596,6 +597,7 @@ class TestWorkPerStratum:
             breaks = []
             entries = []
             real_breaks, real_make = milnor._breaks, Spectrum.make
+            real_expand = Spectrum.entries.func
 
             def counting_breaks(*args):
                 out = real_breaks(*args)
@@ -607,8 +609,16 @@ class TestWorkPerStratum:
                 entries.append(len(sp.entries))
                 return sp
 
+            def counting_expand(sp):
+                out = real_expand(sp)
+                entries.append(len(out))
+                return out
+
+            expand = functools.cached_property(counting_expand)
+            expand.__set_name__(Spectrum, "entries")
             patch.setattr(milnor, "_breaks", counting_breaks)
             patch.setattr(Spectrum, "make", staticmethod(counting_make))
+            patch.setattr(Spectrum, "entries", expand)
             for conv in ALL_CONVENTIONS:
                 assemble(arr, None, conv)
                 counts.append((len(breaks), sum(breaks), sum(entries)))
@@ -753,7 +763,7 @@ class TestOnePass:
             assert germ == stratum_germ(s, tables), s.key
         kinds = {(s.codim, germ.describe()) for s, germ
                  in zip(strata_, germs) if s.mults == (1, 1, 1)
-                 and isinstance(germ, GermKind)}
+                 and germ.source != "user_table"}
         assert kinds == {(2, "ordinary(3)"), (3, "monomial(1,1,1)")}
         assert len(entries) == 2
         path, table_path = tmp_path / "arr.json", tmp_path / "tables.json"
@@ -849,7 +859,8 @@ class TestOnePass:
         assert any(s is validated for s in sigma_strata(loaded))
         # the table is validated once, on load, and a spectra report
         # validates each catalogue germ once
-        germs = {stratum_germ(s) for s in sigma_strata(arr)} - {None}
+        germs = {germ.source for s in sigma_strata(arr)
+                 if (germ := stratum_germ(s)) is not None}
         assert len(calls["sp_validate"]) == 1 + (
             len(germs) if command == "spectra" else 0)
 

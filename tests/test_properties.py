@@ -35,7 +35,7 @@ from hmclass.milnor import (ALL_CONVENTIONS, DEFAULT_CONVENTIONS,
                             MissingSpectrumError, _pair,
                             _stratum_contribution, _type_key, assemble,
                             chern_milnor)
-from hmclass.spectra import GermKind, sp_user_load, stratum_germ
+from hmclass.spectra import sp_user_load, stratum_germ
 from hmclass.strata import (build_labels, chow_dims, compactify,
                             homology_weight_dims, push_to_sigma,
                             relabel_vector, trace)
@@ -202,11 +202,23 @@ def pushed_by_terms(arr, stratum, germ, conv, schema):
     """A stratum's contribution on its own, term by term, pushed to the
     labels."""
     model = compactify(arr, stratum)
-    sp = germ.spectrum() if isinstance(germ, GermKind) else germ
-    elem = stratum_contribution_by_terms(arr, stratum, sp, model, conv)
+    elem = stratum_contribution_by_terms(arr, stratum, germ, model, conv)
     if conv.sign_mode == "flip_odd_strata" and stratum.dim % 2 == 1:
         elem = -elem
     return push_by_basis(schema, model, elem.coeffs)
+
+
+# explicit examples that meet every coverage guard of the two properties
+# below whatever else is drawn, since an edit to a property's body
+# re-draws its examples.  In P^3: a double plane x0, blown up at
+# [0:0:0:1], where x1, x2 and x0 + x1 + x2 meet it in a point that needs
+# a table, beside a triple plane x3, so curves meet boundary points of
+# several residues.  In P^4: the five coordinate hyperplanes, whose
+# points, lines and planes repeat one local type each.
+GUARDED_P3 = (3, [((1, 0, 0, 0), 2), ((0, 1, 0, 0), 1), ((0, 0, 1, 0), 1),
+                  ((1, 1, 1, 0), 1), ((0, 0, 0, 1), 3)], [0, 1, 2, 3, 4])
+GUARDED_P4 = (4, [(tuple(int(i == j) for i in range(5)), 1)
+                  for j in range(5)], [0, 1, 2, 3, 4])
 
 
 def test_type_key_is_sound():
@@ -222,6 +234,8 @@ def test_type_key_is_sound():
     # the gcd of their exponents: (2, 2) and (1, 3)
     @example((2, [((1, 0, 0), 2), ((0, 1, 0), 2), ((0, 0, 1), 1),
                   ((1, 1, 1), 3)], [0, 1, 2, 3]))
+    @example(GUARDED_P3)
+    @example(GUARDED_P4)
     def check(case):
         n, hyperplanes, _ = case
         for conv in ALL_CONVENTIONS:
@@ -262,6 +276,8 @@ def test_integer_path_matches_ring_path_on_every_stratum():
     @settings(SETTINGS, max_examples=50, phases=NO_SHRINK)
     @given(st.one_of(arrangements(), model_arrangements(),
                      p4_arrangements()), st.integers(0, 2 ** 32))
+    @example(GUARDED_P3, 0)
+    @example(GUARDED_P4, 0)
     def check(case, seed):
         n, hyperplanes = case[:2]
         try:
@@ -615,12 +631,12 @@ def test_catalogue_germ_fixes_the_spectra_row_fields():
             germ = stratum_germ(s)
             if germ is None:
                 continue
-            kept = fields.setdefault((n, germ), (s.dim, s.rank, s.m_s,
-                                                 s.reduced, s.euler))
+            kept = fields.setdefault((n, germ.source), (
+                s.dim, s.rank, s.m_s, s.reduced, s.euler))
             assert (s.dim, s.rank, s.m_s, s.reduced, s.euler) == kept, \
                 (s.key, germ.describe())
-            seen["repeats"] += germ in germs
-            germs.add(germ)
+            seen["repeats"] += germ.source in germs
+            germs.add(germ.source)
         seen[n] += 1
 
     check()
@@ -1005,9 +1021,10 @@ def test_closed_form_matches_per_exponent_oracle():
                 continue
             model = compactify(arr, s)
             shape = model if s.dim == 2 else s
-            sp, key = germ.spectrum(), _type_key(arr, shape, germ)
+            key = _type_key(arr, shape, germ)
             for conv in ALL_CONVENTIONS:
-                want = stratum_contribution_by_terms(arr, s, sp, model, conv)
+                want = stratum_contribution_by_terms(arr, s, germ, model,
+                                                     conv)
                 assert (_stratum_contribution(arr, key, conv)
                         == by_codegree(model, want.coeffs)), (s.key, conv)
             seen[model.kind, bool(model.blown_points)] += 1

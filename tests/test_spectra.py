@@ -1,16 +1,17 @@
+import json
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from hmclass import corpus, spectra
+from hmclass import cli, corpus, spectra
 from hmclass.arrangement import build, edges, localize, sigma_strata
-from hmclass.spectra import (GermKind, Spectrum, SpectrumError,
+from hmclass.spectra import (Spectrum, SpectrumError,
                              SpectrumValidationError, classify_germ,
                              sp_monomial, sp_ordinary,
                              sp_shift, sp_user_load, sp_validate,
                              stratum_spectrum)
-from oracles import sp_unshift, support
+from oracles import arrangement_to_json, sp_unshift, support
 
 F = Fraction
 
@@ -180,9 +181,9 @@ class TestValidate:
         arr = corpus.load(name)
         for s in sigma_strata(arr):
             loc = localize(arr, s)
-            kind = classify_germ(loc)
-            assert kind.tag != "user_table"
-            report = sp_validate(kind.spectrum(), loc)
+            germ = classify_germ(loc)
+            assert germ.describe() != "user_table_required"
+            report = sp_validate(germ, loc)
             assert report["ok"], (name, s.key, report["failures"])
 
 
@@ -206,10 +207,12 @@ class TestUserTables:
         (Spectrum.make({F(1, 2): 1, F(4, 3): -2}, ("germ", 2)), 6),
         (Spectrum.make({}, ("germ", 1)), 1)])
     def test_table_read_as_runs(self, sp, e):
-        # a table answers e and runs() as a catalogue germ does: one run
-        # (p, c, c, n, 0) per entry n at the exponent rank - p - c/e
-        assert sp.e == e
-        rank, runs = sp.frame[1], sp.runs()
+        # a table of the same entries answers e and runs as the spectrum
+        # does: one run (p, c, c, n, 0) per entry n at the exponent
+        # rank - p - c/e
+        table = Spectrum.make(entries(sp), sp.frame)
+        assert sp.e == table.e == e
+        rank, runs = table.frame[1], table.runs
         assert all(lo == hi and b == 0 and 0 <= lo < e
                    for _, lo, hi, _, b in runs)
         assert {rank - p - F(c, e): n for p, c, _, n, _ in runs} == entries(sp)
@@ -264,8 +267,9 @@ class TestUserTables:
 
 
 class TestGermData:
-    """A catalogue germ's e and rank are set with it, and a table's e and
-    runs are computed on each read; neither is part of a germ's identity."""
+    """A germ's e and runs are set with it, and its entries are expanded
+    from the runs; a catalogue germ's source, not its entries, tells it
+    from another class."""
 
     def test_table_runs_repeat_a_fresh_computation(self):
         sp = Spectrum.make({F(1, 2): 1, F(4, 3): -2, F(5, 6): 3, F(1): 4},
@@ -275,35 +279,45 @@ class TestGermData:
                        int((2 - int(2 - a) - a) * 6), n, 0)
                       for a, n in sp.entries)
         for _ in range(3):
-            assert sp.runs() == fresh
+            assert sp.runs == fresh
             assert sp.e == 6
-        assert Spectrum(sp.entries, sp.frame).runs() == fresh
+        assert Spectrum.make(entries(sp), sp.frame).runs == fresh
+        # the runs of a table, expanded, give its entries back
+        assert Spectrum(sp.frame, sp.e, sp.runs).entries == sp.entries
 
-    def test_germ_kind_identity_is_tag_and_data(self):
-        a, b = GermKind("monomial", (4, 6)), GermKind("monomial", (4, 6))
-        assert (a.rank, a.e, a.frame) == (2, 2, ("germ", 2))
-        b.rank, b.e, b.frame = 3, 5, ("germ", 3)  # read by neither
-        assert a == b and hash(a) == hash(b) == hash(("monomial", (4, 6)))
-        assert {a: 1}[b] == 1
-        assert a != GermKind("monomial", (6, 4))
-        assert GermKind("ordinary", (3,)) != GermKind("monomial", (3,))
+    def test_data_orders_get_rows_of_their_own(self, tmp_path, capsys):
+        # lines of multiplicities 4, 6 and 4: the points 1,2 and 2,3 are
+        # monomial(4,6) and monomial(6,4), whose spectra are equal, yet
+        # each keeps its own source in the spectra report
+        a, b = sp_monomial([4, 6]), sp_monomial([6, 4])
+        assert a == b and (a.describe(), b.describe()) == (
+            "monomial(4,6)", "monomial(6,4)")
+        arr = build(2, [((1, 0, 0), 4), ((0, 1, 0), 6), ((0, 0, 1), 4)])
+        path = tmp_path / "lines.json"
+        path.write_text(json.dumps(arrangement_to_json(arr)))
+        assert cli.main(["spectra", str(path)]) == 0
+        rows = json.loads(capsys.readouterr().out)["strata"]
+        sources = {row["edge"]: row["source"] for row in rows}
+        assert sources["1,2"] == "monomial(4,6)"
+        assert sources["2,3"] == "monomial(6,4)"
+        assert sources["1,3"] == "monomial(4,4)"
 
 
 class TestCatalogueDispatch:
     def test_monomial_for_boolean_edges(self):
         arr = corpus.load("doubleplane3")
         line = [e for e in edges(arr) if e.index_set == (0, 1)][0]
-        sp = classify_germ(localize(arr, line)).spectrum()
+        sp = classify_germ(localize(arr, line))
         assert sp == sp_monomial([2, 1])
 
     def test_ordinary_for_reduced_plane_points(self):
         arr = corpus.load("quad6a")
         triple = [e for e in edges(arr) if len(e.index_set) == 3][0]
-        assert classify_germ(localize(arr, triple)).spectrum() == \
-            sp_ordinary(3)
+        assert classify_germ(localize(arr, triple)) == sp_ordinary(3)
 
     def test_none_for_nonreduced_plane_points(self):
         arr = build(2, [((1, 0, 0), 2), ((0, 1, 0), 1), ((1, 1, 0), 1)])
         point = [e for e in edges(arr) if e.codim == 2][0]
-        assert classify_germ(localize(arr, point)).tag == "user_table"
+        assert (classify_germ(localize(arr, point)).describe()
+                == "user_table_required")
         assert stratum_spectrum(arr, sigma_strata(arr)[-1]) is None

@@ -414,6 +414,12 @@ class TestTraceAndSpecializations:
             RatFuncY([10]), RatFuncY([F(1, 2)]), RatFuncY([-5])]
 
 
+    def test_zero_value_is_refused_by_its_label(self):
+        with pytest.raises(ValueError) as info:
+            specializations({"P_{1}": self.half, "x": RatFuncY()})
+        assert str(info.value) == "zero value stored at label x"
+
+
 class TestDimensionTables:
     def test_lines_in_the_plane(self):
         dims = chow_dims(corpus.load("triangle3"))
