@@ -23,7 +23,7 @@ import json
 from functools import cached_property
 from math import gcd, lcm
 
-from .coeffs import RatFuncY, rat
+from .coeffs import MAX_DIGITS, RatFuncY, rat, too_many_digits
 
 __all__ = [
     "ArrangementError",
@@ -57,10 +57,13 @@ MAX_MULTIPLICITY = 100_000
 # ---------------------------------------------------------------------------
 # fraction-free linear algebra over Z
 #
-# A span is held as an integer echelon basis: (pivot, row) pairs sorted by
-# pivot, each row primitive with a positive pivot entry and zero at every
-# other pivot.  Each row is an integer multiple of the matching row of the
-# rational reduced row echelon form, so the two have the same zero pattern.
+# A span is held as a basis of (pivot, row) pairs, each row primitive, its
+# pivot its first nonzero entry, which is positive, and zero at the pivot
+# of every row before it.  The search appends each residual as it comes.
+# An echelon basis also has its rows sorted by pivot and each zero at
+# every other pivot: each row is an integer multiple of the matching row
+# of the rational reduced row echelon form, so the two have the same zero
+# pattern.
 
 
 def _primitive(vec) -> tuple:
@@ -77,10 +80,12 @@ def _primitive(vec) -> tuple:
 
 
 def _reduce(basis, vec):
-    """vec reduced against an integer echelon basis: a primitive vector that
-    is zero at every pivot, or None when vec lies in the span.  Each step
-    scales vec by a pivot entry, and the primitive vector at the end takes
-    out the common factor and the sign, so no step divides by a gcd."""
+    """vec reduced against an integer basis: a primitive vector that is zero
+    at every pivot, or None when vec lies in the span.  Each row is zero at
+    the pivots of the rows before it, so one pass in order zeroes every
+    pivot.  Each step scales vec by a pivot entry, and the primitive vector
+    at the end takes out the common factor and the sign, so no step
+    divides by a gcd."""
     for p, row in basis:
         b = vec[p]
         if b:
@@ -89,10 +94,15 @@ def _reduce(basis, vec):
     return _primitive(vec) if any(vec) else None
 
 
+def _pivot(row) -> int:
+    """The position of the first nonzero entry of a nonzero integer row."""
+    return row.index(next(filter(None, row)))
+
+
 def _extend(basis, residual) -> list:
     """The echelon basis of span(basis) + residual, for a residual that
     _reduce returned against that basis."""
-    p = next(i for i, x in enumerate(residual) if x)
+    p = _pivot(residual)
     out = [(q, _reduce([(p, residual)], row)) for q, row in basis]
     out.append((p, residual))
     out.sort()
@@ -169,11 +179,14 @@ class Arrangement:
 
 def _entry(value):
     """A covector entry: an int for an int or for a plain ASCII integer
-    string, with or without a leading "-"; anything else as rat parses
-    it, to a Fraction or to rat's error."""
+    string, with or without a leading "-", refused past MAX_DIGITS digits
+    as rat refuses it; anything else as rat parses it, to a Fraction or to
+    rat's error."""
     if type(value) is str:
         digits = value[1:] if value[:1] == "-" else value
         if digits.isascii() and digits.isdigit():
+            if len(digits) > MAX_DIGITS:
+                raise too_many_digits(len(digits))
             return int(value)
     elif type(value) is int:
         return value
@@ -281,16 +294,27 @@ class Lattice:
     def chi_y_open(self) -> tuple:
         """Per position, the integer coefficients of chi_y of the edge's
         open stratum as a tuple, top down by additivity: chi_y(P^d) minus
-        chi_y of every open stratum strictly above the edge.  Built only
-        for the chi-y report's rows and the Chern terms of curves and
-        surfaces; chi_y of the divisor comes from the Mobius pass."""
-        out = [None] * len(self.edges)
-        for i in reversed(range(len(self.edges))):
-            cs = [(-1) ** p for p in range(self.edges[i].dim + 1)]
-            for f in self.strictly_above[i]:
-                for p, c in enumerate(out[f]):
-                    cs[p] -= c
-            out[i] = tuple(cs)
+        chi_y of every open stratum strictly above the edge.  The
+        coefficients of each chi_y(P^d) are made once per call, and an edge
+        with nothing above it, a point among them, takes them as they are.
+        Built only for the chi-y report's rows and the Chern terms of curves
+        and surfaces; chi_y of the divisor comes from the Mobius pass."""
+        edges, above = self.edges, self.strictly_above
+        pn = [(1,)]  # per dimension d, the coefficients of chi_y(P^d)
+        for _ in range(edges[0].dim):
+            pn.append((*pn[-1], -pn[-1][-1]))
+        out = [None] * len(edges)
+        for i in reversed(range(len(edges))):
+            cs = pn[edges[i].dim]
+            if above[i]:
+                cs = list(cs)
+                for f in above[i]:
+                    p = 0
+                    for c in out[f]:
+                        cs[p] -= c
+                        p += 1
+                cs = tuple(cs)
+            out[i] = cs
         return tuple(out)
 
 
@@ -341,17 +365,28 @@ def _search_edges(arr: Arrangement) -> Lattice:
     are equal.  So the joins of Y split the hyperplanes off Y into
     disjoint blocks (Orlik-Terao, Arrangements of Hyperplanes, 2.1): if
     H_j lies on two joins of Y, each of them is the join of Y and H_j.
-    Each level keeps, per hyperplane, the index-set bitmasks of the joins
-    found so far that contain it.  Before Y is scanned, each of those
-    under Y's lowest hyperplane that contains Y's mask is a join of Y found
-    from an earlier edge, and its hyperplanes are skipped.  The
-    hyperplanes left form Y's other joins, each one whole, so every
-    residual group is a new edge with a saturated index set, and each edge
-    is found from exactly one edge below it.  Edges of codimension n are
-    not extended: a join of one has rank n + 1 and is no edge.  A join
-    lists the hyperplanes it adds, which from a hyperplane all come after
-    it, each earlier one having joined it from its own row.  Each edge's
-    key is built from the hyperplanes' key texts, made once per search.
+    A join's basis is Y's basis with the residual appended, pivoted at its
+    first nonzero entry.  The residual is zero at every pivot of Y's basis
+    and each row is zero at the pivots of the rows before it, so one pass
+    of _reduce over the rows in order still zeroes every pivot; the span
+    and the pivots are those of the reduced echelon basis, and so is every
+    primitive residual.
+
+    At codimension 2 hyperplane j's row scans only the hyperplanes after
+    it, each earlier one having joined it from its own row, and skips the
+    ones on a join through it found so far, kept as one covered mask per
+    hyperplane.  The rows go in index order and each row's joins in the
+    order of their first added hyperplane, so the level comes out in
+    lattice order.  Further up, each level keeps, per hyperplane, the
+    index-set bitmasks of the joins found so far that contain it.  Before
+    Y is scanned, each of those under Y's lowest hyperplane that contains
+    Y's mask is a join of Y found from an earlier edge, and its
+    hyperplanes are skipped.  The hyperplanes left form Y's other joins,
+    each one whole, so every residual group is a new edge with a saturated
+    index set, and each edge is found from exactly one edge below it.
+    Edges of codimension n are not extended: a join of one has rank n + 1
+    and is no edge.  Each edge's key is built from the hyperplanes' key
+    texts, made once per search.
 
     An edge is above another exactly when its index set contains the
     other's.  Hyperplane j sits at position j, and the edges above it are
@@ -359,69 +394,100 @@ def _search_edges(arr: Arrangement) -> Lattice:
     Any other edge takes the list of its first hyperplane, kept where the
     index-set mask contains its own; no edge is above one of
     codimension n.  The Mobius pass runs over that relation, and then each
-    edge is built once, with its Euler number."""
+    edge is built once, with its Euler number; on a reduced arrangement
+    its multiplicities are a slice of one tuple of ones."""
     n, covs, mults = arr.n, arr.covectors, arr.mults
-    texts = [str(j + 1) for j in range(len(covs))]  # per hyperplane
-    containing = [[j] for j in range(len(covs))]  # its edges' positions
-    # per position, (index set, codimension, key)
-    records, masks, frontier = [], [], []
-    for j, c in enumerate(covs):
-        records.append(((j,), 1, texts[j]))
-        masks.append(1 << j)
-        lead = next(p for p, x in enumerate(c) if x)
-        # (index set, its bitmask, echelon basis of its covectors)
-        frontier.append(((j,), 1 << j, [(lead, c)]))
+    r = len(covs)
+    texts = [str(j + 1) for j in range(r)]  # per hyperplane
+    containing = [[j] for j in range(r)]  # its edges' positions
+    # per position, in lattice order: index set, codimension, key, bitmask
+    isets = [(j,) for j in range(r)]
+    codims = [1] * r
+    keys = list(texts)
+    masks = [1 << j for j in range(r)]
+    frontier = []  # (index set, its bitmask, echelon basis of its covectors)
     for codim in range(2, n + 1):
-        level, nxt = [], []
-        through = [[] for _ in covs]  # per hyperplane, the masks found
-        for iset, mask, basis in frontier:
-            skip = mask
-            for found in through[iset[0]]:
-                if found & mask == mask:
-                    skip |= found
-            joins = {}  # residual -> the hyperplanes joined along it
+        level, nxt = [], []  # (index set, bitmask) per join found
+        if codim == 2:
+            covered = list(masks)  # per hyperplane, its joins found
             for j, c in enumerate(covs):
-                if not skip >> j & 1:
-                    res = _reduce(basis, c)
-                    group = joins.get(res)
-                    if group is None:
-                        joins[res] = [j]
-                    else:
-                        group.append(j)
-            for res, group in joins.items():
-                key = mask
-                for j in group:
-                    key |= 1 << j
-                joined = (iset + tuple(group) if codim == 2
-                          else tuple(sorted(iset + tuple(group))))
-                level.append((joined, key))
-                for j in joined:
-                    through[j].append(key)
-                if codim < n:
-                    nxt.append((joined, key, _extend(basis, res)))
-        level.sort()
+                basis = ((_pivot(c), c),)
+                skip = covered[j]
+                joins = {}  # residual -> the hyperplanes joined along it
+                for k in range(j + 1, r):
+                    if not skip >> k & 1:
+                        res = _reduce(basis, covs[k])
+                        group = joins.get(res)
+                        if group is None:
+                            joins[res] = [k]
+                        else:
+                            group.append(k)
+                for res, group in joins.items():
+                    key = 1 << j
+                    for k in group:
+                        key |= 1 << k
+                    for k in group:
+                        covered[k] |= key
+                    joined = (j, *group)
+                    level.append((joined, key))
+                    if codim < n:
+                        nxt.append((joined, key,
+                                    basis + ((_pivot(res), res),)))
+        else:
+            through = [[] for _ in covs]  # per hyperplane, the masks found
+            for iset, mask, basis in frontier:
+                skip = mask
+                for found in through[iset[0]]:
+                    if found & mask == mask:
+                        skip |= found
+                joins = {}
+                for j, c in enumerate(covs):
+                    if not skip >> j & 1:
+                        res = _reduce(basis, c)
+                        group = joins.get(res)
+                        if group is None:
+                            joins[res] = [j]
+                        else:
+                            group.append(j)
+                for res, group in joins.items():
+                    key = mask
+                    for j in group:
+                        key |= 1 << j
+                    joined = tuple(sorted(iset + tuple(group)))
+                    level.append((joined, key))
+                    for j in joined:
+                        through[j].append(key)
+                    if codim < n:
+                        nxt.append((joined, key,
+                                    basis + ((_pivot(res), res),)))
+            level.sort()
         for joined, key in level:
             for j in joined:
-                containing[j].append(len(records))
-            records.append((joined, codim,
-                            ",".join(map(texts.__getitem__, joined))))
+                containing[j].append(len(isets))
+            isets.append(joined)
+            keys.append(",".join(map(texts.__getitem__, joined)))
             masks.append(key)
+        codims += [codim] * len(level)
         frontier = nxt
     above = []
-    for i, (iset, codim, _) in enumerate(records):
+    for i, iset in enumerate(isets):
+        codim = codims[i]
         if codim == n:
             above.append(())
         elif codim == 1:  # its own position heads its list
             above.append(tuple(containing[i][1:]))
         else:
-            mask = masks[i]
-            above.append(tuple([k for k in containing[iset[0]]
-                                if k > i and masks[k] & mask == mask]))
-    euler, chi_y = _mu_pass(n, [codim for _, codim, _ in records], above)
-    edges = tuple([Edge(iset, codim, key, i,
-                        tuple(map(mults.__getitem__, iset)), euler[i],
-                        n - codim)
-                   for i, (iset, codim, key) in enumerate(records)])
+            mask, listed = masks[i], containing[iset[0]]
+            above.append(tuple([k for k in listed[listed.index(i) + 1:]
+                                if masks[k] & mask == mask]))
+    euler, chi_y = _mu_pass(n, codims, above)
+    if arr.m == r:  # reduced: an edge's multiplicities are all ones
+        ones = (1,) * r
+        local = [ones[:len(iset)] for iset in isets]
+    else:
+        local = [tuple(map(mults.__getitem__, iset)) for iset in isets]
+    edges = tuple(map(Edge, isets, codims, keys, range(len(isets)), local,
+                      euler, [n - codim for codim in codims]))
     return Lattice(edges, tuple(above), chi_y)
 
 

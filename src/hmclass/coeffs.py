@@ -12,6 +12,7 @@ when k == 0.  No floating point anywhere.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -20,12 +21,24 @@ __all__ = [
     "RatFuncY",
 ]
 
+# Python's default limit on the digits of integer text.  int() and
+# Fraction() refuse longer text with a message that differs between
+# versions, so rat and the covector parser refuse it first, in one text.
+MAX_DIGITS = 4300
+
+
+def too_many_digits(count: int) -> ValueError:
+    """The error for integer text of count > MAX_DIGITS digits."""
+    return ValueError(f"integer text of {count} digits exceeds the limit "
+                      f"of {MAX_DIGITS} digits")
+
 
 def rat(value) -> Fraction:
     """Parse a rational from an int (not a bool), Fraction, 'p/q' or decimal
-    string.  Bad syntax, a zero denominator, an exponent or an underscore
-    is a ValueError: Fraction reads underscores from Python 3.11 on only,
-    so they are refused on every version."""
+    string.  Bad syntax, a zero denominator, an exponent, an underscore or
+    a run of more than MAX_DIGITS digits is a ValueError: Fraction reads
+    underscores from Python 3.11 on only, so they are refused on every
+    version, and the digit limit is worded one way on all."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
@@ -35,6 +48,10 @@ def rat(value) -> Fraction:
             raise ValueError(f"exponent notation in {value!r}")
         if "_" in value:
             raise ValueError(f"underscore in {value!r}")
+        if len(value) > MAX_DIGITS:  # each run of digits is one integer
+            longest = max(map(len, re.findall(r"\d+", value)), default=0)
+            if longest > MAX_DIGITS:
+                raise too_many_digits(longest)
         try:
             return Fraction(value.strip())
         except ZeroDivisionError:

@@ -62,11 +62,26 @@ MUTANTS = {
         [f"{PROPS}::test_chern_path_matches_class_oracle"]),
     "search-skips-without-containment": (
         "src/hmclass/arrangement.py",
-        "                if found & mask == mask:\n"
+        "                    if found & mask == mask:\n"
+        "                        skip |= found\n",
         "                    skip |= found\n",
-        "                skip |= found\n",
         [f"{BRUTE}::test_random_arrangements_against_brute_force",
          f"{BRUTE}::test_random_p4_arrangements_against_brute_force"]),
+    # a codimension-2 row that forgets the joins found through its
+    # hyperplane from earlier rows finds a concurrent point again
+    "search-forgets-covered-joins": (
+        "src/hmclass/arrangement.py",
+        "                    for k in group:\n"
+        "                        covered[k] |= key\n",
+        "",
+        [f"{BRUTE}::test_concurrent_counts",
+         f"{BRUTE}::test_cover_walks_against_filters"]),
+    # the open stratum of an edge is P^d minus the open strata above it
+    "chi-y-open-adds-the-strata-above": (
+        "src/hmclass/arrangement.py",
+        "                        cs[p] -= c\n",
+        "                        cs[p] += c\n",
+        [f"{PROPS}::test_lattice_tables_match_whitney_oracle"]),
     "curve-beta-ceiling-as-floor": (
         "src/hmclass/milnor.py",
         "beta, b_d = -(m - m_s) // m_s,",
@@ -172,8 +187,8 @@ MUTANTS = {
     # each edge is built with the Euler number of its own position
     "localization-misreads-euler": (
         "src/hmclass/arrangement.py",
-        "tuple(map(mults.__getitem__, iset)), euler[i],",
-        "tuple(map(mults.__getitem__, iset)), euler[i - 1],",
+        "euler, [n - codim for codim in codims]",
+        "euler[-1:] + euler[:-1], [n - codim for codim in codims]",
         [f"{CORPUS}[concurrent3-milnor]",
          f"{PROPS}::test_lattice_tables_match_whitney_oracle"]),
     # the divisor's Euler number is its chi_y at y = -1, the even

@@ -1,7 +1,6 @@
 import json
 import math
 import random
-import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -13,7 +12,7 @@ from hmclass.arrangement import (Arrangement, ArrangementError, build,
                                  euler_by_inclusion_exclusion, is_dense,
                                  in_sigma, localize, milnor_fiber_chi,
                                  sigma_strata)
-from hmclass.coeffs import RatFuncY, rat
+from hmclass.coeffs import MAX_DIGITS, RatFuncY, rat
 from hmclass.milnor import assemble
 from oracles import (brute_force_edges, dense_by_bipartition,
                      inclusion_exclusion_euler, primitive_reference)
@@ -181,17 +180,23 @@ class TestBuild:
             assert arr.covectors == (covector,)
 
     def test_integer_text_past_the_digit_limit(self):
-        # int and Fraction refuse the same long digit strings with the same
-        # text, from Python 3.11 on
-        if not hasattr(sys, "get_int_max_str_digits"):
-            pytest.skip("no limit on integer text before Python 3.11")
-        text = "1" * (sys.get_int_max_str_digits() + 1)
-        with pytest.raises(ValueError) as expected:
-            Fraction(text)
-        item = {"coeffs": [text, "1"], "mult": 1}
-        with pytest.raises(ArrangementError) as info:
-            Arrangement.from_json({"n": 1, "hyperplanes": [item]})
-        assert str(info.value).endswith(f": {expected.value}")
+        # int and Fraction refuse integer text past Python's default limit
+        # with a text that differs by version (and not at all before
+        # 3.10.7), so the parser refuses it first, in one text on every
+        # version, each run of digits counted on its own
+        text = "1" * MAX_DIGITS
+        assert build(1, [([text, "1"], 1)]).covectors == ((int(text), 1),)
+        assert build(1, [([f"{text}/{text}", "1"], 1)]).covectors == ((1, 1),)
+        for text, digits in (("1" * 4301, 4301), ("-" + "2" * 5000, 5000),
+                             ("1/" + "3" * 4301, 4301),
+                             (" 0." + "5" * 4301, 4301),
+                             ("\u0663" * 4302, 4302)):
+            item = {"coeffs": [text, "1"], "mult": 1}
+            with pytest.raises(ArrangementError) as info:
+                Arrangement.from_json({"n": 1, "hyperplanes": [item]})
+            assert str(info.value) == (
+                f"bad hyperplane entry {item!r}: integer text of {digits} "
+                f"digits exceeds the limit of 4300 digits")
 
 
 class TestPrimitive:
@@ -216,6 +221,51 @@ class TestPrimitive:
             seen["content"] += math.gcd(*vec) > 1
             seen["primitive"] += want == vec
         assert min(seen.values()) >= 50, seen
+
+
+class TestAppendOnlyBasis:
+    def test_reduces_as_the_echelon_basis(self):
+        # the search appends each join's residual to its edge's basis,
+        # pivoted at its first nonzero entry, without reducing the rows
+        # before it; a vector reduced against that basis gives the primitive
+        # residual it gives against the echelon basis of the same rows
+        rng = random.Random(31)
+        seen = Counter()
+        for _ in range(600):
+            width = rng.choice([4, 5])
+            rows = []
+            for _ in range(rng.randint(1, width)):
+                if rows and rng.random() < 0.2:  # a row in the span so far
+                    row = [sum(rng.randint(-2, 2) * r[i] for r in rows)
+                           for i in range(width)]
+                else:
+                    row = [rng.choice([0, rng.randint(-3, 3)])
+                           for _ in range(width)]
+                if any(row):
+                    rows.append(row)
+            if not rows:
+                continue
+            basis = []
+            for row in rows:
+                res = arrangement._reduce(basis, row)
+                if res is not None:
+                    basis.append((arrangement._pivot(res), res))
+            echelon = arrangement._echelon(rows)
+            assert sorted(p for p, _ in basis) == [p for p, _ in echelon]
+            pivots = {p for p, _ in basis}
+            seen["not reduced"] += any(row[q] for p, row in basis
+                                       for q in pivots if q != p)
+            for _ in range(5):
+                vec = [rng.randint(-4, 4) for _ in range(width)]
+                if rng.random() < 0.3:  # a vector in the span
+                    vec = [sum(rng.randint(-2, 2) * r[i] for r in rows)
+                           for i in range(width)]
+                got = arrangement._reduce(basis, vec)
+                assert got == arrangement._reduce(echelon, vec), (rows, vec)
+                seen["in span"] += got is None
+                seen["residual"] += got is not None
+        assert seen["not reduced"] >= 50, seen
+        assert seen["in span"] >= 50 and seen["residual"] >= 500, seen
 
 
 class TestEdges:

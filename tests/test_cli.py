@@ -361,6 +361,32 @@ class TestMilnorCommand:
         assert "underscore in '1_0/3'" in error["message"]
 
     @pytest.mark.parametrize("target", ["input", "tables"])
+    def test_digit_limit_exit_code(self, capsys, tmp_path, target):
+        # Python words its own refusal of long integer text differently by
+        # version, so the covector parser and rat refuse it first
+        long = "1" * 5000
+        if target == "input":
+            path = tmp_path / "input.json"
+            path.write_text(json.dumps({
+                "n": 2,
+                "hyperplanes": [{"coeffs": [long, "0", "1"], "mult": 1},
+                                {"coeffs": ["0", "1", "0"], "mult": 1}]}))
+            argv, kind = ["lattice", str(path)], "ArrangementError"
+        else:
+            path = tmp_path / "tables.json"
+            path.write_text(json.dumps({"1,2,3": [{"alpha": long,
+                                                   "mult": 1}]}))
+            argv = ["spectra", corpus_file("concurrent3"), "--tables",
+                    str(path)]
+            kind = "SpectrumError"
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        error = json.loads(err)["error"]
+        assert error["kind"] == kind
+        assert error["message"].endswith(
+            ": integer text of 5000 digits exceeds the limit of 4300 digits")
+
+    @pytest.mark.parametrize("target", ["input", "tables"])
     def test_deeply_nested_json_exit_code(self, tmp_path, target):
         # the decoder gives up on 10^5 nested arrays with a RecursionError
         deep = tmp_path / "deep.json"

@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmclass.coeffs import RatFuncY, poly_str, rat
+from hmclass.coeffs import MAX_DIGITS, RatFuncY, poly_str, rat
 from hmclass.genera import _inverse, compose_scale, mul
 from hmclass.milnor import PolynomialityError
 from oracles import (ProjRing, RingElement, poly_division_oracle,
@@ -105,6 +105,23 @@ class TestRatFunc:
             with pytest.raises(ValueError) as info:
                 rat(text)
             assert str(info.value) == f"underscore in {text!r}"
+
+    def test_rat_refuses_digits_past_the_limit_on_every_version(self):
+        # int and Fraction word their refusal differently by version
+        assert MAX_DIGITS == 4300
+        long = "7" * MAX_DIGITS
+        assert rat(long) == int(long)
+        assert rat(f" -{long}/{long} ") == -1
+        assert rat(f"{long}.{long}") == int(long) + Fraction(
+            int(long), 10 ** MAX_DIGITS)
+        for text, digits in (("7" * 4301, 4301), ("1/" + "7" * 4301, 4301),
+                             ("7" * 5000 + "/3", 5000),
+                             ("0." + "7" * 4301, 4301),
+                             (" -" + "7" * 4301 + " ", 4301)):
+            with pytest.raises(ValueError) as info:
+                rat(text)
+            assert str(info.value) == (f"integer text of {digits} digits "
+                                       f"exceeds the limit of 4300 digits")
 
     def test_against_sympy_randomized(self):
         rng = random.Random(2013)

@@ -220,6 +220,14 @@ GUARDED_P3 = (3, [((1, 0, 0, 0), 2), ((0, 1, 0, 0), 1), ((0, 0, 1, 0), 1),
 GUARDED_P4 = (4, [(tuple(int(i == j) for i in range(5)), 1)
                   for j in range(5)], [0, 1, 2, 3, 4])
 
+# the same for the lattice-side properties further down.  In P^2: a double
+# line x0, with x1 and x0 + x1 through [0:0:1], a dense point, and x2
+# crossing the three in points that are not dense.  In P^4: the coordinate
+# hyperplanes and x0 + x1, whose codimension-2 edge 1,2,6 is dense.
+GUARDED_P2 = (2, [((1, 0, 0), 2), ((0, 1, 0), 1), ((1, 1, 0), 1),
+                  ((0, 0, 1), 1)], [0, 1, 2, 3])
+DENSE_P4 = (4, GUARDED_P4[1] + [((1, 1, 0, 0, 0), 1)], [0, 1, 2, 3, 4, 5])
+
 
 def test_type_key_is_sound():
     # every stratum's memoized contribution is the one its own germ and
@@ -504,8 +512,8 @@ def test_lattice_tables_match_whitney_oracle(case):
 
 def search_reductions(arr):
     """The lattice of arr, searched afresh, and the number of _reduce calls
-    _search_edges makes itself; the calls made inside _extend are told
-    apart by the caller's frame and not counted."""
+    _search_edges makes itself, told apart by the caller's frame: a call
+    from anywhere else, such as _echelon or _extend, is not counted."""
     reduce = arrangement._reduce
     calls = 0
 
@@ -531,6 +539,9 @@ def test_search_reduces_each_hyperplane_into_one_new_edge():
 
     @settings(SETTINGS, max_examples=60)
     @given(st.one_of(arrangements(), p4_arrangements()))
+    @example(GUARDED_P2)
+    @example(GUARDED_P3)
+    @example(GUARDED_P4)
     def check(case):
         n, hyperplanes, _ = case
         try:
@@ -565,6 +576,9 @@ def test_searched_edge_keys_and_degrees():
 
     @settings(SETTINGS, max_examples=60)
     @given(st.one_of(arrangements(), p4_arrangements()))
+    @example(GUARDED_P2)
+    @example(GUARDED_P3)
+    @example(GUARDED_P4)
     def check(case):
         n, hyperplanes, _ = case
         try:
@@ -593,6 +607,9 @@ def test_dense_iff_nonzero_euler():
     @settings(SETTINGS, max_examples=80)
     @given(st.one_of(lattice_arrangements(),
                      p4_arrangements().map(lambda case: case[:2])))
+    @example(GUARDED_P2[:2])
+    @example(GUARDED_P3[:2])
+    @example(DENSE_P4[:2])
     def check(case):
         n, hyperplanes = case
         try:
@@ -831,6 +848,9 @@ def test_chi_y_of_the_mobius_pass_sums_the_open_strata():
 
         @settings(SETTINGS, max_examples=100, phases=NO_SHRINK)
         @given(euler_arrangements())
+        @example(GUARDED_P2[:2])
+        @example(GUARDED_P3[:2])
+        @example(GUARDED_P4[:2])
         def check(case):
             n, hyperplanes = case
             try:
