@@ -23,7 +23,7 @@ import json
 from functools import cached_property
 from math import gcd, lcm
 
-from .coeffs import MAX_DIGITS, RatFuncY, rat, too_many_digits
+from .coeffs import MIN_DIGIT_LIMIT, RatFuncY, check_digits, rat
 
 __all__ = [
     "ArrangementError",
@@ -179,14 +179,14 @@ class Arrangement:
 
 def _entry(value):
     """A covector entry: an int for an int or for a plain ASCII integer
-    string, with or without a leading "-", refused past MAX_DIGITS digits
-    as rat refuses it; anything else as rat parses it, to a Fraction or to
-    rat's error."""
+    string, with or without a leading "-", refused past Python's limit on
+    integer text as rat refuses it; anything else as rat parses it, to a
+    Fraction or to rat's error."""
     if type(value) is str:
         digits = value[1:] if value[:1] == "-" else value
         if digits.isascii() and digits.isdigit():
-            if len(digits) > MAX_DIGITS:
-                raise too_many_digits(len(digits))
+            if len(digits) > MIN_DIGIT_LIMIT:
+                check_digits(len(digits))
             return int(value)
     elif type(value) is int:
         return value
@@ -309,7 +309,7 @@ class Lattice:
             if above[i]:
                 cs = list(cs)
                 for f in above[i]:
-                    p = 0
+                    p = 0  # a plain counter runs faster than enumerate here
                     for c in out[f]:
                         cs[p] -= c
                         p += 1
@@ -372,21 +372,24 @@ def _search_edges(arr: Arrangement) -> Lattice:
     and the pivots are those of the reduced echelon basis, and so is every
     primitive residual.
 
-    At codimension 2 hyperplane j's row scans only the hyperplanes after
-    it, each earlier one having joined it from its own row, and skips the
-    ones on a join through it found so far, kept as one covered mask per
-    hyperplane.  The rows go in index order and each row's joins in the
-    order of their first added hyperplane, so the level comes out in
-    lattice order.  Further up, each level keeps, per hyperplane, the
-    index-set bitmasks of the joins found so far that contain it.  Before
-    Y is scanned, each of those under Y's lowest hyperplane that contains
-    Y's mask is a join of Y found from an earlier edge, and its
-    hyperplanes are skipped.  The hyperplanes left form Y's other joins,
-    each one whole, so every residual group is a new edge with a saturated
-    index set, and each edge is found from exactly one edge below it.
-    Edges of codimension n are not extended: a join of one has rank n + 1
-    and is no edge.  Each edge's key is built from the hyperplanes' key
-    texts, made once per search.
+    Each level keeps, per hyperplane, the index-set bitmasks of the joins
+    found so far that contain it.  Before Y is scanned, each of those
+    under Y's lowest hyperplane that contains Y's mask is a join of Y found
+    from an earlier edge, and its hyperplanes are skipped.  The
+    hyperplanes left form Y's other joins, each one whole, so every
+    residual group is a new edge with a saturated index set, and each edge
+    is found from exactly one edge below it.  The scan starts after Y's
+    lowest hyperplane a, because the frontier goes by lowest hyperplane:
+    for H_k off Y with k < a, the join of Y and H_k holds an edge of Y's
+    codimension through H_k, whose lowest hyperplane is at most k, so it
+    came before Y and found that join, and its hyperplanes are skipped.
+    So every new join of Y has lowest hyperplane a, and the next frontier
+    goes by lowest hyperplane too.  At codimension 2 the rows go in index
+    order and each row's joins in the order of their first added
+    hyperplane, so that level comes out in lattice order and is not
+    sorted.  Edges of codimension n are not extended: a join of one has
+    rank n + 1 and is no edge.  Each edge's key is built from the
+    hyperplanes' key texts, made once per search.
 
     An edge is above another exactly when its index set contains the
     other's.  Hyperplane j sits at position j, and the edges above it are
@@ -394,8 +397,7 @@ def _search_edges(arr: Arrangement) -> Lattice:
     Any other edge takes the list of its first hyperplane, kept where the
     index-set mask contains its own; no edge is above one of
     codimension n.  The Mobius pass runs over that relation, and then each
-    edge is built once, with its Euler number; on a reduced arrangement
-    its multiplicities are a slice of one tuple of ones."""
+    edge is built once, with its Euler number."""
     n, covs, mults = arr.n, arr.covectors, arr.mults
     r = len(covs)
     texts = [str(j + 1) for j in range(r)]  # per hyperplane
@@ -405,61 +407,37 @@ def _search_edges(arr: Arrangement) -> Lattice:
     codims = [1] * r
     keys = list(texts)
     masks = [1 << j for j in range(r)]
-    frontier = []  # (index set, its bitmask, echelon basis of its covectors)
+    # (index set, its bitmask, basis of its covectors)
+    frontier = [((j,), 1 << j, ((_pivot(c), c),)) for j, c in enumerate(covs)]
     for codim in range(2, n + 1):
         level, nxt = [], []  # (index set, bitmask) per join found
-        if codim == 2:
-            covered = list(masks)  # per hyperplane, its joins found
-            for j, c in enumerate(covs):
-                basis = ((_pivot(c), c),)
-                skip = covered[j]
-                joins = {}  # residual -> the hyperplanes joined along it
-                for k in range(j + 1, r):
-                    if not skip >> k & 1:
-                        res = _reduce(basis, covs[k])
-                        group = joins.get(res)
-                        if group is None:
-                            joins[res] = [k]
-                        else:
-                            group.append(k)
-                for res, group in joins.items():
-                    key = 1 << j
-                    for k in group:
-                        key |= 1 << k
-                    for k in group:
-                        covered[k] |= key
-                    joined = (j, *group)
-                    level.append((joined, key))
-                    if codim < n:
-                        nxt.append((joined, key,
-                                    basis + ((_pivot(res), res),)))
-        else:
-            through = [[] for _ in covs]  # per hyperplane, the masks found
-            for iset, mask, basis in frontier:
-                skip = mask
-                for found in through[iset[0]]:
-                    if found & mask == mask:
-                        skip |= found
-                joins = {}
-                for j, c in enumerate(covs):
-                    if not skip >> j & 1:
-                        res = _reduce(basis, c)
-                        group = joins.get(res)
-                        if group is None:
-                            joins[res] = [j]
-                        else:
-                            group.append(j)
-                for res, group in joins.items():
-                    key = mask
-                    for j in group:
-                        key |= 1 << j
-                    joined = tuple(sorted(iset + tuple(group)))
-                    level.append((joined, key))
-                    for j in joined:
-                        through[j].append(key)
-                    if codim < n:
-                        nxt.append((joined, key,
-                                    basis + ((_pivot(res), res),)))
+        through = [[] for _ in covs]  # per hyperplane, the masks found
+        for iset, mask, basis in frontier:
+            skip = mask
+            for found in through[iset[0]]:
+                if found & mask == mask:
+                    skip |= found
+            joins = {}  # residual -> the hyperplanes joined along it
+            for j in range(iset[0] + 1, r):
+                if not skip >> j & 1:
+                    res = _reduce(basis, covs[j])
+                    group = joins.get(res)
+                    if group is None:
+                        joins[res] = [j]
+                    else:
+                        group.append(j)
+            for res, group in joins.items():
+                key = mask
+                for j in group:
+                    key |= 1 << j
+                joined = (iset + tuple(group) if codim == 2
+                          else tuple(sorted(iset + tuple(group))))
+                level.append((joined, key))
+                for j in joined:
+                    through[j].append(key)
+                if codim < n:
+                    nxt.append((joined, key, basis + ((_pivot(res), res),)))
+        if codim > 2:
             level.sort()
         for joined, key in level:
             for j in joined:
@@ -477,15 +455,11 @@ def _search_edges(arr: Arrangement) -> Lattice:
         elif codim == 1:  # its own position heads its list
             above.append(tuple(containing[i][1:]))
         else:
-            mask, listed = masks[i], containing[iset[0]]
-            above.append(tuple([k for k in listed[listed.index(i) + 1:]
-                                if masks[k] & mask == mask]))
+            mask = masks[i]
+            above.append(tuple([k for k in containing[iset[0]]
+                                if k > i and masks[k] & mask == mask]))
     euler, chi_y = _mu_pass(n, codims, above)
-    if arr.m == r:  # reduced: an edge's multiplicities are all ones
-        ones = (1,) * r
-        local = [ones[:len(iset)] for iset in isets]
-    else:
-        local = [tuple(map(mults.__getitem__, iset)) for iset in isets]
+    local = [tuple(map(mults.__getitem__, iset)) for iset in isets]
     edges = tuple(map(Edge, isets, codims, keys, range(len(isets)), local,
                       euler, [n - codim for codim in codims]))
     return Lattice(edges, tuple(above), chi_y)

@@ -13,6 +13,7 @@ when k == 0.  No floating point anywhere.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -21,22 +22,28 @@ __all__ = [
     "RatFuncY",
 ]
 
-# Python's default limit on the digits of integer text.  int() and
-# Fraction() refuse longer text with a message that differs between
-# versions, so rat and the covector parser refuse it first, in one text.
-MAX_DIGITS = 4300
+# int() and Fraction() refuse integer text of more digits than Python's
+# limit with a message that differs between versions, so rat and the
+# covector parser refuse it first, in one text.  The limit is read when
+# the text is: 4300 by default, set per run by PYTHONINTMAXSTRDIGITS or
+# -X int_max_str_digits, 0 for none, never between 1 and MIN_DIGIT_LIMIT,
+# and absent before Python 3.10.7.
+MIN_DIGIT_LIMIT = 640
 
 
-def too_many_digits(count: int) -> ValueError:
-    """The error for integer text of count > MAX_DIGITS digits."""
-    return ValueError(f"integer text of {count} digits exceeds the limit "
-                      f"of {MAX_DIGITS} digits")
+def check_digits(count: int) -> None:
+    """Raise ValueError when integer text of count digits is past Python's
+    limit on integer text."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and count > limit:
+        raise ValueError(f"integer text of {count} digits exceeds the limit "
+                         f"of {limit} digits")
 
 
 def rat(value) -> Fraction:
     """Parse a rational from an int (not a bool), Fraction, 'p/q' or decimal
     string.  Bad syntax, a zero denominator, an exponent, an underscore or
-    a run of more than MAX_DIGITS digits is a ValueError: Fraction reads
+    a run of digits past Python's limit is a ValueError: Fraction reads
     underscores from Python 3.11 on only, so they are refused on every
     version, and the digit limit is worded one way on all."""
     if isinstance(value, Fraction):
@@ -48,10 +55,8 @@ def rat(value) -> Fraction:
             raise ValueError(f"exponent notation in {value!r}")
         if "_" in value:
             raise ValueError(f"underscore in {value!r}")
-        if len(value) > MAX_DIGITS:  # each run of digits is one integer
-            longest = max(map(len, re.findall(r"\d+", value)), default=0)
-            if longest > MAX_DIGITS:
-                raise too_many_digits(longest)
+        if len(value) > MIN_DIGIT_LIMIT:  # each run of digits is one integer
+            check_digits(max(map(len, re.findall(r"\d+", value)), default=0))
         try:
             return Fraction(value.strip())
         except ZeroDivisionError:

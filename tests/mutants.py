@@ -62,17 +62,17 @@ MUTANTS = {
         [f"{PROPS}::test_chern_path_matches_class_oracle"]),
     "search-skips-without-containment": (
         "src/hmclass/arrangement.py",
-        "                    if found & mask == mask:\n"
-        "                        skip |= found\n",
+        "                if found & mask == mask:\n"
         "                    skip |= found\n",
+        "                skip |= found\n",
         [f"{BRUTE}::test_random_arrangements_against_brute_force",
          f"{BRUTE}::test_random_p4_arrangements_against_brute_force"]),
-    # a codimension-2 row that forgets the joins found through its
-    # hyperplane from earlier rows finds a concurrent point again
-    "search-forgets-covered-joins": (
+    # an edge that forgets the joins found through its hyperplanes from
+    # earlier edges finds a concurrent point again, unsaturated
+    "search-forgets-found-joins": (
         "src/hmclass/arrangement.py",
-        "                    for k in group:\n"
-        "                        covered[k] |= key\n",
+        "                for j in joined:\n"
+        "                    through[j].append(key)\n",
         "",
         [f"{BRUTE}::test_concurrent_counts",
          f"{BRUTE}::test_cover_walks_against_filters"]),

@@ -12,7 +12,7 @@ from hmclass.arrangement import (Arrangement, ArrangementError, build,
                                  euler_by_inclusion_exclusion, is_dense,
                                  in_sigma, localize, milnor_fiber_chi,
                                  sigma_strata)
-from hmclass.coeffs import MAX_DIGITS, RatFuncY, rat
+from hmclass.coeffs import RatFuncY, rat
 from hmclass.milnor import assemble
 from oracles import (brute_force_edges, dense_by_bipartition,
                      inclusion_exclusion_euler, primitive_reference)
@@ -180,11 +180,11 @@ class TestBuild:
             assert arr.covectors == (covector,)
 
     def test_integer_text_past_the_digit_limit(self):
-        # int and Fraction refuse integer text past Python's default limit
-        # with a text that differs by version (and not at all before
-        # 3.10.7), so the parser refuses it first, in one text on every
-        # version, each run of digits counted on its own
-        text = "1" * MAX_DIGITS
+        # int and Fraction refuse integer text past Python's limit, 4300
+        # digits by default, with a text that differs by version (and not
+        # at all before 3.10.7), so the parser refuses it first, in one
+        # text on every version, each run of digits counted on its own
+        text = "1" * 4300
         assert build(1, [([text, "1"], 1)]).covectors == ((int(text), 1),)
         assert build(1, [([f"{text}/{text}", "1"], 1)]).covectors == ((1, 1),)
         for text, digits in (("1" * 4301, 4301), ("-" + "2" * 5000, 5000),

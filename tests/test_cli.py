@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -385,6 +388,30 @@ class TestMilnorCommand:
         assert error["kind"] == kind
         assert error["message"].endswith(
             ": integer text of 5000 digits exceeds the limit of 4300 digits")
+
+    @pytest.mark.parametrize("limit", ["1000", "0"])
+    def test_digit_limit_set_for_the_run(self, tmp_path, limit):
+        # PYTHONINTMAXSTRDIGITS sets the limit the parser refuses past; 0
+        # is no limit, and the entry is read
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({
+            "n": 2, "hyperplanes": [{"coeffs": ["1" * 1001, "0", "1"],
+                                     "mult": 1},
+                                    {"coeffs": ["0", "1", "0"], "mult": 1}]}))
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONINTMAXSTRDIGITS=limit,
+                   PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-m", "hmclass", "lattice", str(path)],
+            capture_output=True, text=True, env=env)
+        if limit == "0":
+            assert done.returncode == 0 and done.stderr == ""
+            assert json.loads(done.stdout)["edges"]
+        else:
+            assert done.returncode == 2 and done.stdout == ""
+            assert json.loads(done.stderr)["error"]["message"].endswith(
+                ": integer text of 1001 digits exceeds the limit of 1000 "
+                "digits")
 
     @pytest.mark.parametrize("target", ["input", "tables"])
     def test_deeply_nested_json_exit_code(self, tmp_path, target):

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmclass.coeffs import MAX_DIGITS, RatFuncY, poly_str, rat
+from hmclass.coeffs import RatFuncY, poly_str, rat
 from hmclass.genera import _inverse, compose_scale, mul
 from hmclass.milnor import PolynomialityError
 from oracles import (ProjRing, RingElement, poly_division_oracle,
@@ -107,13 +108,13 @@ class TestRatFunc:
             assert str(info.value) == f"underscore in {text!r}"
 
     def test_rat_refuses_digits_past_the_limit_on_every_version(self):
-        # int and Fraction word their refusal differently by version
-        assert MAX_DIGITS == 4300
-        long = "7" * MAX_DIGITS
+        # int and Fraction word their refusal differently by version;
+        # Python's default limit is 4300 digits
+        long = "7" * 4300
         assert rat(long) == int(long)
         assert rat(f" -{long}/{long} ") == -1
         assert rat(f"{long}.{long}") == int(long) + Fraction(
-            int(long), 10 ** MAX_DIGITS)
+            int(long), 10 ** 4300)
         for text, digits in (("7" * 4301, 4301), ("1/" + "7" * 4301, 4301),
                              ("7" * 5000 + "/3", 5000),
                              ("0." + "7" * 4301, 4301),
@@ -122,6 +123,23 @@ class TestRatFunc:
                 rat(text)
             assert str(info.value) == (f"integer text of {digits} digits "
                                        f"exceeds the limit of 4300 digits")
+
+    def test_rat_reads_pythons_digit_limit_when_called(self):
+        # PYTHONINTMAXSTRDIGITS and -X int_max_str_digits set the limit a
+        # run starts with, and sys.set_int_max_str_digits the one it has
+        default = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(1000)
+            assert rat("7" * 1000) == int("7" * 1000)
+            for text in ("7" * 1001, "1/" + "7" * 1001, "0." + "7" * 1001):
+                with pytest.raises(ValueError) as info:
+                    rat(text)
+                assert str(info.value) == ("integer text of 1001 digits "
+                                           "exceeds the limit of 1000 digits")
+            sys.set_int_max_str_digits(0)  # no limit
+            assert rat("7" * 5000 + "/7") == int("1" * 5000)
+        finally:
+            sys.set_int_max_str_digits(default)
 
     def test_against_sympy_randomized(self):
         rng = random.Random(2013)
