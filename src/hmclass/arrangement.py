@@ -19,11 +19,11 @@ that table.
 
 from __future__ import annotations
 
-import json
 from functools import cached_property
 from math import gcd, lcm
 
 from .coeffs import MIN_DIGIT_LIMIT, RatFuncY, check_digits, rat
+from .jsontext import reader
 
 __all__ = [
     "ArrangementError",
@@ -160,21 +160,57 @@ class Arrangement:
                 coeffs = item["coeffs"]
                 if not isinstance(coeffs, list):
                     raise TypeError(f"coeffs must be a list, got {coeffs!r}")
-                coeffs = [_entry(c) for c in coeffs]
+                coeffs = tuple(map(_entry, coeffs))
                 mult = item["mult"]
             except (KeyError, TypeError, ValueError) as exc:
-                raise ArrangementError(f"bad hyperplane entry {item!r}: {exc}")
+                raise ArrangementError(
+                    f"bad hyperplane entry {echo(item)}: {exc}")
             hyps.append((coeffs, mult))
-        return build(n, hyps)
+        return _build(n, hyps)
 
     @staticmethod
     def load(path) -> "Arrangement":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise ArrangementError(f"malformed JSON: {exc}")
-        return Arrangement.from_json(data)
+        return Arrangement.from_json(read_json(path, ArrangementError))
+
+
+def _json_int(text: str) -> int:
+    """The int of a JSON integer's text, refused past Python's limit on
+    integer text as _entry refuses a quoted integer, in one text."""
+    if len(text) > MIN_DIGIT_LIMIT:
+        check_digits(len(text) - (text[0] == "-"))
+    return int(text)
+
+
+_read = reader(_json_int)
+
+
+def read_json(path, error):
+    """The value of the JSON file at path, read by jsontext's reader with
+    each integer checked by _json_int.  Malformed JSON, which only the
+    reader's second path, json.loads, sees, raises error("malformed JSON:
+    ...") with json's own text; an integer past the digit limit raises
+    error with check_digits' text."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return _read(text)
+    except (RecursionError, ValueError) as exc:
+        from json import JSONDecodeError  # loaded by the failed read
+        if isinstance(exc, ValueError) and not isinstance(exc,
+                                                          JSONDecodeError):
+            raise error(str(exc))  # _json_int's refusal
+        raise error(f"malformed JSON: {exc}")
+
+
+# the length past which echo cuts a refused entry's repr
+ECHO_CHARS = 100
+
+
+def echo(value) -> str:
+    """repr(value), cut after ECHO_CHARS characters with the marker "...",
+    so that an error that names a refused entry stays one short line."""
+    text = repr(value)
+    return text if len(text) <= ECHO_CHARS else text[:ECHO_CHARS] + "..."
 
 
 def _entry(value):
@@ -194,18 +230,25 @@ def _entry(value):
 
 
 def build(n: int, hyperplanes) -> Arrangement:
-    """Validate and construct an arrangement.
+    """Validate and construct an arrangement from (covector, multiplicity)
+    pairs whose entries _entry reads: ints, Fractions or their texts.
 
     Rejects zero covectors, proportional covector pairs (duplicates are an
     input error, never merged) and multiplicities outside
     1..MAX_MULTIPLICITY.  Each covector is scaled to its primitive integer
     form once it has passed these checks.
     """
+    return _build(n, [(tuple(map(_entry, covector)), mult)
+                      for covector, mult in hyperplanes])
+
+
+def _build(n: int, hyperplanes) -> Arrangement:
+    """build, from covectors whose entries are parsed already: tuples of
+    ints and Fractions."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ArrangementError(f"ambient dimension must be a positive integer, got {n!r}")
     covs, mults = [], []
-    for covector, mult in hyperplanes:
-        cov = tuple(map(_entry, covector))
+    for cov, mult in hyperplanes:
         if len(cov) != n + 1:
             raise ArrangementError(f"covector {tuple(map(rat, cov))} has "
                                    f"length {len(cov)}, expected {n + 1}")

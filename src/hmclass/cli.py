@@ -22,32 +22,24 @@ parser, without argparse, into the namespace argparse would give them.
 Any other argv, help and abbreviations included, goes to argparse, which
 is imported and built only then, so every help, usage and error text is
 argparse's own.
+
+A cold run loads only what its command reads.  At start this module
+imports what parsing argv, --schema and the error writer need; each
+command imports the package modules its report reads when it runs, so
+lattice and chi-y load no milnor, genera, ambient or spectra, and spectra
+loads no milnor, genera or ambient.  The input loaders read JSON through
+jsontext's reader, whose one second path, json.loads, sees only text the
+C scanner does not accept, so no well-formed request loads the json
+package; the error writer imports json when it writes.
 """
 
 from __future__ import annotations
 
-import functools
-import json
 import sys
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
-from .ambient import virtual_genus, virtual_pushed
-from .arrangement import (Arrangement, chi_y, chi_y_pn, edges,
-                          euler_by_inclusion_exclusion, is_dense, localize,
-                          sigma_strata)
-from .coeffs import RatFuncY, poly_str
-from .genera import hirzebruch_series, verify_identity_qr
-from .jsontext import HOLE, dumps, parts, splice
-from .milnor import (ALL_CONVENTIONS, DEFAULT_CONVENTIONS, MilnorError,
-                     MissingSpectrumError, PolynomialityError, assemble,
-                     calibrate)
-from .spectra import (SpectrumValidationError, sp_monomial, sp_ordinary,
-                      sp_shift, sp_user_load, sp_validate, stratum_germs)
-from .strata import (chow_dims, compactify, deligne_residues,
-                     homology_weight_dims, power_identity_holds,
-                     relabel_vector, residues)
+from .jsontext import HOLE, dumps, encode_basestring_ascii, parts, splice
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -106,6 +98,8 @@ def _list_text(members: list, depth: int) -> str:
 
 
 def _fail(code: int, kind: str, message: str) -> int:
+    import json  # only a failed run writes with it
+
     sys.stderr.write(json.dumps(
         {"error": {"kind": kind, "message": message}}) + "\n")
     return code
@@ -116,7 +110,9 @@ def _fail(code: int, kind: str, message: str) -> int:
 
 
 def cmd_lattice(args) -> int:
-    arr = Arrangement.load(args.input)
+    from . import arrangement, strata
+
+    arr = arrangement.Arrangement.load(args.input)
     lattice = arr.lattice
     # each edge carries its localization's Euler number, and its Milnor
     # fiber's Euler number is that times m_s; the edge is dense exactly
@@ -133,9 +129,9 @@ def cmd_lattice(args) -> int:
         "m": arr.m,
         "edges": HOLE,
         "chow_dims": {k: {str(d): v for d, v in sorted(t.items(), reverse=True)}
-                      for k, t in chow_dims(arr).items()},
-        "weight_dims": {str(k): v
-                        for k, v in sorted(homology_weight_dims(arr).items())},
+                      for k, t in strata.chow_dims(arr).items()},
+        "weight_dims": {str(k): v for k, v in
+                        sorted(strata.homology_weight_dims(arr).items())},
         # the divisor's Euler number, from the lattice's Mobius pass; the
         # key name is kept so the report stays stable
         "euler_inclusion_exclusion": lattice.divisor_euler,
@@ -150,8 +146,10 @@ _SPECTRA_HEAD = dict.fromkeys(("edge", "codim", "dim", "m_s"), HOLE)
 
 
 def cmd_spectra(args) -> int:
-    arr = Arrangement.load(args.input)
-    tables = sp_user_load(args.tables, arr) if args.tables else {}
+    from . import arrangement, spectra
+
+    arr = arrangement.Arrangement.load(args.input)
+    tables = spectra.sp_user_load(args.tables, arr) if args.tables else {}
     # a catalogue row's body reads the germ and the stratum's dimension,
     # rank, degree, reducedness and Euler number, and the germ fixes the
     # rest: its data are the multiplicities of rank independent hyperplanes
@@ -164,19 +162,21 @@ def cmd_spectra(args) -> int:
                          2)
     by_source = {}
     rows = []
-    strata = sigma_strata(arr)
-    for s, germ in zip(strata, stratum_germs(strata, tables)):
+    strata = arrangement.sigma_strata(arr)
+    for s, germ in zip(strata, spectra.stratum_germs(strata, tables)):
         if germ is None:
             row = required
         elif germ.source == "user_table":
             # sp_user_load validated the table against this same
             # record and rejected any failure
-            row = _spectrum_row(germ, s, arr.n, {"ok": True, "failures": []})
+            row = _spectrum_row(germ, spectra.sp_shift(germ, s, arr.n),
+                                {"ok": True, "failures": []})
         else:
             row = by_source.get(germ.source)
             if row is None:
                 row = by_source[germ.source] = _spectrum_row(
-                    germ, s, arr.n, sp_validate(germ, s))
+                    germ, spectra.sp_shift(germ, s, arr.n),
+                    spectra.sp_validate(germ, s))
         rows.append(row % (encode_basestring_ascii(s.key), s.codim,
                            s.dim, s.m_s))
     payload = {"n": arr.n, "m": arr.m, "strata": HOLE}
@@ -184,23 +184,26 @@ def cmd_spectra(args) -> int:
     return EXIT_OK
 
 
-def _spectrum_row(sp, stratum, n: int, validation: dict) -> str:
+def _spectrum_row(sp, shifted, validation: dict) -> str:
     """The template of a spectra row, two levels deep in the report, with
     a hole for each of the stratum's own fields: then the spectrum's
-    source, its entries in the germ and the stratum frames, and the
-    validators' verdict against the stratum's localization."""
+    source, its entries in the germ frame and, shifted, in the stratum
+    frame, and the validators' verdict against the stratum's
+    localization."""
     return _template({
         **_SPECTRA_HEAD,
         "source": sp.source,
         "germ": sp.to_json(),
-        "stratum_frame": sp_shift(sp, stratum, n).to_json(),
+        "stratum_frame": shifted.to_json(),
         "validation": validation,
     }, 2)
 
 
 def cmd_virtual(args) -> int:
+    from . import ambient, coeffs
+
     n = args.ambient
-    pushed = virtual_pushed(args.degree, n)
+    pushed = ambient.virtual_pushed(args.degree, n)
     genus = pushed[n]
     # the coefficient of h^(n-k) sits in homology degree k
     pushed_class = {str(k): pushed[n - k].as_strings()
@@ -209,7 +212,7 @@ def cmd_virtual(args) -> int:
         "degree": args.degree,
         "ambient": n,
         "pushed_class": pushed_class,
-        "genus": poly_str(genus),
+        "genus": coeffs.poly_str(genus),
         "genus_coeffs": genus.as_strings(),
         "specializations": {str(y0): str(genus(y0)) for y0 in (-1, 0, 1)},
     }
@@ -218,20 +221,22 @@ def cmd_virtual(args) -> int:
 
 
 def cmd_chi_y(args) -> int:
-    arr = Arrangement.load(args.input)
+    from . import arrangement, coeffs
+
+    arr = arrangement.Arrangement.load(args.input)
     # chi_y of the divisor comes from the lattice's Mobius pass, and is
     # the sum over its strata, one per edge; the lattice holds each open
     # stratum's chi_y as an integer tuple, and each distinct tuple is
     # rendered once
     lattice = arr.lattice
-    texts = {cs: dumps(RatFuncY(cs).as_strings(), 2)
+    texts = {cs: dumps(coeffs.RatFuncY(cs).as_strings(), 2)
              for cs in set(lattice.chi_y_open)}
-    value = chi_y(arr)
+    value = arrangement.chi_y(arr)
     payload = {
         "n": arr.n,
         "chi_y_X": value.as_strings(),
-        "chi_y_X_text": poly_str(value),
-        "chi_y_Pn": chi_y_pn(arr.n).as_strings(),
+        "chi_y_X_text": coeffs.poly_str(value),
+        "chi_y_Pn": arrangement.chi_y_pn(arr.n).as_strings(),
         "euler_X": str(value(-1)),
         "per_stratum": dict.fromkeys([e.key for e in lattice.edges], HOLE),
     }
@@ -241,19 +246,22 @@ def cmd_chi_y(args) -> int:
 
 
 def cmd_milnor(args) -> int:
-    arr = Arrangement.load(args.input)
-    tables = sp_user_load(args.tables, arr) if args.tables else None
-    conv = next(c for c in ALL_CONVENTIONS if c.label() == args.conventions)
-    report = assemble(arr, tables, conv)
+    from . import arrangement, milnor, spectra
+
+    arr = arrangement.Arrangement.load(args.input)
+    tables = spectra.sp_user_load(args.tables, arr) if args.tables else None
+    conv = next(c for c in milnor.ALL_CONVENTIONS
+                if c.label() == args.conventions)
+    report = milnor.assemble(arr, tables, conv)
     _emit(report.json_chunks(args.dump_strata), args.out)
     return EXIT_OK
 
 
 def cmd_calibrate(args) -> int:
-    from . import corpus  # only check and calibrate read the corpus
+    from . import corpus, milnor  # only check and calibrate read the corpus
 
     suite = corpus.calibration_suite()
-    _, report = calibrate(suite)
+    _, report = milnor.calibrate(suite)
     _emit(_dumps(report), args.out)
     return EXIT_OK
 
@@ -274,6 +282,15 @@ def run_builtin_checks() -> list:
     """Invariant harness over the built-in corpus; returns
     (name, ok, detail) rows."""
     from . import corpus  # only check and calibrate read the corpus
+    from .ambient import virtual_genus
+    from .arrangement import (chi_y, edges, euler_by_inclusion_exclusion,
+                              is_dense, localize, sigma_strata)
+    from .coeffs import RatFuncY
+    from .genera import hirzebruch_series, verify_identity_qr
+    from .milnor import assemble
+    from .spectra import sp_monomial, sp_ordinary
+    from .strata import (compactify, deligne_residues, power_identity_holds,
+                         relabel_vector, residues)
 
     out = []
 
@@ -375,7 +392,13 @@ def run_builtin_checks() -> list:
 # argument parsing
 
 
-_LABELS = frozenset(c.label() for c in ALL_CONVENTIONS)
+# the four conventions labels, in the order of milnor.ALL_CONVENTIONS,
+# and the default, milnor.DEFAULT_CONVENTIONS.label(), written out so
+# that parsing argv loads no milnor; a test holds them equal
+_CONVENTION_LABELS = ("as_printed/res_(0,1]", "as_printed/res_[0,1)",
+                      "flip_odd_strata/res_(0,1]", "flip_odd_strata/res_[0,1)")
+_DEFAULT_LABEL = "as_printed/res_(0,1]"
+_LABELS = frozenset(_CONVENTION_LABELS)
 
 
 def _count(value: str) -> int:
@@ -405,7 +428,7 @@ _OPTIONS = {
                 "--ambient": (_count, _REQUIRED), "--out": (str, None)},
     "chi-y": _INPUT,
     "milnor": {**_INPUT, "--tables": (str, None),
-               "--conventions": (_label, DEFAULT_CONVENTIONS.label()),
+               "--conventions": (_label, _DEFAULT_LABEL),
                "--dump-strata": (None, False)},
     "check": {},
     "calibrate": {"--out": (str, None)},
@@ -449,8 +472,13 @@ def _documented_args(argv: list):
     return SimpleNamespace(schema=False, command=argv[0], **values)
 
 
-@functools.cache  # built once per process; parse_args leaves it unchanged
+_parser = None  # built once per process; parse_args leaves it unchanged
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    global _parser
+    if _parser is not None:
+        return _parser
     import argparse  # only help, usage and errors need it
 
     parser = argparse.ArgumentParser(
@@ -483,8 +511,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("milnor", help="assemble the Milnor-class report")
     add_common(p)
     p.add_argument("--tables", help="user spectrum tables JSON")
-    p.add_argument("--conventions", default=DEFAULT_CONVENTIONS.label(),
-                   choices=[c.label() for c in ALL_CONVENTIONS],
+    p.add_argument("--conventions", default=_DEFAULT_LABEL,
+                   choices=list(_CONVENTION_LABELS),
                    help="sign mode/extension mode, default %(default)s")
     p.add_argument("--dump-strata", action="store_true")
 
@@ -492,6 +520,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="evaluate all conventions on the corpus")
     p.add_argument("--out")
+    _parser = parser
     return parser
 
 
@@ -519,11 +548,30 @@ def main(argv=None) -> int:
         return EXIT_MALFORMED
     try:
         return COMMANDS[args.command](args)
-    except (MilnorError, OSError, ValueError) as exc:
-        if isinstance(exc, (MissingSpectrumError, PolynomialityError,
-                            SpectrumValidationError)):
-            return _fail(EXIT_VALIDATION, type(exc).__name__, str(exc))
-        return _fail(EXIT_MALFORMED, type(exc).__name__, str(exc))
+    except (OSError, RuntimeError, ValueError) as exc:
+        code = _exit_code(exc)
+        if code is None:
+            raise
+        return _fail(code, type(exc).__name__, str(exc))
+
+
+def _exit_code(exc: Exception):
+    """EXIT_VALIDATION for a MissingSpectrumError, a PolynomialityError or
+    a SpectrumValidationError, EXIT_MALFORMED for any other MilnorError,
+    OSError or ValueError, and None for an error main lets propagate.  An
+    error of milnor's or spectra's exists only once its module is loaded,
+    so the classes are looked up among the loaded modules, and neither is
+    imported here."""
+    milnor = sys.modules.get(f"{__package__}.milnor")
+    spectra = sys.modules.get(f"{__package__}.spectra")
+    if (milnor and isinstance(exc, (milnor.MissingSpectrumError,
+                                    milnor.PolynomialityError))
+            or spectra and isinstance(exc, spectra.SpectrumValidationError)):
+        return EXIT_VALIDATION
+    if (isinstance(exc, (OSError, ValueError))
+            or milnor and isinstance(exc, milnor.MilnorError)):
+        return EXIT_MALFORMED
+    return None
 
 
 def entry():

@@ -14,14 +14,28 @@ and splice(value, fills) fills each hole with a text rendered elsewhere,
 such as dumps of a repeated part at its depth, rendered once however
 often it occurs.  No other module writes JSON punctuation or indents,
 but MilnorReport.json_chunks re-indents depth-1 pieces for depth 2.
+
+reader(parse_int) gives the input loaders a function that reads JSON text
+as json.loads does, with the C scanner json.loads itself runs, so that no
+well-formed input loads the json package.  Its one second path is for
+text the scanner does not accept: that text is read again by json.loads,
+whose error, or value, is the result, so that every malformed-JSON text
+is json's own.  Both the writer and the reader take CPython's _json
+accelerator, or json's own routines on an interpreter without it.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
-__all__ = ["HOLE", "dumps", "parts", "splice"]
+try:
+    from _json import encode_basestring_ascii, make_scanner
+except ImportError:  # an interpreter without CPython's accelerator
+    from json.encoder import encode_basestring_ascii
+    from json.scanner import make_scanner
+
+__all__ = ["HOLE", "dumps", "parts", "reader", "splice"]
 
 HOLE = "\0"  # a value whose text is rendered elsewhere
 _HOLE_TEXT = encode_basestring_ascii(HOLE)
@@ -60,6 +74,54 @@ def splice(value, fills, count: int = None):
         raise ValueError(f"a skeleton with {len(pieces) - 1} holes "
                          f"for {count} fills")
     return chain.from_iterable(zip(pieces, chain(fills, ("",)), strict=True))
+
+
+# JSON's whitespace, which json.loads skips before and after a value
+_SPACE = " \t\n\r"
+# the constants json.loads reads, as its decoder gives them
+_CONSTANTS = {"-Infinity": float("-inf"), "Infinity": float("inf"),
+              "NaN": float("nan")}
+
+
+def reader(parse_int):
+    """A function that reads a JSON text as json.loads(text,
+    parse_int=parse_int) does: its value, or json's own error.
+
+    The text goes to the C scanner of json's decoder, with the context
+    that decoder gives it (strict strings, no hooks, floats for fractions
+    and exponents, NaN and the infinities for their constants) and
+    parse_int for the text of each integer.  The value is accepted when
+    nothing but JSON whitespace surrounds it.  Any other outcome, such as
+    trailing data, a byte order mark, an empty text or a RecursionError,
+    is the one second path: the text is read again by json.loads, which
+    raises its own error.  An exception parse_int raises, other than a
+    JSON error, is not one: it propagates as it is, since json would read
+    the text no further either."""
+    scan = make_scanner(SimpleNamespace(
+        strict=True, object_hook=None, object_pairs_hook=None,
+        parse_float=float, parse_int=parse_int,
+        parse_constant=_CONSTANTS.__getitem__, memo={}))
+
+    def loads(text: str):
+        # the scanner reads a value at the index it is given, and refuses
+        # whitespace there
+        start = len(text) - len(text.lstrip(_SPACE))
+        try:
+            value, end = scan(text, start)
+            if not text[end:].lstrip(_SPACE):
+                return value
+        except (StopIteration, RecursionError, SystemError, ValueError) as exc:
+            # a JSONDecodeError is a ValueError; before Python 3.12 the
+            # scanner raises SystemError in its place unless json.decoder
+            # is loaded
+            from json import JSONDecodeError
+            if (isinstance(exc, ValueError)
+                    and not isinstance(exc, JSONDecodeError)):
+                raise  # parse_int's own refusal
+        import json  # only text the scanner does not accept reaches json
+        return json.loads(text, parse_int=parse_int)
+
+    return loads
 
 
 def _leaf(value) -> str:

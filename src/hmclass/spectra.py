@@ -20,12 +20,12 @@ validator asks for them, in time linear in their number.
 from __future__ import annotations
 
 import functools
-import json
 from fractions import Fraction
 from math import gcd, lcm
 from types import SimpleNamespace
 
-from .arrangement import Arrangement, Edge, milnor_fiber_chi
+from .arrangement import (Arrangement, Edge, echo, milnor_fiber_chi,
+                          read_json)
 from .coeffs import rat
 
 __all__ = [
@@ -243,11 +243,7 @@ def sp_user_load(source, arr: Arrangement) -> dict:
     validated against its edge before use; any failure rejects the load.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise SpectrumError(f"malformed JSON: {exc}")
+        data = read_json(source, SpectrumError)
     else:
         data = source
     if not isinstance(data, dict):
@@ -271,7 +267,8 @@ def sp_user_load(source, arr: Arrangement) -> dict:
                 if not isinstance(mult, int) or isinstance(mult, bool):
                     raise TypeError(f"mult must be an integer, got {mult!r}")
             except (KeyError, TypeError, ValueError) as exc:
-                raise SpectrumError(f"bad spectrum entry {item!r}: {exc}")
+                raise SpectrumError(
+                    f"bad spectrum entry {echo(item)}: {exc}")
             table[alpha] = table.get(alpha, 0) + mult
         sp = Spectrum.make(table, ("germ", loc.rank))
         report = sp_validate(sp, loc)

@@ -35,6 +35,7 @@ CORPUS = "tests/test_cli.py::test_corpus_report_matches_golden"
 PARITY = "tests/test_cli.py::test_exact_parser_agrees_with_argparse"
 REGROUPED = "tests/test_milnor.py::TestRegroupedContribution"
 SPECIALIZED = f"{PROPS}::test_specializations_and_trace_read_every_label"
+READER = "tests/test_cli.py::test_json_reader_agrees_with_json_loads"
 
 # name -> (file, old text, new text, node ids that must fail)
 MUTANTS = {
@@ -262,6 +263,29 @@ MUTANTS = {
         "    if value not in _LABELS:\n",
         "    if False:\n",
         [PARITY]),
+    # json.loads refuses "[1] x" with "Extra data"; the C scanner reads
+    # the [1] and stops
+    "reader-accepts-trailing-data": (
+        "src/hmclass/jsontext.py",
+        "            if not text[end:].lstrip(_SPACE):\n",
+        "            if True:\n",
+        [READER]),
+    # int() then refuses an unquoted over-long integer in its own text,
+    # which differs by version, and untyped
+    "reader-drops-digit-hook": (
+        "src/hmclass/arrangement.py",
+        "_read = reader(_json_int)",
+        "_read = reader(int)",
+        ["tests/test_cli.py::TestMilnorCommand"
+         "::test_unquoted_digit_limit_exit_code", READER]),
+    # --schema, lattice and chi-y then load the Milnor-class modules
+    "cli-imports-milnor-at-start": (
+        "src/hmclass/cli.py",
+        "from .jsontext import HOLE, dumps, encode_basestring_ascii, parts, "
+        "splice\n",
+        "from .jsontext import HOLE, dumps, encode_basestring_ascii, parts, "
+        "splice\nfrom . import milnor  # noqa: F401\n",
+        ["tests/test_cli.py::test_each_command_loads_only_what_it_reads"]),
 }
 
 

@@ -5,7 +5,7 @@ a ``.json`` file that the report equals byte for byte, or a ``.sha256``
 file holding the report's SHA-256 digest as ``sha256sum`` writes it.
 tests/test_cli.py runs each pin in process.  Run as a script, with the
 standard library alone, this module runs each pin in a fresh interpreter
-and probes what importing the CLI loads:
+and probes what importing the CLI, and running each report command, loads:
 
     python -I tests/pins.py
 
@@ -156,6 +156,63 @@ def costly_imports() -> list:
     return done.stdout.split()
 
 
+def _json_package(name: str) -> bool:
+    return name == "json" or name.startswith("json.")
+
+
+def _schema_breach(name: str) -> bool:
+    return (name.startswith("hmclass.")
+            and name not in ("hmclass.cli", "hmclass.jsontext")
+            or name in ("json", "json.decoder", "fractions", "decimal",
+                        "functools"))
+
+
+def _lattice_side_breach(name: str) -> bool:
+    return name in ("hmclass.milnor", "hmclass.genera", "hmclass.ambient",
+                    "hmclass.spectra") or _json_package(name)
+
+
+FOURPLANES = str(SRC / "hmclass" / "corpus" / "fourplanes.json")
+
+# each probed command line, by name, and the test of a module it must not
+# load:
+# --schema loads only what parsing argv and writing its text need, the
+# lattice-side reports no Milnor-class, series or spectrum module, and no
+# report on well-formed input the json package, which only the reader's
+# second path and the error writer import
+IMPORT_PROBES = [
+    ("--schema", ["--schema"], _schema_breach),
+    ("lattice", ["lattice", FOURPLANES], _lattice_side_breach),
+    ("chi-y", ["chi-y", FOURPLANES], _lattice_side_breach),
+    ("milnor", ["milnor", FOURPLANES], _json_package),
+    ("milnor --tables", ["milnor", *TABLES7], _json_package),
+]
+
+
+def import_breaches() -> list:
+    """'name: module' for each module a probed command loads that its
+    test refuses, or for a probed run that fails, each command run in
+    process in a fresh interpreter without the site hooks (-I -S), which
+    may import anything, with its report sent to the null device."""
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
+             "from hmclass import cli; "
+             "sys.stdout = open(sys.argv[2], 'w'); "
+             "code = cli.main(sys.argv[3:]); sys.stdout = sys.__stdout__; "
+             "print(code, *sorted(sys.modules))")
+    breaches = []
+    for name, argv, breach in IMPORT_PROBES:
+        done = subprocess.run([sys.executable, "-I", "-S", "-c", probe,
+                               str(SRC), os.devnull, *argv],
+                              capture_output=True, text=True)
+        words = done.stdout.split()
+        if done.returncode or words[:1] != ["0"]:
+            breaches.append(f"{name}: failed {done.stderr}")
+            continue
+        breaches += [f"{name}: {module}" for module in words[1:]
+                     if breach(module)]
+    return breaches
+
+
 def fresh_run(*argv) -> tuple:
     """The exit code and the stdout and stderr bytes of ``hmclass *argv``
     in a fresh interpreter that imports hmclass from src."""
@@ -168,6 +225,8 @@ def fresh_run(*argv) -> tuple:
 def main() -> int:
     loaded = costly_imports()
     print("importing the CLI loads:", loaded)
+    breaches = import_breaches()
+    print("each command loads past what it reads:", breaches)
     failed = 0
     for pin in PINS:
         code, out, err = fresh_run(*pin.argv)
@@ -176,7 +235,7 @@ def main() -> int:
             print(f"FAIL {pin.family}[{pin.name}] (exit {code}):",
                   err.decode().strip())
     print(f"{len(PINS) - failed}/{len(PINS)} pins match their goldens")
-    return 1 if failed or loaded else 0
+    return 1 if failed or loaded or breaches else 0
 
 
 if __name__ == "__main__":

@@ -194,9 +194,10 @@ class TestBuild:
             item = {"coeffs": [text, "1"], "mult": 1}
             with pytest.raises(ArrangementError) as info:
                 Arrangement.from_json({"n": 1, "hyperplanes": [item]})
+            # the entry is echoed up to its first 100 characters
             assert str(info.value) == (
-                f"bad hyperplane entry {item!r}: integer text of {digits} "
-                f"digits exceeds the limit of 4300 digits")
+                f"bad hyperplane entry {repr(item)[:100]}...: integer text "
+                f"of {digits} digits exceeds the limit of 4300 digits")
 
 
 class TestPrimitive:

@@ -8,11 +8,14 @@ from pathlib import Path
 import pytest
 
 from hmclass.ambient import MAX_AMBIENT
+from hmclass import cli, milnor, spectra
 from hmclass.arrangement import MAX_MULTIPLICITY
 from hmclass.cli import _build_parser, main
 from hmclass.corpus import corpus_path
+from hmclass.milnor import ALL_CONVENTIONS, DEFAULT_CONVENTIONS
 
 import argv_parity
+import json_parity
 import pins
 
 
@@ -389,6 +392,30 @@ class TestMilnorCommand:
         assert error["message"].endswith(
             ": integer text of 5000 digits exceeds the limit of 4300 digits")
 
+    @pytest.mark.parametrize("target", ["input", "tables"])
+    def test_unquoted_digit_limit_exit_code(self, capsys, tmp_path, target):
+        # a JSON number, not a string, past the digit limit is refused by
+        # the reader, in the same text on every version, where int() would
+        # word its own refusal by version; the sign is not a digit
+        long = "1" * 5000
+        if target == "input":
+            path = tmp_path / "input.json"
+            path.write_text('{"n": 2, "hyperplanes": [{"coeffs": [%s, 0, 1], '
+                            '"mult": 1}, {"coeffs": [0, 1, 0], "mult": 1}]}'
+                            % long)
+            argv, kind = ["lattice", str(path)], "ArrangementError"
+        else:
+            path = tmp_path / "tables.json"
+            path.write_text('{"1,2,3": [{"alpha": -%s, "mult": 1}]}' % long)
+            argv = ["spectra", corpus_file("concurrent3"), "--tables",
+                    str(path)]
+            kind = "SpectrumError"
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == json.dumps({"error": {
+            "kind": kind, "message": "integer text of 5000 digits exceeds "
+                                     "the limit of 4300 digits"}}) + "\n"
+
     @pytest.mark.parametrize("limit", ["1000", "0"])
     def test_digit_limit_set_for_the_run(self, tmp_path, limit):
         # PYTHONINTMAXSTRDIGITS sets the limit the parser refuses past; 0
@@ -556,6 +583,39 @@ def test_cli_import_loads_no_costly_module():
     assert pins.costly_imports() == []
 
 
+def test_each_command_loads_only_what_it_reads():
+    assert pins.import_breaches() == []
+
+
+@pytest.mark.parametrize("error, code", [
+    (milnor.MissingSpectrumError(["1,2"]), 1),
+    (milnor.PolynomialityError("1,2", "1/(1 + y)"), 1),
+    (spectra.SpectrumValidationError("x"), 1), (milnor.MilnorError("x"), 2),
+    (spectra.SpectrumError("x"), 2), (OSError("x"), 2), (ValueError("x"), 2),
+    (RuntimeError("x"), None), (KeyError("x"), None)])
+def test_each_error_takes_its_exit_code(monkeypatch, capsys, error, code):
+    # main looks the package's error classes up among the loaded modules;
+    # any error it does not report propagates
+    def fail(args):
+        raise error
+
+    monkeypatch.setitem(cli.COMMANDS, "lattice", fail)
+    if code is None:
+        with pytest.raises(type(error)):
+            main(["lattice", "in.json"])
+    else:
+        assert main(["lattice", "in.json"]) == code
+        assert json.loads(capsys.readouterr().err) == {
+            "error": {"kind": type(error).__name__, "message": str(error)}}
+
+
+def test_convention_labels_are_milnor_s():
+    # the CLI writes the labels out, so that parsing argv loads no milnor
+    assert list(cli._CONVENTION_LABELS) == [c.label()
+                                            for c in ALL_CONVENTIONS]
+    assert cli._DEFAULT_LABEL == DEFAULT_CONVENTIONS.label()
+
+
 # the exit code and the stdout and stderr texts of argv lists that argparse
 # answers with help or an error, recorded before the documented argv was
 # parsed without it, under Python 3.10.13, 3.11.7, 3.12.1 and 3.13.0 alike
@@ -575,6 +635,10 @@ def test_help_and_error_texts_are_unchanged(monkeypatch, name):
 
 def test_exact_parser_agrees_with_argparse():
     assert argv_parity.main() == 0
+
+
+def test_json_reader_agrees_with_json_loads():
+    assert json_parity.main() == 0
 
 
 def test_abbreviated_and_joined_options_give_the_same_report(capsys,

@@ -11,6 +11,7 @@ from hmclass import (ambient, arrangement, cli, corpus, milnor, spectra,
                      strata)
 from hmclass.arrangement import ArrangementError, build, sigma_strata
 from hmclass.coeffs import RatFuncY
+from hmclass.jsontext import dumps
 from hmclass.milnor import (ALL_CONVENTIONS, DEFAULT_CONVENTIONS,
                             ConventionSet, MissingSpectrumError,
                             _stratum_contribution, _type_key, assemble,
@@ -786,7 +787,8 @@ class TestOnePass:
             def alone(strata, user_tables=None):
                 return [stratum_germ(s, user_tables) for s in strata]
 
-            for module in (spectra, milnor, cli):
+            # the spectra writer reads spectra.stratum_germs
+            for module in (spectra, milnor):
                 patch.setattr(module, "stratum_germs", alone)
             assert reports() == memo
 
@@ -818,16 +820,22 @@ class TestOnePass:
             arr = arrangement.Arrangement.load(path)
             with monkeypatch.context() as patch:
                 calls = self.counters(patch)
-                # the chi-y writer builds a RatFuncY only to render a value
+                # the chi-y writer renders a value with cli.dumps, and
+                # nothing else
                 rendered = []
-                patch.setattr(cli, "RatFuncY", lambda cs: rendered.append(cs)
-                              or RatFuncY(cs))
+
+                def render(value, depth):
+                    rendered.append(value)
+                    return dumps(value, depth)
+
+                patch.setattr(cli, "dumps", render)
                 code = cli.main(["chi-y", path])
                 assert code == 0, capsys.readouterr().err
             assert len(calls["_search_edges"]) == 1, path
             # one rendering per distinct open-stratum value, not per edge
-            assert sorted(rendered) == sorted(set(arr.lattice.chi_y_open)), \
-                path
+            assert sorted(rendered) == sorted(
+                RatFuncY(cs).as_strings()
+                for cs in set(arr.lattice.chi_y_open)), path
             assert len(calls["Edge"]) == len(arr.lattice.edges), path
         assert len(corpus.load("quad6a").lattice.edges) == 13
         assert len(set(corpus.load("quad6a").lattice.chi_y_open)) < 13

@@ -338,6 +338,7 @@ def test_each_class_pushes_to_a_label_of_its_own():
 
     @SETTINGS
     @given(st.one_of(arrangements(), p4_arrangements()))
+    @example(GUARDED_P3)
     def check(case):
         n, hyperplanes = case[:2]
         try:
@@ -421,6 +422,9 @@ def test_euler_defect_is_trace_plus_generic_section_terms():
 
     @settings(SETTINGS, max_examples=40)
     @given(st.one_of(arrangements(), p4_arrangements()))
+    @example(GUARDED_P2)
+    @example(GUARDED_P3)
+    @example(GUARDED_P4)
     def check(case):
         n, hyperplanes, _ = case
         arr, rep = with_tables(n, hyperplanes)
@@ -443,7 +447,10 @@ def test_pushed_class_matches_additivity_from_sigma_dimension_up():
     # lives on Sigma meet H, of dimension d_Sigma - 1, so nothing is
     # asserted below d_Sigma.
     seen = Counter()
+    # the corpus and the five coordinate hyperplanes of P^4 meet every
+    # shape guard below; the seeded draws add the degrees
     reports = [assemble(corpus.load(name)) for name in ALL_NAMES]
+    reports.append(assemble(build(*GUARDED_P4[:2])))
     rng = random.Random(21)
     # (n, multiplicities, entry bound, most hyperplanes, draws)
     for n, mults, bound, most, count in [
@@ -637,6 +644,9 @@ def test_catalogue_germ_fixes_the_spectra_row_fields():
 
     @settings(SETTINGS, max_examples=100)
     @given(st.one_of(arrangements(), p4_arrangements()))
+    @example(GUARDED_P2)
+    @example(GUARDED_P3)
+    @example(GUARDED_P4)
     def check(case):
         n, hyperplanes, _ = case
         try:
@@ -910,6 +920,7 @@ def test_model_classes_match_newton_identity_oracle():
 
     @SETTINGS
     @given(model_arrangements())
+    @example(GUARDED_P3[:2])
     def check(case):
         n, hyperplanes = case
         try:
@@ -1194,6 +1205,9 @@ def test_specializations_and_trace_read_every_label():
 
     @settings(SETTINGS, phases=NO_SHRINK)
     @given(st.one_of(arrangements(), p4_arrangements()))
+    @example(GUARDED_P2)
+    @example(GUARDED_P3)
+    @example(GUARDED_P4)
     def check(case):
         n, hyperplanes, _ = case
         for conv in ALL_CONVENTIONS:

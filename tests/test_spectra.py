@@ -257,6 +257,20 @@ class TestUserTables:
         with pytest.raises(SpectrumError):
             sp_user_load({"1,2,3": [{"alpha": "x", "mult": 1}]}, arr)
 
+    def test_refused_entry_is_echoed_up_to_a_cut(self):
+        # an entry's repr is echoed whole up to 100 characters, and past
+        # that cut after them, with a marker
+        arr = corpus.load("concurrent3")
+        assert len(repr({"alpha": "x" * 76, "mult": 1})) == 100
+        for alpha, cut in (("x" * 76, False), ("x" * 77, True),
+                           ("1" * 5000 + "/x", True)):
+            item = {"alpha": alpha, "mult": 1}
+            with pytest.raises(SpectrumError) as info:
+                sp_user_load({"1,2,3": [item]}, arr)
+            echoed = repr(item)[:100] + "..." if cut else repr(item)
+            assert str(info.value).startswith(
+                f"bad spectrum entry {echoed}: ")
+
     def test_user_table_overrides_catalogue(self):
         arr = corpus.load("concurrent3")
         tables = sp_user_load(
