@@ -10,10 +10,8 @@ class.
 
 from __future__ import annotations
 
-import functools
-
 from .coeffs import RatFuncY
-from .genera import compose_scale, hirzebruch_series, mul
+from .genera import compose_scale, hirzebruch_series, mul, recall
 
 __all__ = [
     "MAX_AMBIENT",
@@ -27,7 +25,9 @@ __all__ = [
 MAX_AMBIENT = 32
 
 
-@functools.lru_cache(maxsize=32)
+_PUSHED = {}
+
+
 def virtual_pushed(d: int, n: int) -> tuple:
     """Pushed virtual class of a degree-d hypersurface in projective
     n-space: the ambient class series to the power n + 1 times the residue
@@ -36,6 +36,11 @@ def virtual_pushed(d: int, n: int) -> tuple:
     in y.  Kept per process, as the Hirzebruch series are: the degree-0
     check of every report at one (m, n) reads the same class, and a tuple
     is never changed in place."""
+    return recall(_PUSHED, (d, n), _pushed)
+
+
+def _pushed(d: int, n: int) -> tuple:
+    """virtual_pushed, computed."""
     if n < 1:
         raise ValueError("ambient dimension must be >= 1")
     if n > MAX_AMBIENT:

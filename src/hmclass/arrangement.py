@@ -19,7 +19,6 @@ that table.
 
 from __future__ import annotations
 
-from functools import cached_property
 from math import gcd, lcm
 
 from .coeffs import MIN_DIGIT_LIMIT, RatFuncY, check_digits, rat
@@ -123,6 +122,27 @@ def _echelon(rows) -> list:
 # arrangement and edges
 
 
+class lazy_attribute:
+    """An attribute that the method it decorates builds on first read.  The
+    value then sits in the instance's __dict__: this descriptor has no
+    __set__, so every later read finds it there, as a plain attribute.
+    A class with a __getattr__ would do the same, but every read of any
+    of its attributes would then miss the interpreter's fast paths (a
+    third slower per read on CPython 3.11)."""
+
+    def __init__(self, func):
+        self.func, self.name = func, func.__name__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 class Arrangement:
     """Hyperplanes in P^n, each given by its covector, a primitive integer
     vector whose first nonzero entry is positive, so proportional
@@ -139,7 +159,7 @@ class Arrangement:
     def r(self) -> int:
         return len(self.covectors)
 
-    @cached_property
+    @lazy_attribute
     def lattice(self) -> "Lattice":
         """The intersection lattice, searched once and shared by every
         consumer of this arrangement."""
@@ -216,8 +236,9 @@ def echo(value) -> str:
 def _entry(value):
     """A covector entry: an int for an int or for a plain ASCII integer
     string, with or without a leading "-", refused past Python's limit on
-    integer text as rat refuses it; anything else as rat parses it, to a
-    Fraction or to rat's error."""
+    integer text as rat refuses it; anything else as rat parses it, to an
+    int for an integer value, a pair (p, q) in lowest terms with q > 1 for
+    any other, or rat's error."""
     if type(value) is str:
         digits = value[1:] if value[:1] == "-" else value
         if digits.isascii() and digits.isdigit():
@@ -226,7 +247,8 @@ def _entry(value):
             return int(value)
     elif type(value) is int:
         return value
-    return rat(value)
+    p, q = rat(value)
+    return p if q == 1 else (p, q)
 
 
 def build(n: int, hyperplanes) -> Arrangement:
@@ -243,14 +265,17 @@ def build(n: int, hyperplanes) -> Arrangement:
 
 
 def _build(n: int, hyperplanes) -> Arrangement:
-    """build, from covectors whose entries are parsed already: tuples of
-    ints and Fractions."""
+    """build, from covectors whose entries _entry parsed already: tuples of
+    ints and (p, q) pairs, each pair nonzero."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ArrangementError(f"ambient dimension must be a positive integer, got {n!r}")
     covs, mults = [], []
     for cov, mult in hyperplanes:
         if len(cov) != n + 1:
-            raise ArrangementError(f"covector {tuple(map(rat, cov))} has "
+            from fractions import Fraction  # only this text names them
+            shown = tuple(Fraction(*c) if type(c) is tuple else Fraction(c)
+                          for c in cov)
+            raise ArrangementError(f"covector {shown} has "
                                    f"length {len(cov)}, expected {n + 1}")
         if not any(cov):
             raise ArrangementError("zero covector")
@@ -260,8 +285,9 @@ def _build(n: int, hyperplanes) -> Arrangement:
             raise ArrangementError(
                 f"multiplicity {mult} exceeds the limit {MAX_MULTIPLICITY}")
         if any(type(c) is not int for c in cov):
-            scale = lcm(*(c.denominator for c in cov))
-            cov = tuple(c.numerator * (scale // c.denominator) for c in cov)
+            pairs = [(c, 1) if type(c) is int else c for c in cov]
+            scale = lcm(*(q for _, q in pairs))
+            cov = tuple(p * (scale // q) for p, q in pairs)
         covs.append(_primitive(cov))
         mults.append(mult)
     if not covs:
@@ -333,7 +359,7 @@ class Lattice:
         """The edges strictly above edge in the lattice, in lattice order."""
         return [self.edges[i] for i in self.strictly_above[edge.position]]
 
-    @cached_property
+    @lazy_attribute
     def chi_y_open(self) -> tuple:
         """Per position, the integer coefficients of chi_y of the edge's
         open stratum as a tuple, top down by additivity: chi_y(P^d) minus

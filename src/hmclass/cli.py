@@ -140,9 +140,12 @@ def cmd_lattice(args) -> int:
     return EXIT_OK
 
 
-# the head of a spectra row: the stratum's edge, codimension, dimension
-# and m_s; the row's body follows
-_SPECTRA_HEAD = dict.fromkeys(("edge", "codim", "dim", "m_s"), HOLE)
+# the fields of a spectra row: the stratum's edge, codimension, dimension
+# and m_s, which head the row, then its body: the spectrum's source, its
+# entries in the germ frame and, shifted, in the stratum frame, and the
+# validators' verdict against the stratum's localization
+_SPECTRA_ROW = ("edge", "codim", "dim", "m_s",
+                "source", "germ", "stratum_frame", "validation")
 
 
 def cmd_spectra(args) -> int:
@@ -155,48 +158,63 @@ def cmd_spectra(args) -> int:
     # rest: its data are the multiplicities of rank independent hyperplanes
     # (a torus complement, Euler number 0 from rank 2) or k reduced lines
     # through a point (Euler number 2 - k), and the dimension is n - rank.
-    # So a row is rendered once per germ, keyed by its source text (one to
-    # one with its class and the order of its data), cut at its stratum's
-    # four fields, and a table's row is its own
-    required = _template({**_SPECTRA_HEAD, "source": "user_table_required"},
-                         2)
+    # So a row's body is rendered once per germ, keyed by its source text
+    # (one to one with its class and the order of its data), and a table's
+    # row is its own; each row is its stratum's head, from a %-template,
+    # and its body
+    head, body, required = _spectra_row_writers()
     by_source = {}
     rows = []
     strata = arrangement.sigma_strata(arr)
     for s, germ in zip(strata, spectra.stratum_germs(strata, tables)):
         if germ is None:
-            row = required
+            text = required
         elif germ.source == "user_table":
             # sp_user_load validated the table against this same
             # record and rejected any failure
-            row = _spectrum_row(germ, spectra.sp_shift(germ, s, arr.n),
-                                {"ok": True, "failures": []})
+            text = body(germ, spectra.sp_shift(germ, s, arr.n),
+                        {"ok": True, "failures": []})
         else:
-            row = by_source.get(germ.source)
-            if row is None:
-                row = by_source[germ.source] = _spectrum_row(
+            text = by_source.get(germ.source)
+            if text is None:
+                text = by_source[germ.source] = body(
                     germ, spectra.sp_shift(germ, s, arr.n),
                     spectra.sp_validate(germ, s))
-        rows.append(row % (encode_basestring_ascii(s.key), s.codim,
-                           s.dim, s.m_s))
+        rows.append(head % (encode_basestring_ascii(s.key), s.codim,
+                            s.dim, s.m_s) + text)
     payload = {"n": arr.n, "m": arr.m, "strata": HOLE}
     _emit(_dumps(payload, [_list_text(rows, 1)]), args.out)
     return EXIT_OK
 
 
-def _spectrum_row(sp, shifted, validation: dict) -> str:
-    """The template of a spectra row, two levels deep in the report, with
-    a hole for each of the stratum's own fields: then the spectrum's
-    source, its entries in the germ frame and, shifted, in the stratum
-    frame, and the validators' verdict against the stratum's
-    localization."""
-    return _template({
-        **_SPECTRA_HEAD,
-        "source": sp.source,
-        "germ": sp.to_json(),
-        "stratum_frame": shifted.to_json(),
-        "validation": validation,
-    }, 2)
+def _spectra_row_writers():
+    """The %-template of a spectra row's head, two levels deep in the
+    report, with a hole for each of the stratum's own fields; the function
+    that writes a row's body from a spectrum, its shift and the
+    validators' verdict; and the body of a row whose stratum the
+    catalogue cannot serve.  Each is cut once per report."""
+    from .coeffs import ratio_text
+
+    cut = parts(dict.fromkeys(_SPECTRA_ROW, HOLE), 2)
+    head = "%s".join(piece.replace("%", "%%") for piece in cut[:5])
+    entry = _template({"alpha": HOLE, "mult": HOLE}, 4)
+    opening, sep, closing = parts([HOLE, HOLE], 3)
+    passed = dumps({"ok": True, "failures": []}, 3)
+
+    def entries(sp) -> str:
+        e = sp.e
+        if not sp.pairs:
+            return "[]"
+        return opening + sep.join([entry % (f'"{ratio_text(c, e)}"', n)
+                                   for c, n in sp.pairs]) + closing
+
+    def body(sp, shifted, validation: dict) -> str:
+        verdict = passed if validation["ok"] else dumps(validation, 3)
+        return "".join((encode_basestring_ascii(sp.source), cut[5],
+                        entries(sp), cut[6], entries(shifted), cut[7],
+                        verdict, cut[8]))
+
+    return head, body, encode_basestring_ascii("user_table_required") + cut[8]
 
 
 def cmd_virtual(args) -> int:
@@ -214,7 +232,7 @@ def cmd_virtual(args) -> int:
         "pushed_class": pushed_class,
         "genus": coeffs.poly_str(genus),
         "genus_coeffs": genus.as_strings(),
-        "specializations": {str(y0): str(genus(y0)) for y0 in (-1, 0, 1)},
+        "specializations": {str(y0): genus.text_at(y0) for y0 in (-1, 0, 1)},
     }
     _emit(_dumps(payload), args.out)
     return EXIT_OK
@@ -237,7 +255,7 @@ def cmd_chi_y(args) -> int:
         "chi_y_X": value.as_strings(),
         "chi_y_X_text": coeffs.poly_str(value),
         "chi_y_Pn": arrangement.chi_y_pn(arr.n).as_strings(),
-        "euler_X": str(value(-1)),
+        "euler_X": value.text_at(-1),
         "per_stratum": dict.fromkeys([e.key for e in lattice.edges], HOLE),
     }
     _emit(_dumps(payload, [texts[cs] for cs in lattice.chi_y_open]),

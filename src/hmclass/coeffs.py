@@ -1,20 +1,23 @@
 """Exact coefficient arithmetic.
 
-Everything downstream is built on arbitrary-precision rationals.  The one
-coefficient type, RatFuncY, is the ring Q[y, 1/(1+y)]: a dense polynomial
-numerator in the parameter y with integer coefficients, over one positive
-integer denominator and a power (1+y)^k, in the manner of an integer-
-numerator rational polynomial.  The Hirzebruch series, the Todd
-transformation and the (1+y)^{-k} degree scaling only ever divide by
-1 + y, so no other denominator occurs; a value is a polynomial exactly
-when k == 0.  No floating point anywhere.
+Everything downstream is exact: every rational is a pair of integers,
+and no floating point occurs anywhere.  rat parses the input's rational
+texts to such a pair, a numerator over a positive denominator in lowest
+terms.  The one coefficient type, RatFuncY, is the ring Q[y, 1/(1+y)]: a
+dense polynomial numerator in the parameter y with integer coefficients,
+over one positive integer denominator and a power (1+y)^k, in the manner
+of an integer-numerator rational polynomial.  The Hirzebruch series, the
+Todd transformation and the (1+y)^{-k} degree scaling only ever divide
+by 1 + y, so no other denominator occurs; a value is a polynomial exactly
+when k == 0.  Every text of a rational, a coefficient's or a value's, is
+written from its integers as str of a Fraction would write it, so no
+report loads fractions; only the check harness, the tests and a few
+error texts build Fractions.
 """
 
 from __future__ import annotations
 
-import re
 import sys
-from fractions import Fraction
 from math import gcd, lcm
 
 __all__ = [
@@ -40,27 +43,68 @@ def check_digits(count: int) -> None:
                          f"of {limit} digits")
 
 
-def rat(value) -> Fraction:
-    """Parse a rational from an int (not a bool), Fraction, 'p/q' or decimal
-    string.  Bad syntax, a zero denominator, an exponent, an underscore or
-    a run of digits past Python's limit is a ValueError: Fraction reads
-    underscores from Python 3.11 on only, so they are refused on every
-    version, and the digit limit is worded one way on all."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+def _ascii_rational(text: str):
+    """(p, q), not yet in lowest terms, of text that is an ASCII integer,
+    p/q or plain decimal, each with an optional sign: the forms the input
+    writes, which Fraction reads with this value.  None for any other
+    text."""
+    body = text[1:] if text[:1] in ("-", "+") else text
+    if not body.isascii():
+        return None
+    num, slash, den = body.partition("/")
+    if slash:
+        if not (num.isdigit() and den.isdigit()):
+            return None
+        p, q = int(num), int(den)
+    else:
+        whole, _, frac = num.partition(".")
+        # either part may be empty, not both
+        if not (whole + frac).isdigit():
+            return None
+        q = 10 ** len(frac)
+        p = (int(whole) * q if whole else 0) + (int(frac) if frac else 0)
+    return (-p if text[:1] == "-" else p), q
+
+
+def rat(value) -> tuple:
+    """A rational as the pair (p, q) of integers in lowest terms, q > 0,
+    from an int (not a bool), a Fraction or anything else with a numerator
+    and a denominator, or a text: an integer, 'p/q' or a plain decimal,
+    with an optional sign and surrounding whitespace.  Any other text is
+    read by Fraction, whose error is the result.  Bad syntax, a zero
+    denominator, an exponent, an underscore or a run of digits past
+    Python's limit is a ValueError: Fraction reads underscores from Python
+    3.11 on only, so they are refused on every version, and the digit
+    limit is worded one way on all."""
     if isinstance(value, str):
         if "e" in value or "E" in value:
             raise ValueError(f"exponent notation in {value!r}")
         if "_" in value:
             raise ValueError(f"underscore in {value!r}")
-        if len(value) > MIN_DIGIT_LIMIT:  # each run of digits is one integer
-            check_digits(max(map(len, re.findall(r"\d+", value)), default=0))
+        if len(value) > MIN_DIGIT_LIMIT:
+            # each run of decimal digits, ASCII or not, is one integer
+            runs = "".join(ch if ch.isdecimal() else " " for ch in value)
+            check_digits(max(map(len, runs.split()), default=0))
+        text = value.strip()
+        pair = _ascii_rational(text)
+        if pair is None:
+            # non-ASCII digits, or no rational at all: Fraction's value,
+            # or its error text
+            from fractions import Fraction
+            try:
+                pair = Fraction(text).as_integer_ratio()
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {value!r}") from None
+        p, q = pair
+        if not q:
+            raise ValueError(f"zero denominator in {value!r}")
+        g = gcd(p, q)
+        return (p // g, q // g) if g != 1 else pair
+    if not isinstance(value, bool):
         try:
-            return Fraction(value.strip())
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
+            return value.numerator, value.denominator
+        except AttributeError:
+            pass
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
@@ -92,12 +136,26 @@ def _value(num: tuple, den: int, k: int) -> "RatFuncY":
     return out
 
 
-def _ratio_text(c: int, den: int) -> str:
+def ratio_text(c: int, den: int) -> str:
     """c/den as str(Fraction(c, den)) writes it, for den > 0."""
     g = gcd(c, den)
     if g == den:
         return str(c // den)
     return f"{c // g}/{den // g}"
+
+
+def _scalar_hash(c: int, den: int) -> int:
+    """hash(Fraction(c, den)) for c / den in lowest terms, den > 0, by the
+    rule Python hashes every rational number with."""
+    if den == 1:
+        return hash(c)
+    modulus = sys.hash_info.modulus
+    if den % modulus == 0:
+        h = sys.hash_info.inf
+    else:
+        h = hash(hash(abs(c)) * pow(den, -1, modulus))
+    h = h if c >= 0 else -h
+    return -2 if h == -1 else h
 
 
 def _normal(num: list, den: int, k: int) -> "RatFuncY":
@@ -128,8 +186,8 @@ class RatFuncY:
     prime to the content of the numerator.  So the value is a polynomial
     exactly when k == 0, and equal values have equal (num, den, k).  The
     zero element is ((), 1, 0).  The constructor takes rational
-    coefficients; coeffs and coeff() read them back as Fractions, and
-    as_strings() and coeff_text() write them as str of those Fractions
+    coefficients, ints or anything with a numerator and a denominator;
+    as_strings() and coeff_text() write them back as str of a Fraction
     would, from the integers alone."""
 
     __slots__ = ("num", "den", "k")
@@ -137,8 +195,7 @@ class RatFuncY:
     def __init__(self, coeffs=(), k: int = 0):
         if k < 0:
             raise ValueError("negative power of the denominator 1 + y")
-        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c)
-              for c in coeffs]
+        cs = list(coeffs)
         den = lcm(*[c.denominator for c in cs])
         value = _normal([c.numerator * (den // c.denominator) for c in cs],
                         den, k)
@@ -151,21 +208,11 @@ class RatFuncY:
 
     # -- queries ------------------------------------------------------------
 
-    @property
-    def coeffs(self) -> tuple:
-        """Numerator coefficients over (1+y)^k, as Fractions."""
-        return tuple(Fraction(c, self.den) for c in self.num)
-
-    def coeff(self, i: int) -> Fraction:
-        """Numerator coefficient of y^i."""
-        if 0 <= i < len(self.num):
-            return Fraction(self.num[i], self.den)
-        return Fraction(0)
-
     def coeff_text(self, i: int) -> str:
-        """str(coeff(i)), written without building a Fraction."""
+        """The text of the numerator coefficient of y^i, as str of a
+        Fraction writes it."""
         if 0 <= i < len(self.num):
-            return _ratio_text(self.num[i], self.den)
+            return ratio_text(self.num[i], self.den)
         return "0"
 
     def is_zero(self) -> bool:
@@ -195,23 +242,24 @@ class RatFuncY:
     def __hash__(self):
         if self.k == 0 and len(self.num) <= 1:
             # equal to that scalar, so hash alike
-            return hash(Fraction(self.num[0], self.den)) if self.num else 0
+            return _scalar_hash(self.num[0], self.den) if self.num else 0
         return hash((self.num, self.den, self.k))
 
     # -- arithmetic ----------------------------------------------------------
 
     @staticmethod
     def _coerce(value) -> "RatFuncY":
-        """A scalar (RatFuncY, int or Fraction) as a RatFuncY."""
+        """A scalar (RatFuncY, int, or anything else with a numerator and a
+        denominator in lowest terms, such as a Fraction) as a RatFuncY."""
         if isinstance(value, RatFuncY):
             return value
         if isinstance(value, int):
             return _value((int(value),), 1, 0) if value else RatFuncY.ZERO
-        if isinstance(value, Fraction):
-            if not value:
-                return RatFuncY.ZERO
-            return _value((value.numerator,), value.denominator, 0)
-        raise TypeError(f"cannot coerce {value!r} to RatFuncY")
+        try:
+            num, den = value.numerator, value.denominator
+        except AttributeError:
+            raise TypeError(f"cannot coerce {value!r} to RatFuncY") from None
+        return _value((num,), den, 0) if num else RatFuncY.ZERO
 
     def __add__(self, other):
         if other.__class__ is not RatFuncY:
@@ -303,20 +351,33 @@ class RatFuncY:
 
     # -- evaluation and display ----------------------------------------------
 
-    def __call__(self, y0) -> Fraction:
-        y0 = rat(y0)
-        if self.k and y0 == -1:
-            raise ZeroDivisionError(f"pole at y = {y0}: non-polynomial value {self}")
+    def value_at(self, y0) -> tuple:
+        """The value at the rational y0, which rat reads, as a pair
+        (numerator, denominator) of integers with a positive denominator,
+        not necessarily in lowest terms."""
+        p, q = rat(y0)
+        if self.k and p == -q:
+            raise ZeroDivisionError(f"pole at y = -1: non-polynomial value {self}")
         # Horner's rule on the integer numerator, homogenized in y0 = p/q:
         # acc = sum c_i p^i q^(d-i) for a numerator of degree d
-        p, q = y0.numerator, y0.denominator
         acc, q_pow = 0, 1
         for c in reversed(self.num):
             acc = acc * p + c * q_pow
             q_pow *= q
         # value = acc / q^d / (den ((q + p) / q)^k), where q_pow = q^(d+1)
-        return Fraction(acc * q ** (self.k + 1),
-                        q_pow * self.den * (q + p) ** self.k)
+        num = acc * q ** (self.k + 1)
+        den = q_pow * self.den * (q + p) ** self.k
+        return (-num, -den) if den < 0 else (num, den)
+
+    def text_at(self, y0) -> str:
+        """The text of the value at y0, as str of a Fraction writes it."""
+        return ratio_text(*self.value_at(y0))
+
+    def __call__(self, y0):
+        """The value at y0 as a Fraction, for the check harness and the
+        tests; the reports write text_at."""
+        from fractions import Fraction
+        return Fraction(*self.value_at(y0))
 
     def as_strings(self) -> list:
         """Coefficients of a polynomial as rational strings, each the text
@@ -325,7 +386,7 @@ class RatFuncY:
         den = self.as_poly().den
         if den == 1:
             return [str(c) for c in self.num]
-        return [_ratio_text(c, den) for c in self.num]
+        return [ratio_text(c, den) for c in self.num]
 
     def __str__(self):
         if not self.k:
@@ -334,7 +395,9 @@ class RatFuncY:
         return f"({poly_str(_value(self.num, self.den, 0))})/({poly_str(den)})"
 
     def __repr__(self):
-        return f"RatFuncY({list(self.coeffs)!r}, {self.k})"
+        from fractions import Fraction
+        coeffs = [Fraction(c, self.den) for c in self.num]
+        return f"RatFuncY({coeffs!r}, {self.k})"
 
 
 RatFuncY.ZERO = _value((), 1, 0)
@@ -349,17 +412,18 @@ def poly_str(p: RatFuncY) -> str:
     if p.is_zero():
         return "0"
     pieces = []
-    for k, c in enumerate(p.as_poly().coeffs):
+    den = p.as_poly().den
+    for k, c in enumerate(p.num):
         if c == 0:
             continue
-        mag = abs(c)
+        mag = ratio_text(abs(c), den)
         if k == 0:
-            body = str(mag)
+            body = mag
         else:
             suffix = "y" if k == 1 else f"y^{k}"
-            if mag == 1:
+            if abs(c) == den:
                 body = suffix
-            elif mag.denominator == 1:
+            elif "/" not in mag:
                 body = f"{mag}{suffix}"
             else:
                 body = f"({mag}){suffix}"

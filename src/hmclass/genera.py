@@ -8,8 +8,6 @@ of h^0, ..., h^order.
 
 from __future__ import annotations
 
-import functools
-from fractions import Fraction
 from math import factorial
 
 from .coeffs import RatFuncY
@@ -59,20 +57,44 @@ def _inverse(s: tuple) -> tuple:
 
 def _todd_series(order: int) -> tuple:
     # h / (1 - e^{-h}) = 1 / sum_k (-h)^k / (k+1)!
-    return _inverse(tuple(RatFuncY([Fraction((-1) ** k, factorial(k + 1))])
+    return _inverse(tuple(RatFuncY.from_ints([(-1) ** k], factorial(k + 1))
                           for k in range(order + 1)))
 
 
-@functools.lru_cache(maxsize=32)
+# how many values a per-process store keeps
+KEPT = 32
+
+
+def recall(kept: dict, args: tuple, make):
+    """make(*args), kept in the dict kept by args for the KEPT most lately
+    read args: a dict keeps its order of insertion, so a value read is
+    moved to the end, and the first one is the one to drop."""
+    value = kept.pop(args, None)
+    if value is None:
+        value = make(*args)
+        if len(kept) >= KEPT:
+            del kept[next(iter(kept))]
+    kept[args] = value
+    return value
+
+
+_SERIES = {}
+
+
 def hirzebruch_series(kind: str, order: int) -> tuple:
     """Exact truncated expansion of the requested generating series, as the
     tuple of its coefficients of h^0, ..., h^order.
 
     Q and Qtilde have constant term 1; R vanishes at 0 with linear
-    coefficient 1.  Kept per process: the inverse and each product cost
-    O(order^2) coefficient products, and a tuple is never changed in
-    place.
+    coefficient 1.  Kept per process, for the KEPT most lately read
+    arguments: the inverse and each product cost O(order^2) coefficient
+    products, and a tuple is never changed in place.
     """
+    return recall(_SERIES, (kind, order), _series)
+
+
+def _series(kind: str, order: int) -> tuple:
+    """hirzebruch_series, computed."""
     if order < 0:
         raise ValueError("order must be >= 0")
     if kind == "Q":
@@ -80,7 +102,7 @@ def hirzebruch_series(kind: str, order: int) -> tuple:
         if order:
             q[1] = q[1] - _Y
         return tuple(q)
-    exp = tuple(RatFuncY([Fraction(1, factorial(k))])  # e^h
+    exp = tuple(RatFuncY.from_ints([1], factorial(k))  # e^h
                 for k in range(order + 1))
     if kind == "Qtilde":
         factor = [c * _Y for c in compose_scale(exp, -1)]

@@ -28,11 +28,10 @@ once per report, with the text of each nonzero value in its place.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import chain
 
 from .ambient import virtual_genus
-from .arrangement import Arrangement, chi_y, sigma_strata
+from .arrangement import Arrangement, chi_y, lazy_attribute, sigma_strata
 from .coeffs import RatFuncY
 from .jsontext import HOLE, dumps, parts, splice
 from .spectra import SpectrumError, stratum_germs
@@ -125,7 +124,7 @@ class MilnorReport:
         self.chern_path, self.cross_path_ok = chern_path, cross_path_ok
         self.listed = listed  # edge key -> a surface's model, or a stratum
 
-    @cached_property
+    @lazy_attribute
     def models(self) -> list:
         """The model of each stratum with a nonzero germ, in lattice order:
         a surface's is the one assembly built, and the others are built on

@@ -1,7 +1,10 @@
 """Spectrum data for local defining functions of arrangement strata.
 
 A spectrum is a finitely supported integer-valued function on rational
-exponents.  The built-in catalogue covers the two germ families that
+exponents.  For an arrangement germ every exponent is c/e with e dividing
+the local degree m_s (Budur-Saito, Math. Ann. 347, 2010), so a spectrum
+keeps integer numerators over one e and never needs general rationals.
+The built-in catalogue covers the two germ families that
 arrangements of small ambient dimension produce: monomial germs (local
 normal crossings with multiplicities) and ordinary plane germs (k distinct
 reduced concurrent lines).  Everything else is admitted via user tables,
@@ -13,20 +16,19 @@ holds exponents rank - p - c/e whose multiplicities are linear in c; a
 catalogue germ has a few runs fixed by its class (the rank and the gcd e
 of the exponents of a monomial germ, or the line count e of an ordinary
 one), and a table one run per entry.  Assembly reads every germ through
-its runs; the entries are expanded only when the spectrum report or a
+its runs; the exponents are expanded to (c, multiplicity) pairs, with the
+numerator c of each exponent c/e, only when the spectrum report or a
 validator asks for them, in time linear in their number.
 """
 
 from __future__ import annotations
 
-import functools
-from fractions import Fraction
 from math import gcd, lcm
 from types import SimpleNamespace
 
-from .arrangement import (Arrangement, Edge, echo, milnor_fiber_chi,
-                          read_json)
-from .coeffs import rat
+from .arrangement import (Arrangement, Edge, echo, lazy_attribute,
+                          milnor_fiber_chi, read_json)
+from .coeffs import rat, ratio_text
 
 __all__ = [
     "SpectrumError",
@@ -61,9 +63,11 @@ class Spectrum:
     origin, or ('stratum', n) for ambient indexing after the dimension
     shift.  source is the catalogue class, such as 'monomial(1,2)' or
     'ordinary(3)', or 'user_table'.  A record is never changed, so it is
-    zero or not from its runs alone, set with it; its entries are
-    expanded on first request, sorted, with zero multiplicities dropped.
-    Equality reads the entries and the frame."""
+    zero or not from its runs alone, set with it.  Its pairs (c, n), one
+    per exponent c/e of nonzero multiplicity n, sorted by c, which is the
+    order of the exponents, are expanded on first read and kept in the
+    instance's __dict__, where later reads find them.  Equality reads the
+    exponents, their multiplicities and the frame."""
 
     def __init__(self, frame: tuple, e: int, runs: tuple,
                  source: str = "user_table"):
@@ -76,48 +80,53 @@ class Spectrum:
     def __eq__(self, other):
         if not isinstance(other, Spectrum):
             return NotImplemented
-        return (self.entries, self.frame) == (other.entries, other.frame)
+        # c/e = d/f exactly when c f = d e
+        e, f = self.e, other.e
+        return (self.frame == other.frame
+                and [(c * f, n) for c, n in self.pairs]
+                == [(d * e, n) for d, n in other.pairs])
 
     @staticmethod
     def make(mapping, frame) -> "Spectrum":
-        """A table: a run (p, c, c, n, 0) per entry n at the exponent
-        alpha = rank - p - c/e, so p = floor(rank - alpha) and
-        c = (rank - p - alpha) e, with its entries set."""
-        items = tuple(sorted((Fraction(a), int(m)) for a, m in mapping.items()
-                             if m != 0))
+        """A table from {(num, den): n}, the multiplicity n at the exponent
+        num/den in lowest terms, den > 0: e is the lcm of the denominators,
+        and a run (p, c, c, n, 0) stands for each entry at the exponent
+        a/e = rank - p - c/e, so p = floor(rank - a/e) and
+        c = (rank - p) e - a, with its pairs set."""
+        items = [(num, den, int(n)) for (num, den), n in mapping.items()
+                 if n != 0]
         rank = frame[1]
-        e = lcm(*(a.denominator for a, _ in items))
+        e = lcm(*(den for _, den, _ in items))
+        pairs = tuple(sorted((num * (e // den), n) for num, den, n in items))
         runs = []
-        for alpha, n in items:
-            num, den = alpha.numerator, alpha.denominator
-            p = (rank * den - num) // den
-            c = (rank - p) * e - num * (e // den)
+        for a, n in pairs:
+            p = (rank * e - a) // e
+            c = (rank - p) * e - a
             runs.append((p, c, c, n, 0))
         sp = Spectrum(tuple(frame), e, tuple(runs))
-        sp.entries = items
+        sp.pairs = pairs
         return sp
 
-    @functools.cached_property
-    def entries(self) -> tuple:
-        """Sorted ((Fraction, int), ...), one per nonzero multiplicity."""
+    @lazy_attribute
+    def pairs(self) -> tuple:
+        """((c, n), ...), sorted, one per exponent c/e of nonzero
+        multiplicity n: a run's exponent rank - p - c/e has the numerator
+        (rank - p) e - c."""
         rank, e = self.frame[1], self.e
         return tuple(sorted(
-            (Fraction((rank - p) * e - c, e), a + b * c)
+            ((rank - p) * e - c, a + b * c)
             for p, lo, hi, a, b in self.runs for c in range(lo, hi + 1)
             if a + b * c))
 
     @property
     def mass(self) -> int:
-        return sum(m for _, m in self.entries)
+        return sum(n for _, n in self.pairs)
 
     def is_zero(self) -> bool:
         return self._zero
 
     def describe(self) -> str:
         return self.source
-
-    def to_json(self) -> list:
-        return [{"alpha": str(a), "mult": m} for a, m in self.entries]
 
 
 def _catalogue(tag: str, data: tuple) -> Spectrum:
@@ -207,30 +216,38 @@ def sp_validate(sp: Spectrum, loc: Edge) -> dict:
 
     Checks support within (0, rank) with denominators dividing the local
     degree, the signed total-mass identity against the Milnor-fiber Euler
-    characteristic, and the exponent symmetry for isolated germs.
-    Returns {"ok": bool, "failures": [...]}.
+    characteristic, and the exponent symmetry for isolated germs, on the
+    integer numerators c of the exponents c/e; each failure names an
+    exponent as str of its Fraction would.  Returns {"ok": bool,
+    "failures": [...]}.
     """
     failures = []
     kind, d = sp.frame
-    if kind != "germ" or d != loc.rank:
-        failures.append(f"frame {sp.frame} does not match germ dimension {loc.rank}")
-    m_s = loc.m_s
-    for a, _ in sp.entries:
-        if not (0 < a < loc.rank):
-            failures.append(f"support: exponent {a} outside (0, {loc.rank})")
-        if (a * m_s).denominator != 1:
-            failures.append(f"support: exponent {a} has denominator not dividing {m_s}")
-    expected_mass = (-1) ** (loc.rank - 1) * (milnor_fiber_chi(loc) - 1)
+    rank, m_s, e = loc.rank, loc.m_s, sp.e
+    if kind != "germ" or d != rank:
+        failures.append(f"frame {sp.frame} does not match germ dimension {rank}")
+    top = rank * e  # the exponent rank, over e
+    for c, _ in sp.pairs:
+        if not (0 < c < top):
+            failures.append(f"support: exponent {ratio_text(c, e)} "
+                            f"outside (0, {rank})")
+        if c * m_s % e:
+            failures.append(f"support: exponent {ratio_text(c, e)} has "
+                            f"denominator not dividing {m_s}")
+    expected_mass = (-1) ** (rank - 1) * (milnor_fiber_chi(loc) - 1)
     if sp.mass != expected_mass:
         failures.append(f"mass: total {sp.mass} != expected {expected_mass}")
     # a localized arrangement germ is an isolated singularity exactly for a
-    # single (possibly multiple) hyperplane or a reduced plane germ
-    if loc.rank == 1 or (loc.rank == 2 and loc.reduced):
-        table = dict(sp.entries)
-        for a, m in table.items():
-            if table.get(loc.rank - a, 0) != m:
-                failures.append(f"symmetry: n_{a} = {m} but "
-                                f"n_{loc.rank - a} = {table.get(loc.rank - a, 0)}")
+    # single (possibly multiple) hyperplane or a reduced plane germ; the
+    # partner of the exponent c/e is rank - c/e
+    if rank == 1 or (rank == 2 and loc.reduced):
+        table = dict(sp.pairs)
+        for c, n in table.items():
+            partner = top - c
+            if table.get(partner, 0) != n:
+                failures.append(f"symmetry: n_{ratio_text(c, e)} = {n} but "
+                                f"n_{ratio_text(partner, e)} = "
+                                f"{table.get(partner, 0)}")
                 break
     return {"ok": not failures, "failures": failures}
 

@@ -22,11 +22,9 @@ is 1 on a point, 1 + (chi - 1) pt on a curve, and 1 + (2 - L) line
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import cached_property
 from operator import add
 
-from .arrangement import Arrangement, Edge, in_sigma
+from .arrangement import Arrangement, Edge, in_sigma, lazy_attribute
 from .coeffs import RatFuncY
 
 __all__ = [
@@ -120,7 +118,7 @@ class StratumModel:
     def kind(self) -> str:
         return _KIND[self.dim]
 
-    @cached_property
+    @lazy_attribute
     def deligne_base_vector(self) -> tuple:
         """First Chern class of the base extension bundle: the ambient twist
         by minus the rounded-up relative degree, corrected on the sub-edge
@@ -133,7 +131,7 @@ class StratumModel:
                                          for c in self.boundary
                                          if c.source != "infinity"])
 
-    @cached_property
+    @lazy_attribute
     def twist_classes(self) -> tuple:
         """(m_res, D_r) per residue m_res on the boundary, D_r the sum of
         the components with that residue: a Deligne power twists them
@@ -282,7 +280,10 @@ def twist_offsets(m_s: int, mode: str) -> tuple:
 def deligne_residues(model: StratumModel, k: int,
                      mode: str = EXT_HALF_OPEN_UP) -> dict:
     """Connection residues k*m_res/m_s minus their boundary twist, per
-    component; they lie in (0,1] or [0,1) according to the mode."""
+    component, as Fractions; they lie in (0,1] or [0,1) according to the
+    mode.  Only the check harness and the tests read them."""
+    from fractions import Fraction
+
     b, c = twist_offsets(model.m_s, mode)
     out = {}
     for comp in model.boundary:

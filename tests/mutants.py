@@ -7,9 +7,11 @@ temporary directory, checks that the named tests all pass on the
 unmutated copy, and then, mutant by mutant, makes the one replacement in
 a fresh copy of that checked copy and runs its tests there, so that
 every verdict is about one tree, whatever the working tree does
-meanwhile.  It exits 1 if the clean copy fails, if a text is not found
-exactly once, or if any named test passes under its mutant.  Standard
-library only; the tests it runs need pytest, hypothesis and sympy.
+meanwhile.  The clean copy's tests and the mutants run on WORKERS
+processes at a time, and the verdicts print in the list's order.  It
+exits 1 if the clean copy fails, if a text is not found exactly once, or
+if any named test passes under its mutant.  Standard library only; the
+tests it runs need pytest, hypothesis and sympy.
 
     python tests/mutants.py
 """
@@ -20,9 +22,13 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# pytest processes at a time: each is one thread of Python, and a host
+# with two CPUs runs two of them in about the time of one
+WORKERS = 2
 
 PROPS = "tests/test_properties.py"
 RING_PATH = f"{PROPS}::test_integer_path_matches_ring_path_on_every_stratum"
@@ -36,6 +42,9 @@ PARITY = "tests/test_cli.py::test_exact_parser_agrees_with_argparse"
 REGROUPED = "tests/test_milnor.py::TestRegroupedContribution"
 SPECIALIZED = f"{PROPS}::test_specializations_and_trace_read_every_label"
 READER = "tests/test_cli.py::test_json_reader_agrees_with_json_loads"
+VALIDATE_TEXTS = "tests/test_spectra.py::TestValidate::test_failure_texts"
+CONCURRENT = ("tests/test_spectra.py::TestOrdinary"
+              "::test_validates_against_concurrent_lines")
 
 # name -> (file, old text, new text, node ids that must fail)
 MUTANTS = {
@@ -204,15 +213,15 @@ MUTANTS = {
     # table's frame from its record; a direct caller's spectrum does
     "sp-validate-frame-check-and": (
         "src/hmclass/spectra.py",
-        'if kind != "germ" or d != loc.rank:',
-        'if kind != "germ" and d != loc.rank:',
+        'if kind != "germ" or d != rank:',
+        'if kind != "germ" and d != rank:',
         ["tests/test_spectra.py::TestValidate::test_frame_failure"]),
     # assembly asks every germ whether it is zero, so a zero test that
     # expands the entries expands every catalogue germ in every report
     "is-zero-expands-entries": (
         "src/hmclass/spectra.py",
         "        return self._zero\n",
-        "        return not self.entries\n",
+        "        return not self.pairs\n",
         ["tests/test_milnor.py::TestWorkPerStratum"]),
     # sp_shift signs the runs, not the entries; on a curve ordinary(3)'s
     # linear multiplicities change sign with their constants
@@ -278,6 +287,40 @@ MUTANTS = {
         "_read = reader(int)",
         ["tests/test_cli.py::TestMilnorCommand"
          "::test_unquoted_digit_limit_exit_code", READER]),
+    # the validators read integer numerators c of the exponents c/e, whose
+    # symmetry partner is rank - c/e, numerator rank e - c
+    "sp-validate-symmetry-partner-sum": (
+        "src/hmclass/spectra.py",
+        "            partner = top - c\n",
+        "            partner = top + c\n",
+        [VALIDATE_TEXTS, CONCURRENT]),
+    # e divides c m_s exactly when the exponent's denominator divides m_s;
+    # every fractional catalogue exponent c/e has c prime to e
+    "sp-validate-denominator-drops-m-s": (
+        "src/hmclass/spectra.py",
+        "        if c * m_s % e:\n",
+        "        if c % e:\n",
+        [CONCURRENT]),
+    # the support is the open interval (0, rank)
+    "sp-validate-support-closed-at-rank": (
+        "src/hmclass/spectra.py",
+        "if not (0 < c < top):",
+        "if not (0 < c <= top):",
+        [VALIDATE_TEXTS]),
+    # rat gives pairs in lowest terms, so that equal exponents of a table
+    # sum into one entry
+    "rat-skips-lowest-terms": (
+        "src/hmclass/coeffs.py",
+        "        return (p // g, q // g) if g != 1 else pair\n",
+        "        return pair\n",
+        ["tests/test_coeffs.py::TestRatFunc::test_rat_agrees_with_fraction",
+         "tests/test_arrangement.py::TestBuild::test_coefficient_parse"]),
+    # a spectra row's entries sit four levels deep in the report
+    "spectra-entry-depth-off-by-one": (
+        "src/hmclass/cli.py",
+        'entry = _template({"alpha": HOLE, "mult": HOLE}, 4)',
+        'entry = _template({"alpha": HOLE, "mult": HOLE}, 3)',
+        [f"{CORPUS}[concurrent3-spectra]", LATTICE_SIDE]),
     # --schema, lattice and chi-y then load the Milnor-class modules
     "cli-imports-milnor-at-start": (
         "src/hmclass/cli.py",
@@ -317,40 +360,52 @@ def run_tests(tree: Path, node_ids) -> dict:
             for node in node_ids}
 
 
+def run_mutant(tmp: Path, clean: Path, name: str) -> tuple:
+    """(bad, lines): the mutant's verdict in a fresh copy of the clean
+    copy, bad when its text is not found once or a named test survives."""
+    rel, old, new, ids = MUTANTS[name]
+    tree = tmp / name
+    copy_tree(clean, tree)
+    try:
+        path = tree / rel
+        text = path.read_text()
+        if text.count(old) != 1:
+            return True, [f"{name}: the text occurs {text.count(old)} times "
+                          f"in {rel}, not once"]
+        path.write_text(text.replace(old, new))
+        start = time.perf_counter()
+        survived = [n for n, ok in run_tests(tree, ids).items() if ok]
+        took = time.perf_counter() - start
+        return bool(survived), [
+            f"{name}: {'SURVIVED' if survived else 'killed'} ({took:.1f} s)",
+            *(f"  still passes: {n}" for n in survived)]
+    finally:
+        shutil.rmtree(tree)
+
+
 def main() -> int:
     bad = 0
-    with tempfile.TemporaryDirectory() as tmp:
-        clean = Path(tmp) / "clean"
+    with tempfile.TemporaryDirectory() as tmp, \
+            ThreadPoolExecutor(WORKERS) as pool:
+        tmp = Path(tmp)
+        clean = tmp / "clean"
         copy_tree(ROOT, clean)
         nodes = sorted({n for *_, ids in MUTANTS.values() for n in ids})
         start = time.perf_counter()
-        passed = run_tests(clean, nodes)
-        failing = [n for n, ok in passed.items() if not ok]
+        passed = {}
+        for part in pool.map(lambda i: run_tests(clean, nodes[i::WORKERS]),
+                             range(WORKERS)):
+            passed.update(part)
+        failing = [n for n in nodes if not passed[n]]
         print(f"clean copy: {len(nodes) - len(failing)}/{len(nodes)} pass "
               f"({time.perf_counter() - start:.1f} s)")
         if failing:
             print("  fail on the clean copy:", *failing, sep="\n    ")
             return 1
-        for name, (rel, old, new, ids) in MUTANTS.items():
-            tree = Path(tmp) / name
-            copy_tree(clean, tree)
-            path = tree / rel
-            text = path.read_text()
-            if text.count(old) != 1:
-                print(f"{name}: the text occurs {text.count(old)} times "
-                      f"in {rel}, not once")
-                bad += 1
-                continue
-            path.write_text(text.replace(old, new))
-            start = time.perf_counter()
-            survived = [n for n, ok in run_tests(tree, ids).items() if ok]
-            took = time.perf_counter() - start
-            print(f"{name}: {'SURVIVED' if survived else 'killed'} "
-                  f"({took:.1f} s)")
-            for n in survived:
-                print(f"  still passes: {n}")
-            bad += bool(survived)
-            shutil.rmtree(tree)
+        for mutant_bad, lines in pool.map(
+                lambda name: run_mutant(tmp, clean, name), MUTANTS):
+            print(*lines, sep="\n", flush=True)
+            bad += mutant_bad
     return 1 if bad else 0
 
 

@@ -715,9 +715,34 @@ def series_inverse_by_recursion(a: tuple) -> tuple:
     return tuple(out)
 
 
+def coeffs(value: RatFuncY) -> tuple:
+    """The numerator coefficients of value over (1+y)^k, as Fractions."""
+    return tuple(Fraction(c, value.den) for c in value.num)
+
+
+def coeff(value: RatFuncY, i: int) -> Fraction:
+    """The numerator coefficient of y^i of value, as a Fraction."""
+    if 0 <= i < len(value.num):
+        return Fraction(value.num[i], value.den)
+    return Fraction(0)
+
+
+def entries(sp: Spectrum) -> tuple:
+    """Sorted ((Fraction, int), ...): each exponent of a spectrum with its
+    nonzero multiplicity."""
+    return tuple((Fraction(c, sp.e), n) for c, n in sp.pairs)
+
+
+def make_table(mapping, frame) -> Spectrum:
+    """Spectrum.make of a mapping from rationals, such as Fractions, to
+    multiplicities."""
+    return Spectrum.make({Fraction(a).as_integer_ratio(): n
+                          for a, n in mapping.items()}, frame)
+
+
 def support(sp: Spectrum) -> tuple:
     """The exponents of a spectrum, in increasing order."""
-    return tuple(a for a, _ in sp.entries)
+    return tuple(a for a, _ in entries(sp))
 
 
 def sp_unshift(stratum_sp: Spectrum,
@@ -727,8 +752,8 @@ def sp_unshift(stratum_sp: Spectrum,
     if kind != "stratum":
         raise SpectrumError(f"expected a stratum frame, got {stratum_sp.frame}")
     sign = (-1) ** stratum.dim
-    out = {a - stratum.dim: sign * m for a, m in stratum_sp.entries}
-    return Spectrum.make(out, ("germ", stratum.codim))
+    out = {a - stratum.dim: sign * m for a, m in entries(stratum_sp)}
+    return make_table(out, ("germ", stratum.codim))
 
 
 def td_transform(ch_elem: RingElement, todd_elem: RingElement) -> RingElement:
@@ -789,7 +814,7 @@ def stratum_contribution_by_terms(arr, stratum, germ_sp, model, conv) -> RingEle
     log_data = [log_chern(model, q) for q in range(model.dim + 1)]
     ch_log = [chern_to_ch(cd, ring) for cd in log_data]
     todd = todd_from_chern(tangent_chern(model), ring)
-    for alpha, n_alpha in strat_sp.entries:
+    for alpha, n_alpha in entries(strat_sp):
         k = k_representative(alpha, model.m_s, conv.extension_mode)
         ch_line = exp_nilpotent(model_class(
             model, deligne_vector(model, k, conv.extension_mode)))
@@ -957,11 +982,12 @@ def spectra_rows_by_stratum(arr, tables) -> list:
                 row["source"] = "user_table"
             else:
                 row["source"] = classify_germ(loc).describe()
-            row["germ"] = sp.to_json()
+            row["germ"] = [{"alpha": str(a), "mult": m}
+                           for a, m in entries(sp)]
             sign = (-1) ** s.dim
             row["stratum_frame"] = [
                 {"alpha": str(a + s.dim), "mult": sign * m}
-                for a, m in sp.entries]
+                for a, m in entries(sp)]
             row["validation"] = sp_validate(sp, loc)
         rows.append(row)
     return rows
@@ -1137,7 +1163,7 @@ def chi_y_stratum_by_whitney(arr, edge) -> RatFuncY:
     betti = RatFuncY(_whitney(flats), 1).as_poly()
     acc = RatFuncY.ZERO
     minus_y = RatFuncY([0, -1])
-    for j, b in enumerate(betti.coeffs):
+    for j, b in enumerate(coeffs(betti)):
         if b:
             acc = acc + minus_y ** (d - j) * (b * (-1) ** j)
     return acc

@@ -156,20 +156,32 @@ def costly_imports() -> list:
     return done.stdout.split()
 
 
-def _json_package(name: str) -> bool:
-    return name == "json" or name.startswith("json.")
+# what no report reads: the json package, which only the reader's second
+# path and the error writer import, and the exact-rational and cache
+# modules, as every rational is a pair of integers and every lazy value a
+# plain attribute or a module dict
+_NO_REPORT_READS = ("fractions", "decimal", "re", "functools")
+
+
+def _report_breach(name: str) -> bool:
+    return (name == "json" or name.startswith("json.")
+            or name in _NO_REPORT_READS)
 
 
 def _schema_breach(name: str) -> bool:
     return (name.startswith("hmclass.")
             and name not in ("hmclass.cli", "hmclass.jsontext")
-            or name in ("json", "json.decoder", "fractions", "decimal",
-                        "functools"))
+            or _report_breach(name))
 
 
 def _lattice_side_breach(name: str) -> bool:
     return name in ("hmclass.milnor", "hmclass.genera", "hmclass.ambient",
-                    "hmclass.spectra") or _json_package(name)
+                    "hmclass.spectra") or _report_breach(name)
+
+
+def _spectra_breach(name: str) -> bool:
+    return name in ("hmclass.milnor", "hmclass.genera",
+                    "hmclass.ambient") or _report_breach(name)
 
 
 FOURPLANES = str(SRC / "hmclass" / "corpus" / "fourplanes.json")
@@ -177,15 +189,19 @@ FOURPLANES = str(SRC / "hmclass" / "corpus" / "fourplanes.json")
 # each probed command line, by name, and the test of a module it must not
 # load:
 # --schema loads only what parsing argv and writing its text need, the
-# lattice-side reports no Milnor-class, series or spectrum module, and no
-# report on well-formed input the json package, which only the reader's
-# second path and the error writer import
+# lattice-side reports no Milnor-class, series or spectrum module, the
+# spectra report no Milnor-class or series module, and no report on
+# well-formed input the json package, fractions, decimal, re or functools
 IMPORT_PROBES = [
     ("--schema", ["--schema"], _schema_breach),
     ("lattice", ["lattice", FOURPLANES], _lattice_side_breach),
     ("chi-y", ["chi-y", FOURPLANES], _lattice_side_breach),
-    ("milnor", ["milnor", FOURPLANES], _json_package),
-    ("milnor --tables", ["milnor", *TABLES7], _json_package),
+    ("spectra", ["spectra", FOURPLANES], _spectra_breach),
+    ("spectra --tables", ["spectra", *TABLES7], _spectra_breach),
+    ("virtual", ["virtual", "--degree", "3", "--ambient", "3"],
+     _report_breach),
+    ("milnor", ["milnor", FOURPLANES], _report_breach),
+    ("milnor --tables", ["milnor", *TABLES7], _report_breach),
 ]
 
 

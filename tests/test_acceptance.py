@@ -21,8 +21,8 @@ from hmclass.spectra import sp_monomial, sp_ordinary, sp_validate
 from hmclass.strata import (chow_dims, compactify, deligne_residues,
                             homology_weight_dims, power_identity_holds,
                             relabel_vector, residues, trace)
-from oracles import (coeff_list, support, todd_series_oracle, ty_class_pn,
-                     vector_is_polynomial)
+from oracles import (coeff, coeff_list, entries, support, todd_series_oracle,
+                     ty_class_pn, vector_is_polynomial)
 
 GOLDEN = Path(__file__).parent / "golden" / "calibration.json"
 
@@ -81,10 +81,10 @@ def test_c05_cross_path_identity():
         assert report.specializations[-1] == report.chern_path
     # hand values for the two positive-dimensional cases
     double = assemble(corpus.load("doubleline")).chern_path
-    assert {k: v.coeff(0) for k, v in double.items()} == \
+    assert {k: coeff(v, 0) for k, v in double.items()} == \
         {"H_{1}": 1, "Q_{0}": 1}
     pencil = assemble(corpus.load("pencil3planes")).chern_path
-    assert {k: v.coeff(0) for k, v in pencil.items()} == \
+    assert {k: coeff(v, 0) for k, v in pencil.items()} == \
         {"L_{123}": -4, "Q_{0}": -4}
     done("C5", f"y=-1 specialization equals the Euler-weighted Chern path "
                f"on {len(corpus.ALL_NAMES)} corpus arrangements")
@@ -105,7 +105,7 @@ def test_c07_spectrum_validators():
     for k in range(2, 7):
         sp = sp_ordinary(k)
         assert sp.mass == (k - 1) ** 2
-        table = dict(sp.entries)
+        table = dict(entries(sp))
         assert all(table[2 - a] == m for a, m in table.items())
         assert all(0 < a < 2 for a in support(sp))
     for r in (1, 2, 3):

@@ -174,7 +174,7 @@ class TestBuild:
             assert str(info.value) == f"bad hyperplane entry {item!r}: {value}"
         else:
             got = rat(text)
-            assert type(got) is Fraction and got == value
+            assert type(got) is tuple and got == value.as_integer_ratio()
             assert build(1, [([text, "1"], 1)]).covectors == (covector,)
             arr = Arrangement.from_json({"n": 1, "hyperplanes": [item]})
             assert arr.covectors == (covector,)

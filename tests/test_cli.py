@@ -441,6 +441,25 @@ class TestMilnorCommand:
                 "digits")
 
     @pytest.mark.parametrize("target", ["input", "tables"])
+    def test_byte_order_mark_exit_code(self, capsys, tmp_path, target):
+        # a file that begins with a UTF-8 byte order mark is refused with
+        # json's own message, by both loaders
+        source = Path(corpus_file("concurrent3"))
+        marked = tmp_path / "marked.json"
+        if target == "input":
+            marked.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+            argv, kind = ["lattice", str(marked)], "ArrangementError"
+        else:
+            marked.write_bytes(b"\xef\xbb\xbf{}")
+            argv = ["spectra", str(source), "--tables", str(marked)]
+            kind = "SpectrumError"
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": {"kind": kind, "message": (
+            "malformed JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+            "line 1 column 1 (char 0)")}}
+
+    @pytest.mark.parametrize("target", ["input", "tables"])
     def test_deeply_nested_json_exit_code(self, tmp_path, target):
         # the decoder gives up on 10^5 nested arrays with a RecursionError
         deep = tmp_path / "deep.json"

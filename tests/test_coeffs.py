@@ -11,15 +11,16 @@ from hypothesis import strategies as st
 from hmclass.coeffs import RatFuncY, poly_str, rat
 from hmclass.genera import _inverse, compose_scale, mul
 from hmclass.milnor import PolynomialityError
-from oracles import (ProjRing, RingElement, poly_division_oracle,
-                     series_inverse_by_recursion)
+import rat_parity
+from oracles import (ProjRing, RingElement, coeff, coeffs,
+                     poly_division_oracle, series_inverse_by_recursion)
 
 Y = sympy.symbols("y")
 
 
 def to_sympy(value: RatFuncY):
     num = sum(sympy.Rational(c.numerator, c.denominator) * Y ** i
-              for i, c in enumerate(value.coeffs))
+              for i, c in enumerate(coeffs(value)))
     return num / (1 + Y) ** value.k
 
 
@@ -46,7 +47,7 @@ class TestRatFunc:
         got = RatFuncY([0, 1, 1]) * RatFuncY([1, 1]).inverse()
         expected = poly_division_oracle([0, 1, 1], [1, 1])
         assert got.is_polynomial()
-        assert list(got.coeffs) == expected
+        assert list(coeffs(got)) == expected
         assert RatFuncY([0, 1, 1], 1) == got
 
     def test_divide_by_zero(self):
@@ -67,16 +68,16 @@ class TestRatFunc:
         # 2y (1+y)^2 (2 + 5y + y^2) / (1+y)^3 = 2y (2 + 5y + y^2) / (1+y)
         g = RatFuncY([2, 5, 1])
         num = RatFuncY([0, 2]) * RatFuncY.ONE_PLUS_Y ** 2 * g
-        a = RatFuncY(num.coeffs, 3)
-        b = RatFuncY(a.coeffs, a.k)
-        assert (a.coeffs, a.k) == (b.coeffs, b.k)
-        assert a.k == 1 and a == RatFuncY((RatFuncY([0, 2]) * g).coeffs, 1)
-        assert RatFuncY(a.coeffs)(-1) != 0  # no (1+y) left to cancel
+        a = RatFuncY(coeffs(num), 3)
+        b = RatFuncY(coeffs(a), a.k)
+        assert (coeffs(a), a.k) == (coeffs(b), b.k)
+        assert a.k == 1 and a == RatFuncY(coeffs(RatFuncY([0, 2]) * g), 1)
+        assert RatFuncY(coeffs(a))(-1) != 0  # no (1+y) left to cancel
 
     def test_denominator_positive_leading_normalized(self):
         a = RatFuncY([-2, -2]).inverse()
         assert a.k == 1
-        assert a.coeffs == (Fraction(-1, 2),)
+        assert coeffs(a) == (Fraction(-1, 2),)
 
     def test_evaluation_and_pole(self):
         a = RatFuncY([1], 1)
@@ -85,8 +86,8 @@ class TestRatFunc:
             a(-1)
 
     def test_rat_parse_and_str(self):
-        assert rat("-3/4") == Fraction(-3, 4)
-        assert str(rat("5")) == "5"
+        assert rat("-3/4") == (-3, 4)
+        assert rat("5") == (5, 1)
         assert str(Fraction(7, 2)) == "7/2"
 
     def test_rat_rejects_bool(self):
@@ -95,7 +96,7 @@ class TestRatFunc:
 
     def test_rat_reads_decimals_and_rejects_exponents(self):
         # a decimal costs what its length costs; an exponent does not
-        assert rat(" 0.25 ") == Fraction(1, 4)
+        assert rat(" 0.25 ") == (1, 4)
         for text in ("1e3000000", "1E5", "2.5e-3"):
             with pytest.raises(ValueError, match="exponent notation"):
                 rat(text)
@@ -111,10 +112,10 @@ class TestRatFunc:
         # int and Fraction word their refusal differently by version;
         # Python's default limit is 4300 digits
         long = "7" * 4300
-        assert rat(long) == int(long)
-        assert rat(f" -{long}/{long} ") == -1
-        assert rat(f"{long}.{long}") == int(long) + Fraction(
-            int(long), 10 ** 4300)
+        assert rat(long) == (int(long), 1)
+        assert rat(f" -{long}/{long} ") == (-1, 1)
+        assert rat(f"{long}.{long}") == (int(long) + Fraction(
+            int(long), 10 ** 4300)).as_integer_ratio()
         for text, digits in (("7" * 4301, 4301), ("1/" + "7" * 4301, 4301),
                              ("7" * 5000 + "/3", 5000),
                              ("0." + "7" * 4301, 4301),
@@ -130,16 +131,21 @@ class TestRatFunc:
         default = sys.get_int_max_str_digits()
         try:
             sys.set_int_max_str_digits(1000)
-            assert rat("7" * 1000) == int("7" * 1000)
+            assert rat("7" * 1000) == (int("7" * 1000), 1)
             for text in ("7" * 1001, "1/" + "7" * 1001, "0." + "7" * 1001):
                 with pytest.raises(ValueError) as info:
                     rat(text)
                 assert str(info.value) == ("integer text of 1001 digits "
                                            "exceeds the limit of 1000 digits")
             sys.set_int_max_str_digits(0)  # no limit
-            assert rat("7" * 5000 + "/7") == int("1" * 5000)
+            assert rat("7" * 5000 + "/7") == (int("1" * 5000), 1)
         finally:
             sys.set_int_max_str_digits(default)
+
+    def test_rat_agrees_with_fraction(self):
+        # the seeded texts of tests/rat_parity.py, which CI runs on each
+        # Python version
+        assert rat_parity.main() == 0
 
     def test_against_sympy_randomized(self):
         rng = random.Random(2013)
@@ -161,11 +167,11 @@ class TestRatFunc:
             a, b = random_value(rng, 2), random_value(rng, 2)
             # the same value presented over a higher power of (1+y)
             d = rng.randint(0, 3)
-            lifted = RatFuncY((RatFuncY(a.coeffs) * RatFuncY.ONE_PLUS_Y ** d).coeffs,
-                              a.k + d)
-            assert (lifted.coeffs, lifted.k) == (a.coeffs, a.k)
+            lifted = RatFuncY(coeffs(RatFuncY(coeffs(a))
+                                     * RatFuncY.ONE_PLUS_Y ** d), a.k + d)
+            assert (coeffs(lifted), lifted.k) == (coeffs(a), a.k)
             if sympy.cancel(to_sympy(a) - to_sympy(b)) == 0:
-                assert (a.coeffs, a.k) == (b.coeffs, b.k)
+                assert (coeffs(a), a.k) == (coeffs(b), b.k)
                 assert hash(a) == hash(b)
             else:
                 assert a != b
@@ -224,10 +230,10 @@ class TestIntegerKernel:
             for value in (a, b, a + b, a - b, a * b, -a, a * 3,
                           a * Fraction(2, 3), a ** 2):
                 assert_normal(value)
-                assert RatFuncY(value.coeffs, value.k) == value
-                assert value.coeffs == tuple(Fraction(c, value.den)
-                                             for c in value.num)
-                assert all(type(c) is Fraction for c in value.coeffs)
+                assert RatFuncY(coeffs(value), value.k) == value
+                assert coeffs(value) == tuple(Fraction(c, value.den)
+                                              for c in value.num)
+                assert all(type(c) is Fraction for c in coeffs(value))
 
     def test_one_plus_y_cancels_under_a_denominator(self):
         # (1/2 + y/2) / (1+y) = 1/2
@@ -290,12 +296,79 @@ class TestCoefficientText:
         assert value.coeff_text(0) == str(Fraction(num[0] if num else 0,
                                                    den))
         for i in range(-1, len(num) + 2):
-            assert value.coeff_text(i) == str(value.coeff(i))
+            assert value.coeff_text(i) == str(coeff(value, i))
         with pytest.raises(ValueError):
             RatFuncY.from_ints([c or 1], den, k).as_strings()
 
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.integers(-10 ** 30, 10 ** 30),
+           st.integers(1, 10 ** 30)
+           | st.sampled_from([sys.hash_info.modulus,
+                              3 * sys.hash_info.modulus]))
+    def test_scalar_hashes_as_its_fraction(self, c, den):
+        # equal values hash alike, so a constant hashes as the Fraction
+        # it equals, a multiple of the hash modulus as denominator included
+        value = RatFuncY.from_ints([c], den)
+        assert value == Fraction(c, den)
+        assert hash(value) == hash(Fraction(c, den))
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-60, 60), max_size=5), st.integers(1, 12),
+           st.integers(0, 3),
+           st.integers(-5, 5) | st.fractions(min_value=-5, max_value=5,
+                                             max_denominator=7))
+    def test_value_text_is_the_fraction_text(self, num, den, k, y0):
+        # the value at y0, from Horner's rule on the integers, against the
+        # sum of the Fraction coefficients; a y0 below -1 gives an odd
+        # power of 1 + y a negative value
+        value = RatFuncY.from_ints(num, den, k)
+        if value.k and y0 == -1:
+            with pytest.raises(ZeroDivisionError):
+                value.text_at(y0)
+            return
+        y = Fraction(y0)
+        want = (sum(c * y ** i for i, c in enumerate(coeffs(value)))
+                / (1 + y) ** value.k)
+        top, bottom = value.value_at(y0)
+        assert bottom > 0 and Fraction(top, bottom) == want
+        assert value.text_at(y0) == str(want)
+        assert value(y0) == want and type(value(y0)) is Fraction
+
+
+def poly_str_by_fractions(p: RatFuncY) -> str:
+    """poly_str written from the Fraction coefficients."""
+    if p.is_zero():
+        return "0"
+    pieces = []
+    for k, c in enumerate(coeffs(p.as_poly())):
+        if c == 0:
+            continue
+        mag = abs(c)
+        if k == 0:
+            body = str(mag)
+        else:
+            suffix = "y" if k == 1 else f"y^{k}"
+            if mag == 1:
+                body = suffix
+            elif mag.denominator == 1:
+                body = f"{mag}{suffix}"
+            else:
+                body = f"({mag}){suffix}"
+        if not pieces:
+            pieces.append(body if c > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(pieces)
+
 
 class TestPolyString:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-60, 60) | st.sampled_from([0, 1, -1, 6]),
+                    max_size=6), st.sampled_from([1, 1, 2, 3, 6, 12]))
+    def test_matches_the_text_of_the_fractions(self, num, den):
+        value = RatFuncY.from_ints(num, den)
+        assert poly_str(value) == poly_str_by_fractions(value)
+
     def test_integer_poly(self):
         assert poly_str(RatFuncY([2, -20, 2])) == "2 - 20y + 2y^2"
 

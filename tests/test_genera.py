@@ -140,3 +140,27 @@ class TestChernData:
         direct = todd_from_chern(tangent, ring)
         via_roots = class_from_roots(ring, [ring.h] * 3, "Todd")
         assert [c(0) for c in direct.coeffs] == [c(0) for c in via_roots.coeffs]
+
+
+class TestKeptValues:
+    def test_kept_for_the_most_lately_read_arguments(self):
+        # a store keeps genera.KEPT values: reading one makes it the
+        # latest, and a new one drops the least lately read
+        made, kept = [], {}
+
+        def make(*args):
+            made.append(args)
+            return args
+
+        for i in range(genera.KEPT):
+            assert genera.recall(kept, (i,), make) == (i,)
+        assert genera.recall(kept, (0,), make) == (0,)
+        genera.recall(kept, (genera.KEPT,), make)
+        assert len(kept) == genera.KEPT
+        assert (0,) in kept and (1,) not in kept
+        assert len(made) == genera.KEPT + 1
+        genera.recall(kept, (1,), make)  # made again
+        assert made[-1] == (1,) and (2,) not in kept
+
+    def test_series_kept_per_process(self):
+        assert hirzebruch_series("R", 6) is hirzebruch_series("R", 6)

@@ -11,13 +11,14 @@ from hmclass.spectra import (Spectrum, SpectrumError,
                              sp_monomial, sp_ordinary,
                              sp_shift, sp_user_load, sp_validate,
                              stratum_spectrum)
-from oracles import arrangement_to_json, sp_unshift, support
+from oracles import arrangement_to_json, make_table, sp_unshift, support
+from oracles import entries as entry_list
 
 F = Fraction
 
 
 def entries(sp):
-    return dict(sp.entries)
+    return dict(entry_list(sp))
 
 
 def concurrent_lines(k):
@@ -145,7 +146,7 @@ class TestValidate:
     def test_support_failure(self):
         arr = concurrent_lines(3)
         point = [e for e in edges(arr) if e.codim == 2][0]
-        bad = Spectrum.make({F(0): 1, F(1): 3}, ("germ", 2))
+        bad = make_table({F(0): 1, F(1): 3}, ("germ", 2))
         report = sp_validate(bad, localize(arr, point))
         assert not report["ok"]
         assert any("support" in f for f in report["failures"])
@@ -153,16 +154,38 @@ class TestValidate:
     def test_mass_failure(self):
         arr = concurrent_lines(3)
         point = [e for e in edges(arr) if e.codim == 2][0]
-        bad = Spectrum.make({F(1): 1}, ("germ", 2))
+        bad = make_table({F(1): 1}, ("germ", 2))
         report = sp_validate(bad, localize(arr, point))
         assert any("mass" in f for f in report["failures"])
 
     def test_denominator_failure(self):
         arr = concurrent_lines(3)
         point = [e for e in edges(arr) if e.codim == 2][0]
-        bad = Spectrum.make({F(1, 5): 4}, ("germ", 2))
+        bad = make_table({F(1, 5): 4}, ("germ", 2))
         report = sp_validate(bad, localize(arr, point))
         assert any("denominator" in f for f in report["failures"])
+
+    @pytest.mark.parametrize("table, failures", [
+        # an exponent at the rank is outside the open support, and its
+        # partner 0 is missing
+        ({F(1): 3, F(2): 1}, ["support: exponent 2 outside (0, 2)",
+                              "symmetry: n_2 = 1 but n_0 = 0"]),
+        ({F(2, 3): 1, F(1): 2, F(4, 3): 2},
+         ["mass: total 5 != expected 4", "symmetry: n_2/3 = 1 but n_4/3 = 2"]),
+        ({F(-1, 3): 1, F(1, 2): 2, F(7, 3): 1},
+         ["support: exponent -1/3 outside (0, 2)",
+          "support: exponent 1/2 has denominator not dividing 3",
+          "support: exponent 7/3 outside (0, 2)",
+          "symmetry: n_1/2 = 2 but n_3/2 = 0"]),
+    ])
+    def test_failure_texts(self, table, failures):
+        # the validators read the integer numerators c of the exponents
+        # c/e, and name each exponent as str of its Fraction
+        arr = concurrent_lines(3)
+        point = [e for e in edges(arr) if e.codim == 2][0]
+        report = sp_validate(make_table(table, ("germ", 2)),
+                             localize(arr, point))
+        assert report == {"ok": False, "failures": failures}
 
     @pytest.mark.parametrize("frame", [("germ", 3), ("stratum", 2)])
     def test_frame_failure(self, frame):
@@ -171,7 +194,7 @@ class TestValidate:
         # germ dimension, or the right dimension in the stratum frame
         arr = concurrent_lines(3)
         point = [e for e in edges(arr) if e.codim == 2][0]
-        sp = Spectrum.make(entries(sp_ordinary(3)), frame)
+        sp = make_table(entries(sp_ordinary(3)), frame)
         report = sp_validate(sp, localize(arr, point))
         assert report == {"ok": False, "failures": [
             f"frame {frame} does not match germ dimension 2"]}
@@ -204,13 +227,13 @@ class TestUserTables:
 
     @pytest.mark.parametrize("sp,e", [
         (sp_ordinary(5), 5), (sp_monomial([4, 6]), 2),
-        (Spectrum.make({F(1, 2): 1, F(4, 3): -2}, ("germ", 2)), 6),
-        (Spectrum.make({}, ("germ", 1)), 1)])
+        (make_table({F(1, 2): 1, F(4, 3): -2}, ("germ", 2)), 6),
+        (make_table({}, ("germ", 1)), 1)])
     def test_table_read_as_runs(self, sp, e):
         # a table of the same entries answers e and runs as the spectrum
         # does: one run (p, c, c, n, 0) per entry n at the exponent
         # rank - p - c/e
-        table = Spectrum.make(entries(sp), sp.frame)
+        table = make_table(entries(sp), sp.frame)
         assert sp.e == table.e == e
         rank, runs = table.frame[1], table.runs
         assert all(lo == hi and b == 0 and 0 <= lo < e
@@ -286,18 +309,31 @@ class TestGermData:
     from another class."""
 
     def test_table_runs_repeat_a_fresh_computation(self):
-        sp = Spectrum.make({F(1, 2): 1, F(4, 3): -2, F(5, 6): 3, F(1): 4},
+        sp = make_table({F(1, 2): 1, F(4, 3): -2, F(5, 6): 3, F(1): 4},
                            ("germ", 2))
         # p = floor(rank - alpha), c = (rank - p - alpha) e, with e = 6
         fresh = tuple((int(2 - a), int((2 - int(2 - a) - a) * 6),
                        int((2 - int(2 - a) - a) * 6), n, 0)
-                      for a, n in sp.entries)
+                      for a, n in entry_list(sp))
         for _ in range(3):
             assert sp.runs == fresh
             assert sp.e == 6
-        assert Spectrum.make(entries(sp), sp.frame).runs == fresh
+        assert make_table(entries(sp), sp.frame).runs == fresh
         # the runs of a table, expanded, give its entries back
-        assert Spectrum(sp.frame, sp.e, sp.runs).entries == sp.entries
+        assert entry_list(Spectrum(sp.frame, sp.e, sp.runs)) == entry_list(sp)
+
+    def test_equality_reads_exponent_values(self):
+        # monomial(1,1) holds its one exponent 1 over e = 1, ordinary(2)
+        # over e = 2; another multiplicity, exponent or frame is unequal
+        node, two_lines = sp_monomial([1, 1]), sp_ordinary(2)
+        assert (node.e, node.pairs) == (1, ((1, 1),))
+        assert (two_lines.e, two_lines.pairs) == (2, ((2, 1),))
+        assert node == two_lines == make_table({F(1): 1}, ("germ", 2))
+        for other in (make_table({F(1): 2}, ("germ", 2)),
+                      make_table({F(1, 2): 1}, ("germ", 2)),
+                      make_table({F(1): 1, F(3, 2): 1}, ("germ", 2)),
+                      make_table({F(1): 1}, ("germ", 3))):
+            assert node != other and other != two_lines
 
     def test_data_orders_get_rows_of_their_own(self, tmp_path, capsys):
         # lines of multiplicities 4, 6 and 4: the points 1,2 and 2,3 are
