@@ -17,10 +17,12 @@ once per germ type, and reports a user table's verdict from its load;
 each distinct row is rendered once, cut at its stratum's own fields.
 The chi-y report renders each distinct open-stratum value once.
 
-The argv shapes README documents are parsed by a small table-driven
-parser, without argparse, into the namespace argparse would give them.
-Any other argv, help and abbreviations included, goes to argparse, which
-is imported and built only then, so every help, usage and error text is
+Each command is declared once, in one table: its handler, its help text
+and its options.  The argv shapes README documents are parsed by a small
+exact parser that reads the table, without argparse, into the namespace
+argparse would give them.  Any other argv, help and abbreviations
+included, goes to argparse, which is imported only then, with its parser
+built from the same table, so every help, usage and error text is
 argparse's own.
 
 A cold run loads only what its command reads.  At start this module
@@ -433,24 +435,45 @@ def _label(value: str) -> str:
     return value
 
 
-# The argv shapes README documents, parsed without argparse: each
-# command's options, keyed by their spelling ("input" for the positional
-# input), each with the converter of its value (None for a flag) and
-# argparse's default for it; a _REQUIRED one must be given.
+# Each command once: its handler, its help text and its options, in the
+# order argparse lists them.  An option is its spelling ("input" for the
+# positional input), the converter the exact parser applies to its value
+# (None for a flag), argparse's default for it (a _REQUIRED one must be
+# given) and the other keywords argparse's add_argument takes for it.
 _REQUIRED = object()
-_INPUT = {"input": (str, _REQUIRED), "--out": (str, None)}
-_OPTIONS = {
-    "lattice": _INPUT,
-    "spectra": {**_INPUT, "--tables": (str, None)},
-    "virtual": {"--degree": (_count, _REQUIRED),
-                "--ambient": (_count, _REQUIRED), "--out": (str, None)},
-    "chi-y": _INPUT,
-    "milnor": {**_INPUT, "--tables": (str, None),
-               "--conventions": (_label, _DEFAULT_LABEL),
-               "--dump-strata": (None, False)},
-    "check": {},
-    "calibrate": {"--out": (str, None)},
+_INPUT = ("input", str, _REQUIRED, {"help": "arrangement JSON file"})
+_OUT = ("--out", str, None, {"help": "write the report to a file"})
+_BARE_OUT = ("--out", str, None, {})  # virtual's and calibrate's
+_TABLES = ("--tables", str, None, {"help": "user spectrum tables JSON"})
+_TABLE = {
+    "lattice": (cmd_lattice, "edges, density, chi data, dimension tables",
+                (_INPUT, _OUT)),
+    "spectra": (cmd_spectra, "per-stratum spectra and validation",
+                (_INPUT, _OUT, _TABLES)),
+    "virtual": (cmd_virtual, "pushed virtual class and genus",
+                (("--degree", _count, _REQUIRED, {"type": int}),
+                 ("--ambient", _count, _REQUIRED, {"type": int}),
+                 _BARE_OUT)),
+    "chi-y": (cmd_chi_y, "chi_y genus of the divisor by strata",
+              (_INPUT, _OUT)),
+    "milnor": (cmd_milnor, "assemble the Milnor-class report",
+               (_INPUT, _OUT, _TABLES,
+                ("--conventions", _label, _DEFAULT_LABEL,
+                 {"choices": list(_CONVENTION_LABELS),
+                  "help": "sign mode/extension mode, default %(default)s"}),
+                ("--dump-strata", None, False, {"action": "store_true"}))),
+    "check": (cmd_check, "run the built-in invariant harness", ()),
+    "calibrate": (cmd_calibrate, "evaluate all conventions on the corpus",
+                  (_BARE_OUT,)),
 }
+
+# read off the table: the handler main dispatches each command to, and
+# each command's options by spelling, with their converter and default,
+# which the exact parser looks up token by token
+COMMANDS = {name: handler for name, (handler, _, _) in _TABLE.items()}
+_OPTIONS = {name: {spelling: (convert, default)
+                   for spelling, convert, default, _ in options}
+            for name, (_, _, options) in _TABLE.items()}
 
 
 def _documented_args(argv: list):
@@ -506,51 +529,16 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--schema", action="store_true",
                         help="print the JSON input/output schemas and exit")
     sub = parser.add_subparsers(dest="command")
-
-    def add_common(p):
-        p.add_argument("input", help="arrangement JSON file")
-        p.add_argument("--out", help="write the report to a file")
-
-    p = sub.add_parser("lattice", help="edges, density, chi data, dimension tables")
-    add_common(p)
-
-    p = sub.add_parser("spectra", help="per-stratum spectra and validation")
-    add_common(p)
-    p.add_argument("--tables", help="user spectrum tables JSON")
-
-    p = sub.add_parser("virtual", help="pushed virtual class and genus")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--ambient", type=int, required=True)
-    p.add_argument("--out")
-
-    p = sub.add_parser("chi-y", help="chi_y genus of the divisor by strata")
-    add_common(p)
-
-    p = sub.add_parser("milnor", help="assemble the Milnor-class report")
-    add_common(p)
-    p.add_argument("--tables", help="user spectrum tables JSON")
-    p.add_argument("--conventions", default=_DEFAULT_LABEL,
-                   choices=list(_CONVENTION_LABELS),
-                   help="sign mode/extension mode, default %(default)s")
-    p.add_argument("--dump-strata", action="store_true")
-
-    sub.add_parser("check", help="run the built-in invariant harness")
-
-    p = sub.add_parser("calibrate", help="evaluate all conventions on the corpus")
-    p.add_argument("--out")
+    for name, (_, help_text, options) in _TABLE.items():
+        p = sub.add_parser(name, help=help_text)
+        for spelling, _, default, keywords in options:
+            if default is not _REQUIRED:
+                keywords = dict(keywords, default=default)
+            elif spelling != "input":
+                keywords = dict(keywords, required=True)
+            p.add_argument(spelling, **keywords)
     _parser = parser
     return parser
-
-
-COMMANDS = {
-    "lattice": cmd_lattice,
-    "spectra": cmd_spectra,
-    "virtual": cmd_virtual,
-    "chi-y": cmd_chi_y,
-    "milnor": cmd_milnor,
-    "check": cmd_check,
-    "calibrate": cmd_calibrate,
-}
 
 
 def main(argv=None) -> int:

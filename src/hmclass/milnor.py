@@ -50,7 +50,6 @@ __all__ = [
     "MilnorReport",
     "assemble",
     "chern_milnor",
-    "degree0_check",
     "calibrate",
 ]
 

@@ -40,7 +40,6 @@ __all__ = [
     "sp_shift",
     "sp_validate",
     "sp_user_load",
-    "stratum_germ",
     "stratum_germs",
     "stratum_spectrum",
 ]

@@ -39,6 +39,7 @@ STREAMED = f"{PROPS}::test_streamed_report_matches_dense_reference"
 LATTICE_SIDE = f"{PROPS}::test_lattice_side_reports_match_json_dumps"
 CORPUS = "tests/test_cli.py::test_corpus_report_matches_golden"
 PARITY = "tests/test_cli.py::test_exact_parser_agrees_with_argparse"
+VOCABULARY = "tests/test_cli.py::test_parity_vocabulary_is_the_cli_table"
 REGROUPED = "tests/test_milnor.py::TestRegroupedContribution"
 SPECIALIZED = f"{PROPS}::test_specializations_and_trace_read_every_label"
 READER = "tests/test_cli.py::test_json_reader_agrees_with_json_loads"
@@ -259,13 +260,23 @@ MUTANTS = {
         "q[1] + _Y",
         ["tests/test_genera.py::TestSeries"
          "::test_q_specializes_to_chern_at_minus_one"]),
-    # the exact parser then hands documented argv over, and gives no
-    # dump_strata to the milnor argv it still parses
-    "exact-parser-drops-dump-strata": (
+    # both parsers read one table, so the exact parser can no longer drop
+    # an option argparse has; it can still read one differently.  A flag
+    # that takes the next token as its value hands documented argv over
+    # and gives --dump-strata a value argparse refuses
+    "exact-parser-flag-takes-a-value": (
         "src/hmclass/cli.py",
-        '               "--dump-strata": (None, False)},\n',
-        "               },\n",
+        "        convert = options[key][0]\n",
+        "        convert = options[key][0] or str\n",
         [PARITY]),
+    # a row the parity run's vocabulary leaves out is never tried there
+    "table-row-outside-parity-vocabulary": (
+        "src/hmclass/cli.py",
+        '"chi_y genus of the divisor by strata",\n'
+        "              (_INPUT, _OUT)),\n",
+        '"chi_y genus of the divisor by strata",\n'
+        "              (_INPUT, _OUT, _TABLES)),\n",
+        [VOCABULARY]),
     # argparse refuses --conventions foo; the exact parser must hand it over
     "exact-parser-skips-label-check": (
         "src/hmclass/cli.py",

@@ -4,15 +4,20 @@ A pin is an ``hmclass`` command line and its golden under tests/golden/:
 a ``.json`` file that the report equals byte for byte, or a ``.sha256``
 file holding the report's SHA-256 digest as ``sha256sum`` writes it.
 tests/test_cli.py runs each pin in process.  Run as a script, with the
-standard library alone, this module runs each pin in a fresh interpreter
-and probes what importing the CLI, and running each report command, loads:
+standard library alone, this module runs each pin in a fresh interpreter,
+probes what importing the CLI, and running each report command, loads,
+and checks the help, usage and error texts pinned in
+tests/fallback_texts.json:
 
     python -I tests/pins.py
 
 To add a pin, add its entry below and its golden under tests/golden/.
 """
 
+import contextlib
 import hashlib
+import io
+import json
 import os
 import subprocess
 import sys
@@ -238,11 +243,56 @@ def fresh_run(*argv) -> tuple:
     return done.returncode, done.stdout, done.stderr
 
 
+# the exit code and the stdout and stderr texts of argv lists that argparse
+# answers with help or an error, recorded with COLUMNS unset before the
+# documented argv was parsed without argparse.  A text that lists choices
+# keeps two wordings, keyed by choice_wording(): "quoted", as 3.10.13,
+# 3.11.7, 3.12.1 and 3.13.0 write it, and "unquoted", as 3.13.13 does
+FALLBACK_TEXTS = json.loads((TESTS / "fallback_texts.json").read_text())
+
+
+def choice_wording() -> str:
+    """How this interpreter's argparse lists the choices in an invalid
+    choice error: "quoted", as in (choose from 'a', 'b'), or "unquoted",
+    as in (choose from a, b)."""
+    import argparse
+
+    parser = argparse.ArgumentParser()
+    parser.add_argument("x", choices=["a", "b"])
+    with contextlib.redirect_stderr(io.StringIO()) as err, \
+            contextlib.suppress(SystemExit):
+        parser.parse_args(["c"])
+    for wording, listed in (("quoted", "'a', 'b'"), ("unquoted", "a, b")):
+        if f"(choose from {listed})" in err.getvalue():
+            return wording
+    raise RuntimeError(f"unknown choice error: {err.getvalue()}")
+
+
+def fallback_text(name: str) -> tuple:
+    """The exit code and the stdout and stderr bytes pinned for
+    FALLBACK_TEXTS[name]'s argv, in this interpreter's wording."""
+    pinned = FALLBACK_TEXTS[name]
+    texts = []
+    for stream in ("stdout", "stderr"):
+        text = pinned[stream]
+        if isinstance(text, dict):
+            text = text[choice_wording()]
+        texts.append(text.encode())
+    return (pinned["exit"], *texts)
+
+
 def main() -> int:
     loaded = costly_imports()
     print("importing the CLI loads:", loaded)
     breaches = import_breaches()
     print("each command loads past what it reads:", breaches)
+    # argparse wraps its texts at the width that COLUMNS names
+    os.environ.pop("COLUMNS", None)
+    changed = [name for name in FALLBACK_TEXTS
+               if fresh_run(*FALLBACK_TEXTS[name]["argv"])
+               != fallback_text(name)]
+    print(f"help, usage and error texts ({choice_wording()} choices) "
+          f"that differ from their pins: {changed}")
     failed = 0
     for pin in PINS:
         code, out, err = fresh_run(*pin.argv)
@@ -251,7 +301,7 @@ def main() -> int:
             print(f"FAIL {pin.family}[{pin.name}] (exit {code}):",
                   err.decode().strip())
     print(f"{len(PINS) - failed}/{len(PINS)} pins match their goldens")
-    return 1 if failed or loaded or breaches else 0
+    return 1 if failed or loaded or breaches or changed else 0
 
 
 if __name__ == "__main__":

@@ -635,25 +635,29 @@ def test_convention_labels_are_milnor_s():
     assert cli._DEFAULT_LABEL == DEFAULT_CONVENTIONS.label()
 
 
-# the exit code and the stdout and stderr texts of argv lists that argparse
-# answers with help or an error, recorded before the documented argv was
-# parsed without it, under Python 3.10.13, 3.11.7, 3.12.1 and 3.13.0 alike
-# and with COLUMNS unset
-FALLBACK_TEXTS = json.loads(
-    (Path(__file__).parent / "fallback_texts.json").read_text())
-
-
-@pytest.mark.parametrize("name", FALLBACK_TEXTS)
+@pytest.mark.parametrize("name", pins.FALLBACK_TEXTS)
 def test_help_and_error_texts_are_unchanged(monkeypatch, name):
     # argparse wraps its texts at the width that COLUMNS names
     monkeypatch.delenv("COLUMNS", raising=False)
-    pinned = FALLBACK_TEXTS[name]
-    assert pins.fresh_run(*pinned["argv"]) == (
-        pinned["exit"], pinned["stdout"].encode(), pinned["stderr"].encode())
+    assert pins.fresh_run(*pins.FALLBACK_TEXTS[name]["argv"]) == (
+        pins.fallback_text(name))
 
 
 def test_exact_parser_agrees_with_argparse():
     assert argv_parity.main() == 0
+
+
+def test_parity_vocabulary_is_the_cli_table():
+    # the parity run draws its argv from its own list, so an option the
+    # table declares and the list leaves out would never be tried there;
+    # the list gives a flag no values
+    declared = {command: {spelling: convert is None
+                          for spelling, convert, _, _ in options}
+                for command, (_, _, options) in cli._TABLE.items()}
+    listed = {command: {spelling: not values
+                        for spelling, values in options.items()}
+              for command, options in argv_parity.DOCUMENTED.items()}
+    assert listed == declared
 
 
 def test_json_reader_agrees_with_json_loads():
