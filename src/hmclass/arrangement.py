@@ -83,14 +83,23 @@ def _reduce(basis, vec):
     at every pivot, or None when vec lies in the span.  Each row is zero at
     the pivots of the rows before it, so one pass in order zeroes every
     pivot.  Each step scales vec by a pivot entry, and the primitive vector
-    at the end takes out the common factor and the sign, so no step
-    divides by a gcd."""
+    at the end, as _primitive makes it, takes out the common factor and
+    the sign, so no step divides by a gcd; its one gcd pass is also the
+    zero test."""
     for p, row in basis:
         b = vec[p]
         if b:
             a = row[p]
             vec = [a * x - b * y for x, y in zip(vec, row)]
-    return _primitive(vec) if any(vec) else None
+    g = gcd(*vec)
+    if not g:  # vec is zero
+        return None
+    for lead in vec:
+        if lead:
+            break
+    if lead < 0:
+        g = -g
+    return tuple(vec) if g == 1 else tuple([x // g for x in vec])
 
 
 def _pivot(row) -> int:
@@ -313,8 +322,10 @@ class Edge:
     user tables name the edge, and position is its place in the lattice's
     edges.  The localization's hyperplanes are the ones through the edge:
     mults are their multiplicities, m_s is their sum, the localization's
-    degree, and euler is the Euler number of its projectivized complement.
-    Its rank is the edge's codimension, and dim the edge's dimension.  At
+    degree, and euler is the Euler number of its projectivized complement,
+    which the lattice's Mobius pass sets once the search has built every
+    edge.  Its rank is the edge's codimension, and dim the edge's
+    dimension.  At
     an edge of the singular locus the record is the stratum itself.
     """
 
@@ -387,28 +398,29 @@ class Lattice:
         return tuple(out)
 
 
-def _mu_pass(n: int, codims: list, above: list) -> tuple:
-    """(euler, chi_y) from one bottom-up pass over mu(e) = mu(0, e) =
-    -1 - sum over x < e of mu(x), for the edges of codimensions codims in
-    lattice order, above[i] the positions strictly above position i.
+def _mu_pass(n: int, edges: list, above: list) -> tuple:
+    """chi_y from one bottom-up pass over mu(e) = mu(0, e) =
+    -1 - sum over x < e of mu(x), for the edges in lattice order, above[i]
+    the positions strictly above position i.
 
     The localization at e has Euler number -codim e mu(e) - sum over x < e
     of mu(x) codim x, so the pass pushes each mu(x) into the two sums of
-    every edge above x; euler holds that number per position.  By Mobius
-    inversion over the lattice (Orlik-Terao, ch. 2), the complement of the
-    divisor in P^n is the sum over all X of mu(X) P(X), the whole space
-    included, in any additive invariant, and P(X) is a P^(n - codim X).
+    every edge above x, and sets each edge's euler to that number.  By
+    Mobius inversion over the lattice (Orlik-Terao, ch. 2), the complement
+    of the divisor in P^n is the sum over all X of mu(X) P(X), the whole
+    space included, in any additive invariant, and P(X) is a
+    P^(n - codim X).
     So with tally[d] = -sum of mu(e) over the edges e of dimension d,
     chi_y(D) = the sum over d of tally[d] chi_y(P^d), and the coefficient
     of y^p in chi_y, returned as integers, is (-1)^p times the sum of
     tally[d] over d >= p."""
-    mu_below = [0] * len(codims)
-    codim_below = [0] * len(codims)
-    euler = []
+    mu_below = [0] * len(edges)
+    codim_below = [0] * len(edges)
     tally = [0] * n
-    for i, codim in enumerate(codims):
+    for i, e in enumerate(edges):
+        codim = e.codim
         mu = -1 - mu_below[i]
-        euler.append(-codim * mu - codim_below[i])
+        e.euler = -codim * mu - codim_below[i]
         tally[n - codim] -= mu
         for j in above[i]:
             mu_below[j] += mu
@@ -417,7 +429,7 @@ def _mu_pass(n: int, codims: list, above: list) -> tuple:
     for p in reversed(range(n)):
         acc += tally[p]
         chi_y[p] = -acc if p % 2 else acc
-    return euler, tuple(chi_y)
+    return tuple(chi_y)
 
 
 def _search_edges(arr: Arrangement) -> Lattice:
@@ -442,7 +454,8 @@ def _search_edges(arr: Arrangement) -> Lattice:
     primitive residual.
 
     Each level keeps, per hyperplane, the index-set bitmasks of the joins
-    found so far that contain it.  Before Y is scanned, each of those
+    found so far that contain it; a join's bitmask grows with its group,
+    one bit per hyperplane joined.  Before Y is scanned, each of those
     under Y's lowest hyperplane that contains Y's mask is a join of Y found
     from an earlier edge, and its hyperplanes are skipped.  The
     hyperplanes left form Y's other joins, each one whole, so every
@@ -456,26 +469,29 @@ def _search_edges(arr: Arrangement) -> Lattice:
     goes by lowest hyperplane too.  At codimension 2 the rows go in index
     order and each row's joins in the order of their first added
     hyperplane, so that level comes out in lattice order and is not
-    sorted.  Edges of codimension n are not extended: a join of one has
-    rank n + 1 and is no edge.  Each edge's key is built from the
-    hyperplanes' key texts, made once per search.
+    sorted; every higher level is sorted once.  Edges of codimension n are
+    not extended: a join of one has rank n + 1 and is no edge.  Once a
+    level's order is fixed, each of its edges is built, once, at its
+    position, with its key built from the hyperplanes' key texts, made
+    once per search.
 
     An edge is above another exactly when its index set contains the
     other's.  Hyperplane j sits at position j, and the edges above it are
-    the edges through it, listed per hyperplane from their index sets.
-    Any other edge takes the list of its first hyperplane, kept where the
-    index-set mask contains its own; no edge is above one of
-    codimension n.  The Mobius pass runs over that relation, and then each
-    edge is built once, with its Euler number."""
+    the edges through it, listed per hyperplane, each with its bitmask, as
+    the edges are built.  Any other edge takes the later entries of its
+    first hyperplane's list, kept where the mask contains its own, which
+    it rebuilds from its index set; no edge is above one of codimension
+    n.  The Mobius pass runs over that
+    relation and fills in each edge's Euler number, which the edge is
+    built without."""
     n, covs, mults = arr.n, arr.covectors, arr.mults
     r = len(covs)
     texts = [str(j + 1) for j in range(r)]  # per hyperplane
-    containing = [[j] for j in range(r)]  # its edges' positions
-    # per position, in lattice order: index set, codimension, key, bitmask
-    isets = [(j,) for j in range(r)]
-    codims = [1] * r
-    keys = list(texts)
-    masks = [1 << j for j in range(r)]
+    edges = [Edge((j,), 1, texts[j], j, (mults[j],), None, n - 1)
+             for j in range(r)]
+    # per hyperplane, (position, index-set bitmask) of each edge through
+    # it, in lattice order
+    containing = [[(j, 1 << j)] for j in range(r)]
     # (index set, its bitmask, basis of its covectors)
     frontier = [((j,), 1 << j, ((_pivot(c), c),)) for j, c in enumerate(covs)]
     for codim in range(2, n + 1):
@@ -486,19 +502,17 @@ def _search_edges(arr: Arrangement) -> Lattice:
             for found in through[iset[0]]:
                 if found & mask == mask:
                     skip |= found
-            joins = {}  # residual -> the hyperplanes joined along it
+            joins = {}  # residual -> [its bitmask, the hyperplanes joined]
             for j in range(iset[0] + 1, r):
                 if not skip >> j & 1:
                     res = _reduce(basis, covs[j])
-                    group = joins.get(res)
-                    if group is None:
-                        joins[res] = [j]
+                    join = joins.get(res)
+                    if join is None:
+                        joins[res] = [mask | 1 << j, [j]]
                     else:
-                        group.append(j)
-            for res, group in joins.items():
-                key = mask
-                for j in group:
-                    key |= 1 << j
+                        join[0] |= 1 << j
+                        join[1].append(j)
+            for res, (key, group) in joins.items():
                 joined = (iset + tuple(group) if codim == 2
                           else tuple(sorted(iset + tuple(group))))
                 level.append((joined, key))
@@ -508,30 +522,30 @@ def _search_edges(arr: Arrangement) -> Lattice:
                     nxt.append((joined, key, basis + ((_pivot(res), res),)))
         if codim > 2:
             level.sort()
+        dim = n - codim
         for joined, key in level:
+            entry = (len(edges), key)
             for j in joined:
-                containing[j].append(len(isets))
-            isets.append(joined)
-            keys.append(",".join(map(texts.__getitem__, joined)))
-            masks.append(key)
-        codims += [codim] * len(level)
+                containing[j].append(entry)
+            edges.append(Edge(joined, codim,
+                              ",".join(map(texts.__getitem__, joined)),
+                              entry[0], tuple(map(mults.__getitem__, joined)),
+                              None, dim))
         frontier = nxt
     above = []
-    for i, iset in enumerate(isets):
-        codim = codims[i]
-        if codim == n:
+    for e in edges:
+        if e.codim == n:
             above.append(())
-        elif codim == 1:  # its own position heads its list
-            above.append(tuple(containing[i][1:]))
+        elif e.codim == 1:  # its own position heads its list
+            above.append(tuple([k for k, _ in containing[e.position][1:]]))
         else:
-            mask = masks[i]
-            above.append(tuple([k for k in containing[iset[0]]
-                                if k > i and masks[k] & mask == mask]))
-    euler, chi_y = _mu_pass(n, codims, above)
-    local = [tuple(map(mults.__getitem__, iset)) for iset in isets]
-    edges = tuple(map(Edge, isets, codims, keys, range(len(isets)), local,
-                      euler, [n - codim for codim in codims]))
-    return Lattice(edges, tuple(above), chi_y)
+            i, mask = e.position, 0
+            for j in e.index_set:
+                mask |= 1 << j
+            above.append(tuple([k for k, found in containing[e.index_set[0]]
+                                if k > i and found & mask == mask]))
+    chi_y = _mu_pass(n, edges, above)
+    return Lattice(tuple(edges), tuple(above), chi_y)
 
 
 def edges(arr: Arrangement) -> tuple:

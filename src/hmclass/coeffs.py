@@ -187,8 +187,8 @@ class RatFuncY:
     exactly when k == 0, and equal values have equal (num, den, k).  The
     zero element is ((), 1, 0).  The constructor takes rational
     coefficients, ints or anything with a numerator and a denominator;
-    as_strings() and coeff_text() write them back as str of a Fraction
-    would, from the integers alone."""
+    as_strings() writes them back as str of a Fraction would, from the
+    integers alone."""
 
     __slots__ = ("num", "den", "k")
 
@@ -207,13 +207,6 @@ class RatFuncY:
         return _normal(list(num), den, k)
 
     # -- queries ------------------------------------------------------------
-
-    def coeff_text(self, i: int) -> str:
-        """The text of the numerator coefficient of y^i, as str of a
-        Fraction writes it."""
-        if 0 <= i < len(self.num):
-            return ratio_text(self.num[i], self.den)
-        return "0"
 
     def is_zero(self) -> bool:
         return not self.num

@@ -29,10 +29,11 @@ once per report, with the text of each nonzero value in its place.
 from __future__ import annotations
 
 from itertools import chain
+from math import lcm
 
 from .ambient import virtual_genus
 from .arrangement import Arrangement, chi_y, lazy_attribute, sigma_strata
-from .coeffs import RatFuncY
+from .coeffs import RatFuncY, ratio_text
 from .jsontext import HOLE, dumps, parts, splice
 from .spectra import SpectrumError, stratum_germs
 from .strata import (EXT_HALF_OPEN_DOWN, EXT_HALF_OPEN_UP, LabelSchema,
@@ -111,7 +112,10 @@ ALL_CONVENTIONS = tuple(
 
 class MilnorReport:
     """An assembled class and its checks.  m_y, chern_path and each value
-    of per_stratum and of specializations are Chow vectors on schema."""
+    of per_stratum and of specializations are Chow vectors on schema: m_y
+    and per_stratum hold RatFuncY values, and chern_path and the
+    specializations, constant vectors, integer pairs (p, q) in lowest
+    terms."""
 
     def __init__(self, arrangement: Arrangement, conventions: ConventionSet,
                  schema: LabelSchema, m_y: dict, per_stratum: dict,
@@ -142,7 +146,8 @@ class MilnorReport:
         slot = {name: 2 * i + 1 for i, name in enumerate(names)}
         m_y = _label_block(top, slot, 1, RatFuncY.as_strings)
         stratum = _label_block(inner, slot, 2, RatFuncY.as_strings)
-        constants = _label_block(inner, slot, 2, lambda v: v.coeff_text(0))
+        constants = _label_block(inner, slot, 2, lambda v: ratio_text(*v),
+                                 constant=True)
         skeleton = {
             "n": self.arrangement.n,
             "m": self.arrangement.m,
@@ -167,23 +172,27 @@ class MilnorReport:
         return chain(splice(skeleton, blocks, count), ("\n",))
 
 
-def _label_block(pieces: list, slot: dict, depth: int, to_json):
+def _label_block(pieces: list, slot: dict, depth: int, to_json,
+                 constant: bool = False):
     """Renderer of a vector as its label -> value object, depth levels deep
     in the report, whose text cut at each value is pieces, with each value
-    written as to_json writes a RatFuncY: the object of zero values,
-    rendered once, with the texts of the vector's nonzero values in their
-    places.  slot maps each label to the place of its value among the
+    written as to_json writes it: the object of zero values, rendered
+    once, with the texts of the vector's nonzero values in their places.
+    A vector holds RatFuncY values, or integer pairs (p, q) when it is
+    constant.  slot maps each label to the place of its value among the
     pieces and values.  A value's text is rendered once per renderer,
     since strata of one local type share their coefficients."""
     zeros = [None] * (2 * len(pieces) - 1)
     zeros[::2] = pieces
-    zeros[1::2] = [dumps(to_json(RatFuncY()), depth + 1)] * len(slot)
-    rendered = {}  # normal form of a coefficient -> its text, per report
+    zero = (0, 1) if constant else RatFuncY.ZERO
+    zeros[1::2] = [dumps(to_json(zero), depth + 1)] * len(slot)
+    # normal form of a coefficient, a pair being its own -> its text
+    rendered = {}
 
     def block(vec: dict) -> str:
         out = zeros[:]
         for name, value in vec.items():
-            form = (value.num, value.den, value.k)
+            form = value if constant else (value.num, value.den, value.k)
             text = rendered.get(form)
             if text is None:
                 text = rendered[form] = dumps(to_json(value), depth + 1)
@@ -453,7 +462,10 @@ def assemble(arr: Arrangement, user_tables: dict = None,
     row.  Strata with the same type key get the same contribution, which
     is computed once per report from the key alone; a stratum's vector is
     push_to_sigma's label -> coefficient dict as it stands, and M_y is
-    the label-by-label sum of those vectors.
+    the label-by-label sum of those vectors.  A label's first push is
+    kept as the memo's shared RatFuncY; a label pushed to again sums
+    integer numerators over a common denominator (1 or 2 in the closed
+    forms) and becomes one RatFuncY at the end, or none if it cancels.
     """
     strata = sigma_strata(arr)
     for s in strata:  # before any label is named or spectrum looked up
@@ -467,7 +479,8 @@ def assemble(arr: Arrangement, user_tables: dict = None,
     per_stratum = {}
     listed = {}  # edge key -> a surface's model, or another stratum
     memo = {}  # type key -> contribution, for this report only
-    m_y = {}
+    m_y = {}  # label -> its first push, the memo's value
+    sums = {}  # label pushed to again -> [den, numerator list] of its sum
     for s, germ in zip(strata, germs):
         if germ.is_zero():
             continue  # skip by spectrum content only
@@ -484,9 +497,30 @@ def assemble(arr: Arrangement, user_tables: dict = None,
             memo[key] = coeffs
         contribution = per_stratum[s.key] = push_to_sigma(schema, s, coeffs)
         for name, v in contribution.items():
-            prev = m_y.get(name)
-            m_y[name] = v if prev is None else prev + v
-    m_y = {name: v for name, v in m_y.items() if v}  # sums may cancel
+            first = m_y.get(name)
+            if first is None:
+                m_y[name] = v
+                continue
+            acc = sums.get(name)
+            if acc is None:
+                acc = sums[name] = [first.den, list(first.num)]
+            den, num = acc
+            if v.den != den:  # over the lcm of the two
+                common = lcm(den, v.den)
+                if common != den:
+                    num[:] = [c * (common // den) for c in num]
+                    acc[0] = den = common
+            scale = den // v.den
+            if len(num) < len(v.num):
+                num += [0] * (len(v.num) - len(num))
+            for i, c in enumerate(v.num):
+                num[i] += scale * c
+    for name, (den, num) in sums.items():  # each sum, once, and may cancel
+        v = RatFuncY.from_ints(num, den)
+        if v:
+            m_y[name] = v
+        else:
+            del m_y[name]
 
     chern_path = chern_milnor(arr, schema, strata)
     at = specializations(m_y)
@@ -516,8 +550,10 @@ def chern_milnor(arr: Arrangement, schema: LabelSchema,
     the fundamental class; on a curve chi - 1 on the point; on a surface
     with L boundary lines, the edges one codimension above it, 2 - L on
     the line and chi - 2 + L on the point.  The sums are kept in
-    integers until one coefficient per nonzero label is built.  Each
-    stratum is read once, its Euler number and m_s directly."""
+    integers, and each nonzero one is its label's value as the integer
+    pair (sum, 1), so the vector compares with the specialization at
+    y = -1 and builds no RatFuncY.  Each stratum is read once, its Euler
+    number and m_s directly."""
     lattice = arr.lattice
     fundamental, shared = schema.fundamental, schema.shared
     totals = {}
@@ -539,7 +575,7 @@ def chern_milnor(arr: Arrangement, schema: LabelSchema,
                 terms = ((shared[1], 2 - lines), (shared[0], chi - 2 + lines))
             for name, v in terms:
                 totals[name] = totals.get(name, 0) + chi_tilde * v
-    return {name: RatFuncY.from_ints((v,)) for name, v in totals.items() if v}
+    return {name: (v, 1) for name, v in totals.items() if v}
 
 
 def degree0_check(arr: Arrangement, schema: LabelSchema, m_y: dict) -> dict:

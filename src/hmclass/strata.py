@@ -22,6 +22,7 @@ is 1 on a point, 1 + (chi - 1) pt on a curve, and 1 + (2 - L) line
 
 from __future__ import annotations
 
+from math import gcd
 from operator import add
 
 from .arrangement import Arrangement, Edge, in_sigma, lazy_attribute
@@ -396,12 +397,14 @@ def trace(schema: LabelSchema, vec: dict) -> RatFuncY:
 
 
 def specializations(vec: dict) -> dict:
-    """y0 -> the vector at y = y0, for y0 = -1, 0 and 1, in one pass:
-    strata of one local type carry equal coefficients, so each distinct
-    normal form is evaluated once, and its zero values are dropped there.
-    A value must be a polynomial num / den (any other has a pole at -1)
-    and nonzero (no builder stores a zero): at -1, 0 and 1 it is the
-    alternating sum of num, num[0] and the sum of num, over den."""
+    """y0 -> the vector at y = y0, for y0 = -1, 0 and 1, in one pass: a
+    constant vector, whose values are integer pairs (p, q) in lowest
+    terms, q > 0, as rat gives them.  Strata of one local type carry equal
+    coefficients, so each distinct normal form is evaluated once, and its
+    zero values are dropped there.  A value must be a polynomial num / den
+    (any other has a pole at -1) and nonzero (no builder stores a zero):
+    at -1, 0 and 1 it is the alternating sum of num, num[0] and the sum
+    of num, over den."""
     at = {}  # (num, den, k) -> its nonzero values, each with its out
     outs = {-1: {}, 0: {}, 1: {}}
     for name, v in vec.items():
@@ -415,9 +418,11 @@ def specializations(vec: dict) -> dict:
                 raise ValueError(f"zero value stored at label {name}")
             num, den = v.num, v.den
             values = (sum(num[::2]) - sum(num[1::2]), num[0], sum(num))
-            cs = at[form] = [(out, RatFuncY.from_ints((c,), den))
-                             for out, c in zip(outs.values(), values)
-                             if c]
+            cs = at[form] = []
+            for out, c in zip(outs.values(), values):
+                if c:
+                    g = gcd(c, den)
+                    cs.append((out, (c // g, den // g)))
         for out, c in cs:
             out[name] = c
     return outs
@@ -431,7 +436,9 @@ def push_to_sigma(schema: LabelSchema, stratum: Edge, coeffs) -> dict:
     of homology degree dim - j, so no two land on one label.  Such a
     dict is a Chow vector: it holds the nonzero coefficients only, as each
     builder drops its zeros where it makes them (here, specializations,
-    milnor's sums and Chern path)."""
+    milnor's sums and Chern path).  A vector of values in y holds
+    RatFuncY; a constant one, a specialization or the Chern path, holds
+    integer pairs (p, q) in lowest terms."""
     out = {}
     for j, c in enumerate(coeffs):
         if c:

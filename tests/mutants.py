@@ -42,6 +42,7 @@ PARITY = "tests/test_cli.py::test_exact_parser_agrees_with_argparse"
 VOCABULARY = "tests/test_cli.py::test_parity_vocabulary_is_the_cli_table"
 REGROUPED = "tests/test_milnor.py::TestRegroupedContribution"
 SPECIALIZED = f"{PROPS}::test_specializations_and_trace_read_every_label"
+M_Y_SUM = f"{PROPS}::test_m_y_is_the_label_by_label_sum_of_the_strata"
 READER = "tests/test_cli.py::test_json_reader_agrees_with_json_loads"
 VALIDATE_TEXTS = "tests/test_spectra.py::TestValidate::test_failure_texts"
 CONCURRENT = ("tests/test_spectra.py::TestOrdinary"
@@ -78,6 +79,14 @@ MUTANTS = {
         "                skip |= found\n",
         [f"{BRUTE}::test_random_arrangements_against_brute_force",
          f"{BRUTE}::test_random_p4_arrangements_against_brute_force"]),
+    # a join's bitmask that keeps only its first hyperplane skips too little
+    # in the later scans and misplaces the edge in the above relation
+    "search-join-mask-not-grown": (
+        "src/hmclass/arrangement.py",
+        "                        join[0] |= 1 << j\n",
+        "",
+        [f"{BRUTE}::test_concurrent_counts",
+         f"{BRUTE}::test_cover_walks_against_filters"]),
     # an edge that forgets the joins found through its hyperplanes from
     # earlier edges finds a concurrent point again, unsaturated
     "search-forgets-found-joins": (
@@ -128,12 +137,22 @@ MUTANTS = {
         "a * n + b * (lo + hi) * n // 2",
         "a * n",
         [RING_PATH, DEGREE0, CROSS_PATH]),
+    # every push of a label takes its place, as its first one does
     "m-y-keeps-last-push": (
         "src/hmclass/milnor.py",
-        "            m_y[name] = v if prev is None else prev + v\n",
-        "            m_y[name] = v\n",
+        "            if first is None:\n"
+        "                m_y[name] = v\n",
+        "            if True:\n"
+        "                m_y[name] = v\n",
         ["tests/test_milnor.py::TestMemo::test_random_arrangements",
          CROSS_PATH]),
+    # a label's sum in integers, over 2 once a surface pushed to it, must
+    # scale the integer pushes of points and curves that follow
+    "m-y-adds-unscaled": (
+        "src/hmclass/milnor.py",
+        "                num[i] += scale * c\n",
+        "                num[i] += c\n",
+        [M_Y_SUM, "tests/test_milnor.py::TestMemo::test_random_arrangements"]),
     "label-value-depth-off-by-one": (
         "src/hmclass/milnor.py",
         "rendered[form] = dumps(to_json(value), depth + 1)",
@@ -167,12 +186,20 @@ MUTANTS = {
     # shows it; the vectors do
     "specialization-keeps-zero": (
         "src/hmclass/strata.py",
-        "for out, c in zip(outs.values(), values)\n"
-        "                             if c]",
-        "for out, c in zip(outs.values(), values)]",
+        "                if c:\n"
+        "                    g = gcd(c, den)\n",
+        "                if True:\n"
+        "                    g = gcd(c, den)\n",
         [f"{PROPS}::test_no_vector_stores_a_zero",
          "tests/test_strata.py::TestTraceAndSpecializations"
          "::test_three_specializations"]),
+    # the Chern path's pairs are (chi, 1), so a value over 2 that is an
+    # integer at y = -1 must come out in lowest terms to compare equal
+    "specialization-pair-not-lowest": (
+        "src/hmclass/strata.py",
+        "cs.append((out, (c // g, den // g)))",
+        "cs.append((out, (c, den)))",
+        [f"{CORPUS}[doubleplane3-milnor]", CROSS_PATH]),
     # a coefficient's value at y = 1 is the sum of its numerator over den
     "specialization-at-one-reads-constant": (
         "src/hmclass/strata.py",
@@ -195,11 +222,11 @@ MUTANTS = {
         "    return edge.codim > 1 or edge.m_s > 1\n",
         "    return edge.codim > 1\n",
         [f"{CORPUS}[doubleline-milnor]", f"{CORPUS}[doubleline-lattice]"]),
-    # each edge is built with the Euler number of its own position
+    # the Mobius pass sets each edge's Euler number at its own position
     "localization-misreads-euler": (
         "src/hmclass/arrangement.py",
-        "euler, [n - codim for codim in codims]",
-        "euler[-1:] + euler[:-1], [n - codim for codim in codims]",
+        "        e.euler = -codim * mu - codim_below[i]\n",
+        "        edges[i - 1].euler = -codim * mu - codim_below[i]\n",
         [f"{CORPUS}[concurrent3-milnor]",
          f"{PROPS}::test_lattice_tables_match_whitney_oracle"]),
     # the divisor's Euler number is its chi_y at y = -1, the even
@@ -234,8 +261,11 @@ MUTANTS = {
          f"{CORPUS}[pencil3planes-spectra]"]),
     "m-y-keeps-cancelled-sum": (
         "src/hmclass/milnor.py",
-        "    m_y = {name: v for name, v in m_y.items() if v}  # sums may cancel\n",
-        "",
+        "        if v:\n"
+        "            m_y[name] = v\n"
+        "        else:\n"
+        "            del m_y[name]\n",
+        "        m_y[name] = v\n",
         [f"{PROPS}::test_no_vector_stores_a_zero"]),
     # a label-owning codimension-2 edge of dimension 3 in P^5 has no letter
     "labels-skip-envelope": (

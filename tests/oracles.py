@@ -54,7 +54,7 @@ from hmclass.ambient import virtual_genus
 from hmclass.arrangement import (Edge, chi_y_pn,
                                  euler_by_inclusion_exclusion, localize,
                                  milnor_fiber_chi, sigma_strata)
-from hmclass.coeffs import RatFuncY
+from hmclass.coeffs import RatFuncY, ratio_text
 from hmclass.genera import _todd_series, hirzebruch_series
 from hmclass.milnor import _segments, _twist_slopes
 from hmclass.spectra import (Spectrum, SpectrumError, classify_germ, sp_shift,
@@ -1039,12 +1039,20 @@ def vector_to_json(schema, vec: dict) -> dict:
 
 
 def vector_constants(schema, vec: dict) -> dict:
-    """Constant term of the coefficient on every schema label, in order,
-    written by str of its Fraction."""
+    """The value on every schema label, in order, of a constant vector,
+    whose values are integer pairs (p, q), each written by ratio_text."""
+    return {name: ratio_text(*vec.get(name, (0, 1)))
+            for name in schema.names()}
+
+
+def constant_pairs(vec: dict) -> dict:
+    """A vector of constant RatFuncY values as the integer pairs (p, q) in
+    lowest terms that a constant vector holds; a value that is not a
+    constant fails."""
     out = {}
-    for name in schema.names():
-        value = vec.get(name, RatFuncY.ZERO)
-        out[name] = str(Fraction(value.num[0] if value.num else 0, value.den))
+    for name, v in vec.items():
+        assert v.is_polynomial() and len(v.num) <= 1, (name, v)
+        out[name] = (v.num[0] if v.num else 0, v.den)
     return out
 
 

@@ -1,13 +1,14 @@
 import json
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from hmclass import (ambient, arrangement, cli, corpus, milnor, spectra,
-                     strata)
+from hmclass import (ambient, arrangement, cli, coeffs, corpus, milnor,
+                     spectra, strata)
 from hmclass.arrangement import (ArrangementError, build, lazy_attribute,
                                  sigma_strata)
 from hmclass.coeffs import RatFuncY
@@ -19,10 +20,10 @@ from hmclass.milnor import (ALL_CONVENTIONS, DEFAULT_CONVENTIONS,
 from hmclass.spectra import (Spectrum, SpectrumError, sp_monomial, sp_shift,
                              sp_user_load, stratum_germ, stratum_spectrum)
 from hmclass.strata import build_labels, compactify, relabel_vector, trace
-from oracles import (ChernData, arrangement_to_json, by_codegree, coeff,
-                     chern_milnor_by_classes, entries, euler_defect,
-                     generated_tables, k_representative, make_table,
-                     model_ring, push_by_basis,
+from oracles import (ChernData, arrangement_to_json, by_codegree,
+                     chern_milnor_by_classes, constant_pairs, entries,
+                     euler_defect, generated_tables, k_representative,
+                     make_table, model_ring, push_by_basis,
                      report_to_json,
                      stratum_contribution_by_terms, table_entries, td_1py,
                      vector_is_polynomial, vector_scale, vector_sum)
@@ -57,12 +58,13 @@ def chern_path(arr):
     """The Chern path of an arrangement, checked against the oracle that
     sums RatFuncY classes."""
     vec = chern_milnor(arr, build_labels(arr), sigma_strata(arr))
-    assert vec == chern_milnor_by_classes(arr)
+    assert vec == constant_pairs(chern_milnor_by_classes(arr))
     return vec
 
 
 def constant_values(vec):
-    return {k: coeff(v, 0) for k, v in vec.items() if not v.is_zero()}
+    """A constant vector's integer pairs as Fractions, zeros dropped."""
+    return {k: F(*v) for k, v in vec.items() if v[0]}
 
 
 def poly_values(vec):
@@ -156,7 +158,9 @@ class TestAssembleCorpus:
         rep = assemble(corpus.load(name))
         delta_at_zero = F(rep.degree0["delta"][0]) if rep.degree0["delta"] else F(0)
         at0 = rep.specializations[0]
-        assert coeff(trace(rep.schema, at0), 0) == delta_at_zero
+        total = sum((F(*at0[label.name]) for label in rep.schema.labels
+                     if label.degree == 0 and label.name in at0), F(0))
+        assert total == delta_at_zero
 
 
 class TestChernPath:
@@ -648,7 +652,7 @@ class TestOneStrataPass:
         arr = corpus.load("fourplanes")
         rep = assemble(arr)
         assert len(calls) == 1
-        assert rep.chern_path == chern_milnor_by_classes(arr)
+        assert rep.chern_path == constant_pairs(chern_milnor_by_classes(arr))
 
     @pytest.mark.parametrize("name", ["fourplanes", "doubleline"])
     def test_milnor_report_lists_strata_once(self, monkeypatch, capsys,
@@ -933,6 +937,102 @@ class TestInPlaceSums:
         assert sum(map(len, vectors)) <= 7 * count
 
 
+class TestObjectsPerEdgeAndLabel:
+    """The constant vectors hold integer pairs, so the Chern path and the
+    specializations build no RatFuncY; assembly builds one RatFuncY per
+    class of each distinct contribution and one per M_y label pushed to
+    twice or more, whose integer sum it becomes; and the search builds
+    each edge once, at its position."""
+
+    def twelve_lines(self):
+        # twelve lines, three of them through [0:0:1]: double and triple
+        # points, each with a label of its own
+        others = iter((1, i, i * i) for i in range(2, 11))
+        covs = [(1, 0, 0) if j == 0 else (0, 1, 0) if j == 9
+                else (1, 1, 0) if j == 11 else next(others)
+                for j in range(12)]
+        return build(2, [(c, 1) for c in covs])
+
+    def count_builds(self, patch):
+        """The RatFuncY values built through coeffs._value, the one maker
+        of a nonzero value, outside degree0_check, whose virtual genus and
+        chi_y are values in y of their own."""
+        built, inside = [], []
+        real_value, real_check = coeffs._value, milnor.degree0_check
+
+        def value(*args):
+            out = real_value(*args)
+            if not inside:
+                built.append(out)
+            return out
+
+        def check(*args):
+            inside.append(True)
+            try:
+                return real_check(*args)
+            finally:
+                inside.pop()
+
+        patch.setattr(coeffs, "_value", value)
+        patch.setattr(milnor, "degree0_check", check)
+        return built
+
+    def test_constant_vectors_build_no_ratfunc(self, monkeypatch):
+        arr = self.twelve_lines()
+        assert {e.codim for e in arr.lattice.edges} == {1, 2}
+        assert max(len(e.index_set) for e in arr.lattice.edges) == 3
+        rep = assemble(arr)
+        schema, strata_ = rep.schema, sigma_strata(arr)
+        built = self.count_builds(monkeypatch)
+        path = chern_milnor(arr, schema, strata_)
+        at = strata.specializations(rep.m_y)
+        assert not built
+        assert path == rep.chern_path and at == rep.specializations
+        assert path and all(type(v) is tuple for v in path.values())
+
+    def test_assembly_builds_per_class_and_repeated_label(self, monkeypatch):
+        repeated = 0
+        for arr in [self.twelve_lines()] + [corpus.load(name)
+                                            for name in corpus.ALL_NAMES]:
+            with monkeypatch.context() as patch:
+                classes = []
+                real = milnor._stratum_contribution
+
+                def contribution(*args):
+                    out = real(*args)
+                    classes.append(len(out))
+                    return out
+
+                patch.setattr(milnor, "_stratum_contribution", contribution)
+                built = self.count_builds(patch)
+                rep = assemble(arr)
+            hits = Counter(name for vec in rep.per_stratum.values()
+                           for name in vec)
+            twice = sum(hits[name] >= 2 for name in rep.m_y)
+            assert len(built) == sum(classes) + twice
+            repeated += twice
+        assert repeated  # the P^3 corpus sums labels pushed to more than once
+
+    def test_search_builds_each_edge_once(self, monkeypatch):
+        for arr in [self.twelve_lines(), corpus.load("fourplanes"),
+                    build(4, [([i ** p for p in range(5)], 1)
+                              for i in range(7)])]:
+            with monkeypatch.context() as patch:
+                made = []
+                real = arrangement.Edge
+
+                def edge(*args):
+                    made.append(real(*args))
+                    return made[-1]
+
+                patch.setattr(arrangement, "Edge", edge)
+                lattice = arrangement._search_edges(arr)
+            # built in lattice order, each at its position, and kept
+            assert len(made) == len(lattice.edges)
+            assert all(a is b for a, b in zip(made, lattice.edges))
+            assert [e.position for e in made] == list(range(len(made)))
+
+
 def random_arrangement(rng, n):
     """A seeded arrangement in P^n with multiplicities 1-3."""
     values = [-2, -1, 0, 0, 1, 2]
@@ -965,7 +1065,7 @@ class TestMemo:
             want[s.key] = push_by_basis(schema, model, elem.coeffs)
         rep = assemble(arr, tables, conv)
         assert rep.per_stratum == want
-        assert rep.chern_path == chern_milnor_by_classes(arr)
+        assert rep.chern_path == constant_pairs(chern_milnor_by_classes(arr))
         assert rep.m_y == vector_sum(want.values())
         return rep, tables
 

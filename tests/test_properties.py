@@ -15,7 +15,7 @@ import sys
 import tempfile
 from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -41,7 +41,7 @@ from hmclass.strata import (build_labels, chow_dims, compactify,
                             relabel_vector, trace)
 from oracles import (BlownPlaneRing, ProjRing, RingElement,
                      arrangement_to_json, by_codegree, coeff,
-                     chern_milnor_by_classes, chern_to_ch,
+                     chern_milnor_by_classes, chern_to_ch, constant_pairs,
                      chi_y_stratum_by_whitney, dense_by_bipartition,
                      euler_by_whitney, euler_defect, generated_tables,
                      hirzebruch_class_by_additivity, log_ch2, log_chern,
@@ -227,6 +227,10 @@ GUARDED_P4 = (4, [(tuple(int(i == j) for i in range(5)), 1)
 GUARDED_P2 = (2, [((1, 0, 0), 2), ((0, 1, 0), 1), ((1, 1, 0), 1),
                   ((0, 0, 1), 1)], [0, 1, 2, 3])
 DENSE_P4 = (4, GUARDED_P4[1] + [((1, 1, 0, 0, 0), 1)], [0, 1, 2, 3, 4, 5])
+
+# under flip_odd_strata/res_[0,1) the pushes to one label of M_y cancel
+CANCELLING_P2 = (2, [((0, -1, -1), 2), ((0, -1, 2), 3), ((-1, -2, 1), 1)],
+                 [0, 1, 2])
 
 
 def test_type_key_is_sound():
@@ -962,7 +966,7 @@ def test_chern_path_matches_class_oracle():
         seen.update((n, m.kind, bool(m.blown_points))
                     for m in (compactify(arr, s) for s in strata))
         assert (chern_milnor(arr, build_labels(arr), strata)
-                == chern_milnor_by_classes(arr))
+                == constant_pairs(chern_milnor_by_classes(arr)))
 
     check()
     for n in (3, 4):
@@ -1155,14 +1159,20 @@ def test_mutated_inputs_exit_with_a_code_never_a_traceback():
 def stored_zeros(rep) -> list:
     """(vector, label) for each value of a report's vectors that is zero,
     and for each label of one that is not in the report's schema, which
-    the writer has no place for."""
-    vectors = {"M_y": rep.m_y, "chern_path": rep.chern_path,
-               **{f"per_stratum {k}": v for k, v in rep.per_stratum.items()},
-               **{f"specialization {y0}": v
-                  for y0, v in rep.specializations.items()}}
+    the writer has no place for.  A RatFuncY is zero when its numerator
+    is empty, and an integer pair (p, q) when p is 0: a pair (0, 1) is
+    truthy, so no test reads a pair's truth."""
+    in_y = {"M_y": rep.m_y,
+            **{f"per_stratum {k}": v for k, v in rep.per_stratum.items()}}
+    constant = {"chern_path": rep.chern_path,
+                **{f"specialization {y0}": v
+                   for y0, v in rep.specializations.items()}}
     names = set(rep.schema.names())
-    return [(where, name) for where, vec in vectors.items()
-            for name, v in vec.items() if v.is_zero() or name not in names]
+    return ([(where, name) for where, vec in in_y.items()
+             for name, v in vec.items() if v.is_zero() or name not in names]
+            + [(where, name) for where, vec in constant.items()
+               for name, (p, _) in vec.items()
+               if p == 0 or name not in names])
 
 
 def test_no_vector_stores_a_zero():
@@ -1179,10 +1189,8 @@ def test_no_vector_stores_a_zero():
 
     @settings(SETTINGS, max_examples=40)
     @given(st.one_of(arrangements(), p4_arrangements()))
-    # under flip_odd_strata/res_[0,1) the pushes to one label of M_y
-    # cancel, so the sum must drop it
-    @example((2, [((0, -1, -1), 2), ((0, -1, 2), 3), ((-1, -2, 1), 1)],
-              [0, 1, 2]))
+    # the pushes to one label of M_y cancel, so the sum must drop it
+    @example(CANCELLING_P2)
     def check(case):
         n, hyperplanes, _ = case
         for conv in ALL_CONVENTIONS:
@@ -1194,6 +1202,41 @@ def test_no_vector_stores_a_zero():
 
     check()
     assert seen[2] and seen[3] and seen[4] and seen["zero at a point"], seen
+
+
+def test_m_y_is_the_label_by_label_sum_of_the_strata():
+    # assembly sums a label's pushes in integers over a common denominator
+    # once the label is pushed to again; each sum must be the RatFuncY sum
+    # of per_stratum label by label, under every convention, with labels
+    # pushed to three times or more, surfaces' pushes over 2 mixed with
+    # the integer ones, and sums that cancel
+    seen = Counter()
+
+    @settings(SETTINGS, phases=NO_SHRINK)
+    @given(st.one_of(arrangements(), p4_arrangements()))
+    @example(GUARDED_P3)
+    @example(GUARDED_P4)
+    @example(CANCELLING_P2)
+    def check(case):
+        n, hyperplanes, _ = case
+        for conv in ALL_CONVENTIONS:
+            _, rep = with_tables(n, hyperplanes, conv)
+            want, hits = {}, Counter()
+            for vec in rep.per_stratum.values():
+                for name, v in vec.items():
+                    want[name] = want.get(name, RatFuncY.ZERO) + v
+                    hits[name] += 1
+                    seen["denominator 2"] += v.den == 2
+            assert rep.m_y == {k: v for k, v in want.items() if v}, \
+                conv.label()
+            seen["three or more"] += max(hits.values(), default=0) >= 3
+            seen["cancels"] += any(not v for v in want.values())
+        seen[n] += 1
+
+    check()
+    assert seen[3] and seen[4], seen
+    assert (seen["three or more"] and seen["denominator 2"]
+            and seen["cancels"]), seen
 
 
 def test_specializations_and_trace_read_every_label():
@@ -1213,8 +1256,12 @@ def test_specializations_and_trace_read_every_label():
         for conv in ALL_CONVENTIONS:
             _, rep = with_tables(n, hyperplanes, conv)
             for y0 in (-1, 0, 1):
-                want = {name: RatFuncY([v(y0)])
-                        for name, v in rep.m_y.items() if v(y0)}
+                want = {}
+                for name, v in rep.m_y.items():
+                    p, q = v.value_at(y0)
+                    if p:
+                        g = gcd(p, q)
+                        want[name] = (p // g, q // g)
                 assert rep.specializations[y0] == want, (y0, conv.label())
             total = RatFuncY.ZERO
             for label in rep.schema.labels:

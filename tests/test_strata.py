@@ -404,14 +404,16 @@ class TestTraceAndSpecializations:
         at_minus1, at0, at1 = at.values()
         a_labels = ["P_{1}", "P_{2}", "P_{3}", "P_{4}", "P_{7}", "H_{1}"]
         b_labels = ["P_{5}", "P_{6}"]
-        # (1 - 3y)/2 is 2, 1/2, -1 and -1 + y^2 is 0, -1, 0 at y = -1, 0, 1
-        assert at_minus1 == dict.fromkeys(a_labels, RatFuncY([2]))
-        assert at0 == {**dict.fromkeys(a_labels, RatFuncY([F(1, 2)])),
-                       **dict.fromkeys(b_labels, RatFuncY([-1]))}
-        assert at1 == dict.fromkeys(a_labels, RatFuncY([-1]))
+        # (1 - 3y)/2 is 2, 1/2, -1 and -1 + y^2 is 0, -1, 0 at y = -1, 0, 1,
+        # each an integer pair in lowest terms
+        assert at_minus1 == dict.fromkeys(a_labels, (2, 1))
+        assert at0 == {**dict.fromkeys(a_labels, (1, 2)),
+                       **dict.fromkeys(b_labels, (-1, 1))}
+        assert at1 == dict.fromkeys(a_labels, (-1, 1))
         # the trace at each point: 5 * 2, 5/2 - 2 and -5
-        assert [trace(schema, v) for v in (at_minus1, at0, at1)] == [
-            RatFuncY([10]), RatFuncY([F(1, 2)]), RatFuncY([-5])]
+        assert [sum(F(*v[label.name]) for label in schema.labels
+                    if label.degree == 0 and label.name in v)
+                for v in (at_minus1, at0, at1)] == [10, F(1, 2), -5]
 
 
     def test_zero_value_is_refused_by_its_label(self):
