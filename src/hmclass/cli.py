@@ -162,9 +162,11 @@ def cmd_spectra(args) -> int:
     # through a point (Euler number 2 - k), and the dimension is n - rank.
     # So a row's body is rendered once per germ, keyed by its source text
     # (one to one with its class and the order of its data), and a table's
-    # row is its own; each row is its stratum's head, from a %-template,
-    # and its body
-    head, body, required = _spectra_row_writers()
+    # row is its own; the entry lists of a body are rendered once per
+    # content, which germs of one rank and e share whatever the order or
+    # scale of their data; each row is its stratum's head, from a
+    # %-template, and its body
+    head, body, required = _spectra_row_writers(arr.n)
     by_source = {}
     rows = []
     strata = arrangement.sigma_strata(arr)
@@ -174,14 +176,12 @@ def cmd_spectra(args) -> int:
         elif germ.source == "user_table":
             # sp_user_load validated the table against this same
             # record and rejected any failure
-            text = body(germ, spectra.sp_shift(germ, s, arr.n),
-                        {"ok": True, "failures": []})
+            text = body(germ, {"ok": True, "failures": []})
         else:
             text = by_source.get(germ.source)
             if text is None:
                 text = by_source[germ.source] = body(
-                    germ, spectra.sp_shift(germ, s, arr.n),
-                    spectra.sp_validate(germ, s))
+                    germ, spectra.sp_validate(germ, s))
         rows.append(head % (encode_basestring_ascii(s.key), s.codim,
                             s.dim, s.m_s) + text)
     payload = {"n": arr.n, "m": arr.m, "strata": HOLE}
@@ -189,12 +189,12 @@ def cmd_spectra(args) -> int:
     return EXIT_OK
 
 
-def _spectra_row_writers():
+def _spectra_row_writers(n: int):
     """The %-template of a spectra row's head, two levels deep in the
     report, with a hole for each of the stratum's own fields; the function
-    that writes a row's body from a spectrum, its shift and the
-    validators' verdict; and the body of a row whose stratum the
-    catalogue cannot serve.  Each is cut once per report."""
+    that writes a row's body from a germ in P^n and the validators'
+    verdict; and the body of a row whose stratum the catalogue cannot
+    serve.  Each is cut once per report."""
     from .coeffs import ratio_text
 
     cut = parts(dict.fromkeys(_SPECTRA_ROW, HOLE), 2)
@@ -202,19 +202,33 @@ def _spectra_row_writers():
     entry = _template({"alpha": HOLE, "mult": HOLE}, 4)
     opening, sep, closing = parts([HOLE, HOLE], 3)
     passed = dumps({"ok": True, "failures": []}, 3)
+    lists = {}  # (frame, e, runs) -> the texts of the two entry lists
 
-    def entries(sp) -> str:
-        e = sp.e
+    def entries(sp) -> tuple:
+        """The germ's entry list and its shift's (spectra.sp_shift), in
+        one pass over its pairs: on a stratum of dimension dim an exponent
+        c/e moves to (c + dim e)/e and its multiplicity n to (-1)^dim n."""
         if not sp.pairs:
-            return "[]"
-        return opening + sep.join([entry % (f'"{ratio_text(c, e)}"', n)
-                                   for c, n in sp.pairs]) + closing
+            return "[]", "[]"
+        e = sp.e
+        dim = n - sp.frame[1]
+        up, sign = dim * e, (-1) ** dim
+        germ, shifted = [], []
+        for c, m in sp.pairs:
+            germ.append(entry % (f'"{ratio_text(c, e)}"', m))
+            shifted.append(entry % (f'"{ratio_text(c + up, e)}"', sign * m))
+        return (opening + sep.join(germ) + closing,
+                opening + sep.join(shifted) + closing)
 
-    def body(sp, shifted, validation: dict) -> str:
+    def body(sp, validation: dict) -> str:
+        content = (sp.frame, sp.e, sp.runs)
+        texts = lists.get(content)
+        if texts is None:
+            texts = lists[content] = entries(sp)
         verdict = passed if validation["ok"] else dumps(validation, 3)
         return "".join((encode_basestring_ascii(sp.source), cut[5],
-                        entries(sp), cut[6], entries(shifted), cut[7],
-                        verdict, cut[8]))
+                        texts[0], cut[6], texts[1], cut[7], verdict,
+                        cut[8]))
 
     return head, body, encode_basestring_ascii("user_table_required") + cut[8]
 

@@ -11,9 +11,13 @@ Every stratum contributes from a few integers per power of y, in closed
 form, one coefficient per codegree on its closure: the summed
 multiplicities, and on a curve their twist degrees and its boundary
 count, on a surface the pairings of the summed Deligne classes with the
-line, c1 and K + D, the sum of their squares and its boundary lines.  A
-point has no boundary, so no twist and no break: it sums its runs
-directly.  M_y is the label-by-label sum of the per-stratum vectors.
+line, c1 and K + D, the sum of their squares and its boundary lines.
+Those integers come from the stratum's lattice row, a surface's boundary
+lines and blown points included, so assembly builds no stratum model,
+and two strata whose rows give the same integers share one
+contribution.  A point has no boundary, so no twist and no break: it
+sums its runs directly.  M_y is the label-by-label sum of the
+per-stratum vectors.
 An independent Euler-weighted Chern path provides the cross-check at
 y = -1: it reads the lattice alone, since c(T(-log D)) of a stratum,
 pushed to its closure, is a CSM class (Aluffi) in closed form: 1 on a
@@ -37,7 +41,7 @@ from .coeffs import RatFuncY, ratio_text
 from .jsontext import HOLE, dumps, parts, splice
 from .spectra import SpectrumError, stratum_germs
 from .strata import (EXT_HALF_OPEN_DOWN, EXT_HALF_OPEN_UP, LabelSchema,
-                     boundary_edges, build_labels, check_envelope, combine,
+                     boundary_edges, build_labels, check_envelope,
                      compactify, push_to_sigma, specializations, trace,
                      twist_offsets)
 
@@ -125,15 +129,13 @@ class MilnorReport:
         self.schema, self.m_y, self.per_stratum = schema, m_y, per_stratum
         self.degree0, self.specializations = degree0, specializations
         self.chern_path, self.cross_path_ok = chern_path, cross_path_ok
-        self.listed = listed  # edge key -> a surface's model, or a stratum
+        self.listed = listed  # edge key -> stratum, for nonzero germs
 
     @lazy_attribute
     def models(self) -> list:
-        """The model of each stratum with a nonzero germ, in lattice order:
-        a surface's is the one assembly built, and the others are built on
-        the first request."""
-        return [x if x.dim == 2 else compactify(self.arrangement, x)
-                for x in self.listed.values()]
+        """The model of each stratum with a nonzero germ, in lattice order,
+        built on the first request: assembly builds none."""
+        return [compactify(self.arrangement, s) for s in self.listed.values()]
 
     def json_chunks(self, dump_strata: bool = False):
         """The report as indented JSON text, chunk by chunk: jsontext.splice
@@ -329,19 +331,10 @@ def _curve_terms(key: tuple, codim: int, m: int, mode: str) -> list:
     return [fundamental, point]
 
 
-def _pair(a, b) -> int:
-    """The intersection number a_e b_e - sum a_p b_p of two degree-1
-    classes of a plane blown up at points (e^2 = 1, eps_p^2 = -1)."""
-    out = a[1] * b[1]
-    for i in range(2, len(a) - 1):
-        out -= a[i] * b[i]
-    return out
-
-
 def _surface_terms(key: tuple, codim: int, mode: str) -> list:
-    """The fundamental, line and point classes of a surface, whose type
-    key holds its model, times 2, each as the integer coefficients of
-    powers of y: the sums over p of s_p y^p times 2 A,
+    """The fundamental, line and point classes of a surface, times 2, each
+    as the integer coefficients of powers of y, from the integers of its
+    type key's row (_surface_row): the sums over p of s_p y^p times 2 A,
     (2E + 3A)(1 + y) + 2 (L - 2) A y and
     (Q + C + 2A)(1 + y)^2 + (2X + kappa A) y (1 + y) + A (s1 y + s2 y^2).
 
@@ -349,38 +342,60 @@ def _surface_terms(key: tuple, codim: int, mode: str) -> list:
     E, C and X are the pairings of W with the line e, with c1 and with
     x = D - c1 = K + D, and Q is the sum of N D_k^2.  D_k = k base + the
     sum of t_r(k) D_r over the residues r, so D_k = U + V c between the
-    breaks of the twists, and the slopes and V depend on q alone.  Two
-    degree-1 classes pair by _pair, and W is never formed: each segment
-    adds its pairings with e, c1 and x, which are linear in it, to those
-    of its p.  L is the number of boundary lines,
-    kappa = x.c1, s1 = c1^2 - 2 c2 - the sum of D_i^2 and s2 = x^2: with
-    c1^2 + c2 = 12 on a blown-up plane (Noether), 12 td = 12 + 6 c1 + 12 pt,
-    2 ch(Omega^1(log D)) = 4 + 2x + s1 pt, 2 ch(Omega^2(log D)) =
-    2 + 2x + s2 pt and 2 ch(L_k) = 2 + 2 D_k + D_k^2."""
-    _, m_s, model, e, runs = key
-    q, c1 = m_s // e, model.c1
-    size, pair, boundary = len(c1), _pair, model.boundary
-    groups = model.twist_classes
-    classes = [cls for _, cls in groups]
-    twists = _twist_slopes(q, m_s, [r for r, _ in groups])
-    v = combine(size, 0, [(q, model.deligne_base_vector)]
-                + [(s, cls) for (s, _), cls in zip(twists, classes)])
-    x = combine(size, 0, [(1, c.cls) for c in boundary] + [(-1, c1)])
-    ve, vc, vx, vv = v[1], pair(v, c1), pair(v, x), pair(v, v)
+    breaks of the twists, and the slopes and V depend on q alone.  Each
+    degree-1 class is its e-coefficient and one integer per blown point
+    k, in the basis e, eps_k of the plane blown up at the points, where
+    a.b = a_e b_e - the sum of a_k b_k; so c1 = (3; -1, ...) and
+    x = (L - 2; 2 - t_k), t_k the boundary lines through k.  W is never
+    formed: each segment adds its pairings with e, c1 and x, which are
+    linear in it, to those of its p.  L is the number of boundary lines,
+    kappa = x.c1, s1 = c1^2 - 2 c2 - the sum of D_i^2
+    = 2 - 2b - L + the sum of t_k over the b blown points, and s2 = x^2:
+    with c1^2 + c2 = 12 on a blown-up plane (Noether),
+    12 td = 12 + 6 c1 + 12 pt, 2 ch(Omega^1(log D)) = 4 + 2x + s1 pt,
+    2 ch(Omega^2(log D)) = 2 + 2x + s2 pt and
+    2 ch(L_k) = 2 + 2 D_k + D_k^2."""
+    _, m_s, row, e, runs = key
+    lines, residues, counts, points, base_e = row
+    q, l2 = m_s // e, lines - 2
+    twists = _twist_slopes(q, m_s, residues)
+    # V = q base + the sum of slope_r D_r
+    ve = q * base_e
+    for (s, _), a in zip(twists, counts):
+        ve += s * a
+    s1, s2, kappa = 2 - lines, l2 * l2, 3 * l2
+    vc, vx, vv = 3 * ve, l2 * ve, ve * ve
+    blown = []  # (B_rk per residue, x_k, V_k) per blown point k
+    for by_res, base, t in points:
+        vk = q * base
+        for (s, _), b in zip(twists, by_res):
+            vk += s * b
+        xk = 2 - t
+        blown.append((by_res, xk, vk))
+        s1 += t - 2
+        s2 -= xk * xk
+        kappa += xk
+        vc += vk
+        vx -= xk * vk
+        vv -= vk * vk
     sums = {}  # p -> A, W.e, W.c1, W.x, Q
     for p, t, n0, n1, n2 in _segments(runs, twists, m_s, mode):
-        u = combine(size, 0, zip(t, classes))
+        ue = 0
+        for x, a in zip(t, counts):
+            ue += x * a
+        uc, ux, uu, uv = 3 * ue, l2 * ue, ue * ue, ue * ve
+        for by_res, xk, vk in blown:
+            uk = 0
+            for x, b in zip(t, by_res):
+                uk += x * b
+            uc += uk
+            ux -= xk * uk
+            uu -= uk * uk
+            uv -= uk * vk
         a, we, wc, wx, sq = sums.get(p, (0, 0, 0, 0, 0))
-        sums[p] = (a + n0, we + n0 * u[1] + n1 * ve,
-                   wc + n0 * pair(u, c1) + n1 * vc,
-                   wx + n0 * pair(u, x) + n1 * vx,
-                   sq + n0 * pair(u, u) + 2 * n1 * pair(u, v) + n2 * vv)
-    kappa, s2 = pair(x, c1), pair(x, x)
-    s1 = 3 * pair(c1, c1) - 24
-    lines = 0
-    for c in boundary:
-        s1 -= pair(c.cls, c.cls)
-        lines += c.source == "edge"
+        sums[p] = (a + n0, we + n0 * ue + n1 * ve,
+                   wc + n0 * uc + n1 * vc, wx + n0 * ux + n1 * vx,
+                   sq + n0 * uu + 2 * n1 * uv + n2 * vv)
     top = max(sums) + 3
     out = [[0] * top, [0] * top, [0] * top]
     fundamental, line_class, point_class = out
@@ -422,14 +437,73 @@ def _stratum_contribution(arr: Arrangement, key: tuple,
     return [RatFuncY.from_ints(cls, den) for cls in out]
 
 
+def _surface_row(arr: Arrangement, stratum) -> tuple:
+    """The integers a surface's closed form reads, from its lattice row
+    (strictly_above), as compactify's model would give them: (L, residues,
+    A, points, base_e).  The boundary lines are the row's edges one
+    codimension above the stratum, L of them, each with m_j = its m_s
+    minus the stratum's and residue r_j = m_j mod m_s; the blown points
+    are the row's points with t_k >= 3 lines through them, each with m_k
+    and r_k; infinity, the class e, has residue (-m) mod m_s.  In the
+    basis e, eps_k, D_r has e-coefficient A_r = the lines of residue r,
+    infinity included, and eps_k-coefficient B_rk = [r_k = r] - the lines
+    through k of residue r; the base class has e-coefficient
+    base_e = -ceil((m - m_s)/m_s) + the sum of floor(m_j/m_s), and
+    eps_k-coefficient base_k = floor(m_k/m_s) - the sum of floor(m_j/m_s)
+    over the lines through k.  residues is sorted, A lists the A_r in its
+    order, and points the sorted (B_rk per residue, base_k, t_k), so that
+    surfaces that differ only in the order of their points share one."""
+    lattice = arr.lattice
+    above, edges = lattice.strictly_above, lattice.edges
+    m_s, codim = stratum.m_s, stratum.codim + 1
+    # the edges above a boundary line are exactly the points on it, so
+    # its row counts the lines through each
+    lines, through = [], {}
+    for j in above[stratum.position]:
+        if edges[j].codim == codim:
+            lines.append(j)
+            for i in above[j]:
+                through[i] = through.get(i, 0) + 1
+    # blown point -> its residue -> B_rk, and base_k
+    points = {i: [{}, 0] for i, t in through.items() if t >= 3}
+    counts = {-arr.m % m_s: 1}  # residue -> A_r
+    base_e = -(arr.m - m_s) // m_s
+    for j in lines:
+        m_j = edges[j].m_s - m_s
+        r, f = m_j % m_s, m_j // m_s
+        counts[r] = counts.get(r, 0) + 1
+        base_e += f
+        for i in above[j]:
+            point = points.get(i)
+            if point is not None:
+                by_res = point[0]
+                by_res[r] = by_res.get(r, 0) - 1
+                point[1] -= f
+    for i, point in points.items():
+        m_k = edges[i].m_s - m_s
+        by_res, r = point[0], m_k % m_s
+        by_res[r] = by_res.get(r, 0) + 1
+        point[1] += m_k // m_s
+    residues = set(counts)
+    for by_res, _ in points.values():
+        residues.update(by_res)
+    residues = tuple(sorted(residues))
+    return (len(lines), residues, tuple(counts.get(r, 0) for r in residues),
+            tuple(sorted((tuple(by_res.get(r, 0) for r in residues), base,
+                          through[i])
+                         for i, (by_res, base) in points.items())), base_e)
+
+
 def _type_key(arr: Arrangement, stratum, germ) -> tuple:
     """The input of a stratum's contribution within one report, where n, m
     and the conventions are fixed: (dim, m_s, row, e, runs), for the
     germ's e and runs, read in its own frame ('germ', codim) with e
-    dividing m_s, or SpectrumError.  row is () for a point, the sorted
-    m_rel of a curve's lattice row (boundary_edges) and a surface's own
-    model, which matches no other stratum: on a surface it also matters
-    which boundary lines pass through which blown points."""
+    dividing m_s, or SpectrumError.  row is read from the stratum's
+    lattice row: () for a point, the sorted m_rel of a curve's
+    (boundary_edges), and a surface's integers (_surface_row), which say
+    which boundary lines pass through which blown points as well; so two
+    surfaces share a key exactly when their closed forms read the same
+    integers."""
     dim, m_s = stratum.dim, stratum.m_s
     codim = arr.n - dim
     if germ.frame != ("germ", codim):
@@ -443,7 +517,7 @@ def _type_key(arr: Arrangement, stratum, germ) -> tuple:
     elif dim == 1:
         row = tuple(sorted(m_rel for _, m_rel in boundary_edges(arr, stratum)))
     else:
-        row = stratum
+        row = _surface_row(arr, stratum)
     return dim, m_s, row, e, germ.runs
 
 
@@ -457,9 +531,10 @@ def assemble(arr: Arrangement, user_tables: dict = None,
 
     One pass over the strata, and the Chern path reads the same list,
     through the lattice alone.  Each distinct (codim, mults) has its
-    germ classified once (stratum_germs).  Only a surface with a nonzero
-    germ is compactified; a point or a curve contributes from its lattice
-    row.  Strata with the same type key get the same contribution, which
+    germ classified once (stratum_germs).  No stratum is compactified:
+    each contributes from its lattice row, and the report keeps the
+    strata with a nonzero germ, whose models only --dump-strata builds.
+    Strata with the same type key get the same contribution, which
     is computed once per report from the key alone; a stratum's vector is
     push_to_sigma's label -> coefficient dict as it stands, and M_y is
     the label-by-label sum of those vectors.  A label's first push is
@@ -477,15 +552,15 @@ def assemble(arr: Arrangement, user_tables: dict = None,
         raise MissingSpectrumError(missing)
 
     per_stratum = {}
-    listed = {}  # edge key -> a surface's model, or another stratum
+    listed = {}  # edge key -> its stratum
     memo = {}  # type key -> contribution, for this report only
     m_y = {}  # label -> its first push, the memo's value
     sums = {}  # label pushed to again -> [den, numerator list] of its sum
     for s, germ in zip(strata, germs):
         if germ.is_zero():
             continue  # skip by spectrum content only
-        shape = listed[s.key] = compactify(arr, s) if s.dim == 2 else s
-        key = _type_key(arr, shape, germ)
+        listed[s.key] = s
+        key = _type_key(arr, s, germ)
         coeffs = memo.get(key)
         if coeffs is None:
             coeffs = _stratum_contribution(arr, key, conv)

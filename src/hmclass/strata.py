@@ -5,14 +5,15 @@ the stratum closure blown up at the points where the induced arrangement
 fails to be normal crossing.  Each model carries its blown points, the
 tangent Chern class c1 and its boundary divisors with integer residues.
 Every class of a model is a coefficient vector of integers in the model
-basis: the boundary components, the base Deligne-extension class and
-the boundary summed by residue (the classes a Deligne power twists).
-Only a surface's contribution pairs such classes; a curve's type key
-reads its edge's lattice row (boundary_edges, from which compactify
-builds a curve's boundary too).  A contribution is a few integers per
-power of y, one coefficient per codegree on the closure P^d, which the
-pushforward takes to a Chow vector of the singular locus, a dict from
-label to nonzero coefficient.  The Chern path reads the lattice alone and
+basis: the boundary components and the base Deligne-extension class.
+The models serve the strata dumps and the invariant checks; no
+contribution reads one.  A stratum's type key reads its edge's lattice
+row instead (boundary_edges for a curve, from which compactify builds a
+curve's boundary too, and for a surface the same lines and blown points
+that compactify finds, as integers).  A contribution is a few integers
+per power of y, one coefficient per codegree on the closure P^d, which
+the pushforward takes to a Chow vector of the singular locus, a dict
+from label to nonzero coefficient.  The Chern path reads the lattice alone and
 builds no model: c(T(-log D)), pushed to a stratum's closure P^d, is the
 CSM class of the open stratum minus the generic section (Aluffi 1999),
 so with chi the open stratum's Euler number and L its boundary lines it
@@ -23,7 +24,6 @@ is 1 on a point, 1 + (chi - 1) pt on a curve, and 1 + (2 - L) line
 from __future__ import annotations
 
 from math import gcd
-from operator import add
 
 from .arrangement import Arrangement, Edge, in_sigma, lazy_attribute
 from .coeffs import RatFuncY
@@ -98,8 +98,8 @@ class StratumModel:
     points, out_degree the total multiplicity away from the stratum, and
     c1 the first Chern class of the tangent bundle.  Every class is an
     integer vector in the basis 1 (point); 1, h (line); or 1, e, eps_p
-    per blown point, pt (surface).  Assembly builds the model of a surface
-    only; the strata dumps and the invariant checks build any."""
+    per blown point, pt (surface).  Assembly builds no model; the strata
+    dumps and the invariant checks build them."""
 
     def __init__(self, stratum: Edge, boundary: tuple,
                  out_degree: int, c1: tuple, blown_points: tuple):
@@ -131,18 +131,6 @@ class StratumModel:
         return combine(size, 0, twist + [(c.m_sub // m_s, c.cls)
                                          for c in self.boundary
                                          if c.source != "infinity"])
-
-    @lazy_attribute
-    def twist_classes(self) -> tuple:
-        """(m_res, D_r) per residue m_res on the boundary, D_r the sum of
-        the components with that residue: a Deligne power twists them
-        alike."""
-        by_res = {}
-        for c in self.boundary:
-            cls = by_res.get(c.m_res)
-            by_res[c.m_res] = (c.cls if cls is None
-                               else tuple(map(add, cls, c.cls)))
-        return tuple(sorted(by_res.items()))
 
     def to_json(self) -> dict:
         basis = (["1", "h"][:self.dim + 1] if self.dim < 2 else

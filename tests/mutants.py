@@ -47,6 +47,9 @@ READER = "tests/test_cli.py::test_json_reader_agrees_with_json_loads"
 VALIDATE_TEXTS = "tests/test_spectra.py::TestValidate::test_failure_texts"
 CONCURRENT = ("tests/test_spectra.py::TestOrdinary"
               "::test_validates_against_concurrent_lines")
+SURFACE_ROW = f"{PROPS}::test_surface_integers_match_the_model_oracle"
+BLOWN = "tests/test_cli.py::test_blown_surfaces_digest"
+SPECTRA_ROWS = f"{PROPS}::test_spectra_report_matches_rows_by_stratum"
 
 # name -> (file, old text, new text, node ids that must fail)
 MUTANTS = {
@@ -102,6 +105,27 @@ MUTANTS = {
         "                        cs[p] -= c\n",
         "                        cs[p] += c\n",
         [f"{PROPS}::test_lattice_tables_match_whitney_oracle"]),
+    # -ceil((m - m_s)/m_s) is floor(-(m - m_s)/m_s), as on a curve
+    "surface-base-ceiling-as-floor": (
+        "src/hmclass/milnor.py",
+        "    base_e = -(arr.m - m_s) // m_s\n",
+        "    base_e = -((arr.m - m_s) // m_s)\n",
+        [SURFACE_ROW, BLOWN]),
+    # a point of two boundary lines is normal crossing, and no model blows
+    # it up
+    "surface-blows-up-double-points": (
+        "src/hmclass/milnor.py",
+        "if t >= 3}",
+        "if t >= 2}",
+        [SURFACE_ROW]),
+    # a line's floor(m_j/m_s) in the base class is also its eps_k
+    # coefficient at each blown point k on it; BLOWN4's double plane has
+    # a blown point on its line of the triple plane
+    "surface-line-floor-kept-at-points": (
+        "src/hmclass/milnor.py",
+        "                point[1] -= f\n",
+        "",
+        [SURFACE_ROW, BLOWN]),
     "curve-beta-ceiling-as-floor": (
         "src/hmclass/milnor.py",
         "beta, b_d = -(m - m_s) // m_s,",
@@ -252,13 +276,22 @@ MUTANTS = {
         "        return not self.pairs\n",
         ["tests/test_milnor.py::TestWorkPerStratum"]),
     # sp_shift signs the runs, not the entries; on a curve ordinary(3)'s
-    # linear multiplicities change sign with their constants
+    # linear multiplicities change sign with their constants, and the
+    # term-by-term oracle reads the shifted catalogue germ of GUARDED_P3's
+    # triple line
     "sp-shift-leaves-b-unsigned": (
         "src/hmclass/spectra.py",
         "(p, lo, hi, sign * a, sign * b)",
         "(p, lo, hi, sign * a, b)",
         ["tests/test_spectra.py::TestShift::test_triple_germ_on_a_line",
-         f"{CORPUS}[pencil3planes-spectra]"]),
+         f"{PROPS}::test_type_key_is_sound"]),
+    # the spectra report shifts each pair itself; on a curve the
+    # multiplicities change sign
+    "spectra-shift-keeps-sign": (
+        "src/hmclass/cli.py",
+        "ratio_text(c + up, e)}\"', sign * m))",
+        "ratio_text(c + up, e)}\"', m))",
+        [f"{CORPUS}[pencil3planes-spectra]", SPECTRA_ROWS]),
     "m-y-keeps-cancelled-sum": (
         "src/hmclass/milnor.py",
         "        if v:\n"

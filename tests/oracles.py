@@ -30,10 +30,14 @@ built from those RingElements checks the lattice's closed form.  The
 ring path multiplies those integer forms with the summed Deligne classes
 in each model's ring, exceptional curves included, and pushes the result
 basis class by basis class: it checks the closed forms in y that
-assembly reads.  The per-exponent route to a stratum's contribution,
-with one Deligne-extension class per exponent summed over the boundary
-one component at a time and the power of each exponent picked in the
-window's own range, checks them too.  The sparse-vector sums, scalings
+assembly reads.  A surface's closed form as it read its model's
+vectors, D_r summed by residue (twist_classes) and degree-1 classes
+paired by a signed dot product (pair), and the integers that form reads
+taken from the model's vectors, check the integers that assembly reads
+from the lattice row instead.  The per-exponent route to a stratum's
+contribution, with one Deligne-extension class per exponent summed over
+the boundary one component at a time and the power of each exponent
+picked in the window's own range, checks them too.  The sparse-vector sums, scalings
 and polynomiality test that the package itself never needs live here
 too, and so do user tables that put a stratum's whole signed mass at
 exponent 1 or spread it over random exponents, the rows of a spectra
@@ -42,6 +46,7 @@ arrangement.
 """
 
 import math
+import operator
 import random
 import weakref
 from dataclasses import dataclass
@@ -853,6 +858,90 @@ def log_ch2(model) -> tuple:
     return ((two,), (two, top), (two, middle, top))[model.dim]
 
 
+def twist_classes(model) -> tuple:
+    """(m_res, D_r) per residue m_res on a model's boundary, D_r the sum
+    of the components with that residue: a Deligne power twists them
+    alike."""
+    by_res = {}
+    for c in model.boundary:
+        cls = by_res.get(c.m_res)
+        by_res[c.m_res] = (c.cls if cls is None
+                           else tuple(map(operator.add, cls, c.cls)))
+    return tuple(sorted(by_res.items()))
+
+
+def pair(a, b) -> int:
+    """The intersection number a_e b_e - sum a_p b_p of two degree-1
+    classes of a plane blown up at points (e^2 = 1, eps_p^2 = -1), as
+    integer vectors (1; e, eps_p...; pt)."""
+    out = a[1] * b[1]
+    for i in range(2, len(a) - 1):
+        out -= a[i] * b[i]
+    return out
+
+
+def surface_row_by_model(model) -> tuple:
+    """The integers milnor._surface_row reads from a surface's lattice
+    row, read from its model instead: the edge components L, the residues
+    and the e-coefficient of each D_r (twist_classes), per blown point its
+    eps coefficient in each D_r and in the base class and the lines whose
+    class carries its eps with -1, and the base class's e-coefficient."""
+    groups = twist_classes(model)
+    base = model.deligne_base_vector
+    lines = [c.cls for c in model.boundary if c.source == "edge"]
+    points = sorted((tuple(cls[k] for _, cls in groups), base[k],
+                     sum(line[k] == -1 for line in lines))
+                    for k in range(2, 2 + len(model.blown_points)))
+    return (len(lines), tuple(r for r, _ in groups),
+            tuple(cls[1] for _, cls in groups), tuple(points), base[1])
+
+
+def surface_terms_by_model(model, germ, mode: str) -> list:
+    """A surface's fundamental, line and point classes, times 2, as the
+    integer coefficients of powers of y, read from its model's vectors:
+    the closed form of milnor._surface_terms, with W, V, U, c1, x and
+    each D_r an integer vector in the model basis, paired by pair, and
+    L, kappa, s1 and s2 read from the model's boundary classes."""
+    m_s, codim, c1 = model.m_s, model.stratum.codim, model.c1
+    size, boundary, q = len(c1), model.boundary, m_s // germ.e
+    groups = twist_classes(model)
+    classes = [cls for _, cls in groups]
+    twists = _twist_slopes(q, m_s, [r for r, _ in groups])
+    v = combine(size, 0, [(q, model.deligne_base_vector)]
+                + [(s, cls) for (s, _), cls in zip(twists, classes)])
+    x = combine(size, 0, [(1, c.cls) for c in boundary] + [(-1, c1)])
+    ve, vc, vx, vv = v[1], pair(v, c1), pair(v, x), pair(v, v)
+    sums = {}  # p -> A, W.e, W.c1, W.x, Q
+    for p, t, n0, n1, n2 in _segments(germ.runs, twists, m_s, mode):
+        u = combine(size, 0, zip(t, classes))
+        a, we, wc, wx, sq = sums.get(p, (0, 0, 0, 0, 0))
+        sums[p] = (a + n0, we + n0 * u[1] + n1 * ve,
+                   wc + n0 * pair(u, c1) + n1 * vc,
+                   wx + n0 * pair(u, x) + n1 * vx,
+                   sq + n0 * pair(u, u) + 2 * n1 * pair(u, v) + n2 * vv)
+    kappa, s2 = pair(x, c1), pair(x, x)
+    s1 = 3 * pair(c1, c1) - 24
+    lines = 0
+    for c in boundary:
+        s1 -= pair(c.cls, c.cls)
+        lines += c.source == "edge"
+    top = max(sums) + 3
+    out = [[0] * top, [0] * top, [0] * top]
+    fundamental, line_class, point_class = out
+    for p, (a, we, wc, wx, sq) in sums.items():
+        sign = -1 if (p + codim - 1) % 2 else 1
+        line = 2 * we + 3 * a
+        point = sq + wc + 2 * a
+        middle = 2 * wx + kappa * a
+        fundamental[p] = sign * 2 * a
+        line_class[p] += sign * line
+        line_class[p + 1] += sign * (line + 2 * (lines - 2) * a)
+        point_class[p] += sign * point
+        point_class[p + 1] += sign * (2 * point + middle + s1 * a)
+        point_class[p + 2] += sign * (point + middle + s2 * a)
+    return out
+
+
 def line_sums(germ, model, mode: str) -> dict:
     """The germ spectrum read in its own frame, by p = floor(codim - alpha),
     and summed over its Deligne powers: p -> the sum of N_k 2 ch(L_k) =
@@ -863,7 +952,7 @@ def line_sums(germ, model, mode: str) -> dict:
     q, m_s = model.m_s // germ.e, model.m_s
     ring = model_ring(model)
     size, mul = len(ring.names), ring.mul_vectors
-    groups = model.twist_classes
+    groups = twist_classes(model)
     twists = _twist_slopes(q, m_s, [r for r, _ in groups])
     v = combine(size, 0, [(q, model.deligne_base_vector)]
                 + [(s, cls) for (s, _), (_, cls) in zip(twists, groups)])

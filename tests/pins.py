@@ -125,6 +125,21 @@ PINS += [Pin("tables", f"milnor-{conventions}:{suffix}",
 PINS.append(Pin("tables", "spectra-:spectra", ["spectra", *TABLES7],
                 GOLDEN / "tables7.spectra.sha256"))
 
+# surfaces blown up at points: blown3 has a triple plane x0 whose lines
+# x1, x2 and x1 + x2 meet in a blown point of three lines, and whose
+# boundary has three residues (a double and a triple plane cross it);
+# blown4 has a double plane x0 blown up at a point of four lines (the
+# pencil x1, x2, x1 + x2, x1 - x2) and at a point of three, beside a
+# triple plane.  Each stratum the catalogue cannot serve has a table as
+# perfbench/make_pool.py writes one: its whole signed mass at exponent 1.
+# Recorded while a surface's contribution still read its model's vectors
+PINS += [Pin("surfaces", f"{name}-{suffix}",
+             [*COMMANDS[suffix], str(GOLDEN / f"{name}.json"),
+              "--tables", str(GOLDEN / f"{name}.tables.json")],
+             GOLDEN / f"{name}.{suffix}.sha256")
+         for name in ("blown3", "blown4")
+         for suffix in ("milnor", "milnor-dump-strata")]
+
 # the benchmark pools use the default conventions only; the calibration
 # report covers the other three
 PINS.append(Pin("calibrate", "calibrate", ["calibrate"],

@@ -576,6 +576,7 @@ test_corpus_report_under_conventions_matches_golden = pin_test("conventions")
 test_wide_input_digest = pin_test("wide")
 test_large_multiplicity_digest = pin_test("multiplicity")
 test_user_tables_digest = pin_test("tables")
+test_blown_surfaces_digest = pin_test("surfaces")
 test_calibration_matches_golden = pin_test("calibrate")
 
 

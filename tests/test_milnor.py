@@ -490,8 +490,7 @@ class TestRegroupedContribution:
             want = by_codegree(model, stratum_contribution_by_terms(
                 arr, s, sp, model, conv).coeffs)
             for g in (germ, sp):
-                shape = model if s.dim == 2 else s
-                got = _stratum_contribution(arr, _type_key(arr, shape, g), conv)
+                got = _stratum_contribution(arr, _type_key(arr, s, g), conv)
                 assert got == want, s.key
 
     @pytest.mark.parametrize("name", corpus.ALL_NAMES)
@@ -680,8 +679,8 @@ class TestLazyAttributes:
         germ = sp_monomial([2])
         rep = assemble(arr)
         owners = [(arr, "lattice"), (lattice, "chi_y_open"),
-                  (model, "twist_classes"), (model, "deligne_base_vector"),
-                  (germ, "pairs"), (rep, "models")]
+                  (model, "deligne_base_vector"), (germ, "pairs"),
+                  (rep, "models")]
         for owner, name in owners[2:]:
             assert name not in vars(owner), name
         for owner, name in owners:
@@ -697,11 +696,11 @@ class TestLazyAttributes:
 
 class TestOnePass:
     """Per report: one lattice search, one record per edge, which is its
-    own localization, built once and shared by every consumer, one model per
-    surface stratum and none for a point or a curve (one per listed
-    stratum with --dump-strata), one read of each curve's lattice row (two
-    with --dump-strata, whose model reads it again) and none of a point's
-    or a surface's, and one contribution per distinct signature."""
+    own localization, built once and shared by every consumer, no model
+    (one per listed stratum with --dump-strata), one read of each curve's
+    lattice row (two with --dump-strata, whose model reads it again) and
+    none of a point's, one contribution per distinct signature, and one
+    surface closed form per distinct surface key."""
 
     def counters(self, monkeypatch):
         return {name: count_calls(monkeypatch, module, name)
@@ -713,21 +712,20 @@ class TestOnePass:
                                      (milnor, "_stratum_contribution"),
                                      (milnor, "_surface_terms"))}
 
-    def model_classes(self, monkeypatch):
-        """The edge keys of the models whose twist classes and base
-        Deligne class get built, per class."""
-        built = {}
-        for attr in ("twist_classes", "deligne_base_vector"):
-            real = getattr(strata.StratumModel, attr).func
-            built[attr] = []
+    def base_classes(self, monkeypatch):
+        """The edge keys of the models whose base Deligne class gets
+        built."""
+        attr = "deligne_base_vector"
+        real = getattr(strata.StratumModel, attr).func
+        built = []
 
-            def counting(model, real=real, log=built[attr]):
-                log.append(model.stratum.key)
-                return real(model)
+        def counting(model):
+            built.append(model.stratum.key)
+            return real(model)
 
-            prop = lazy_attribute(counting)
-            prop.__set_name__(strata.StratumModel, attr)
-            monkeypatch.setattr(strata.StratumModel, attr, prop)
+        prop = lazy_attribute(counting)
+        prop.__set_name__(strata.StratumModel, attr)
+        monkeypatch.setattr(strata.StratumModel, attr, prop)
         return built
 
     def files(self, tmp_path):
@@ -737,30 +735,36 @@ class TestOnePass:
         path = tmp_path / "lines.json"
         path.write_text(json.dumps(
             arrangement_to_json(build(2, [(c, 1) for c in covs]))))
+        # two double planes that swapping x0 and x1 exchanges, so their
+        # surfaces read the same integers
+        planes = tmp_path / "planes.json"
+        planes.write_text(json.dumps(arrangement_to_json(build(3, [
+            ((1, 0, 0, 0), 2), ((0, 1, 0, 0), 2), ((0, 0, 1, 0), 1),
+            ((0, 0, 0, 1), 1), ((1, 1, 1, 1), 1)]))))
         return [str(corpus.corpus_path(name)) for name in corpus.ALL_NAMES] \
-            + [str(path)]
+            + [str(path), str(planes)]
 
     def test_milnor(self, monkeypatch, tmp_path, capsys):
-        # a point or a curve contributes from its lattice row, so a report
-        # compactifies each surface stratum with a nonzero germ once, and
-        # builds its closed form and model classes once, and builds no
-        # model for a point or a curve; --dump-strata lists every stratum
-        # with a nonzero germ and compactifies each of them once
-        surfaces = 0
+        # every stratum contributes from its lattice row, so a report
+        # compactifies no stratum and builds no model class, and runs a
+        # surface's closed form once per distinct surface key;
+        # --dump-strata lists every stratum with a nonzero germ and
+        # compactifies each of them once
+        surfaces = shared = 0
         for path in self.files(tmp_path):
             arr = arrangement.Arrangement.load(path)
             strata_ = sigma_strata(arr)
             signatures = {signature(arr, s) for s in strata_}
             listed = sorted(s.key for s in strata_
                             if not stratum_germ(s).is_zero())
-            want = sorted(s.key for s in strata_
-                          if s.dim == 2 and s.key in listed)
+            on_surfaces = [signature(arr, s) for s in strata_
+                           if s.dim == 2 and s.key in listed]
             curves = sum(s.dim == 1 and s.key in listed for s in strata_)
             local_types = {(s.codim, s.mults) for s in strata_}
             for dump in ([], ["--dump-strata"]):
                 with monkeypatch.context() as patch:
                     calls = self.counters(patch)
-                    built = self.model_classes(patch)
+                    built = self.base_classes(patch)
                     classified = count_calls(patch, spectra, "classify_germ")
                     code = cli.main(["milnor", path, *dump])
                     assert code == 0, capsys.readouterr().err
@@ -769,18 +773,21 @@ class TestOnePass:
                 assert len(calls["_search_edges"]) == 1, path
                 assert len(calls["Edge"]) == len(arr.lattice.edges), path
                 compactified = sorted(s.key for _, s in calls["compactify"])
-                assert compactified == (listed if dump else want), path
+                assert compactified == (listed if dump else []), path
                 assert (len(calls["_stratum_contribution"])
                         == len(signatures)), path
-                assert sorted(key[2].stratum.key for key, *_
-                              in calls["_surface_terms"]) == want, path
+                keys = [key for key, *_ in calls["_surface_terms"]]
+                assert len(keys) == len(set(on_surfaces)), path
+                assert set(keys) == set(on_surfaces), path
                 assert (len(calls["boundary_edges"])
                         == curves * (2 if dump else 1)), path
-                for attr, keys in built.items():
-                    assert sorted(keys) == want, (path, attr)
-            surfaces += len(want)
-        assert len(signatures) < len(strata_)  # the nine lines repeat types
-        assert surfaces  # doubleplane3 has a surface stratum
+                assert not built, path
+            surfaces += len(on_surfaces)
+            shared += len(on_surfaces) - len(set(on_surfaces))
+        assert len(signatures) < len(strata_)  # the planes repeat types
+        # doubleplane3 and the two double planes have surface strata, and
+        # the two double planes share one key
+        assert surfaces >= 3 and shared, (surfaces, shared)
 
     def test_germ_per_local_type(self, monkeypatch, tmp_path, capsys):
         # x, y, x + y, z, w in P^3: multiplicities (1, 1, 1) are

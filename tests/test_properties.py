@@ -32,11 +32,12 @@ from hmclass.arrangement import (ArrangementError, build, chi_y, chi_y_pn,
 from hmclass.coeffs import RatFuncY, poly_str
 from hmclass.corpus import ALL_NAMES, corpus_path
 from hmclass.milnor import (ALL_CONVENTIONS, DEFAULT_CONVENTIONS,
-                            MissingSpectrumError, _pair,
-                            _stratum_contribution, _type_key, assemble,
+                            MissingSpectrumError, _stratum_contribution,
+                            _surface_terms, _type_key, assemble,
                             chern_milnor)
 from hmclass.spectra import sp_user_load, stratum_germ
-from hmclass.strata import (build_labels, chow_dims, compactify,
+from hmclass.strata import (EXT_HALF_OPEN_DOWN, EXT_HALF_OPEN_UP,
+                            build_labels, chow_dims, compactify,
                             homology_weight_dims, push_to_sigma,
                             relabel_vector, trace)
 from oracles import (BlownPlaneRing, ProjRing, RingElement,
@@ -45,11 +46,12 @@ from oracles import (BlownPlaneRing, ProjRing, RingElement,
                      chi_y_stratum_by_whitney, dense_by_bipartition,
                      euler_by_whitney, euler_defect, generated_tables,
                      hirzebruch_class_by_additivity, log_ch2, log_chern,
-                     model_class, model_ring, product_by_basis,
+                     model_class, model_ring, pair, product_by_basis,
                      push_by_basis, report_to_json, ring_contribution,
                      spectra_rows_by_stratum, spread_table_entries,
-                     stratum_contribution_by_terms, table_entries,
-                     tangent_chern, todd12, todd_from_chern)
+                     stratum_contribution_by_terms, surface_row_by_model,
+                     surface_terms_by_model, table_entries, tangent_chern,
+                     todd12, todd_from_chern)
 
 SETTINGS = settings(derandomize=True, max_examples=30, deadline=None,
                     suppress_health_check=[HealthCheck.filter_too_much])
@@ -290,6 +292,10 @@ def test_integer_path_matches_ring_path_on_every_stratum():
                      p4_arrangements()), st.integers(0, 2 ** 32))
     @example(GUARDED_P3, 0)
     @example(GUARDED_P4, 0)
+    # x0, x1 and x0 + x1 through [0:0:1]: an ordinary point, whose runs
+    # have multiplicities linear in c
+    @example((2, [((1, 0, 0), 1), ((0, 1, 0), 1), ((1, 1, 0), 1),
+                  ((0, 0, 1), 1)]), 0)
     def check(case, seed):
         n, hyperplanes = case[:2]
         try:
@@ -305,9 +311,7 @@ def test_integer_path_matches_ring_path_on_every_stratum():
                 model = compactify(arr, s)
                 if germ.is_zero():
                     continue
-                # what assembly passes: a surface's model, or the stratum
-                shape = model if s.dim == 2 else s
-                key = _type_key(arr, shape, germ)
+                key = _type_key(arr, s, germ)
                 for conv in ALL_CONVENTIONS:
                     got = _stratum_contribution(arr, key, conv)
                     want = ring_contribution(germ, model, conv)
@@ -331,6 +335,67 @@ def test_integer_path_matches_ring_path_on_every_stratum():
     assert all(seen["spread", kind] for kind in ("point", "curve",
                                                  "surface")), seen
     assert seen["whole mass"] and seen["curve, several residues"], seen
+
+
+# the inputs of the blown-surface pins: a triple plane x0 blown up where
+# x1, x2 and x1 + x2 meet it, whose boundary has three residues, and a
+# double plane x0 blown up at a point of four lines and at one of three
+BLOWN3 = (3, [((1, 0, 0, 0), 3), ((0, 1, 0, 0), 1), ((0, 0, 1, 0), 1),
+              ((0, 1, 1, 0), 1), ((0, 0, 0, 1), 2), ((1, 2, 3, 5), 3)])
+BLOWN4 = (3, [((1, 0, 0, 0), 2), ((0, 1, 0, 0), 1), ((0, 0, 1, 0), 1),
+              ((0, 1, 1, 0), 1), ((0, 1, -1, 0), 1), ((0, 0, 0, 1), 3),
+              ((0, 1, 0, 1), 1)])
+
+
+def test_surface_integers_match_the_model_oracle():
+    # every surface's integers, read from its lattice row, against those
+    # of its model, and its closed form on them against the same closed
+    # form read from its model's vectors:
+    # catalogue germs, tables with a whole mass at exponent 1 and tables
+    # spread over random exponents, under both extension modes, in P^3
+    # and P^4.  The explicit examples meet every guard: BLOWN3 has three
+    # residues on one surface and one blown point on each, BLOWN4 a point
+    # of four lines and a surface with two blown points, and GUARDED_P4's
+    # surfaces none
+    seen = Counter()
+
+    @settings(SETTINGS, phases=NO_SHRINK)
+    @given(st.one_of(model_arrangements(), p4_arrangements()).filter(
+        lambda case: case[0] > 2), st.integers(0, 2 ** 32))
+    @example(BLOWN3, 0)
+    @example(BLOWN4, 0)
+    @example(GUARDED_P4, 0)
+    def check(case, seed):
+        n, hyperplanes = case[:2]
+        try:
+            arr = build(n, hyperplanes)
+        except ArrangementError:
+            reject()
+        spread = sp_user_load(
+            spread_table_entries(arr, random.Random(seed)), arr)
+        for tables in (generated_tables(arr), spread):
+            for s in sigma_strata(arr):
+                germ = stratum_germ(s, tables)
+                if s.dim != 2 or germ.is_zero():
+                    continue
+                model = compactify(arr, s)
+                key = _type_key(arr, s, germ)
+                row = surface_row_by_model(model)
+                assert key[2] == row, s.key
+                for mode in (EXT_HALF_OPEN_UP, EXT_HALF_OPEN_DOWN):
+                    assert (_surface_terms(key, s.codim, mode)
+                            == surface_terms_by_model(model, germ, mode)), (
+                                s.key, mode)
+                _, residues, _, points, _ = row
+                seen[n] += 1
+                seen["blown", min(len(points), 2)] += 1
+                seen["four lines"] += any(t >= 4 for *_, t in points)
+                seen["three residues"] += len(residues) >= 3
+
+    check()
+    assert seen[3] and seen[4], seen
+    assert all(seen["blown", b] for b in (0, 1, 2)), seen
+    assert seen["four lines"] and seen["three residues"], seen
 
 
 def test_each_class_pushes_to_a_label_of_its_own():
@@ -995,7 +1060,7 @@ def test_vector_product_matches_ring_elements(ring, data):
             == RingElement(ring, expected))
     if isinstance(ring, BlownPlaneRing):
         a1, b1 = ([0, *v[1:-1], 0] for v in (a, b))
-        assert _pair(a1, b1) == product_by_basis(ring, a1, b1)[-1]
+        assert pair(a1, b1) == product_by_basis(ring, a1, b1)[-1]
 
 
 @SETTINGS
@@ -1013,8 +1078,7 @@ def test_every_contribution_is_polynomial(case):
         assume(germ is not None)  # assemble raises MissingSpectrumError
         if germ.is_zero():
             continue
-        shape = compactify(arr, s) if s.dim == 2 else s
-        coeffs = _stratum_contribution(arr, _type_key(arr, shape, germ),
+        coeffs = _stratum_contribution(arr, _type_key(arr, s, germ),
                                        DEFAULT_CONVENTIONS)
         assert all(c.k == 0 for c in coeffs), (s.key, coeffs)
 
@@ -1055,8 +1119,7 @@ def test_closed_form_matches_per_exponent_oracle():
             if germ is None or germ.is_zero():
                 continue
             model = compactify(arr, s)
-            shape = model if s.dim == 2 else s
-            key = _type_key(arr, shape, germ)
+            key = _type_key(arr, s, germ)
             for conv in ALL_CONVENTIONS:
                 want = stratum_contribution_by_terms(arr, s, germ, model,
                                                      conv)
