@@ -366,10 +366,6 @@ class Lattice:
         # the divisor's Euler number: its chi_y at y = -1
         self.divisor_euler = sum(divisor_chi_y[::2]) - sum(divisor_chi_y[1::2])
 
-    def above(self, edge: Edge) -> list:
-        """The edges strictly above edge in the lattice, in lattice order."""
-        return [self.edges[i] for i in self.strictly_above[edge.position]]
-
     @lazy_attribute
     def chi_y_open(self) -> tuple:
         """Per position, the integer coefficients of chi_y of the edge's

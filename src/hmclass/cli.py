@@ -205,7 +205,7 @@ def _spectra_row_writers(n: int):
     lists = {}  # (frame, e, runs) -> the texts of the two entry lists
 
     def entries(sp) -> tuple:
-        """The germ's entry list and its shift's (spectra.sp_shift), in
+        """The germ's entry list and its shift to the stratum's frame, in
         one pass over its pairs: on a stratum of dimension dim an exponent
         c/e moves to (c + dim e)/e and its multiplicity n to (-1)^dim n."""
         if not sp.pairs:
@@ -323,8 +323,8 @@ def run_builtin_checks() -> list:
     from .genera import hirzebruch_series, verify_identity_qr
     from .milnor import assemble
     from .spectra import sp_monomial, sp_ordinary
-    from .strata import (compactify, deligne_residues, power_identity_holds,
-                         relabel_vector, residues)
+    from .strata import (EXT_HALF_OPEN_UP, compactify, relabel_vector,
+                         twist_offsets)
 
     out = []
 
@@ -374,18 +374,37 @@ def run_builtin_checks() -> list:
     check("spectrum catalogue validators", spectrum_validators)
 
     def residue_windows():
+        # on each compactification's walk, in integers: each hyperplane off
+        # a stratum's closure meets it in one boundary line (a point on a
+        # curve), so their m_sub sum to m - m_s, and at a blown point to
+        # its own, which is the power identity m_s base = -sum m_res D_i;
+        # and each Deligne power k twists each residue into (0, 1]
         for name in corpus.ALL_NAMES:
             arr = corpus.load(name)
+            edges, above = arr.lattice.edges, arr.lattice.strictly_above
             for s in sigma_strata(arr):
-                model = compactify(arr, s)
-                if not power_identity_holds(model):
+                if not s.dim:
+                    continue  # a point has no boundary
+                m_s = s.m_s
+                lines, blown = compactify(arr, s)
+                at = dict.fromkeys(blown, 0)  # blown point -> its lines' sum
+                total = 0
+                for j in lines:
+                    m_sub = edges[j].m_s - m_s
+                    total += m_sub
+                    for i in above[j]:
+                        if i in at:
+                            at[i] += m_sub
+                if total != arr.m - m_s or any(
+                        edges[i].m_s - m_s != v for i, v in at.items()):
                     return False
-                for v in residues(model).values():
-                    if not 0 <= v < model.m_s:
-                        return False
-                for k in range(1, model.m_s + 1):
-                    for rv in deligne_residues(model, k).values():
-                        if not 0 < rv <= 1:
+                m_res = [(edges[j].m_s - m_s) % m_s for j in (*lines, *blown)]
+                m_res.append(-arr.m % m_s)  # infinity
+                b, c = twist_offsets(m_s, EXT_HALF_OPEN_UP)
+                for k in range(1, m_s + 1):
+                    for r in m_res:
+                        t = (k * r + b) // m_s + c
+                        if not 0 < k * r - t * m_s <= m_s:
                             return False
         return True
 

@@ -12,12 +12,12 @@ form, one coefficient per codegree on its closure: the summed
 multiplicities, and on a curve their twist degrees and its boundary
 count, on a surface the pairings of the summed Deligne classes with the
 line, c1 and K + D, the sum of their squares and its boundary lines.
-Those integers come from the stratum's lattice row, a surface's boundary
-lines and blown points included, so assembly builds no stratum model,
-and two strata whose rows give the same integers share one
-contribution.  A point has no boundary, so no twist and no break: it
-sums its runs directly.  M_y is the label-by-label sum of the
-per-stratum vectors.
+Those integers come from one walk of the stratum's lattice row
+(strata.compactify), a surface's boundary lines and blown points
+included, so assembly builds no stratum model, and two strata whose rows
+give the same integers share one contribution.  A point has no boundary,
+so no twist and no break: it sums its runs directly.  M_y is the
+label-by-label sum of the per-stratum vectors.
 An independent Euler-weighted Chern path provides the cross-check at
 y = -1: it reads the lattice alone, since c(T(-log D)) of a stratum,
 pushed to its closure, is a CSM class (Aluffi) in closed form: 1 on a
@@ -36,14 +36,13 @@ from itertools import chain
 from math import lcm
 
 from .ambient import virtual_genus
-from .arrangement import Arrangement, chi_y, lazy_attribute, sigma_strata
+from .arrangement import Arrangement, chi_y, sigma_strata
 from .coeffs import RatFuncY, ratio_text
 from .jsontext import HOLE, dumps, parts, splice
 from .spectra import SpectrumError, stratum_germs
 from .strata import (EXT_HALF_OPEN_DOWN, EXT_HALF_OPEN_UP, LabelSchema,
-                     boundary_edges, build_labels, check_envelope,
-                     compactify, push_to_sigma, specializations, trace,
-                     twist_offsets)
+                     build_labels, check_envelope, compactify, push_to_sigma,
+                     specializations, trace, twist_offsets)
 
 __all__ = [
     "MilnorError",
@@ -131,12 +130,6 @@ class MilnorReport:
         self.chern_path, self.cross_path_ok = chern_path, cross_path_ok
         self.listed = listed  # edge key -> stratum, for nonzero germs
 
-    @lazy_attribute
-    def models(self) -> list:
-        """The model of each stratum with a nonzero germ, in lattice order,
-        built on the first request: assembly builds none."""
-        return [compactify(self.arrangement, s) for s in self.listed.values()]
-
     def json_chunks(self, dump_strata: bool = False):
         """The report as indented JSON text, chunk by chunk: jsontext.splice
         writes the skeleton, with a hole for each label -> value block."""
@@ -164,7 +157,8 @@ class MilnorReport:
             "cross_path": {"ok": self.cross_path_ok, "chern_milnor": HOLE},
         }
         if dump_strata:
-            skeleton["strata"] = [m.to_json() for m in self.models]
+            skeleton["strata"] = [_stratum_dump(self.arrangement, s)
+                                  for s in self.listed.values()]
         # each block is rendered as its chunk is read
         blocks = chain(map(m_y, [self.m_y]),
                        map(stratum, self.per_stratum.values()),
@@ -172,6 +166,53 @@ class MilnorReport:
                        map(constants, [self.chern_path]))
         count = len(self.per_stratum) + len(self.specializations) + 2
         return chain(splice(skeleton, blocks, count), ("\n",))
+
+
+_KIND = ("point", "curve", "surface")
+
+
+def _stratum_dump(arr: Arrangement, stratum) -> dict:
+    """A listed stratum's --dump-strata entry, from its compactification's
+    walk (compactify): its ring basis, 1 on a point, 1, h on a curve, and
+    1, e, eps_k per blown point k, pt on a surface, and its boundary
+    components, each with its m_sub, its residue m_res and its class as
+    an integer vector in that basis.  The components are the boundary
+    lines (a curve's points), each with m_sub = its m_s minus the
+    stratum's and class h, or e minus the eps_k of the blown points on
+    it; then the exceptional curve over each blown point k, with m_sub
+    read alike and class eps_k; then infinity, with residue (-m) mod m_s
+    and class h or e.  A point has no boundary."""
+    dim, m_s = stratum.dim, stratum.m_s
+    lattice = arr.lattice
+    edges, above = lattice.edges, lattice.strictly_above
+    lines, blown = compactify(arr, stratum)
+    slot = {k: 2 + i for i, k in enumerate(blown)}  # eps_k's place
+    points = [edges[k].key for k in blown]
+    basis = (["1", "h"][:dim + 1] if dim < 2 else
+             ["1", "e", *(f"eps_{key}" for key in points), "pt"])
+    boundary = []
+
+    def component(name, source, m_sub, m_res, places):
+        cls = ["0"] * len(basis)
+        for i, x in places:
+            cls[i] = x
+        boundary.append({"name": name, "source": source, "m_sub": m_sub,
+                         "m_res": m_res, "class": cls})
+
+    for j in lines:
+        m_sub = edges[j].m_s - m_s
+        component(edges[j].key, "edge", m_sub, m_sub % m_s,
+                  [(1, "1"), *((slot[i], "-1") for i in above[j]
+                               if i in slot)])
+    for k, i in slot.items():
+        m_sub = edges[k].m_s - m_s
+        component(edges[k].key, "exceptional", m_sub, m_sub % m_s,
+                  [(i, "1")])
+    if dim:
+        component("infinity", "infinity", 0, -arr.m % m_s, [(1, "1")])
+    return {"edge": stratum.key, "kind": _KIND[dim], "dim": dim, "m_s": m_s,
+            "ring_basis": basis, "blown_points": points,
+            "boundary": boundary}
 
 
 def _label_block(pieces: list, slot: dict, depth: int, to_json,
@@ -437,15 +478,14 @@ def _stratum_contribution(arr: Arrangement, key: tuple,
     return [RatFuncY.from_ints(cls, den) for cls in out]
 
 
-def _surface_row(arr: Arrangement, stratum) -> tuple:
-    """The integers a surface's closed form reads, from its lattice row
-    (strictly_above), as compactify's model would give them: (L, residues,
-    A, points, base_e).  The boundary lines are the row's edges one
-    codimension above the stratum, L of them, each with m_j = its m_s
-    minus the stratum's and residue r_j = m_j mod m_s; the blown points
-    are the row's points with t_k >= 3 lines through them, each with m_k
-    and r_k; infinity, the class e, has residue (-m) mod m_s.  In the
-    basis e, eps_k, D_r has e-coefficient A_r = the lines of residue r,
+def _surface_row(arr: Arrangement, m_s: int, lines, blown) -> tuple:
+    """The integers a surface's closed form reads, from its
+    compactification's walk (compactify): (L, residues, A, points,
+    base_e).  lines are its L boundary lines, each with m_j = its m_s
+    minus the surface's m_s and residue r_j = m_j mod m_s, and blown its
+    blown points, each with t_k lines through it, m_k and r_k; infinity,
+    the class e, has residue (-m) mod m_s.  In the basis
+    e, eps_k, D_r has e-coefficient A_r = the lines of residue r,
     infinity included, and eps_k-coefficient B_rk = [r_k = r] - the lines
     through k of residue r; the base class has e-coefficient
     base_e = -ceil((m - m_s)/m_s) + the sum of floor(m_j/m_s), and
@@ -455,17 +495,8 @@ def _surface_row(arr: Arrangement, stratum) -> tuple:
     surfaces that differ only in the order of their points share one."""
     lattice = arr.lattice
     above, edges = lattice.strictly_above, lattice.edges
-    m_s, codim = stratum.m_s, stratum.codim + 1
-    # the edges above a boundary line are exactly the points on it, so
-    # its row counts the lines through each
-    lines, through = [], {}
-    for j in above[stratum.position]:
-        if edges[j].codim == codim:
-            lines.append(j)
-            for i in above[j]:
-                through[i] = through.get(i, 0) + 1
     # blown point -> its residue -> B_rk, and base_k
-    points = {i: [{}, 0] for i, t in through.items() if t >= 3}
+    points = {i: [{}, 0] for i in blown}
     counts = {-arr.m % m_s: 1}  # residue -> A_r
     base_e = -(arr.m - m_s) // m_s
     for j in lines:
@@ -490,7 +521,7 @@ def _surface_row(arr: Arrangement, stratum) -> tuple:
     residues = tuple(sorted(residues))
     return (len(lines), residues, tuple(counts.get(r, 0) for r in residues),
             tuple(sorted((tuple(by_res.get(r, 0) for r in residues), base,
-                          through[i])
+                          blown[i])
                          for i, (by_res, base) in points.items())), base_e)
 
 
@@ -499,9 +530,10 @@ def _type_key(arr: Arrangement, stratum, germ) -> tuple:
     and the conventions are fixed: (dim, m_s, row, e, runs), for the
     germ's e and runs, read in its own frame ('germ', codim) with e
     dividing m_s, or SpectrumError.  row is read from the stratum's
-    lattice row: () for a point, the sorted m_rel of a curve's
-    (boundary_edges), and a surface's integers (_surface_row), which say
-    which boundary lines pass through which blown points as well; so two
+    compactification, one walk of its lattice row (compactify): () for a
+    point, the sorted m_rel = m_s(edge) - m_s of a curve's boundary
+    points, and a surface's integers (_surface_row), which say which
+    boundary lines pass through which blown points as well; so two
     surfaces share a key exactly when their closed forms read the same
     integers."""
     dim, m_s = stratum.dim, stratum.m_s
@@ -514,10 +546,13 @@ def _type_key(arr: Arrangement, stratum, germ) -> tuple:
         raise SpectrumError(f"denominator lcm {e} does not divide m_s = {m_s}")
     if not dim:
         row = ()
-    elif dim == 1:
-        row = tuple(sorted(m_rel for _, m_rel in boundary_edges(arr, stratum)))
     else:
-        row = _surface_row(arr, stratum)
+        lines, blown = compactify(arr, stratum)
+        if dim == 1:
+            edges = arr.lattice.edges
+            row = tuple(sorted([edges[j].m_s - m_s for j in lines]))
+        else:
+            row = _surface_row(arr, m_s, lines, blown)
     return dim, m_s, row, e, germ.runs
 
 
@@ -531,9 +566,11 @@ def assemble(arr: Arrangement, user_tables: dict = None,
 
     One pass over the strata, and the Chern path reads the same list,
     through the lattice alone.  Each distinct (codim, mults) has its
-    germ classified once (stratum_germs).  No stratum is compactified:
-    each contributes from its lattice row, and the report keeps the
-    strata with a nonzero germ, whose models only --dump-strata builds.
+    germ classified once (stratum_germs).  Each curve and surface with a
+    nonzero germ is compactified once, one walk of its lattice row, which
+    its type key reduces to integers, and no stratum model is built; the
+    report keeps the strata with a nonzero germ, which --dump-strata
+    walks again to write.
     Strata with the same type key get the same contribution, which
     is computed once per report from the key alone; a stratum's vector is
     push_to_sigma's label -> coefficient dict as it stands, and M_y is

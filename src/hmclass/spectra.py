@@ -37,7 +37,6 @@ __all__ = [
     "classify_germ",
     "sp_monomial",
     "sp_ordinary",
-    "sp_shift",
     "sp_validate",
     "sp_user_load",
     "stratum_germs",
@@ -150,24 +149,6 @@ def sp_ordinary(k: int) -> Spectrum:
     if k < 2:
         raise SpectrumError("ordinary plane germ needs k >= 2 lines")
     return _catalogue("ordinary", (k,))
-
-
-def sp_shift(germ_sp: Spectrum, stratum: Edge, n: int) -> Spectrum:
-    """Reindex a germ spectrum to the ambient stratum frame: exponents move
-    up by dim S and multiplicities pick up (-1)^{dim S}.  As codim S +
-    dim S = n, the run exponents codim - p - c/e move to n - p - c/e, so
-    each run keeps p, lo and hi and only its a and b change sign."""
-    kind, d = germ_sp.frame
-    if kind != "germ":
-        raise SpectrumError(f"expected a germ frame, got {germ_sp.frame}")
-    if d != stratum.codim:
-        raise SpectrumError(
-            f"germ frame dimension {d} does not match stratum codimension "
-            f"{stratum.codim}")
-    sign = (-1) ** stratum.dim
-    runs = tuple((p, lo, hi, sign * a, sign * b)
-                 for p, lo, hi, a, b in germ_sp.runs)
-    return Spectrum(("stratum", n), germ_sp.e, runs, germ_sp.source)
 
 
 def _catalogue_runs(tag: str, r: int, e: int) -> tuple:

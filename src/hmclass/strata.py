@@ -2,19 +2,18 @@
 
 Strata of dimension <= 2 are compactified explicitly: a point, a line, or
 the stratum closure blown up at the points where the induced arrangement
-fails to be normal crossing.  Each model carries its blown points, the
-tangent Chern class c1 and its boundary divisors with integer residues.
-Every class of a model is a coefficient vector of integers in the model
-basis: the boundary components and the base Deligne-extension class.
-The models serve the strata dumps and the invariant checks; no
-contribution reads one.  A stratum's type key reads its edge's lattice
-row instead (boundary_edges for a curve, from which compactify builds a
-curve's boundary too, and for a surface the same lines and blown points
-that compactify finds, as integers).  A contribution is a few integers
-per power of y, one coefficient per codegree on the closure P^d, which
-the pushforward takes to a Chow vector of the singular locus, a dict
-from label to nonzero coefficient.  The Chern path reads the lattice alone and
-builds no model: c(T(-log D)), pushed to a stratum's closure P^d, is the
+fails to be normal crossing.  compactify reads a stratum's closure from
+its edge's lattice row in one walk, as lattice positions: its boundary
+lines and its blown points.  Every reader of a closure reads that walk:
+a stratum's type key, which reduces it to the integers of its closed
+form, the strata dump, which writes each boundary class as an integer
+vector in the basis of the blown-up closure, and the invariant checks.
+The model classes that build those vectors as objects live in the tests,
+as their oracle.  A contribution is a few integers per power of y, one
+coefficient per codegree on the closure P^d, which the pushforward takes
+to a Chow vector of the singular locus, a dict from label to nonzero
+coefficient.  The Chern path reads the lattice alone and builds no
+compactification: c(T(-log D)), pushed to a stratum's closure P^d, is the
 CSM class of the open stratum minus the generic section (Aluffi 1999),
 so with chi the open stratum's Euler number and L its boundary lines it
 is 1 on a point, 1 + (chi - 1) pt on a curve, and 1 + (2 - L) line
@@ -25,22 +24,15 @@ from __future__ import annotations
 
 from math import gcd
 
-from .arrangement import Arrangement, Edge, in_sigma, lazy_attribute
+from .arrangement import Arrangement, Edge, in_sigma
 from .coeffs import RatFuncY
 
 __all__ = [
     "StrataError",
     "StratumDimensionError",
-    "BoundaryComponent",
-    "StratumModel",
-    "combine",
     "check_envelope",
-    "boundary_edges",
     "compactify",
-    "residues",
     "twist_offsets",
-    "deligne_residues",
-    "power_identity_holds",
     "LabelSchema",
     "build_labels",
     "trace",
@@ -52,195 +44,58 @@ __all__ = [
 
 
 class StrataError(ValueError):
-    """Stratum-model construction or query error."""
+    """Stratum compactification or query error."""
 
 
 class StratumDimensionError(StrataError):
-    """A stratum of dimension > 2, outside the models' envelope."""
+    """A stratum of dimension > 2, outside the envelope."""
 
 
 # ---------------------------------------------------------------------------
-# compactified models
-
-
-class BoundaryComponent:
-    def __init__(self, name: str, source: str, m_sub: int, m_res: int,
-                 cls: tuple):
-        self.name = name      # sub-edge key or "infinity"
-        self.source = source  # "edge" | "exceptional" | "infinity"
-        self.m_sub = m_sub    # induced multiplicity (0 for infinity)
-        self.m_res = m_res    # residue integer in [0, m_s)
-        self.cls = cls  # divisor class, an integer vector in the model basis
-
-
-_KIND = ("point", "curve", "surface")
-
-
-def combine(size: int, const: int, terms) -> tuple:
-    """const + sum of c v over (c, v) pairs of integer vectors of one size."""
-    out = [0] * size
-    out[0] = const
-    for c, v in terms:
-        if c:
-            for i, x in enumerate(v):
-                out[i] += c * x
-    return tuple(out)
-
-
-def _unit(size: int, index: int) -> tuple:
-    return tuple(int(i == index) for i in range(size))
-
-
-class StratumModel:
-    """A stratum's good compactification; D = sum D_i is its boundary, a
-    tuple of BoundaryComponents.  stratum is the stratum's edge, the
-    lattice's record, blown_points the edge keys of a surface's blown-up
-    points, out_degree the total multiplicity away from the stratum, and
-    c1 the first Chern class of the tangent bundle.  Every class is an
-    integer vector in the basis 1 (point); 1, h (line); or 1, e, eps_p
-    per blown point, pt (surface).  Assembly builds no model; the strata
-    dumps and the invariant checks build them."""
-
-    def __init__(self, stratum: Edge, boundary: tuple,
-                 out_degree: int, c1: tuple, blown_points: tuple):
-        self.stratum, self.boundary = stratum, boundary
-        self.out_degree, self.c1 = out_degree, c1
-        self.blown_points = blown_points
-
-    @property
-    def m_s(self) -> int:
-        return self.stratum.m_s
-
-    @property
-    def dim(self) -> int:
-        return self.stratum.dim
-
-    @property
-    def kind(self) -> str:
-        return _KIND[self.dim]
-
-    @lazy_attribute
-    def deligne_base_vector(self) -> tuple:
-        """First Chern class of the base extension bundle: the ambient twist
-        by minus the rounded-up relative degree, corrected on the sub-edge
-        transforms by the integer parts of the induced multiplicity ratios.
-        The ambient hyperplane pulls back to basis class 1."""
-        size, m_s = len(self.c1), self.m_s
-        twist = [(-_ceil_div(self.out_degree, m_s), _unit(size, 1))
-                 ] if self.dim else []
-        return combine(size, 0, twist + [(c.m_sub // m_s, c.cls)
-                                         for c in self.boundary
-                                         if c.source != "infinity"])
-
-    def to_json(self) -> dict:
-        basis = (["1", "h"][:self.dim + 1] if self.dim < 2 else
-                 ["1", "e", *(f"eps_{p}" for p in self.blown_points), "pt"])
-        return {
-            "edge": self.stratum.key,
-            "kind": self.kind,
-            "dim": self.dim,
-            "m_s": self.m_s,
-            "ring_basis": basis,
-            "blown_points": list(self.blown_points),
-            "boundary": [
-                {
-                    "name": c.name,
-                    "source": c.source,
-                    "m_sub": c.m_sub,
-                    "m_res": c.m_res,
-                    "class": [str(x) for x in c.cls],
-                }
-                for c in self.boundary
-            ],
-        }
+# compactifications
 
 
 def check_envelope(stratum: Edge):
-    """Refuse a stratum of dimension > 2, which no model serves."""
+    """Refuse a stratum of dimension > 2, which no compactification serves."""
     if stratum.dim > 2:
         raise StratumDimensionError(
             f"unsupported stratum dimension {stratum.dim} (cap is 2)")
 
 
-def boundary_edges(arr: Arrangement, stratum: Edge) -> list:
-    """(edge, m_rel) per edge inside the stratum's closure: its lattice
-    row, the edges strictly above it in lattice order, each with its
-    induced multiplicity m_rel = m_s(edge) - m_s >= 1."""
-    m_s = stratum.m_s
-    return [(e, e.m_s - m_s) for e in arr.lattice.above(stratum)]
+def compactify(arr: Arrangement, stratum: Edge) -> tuple:
+    """Good compactification of a stratum of dimension <= 2, read from its
+    lattice row (strictly_above) in one walk, as lattice positions:
+    (lines, blown).  lines are its boundary lines, the row's edges one
+    codimension above it: a curve's whole row, its points, and none on a
+    point.  blown maps each blown point, a point of the closure through
+    which t_k >= 3 of those lines pass, to t_k, in lattice order.
 
-
-def compactify(arr: Arrangement, stratum: Edge) -> StratumModel:
-    """Good compactification of a stratum of dimension <= 2.
-
-    Curves need no blow-ups; surfaces are blown up exactly at the points
-    of the closure through which at least three induced boundary lines
-    pass.  The generic auxiliary section contributes one extra boundary
-    component symbolically (a generic point on curves, a generic line on
-    surfaces) and never passes through an edge.
+    Curves need no blow-ups; surfaces are blown up exactly at the blown
+    points.  The generic auxiliary section contributes one extra boundary
+    component, infinity (a generic point on curves, a generic line on
+    surfaces), which never passes through an edge.
     """
     check_envelope(stratum)
-    d, m_s = stratum.dim, stratum.m_s
-    out_degree = arr.m - m_s
-
-    def res(value: int) -> int:
-        return value % m_s
-
-    if d == 0:
-        return StratumModel(stratum, (), out_degree, (0,), ())
-
-    if d == 1:
-        pt = (0, 1)
-        comps = [BoundaryComponent(e.key, "edge", m_rel, res(m_rel), pt)
-                 for e, m_rel in boundary_edges(arr, stratum)]
-        comps.append(BoundaryComponent("infinity", "infinity", 0,
-                                       res(-arr.m), pt))
-        return StratumModel(stratum, tuple(comps), out_degree, (0, 2), ())
-
-    # the lattice row by position: the edges above a boundary line are
-    # exactly the points on it, so its row counts the lines through each
     lattice = arr.lattice
-    above, edges = lattice.strictly_above, lattice.edges
-    lines, points, through = [], [], {}
-    for j in above[stratum.position]:
-        if edges[j].codim == stratum.codim + 1:
+    above = lattice.strictly_above
+    row = above[stratum.position]
+    if stratum.dim < 2:
+        return row, {}
+    edges, codim = lattice.edges, stratum.codim + 1
+    # the row lists its lines before its points, and the edges above a
+    # line are exactly the points on it, so each point is reached with the
+    # lines through it counted
+    lines, through, blown = [], {}, {}
+    for j in row:
+        if edges[j].codim == codim:
             lines.append(j)
             for i in above[j]:
                 through[i] = through.get(i, 0) + 1
         else:
-            points.append(j)
-    slot = {}  # blown point's position -> its eps index in the basis
-    for j in points:
-        if through.get(j, 0) >= 3:
-            slot[j] = 2 + len(slot)
-    size = 3 + len(slot)
-    e = _unit(size, 1)
-    comps = []
-    for j in lines:
-        cls = [0] * size
-        cls[1] = 1
-        for i in above[j]:
-            if i in slot:
-                cls[slot[i]] = -1
-        m_rel = edges[j].m_s - m_s
-        comps.append(BoundaryComponent(edges[j].key, "edge", m_rel,
-                                       res(m_rel), tuple(cls)))
-    for j, k in slot.items():
-        m_rel = edges[j].m_s - m_s
-        comps.append(BoundaryComponent(edges[j].key, "exceptional", m_rel,
-                                       res(m_rel), _unit(size, k)))
-    comps.append(BoundaryComponent("infinity", "infinity", 0, res(-arr.m), e))
-    c1 = [0] * size
-    c1[1] = 3
-    for k in slot.values():
-        c1[k] = -1
-    return StratumModel(stratum, tuple(comps), out_degree, tuple(c1),
-                        tuple(edges[j].key for j in slot))
-
-
-def residues(model: StratumModel) -> dict:
-    """Residue integer per boundary component name; all lie in [0, m_s)."""
-    return {c.name: c.m_res for c in model.boundary}
+            t = through.get(j, 0)
+            if t >= 3:
+                blown[j] = t
+    return lines, blown
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +103,6 @@ def residues(model: StratumModel) -> dict:
 
 EXT_HALF_OPEN_UP = "res_(0,1]"
 EXT_HALF_OPEN_DOWN = "res_[0,1)"
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
 
 
 def twist_offsets(m_s: int, mode: str) -> tuple:
@@ -264,29 +115,6 @@ def twist_offsets(m_s: int, mode: str) -> tuple:
     if mode == EXT_HALF_OPEN_DOWN:
         return 0, 0
     raise StrataError(f"unknown extension mode {mode!r}")
-
-
-def deligne_residues(model: StratumModel, k: int,
-                     mode: str = EXT_HALF_OPEN_UP) -> dict:
-    """Connection residues k*m_res/m_s minus their boundary twist, per
-    component, as Fractions; they lie in (0,1] or [0,1) according to the
-    mode.  Only the check harness and the tests read them."""
-    from fractions import Fraction
-
-    b, c = twist_offsets(model.m_s, mode)
-    out = {}
-    for comp in model.boundary:
-        t = (k * comp.m_res + b) // model.m_s + c
-        out[comp.name] = Fraction(k * comp.m_res, model.m_s) - t
-    return out
-
-
-def power_identity_holds(model: StratumModel) -> bool:
-    """Exact divisor-class form of the m_s-th tensor power identity: m_s
-    times the base class equals minus the residue-weighted boundary sum."""
-    lhs = tuple(model.m_s * x for x in model.deligne_base_vector)
-    return lhs == combine(len(lhs), 0, [(-c.m_res, c.cls)
-                                        for c in model.boundary])
 
 
 # ---------------------------------------------------------------------------

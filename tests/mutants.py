@@ -50,6 +50,9 @@ CONCURRENT = ("tests/test_spectra.py::TestOrdinary"
 SURFACE_ROW = f"{PROPS}::test_surface_integers_match_the_model_oracle"
 BLOWN = "tests/test_cli.py::test_blown_surfaces_digest"
 SPECTRA_ROWS = f"{PROPS}::test_spectra_report_matches_rows_by_stratum"
+DUMP = f"{PROPS}::test_strata_dump_matches_the_model_oracle"
+EXPORTS = ("tests/test_exports.py"
+           "::test_every_public_name_has_a_reader_or_a_reason")
 
 # name -> (file, old text, new text, node ids that must fail)
 MUTANTS = {
@@ -114,10 +117,17 @@ MUTANTS = {
     # a point of two boundary lines is normal crossing, and no model blows
     # it up
     "surface-blows-up-double-points": (
-        "src/hmclass/milnor.py",
-        "if t >= 3}",
-        "if t >= 2}",
-        [SURFACE_ROW]),
+        "src/hmclass/strata.py",
+        "            if t >= 3:\n",
+        "            if t >= 2:\n",
+        [SURFACE_ROW, DUMP]),
+    # a point of three boundary lines is not normal crossing either, and
+    # BLOWN3 and BLOWN4 blow one up; their dumps and contributions show it
+    "walk-blows-up-only-four-lines": (
+        "src/hmclass/strata.py",
+        "            if t >= 3:\n",
+        "            if t >= 4:\n",
+        [SURFACE_ROW, DUMP, BLOWN]),
     # a line's floor(m_j/m_s) in the base class is also its eps_k
     # coefficient at each blown point k on it; BLOWN4's double plane has
     # a blown point on its line of the triple plane
@@ -275,16 +285,6 @@ MUTANTS = {
         "        return self._zero\n",
         "        return not self.pairs\n",
         ["tests/test_milnor.py::TestWorkPerStratum"]),
-    # sp_shift signs the runs, not the entries; on a curve ordinary(3)'s
-    # linear multiplicities change sign with their constants, and the
-    # term-by-term oracle reads the shifted catalogue germ of GUARDED_P3's
-    # triple line
-    "sp-shift-leaves-b-unsigned": (
-        "src/hmclass/spectra.py",
-        "(p, lo, hi, sign * a, sign * b)",
-        "(p, lo, hi, sign * a, b)",
-        ["tests/test_spectra.py::TestShift::test_triple_germ_on_a_line",
-         f"{PROPS}::test_type_key_is_sound"]),
     # the spectra report shifts each pair itself; on a curve the
     # multiplicities change sign
     "spectra-shift-keeps-sign": (
@@ -395,6 +395,13 @@ MUTANTS = {
         'entry = _template({"alpha": HOLE, "mult": HOLE}, 4)',
         'entry = _template({"alpha": HOLE, "mult": HOLE}, 3)',
         [f"{CORPUS}[concurrent3-spectra]", LATTICE_SIDE]),
+    # a public function that no package code reads is an export only
+    # tests could use
+    "public-function-without-reader": (
+        "src/hmclass/strata.py",
+        "def chow_dims(",
+        "def spare_dims():\n    return {}\n\n\ndef chow_dims(",
+        [EXPORTS]),
     # --schema, lattice and chi-y then load the Milnor-class modules
     "cli-imports-milnor-at-start": (
         "src/hmclass/cli.py",

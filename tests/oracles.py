@@ -6,7 +6,7 @@ enumeration for intersection lattices, the primitive form of an integer
 vector by its content and first nonzero entry, inclusion-exclusion
 counts, the K-theoretic lambda_y route to Hirzebruch classes, the
 Chern-integral route to the Euler number of a smooth hypersurface, the
-inverse of the spectrum frame shift, the coefficient recursion for the
+spectrum frame shift and its inverse, the coefficient recursion for the
 inverse of a truncated power series, the product over Chern roots of a
 Hirzebruch series evaluated root by root, the dense dict of a Milnor
 report for json.dumps, the Euler-number defect of a divisor against
@@ -42,7 +42,8 @@ and polynomiality test that the package itself never needs live here
 too, and so do user tables that put a stratum's whole signed mass at
 exponent 1 or spread it over random exponents, the rows of a spectra
 report built one stratum at a time, and the input JSON of an
-arrangement.
+arrangement.  The stratum models these read are those of models.py,
+which needs no sympy.
 """
 
 import math
@@ -62,11 +63,11 @@ from hmclass.arrangement import (Edge, chi_y_pn,
 from hmclass.coeffs import RatFuncY, ratio_text
 from hmclass.genera import _todd_series, hirzebruch_series
 from hmclass.milnor import _segments, _twist_slopes
-from hmclass.spectra import (Spectrum, SpectrumError, classify_germ, sp_shift,
+from hmclass.spectra import (Spectrum, SpectrumError, classify_germ,
                              sp_user_load, sp_validate, stratum_germ,
                              stratum_spectrum)
-from hmclass.strata import (EXT_HALF_OPEN_UP, StrataError, build_labels,
-                            combine, compactify)
+from hmclass.strata import EXT_HALF_OPEN_UP, StrataError, build_labels
+from models import build_model, combine, report_models
 
 
 def series_coeffs(expr, var, order):
@@ -589,7 +590,7 @@ def chern_milnor_by_classes(arr) -> dict:
     schema = build_labels(arr)
     out = {}
     for s in sigma_strata(arr):
-        model = compactify(arr, s)
+        model = build_model(arr, s)
         chi_tilde = milnor_fiber_chi(localize(arr, s)) - 1
         cls = log_tangent_by_chern(model) * chi_tilde
         for label, c in push_by_basis(schema, model, cls.coeffs).items():
@@ -748,6 +749,24 @@ def make_table(mapping, frame) -> Spectrum:
 def support(sp: Spectrum) -> tuple:
     """The exponents of a spectrum, in increasing order."""
     return tuple(a for a, _ in entries(sp))
+
+
+def sp_shift(germ_sp: Spectrum, stratum: Edge, n: int) -> Spectrum:
+    """Reindex a germ spectrum to the ambient stratum frame: exponents move
+    up by dim S and multiplicities pick up (-1)^{dim S}.  As codim S +
+    dim S = n, the run exponents codim - p - c/e move to n - p - c/e, so
+    each run keeps p, lo and hi and only its a and b change sign."""
+    kind, d = germ_sp.frame
+    if kind != "germ":
+        raise SpectrumError(f"expected a germ frame, got {germ_sp.frame}")
+    if d != stratum.codim:
+        raise SpectrumError(
+            f"germ frame dimension {d} does not match stratum codimension "
+            f"{stratum.codim}")
+    sign = (-1) ** stratum.dim
+    runs = tuple((p, lo, hi, sign * a, sign * b)
+                 for p, lo, hi, a, b in germ_sp.runs)
+    return Spectrum(("stratum", n), germ_sp.e, runs, germ_sp.source)
 
 
 def sp_unshift(stratum_sp: Spectrum,
@@ -1170,7 +1189,7 @@ def report_to_json(report, dump_strata: bool = False) -> dict:
         },
     }
     if dump_strata:
-        out["strata"] = [m.to_json() for m in report.models]
+        out["strata"] = [m.to_json() for m in report_models(report)]
     return out
 
 

@@ -18,9 +18,10 @@ from hmclass.coeffs import RatFuncY
 from hmclass.genera import hirzebruch_series, verify_identity_qr
 from hmclass.milnor import assemble, calibrate
 from hmclass.spectra import sp_monomial, sp_ordinary, sp_validate
-from hmclass.strata import (chow_dims, compactify, deligne_residues,
-                            homology_weight_dims, power_identity_holds,
-                            relabel_vector, residues, trace)
+from hmclass.strata import (chow_dims, homology_weight_dims,
+                            relabel_vector, trace)
+from models import (build_model, deligne_residues, power_identity_holds,
+                    residues)
 from oracles import (coeff_list, entries, support, todd_series_oracle,
                      ty_class_pn, vector_is_polynomial)
 
@@ -159,7 +160,7 @@ def test_c10_residue_invariants():
     for name in corpus.ALL_NAMES:
         arr = corpus.load(name)
         for s in sigma_strata(arr):
-            model = compactify(arr, s)
+            model = build_model(arr, s)
             strata_count += 1
             for v in residues(model).values():
                 assert 0 <= v < model.m_s

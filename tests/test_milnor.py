@@ -17,14 +17,15 @@ from hmclass.milnor import (ALL_CONVENTIONS, DEFAULT_CONVENTIONS,
                             ConventionSet, MissingSpectrumError,
                             _stratum_contribution, _type_key, assemble,
                             calibrate, chern_milnor)
-from hmclass.spectra import (Spectrum, SpectrumError, sp_monomial, sp_shift,
+from hmclass.spectra import (Spectrum, SpectrumError, sp_monomial,
                              sp_user_load, stratum_germ, stratum_spectrum)
-from hmclass.strata import build_labels, compactify, relabel_vector, trace
+from hmclass.strata import build_labels, relabel_vector, trace
+from models import build_model, report_models
 from oracles import (ChernData, arrangement_to_json, by_codegree,
                      chern_milnor_by_classes, constant_pairs, entries,
                      euler_defect, generated_tables, k_representative,
                      make_table, model_ring, push_by_basis,
-                     report_to_json,
+                     report_to_json, sp_shift,
                      stratum_contribution_by_terms, table_entries, td_1py,
                      vector_is_polynomial, vector_scale, vector_sum)
 
@@ -74,7 +75,7 @@ def poly_values(vec):
 class TestTdTransform:
     def line_model(self):
         arr = corpus.load("doubleline")
-        return compactify(arr, sigma_strata(arr)[0])
+        return build_model(arr, sigma_strata(arr)[0])
 
     def test_line_bundles_riemann_roch(self):
         model = self.line_model()
@@ -88,7 +89,7 @@ class TestTdTransform:
 
     def test_structure_sheaf_of_point(self):
         arr = corpus.load("triangle3")
-        model = compactify(arr, sigma_strata(arr)[0])
+        model = build_model(arr, sigma_strata(arr)[0])
         elem = td_1py(ChernData(1, ()), model)
         assert elem.coeff(0) == RatFuncY.ONE
 
@@ -350,8 +351,9 @@ class TestBlownSurfacePath:
                         ((0, 1, 0, 0), 1), ((1, 1, 0, 0), 1)])
         tables = sp_user_load({"1,2,3,4": [{"alpha": "7/5", "mult": -1}]}, arr)
         rep = assemble(arr, tables)
-        assert [m.kind for m in rep.models].count("surface") == 1
-        surface = [m for m in rep.models if m.kind == "surface"][0]
+        models = report_models(rep)
+        assert [m.kind for m in models].count("surface") == 1
+        surface = [m for m in models if m.kind == "surface"][0]
         assert surface.blown_points == ("1,2,3,4",)
         assert vector_is_polynomial(rep.m_y)
         assert rep.cross_path_ok
@@ -485,7 +487,7 @@ class TestRegroupedContribution:
         # the closed form of the germ class, and its expanded spectrum read
         # as a table, against the oracle
         for s, germ in strata:
-            model = compactify(arr, s)
+            model = build_model(arr, s)
             sp = make_table(dict(entries(germ)), germ.frame)
             want = by_codegree(model, stratum_contribution_by_terms(
                 arr, s, sp, model, conv).coeffs)
@@ -578,10 +580,11 @@ class TestRegroupedContribution:
             arr = corpus.load(name)
             before = len(calls)
             rep = assemble(arr)
-            signatures = {signature(arr, m.stratum) for m in rep.models}
+            listed = rep.listed.values()
+            signatures = {signature(arr, s) for s in listed}
             assert len(calls) - before == len(signatures), name
             if name in ("triangle3", "fourplanes"):  # repeated local types
-                assert len(signatures) < len(rep.models), name
+                assert len(signatures) < len(listed), name
 
 
 class TestWorkPerStratum:
@@ -675,12 +678,10 @@ class TestLazyAttributes:
         assert "lattice" not in vars(arr)
         lattice = arr.lattice
         surface = next(s for s in sigma_strata(arr) if s.dim == 2)
-        model = compactify(arr, surface)
+        model = build_model(arr, surface)
         germ = sp_monomial([2])
-        rep = assemble(arr)
         owners = [(arr, "lattice"), (lattice, "chi_y_open"),
-                  (model, "deligne_base_vector"), (germ, "pairs"),
-                  (rep, "models")]
+                  (model, "deligne_base_vector"), (germ, "pairs")]
         for owner, name in owners[2:]:
             assert name not in vars(owner), name
         for owner, name in owners:
@@ -696,10 +697,10 @@ class TestLazyAttributes:
 
 class TestOnePass:
     """Per report: one lattice search, one record per edge, which is its
-    own localization, built once and shared by every consumer, no model
-    (one per listed stratum with --dump-strata), one read of each curve's
-    lattice row (two with --dump-strata, whose model reads it again) and
-    none of a point's, one contribution per distinct signature, and one
+    own localization, built once and shared by every consumer, one walk of
+    each listed curve's and surface's lattice row (compactify) and none of
+    a point's, with at most one more per listed stratum with
+    --dump-strata, one contribution per distinct signature, and one
     surface closed form per distinct surface key."""
 
     def counters(self, monkeypatch):
@@ -708,25 +709,8 @@ class TestOnePass:
                                      (arrangement, "Edge"),
                                      (strata, "compactify"),
                                      (spectra, "sp_validate"),
-                                     (strata, "boundary_edges"),
                                      (milnor, "_stratum_contribution"),
                                      (milnor, "_surface_terms"))}
-
-    def base_classes(self, monkeypatch):
-        """The edge keys of the models whose base Deligne class gets
-        built."""
-        attr = "deligne_base_vector"
-        real = getattr(strata.StratumModel, attr).func
-        built = []
-
-        def counting(model):
-            built.append(model.stratum.key)
-            return real(model)
-
-        prop = lazy_attribute(counting)
-        prop.__set_name__(strata.StratumModel, attr)
-        monkeypatch.setattr(strata.StratumModel, attr, prop)
-        return built
 
     def files(self, tmp_path):
         # nine lines with three triple points and many double points
@@ -745,11 +729,11 @@ class TestOnePass:
             + [str(path), str(planes)]
 
     def test_milnor(self, monkeypatch, tmp_path, capsys):
-        # every stratum contributes from its lattice row, so a report
-        # compactifies no stratum and builds no model class, and runs a
-        # surface's closed form once per distinct surface key;
-        # --dump-strata lists every stratum with a nonzero germ and
-        # compactifies each of them once
+        # every listed curve and surface contributes from one walk of its
+        # lattice row, a point from none, and a report runs a surface's
+        # closed form once per distinct surface key; --dump-strata lists
+        # every stratum with a nonzero germ and walks each at most once
+        # more
         surfaces = shared = 0
         for path in self.files(tmp_path):
             arr = arrangement.Arrangement.load(path)
@@ -759,12 +743,12 @@ class TestOnePass:
                             if not stratum_germ(s).is_zero())
             on_surfaces = [signature(arr, s) for s in strata_
                            if s.dim == 2 and s.key in listed]
-            curves = sum(s.dim == 1 and s.key in listed for s in strata_)
+            walked = Counter(s.key for s in strata_
+                             if s.dim and s.key in listed)
             local_types = {(s.codim, s.mults) for s in strata_}
             for dump in ([], ["--dump-strata"]):
                 with monkeypatch.context() as patch:
                     calls = self.counters(patch)
-                    built = self.base_classes(patch)
                     classified = count_calls(patch, spectra, "classify_germ")
                     code = cli.main(["milnor", path, *dump])
                     assert code == 0, capsys.readouterr().err
@@ -772,16 +756,19 @@ class TestOnePass:
                 assert len(classified) == len(local_types), path
                 assert len(calls["_search_edges"]) == 1, path
                 assert len(calls["Edge"]) == len(arr.lattice.edges), path
-                compactified = sorted(s.key for _, s in calls["compactify"])
-                assert compactified == (listed if dump else []), path
+                compactified = Counter(s.key for _, s in calls["compactify"])
+                if dump:
+                    more = compactified - walked
+                    assert set(more) <= set(listed), path
+                    assert max(more.values(), default=0) <= 1, path
+                    assert not walked - compactified, path
+                else:
+                    assert compactified == walked, path
                 assert (len(calls["_stratum_contribution"])
                         == len(signatures)), path
                 keys = [key for key, *_ in calls["_surface_terms"]]
                 assert len(keys) == len(set(on_surfaces)), path
                 assert set(keys) == set(on_surfaces), path
-                assert (len(calls["boundary_edges"])
-                        == curves * (2 if dump else 1)), path
-                assert not built, path
             surfaces += len(on_surfaces)
             shared += len(on_surfaces) - len(set(on_surfaces))
         assert len(signatures) < len(strata_)  # the planes repeat types
@@ -1065,7 +1052,7 @@ class TestMemo:
         want = {}
         for s in sigma_strata(arr):
             sp = stratum_spectrum(arr, s, tables)
-            model = compactify(arr, s)
+            model = build_model(arr, s)
             elem = stratum_contribution_by_terms(arr, s, sp, model, conv)
             if conv.sign_mode == "flip_odd_strata" and s.dim % 2 == 1:
                 elem = -elem
@@ -1085,9 +1072,11 @@ class TestMemo:
             arr = random_arrangement(rng, n)
             for conv in ALL_CONVENTIONS:
                 rep, tables = self.check(arr, conv)
-                kinds.update(m.kind for m in rep.models)
-                repeats += len(rep.models) - len(
-                    {signature(arr, m.stratum, tables) for m in rep.models})
+                listed = rep.listed.values()
+                kinds.update(("point", "curve", "surface")[s.dim]
+                             for s in listed)
+                repeats += len(listed) - len(
+                    {signature(arr, s, tables) for s in listed})
         assert repeats
         assert kinds == ({"point", "curve"} if n == 2
                          else {"point", "curve", "surface"})
@@ -1102,7 +1091,7 @@ class TestMemo:
         for conv in ALL_CONVENTIONS:
             rep, _ = self.check(arr, conv)
             one, two = ([(c.source, c.m_sub, c.m_res) for c in m.boundary]
-                        for m in rep.models[:2])
+                        for m in report_models(rep)[:2])
             assert sorted(one) == sorted(two)
             shared = list(rep.schema.shared.values())
             one, two = ([rep.per_stratum[j].get(q)

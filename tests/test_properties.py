@@ -37,9 +37,9 @@ from hmclass.milnor import (ALL_CONVENTIONS, DEFAULT_CONVENTIONS,
                             chern_milnor)
 from hmclass.spectra import sp_user_load, stratum_germ
 from hmclass.strata import (EXT_HALF_OPEN_DOWN, EXT_HALF_OPEN_UP,
-                            build_labels, chow_dims, compactify,
-                            homology_weight_dims, push_to_sigma,
-                            relabel_vector, trace)
+                            build_labels, chow_dims, homology_weight_dims,
+                            push_to_sigma, relabel_vector, trace)
+from models import build_model
 from oracles import (BlownPlaneRing, ProjRing, RingElement,
                      arrangement_to_json, by_codegree, coeff,
                      chern_milnor_by_classes, chern_to_ch, constant_pairs,
@@ -203,7 +203,7 @@ def with_tables(n, hyperplanes, conv=DEFAULT_CONVENTIONS):
 def pushed_by_terms(arr, stratum, germ, conv, schema):
     """A stratum's contribution on its own, term by term, pushed to the
     labels."""
-    model = compactify(arr, stratum)
+    model = build_model(arr, stratum)
     elem = stratum_contribution_by_terms(arr, stratum, germ, model, conv)
     if conv.sign_mode == "flip_odd_strata" and stratum.dim % 2 == 1:
         elem = -elem
@@ -308,7 +308,7 @@ def test_integer_path_matches_ring_path_on_every_stratum():
         for tables in (generated_tables(arr), spread):
             for s in sigma_strata(arr):
                 germ = stratum_germ(s, tables)
-                model = compactify(arr, s)
+                model = build_model(arr, s)
                 if germ.is_zero():
                     continue
                 key = _type_key(arr, s, germ)
@@ -378,7 +378,7 @@ def test_surface_integers_match_the_model_oracle():
                 germ = stratum_germ(s, tables)
                 if s.dim != 2 or germ.is_zero():
                     continue
-                model = compactify(arr, s)
+                model = build_model(arr, s)
                 key = _type_key(arr, s, germ)
                 row = surface_row_by_model(model)
                 assert key[2] == row, s.key
@@ -396,6 +396,43 @@ def test_surface_integers_match_the_model_oracle():
     assert seen[3] and seen[4], seen
     assert all(seen["blown", b] for b in (0, 1, 2)), seen
     assert seen["four lines"] and seen["three residues"], seen
+
+
+def test_strata_dump_matches_the_model_oracle():
+    # the strata member of milnor --dump-strata, written from each
+    # stratum's compactification walk, against each model's to_json, in
+    # P^3 and P^4.  The explicit examples meet every guard: GUARDED_P4's
+    # surfaces have no blown point, BLOWN3's one each, and BLOWN4 has a
+    # surface with two and a point of four lines
+    seen = Counter()
+
+    @settings(SETTINGS, phases=NO_SHRINK)
+    @given(st.one_of(model_arrangements(), p4_arrangements()).filter(
+        lambda case: case[0] > 2))
+    @example(BLOWN3)
+    @example(BLOWN4)
+    @example(GUARDED_P4)
+    def check(case):
+        n, hyperplanes = case[:2]
+        arr, rep = with_tables(n, hyperplanes)
+        models = [build_model(arr, s) for s in rep.listed.values()]
+        dumped = json.loads("".join(rep.json_chunks(True)))["strata"]
+        assert dumped == [m.to_json() for m in models]
+        for m in models:
+            seen[n, m.kind] += 1
+            if m.kind == "surface":
+                seen["blown", min(len(m.blown_points), 2)] += 1
+                lines = [c.cls for c in m.boundary if c.source == "edge"]
+                seen["four lines"] += any(
+                    sum(cls[k] == -1 for cls in lines) >= 4
+                    for k in range(2, 2 + len(m.blown_points)))
+
+    check()
+    for n in (3, 4):
+        for kind in ("point", "curve", "surface"):
+            assert seen[n, kind], (n, kind, seen)
+    assert all(seen["blown", b] for b in (0, 1, 2)), seen
+    assert seen["four lines"], seen
 
 
 def test_each_class_pushes_to_a_label_of_its_own():
@@ -416,7 +453,7 @@ def test_each_class_pushes_to_a_label_of_its_own():
             reject()
         schema = build_labels(arr)
         for s in sigma_strata(arr):
-            model = compactify(arr, s)
+            model = build_model(arr, s)
             size = model.dim + 1
             units = [push_to_sigma(schema, s,
                                    [int(i == j) for i in range(size)])
@@ -477,8 +514,9 @@ def generic_section_euler(arr) -> int:
         chi_tilde = milnor_fiber_chi(localize(arr, s)) - 1
         factor = 1
         if s.dim == 2:
-            lines = [e for e in arr.lattice.above(s)
-                     if arr.n - e.codim == 1]
+            lattice = arr.lattice
+            lines = [j for j in lattice.strictly_above[s.position]
+                     if arr.n - lattice.edges[j].codim == 1]
             factor = 2 - len(lines) - m
         total += -(m - 1) * chi_tilde * factor
     return total
@@ -997,7 +1035,7 @@ def test_model_classes_match_newton_identity_oracle():
         except ArrangementError:
             reject()
         for s in sigma_strata(arr):
-            model = compactify(arr, s)
+            model = build_model(arr, s)
             seen[model.kind, bool(model.blown_points)] += 1
             ring = model_ring(model)
             assert (model_class(model, todd12(model), 12)
@@ -1021,6 +1059,11 @@ def test_chern_path_matches_class_oracle():
 
     @settings(SETTINGS, phases=NO_SHRINK)
     @given(st.one_of(model_arrangements(), p4_arrangements()))
+    # GUARDED_P3 has a surface blown up at a point and one that is not;
+    # in DENSE_P4, x0, x1 and x0 + x1 meet the plane x2 = x3 = 0 in a
+    # blown point, and x1, x2 and x4 meet x0 = x3 = 0 in none
+    @example(GUARDED_P3)
+    @example(DENSE_P4)
     def check(case):
         n, hyperplanes = case[:2]
         try:
@@ -1029,7 +1072,7 @@ def test_chern_path_matches_class_oracle():
             reject()
         strata = sigma_strata(arr)
         seen.update((n, m.kind, bool(m.blown_points))
-                    for m in (compactify(arr, s) for s in strata))
+                    for m in (build_model(arr, s) for s in strata))
         assert (chern_milnor(arr, build_labels(arr), strata)
                 == constant_pairs(chern_milnor_by_classes(arr)))
 
@@ -1118,7 +1161,7 @@ def test_closed_form_matches_per_exponent_oracle():
             germ = stratum_germ(s)
             if germ is None or germ.is_zero():
                 continue
-            model = compactify(arr, s)
+            model = build_model(arr, s)
             key = _type_key(arr, s, germ)
             for conv in ALL_CONVENTIONS:
                 want = stratum_contribution_by_terms(arr, s, germ, model,

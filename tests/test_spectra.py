@@ -8,10 +8,10 @@ from hmclass import cli, corpus, spectra
 from hmclass.arrangement import build, edges, localize, sigma_strata
 from hmclass.spectra import (Spectrum, SpectrumError,
                              SpectrumValidationError, classify_germ,
-                             sp_monomial, sp_ordinary,
-                             sp_shift, sp_user_load, sp_validate,
-                             stratum_spectrum)
-from oracles import arrangement_to_json, make_table, sp_unshift, support
+                             sp_monomial, sp_ordinary, sp_user_load,
+                             sp_validate, stratum_spectrum)
+from oracles import (arrangement_to_json, make_table, sp_shift, sp_unshift,
+                     support)
 from oracles import entries as entry_list
 
 F = Fraction

@@ -9,9 +9,10 @@ from hmclass.arrangement import ArrangementError, build, sigma_strata
 from hmclass.coeffs import RatFuncY
 from hmclass.strata import (Label, LabelSchema, StrataError,
                             StratumDimensionError, build_labels, chow_dims,
-                            compactify, deligne_residues,
-                            homology_weight_dims, power_identity_holds,
-                            push_to_sigma, residues, specializations, trace)
+                            compactify, homology_weight_dims, push_to_sigma,
+                            specializations, trace)
+from models import (build_model, deligne_residues, power_identity_holds,
+                    residues)
 from oracles import (basis_class, by_codegree, deligne_vector, log_chern,
                      model_class, model_ring, vector_to_json)
 
@@ -60,19 +61,19 @@ def double_plane_pencil():
 class TestCompactify:
     def test_line_of_two_planes(self):
         arr = two_planes()
-        model = compactify(arr, stratum_of(arr, "1,2"))
+        model = build_model(arr, stratum_of(arr, "1,2"))
         assert model.kind == "curve"
         assert [c.name for c in model.boundary] == ["infinity"]
 
     def test_double_line(self):
         arr = corpus.load("doubleline")
-        model = compactify(arr, stratum_of(arr, "1"))
+        model = build_model(arr, stratum_of(arr, "1"))
         assert model.kind == "curve"
         assert [c.source for c in model.boundary] == ["infinity"]
 
     def test_generic_crossed_surface_has_no_blowups(self):
         arr = double_plane_crossed(3)
-        model = compactify(arr, stratum_of(arr, "1"))
+        model = build_model(arr, stratum_of(arr, "1"))
         assert model.kind == "surface"
         assert model.blown_points == ()
         sources = [c.source for c in model.boundary]
@@ -80,7 +81,7 @@ class TestCompactify:
 
     def test_pencil_crossed_surface_blows_up_the_center(self):
         arr = double_plane_pencil()
-        model = compactify(arr, stratum_of(arr, "1"))
+        model = build_model(arr, stratum_of(arr, "1"))
         assert model.kind == "surface"
         assert model.blown_points == ("1,2,3,4",)
         ring = model_ring(model)
@@ -96,8 +97,55 @@ class TestCompactify:
 
     def test_point_stratum(self):
         arr = corpus.load("triangle3")
-        model = compactify(arr, sigma_strata(arr)[0])
+        model = build_model(arr, sigma_strata(arr)[0])
         assert model.kind == "point" and model.boundary == ()
+
+    def test_dimension_cap(self):
+        arr = build(4, [((1, 0, 0, 0, 0), 2)])
+        with pytest.raises(StratumDimensionError,
+                           match="unsupported stratum dimension"):
+            build_model(arr, sigma_strata(arr)[0])
+
+
+class TestWalk:
+    """compactify's one walk of a stratum's lattice row, as positions."""
+
+    def keys(self, arr, stratum):
+        edges = arr.lattice.edges
+        lines, blown = compactify(arr, stratum)
+        return ([edges[j].key for j in lines],
+                {edges[i].key: t for i, t in blown.items()})
+
+    def test_curve_reads_its_whole_row(self):
+        arr = corpus.load("fourplanes")
+        assert self.keys(arr, stratum_of(arr, "1,2")) == (
+            ["1,2,3", "1,2,4"], {})
+
+    def test_point_has_no_boundary(self):
+        arr = corpus.load("triangle3")
+        assert compactify(arr, sigma_strata(arr)[0]) == ((), {})
+
+    def test_generic_crossed_surface_has_no_blown_point(self):
+        arr = double_plane_crossed(3)
+        assert self.keys(arr, stratum_of(arr, "1")) == (
+            ["1,2", "1,3", "1,4"], {})
+
+    def test_pencil_center_is_blown_with_its_lines(self):
+        arr = double_plane_pencil()
+        assert self.keys(arr, stratum_of(arr, "1")) == (
+            ["1,2", "1,3", "1,4"], {"1,2,3,4": 3})
+
+    def test_blown_points_in_lattice_order_with_t(self):
+        # a double plane x0 with the pencil x1, x2, x1 + x2, x1 - x2
+        # through [0:0:0:1] and x1, x3, x1 + x3 through [0:0:1:0]
+        arr = build(3, [((1, 0, 0, 0), 2), ((0, 1, 0, 0), 1),
+                        ((0, 0, 1, 0), 1), ((0, 1, 1, 0), 1),
+                        ((0, 1, -1, 0), 1), ((0, 0, 0, 1), 1),
+                        ((0, 1, 0, 1), 1)])
+        lines, blown = compactify(arr, stratum_of(arr, "1"))
+        assert len(lines) == 6
+        assert sorted(blown) == list(blown)
+        assert sorted(blown.values()) == [3, 4]
 
     def test_dimension_cap(self):
         arr = build(4, [((1, 0, 0, 0, 0), 2)])
@@ -109,26 +157,26 @@ class TestCompactify:
 class TestResidues:
     def test_double_line_infinity_residue_vanishes(self):
         arr = corpus.load("doubleline")
-        model = compactify(arr, stratum_of(arr, "1"))
+        model = build_model(arr, stratum_of(arr, "1"))
         assert residues(model) == {"infinity": 0}
 
     def test_fourplanes_line_boundary(self):
         arr = corpus.load("fourplanes")
-        model = compactify(arr, stratum_of(arr, "1,2"))
+        model = build_model(arr, stratum_of(arr, "1,2"))
         got = residues(model)
         assert got == {"1,2,3": 1, "1,2,4": 1, "infinity": 0}
 
     def test_divisible_total_degree(self):
         # m_s | m forces a vanishing infinity residue
         arr = corpus.load("pencil3planes")
-        model = compactify(arr, stratum_of(arr, "1,2,3"))
+        model = build_model(arr, stratum_of(arr, "1,2,3"))
         assert residues(model)["infinity"] == 0
 
     @pytest.mark.parametrize("name", list(corpus.ALL_NAMES))
     def test_windows(self, name):
         arr = corpus.load(name)
         for s in sigma_strata(arr):
-            model = compactify(arr, s)
+            model = build_model(arr, s)
             for v in residues(model).values():
                 assert 0 <= v < model.m_s
 
@@ -140,24 +188,24 @@ class TestDeligne:
 
     def test_double_line_nontrivial_character(self):
         arr = corpus.load("doubleline")
-        model = compactify(arr, stratum_of(arr, "1"))
+        model = build_model(arr, stratum_of(arr, "1"))
         cls = deligne_class(model, 1)
         assert self.degree(model, cls) == -1
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_pencil_every_character(self, k):
         arr = corpus.load("pencil3planes")
-        model = compactify(arr, stratum_of(arr, "1,2,3"))
+        model = build_model(arr, stratum_of(arr, "1,2,3"))
         assert self.degree(model, deligne_class(model, k)) == -1
 
     def test_point_model_trivial(self):
         arr = corpus.load("triangle3")
-        model = compactify(arr, sigma_strata(arr)[0])
+        model = build_model(arr, sigma_strata(arr)[0])
         assert deligne_class(model, model.m_s).is_zero()
 
     def test_k_range(self):
         arr = corpus.load("doubleline")
-        model = compactify(arr, stratum_of(arr, "1"))
+        model = build_model(arr, stratum_of(arr, "1"))
         with pytest.raises(StrataError):
             deligne_class(model, 0)
         with pytest.raises(StrataError):
@@ -167,7 +215,7 @@ class TestDeligne:
     def test_residue_window_default_mode(self, name):
         arr = corpus.load(name)
         for s in sigma_strata(arr):
-            model = compactify(arr, s)
+            model = build_model(arr, s)
             for k in range(1, model.m_s + 1):
                 for v in deligne_residues(model, k).values():
                     assert 0 < v <= 1
@@ -175,7 +223,7 @@ class TestDeligne:
     def test_residue_window_other_mode(self):
         arr = corpus.load("fourplanes")
         for s in sigma_strata(arr):
-            model = compactify(arr, s)
+            model = build_model(arr, s)
             for k in range(0, model.m_s):
                 for v in deligne_residues(model, k, "res_[0,1)").values():
                     assert 0 <= v < 1
@@ -184,15 +232,15 @@ class TestDeligne:
     def test_tensor_power_identity(self, name):
         arr = corpus.load(name)
         for s in sigma_strata(arr):
-            assert power_identity_holds(compactify(arr, s))
+            assert power_identity_holds(build_model(arr, s))
 
     def test_tensor_power_identity_on_blown_surface(self):
         arr = double_plane_pencil()
-        assert power_identity_holds(compactify(arr, stratum_of(arr, "1")))
+        assert power_identity_holds(build_model(arr, stratum_of(arr, "1")))
 
     def test_base_class_of_fourplanes_line(self):
         arr = corpus.load("fourplanes")
-        model = compactify(arr, stratum_of(arr, "1,2"))
+        model = build_model(arr, stratum_of(arr, "1,2"))
         base = model_class(model, model.deligne_base_vector)
         assert self.degree(model, base) == -1
 
@@ -200,18 +248,18 @@ class TestDeligne:
 class TestLogChern:
     def test_curve_with_two_boundary_points(self):
         arr = two_planes()
-        model = compactify(arr, stratum_of(arr, "1,2"))
+        model = build_model(arr, stratum_of(arr, "1,2"))
         assert len(model.boundary) == 1
         # doubleline in the plane also has one boundary point; use the
         # fourplanes line for three
         arr4 = corpus.load("fourplanes")
-        model4 = compactify(arr4, stratum_of(arr4, "1,2"))
+        model4 = build_model(arr4, stratum_of(arr4, "1,2"))
         cd = log_chern(model4, 1)
         assert cd.c(1).coeff(1).as_poly()(0) == 1  # -2 + 3
 
     def test_curve_degree_formula(self):
         arr = corpus.load("pencil3planes")
-        model = compactify(arr, stratum_of(arr, "1,2,3"))
+        model = build_model(arr, stratum_of(arr, "1,2,3"))
         cd = log_chern(model, 1)
         assert cd.c(1).coeff(1).as_poly()(0) == -1  # -2 + 1
 
@@ -220,13 +268,13 @@ class TestLogChern:
         # boundary is two induced lines plus the generic one, so the top
         # logarithmic power is trivial
         arr = double_plane_crossed(2)
-        model = compactify(arr, stratum_of(arr, "1"))
+        model = build_model(arr, stratum_of(arr, "1"))
         cd = log_chern(model, 2)
         assert cd.c(1).is_zero()
 
     def test_surface_middle_power(self):
         arr = corpus.load("doubleplane3")
-        model = compactify(arr, stratum_of(arr, "1"))
+        model = build_model(arr, stratum_of(arr, "1"))
         cd = log_chern(model, 1)
         ring = model_ring(model)
         assert cd.rank == 2
@@ -235,7 +283,7 @@ class TestLogChern:
 
     def test_q_out_of_range(self):
         arr = corpus.load("doubleline")
-        model = compactify(arr, stratum_of(arr, "1"))
+        model = build_model(arr, stratum_of(arr, "1"))
         with pytest.raises(StrataError):
             log_chern(model, 2)
 
@@ -243,7 +291,7 @@ class TestLogChern:
 class TestSurfaceRing:
     def test_proper_transform_intersections(self):
         arr = double_plane_pencil()
-        model = compactify(arr, stratum_of(arr, "1"))
+        model = build_model(arr, stratum_of(arr, "1"))
         ring = model_ring(model)
         line_a, line_b = [model_class(model, c.cls) for c in model.boundary
                           if c.source == "edge"][:2]
@@ -261,7 +309,7 @@ class TestSurfaceRing:
 
     def test_exceptional_self_intersection(self):
         arr = double_plane_pencil()
-        model = compactify(arr, stratum_of(arr, "1"))
+        model = build_model(arr, stratum_of(arr, "1"))
         eps = basis_class(model_ring(model), "eps_1,2,3,4")
         assert eps * eps == -basis_class(model_ring(model), "pt")
 
@@ -269,8 +317,8 @@ class TestSurfaceRing:
         # each surface model owns its oracle ring: one model's classes mix
         # when read twice, two models' classes do not
         arr = double_plane_pencil()
-        a = compactify(arr, stratum_of(arr, "1"))
-        b = compactify(arr, stratum_of(arr, "1"))
+        a = build_model(arr, stratum_of(arr, "1"))
+        b = build_model(arr, stratum_of(arr, "1"))
         assert model_ring(a) is model_ring(a)
         assert model_ring(a) is not model_ring(b)
         with pytest.raises(ValueError):
@@ -284,7 +332,7 @@ class TestPushAndLabels:
     def test_line_stratum_own_label(self):
         arr = corpus.load("fourplanes")
         schema = build_labels(arr)
-        model = compactify(arr, stratum_of(arr, "1,2"))
+        model = build_model(arr, stratum_of(arr, "1,2"))
         vec = pushed(schema, model, model_ring(model).one())
         assert vec["L_{12}"] == RatFuncY.ONE
         assert trace(schema, vec).is_zero()
@@ -292,7 +340,7 @@ class TestPushAndLabels:
     def test_point_class_shared_label(self):
         arr = corpus.load("fourplanes")
         schema = build_labels(arr)
-        model = compactify(arr, stratum_of(arr, "1,2"))
+        model = build_model(arr, stratum_of(arr, "1,2"))
         pt = model_ring(model).basis_element(1)
         vec = pushed(schema, model, pt)
         assert vec["Q_{0}"] == RatFuncY.ONE
@@ -300,7 +348,7 @@ class TestPushAndLabels:
     def test_exceptional_class_contracts(self):
         arr = double_plane_pencil()
         schema = build_labels(arr)
-        model = compactify(arr, stratum_of(arr, "1"))
+        model = build_model(arr, stratum_of(arr, "1"))
         eps = basis_class(model_ring(model), "eps_1,2,3,4")
         vec = pushed(schema, model, eps)
         assert vec == {}
@@ -310,7 +358,7 @@ class TestPushAndLabels:
     def test_push_respects_point_degree(self):
         arr = corpus.load("doubleplane3")
         schema = build_labels(arr)
-        model = compactify(arr, stratum_of(arr, "1"))
+        model = build_model(arr, stratum_of(arr, "1"))
         elem = basis_class(model_ring(model), "pt") * 7 + basis_class(model_ring(model), "e") * 3
         vec = pushed(schema, model, elem)
         assert trace(schema, vec) == RatFuncY([7])
@@ -318,7 +366,7 @@ class TestPushAndLabels:
     def test_codim2_edge_inside_multiple_hyperplane_shares(self):
         arr = corpus.load("doubleplane3")
         schema = build_labels(arr)
-        model = compactify(arr, stratum_of(arr, "1,2"))
+        model = build_model(arr, stratum_of(arr, "1,2"))
         vec = pushed(schema, model, model_ring(model).one())
         assert vec["Q_{1}"] == RatFuncY.ONE
 
